@@ -10,15 +10,16 @@ from .dataset import (
     save_dataset,
     validate_dataset,
 )
-from .estimators import SSConfig, ss_estimate, vh_estimate
+from .estimators import IncludedSample, SSConfig, included_sample, ss_estimate, vh_estimate
 from .forest import RecruitmentForest, build_forest
 from .report import PipelineConfig, ReportBundle, run_pipeline
 from .sim import NetworkConfig, SimConfig, generate_network, simulate_rds
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"
 
 __all__ = [
     "ConvergenceConfig",
+    "IncludedSample",
     "IngestOptions",
     "NetworkConfig",
     "PipelineConfig",
@@ -33,6 +34,7 @@ __all__ = [
     "convergence_batch",
     "convergence_flag",
     "generate_network",
+    "included_sample",
     "load_dataset",
     "run_pipeline",
     "save_dataset",

@@ -13,10 +13,8 @@ from typing import Mapping
 
 import numpy as np
 
-from .dataset import Respondent, StudyDataset
 from .errors import TooFewTrees
-from .estimators import included_members, vh_estimate
-from .forest import RecruitmentForest
+from .estimators import IncludedSample
 
 
 @dataclass(frozen=True)
@@ -32,21 +30,6 @@ class PermutationResult:
 def wsd(per_tree: Mapping[str, tuple[float, int]], overall: float) -> float:
     """Weighted squared deviation: sum of n_s * (p_s - p)^2 over trees."""
     return float(sum(n_s * (p_s - overall) ** 2 for p_s, n_s in per_tree.values()))
-
-
-def _included_arrays(
-    ds: StudyDataset,
-    forest: RecruitmentForest,
-    trait: str,
-    degree_question: str,
-) -> tuple[list[Respondent], np.ndarray, np.ndarray, np.ndarray]:
-    members = included_members(ds, forest, trait, degree_question)
-    y = np.array([bool(ds.indicator(r, trait)) for r in members], dtype=float)
-    w = np.array([1.0 / r.degree.get(degree_question) for r in members])
-    roots = sorted({forest.tree_of[r.id] for r in members})
-    root_index = {root: i for i, root in enumerate(roots)}
-    t = np.array([root_index[forest.tree_of[r.id]] for r in members], dtype=int)
-    return members, y, w, t
 
 
 def _wsd_from_matrix(
@@ -66,13 +49,10 @@ def _wsd_from_matrix(
 
 
 def wsd_permutation_test(
-    ds: StudyDataset,
-    forest: RecruitmentForest,
-    trait: str,
+    sample: IncludedSample,
     replicates: int = 10_000,
     threshold: float = 0.90,
     rng_seed: int = 0,
-    degree_question: str = "q_seen_week",
 ) -> PermutationResult:
     """Permutation reference for the weighted squared deviation.
 
@@ -80,11 +60,15 @@ def wsd_permutation_test(
     the observed statistic and replicate values never flag.  Deterministic
     given ``rng_seed``; replicate permutations derive from per-replicate
     seed streams."""
-    members, y, w, t = _included_arrays(ds, forest, trait, degree_question)
-    n_trees = int(t.max()) + 1 if len(t) else 0
+    y = sample.y
+    w = 1.0 / sample.degree
+    # trees are numbered in sorted-root order: the statistic sums over tree
+    # columns, so this order fixes its last bits and hence quantile-rank ties
+    roots, t = np.unique(np.asarray(sample.roots)[sample.tree], return_inverse=True)
+    n_trees = len(roots)
     if n_trees < 2:
         raise TooFewTrees(
-            f"trait {trait!r}: need at least 2 trees with included members"
+            f"trait {sample.trait!r}: need at least 2 trees with included members"
         )
     observed = _wsd_from_matrix(y[None, :], w, t, n_trees)[0]
 
@@ -114,35 +98,18 @@ class AllPointsRow:
     has_trait: bool
 
 
-def all_points_data(
-    ds: StudyDataset,
-    forest: RecruitmentForest,
-    trait: str,
-    degree_question: str = "q_seen_week",
-) -> list[AllPointsRow]:
-    """Per-respondent (tree, included index, trait value) records, global
-    interview order preserved; respondents missing the trait are omitted."""
-    members = included_members(ds, forest, trait, degree_question)
+def all_points_data(sample: IncludedSample) -> list[AllPointsRow]:
+    """Per-respondent (tree, included index, trait value) records in global
+    interview order."""
     return [
         AllPointsRow(
-            tree=forest.tree_of[r.id],
+            tree=sample.roots[tree],
             included_index=i + 1,
-            respondent_id=r.id,
-            interview_order=r.interview_order,
-            has_trait=bool(ds.indicator(r, trait)),
+            respondent_id=rid,
+            interview_order=order,
+            has_trait=bool(y),
         )
-        for i, r in enumerate(members)
+        for i, (rid, order, y, tree) in enumerate(
+            zip(sample.ids, sample.orders.tolist(), sample.y.tolist(), sample.tree.tolist())
+        )
     ]
-
-
-def overall_estimate(
-    ds: StudyDataset,
-    forest: RecruitmentForest,
-    trait: str,
-    degree_question: str = "q_seen_week",
-) -> float:
-    members = included_members(ds, forest, trait, degree_question)
-    return vh_estimate(
-        (bool(ds.indicator(r, trait)), float(r.degree.get(degree_question)))
-        for r in members
-    )

@@ -9,10 +9,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .dataset import StudyDataset
 from .errors import EmptySeries, UnrealizableConfig
-from .estimators import EstimateSeries, cumulative_estimates
-from .forest import RecruitmentForest
+from .estimators import EstimateSeries, IncludedSample, cumulative_estimates
 
 
 @dataclass(frozen=True)
@@ -69,20 +67,15 @@ class BatchVerdict:
 
 
 def convergence_batch(
-    ds: StudyDataset,
-    forest: RecruitmentForest,
-    traits: Sequence[str],
+    samples: Sequence[IncludedSample],
     cfg: ConvergenceConfig = ConvergenceConfig(),
-    degree_question: str = "q_seen_week",
 ) -> list[BatchVerdict]:
-    """One verdict per trait; traits with empty series are not evaluable."""
+    """One verdict per trait sample; empty samples are not evaluable."""
     out = []
-    for trait in traits:
-        series = cumulative_estimates(ds, forest, trait, degree_question)
-        if len(series) == 0:
-            out.append(BatchVerdict(trait=trait, evaluable=False, verdict=None))
+    for sample in samples:
+        if len(sample) == 0:
+            out.append(BatchVerdict(trait=sample.trait, evaluable=False, verdict=None))
         else:
-            out.append(
-                BatchVerdict(trait=trait, evaluable=True, verdict=convergence_flag(series, cfg))
-            )
+            verdict = convergence_flag(cumulative_estimates(sample), cfg)
+            out.append(BatchVerdict(trait=sample.trait, evaluable=True, verdict=verdict))
     return out

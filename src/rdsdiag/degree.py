@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy import stats
 
-from .dataset import Respondent, StudyDataset, reach_inconsistent
+from .dataset import StudyDataset, reach_inconsistent
 from .errors import InsufficientData
 from .estimators import DEFAULT_DEGREE_QUESTION, vh_estimate
 from .forest import RecruitmentForest, interview_gap_days
@@ -140,15 +140,24 @@ class SensitivityRow:
     n: int
 
 
+@dataclass(frozen=True)
+class SkippedTrait:
+    trait: str
+    reason: str
+
+
 def estimate_sensitivity(
     ds: StudyDataset,
     forest: RecruitmentForest,
     traits: Sequence[str],
     degree_question: str = DEFAULT_DEGREE_QUESTION,
-) -> list[SensitivityRow]:
+) -> list[SensitivityRow | SkippedTrait]:
     """Prevalence estimates using initial vs follow-up degree over the same
-    respondents (both interviews completed, both degrees usable)."""
-    rows = []
+    respondents (both interviews completed, both degrees usable).
+
+    A trait without usable test/retest members is skipped; when every trait
+    is, this raises ``InsufficientData`` with the first trait's reason."""
+    rows: list[SensitivityRow | SkippedTrait] = []
     for trait in traits:
         members: list[tuple[bool, float, float]] = []
         for r in ds.respondents:
@@ -163,7 +172,8 @@ def estimate_sensitivity(
                 continue
             members.append((flag, float(test), float(retest)))
         if not members:
-            raise InsufficientData(f"no usable test/retest members for {trait!r}")
+            rows.append(SkippedTrait(trait, f"no usable test/retest members for {trait!r}"))
+            continue
         p_test = vh_estimate((m[0], m[1]) for m in members)
         p_retest = vh_estimate((m[0], m[2]) for m in members)
         diff = abs(p_test - p_retest)
@@ -178,6 +188,8 @@ def estimate_sensitivity(
                 n=len(members),
             )
         )
+    if rows and all(isinstance(r, SkippedTrait) for r in rows):
+        raise InsufficientData(rows[0].reason)
     return rows
 
 

@@ -103,5 +103,5 @@ class UnknownKind(RdsError):
     pass
 
 
-class EmptyData(RdsError):
-    pass
+class EmptyData(DataRequirementError):
+    """A figure has nothing to draw."""

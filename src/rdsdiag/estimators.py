@@ -1,25 +1,27 @@
 """Design-based prevalence estimators.
 
-``vh_estimate`` is the inverse-degree-weighted ratio estimator used
-throughout the toolkit.  ``ss_estimate`` is a Monte-Carlo successive-sampling
-approximation used for finite-population sensitivity analysis: it iterates
-between (a) scaling the sample degree distribution into a working population
-of the assumed size, (b) simulating without-replacement draws with
-probability proportional to degree, and (c) re-estimating per-degree-class
-inclusion probabilities, until the implied weights stabilize.
+``included_sample`` builds, once per trait, the included respondents every
+per-trait diagnostic works on.  ``vh_estimate`` is the inverse-degree-weighted
+ratio estimator used throughout the toolkit.  ``ss_estimate`` is a
+Monte-Carlo successive-sampling approximation used for finite-population
+sensitivity analysis: it iterates between (a) scaling the sample degree
+distribution into a working population of the assumed size, (b) simulating
+without-replacement draws with probability proportional to degree, and (c)
+re-estimating per-degree-class inclusion probabilities, until the implied
+weights stabilize.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .dataset import Respondent, StudyDataset
+from .dataset import StudyDataset
 from .errors import EmptySample, PopulationTooSmall, ZeroDegree
-from .forest import RecruitmentForest, included_in_tree
+from .forest import RecruitmentForest
 
 DEFAULT_DEGREE_QUESTION = "q_seen_week"
 
@@ -77,87 +79,93 @@ def vh_estimate(members: Iterable[tuple[bool, float]]) -> float:
     return num / den
 
 
-def included_members(
+@dataclass(frozen=True, eq=False)
+class IncludedSample:
+    """The included respondents of one trait: non-seed, trait reported, and
+    degree reported and at least 1.
+
+    Every array runs in interview order.  ``y`` is 1.0 for the trait's
+    reference level and 0.0 otherwise; ``tree`` indexes ``roots``, the
+    forest's roots in forest order."""
+
+    trait: str
+    roots: tuple[str, ...]
+    ids: tuple[str, ...]
+    orders: np.ndarray
+    y: np.ndarray
+    degree: np.ndarray
+    tree: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+
+def included_sample(
     ds: StudyDataset,
     forest: RecruitmentForest,
     trait: str,
     degree_question: str = DEFAULT_DEGREE_QUESTION,
-) -> list[Respondent]:
-    """All included respondents (non-seed, trait and degree reported) in
-    interview order."""
-    by_tree = included_in_tree(forest, ds, trait, degree_question)
-    members = [r for tree in by_tree.values() for r in tree]
-    members.sort(key=lambda r: r.interview_order)
-    return members
+) -> IncludedSample:
+    """Build the included sample of ``trait`` in one pass over respondents."""
+    ds.trait_spec(trait)  # raises UnknownTrait even when nobody is included
+    root_index = {root: i for i, root in enumerate(forest.roots)}
+    members = []
+    for r in sorted(ds.respondents, key=lambda r: r.interview_order):
+        if r.is_seed:
+            continue
+        flag = ds.indicator(r, trait)
+        if flag is None:
+            continue
+        d = r.degree.get(degree_question)
+        if d is None or d < 1:
+            continue
+        members.append((r.id, r.interview_order, flag, d, root_index[forest.tree_of[r.id]]))
+    ids, orders, y, degree, tree = zip(*members) if members else ((),) * 5
+
+    def frozen(values: tuple, dtype: type) -> np.ndarray:
+        array = np.array(values, dtype=dtype)
+        array.flags.writeable = False
+        return array
+
+    return IncludedSample(
+        trait=trait,
+        roots=forest.roots,
+        ids=ids,
+        orders=frozen(orders, int),
+        y=frozen(y, float),
+        degree=frozen(degree, float),
+        tree=frozen(tree, int),
+    )
 
 
-def cumulative_estimates(
-    ds: StudyDataset,
-    forest: RecruitmentForest,
-    trait: str,
-    degree_question: str = DEFAULT_DEGREE_QUESTION,
+def _series(
+    trait: str, orders: np.ndarray, y: np.ndarray, degree: np.ndarray
 ) -> EstimateSeries:
-    """Prefix estimates over included respondents in interview order.
-
-    Seeds and respondents with missing trait or degree are excluded from
-    both numerator and denominator."""
-    members = included_members(ds, forest, trait, degree_question)
-    num = 0.0
-    den = 0.0
-    orders = []
-    values = []
-    for r in members:
-        w = 1.0 / r.degree.get(degree_question)
-        den += w
-        if ds.indicator(r, trait):
-            num += w
-        orders.append(r.interview_order)
-        values.append(num / den)
-    return EstimateSeries(trait=trait, orders=tuple(orders), values=tuple(values))
+    # cumsum adds in sequence, like the running sums of ``vh_estimate``, so
+    # the last value equals the inverse-degree estimate bit for bit
+    w = 1.0 / degree
+    values = np.cumsum(w * y) / np.cumsum(w)
+    return EstimateSeries(
+        trait=trait, orders=tuple(orders.tolist()), values=tuple(values.tolist())
+    )
 
 
-def per_tree_estimates(
-    ds: StudyDataset,
-    forest: RecruitmentForest,
-    trait: str,
-    degree_question: str = DEFAULT_DEGREE_QUESTION,
-) -> dict[str, tuple[float, int]]:
-    """Mapping root -> (tree estimate, n_s); trees with n_s == 0 omitted."""
-    by_tree = included_in_tree(forest, ds, trait, degree_question)
+def cumulative_estimates(sample: IncludedSample) -> EstimateSeries:
+    """Prefix inverse-degree estimates over the included sample in interview
+    order."""
+    return _series(sample.trait, sample.orders, sample.y, sample.degree)
+
+
+def per_tree_series(sample: IncludedSample) -> dict[str, EstimateSeries]:
+    """Per-tree cumulative estimate series in forest root order; trees with
+    no included member are omitted."""
     out = {}
-    for root, members in by_tree.items():
-        if not members:
-            continue
-        est = vh_estimate(
-            (bool(ds.indicator(r, trait)), float(r.degree.get(degree_question)))
-            for r in members
-        )
-        out[root] = (est, len(members))
-    return out
-
-
-def per_tree_series(
-    ds: StudyDataset,
-    forest: RecruitmentForest,
-    trait: str,
-    degree_question: str = DEFAULT_DEGREE_QUESTION,
-) -> dict[str, EstimateSeries]:
-    """Per-tree cumulative estimate series (for bottleneck plots)."""
-    by_tree = included_in_tree(forest, ds, trait, degree_question)
-    out = {}
-    for root, members in by_tree.items():
-        if not members:
-            continue
-        num = den = 0.0
-        orders, values = [], []
-        for r in members:
-            w = 1.0 / r.degree.get(degree_question)
-            den += w
-            if ds.indicator(r, trait):
-                num += w
-            orders.append(r.interview_order)
-            values.append(num / den)
-        out[root] = EstimateSeries(trait=trait, orders=tuple(orders), values=tuple(values))
+    for i, root in enumerate(sample.roots):
+        in_tree = sample.tree == i
+        if in_tree.any():
+            out[root] = _series(
+                sample.trait, sample.orders[in_tree], sample.y[in_tree], sample.degree[in_tree]
+            )
     return out
 
 
@@ -270,25 +278,16 @@ def ss_inclusion_weights(
     return (1.0 / pi)[class_index], converged
 
 
-def ss_estimate(
-    ds: StudyDataset,
-    forest: RecruitmentForest,
-    trait: str,
-    cfg: SSConfig,
-    degree_question: str = DEFAULT_DEGREE_QUESTION,
-) -> float:
+def ss_estimate(sample: IncludedSample, cfg: SSConfig) -> float:
     """Monte-Carlo successive-sampling prevalence estimate.
 
     Deterministic given ``cfg.rng_seed``.  Converges to the inverse-degree
     estimate as the population size grows and to the unweighted sample
     proportion in the census limit."""
-    members = included_members(ds, forest, trait, degree_question)
-    if not members:
-        raise EmptySample(f"no included respondents for trait {trait!r}")
-    degrees = np.array([r.degree.get(degree_question) for r in members], dtype=float)
-    y = np.array([bool(ds.indicator(r, trait)) for r in members], dtype=float)
-    weights, _ = ss_inclusion_weights(degrees, cfg)
-    return float((weights * y).sum() / weights.sum())
+    if not len(sample):
+        raise EmptySample(f"no included respondents for trait {sample.trait!r}")
+    weights, _ = ss_inclusion_weights(sample.degree, cfg)
+    return float((weights * sample.y).sum() / weights.sum())
 
 
 @dataclass(frozen=True)
@@ -302,30 +301,23 @@ class SSVHRow:
 
 
 def ss_vh_table(
-    ds: StudyDataset,
-    forest: RecruitmentForest,
-    traits: Sequence[str],
+    samples: Sequence[IncludedSample],
     scenarios: Sequence[SSConfig],
     flag_threshold: float = 0.01,
-    degree_question: str = DEFAULT_DEGREE_QUESTION,
 ) -> list[SSVHRow]:
     """Side-by-side estimator comparison; rows flagged when the absolute
-    difference exceeds the threshold."""
+    difference exceeds the threshold.  Empty samples give no rows."""
     rows = []
-    for trait in traits:
-        members = included_members(ds, forest, trait, degree_question)
-        if not members:
+    for sample in samples:
+        if not len(sample):
             continue
-        vh = vh_estimate(
-            (bool(ds.indicator(r, trait)), float(r.degree.get(degree_question)))
-            for r in members
-        )
+        vh = cumulative_estimates(sample).final
         for cfg in scenarios:
-            ss = ss_estimate(ds, forest, trait, cfg, degree_question)
+            ss = ss_estimate(sample, cfg)
             diff = ss - vh
             rows.append(
                 SSVHRow(
-                    trait=trait,
+                    trait=sample.trait,
                     scenario_population=cfg.population_size,
                     vh=vh,
                     ss=ss,

@@ -1,8 +1,9 @@
 """Recruitment forest reconstruction.
 
-The coupon links define a forest rooted at the seeds.  Wave numbers, per-tree
-membership and per-tree sample sizes computed here feed nearly every other
-diagnostic.
+The coupon links define a forest rooted at the seeds.  Wave numbers, the tree
+of each respondent and the tree sizes computed here feed nearly every other
+diagnostic; the included members of each tree for one trait are in
+``estimators.IncludedSample``.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
-from .dataset import Respondent, StudyDataset
+from .dataset import StudyDataset
 from .errors import CycleDetected, DanglingCoupon
 
 
@@ -82,39 +83,6 @@ def build_forest(ds: StudyDataset) -> RecruitmentForest:
         tree_of=tree_of,
         tree_size=tree_size,
     )
-
-
-def included_in_tree(
-    forest: RecruitmentForest,
-    ds: StudyDataset,
-    trait: str,
-    degree_question: str = "q_seen_week",
-) -> dict[str, list[Respondent]]:
-    """Per-tree lists of included members: non-seed, trait reported, degree
-    reported and positive.  Returned lists preserve interview order."""
-    ds.trait_spec(trait)  # raises UnknownTrait early
-    out: dict[str, list[Respondent]] = {root: [] for root in forest.roots}
-    for r in ds.respondents:
-        if r.is_seed:
-            continue
-        if ds.indicator(r, trait) is None:
-            continue
-        d = r.degree.get(degree_question)
-        if d is None or d < 1:
-            continue
-        out[forest.tree_of[r.id]].append(r)
-    return out
-
-
-def per_tree_subsets(
-    forest: RecruitmentForest,
-    ds: StudyDataset,
-    trait: str,
-    degree_question: str = "q_seen_week",
-) -> dict[str, tuple[list[Respondent], int]]:
-    """Mapping root -> (included members, n_s)."""
-    by_tree = included_in_tree(forest, ds, trait, degree_question)
-    return {root: (members, len(members)) for root, members in by_tree.items()}
 
 
 def export_edges(forest: RecruitmentForest, path: Path | str) -> None:

@@ -10,7 +10,7 @@ recording the reason in the bundle instead.
 
 from __future__ import annotations
 
-import csv
+import functools
 import hashlib
 import json
 import math
@@ -27,7 +27,7 @@ from .dataset import (
     validate_dataset,
 )
 from .errors import DataRequirementError
-from .forest import RecruitmentForest, build_forest, export_edges, included_in_tree
+from .forest import RecruitmentForest, build_forest, export_edges
 from .svg import render_plot
 
 SCHEMA_VERSION = "1.0"
@@ -154,20 +154,28 @@ def run_pipeline(cfg: PipelineConfig) -> ReportBundle:
     ).hexdigest()
     _render_chains_figure(writer, ds, forest, traits)
 
+    # each trait's included sample is built once and shared by the sections;
+    # an unknown trait raises on every lookup, so each section records it
+    sample_of = functools.cache(
+        functools.partial(
+            estimators.included_sample, ds, forest, degree_question=cfg.degree_question
+        )
+    )
+    runners = {
+        "estimate": lambda: _section_estimate(writer, traits, cfg, sample_of),
+        "converge": lambda: _section_converge(writer, traits, cfg, sample_of),
+        "bottleneck": lambda: _section_bottleneck(writer, traits, cfg, sample_of),
+        "behavior": lambda: _section_behavior(writer, ds, forest, traits, cfg),
+        "degree": lambda: _section_degree(writer, ds, forest, traits, cfg),
+        "finitepop": lambda: _section_finitepop(ds, forest),
+    }
     flag_rows: list[tuple[str, Optional[bool], Optional[bool]]] = []
     for name in cfg.sections:
-        runner = {
-            "estimate": _section_estimate,
-            "converge": _section_converge,
-            "bottleneck": _section_bottleneck,
-            "behavior": _section_behavior,
-            "degree": _section_degree,
-            "finitepop": _section_finitepop,
-        }.get(name)
+        runner = runners.get(name)
         if runner is None:
             continue
         try:
-            bundle.sections[name] = runner(writer, ds, forest, traits, cfg)
+            bundle.sections[name] = runner()
         except DataRequirementError as exc:
             bundle.sections[name] = {"skipped": str(exc)}
 
@@ -257,13 +265,13 @@ def _render_chains_figure(
     writer.write_text("chains.svg", render_plot("chains", data))
 
 
-def _section_estimate(writer, ds, forest, traits, cfg: PipelineConfig) -> dict[str, Any]:
+def _section_estimate(writer, traits, cfg: PipelineConfig, sample_of) -> dict[str, Any]:
     per_trait: dict[str, Any] = {}
     csv_rows = []
     for trait in traits:
         entry: dict[str, Any] = {}
         try:
-            series = estimators.cumulative_estimates(ds, forest, trait, cfg.degree_question)
+            series = estimators.cumulative_estimates(sample_of(trait))
             entry["vh"] = _num(series.final)
             entry["n_included"] = len(series)
         except DataRequirementError as exc:
@@ -278,9 +286,7 @@ def _section_estimate(writer, ds, forest, traits, cfg: PipelineConfig) -> dict[s
                 )
                 for n in cfg.population_sizes
             ]
-            rows = estimators.ss_vh_table(
-                ds, forest, [trait], scenarios, degree_question=cfg.degree_question
-            )
+            rows = estimators.ss_vh_table([sample_of(trait)], scenarios)
             entry["ss"] = [
                 {
                     "population_size": row.scenario_population,
@@ -306,9 +312,9 @@ def _section_estimate(writer, ds, forest, traits, cfg: PipelineConfig) -> dict[s
     return {"degree_question": cfg.degree_question, "per_trait": per_trait}
 
 
-def _section_converge(writer, ds, forest, traits, cfg: PipelineConfig) -> dict[str, Any]:
+def _section_converge(writer, traits, cfg: PipelineConfig, sample_of) -> dict[str, Any]:
     ccfg = convergence.ConvergenceConfig(tau=cfg.tau, epsilon=cfg.epsilon)
-    verdicts = convergence.convergence_batch(ds, forest, traits, ccfg, cfg.degree_question)
+    verdicts = convergence.convergence_batch([sample_of(t) for t in traits], ccfg)
     per_trait: dict[str, Any] = {}
     csv_rows = []
     for v in verdicts:
@@ -326,21 +332,18 @@ def _section_converge(writer, ds, forest, traits, cfg: PipelineConfig) -> dict[s
             (v.trait, True, v.verdict.flagged, v.verdict.first_violation_offset,
              _num(v.verdict.max_deviation))
         )
-        series = estimators.cumulative_estimates(ds, forest, trait := v.trait, cfg.degree_question)
-        members = estimators.included_members(ds, forest, trait, cfg.degree_question)
-        indicators = [
-            (r.interview_order, bool(ds.indicator(r, trait))) for r in members
-        ]
+        sample = sample_of(v.trait)
+        series = estimators.cumulative_estimates(sample)
         svg = render_plot(
             "convergence",
             {
-                "title": f"Convergence: {trait}",
+                "title": f"Convergence: {v.trait}",
                 "orders": list(series.orders),
                 "values": list(series.values),
-                "indicators": indicators,
+                "indicators": list(zip(series.orders, (sample.y == 1.0).tolist())),
             },
         )
-        writer.write_text(f"convergence_{_safe_name(trait)}.svg", svg)
+        writer.write_text(f"convergence_{_safe_name(v.trait)}.svg", svg)
     writer.write_csv(
         "convergence_flags.csv",
         ["trait", "evaluable", "flagged", "first_violation_offset", "max_deviation"],
@@ -349,17 +352,17 @@ def _section_converge(writer, ds, forest, traits, cfg: PipelineConfig) -> dict[s
     return {"tau": cfg.tau, "epsilon": _num(cfg.epsilon), "per_trait": per_trait}
 
 
-def _section_bottleneck(writer, ds, forest, traits, cfg: PipelineConfig) -> dict[str, Any]:
+def _section_bottleneck(writer, traits, cfg: PipelineConfig, sample_of) -> dict[str, Any]:
     per_trait: dict[str, Any] = {}
     csv_rows = []
     for trait in traits:
         try:
+            sample = sample_of(trait)
             result = bottleneck.wsd_permutation_test(
-                ds, forest, trait,
+                sample,
                 replicates=cfg.replicates,
                 threshold=cfg.threshold,
                 rng_seed=cfg.rng_seed,
-                degree_question=cfg.degree_question,
             )
         except DataRequirementError as exc:
             per_trait[trait] = {"skipped": str(exc)}
@@ -376,14 +379,7 @@ def _section_bottleneck(writer, ds, forest, traits, cfg: PipelineConfig) -> dict
         csv_rows.append(
             (trait, _num(result.observed), _num(result.quantile_rank), result.flagged)
         )
-        series = estimators.per_tree_series(ds, forest, trait, cfg.degree_question)
-        composition = {
-            root: len(members)
-            for root, members in included_in_tree(
-                forest, ds, trait, cfg.degree_question
-            ).items()
-            if members
-        }
+        series = estimators.per_tree_series(sample)
         svg = render_plot(
             "bottleneck",
             {
@@ -391,11 +387,11 @@ def _section_bottleneck(writer, ds, forest, traits, cfg: PipelineConfig) -> dict
                 "series": {
                     root: (list(s.orders), list(s.values)) for root, s in series.items()
                 },
-                "composition": composition,
+                "composition": {root: len(s) for root, s in series.items()},
             },
         )
         writer.write_text(f"bottleneck_{_safe_name(trait)}.svg", svg)
-        points = bottleneck.all_points_data(ds, forest, trait, cfg.degree_question)
+        points = bottleneck.all_points_data(sample)
         svg = render_plot(
             "all-points",
             {
@@ -601,16 +597,19 @@ def _section_degree(writer, ds, forest, traits, cfg: PipelineConfig) -> dict[str
 
     def sensitivity() -> list[dict[str, Any]]:
         rows = degree.estimate_sensitivity(ds, forest, traits, cfg.degree_question)
+        estimated = [r for r in rows if isinstance(r, degree.SensitivityRow)]
         svg = render_plot(
             "sensitivity-pairs",
             {
                 "title": "Estimate sensitivity to degree wave",
-                "rows": [(r.trait, r.estimate_test, r.estimate_retest) for r in rows],
+                "rows": [(r.trait, r.estimate_test, r.estimate_retest) for r in estimated],
             },
         )
         writer.write_text("sensitivity_pairs.svg", svg)
         return [
-            {
+            {"trait": r.trait, "skipped": r.reason}
+            if isinstance(r, degree.SkippedTrait)
+            else {
                 "trait": r.trait,
                 "estimate_test": _num(r.estimate_test),
                 "estimate_retest": _num(r.estimate_retest),
@@ -640,7 +639,7 @@ def _section_degree(writer, ds, forest, traits, cfg: PipelineConfig) -> dict[str
     return out
 
 
-def _section_finitepop(writer, ds, forest, traits, cfg: PipelineConfig) -> dict[str, Any]:
+def _section_finitepop(ds, forest) -> dict[str, Any]:
     out: dict[str, Any] = {}
     summary = finitepop.indicator_summary(ds, forest)
     out["summary"] = {

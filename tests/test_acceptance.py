@@ -18,7 +18,7 @@ from rdsdiag.bottleneck import wsd_permutation_test
 from rdsdiag.convergence import ConvergenceConfig, convergence_flag
 from rdsdiag.dataset import validate_dataset
 from rdsdiag.degree import degree_trend
-from rdsdiag.estimators import SSConfig, ss_estimate, vh_estimate
+from rdsdiag.estimators import SSConfig, included_sample, ss_estimate, vh_estimate
 from rdsdiag.forest import build_forest
 from rdsdiag.report import PipelineConfig, run_pipeline
 from rdsdiag.sim import NetworkConfig, SimConfig, TraitRule, generate_network, simulate_rds
@@ -153,7 +153,7 @@ def test_criterion_04_null_calibration():
     for i in range(500):
         ds = _null_dataset(rng)
         forest = build_forest(ds)
-        result = wsd_permutation_test(ds, forest, "x", replicates=2000, rng_seed=i)
+        result = wsd_permutation_test(included_sample(ds, forest, "x"), replicates=2000, rng_seed=i)
         flags += result.flagged
     rate = flags / 500
     elapsed = time.perf_counter() - t0
@@ -183,7 +183,7 @@ def test_criterion_05_bottleneck_power():
         ds = result.dataset
         forest = build_forest(ds)
         try:
-            test = wsd_permutation_test(ds, forest, "hiv", replicates=1000, rng_seed=seed)
+            test = wsd_permutation_test(included_sample(ds, forest, "hiv"), replicates=1000, rng_seed=seed)
         except Exception:
             continue
         flags += test.flagged
@@ -212,25 +212,21 @@ def _ss_fixture_dataset():
 
 def test_criterion_06_ss_vh_limits():
     ds = _ss_fixture_dataset()
-    forest = build_forest(ds)
+    sample = included_sample(ds, build_forest(ds), "x")
     vh = 0.625
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        ss_large = ss_estimate(
-            ds, forest, "x", SSConfig(population_size=100_000, rng_seed=0)
-        )
+        ss_large = ss_estimate(sample, SSConfig(population_size=100_000, rng_seed=0))
         limit_ok = abs(ss_large - vh) < 0.005
 
         wins = 0
         for seed in range(50):
             near = ss_estimate(
-                ds, forest, "x",
-                SSConfig(population_size=120, replications=400, rng_seed=seed),
+                sample, SSConfig(population_size=120, replications=400, rng_seed=seed)
             )
             far = ss_estimate(
-                ds, forest, "x",
-                SSConfig(population_size=10_000, replications=400, rng_seed=seed),
+                sample, SSConfig(population_size=10_000, replications=400, rng_seed=seed)
             )
             if abs(near - vh) > abs(far - vh):
                 wins += 1

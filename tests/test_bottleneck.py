@@ -2,13 +2,9 @@ import numpy as np
 import pytest
 
 from conftest import make_dataset, make_respondent, unit_degree_two_trees
-from rdsdiag.bottleneck import (
-    all_points_data,
-    overall_estimate,
-    wsd,
-    wsd_permutation_test,
-)
+from rdsdiag.bottleneck import all_points_data, wsd, wsd_permutation_test
 from rdsdiag.errors import TooFewTrees, UnknownTrait
+from rdsdiag.estimators import cumulative_estimates, included_sample
 from rdsdiag.forest import build_forest
 
 
@@ -57,7 +53,7 @@ def _two_block_trees(n_per_tree=20, aligned=True, seed=0):
 def test_aligned_trees_flagged():
     ds = _two_block_trees(aligned=True)
     forest = build_forest(ds)
-    result = wsd_permutation_test(ds, forest, "hiv", replicates=2000, rng_seed=3)
+    result = wsd_permutation_test(included_sample(ds, forest, "hiv"), replicates=2000, rng_seed=3)
     assert result.flagged
     assert result.quantile_rank > 0.99
 
@@ -72,7 +68,7 @@ def test_constant_trait_never_flags():
     )
     ds = dataclasses.replace(ds, respondents=rows)
     forest = build_forest(ds)
-    result = wsd_permutation_test(ds, forest, "hiv", replicates=500, rng_seed=1)
+    result = wsd_permutation_test(included_sample(ds, forest, "hiv"), replicates=500, rng_seed=1)
     assert result.observed == 0.0
     assert result.quantile_rank == 0.0
     assert not result.flagged
@@ -82,7 +78,7 @@ def test_threshold_one_never_flags():
     ds = _two_block_trees(aligned=True)
     forest = build_forest(ds)
     result = wsd_permutation_test(
-        ds, forest, "hiv", replicates=500, threshold=1.0, rng_seed=3
+        included_sample(ds, forest, "hiv"), replicates=500, threshold=1.0, rng_seed=3
     )
     assert not result.flagged
 
@@ -90,10 +86,10 @@ def test_threshold_one_never_flags():
 def test_determinism_and_seed_sensitivity():
     ds = _two_block_trees(aligned=False, seed=5)
     forest = build_forest(ds)
-    a = wsd_permutation_test(ds, forest, "hiv", replicates=400, rng_seed=9)
-    b = wsd_permutation_test(ds, forest, "hiv", replicates=400, rng_seed=9)
+    a = wsd_permutation_test(included_sample(ds, forest, "hiv"), replicates=400, rng_seed=9)
+    b = wsd_permutation_test(included_sample(ds, forest, "hiv"), replicates=400, rng_seed=9)
     assert a == b
-    c = wsd_permutation_test(ds, forest, "hiv", replicates=400, rng_seed=10)
+    c = wsd_permutation_test(included_sample(ds, forest, "hiv"), replicates=400, rng_seed=10)
     assert a.observed == c.observed
 
 
@@ -104,19 +100,19 @@ def test_too_few_trees():
     ]
     ds = make_dataset(rows)
     with pytest.raises(TooFewTrees):
-        wsd_permutation_test(ds, build_forest(ds), "hiv", replicates=10)
+        wsd_permutation_test(included_sample(ds, build_forest(ds), "hiv"), replicates=10)
 
 
 def test_unknown_trait():
     ds = unit_degree_two_trees()
     with pytest.raises(UnknownTrait):
-        wsd_permutation_test(ds, build_forest(ds), "nope", replicates=10)
+        wsd_permutation_test(included_sample(ds, build_forest(ds), "nope"), replicates=10)
 
 
 def test_all_points_rows():
     ds = unit_degree_two_trees()
     forest = build_forest(ds)
-    rows = all_points_data(ds, forest, "hiv")
+    rows = all_points_data(included_sample(ds, forest, "hiv"))
     assert len(rows) == 4  # seeds excluded
     assert [r.respondent_id for r in rows] == ["A-1", "B-1", "A-2", "B-2"]
     assert [r.included_index for r in rows] == [1, 2, 3, 4]
@@ -134,7 +130,7 @@ def test_all_points_missing_trait_omitted():
     )
     ds = dataclasses.replace(ds, respondents=rows)
     forest = build_forest(ds)
-    points = all_points_data(ds, forest, "hiv")
+    points = all_points_data(included_sample(ds, forest, "hiv"))
     assert all(p.respondent_id != "A-2" for p in points)
     assert len(points) == 3
 
@@ -142,4 +138,5 @@ def test_all_points_missing_trait_omitted():
 def test_overall_estimate_matches_wsd_reference():
     ds = unit_degree_two_trees()
     forest = build_forest(ds)
-    assert overall_estimate(ds, forest, "hiv") == pytest.approx(0.5)
+    overall = cumulative_estimates(included_sample(ds, forest, "hiv")).final
+    assert overall == pytest.approx(0.5)

@@ -8,6 +8,7 @@ from rdsdiag.convergence import (
     convergence_flag,
 )
 from rdsdiag.errors import EmptySeries, RdsError
+from rdsdiag.estimators import included_sample
 from rdsdiag.forest import build_forest
 
 
@@ -114,7 +115,9 @@ def _batch_dataset():
 def test_batch_verdicts():
     ds = _batch_dataset()
     forest = build_forest(ds)
-    verdicts = convergence_batch(ds, forest, ["hiv", "hiv", "emp"])
+    verdicts = convergence_batch(
+        [included_sample(ds, forest, t) for t in ("hiv", "hiv", "emp")]
+    )
     assert verdicts[0].evaluable and verdicts[1].evaluable
     assert verdicts[0].verdict == verdicts[1].verdict  # determinism on duplicates
     assert not verdicts[2].evaluable  # all-missing trait has an empty series
@@ -126,6 +129,6 @@ def test_batch_constant_trait_unflagged():
     rows.append(make_respondent("a", 2, coupon_in="C1", degree=2, traits={"hiv": "yes"}))
     rows.append(make_respondent("b", 3, coupon_in="C2", degree=1, traits={"hiv": "yes"}))
     ds = make_dataset(rows)
-    verdicts = convergence_batch(ds, build_forest(ds), ["hiv"])
+    verdicts = convergence_batch([included_sample(ds, build_forest(ds), "hiv")])
     assert verdicts[0].evaluable
     assert not verdicts[0].verdict.flagged

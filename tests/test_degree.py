@@ -216,6 +216,23 @@ def test_sensitivity_requires_completers():
         estimate_sensitivity(ds, build_forest(ds), ["hiv"])
 
 
+def test_sensitivity_skips_trait_without_completers():
+    rows = [
+        make_respondent("S", 1, coupons_out=["C1", "C2"], degree=4,
+                        traits={"hiv": "no", "emp": "yes"}),
+        make_respondent("a", 2, coupon_in="C1", degree=1, traits={"hiv": "yes"},
+                        followup=followup(retest=4)),
+        make_respondent("b", 3, coupon_in="C2", degree=2, traits={"hiv": "no"},
+                        followup=followup(retest=2)),
+    ]
+    ds = _ds(rows, traits=[("emp", "binary", "yes"), ("hiv", "binary", "yes")])
+    skipped, row = estimate_sensitivity(ds, build_forest(ds), ["emp", "hiv"])
+    assert (skipped.trait, skipped.reason) == ("emp", "no usable test/retest members for 'emp'")
+    assert row.trait == "hiv"
+    assert row.estimate_test == pytest.approx(2 / 3)
+    assert row.n == 2
+
+
 # -- trend -------------------------------------------------------------------
 
 

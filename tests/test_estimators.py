@@ -6,7 +6,8 @@ from rdsdiag.errors import EmptySample, PopulationTooSmall, ZeroDegree
 from rdsdiag.estimators import (
     SSConfig,
     cumulative_estimates,
-    per_tree_estimates,
+    included_sample,
+    per_tree_series,
     ss_estimate,
     ss_inclusion_weights,
     ss_vh_table,
@@ -63,7 +64,7 @@ def _chain(trait_pattern, degrees=None):
 
 def test_cumulative_series_hand_fixture():
     ds, forest = _chain([True, False, False, True])
-    series = cumulative_estimates(ds, forest, "hiv")
+    series = cumulative_estimates(included_sample(ds, forest, "hiv"))
     assert series.orders == (2, 3, 4, 5)
     assert series.values == pytest.approx((1.0, 0.5, 1 / 3, 0.5), abs=1e-15)
     assert series.final == pytest.approx(0.5)
@@ -71,7 +72,7 @@ def test_cumulative_series_hand_fixture():
 
 def test_cumulative_final_equals_vh_of_included():
     ds, forest = _chain([True, True, False, True, False], degrees=[2, 5, 1, 3, 4])
-    series = cumulative_estimates(ds, forest, "hiv")
+    series = cumulative_estimates(included_sample(ds, forest, "hiv"))
     direct = vh_estimate(
         [(True, 2.0), (True, 5.0), (False, 1.0), (True, 3.0), (False, 4.0)]
     )
@@ -81,16 +82,22 @@ def test_cumulative_final_equals_vh_of_included():
 def test_seeds_only_series_empty():
     ds = make_dataset([make_respondent("S", 1, degree=2, traits={"hiv": "yes"})])
     forest = build_forest(ds)
-    series = cumulative_estimates(ds, forest, "hiv")
+    series = cumulative_estimates(included_sample(ds, forest, "hiv"))
     assert len(series) == 0
     with pytest.raises(EmptySample):
         series.final
 
 
+def _per_tree_estimates(ds, forest):
+    """Mapping root -> (tree estimate, n_s) from the per-tree series."""
+    series = per_tree_series(included_sample(ds, forest, "hiv"))
+    return {root: (s.final, len(s)) for root, s in series.items()}
+
+
 def test_per_tree_estimates():
     ds = unit_degree_two_trees()
     forest = build_forest(ds)
-    per_tree = per_tree_estimates(ds, forest, "hiv")
+    per_tree = _per_tree_estimates(ds, forest)
     assert per_tree == {"A": (1.0, 2), "B": (0.0, 2)}
 
 
@@ -104,13 +111,13 @@ def test_per_tree_all_missing_tree_omitted():
         ]
     )
     forest = build_forest(ds)
-    assert set(per_tree_estimates(ds, forest, "hiv")) == {"A"}
+    assert set(_per_tree_estimates(ds, forest)) == {"A"}
 
 
 def test_single_tree_estimate_equals_overall():
     ds, forest = _chain([True, False, True], degrees=[3, 2, 6])
-    per_tree = per_tree_estimates(ds, forest, "hiv")
-    series = cumulative_estimates(ds, forest, "hiv")
+    per_tree = _per_tree_estimates(ds, forest)
+    series = cumulative_estimates(included_sample(ds, forest, "hiv"))
     (est, n_s), = per_tree.values()
     assert est == pytest.approx(series.final, abs=1e-15)
     assert n_s == 3
@@ -127,13 +134,13 @@ def test_ss_config_validation():
 def test_ss_equal_degrees_exact_sample_proportion():
     ds, forest = _chain([True, True, False, False, False], degrees=[3] * 5)
     for n in (5, 10, 1000):
-        est = ss_estimate(ds, forest, "hiv", SSConfig(population_size=n, replications=50))
+        est = ss_estimate(included_sample(ds, forest, "hiv"), SSConfig(population_size=n, replications=50))
         assert est == pytest.approx(0.4, abs=1e-15)
 
 
 def test_ss_census_limit_exact():
     ds, forest = _chain([True, True, False, False], degrees=[1, 4, 2, 4])
-    est = ss_estimate(ds, forest, "hiv", SSConfig(population_size=4, replications=50))
+    est = ss_estimate(included_sample(ds, forest, "hiv"), SSConfig(population_size=4, replications=50))
     assert est == pytest.approx(0.5, abs=1e-15)
 
 
@@ -146,16 +153,16 @@ def test_ss_census_weights_uniform():
 def test_ss_deterministic_given_seed():
     ds, forest = _chain([True, True, False, False], degrees=[1, 4, 2, 4])
     cfg = SSConfig(population_size=40, replications=200, rng_seed=11)
-    assert ss_estimate(ds, forest, "hiv", cfg) == ss_estimate(ds, forest, "hiv", cfg)
+    assert ss_estimate(included_sample(ds, forest, "hiv"), cfg) == ss_estimate(included_sample(ds, forest, "hiv"), cfg)
     other = SSConfig(population_size=40, replications=200, rng_seed=12)
     # different stream, almost surely different Monte-Carlo value
-    assert ss_estimate(ds, forest, "hiv", cfg) != ss_estimate(ds, forest, "hiv", other)
+    assert ss_estimate(included_sample(ds, forest, "hiv"), cfg) != ss_estimate(included_sample(ds, forest, "hiv"), other)
 
 
 def test_ss_vh_table_equal_degrees_never_flags():
     ds, forest = _chain([True, False, True, False], degrees=[2] * 4)
     rows = ss_vh_table(
-        ds, forest, ["hiv"],
+        [included_sample(ds, forest, "hiv")],
         [SSConfig(population_size=n, replications=50) for n in (4, 40, 400)],
     )
     assert len(rows) == 3
@@ -165,13 +172,13 @@ def test_ss_vh_table_equal_degrees_never_flags():
 
 def test_ss_vh_table_empty_traits():
     ds, forest = _chain([True, False])
-    assert ss_vh_table(ds, forest, [], [SSConfig(population_size=10)]) == []
+    assert ss_vh_table([], [SSConfig(population_size=10)]) == []
 
 
 def test_ss_large_population_approaches_vh():
     ds, forest = _chain([True, True, False, False] * 10, degrees=[1, 4, 2, 4] * 10)
-    vh = cumulative_estimates(ds, forest, "hiv").final
+    vh = cumulative_estimates(included_sample(ds, forest, "hiv")).final
     est = ss_estimate(
-        ds, forest, "hiv", SSConfig(population_size=40_000, replications=500, rng_seed=5)
+        included_sample(ds, forest, "hiv"), SSConfig(population_size=40_000, replications=500, rng_seed=5)
     )
     assert abs(est - vh) < 0.01

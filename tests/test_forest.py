@@ -4,12 +4,8 @@ import pytest
 
 from conftest import make_dataset, make_respondent
 from rdsdiag.errors import CycleDetected, DanglingCoupon, UnknownTrait
-from rdsdiag.forest import (
-    build_forest,
-    export_edges,
-    included_in_tree,
-    per_tree_subsets,
-)
+from rdsdiag.estimators import included_sample
+from rdsdiag.forest import build_forest, export_edges
 from rdsdiag.sim import NetworkConfig, SimConfig, TraitRule, generate_network, simulate_rds
 
 
@@ -110,19 +106,18 @@ def test_per_tree_subsets_exclusions():
         ]
     )
     forest = build_forest(ds)
-    subsets = per_tree_subsets(forest, ds, "hiv")
-    members, n_s = subsets["S"]
-    assert n_s == 2  # seed excluded, missing-trait member excluded
-    assert [m.id for m in members] == ["a", "c"]
+    sample = included_sample(ds, forest, "hiv")
+    assert len(sample) == 2  # seed excluded, missing-trait member excluded
+    assert sample.ids == ("a", "c")
+    assert [sample.roots[t] for t in sample.tree] == ["S", "S"]
     with pytest.raises(UnknownTrait):
-        per_tree_subsets(forest, ds, "nope")
+        included_sample(ds, forest, "nope")
 
 
 def test_included_sum_bound_and_equality():
     ds = chain_of_three()
     forest = build_forest(ds)
-    by_tree = included_in_tree(forest, ds, "hiv")
-    total = sum(len(v) for v in by_tree.values())
+    total = len(included_sample(ds, forest, "hiv"))
     assert total == ds.n - len(ds.seeds())  # no missing data -> equality
 
 

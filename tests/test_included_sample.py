@@ -1,0 +1,102 @@
+"""Property tests: everything derived from an included sample agrees with a
+naive per-respondent walk over the study."""
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from conftest import make_dataset, make_respondent
+from rdsdiag.bottleneck import all_points_data, wsd, wsd_permutation_test
+from rdsdiag.dataset import DegreeReport
+from rdsdiag.errors import TooFewTrees
+from rdsdiag.estimators import cumulative_estimates, included_sample, per_tree_series
+from rdsdiag.forest import build_forest
+
+TRAITS = (("hiv", "binary", "yes"), ("emp", "binary", "yes"))
+
+
+@st.composite
+def studies(draw):
+    """Random recruitment forests with missing traits and zero or missing
+    degrees.  Each recruit's recruiter is interviewed earlier."""
+    n = draw(st.integers(1, 60))
+    n_seeds = draw(st.integers(1, min(n, 6)))
+    answer = st.sampled_from(["yes", "no", None])
+    degree = st.one_of(st.none(), st.integers(0, 12))
+    recruiter = [None] * n_seeds + [draw(st.integers(0, i - 1)) for i in range(n_seeds, n)]
+    rows = []
+    for i in range(n):
+        coupons_out = [f"c{j}" for j in range(n) if recruiter[j] == i]
+        rows.append(
+            make_respondent(
+                f"r{i * 37 % 101:03d}", i + 1,  # ids out of interview order
+                coupon_in=None if recruiter[i] is None else f"c{i}",
+                coupons_out=coupons_out,
+                degree=DegreeReport(q_seen_week=draw(degree)),
+                traits={"hiv": draw(answer), "emp": draw(answer)},
+            )
+        )
+    return make_dataset(rows, traits=TRAITS, allotment=n)
+
+
+def _naive(ds, forest, trait):
+    """Included members by a direct walk, then running sums per respondent."""
+    members = []
+    for r in ds.respondents:
+        d = r.degree.q_seen_week
+        flag = ds.indicator(r, trait)
+        if not r.is_seed and flag is not None and d is not None and d >= 1:
+            members.append((r, flag, d))
+
+    def running(rows):
+        num = den = 0.0
+        values = []
+        for _, flag, d in rows:
+            den += 1.0 / d
+            if flag:
+                num += 1.0 / d
+            values.append(num / den)
+        return values
+
+    per_tree = {}
+    for root in forest.roots:
+        rows = [m for m in members if forest.tree_of[m[0].id] == root]
+        if rows:
+            per_tree[root] = (running(rows)[-1], len(rows))
+    points = [
+        (forest.tree_of[r.id], i + 1, r.id, r.interview_order, flag)
+        for i, (r, flag, _) in enumerate(members)
+    ]
+    orders = [r.interview_order for r, _, _ in members]
+    return orders, running(members), per_tree, points
+
+
+@settings(max_examples=50, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(ds=studies(), trait=st.sampled_from(["hiv", "emp"]))
+def test_sample_matches_naive_walk(ds, trait):
+    forest = build_forest(ds)
+    sample = included_sample(ds, forest, trait)
+    orders, values, per_tree, points = _naive(ds, forest, trait)
+
+    series = cumulative_estimates(sample)
+    assert list(series.orders) == orders
+    assert list(series.values) == values  # same additions in the same order
+
+    trees = per_tree_series(sample)
+    assert list(trees) == list(per_tree)  # forest root order
+    assert {root: (s.final, len(s)) for root, s in trees.items()} == per_tree
+
+    rows = [
+        (p.tree, p.included_index, p.respondent_id, p.interview_order, p.has_trait)
+        for p in all_points_data(sample)
+    ]
+    assert rows == points
+
+    if len(per_tree) < 2:
+        with pytest.raises(TooFewTrees):
+            wsd_permutation_test(sample, replicates=5)
+        return
+    result = wsd_permutation_test(sample, replicates=5)
+    reference = wsd(per_tree, values[-1])
+    assert np.isclose(result.observed, reference, rtol=1e-9, atol=1e-12)

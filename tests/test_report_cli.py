@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import xml.etree.ElementTree as ET
 
@@ -118,6 +119,26 @@ def test_pipeline_ss_scenarios(sim_dataset, tmp_path):
     assert csv_text.splitlines()[0] == "trait,population_size,vh,ss,difference,flagged"
 
 
+def test_pipeline_sensitivity_skips_one_trait(sim_dataset, tmp_path):
+    # "employed" loses its answers among follow-up completers only
+    rows = tuple(
+        dataclasses.replace(r, traits={"hiv": r.traits.get("hiv")})
+        if r.followup is not None else r
+        for r in sim_dataset.respondents
+    )
+    ds = dataclasses.replace(sim_dataset, respondents=rows)
+    bundle = run_pipeline(_cfg(tmp_path / "out", ds, sections=("degree",)))
+    employed, hiv = sorted(
+        bundle.sections["degree"]["sensitivity"], key=lambda entry: entry["trait"]
+    )
+    assert employed == {
+        "trait": "employed",
+        "skipped": "no usable test/retest members for 'employed'",
+    }
+    assert hiv["trait"] == "hiv" and hiv["n"] > 0
+    assert (tmp_path / "out" / "sensitivity_pairs.svg").exists()
+
+
 # -- CLI ---------------------------------------------------------------------
 
 
@@ -234,3 +255,54 @@ def test_cli_bad_config_key(cli_study, capsys, tmp_path):
         "--config", str(config),
     ])
     assert code == 3
+
+
+def _strict_json(text):
+    def reject(constant):
+        raise ValueError(f"non-finite number {constant} in bundle")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def test_cli_report_header_only_traits(cli_study, capsys, tmp_path):
+    traits = tmp_path / "traits.csv"
+    header = (cli_study / "traits.csv").read_text().splitlines()[0]
+    traits.write_text(header + "\n")
+    out_dir = tmp_path / "report"
+    assert main([
+        "report",
+        "--respondents", str(cli_study / "respondents.csv"),
+        "--traits", str(traits),
+        "--followup", str(cli_study / "followup.csv"),
+        "--out-dir", str(out_dir),
+        "--replicates", "100",
+    ]) == 0
+    bundle = _strict_json((out_dir / "bundle.json").read_text())
+    assert bundle["dataset"]["traits"] == []
+    assert bundle["sections"]["degree"]["sensitivity"] == {
+        "skipped": "sensitivity-pairs plot needs rows"
+    }
+
+
+def test_cli_report_unknown_trait_skipped(cli_study, capsys, tmp_path):
+    out_dir = tmp_path / "report"
+    assert main([
+        "report", *_dataset_args(cli_study), "--out-dir", str(out_dir),
+        "--replicates", "100", "--trait", "hiv", "--trait", "nope",
+    ]) == 0
+    sections = _strict_json((out_dir / "bundle.json").read_text())["sections"]
+    skipped = {"skipped": "trait 'nope' is not defined for this dataset"}
+    assert sections["estimate"]["per_trait"]["nope"] == skipped
+    assert "vh" in sections["estimate"]["per_trait"]["hiv"]
+    # the convergence batch covers all traits, so the whole section is skipped
+    assert sections["converge"] == skipped
+    assert sections["bottleneck"]["per_trait"]["nope"] == skipped
+    assert "observed_wsd" in sections["bottleneck"]["per_trait"]["hiv"]
+    assert sections["behavior"]["effectiveness"]["nope"] == skipped
+    assert sections["degree"]["sensitivity"] == skipped
+    files = {p.name for p in out_dir.iterdir()}
+    assert {"bottleneck_hiv.svg", "allpoints_hiv.svg", "flag_grid.csv"} <= files
+    assert not any(name.startswith("convergence") for name in files)
+    flag = str(sections["bottleneck"]["per_trait"]["hiv"]["flagged"]).lower()
+    grid = (out_dir / "flag_grid.csv").read_text().splitlines()
+    assert grid[1:] == [f"hiv,,{flag}", "nope,,"]
