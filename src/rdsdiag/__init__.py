@@ -1,6 +1,6 @@
 """Diagnostics toolkit for respondent-driven sampling studies."""
 
-from .convergence import ConvergenceConfig, convergence_batch, convergence_flag
+from .convergence import ConvergenceConfig, convergence_flag
 from .dataset import (
     IngestOptions,
     Respondent,
@@ -31,7 +31,6 @@ __all__ = [
     "StudyDataset",
     "TraitSpec",
     "build_forest",
-    "convergence_batch",
     "convergence_flag",
     "generate_network",
     "included_sample",

@@ -10,8 +10,8 @@ conditional interval.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Mapping, Optional, Sequence
+from dataclasses import dataclass
+from typing import Mapping
 
 import numpy as np
 from scipy.optimize import brentq
@@ -138,15 +138,15 @@ class BiasLevels:
     n_inconsistent_excluded: int
 
 
-def _default_contact_total(r: Respondent) -> Optional[int]:
-    return r.degree.q_age
+@dataclass
+class _RecruiterData:
+    contact_total: int
+    contact_positive: int
+    recipient_flags: list[bool]
+    recruit_flags: list[bool]
 
 
-def _default_contact_positive(r: Respondent) -> Optional[int]:
-    return r.followup.n_contacts_employed if r.followup else None
-
-
-def _default_recipient_flags(r: Respondent) -> list[bool]:
+def _recipient_flags(r: Respondent) -> list[bool]:
     if r.followup is None:
         return []
     return [
@@ -156,41 +156,24 @@ def _default_recipient_flags(r: Respondent) -> list[bool]:
     ]
 
 
-def _default_respondent_flag(r: Respondent) -> Optional[bool]:
-    return r.employed
-
-
-@dataclass
-class _RecruiterData:
-    contact_total: int
-    contact_positive: int
-    recipient_flags: list[bool]
-    recruit_flags: list[bool]
-
-
 def _bias_eligible(
-    ds: StudyDataset,
-    forest: RecruitmentForest,
-    contact_total: Callable[[Respondent], Optional[int]],
-    contact_positive: Callable[[Respondent], Optional[int]],
-    recipient_flags: Callable[[Respondent], list[bool]],
-    respondent_flag: Callable[[Respondent], Optional[bool]],
+    ds: StudyDataset, forest: RecruitmentForest
 ) -> tuple[list[_RecruiterData], int]:
-    """Recruiters with data on all three levels; recruiters reporting more
-    positive contacts than contacts are logically inconsistent and excluded."""
+    """Recruiters with employment data on all three levels: employed
+    age-eligible contacts, employed coupon recipients and employed recruits.
+    Recruiters reporting more employed contacts than contacts are logically
+    inconsistent and excluded."""
     eligible = []
     inconsistent = 0
     for r in ds.respondents:
-        total = contact_total(r)
-        positive = contact_positive(r)
+        total = r.degree.q_age
+        positive = r.followup.n_contacts_employed if r.followup else None
         if total is None or positive is None or total < 1:
             continue
-        recips = recipient_flags(r)
+        recips = _recipient_flags(r)
         if not recips:
             continue
-        recruit_vals = [
-            respondent_flag(ds.by_id(cid)) for cid in forest.recruits(r.id)
-        ]
+        recruit_vals = [ds.by_id(cid).employed for cid in forest.recruits(r.id)]
         recruit_vals = [v for v in recruit_vals if v is not None]
         if not recruit_vals:
             continue
@@ -201,22 +184,10 @@ def _bias_eligible(
     return eligible, inconsistent
 
 
-def recruitment_bias_levels(
-    ds: StudyDataset,
-    forest: RecruitmentForest,
-    contact_total: Callable[[Respondent], Optional[int]] = _default_contact_total,
-    contact_positive: Callable[[Respondent], Optional[int]] = _default_contact_positive,
-    recipient_flags: Callable[[Respondent], list[bool]] = _default_recipient_flags,
-    respondent_flag: Callable[[Respondent], Optional[bool]] = _default_respondent_flag,
-) -> BiasLevels:
-    """Equal-recruiter-weight averages of the attribute fraction among
-    contacts, coupon recipients, and recruits.
-
-    Defaults measure employment; pass accessors to swap in any yes/no
-    attribute collected at all three levels."""
-    eligible, inconsistent = _bias_eligible(
-        ds, forest, contact_total, contact_positive, recipient_flags, respondent_flag
-    )
+def recruitment_bias_levels(ds: StudyDataset, forest: RecruitmentForest) -> BiasLevels:
+    """Equal-recruiter-weight averages of the employed fraction among
+    contacts, coupon recipients, and recruits."""
+    eligible, inconsistent = _bias_eligible(ds, forest)
     if not eligible:
         raise NoEligibleRecruiters("no recruiters with data on all three levels")
     contacts = np.mean([e.contact_positive / e.contact_total for e in eligible])
@@ -278,10 +249,6 @@ def recruitment_bias_tests(
     replicates: int = 10_000,
     threshold: float = 0.90,
     rng_seed: int = 0,
-    contact_total: Callable[[Respondent], Optional[int]] = _default_contact_total,
-    contact_positive: Callable[[Respondent], Optional[int]] = _default_contact_positive,
-    recipient_flags: Callable[[Respondent], list[bool]] = _default_recipient_flags,
-    respondent_flag: Callable[[Respondent], Optional[bool]] = _default_respondent_flag,
 ) -> BiasTestResults:
     """SRS reference tests at three levels: coupon passing (recipients drawn
     from contacts), returning coupons (recruits drawn from recipients), and
@@ -290,9 +257,7 @@ def recruitment_bias_tests(
     Recruiters whose reported positives exceed the pool they were drawn from
     are logically inconsistent for that level: they are excluded from the
     test and their proportion is reported alongside."""
-    eligible, _ = _bias_eligible(
-        ds, forest, contact_total, contact_positive, recipient_flags, respondent_flag
-    )
+    eligible, _ = _bias_eligible(ds, forest)
     if not eligible:
         raise NoEligibleRecruiters("no recruiters with data on all three levels")
 

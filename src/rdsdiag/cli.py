@@ -19,7 +19,7 @@ from typing import Any, Optional, Sequence
 from .dataset import IngestOptions, load_dataset, save_dataset, validate_dataset
 from .errors import RdsError, UnrealizableConfig
 from .forest import build_forest
-from .report import ALL_SECTIONS, PipelineConfig, ReportBundle, run_pipeline
+from .report import ALL_SECTIONS, PipelineConfig, dataset_summary, run_pipeline
 from .sim import (
     NetworkConfig,
     SimConfig,
@@ -152,22 +152,9 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
         args.respondents, args.traits, args.followup, IngestOptions(strict=args.strict)
     )
     report = validate_dataset(ds)
-    forest = build_forest(report.dataset)
-    waves = [forest.wave[r.id] for r in report.dataset.respondents]
-    _emit(
-        {
-            "site": ds.site_label,
-            "n": ds.n,
-            "n_seeds": len(ds.seeds()),
-            "n_trees": len(forest.roots),
-            "max_wave": max(waves) if waves else 0,
-            "funnel_violations": report.funnel_violations,
-            "truncations_applied": report.truncations_applied,
-            "inconsistent_reach": report.inconsistent_reach,
-            "missing_traits": dict(sorted(report.missing_traits.items())),
-            "warnings": report.warnings,
-        }
-    )
+    summary = dataset_summary(report.dataset, build_forest(report.dataset), report)
+    validation = summary.pop("validation")
+    _emit({**summary, **validation, "warnings": report.warnings})
     return 0
 
 

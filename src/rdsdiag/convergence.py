@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .errors import EmptySeries, UnrealizableConfig
-from .estimators import EstimateSeries, IncludedSample, cumulative_estimates
+from .estimators import EstimateSeries
 
 
 @dataclass(frozen=True)
@@ -57,25 +57,3 @@ def convergence_flag(
         first_violation_offset=first_offset,
         max_deviation=max_dev,
     )
-
-
-@dataclass(frozen=True)
-class BatchVerdict:
-    trait: str
-    evaluable: bool
-    verdict: Optional[ConvergenceVerdict]
-
-
-def convergence_batch(
-    samples: Sequence[IncludedSample],
-    cfg: ConvergenceConfig = ConvergenceConfig(),
-) -> list[BatchVerdict]:
-    """One verdict per trait sample; empty samples are not evaluable."""
-    out = []
-    for sample in samples:
-        if len(sample) == 0:
-            out.append(BatchVerdict(trait=sample.trait, evaluable=False, verdict=None))
-        else:
-            verdict = convergence_flag(cumulative_estimates(sample), cfg)
-            out.append(BatchVerdict(trait=sample.trait, evaluable=True, verdict=verdict))
-    return out

@@ -21,6 +21,7 @@ from .errors import (
     CycleDetected,
     DanglingCoupon,
     DuplicateId,
+    MalformedCell,
     MissingColumn,
     MissingData,
     NonContiguousOrder,
@@ -198,6 +199,24 @@ def _opt_date(cell: str) -> Optional[date]:
     return date.fromisoformat(cell)
 
 
+def _cell_reader(row: Mapping[str, str], path: Path, rid: str):
+    """``cell(column, parse)`` parses one cell of ``row``; a value the column
+    cannot hold raises ``MalformedCell`` naming the file, respondent and
+    column.  A row with fewer cells than the header is rejected whole."""
+    if None in row.values():
+        raise MalformedCell(f"{path}: respondent {rid!r}: fewer cells than columns")
+
+    def cell(column: str, parse):
+        try:
+            return parse(row.get(column, ""))
+        except ValueError as exc:
+            raise MalformedCell(
+                f"{path}: respondent {rid!r}, column {column!r}: {exc}"
+            ) from None
+
+    return cell
+
+
 def _require(header: Sequence[str], names: Iterable[str], path: Path) -> None:
     missing = [c for c in names if c not in header]
     if missing:
@@ -226,12 +245,15 @@ def load_traits(path: Path) -> tuple[TraitSpec, ...]:
     return tuple(specs)
 
 
-def _followup_from_row(row: Mapping[str, str], allotment: int) -> FollowUpRecord:
+def _followup_from_row(
+    row: Mapping[str, str], allotment: int, path: Path, rid: str
+) -> FollowUpRecord:
+    cell = _cell_reader(row, path, rid)
     retest = DegreeReport(
-        q_know=_opt_int(row.get("fu_deg_know", "")),
-        q_province=_opt_int(row.get("fu_deg_province", "")),
-        q_age=_opt_int(row.get("fu_deg_age", "")),
-        q_seen_week=_opt_int(row.get("fu_deg_week", "")),
+        q_know=cell("fu_deg_know", _opt_int),
+        q_province=cell("fu_deg_province", _opt_int),
+        q_age=cell("fu_deg_age", _opt_int),
+        q_seen_week=cell("fu_deg_week", _opt_int),
     )
     coupons = []
     for j in range(1, allotment + 1):
@@ -241,9 +263,9 @@ def _followup_from_row(row: Mapping[str, str], allotment: int) -> FollowUpRecord
         coupons.append(
             CouponOutcome(
                 coupon_id=cid,
-                days_to_distribute=_opt_int(row.get(f"days_{j}", "")),
-                reciprocation_answer=_opt_bool(row.get(f"recip_{j}", "")),
-                recipient_employed=_opt_bool(row.get(f"recipient_employed_{j}", "")),
+                days_to_distribute=cell(f"days_{j}", _opt_int),
+                reciprocation_answer=cell(f"recip_{j}", _opt_bool),
+                recipient_employed=cell(f"recipient_employed_{j}", _opt_bool),
             )
         )
     reasons = []
@@ -253,13 +275,13 @@ def _followup_from_row(row: Mapping[str, str], allotment: int) -> FollowUpRecord
             reasons.append(reason)
     return FollowUpRecord(
         degree_retest=retest,
-        n_failed_attempts=_opt_int(row.get("n_failed_attempts", "")),
-        n_known_participants=_opt_int(row.get("n_known_participants", "")),
+        n_failed_attempts=cell("n_failed_attempts", _opt_int),
+        n_known_participants=cell("n_known_participants", _opt_int),
         coupons=tuple(coupons),
-        n_coupons_distributed=_opt_int(row.get("n_coupons_distributed", "")),
-        n_refusals=_opt_int(row.get("n_refusals", "")),
+        n_coupons_distributed=cell("n_coupons_distributed", _opt_int),
+        n_refusals=cell("n_refusals", _opt_int),
         refusal_reasons=tuple(reasons),
-        n_contacts_employed=_opt_int(row.get("n_contacts_employed", "")),
+        n_contacts_employed=cell("n_contacts_employed", _opt_int),
     )
 
 
@@ -310,33 +332,36 @@ def load_dataset(
         if rid in seen_ids:
             raise DuplicateId(f"duplicate respondent id {rid!r}")
         seen_ids.add(rid)
+        cell = _cell_reader(row, respondents_file, rid)
         outs = frozenset(
             c for c in (_opt_str(row.get(col, "")) for col in out_cols) if c is not None
         )
         degree = DegreeReport(
-            q_know=_opt_int(row.get("deg_know", "")),
-            q_province=_opt_int(row.get("deg_province", "")),
-            q_age=_opt_int(row.get("deg_age", "")),
-            q_seen_week=_opt_int(row.get("deg_week", "")),
-            q_reach_day=_opt_int(row.get("reach_day", "")),
-            q_reach_week=_opt_int(row.get("reach_week", "")),
+            q_know=cell("deg_know", _opt_int),
+            q_province=cell("deg_province", _opt_int),
+            q_age=cell("deg_age", _opt_int),
+            q_seen_week=cell("deg_week", _opt_int),
+            q_reach_day=cell("reach_day", _opt_int),
+            q_reach_week=cell("reach_week", _opt_int),
         )
         traits = {c[len("trait:"):]: _opt_str(row.get(c, "")) for c in trait_cols}
         fu = None
         if rid in followup_rows:
-            fu = _followup_from_row(followup_rows[rid], allotment)
+            fu = _followup_from_row(
+                followup_rows[rid], allotment, Path(followup_file), rid
+            )
         respondents.append(
             Respondent(
                 id=rid,
                 coupon_in=_opt_str(row.get("coupon_in", "")),
                 coupons_out=outs,
-                interview_order=int(row["interview_order"]),
-                interview_date=_opt_date(row.get("interview_date", "")),
+                interview_order=cell("interview_order", int),
+                interview_date=cell("interview_date", _opt_date),
                 degree=degree,
                 traits=traits,
                 motivation=_opt_str(row.get("motivation", "")),
-                employed=_opt_bool(row.get("employed", "")),
-                q_recv_week=_opt_int(row.get("recv_week", "")),
+                employed=cell("employed", _opt_bool),
+                q_recv_week=cell("recv_week", _opt_int),
                 followup=fu,
             )
         )
@@ -407,10 +432,7 @@ def validate_dataset(ds: StudyDataset) -> ValidationReport:
         if r.degree.funnel_violated():
             report.funnel_violations += 1
         d = r.degree
-        if d.q_age is not None and (
-            (d.q_reach_day is not None and d.q_reach_day > d.q_age)
-            or (d.q_reach_week is not None and d.q_reach_week > d.q_age)
-        ):
+        if reach_inconsistent(r):
             report.inconsistent_reach += 1
         fu = r.followup
         if (

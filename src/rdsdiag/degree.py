@@ -140,57 +140,40 @@ class SensitivityRow:
     n: int
 
 
-@dataclass(frozen=True)
-class SkippedTrait:
-    trait: str
-    reason: str
-
-
 def estimate_sensitivity(
     ds: StudyDataset,
-    forest: RecruitmentForest,
-    traits: Sequence[str],
+    trait: str,
     degree_question: str = DEFAULT_DEGREE_QUESTION,
-) -> list[SensitivityRow | SkippedTrait]:
-    """Prevalence estimates using initial vs follow-up degree over the same
-    respondents (both interviews completed, both degrees usable).
-
-    A trait without usable test/retest members is skipped; when every trait
-    is, this raises ``InsufficientData`` with the first trait's reason."""
-    rows: list[SensitivityRow | SkippedTrait] = []
-    for trait in traits:
-        members: list[tuple[bool, float, float]] = []
-        for r in ds.respondents:
-            if r.is_seed or r.followup is None:
-                continue
-            flag = ds.indicator(r, trait)
-            test = r.degree.get(degree_question)
-            retest = r.followup.degree_retest.get(degree_question)
-            if flag is None or test is None or retest is None:
-                continue
-            if test < 1 or retest < 1:
-                continue
-            members.append((flag, float(test), float(retest)))
-        if not members:
-            rows.append(SkippedTrait(trait, f"no usable test/retest members for {trait!r}"))
+) -> SensitivityRow:
+    """Prevalence estimates of ``trait`` using initial vs follow-up degree
+    over the same respondents (both interviews completed, both degrees
+    usable).  Raises ``InsufficientData`` when no respondent qualifies."""
+    ds.trait_spec(trait)  # raises UnknownTrait even when nobody has a follow-up
+    members: list[tuple[bool, float, float]] = []
+    for r in ds.respondents:
+        if r.is_seed or r.followup is None:
             continue
-        p_test = vh_estimate((m[0], m[1]) for m in members)
-        p_retest = vh_estimate((m[0], m[2]) for m in members)
-        diff = abs(p_test - p_retest)
-        rel = diff / p_test if p_test > 0 else None
-        rows.append(
-            SensitivityRow(
-                trait=trait,
-                estimate_test=p_test,
-                estimate_retest=p_retest,
-                abs_difference=diff,
-                rel_difference=rel,
-                n=len(members),
-            )
-        )
-    if rows and all(isinstance(r, SkippedTrait) for r in rows):
-        raise InsufficientData(rows[0].reason)
-    return rows
+        flag = ds.indicator(r, trait)
+        test = r.degree.get(degree_question)
+        retest = r.followup.degree_retest.get(degree_question)
+        if flag is None or test is None or retest is None:
+            continue
+        if test < 1 or retest < 1:
+            continue
+        members.append((flag, float(test), float(retest)))
+    if not members:
+        raise InsufficientData(f"no usable test/retest members for {trait!r}")
+    p_test = vh_estimate((m[0], m[1]) for m in members)
+    p_retest = vh_estimate((m[0], m[2]) for m in members)
+    diff = abs(p_test - p_retest)
+    return SensitivityRow(
+        trait=trait,
+        estimate_test=p_test,
+        estimate_retest=p_retest,
+        abs_difference=diff,
+        rel_difference=diff / p_test if p_test > 0 else None,
+        n=len(members),
+    )
 
 
 def _sign(x: float) -> int:

@@ -41,6 +41,11 @@ class NonContiguousOrder(IngestError):
     """interview_order is not 1..n, or a recruiter is ordered after a recruit."""
 
 
+class MalformedCell(IngestError):
+    """A cell holds a value its column cannot parse (a number, date or
+    yes/no answer)."""
+
+
 class ConfigError(RdsError):
     exit_code = 3
 

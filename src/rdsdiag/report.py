@@ -16,7 +16,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 
 from . import behavior, bottleneck, convergence, degree, estimators, finitepop
 from .dataset import (
@@ -121,11 +121,26 @@ def _csv_cell(v: Any) -> str:
     return str(v)
 
 
+def _attempt(fn: Callable[..., Any], *args: Any) -> Any:
+    """``fn(*args)``, or ``{"skipped": reason}`` when the data cannot support
+    it.  Every section, sub-diagnostic and per-trait entry goes through here,
+    so a shortfall costs only the entry that needed the missing data."""
+    try:
+        return fn(*args)
+    except DataRequirementError as exc:
+        return {"skipped": str(exc)}
+
+
+def _ran(result: Any) -> bool:
+    return not (isinstance(result, dict) and "skipped" in result)
+
+
 def run_pipeline(cfg: PipelineConfig) -> ReportBundle:
     """Execute all enabled diagnostics and write the output tree.
 
-    Raises ingest/config errors; data-requirement shortfalls inside a
-    section are recorded per-section instead of aborting the run."""
+    Raises ingest/config errors; a data-requirement shortfall is recorded
+    as ``{"skipped": reason}`` at the narrowest level it hits (trait,
+    sub-diagnostic or section) instead of aborting the run."""
     if cfg.dataset is not None:
         ds = cfg.dataset
         report = validate_dataset(ds)
@@ -141,11 +156,15 @@ def run_pipeline(cfg: PipelineConfig) -> ReportBundle:
         report = validate_dataset(ds)
     ds = report.dataset
     forest = build_forest(ds)
-    traits = cfg.traits if cfg.traits is not None else tuple(s.name for s in ds.trait_specs)
+    traits = (
+        tuple(dict.fromkeys(cfg.traits))
+        if cfg.traits is not None
+        else tuple(s.name for s in ds.trait_specs)
+    )
 
     writer = _Writer(Path(cfg.out_dir))
     bundle = ReportBundle(
-        dataset_summary=_dataset_summary(ds, forest, report), sections={}
+        dataset_summary=dataset_summary(ds, forest, report), sections={}
     )
 
     export_edges(forest, writer.out_dir / "edges.csv")
@@ -155,7 +174,7 @@ def run_pipeline(cfg: PipelineConfig) -> ReportBundle:
     _render_chains_figure(writer, ds, forest, traits)
 
     # each trait's included sample is built once and shared by the sections;
-    # an unknown trait raises on every lookup, so each section records it
+    # an unknown trait raises on every lookup, so each entry records it
     sample_of = functools.cache(
         functools.partial(
             estimators.included_sample, ds, forest, degree_question=cfg.degree_question
@@ -169,24 +188,17 @@ def run_pipeline(cfg: PipelineConfig) -> ReportBundle:
         "degree": lambda: _section_degree(writer, ds, forest, traits, cfg),
         "finitepop": lambda: _section_finitepop(ds, forest),
     }
-    flag_rows: list[tuple[str, Optional[bool], Optional[bool]]] = []
     for name in cfg.sections:
-        runner = runners.get(name)
-        if runner is None:
-            continue
-        try:
-            bundle.sections[name] = runner()
-        except DataRequirementError as exc:
-            bundle.sections[name] = {"skipped": str(exc)}
+        if name in runners:
+            bundle.sections[name] = _attempt(runners[name])
 
     # flag grid over per-trait verdicts from the convergence and bottleneck
     # sections (cells are None when a section was skipped for that trait)
     conv = bundle.sections.get("converge", {})
     bott = bundle.sections.get("bottleneck", {})
-    for trait in traits:
-        c = _lookup_flag(conv, trait, "flagged")
-        b = _lookup_flag(bott, trait, "flagged")
-        flag_rows.append((trait, c, b))
+    flag_rows = [
+        (trait, _lookup_flag(conv, trait), _lookup_flag(bott, trait)) for trait in traits
+    ]
     if flag_rows and ("converge" in cfg.sections or "bottleneck" in cfg.sections):
         grid_svg = render_plot(
             "flag-grid",
@@ -211,20 +223,15 @@ def run_pipeline(cfg: PipelineConfig) -> ReportBundle:
     return bundle
 
 
-def _lookup_flag(section: dict[str, Any], trait: str, key: str) -> Optional[bool]:
-    per_trait = section.get("per_trait") if isinstance(section, dict) else None
-    if not isinstance(per_trait, dict):
-        return None
-    entry = per_trait.get(trait)
-    if not isinstance(entry, dict):
-        return None
-    value = entry.get(key)
-    return value if isinstance(value, bool) else None
+def _lookup_flag(section: dict[str, Any], trait: str) -> Optional[bool]:
+    return section.get("per_trait", {}).get(trait, {}).get("flagged")
 
 
-def _dataset_summary(
+def dataset_summary(
     ds: StudyDataset, forest: RecruitmentForest, report: ValidationReport
 ) -> dict[str, Any]:
+    """Size, shape and validation counts of the study, as the bundle and
+    ``rdsdiag ingest`` report them."""
     waves = [forest.wave[r.id] for r in ds.respondents]
     return {
         "site": ds.site_label,
@@ -252,7 +259,9 @@ def _safe_name(trait: str) -> str:
 def _render_chains_figure(
     writer: _Writer, ds: StudyDataset, forest: RecruitmentForest, traits: Sequence[str]
 ) -> None:
-    trait = traits[0] if traits else None
+    """Chains coloured by the first requested trait the dataset defines."""
+    defined = {s.name for s in ds.trait_specs}
+    trait = next((t for t in traits if t in defined), None)
     data = {
         "title": f"Recruitment chains: {ds.site_label}",
         "roots": list(forest.roots),
@@ -266,27 +275,18 @@ def _render_chains_figure(
 
 
 def _section_estimate(writer, traits, cfg: PipelineConfig, sample_of) -> dict[str, Any]:
-    per_trait: dict[str, Any] = {}
-    csv_rows = []
-    for trait in traits:
-        entry: dict[str, Any] = {}
-        try:
-            series = estimators.cumulative_estimates(sample_of(trait))
-            entry["vh"] = _num(series.final)
-            entry["n_included"] = len(series)
-        except DataRequirementError as exc:
-            per_trait[trait] = {"skipped": str(exc)}
-            continue
-        if cfg.population_sizes:
-            scenarios = [
-                estimators.SSConfig(
-                    population_size=n,
-                    replications=cfg.ss_replications,
-                    rng_seed=cfg.rng_seed,
-                )
-                for n in cfg.population_sizes
-            ]
-            rows = estimators.ss_vh_table([sample_of(trait)], scenarios)
+    scenarios = [
+        estimators.SSConfig(
+            population_size=n, replications=cfg.ss_replications, rng_seed=cfg.rng_seed
+        )
+        for n in cfg.population_sizes
+    ]
+
+    def estimate(trait: str) -> dict[str, Any]:
+        sample = sample_of(trait)
+        series = estimators.cumulative_estimates(sample)
+        entry: dict[str, Any] = {"vh": _num(series.final), "n_included": len(series)}
+        if scenarios:
             entry["ss"] = [
                 {
                     "population_size": row.scenario_population,
@@ -294,90 +294,73 @@ def _section_estimate(writer, traits, cfg: PipelineConfig, sample_of) -> dict[st
                     "difference": _num(row.difference),
                     "flagged": row.flagged,
                 }
-                for row in rows
+                for row in estimators.ss_vh_table([sample], scenarios)
             ]
-            for row in rows:
-                csv_rows.append(
-                    (trait, row.scenario_population, _num(row.vh), _num(row.ss),
-                     _num(row.difference), row.flagged)
-                )
-        else:
-            csv_rows.append((trait, None, entry["vh"], None, None, None))
-        per_trait[trait] = entry
+        return entry
+
+    per_trait = {trait: _attempt(estimate, trait) for trait in traits}
+    # one row per SS scenario, or one VH-only row; a skipped trait has none
     writer.write_csv(
         "estimates.csv",
         ["trait", "population_size", "vh", "ss", "difference", "flagged"],
-        csv_rows,
+        [
+            (trait, s.get("population_size"), e["vh"], s.get("ss"),
+             s.get("difference"), s.get("flagged"))
+            for trait, e in per_trait.items()
+            if _ran(e)
+            for s in e.get("ss", [{}])
+        ],
     )
     return {"degree_question": cfg.degree_question, "per_trait": per_trait}
 
 
 def _section_converge(writer, traits, cfg: PipelineConfig, sample_of) -> dict[str, Any]:
     ccfg = convergence.ConvergenceConfig(tau=cfg.tau, epsilon=cfg.epsilon)
-    verdicts = convergence.convergence_batch([sample_of(t) for t in traits], ccfg)
-    per_trait: dict[str, Any] = {}
-    csv_rows = []
-    for v in verdicts:
-        if not v.evaluable or v.verdict is None:
-            per_trait[v.trait] = {"evaluable": False}
-            csv_rows.append((v.trait, False, None, None, None))
-            continue
-        per_trait[v.trait] = {
-            "evaluable": True,
-            "flagged": v.verdict.flagged,
-            "first_violation_offset": v.verdict.first_violation_offset,
-            "max_deviation": _num(v.verdict.max_deviation),
-        }
-        csv_rows.append(
-            (v.trait, True, v.verdict.flagged, v.verdict.first_violation_offset,
-             _num(v.verdict.max_deviation))
-        )
-        sample = sample_of(v.trait)
+
+    def converge(trait: str) -> dict[str, Any]:
+        sample = sample_of(trait)
+        if not len(sample):
+            return {"evaluable": False}
         series = estimators.cumulative_estimates(sample)
+        verdict = convergence.convergence_flag(series, ccfg)
         svg = render_plot(
             "convergence",
             {
-                "title": f"Convergence: {v.trait}",
+                "title": f"Convergence: {trait}",
                 "orders": list(series.orders),
                 "values": list(series.values),
                 "indicators": list(zip(series.orders, (sample.y == 1.0).tolist())),
             },
         )
-        writer.write_text(f"convergence_{_safe_name(v.trait)}.svg", svg)
+        writer.write_text(f"convergence_{_safe_name(trait)}.svg", svg)
+        return {
+            "evaluable": True,
+            "flagged": verdict.flagged,
+            "first_violation_offset": verdict.first_violation_offset,
+            "max_deviation": _num(verdict.max_deviation),
+        }
+
+    per_trait = {trait: _attempt(converge, trait) for trait in traits}
     writer.write_csv(
         "convergence_flags.csv",
         ["trait", "evaluable", "flagged", "first_violation_offset", "max_deviation"],
-        csv_rows,
+        [
+            (trait, e.get("evaluable"), e.get("flagged"),
+             e.get("first_violation_offset"), e.get("max_deviation"))
+            for trait, e in per_trait.items()
+        ],
     )
     return {"tau": cfg.tau, "epsilon": _num(cfg.epsilon), "per_trait": per_trait}
 
 
 def _section_bottleneck(writer, traits, cfg: PipelineConfig, sample_of) -> dict[str, Any]:
-    per_trait: dict[str, Any] = {}
-    csv_rows = []
-    for trait in traits:
-        try:
-            sample = sample_of(trait)
-            result = bottleneck.wsd_permutation_test(
-                sample,
-                replicates=cfg.replicates,
-                threshold=cfg.threshold,
-                rng_seed=cfg.rng_seed,
-            )
-        except DataRequirementError as exc:
-            per_trait[trait] = {"skipped": str(exc)}
-            csv_rows.append((trait, None, None, None))
-            continue
-        per_trait[trait] = {
-            "observed_wsd": _num(result.observed),
-            "quantile_rank": _num(result.quantile_rank),
-            "flagged": result.flagged,
-            "replicates": result.replicates,
-            "threshold": _num(result.threshold),
-            "rng_seed": result.rng_seed,
-        }
-        csv_rows.append(
-            (trait, _num(result.observed), _num(result.quantile_rank), result.flagged)
+    def permutation_test(trait: str) -> dict[str, Any]:
+        sample = sample_of(trait)
+        result = bottleneck.wsd_permutation_test(
+            sample,
+            replicates=cfg.replicates,
+            threshold=cfg.threshold,
+            rng_seed=cfg.rng_seed,
         )
         series = estimators.per_tree_series(sample)
         svg = render_plot(
@@ -400,23 +383,28 @@ def _section_bottleneck(writer, traits, cfg: PipelineConfig, sample_of) -> dict[
             },
         )
         writer.write_text(f"allpoints_{_safe_name(trait)}.svg", svg)
+        return {
+            "observed_wsd": _num(result.observed),
+            "quantile_rank": _num(result.quantile_rank),
+            "flagged": result.flagged,
+            "replicates": result.replicates,
+            "threshold": _num(result.threshold),
+            "rng_seed": result.rng_seed,
+        }
+
+    per_trait = {trait: _attempt(permutation_test, trait) for trait in traits}
     writer.write_csv(
-        "bottleneck.csv", ["trait", "observed_wsd", "quantile_rank", "flagged"], csv_rows
+        "bottleneck.csv",
+        ["trait", "observed_wsd", "quantile_rank", "flagged"],
+        [
+            (trait, e.get("observed_wsd"), e.get("quantile_rank"), e.get("flagged"))
+            for trait, e in per_trait.items()
+        ],
     )
     return {"threshold": _num(cfg.threshold), "per_trait": per_trait}
 
 
 def _section_behavior(writer, ds, forest, traits, cfg: PipelineConfig) -> dict[str, Any]:
-    out: dict[str, Any] = {}
-
-    def attempt(key: str, fn) -> None:
-        try:
-            out[key] = fn()
-        except DataRequirementError as exc:
-            out[key] = {"skipped": str(exc)}
-
-    attempt("reciprocation_rate", lambda: _num(behavior.reciprocation_rate(ds)))
-
     def reciprocity() -> dict[str, Any]:
         s = behavior.network_reciprocity_stats(ds)
         return {
@@ -427,39 +415,39 @@ def _section_behavior(writer, ds, forest, traits, cfg: PipelineConfig) -> dict[s
             "n_excluded": s.n_excluded,
         }
 
-    attempt("network_reciprocity", reciprocity)
-
-    effect_rows = []
-    out["effectiveness"] = {}
-    for trait in traits:
-        try:
-            e = behavior.recruitment_effectiveness(ds, forest, trait)
-        except DataRequirementError as exc:
-            out["effectiveness"][trait] = {"skipped": str(exc)}
-            continue
-        out["effectiveness"][trait] = {
-            "mean_recruits_positive": _num(e.mean_recruits_positive),
-            "mean_recruits_negative": _num(e.mean_recruits_negative),
-            "ratio": _num(e.ratio),
-            "ratio_defined": e.ratio_defined,
-            "n_positive": e.n_positive,
-            "n_negative": e.n_negative,
+    def effectiveness() -> dict[str, Any]:
+        results = {
+            trait: _attempt(behavior.recruitment_effectiveness, ds, forest, trait)
+            for trait in traits
         }
-        effect_rows.append((trait, e))
-    if effect_rows:
-        trait, e = effect_rows[0]
-        svg = render_plot(
-            "effectiveness",
-            {
-                "title": f"Mean recruits by {trait}",
-                "labels": [f"{trait}+", f"{trait}-"],
-                "values": [
-                    0.0 if math.isnan(e.mean_recruits_positive) else e.mean_recruits_positive,
-                    0.0 if math.isnan(e.mean_recruits_negative) else e.mean_recruits_negative,
-                ],
-            },
-        )
-        writer.write_text("effectiveness.svg", svg)
+        ran = [e for e in results.values() if _ran(e)]
+        if ran:
+            e = ran[0]
+            svg = render_plot(
+                "effectiveness",
+                {
+                    "title": f"Mean recruits by {e.trait}",
+                    "labels": [f"{e.trait}+", f"{e.trait}-"],
+                    "values": [
+                        0.0 if math.isnan(e.mean_recruits_positive) else e.mean_recruits_positive,
+                        0.0 if math.isnan(e.mean_recruits_negative) else e.mean_recruits_negative,
+                    ],
+                },
+            )
+            writer.write_text("effectiveness.svg", svg)
+        return {
+            trait: {
+                "mean_recruits_positive": _num(e.mean_recruits_positive),
+                "mean_recruits_negative": _num(e.mean_recruits_negative),
+                "ratio": _num(e.ratio),
+                "ratio_defined": e.ratio_defined,
+                "n_positive": e.n_positive,
+                "n_negative": e.n_negative,
+            }
+            if _ran(e)
+            else e
+            for trait, e in results.items()
+        }
 
     def bias() -> dict[str, Any]:
         levels = behavior.recruitment_bias_levels(ds, forest)
@@ -503,8 +491,6 @@ def _section_behavior(writer, ds, forest, traits, cfg: PipelineConfig) -> dict[s
             },
         }
 
-    attempt("recruitment_bias", bias)
-
     def nonresponse() -> dict[str, Any]:
         rates = behavior.nonresponse_rates(ds, forest)
         return {
@@ -514,8 +500,6 @@ def _section_behavior(writer, ds, forest, traits, cfg: PipelineConfig) -> dict[s
             "n_recruiters": rates.n_recruiters,
             "n_impossible_excluded": rates.n_impossible_excluded,
         }
-
-    attempt("nonresponse", nonresponse)
 
     def reasons() -> dict[str, Any]:
         refusal, motivation = behavior.reason_tables(ds)
@@ -530,48 +514,53 @@ def _section_behavior(writer, ds, forest, traits, cfg: PipelineConfig) -> dict[s
             },
         }
 
-    attempt("reasons", reasons)
-
     def motivation_outcomes() -> list[dict[str, Any]]:
         categories = sorted(
             {r.motivation for r in ds.respondents if r.motivation is not None}
         )
-        rows = []
-        plot_rows = []
-        for trait in traits:
-            for category in categories:
-                try:
-                    mo = behavior.motivation_outcome(ds, category, trait)
-                except DataRequirementError:
-                    continue
-                rows.append(
-                    {
-                        "motivation": category,
-                        "trait": trait,
-                        "table": list(mo.table),
-                        "odds_ratio": _num(mo.odds_ratio),
-                        "ci_low": _num(mo.interval[0]),
-                        "ci_high": _num(mo.interval[1]),
-                    }
-                )
-                plot_rows.append(
-                    (f"{category} / {trait}", mo.odds_ratio, *mo.interval)
-                )
-        if plot_rows:
+        outcomes = [
+            _attempt(behavior.motivation_outcome, ds, category, trait)
+            for trait in traits
+            for category in categories
+        ]
+        outcomes = [mo for mo in outcomes if _ran(mo)]
+        if outcomes:
             svg = render_plot(
                 "motivation-outcome",
-                {"title": "Motivation vs outcome", "rows": plot_rows},
+                {
+                    "title": "Motivation vs outcome",
+                    "rows": [
+                        (f"{mo.motivation_category} / {mo.outcome_trait}",
+                         mo.odds_ratio, *mo.interval)
+                        for mo in outcomes
+                    ],
+                },
             )
             writer.write_text("motivation_outcome.svg", svg)
-        return rows
+        return [
+            {
+                "motivation": mo.motivation_category,
+                "trait": mo.outcome_trait,
+                "table": list(mo.table),
+                "odds_ratio": _num(mo.odds_ratio),
+                "ci_low": _num(mo.interval[0]),
+                "ci_high": _num(mo.interval[1]),
+            }
+            for mo in outcomes
+        ]
 
-    attempt("motivation_outcome", motivation_outcomes)
-    return out
+    return {
+        "reciprocation_rate": _attempt(lambda: _num(behavior.reciprocation_rate(ds))),
+        "network_reciprocity": _attempt(reciprocity),
+        "effectiveness": effectiveness(),
+        "recruitment_bias": _attempt(bias),
+        "nonresponse": _attempt(nonresponse),
+        "reasons": _attempt(reasons),
+        "motivation_outcome": _attempt(motivation_outcomes),
+    }
 
 
 def _section_degree(writer, ds, forest, traits, cfg: PipelineConfig) -> dict[str, Any]:
-    out: dict[str, Any] = {}
-
     def windows() -> dict[str, Any]:
         tw = degree.time_window_stats(ds, forest)
         return {
@@ -595,9 +584,14 @@ def _section_degree(writer, ds, forest, traits, cfg: PipelineConfig) -> dict[str
             "spearman_rho": _num(rt.spearman_rho),
         }
 
-    def sensitivity() -> list[dict[str, Any]]:
-        rows = degree.estimate_sensitivity(ds, forest, traits, cfg.degree_question)
-        estimated = [r for r in rows if isinstance(r, degree.SensitivityRow)]
+    def sensitivity() -> list[dict[str, Any]] | dict[str, Any]:
+        rows = {
+            trait: _attempt(degree.estimate_sensitivity, ds, trait, cfg.degree_question)
+            for trait in traits
+        }
+        estimated = [r for r in rows.values() if _ran(r)]
+        if traits and not estimated:
+            return rows[traits[0]]  # every trait skipped: the first one's reason
         svg = render_plot(
             "sensitivity-pairs",
             {
@@ -607,9 +601,7 @@ def _section_degree(writer, ds, forest, traits, cfg: PipelineConfig) -> dict[str
         )
         writer.write_text("sensitivity_pairs.svg", svg)
         return [
-            {"trait": r.trait, "skipped": r.reason}
-            if isinstance(r, degree.SkippedTrait)
-            else {
+            {
                 "trait": r.trait,
                 "estimate_test": _num(r.estimate_test),
                 "estimate_retest": _num(r.estimate_retest),
@@ -617,7 +609,9 @@ def _section_degree(writer, ds, forest, traits, cfg: PipelineConfig) -> dict[str
                 "rel_difference": _num(r.rel_difference),
                 "n": r.n,
             }
-            for r in rows
+            if _ran(r)
+            else {"trait": trait, **r}
+            for trait, r in rows.items()
         ]
 
     def trend() -> list[dict[str, Any]]:
@@ -626,46 +620,42 @@ def _section_degree(writer, ds, forest, traits, cfg: PipelineConfig) -> dict[str
             for v in degree.degree_trend(ds, degree_question=cfg.degree_question)
         ]
 
-    for key, fn in (
-        ("time_windows", windows),
-        ("test_retest", retest),
-        ("sensitivity", sensitivity),
-        ("trend", trend),
-    ):
-        try:
-            out[key] = fn()
-        except DataRequirementError as exc:
-            out[key] = {"skipped": str(exc)}
-    return out
+    return {
+        "time_windows": _attempt(windows),
+        "test_retest": _attempt(retest),
+        "sensitivity": _attempt(sensitivity),
+        "trend": _attempt(trend),
+    }
 
 
 def _section_finitepop(ds, forest) -> dict[str, Any]:
-    out: dict[str, Any] = {}
     summary = finitepop.indicator_summary(ds, forest)
-    out["summary"] = {
-        "attainment_failed": summary.attainment_failed,
-        "failed_attempts_flag": summary.failed_attempts_flag,
-        "participants_known_trend_flag": summary.participants_known_trend_flag,
-    }
-    try:
+
+    def failed_attempts() -> dict[str, Any]:
         fa = finitepop.failed_attempts_indicator(ds)
-        out["failed_attempts"] = {
+        return {
             "percent_reporting": _num(fa.percent_reporting),
             "flagged": fa.flagged,
             "threshold": _num(fa.threshold),
             "n_answered": fa.n_answered,
             "bands": {"0": fa.band_0, "1-3": fa.band_1_3, "4+": fa.band_4_plus},
         }
-    except DataRequirementError as exc:
-        out["failed_attempts"] = {"skipped": str(exc)}
-    try:
+
+    def participants_known() -> dict[str, Any]:
         tr = finitepop.participants_known_trend(ds)
-        out["participants_known"] = {
+        return {
             "slope": _num(tr.slope),
             "flagged": tr.flagged,
             "n": len(tr.orders),
             "n_excluded_zero_degree": tr.n_excluded_zero_degree,
         }
-    except DataRequirementError as exc:
-        out["participants_known"] = {"skipped": str(exc)}
-    return out
+
+    return {
+        "summary": {
+            "attainment_failed": summary.attainment_failed,
+            "failed_attempts_flag": summary.failed_attempts_flag,
+            "participants_known_trend_flag": summary.participants_known_trend_flag,
+        },
+        "failed_attempts": _attempt(failed_attempts),
+        "participants_known": _attempt(participants_known),
+    }

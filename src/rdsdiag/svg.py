@@ -1,8 +1,8 @@
 """Deterministic SVG rendering for the diagnostic figure families.
 
-Every renderer is a pure function of its data and style dictionaries and
-emits byte-identical markup across runs: element order is fixed and all
-numbers pass through a 6-significant-digit formatter.  No plotting library
+Every renderer is a pure function of its data dictionary and the fixed
+style, and emits byte-identical markup across runs: element order is fixed
+and all numbers pass through a 6-significant-digit formatter.  No plotting library
 is involved, so golden-file tests can diff output directly.
 """
 
@@ -25,7 +25,7 @@ PLOT_KINDS = (
     "sensitivity-pairs",
 )
 
-_DEFAULT_STYLE = {
+_STYLE = {
     "width": 640,
     "height": 420,
     "margin": 48.0,
@@ -119,13 +119,6 @@ def _escape(s: str) -> str:
     return s.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
-def _merged_style(style: Optional[Mapping[str, Any]]) -> dict[str, Any]:
-    merged = dict(_DEFAULT_STYLE)
-    if style:
-        merged.update(style)
-    return merged
-
-
 class _Scale:
     """Affine data-to-pixel map; degenerate spans get a centered band."""
 
@@ -140,13 +133,10 @@ class _Scale:
         return self.px_lo + frac * (self.px_hi - self.px_lo)
 
 
-def render_plot(
-    kind: str, data: Mapping[str, Any], style: Optional[Mapping[str, Any]] = None
-) -> str:
+def render_plot(kind: str, data: Mapping[str, Any]) -> str:
     """Render one figure family to a standalone SVG string."""
     if kind not in PLOT_KINDS:
         raise UnknownKind(f"unknown plot kind {kind!r}")
-    st = _merged_style(style)
     renderer = {
         "chains": _render_chains,
         "convergence": _render_convergence,
@@ -158,7 +148,7 @@ def render_plot(
         "motivation-outcome": _render_motivation_outcome,
         "sensitivity-pairs": _render_sensitivity_pairs,
     }[kind]
-    return renderer(data, st)
+    return renderer(data, _STYLE)
 
 
 # -- chains ------------------------------------------------------------------

@@ -2,14 +2,11 @@ import numpy as np
 import pytest
 
 from conftest import make_dataset, make_respondent
-from rdsdiag.convergence import (
-    ConvergenceConfig,
-    convergence_batch,
-    convergence_flag,
-)
+from rdsdiag.convergence import ConvergenceConfig, convergence_flag
 from rdsdiag.errors import EmptySeries, RdsError
-from rdsdiag.estimators import included_sample
+from rdsdiag.estimators import cumulative_estimates, included_sample
 from rdsdiag.forest import build_forest
+from rdsdiag.report import PipelineConfig, run_pipeline
 
 
 def test_constant_series_unflagged():
@@ -112,23 +109,35 @@ def _batch_dataset():
     )
 
 
-def test_batch_verdicts():
+def _trait_verdict(ds, forest, trait):
+    return convergence_flag(cumulative_estimates(included_sample(ds, forest, trait)))
+
+
+def _converge_section(ds, out_dir, traits=None):
+    cfg = PipelineConfig(out_dir=out_dir, dataset=ds, traits=traits, sections=("converge",))
+    return run_pipeline(cfg).sections["converge"]["per_trait"]
+
+
+def test_batch_verdicts(tmp_path):
     ds = _batch_dataset()
     forest = build_forest(ds)
-    verdicts = convergence_batch(
-        [included_sample(ds, forest, t) for t in ("hiv", "hiv", "emp")]
-    )
-    assert verdicts[0].evaluable and verdicts[1].evaluable
-    assert verdicts[0].verdict == verdicts[1].verdict  # determinism on duplicates
-    assert not verdicts[2].evaluable  # all-missing trait has an empty series
+    assert _trait_verdict(ds, forest, "hiv") == _trait_verdict(ds, forest, "hiv")
+    with pytest.raises(EmptySeries):  # all-missing trait has an empty series
+        _trait_verdict(ds, forest, "emp")
+    # the report collapses the repeated trait and records the empty one
+    per_trait = _converge_section(ds, tmp_path, traits=("hiv", "hiv", "emp"))
+    assert list(per_trait) == ["hiv", "emp"]
+    assert per_trait["hiv"]["evaluable"]
+    assert per_trait["emp"] == {"evaluable": False}
 
 
-def test_batch_constant_trait_unflagged():
+def test_batch_constant_trait_unflagged(tmp_path):
     rows = [make_respondent("S", 1, coupons_out=["C1", "C2"], degree=3,
                             traits={"hiv": "yes"})]
     rows.append(make_respondent("a", 2, coupon_in="C1", degree=2, traits={"hiv": "yes"}))
     rows.append(make_respondent("b", 3, coupon_in="C2", degree=1, traits={"hiv": "yes"}))
     ds = make_dataset(rows)
-    verdicts = convergence_batch([included_sample(ds, build_forest(ds), "hiv")])
-    assert verdicts[0].evaluable
-    assert not verdicts[0].verdict.flagged
+    assert not _trait_verdict(ds, build_forest(ds), "hiv").flagged
+    entry = _converge_section(ds, tmp_path)["hiv"]
+    assert entry["evaluable"]
+    assert not entry["flagged"]

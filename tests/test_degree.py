@@ -185,7 +185,7 @@ def test_sensitivity_hand_fixture():
                         followup=followup(retest=2)),
     ]
     ds = _ds(rows)
-    (row,) = estimate_sensitivity(ds, build_forest(ds), ["hiv"])
+    row = estimate_sensitivity(ds, "hiv")
     # test: weights 1, 1/2 -> 2/3; retest: weights 1/4, 1/2 -> 1/3
     assert row.estimate_test == pytest.approx(2 / 3)
     assert row.estimate_retest == pytest.approx(1 / 3)
@@ -201,7 +201,7 @@ def test_sensitivity_zero_prevalence_rel_none():
                         followup=followup(retest=5)),
     ]
     ds = _ds(rows)
-    (row,) = estimate_sensitivity(ds, build_forest(ds), ["hiv"])
+    row = estimate_sensitivity(ds, "hiv")
     assert row.estimate_test == 0.0
     assert row.rel_difference is None
 
@@ -213,7 +213,7 @@ def test_sensitivity_requires_completers():
     ]
     ds = _ds(rows)
     with pytest.raises(InsufficientData):
-        estimate_sensitivity(ds, build_forest(ds), ["hiv"])
+        estimate_sensitivity(ds, "hiv")
 
 
 def test_sensitivity_skips_trait_without_completers():
@@ -226,8 +226,10 @@ def test_sensitivity_skips_trait_without_completers():
                         followup=followup(retest=2)),
     ]
     ds = _ds(rows, traits=[("emp", "binary", "yes"), ("hiv", "binary", "yes")])
-    skipped, row = estimate_sensitivity(ds, build_forest(ds), ["emp", "hiv"])
-    assert (skipped.trait, skipped.reason) == ("emp", "no usable test/retest members for 'emp'")
+    with pytest.raises(InsufficientData) as skipped:
+        estimate_sensitivity(ds, "emp")
+    assert str(skipped.value) == "no usable test/retest members for 'emp'"
+    row = estimate_sensitivity(ds, "hiv")
     assert row.trait == "hiv"
     assert row.estimate_test == pytest.approx(2 / 3)
     assert row.n == 2

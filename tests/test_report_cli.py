@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import json
 import xml.etree.ElementTree as ET
@@ -294,15 +295,121 @@ def test_cli_report_unknown_trait_skipped(cli_study, capsys, tmp_path):
     skipped = {"skipped": "trait 'nope' is not defined for this dataset"}
     assert sections["estimate"]["per_trait"]["nope"] == skipped
     assert "vh" in sections["estimate"]["per_trait"]["hiv"]
-    # the convergence batch covers all traits, so the whole section is skipped
-    assert sections["converge"] == skipped
+    assert sections["converge"]["per_trait"]["nope"] == skipped
+    assert sections["converge"]["per_trait"]["hiv"]["evaluable"]
     assert sections["bottleneck"]["per_trait"]["nope"] == skipped
     assert "observed_wsd" in sections["bottleneck"]["per_trait"]["hiv"]
     assert sections["behavior"]["effectiveness"]["nope"] == skipped
-    assert sections["degree"]["sensitivity"] == skipped
+    hiv, nope = sections["degree"]["sensitivity"]
+    assert hiv["trait"] == "hiv" and hiv["n"] > 0
+    assert nope == {"trait": "nope", **skipped}
     files = {p.name for p in out_dir.iterdir()}
-    assert {"bottleneck_hiv.svg", "allpoints_hiv.svg", "flag_grid.csv"} <= files
-    assert not any(name.startswith("convergence") for name in files)
-    flag = str(sections["bottleneck"]["per_trait"]["hiv"]["flagged"]).lower()
+    assert {"convergence_hiv.svg", "bottleneck_hiv.svg", "allpoints_hiv.svg",
+            "flag_grid.csv", "sensitivity_pairs.svg"} <= files
+    assert not any("nope" in name for name in files)
+    flags = (out_dir / "convergence_flags.csv").read_text().splitlines()
+    assert flags[2] == "nope,,,,"
+    conv = str(sections["converge"]["per_trait"]["hiv"]["flagged"]).lower()
+    bott = str(sections["bottleneck"]["per_trait"]["hiv"]["flagged"]).lower()
     grid = (out_dir / "flag_grid.csv").read_text().splitlines()
-    assert grid[1:] == [f"hiv,,{flag}", "nope,,"]
+    assert grid[1:] == [f"hiv,{conv},{bott}", "nope,,"]
+
+
+def _report(study, out_dir, traits, *extra):
+    trait_args = [arg for t in traits for arg in ("--trait", t)]
+    code = main([
+        "report", *_dataset_args(study), "--out-dir", str(out_dir),
+        "--replicates", "100", *trait_args, *extra,
+    ])
+    return code, _strict_json((out_dir / "bundle.json").read_text())["sections"]
+
+
+def _known_trait_view(sections, out_dir, known):
+    """Everything the report says about the known traits, SVGs included."""
+    view = {
+        name: sections[name]["per_trait"].get(trait)
+        for name in ("estimate", "converge", "bottleneck")
+        for trait in known
+    }
+    behavior = sections["behavior"]
+    view["effectiveness"] = {t: behavior["effectiveness"][t] for t in known}
+    view["motivation_outcome"] = [
+        row for row in behavior["motivation_outcome"] if row["trait"] in known
+    ]
+    view["sensitivity"] = [
+        row for row in sections["degree"]["sensitivity"] if row["trait"] in known
+    ]
+    view["files"] = {
+        p.name: p.read_bytes()
+        for p in out_dir.iterdir()
+        if p.suffix == ".svg" and not p.name.startswith(("flag_grid", "sensitivity"))
+    }
+    return view
+
+
+@pytest.mark.parametrize("position", [0, 1, 2])
+def test_cli_report_unknown_trait_any_position(cli_study, capsys, tmp_path, position):
+    known = ["hiv", "employed"]
+    code, reference = _report(cli_study, tmp_path / "known", known)
+    assert code == 0
+    with_unknown = known[:position] + ["nope"] + known[position:]
+    code, sections = _report(cli_study, tmp_path / "mixed", with_unknown)
+    assert code == 0
+    assert _known_trait_view(sections, tmp_path / "mixed", known) == _known_trait_view(
+        reference, tmp_path / "known", known
+    )
+
+
+def test_cli_report_repeated_trait_collapsed(cli_study, capsys, tmp_path):
+    code, sections = _report(cli_study, tmp_path / "o", ["hiv", "employed", "hiv"])
+    assert code == 0
+    assert [row["trait"] for row in sections["degree"]["sensitivity"]] == ["hiv", "employed"]
+    for name in ("estimates.csv", "convergence_flags.csv", "bottleneck.csv", "flag_grid.csv"):
+        lines = (tmp_path / "o" / name).read_text().splitlines()
+        assert [line.split(",")[0] for line in lines[1:]] == ["hiv", "employed"]
+
+
+def _rewrite_cell(src, dst, row_index, column, value):
+    with open(src, newline="") as fh:
+        reader = csv.DictReader(fh)
+        header, rows = reader.fieldnames, list(reader)
+    rows[row_index][column] = value
+    with open(dst, "w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=header)
+        writer.writeheader()
+        writer.writerows(rows)
+    return rows[row_index]["id"]
+
+
+@pytest.mark.parametrize("mode", ["--strict", "--lenient"])
+@pytest.mark.parametrize(
+    "file_name, column, value",
+    [
+        ("respondents.csv", "deg_week", "abc"),
+        ("respondents.csv", "interview_date", "2020-13-45"),
+        ("respondents.csv", "employed", "maybe"),
+        ("respondents.csv", "interview_order", ""),
+        ("followup.csv", "n_refusals", "x"),
+    ],
+)
+def test_cli_malformed_cell_exit_code(cli_study, capsys, tmp_path, file_name, column,
+                                      value, mode):
+    for name in ("respondents.csv", "traits.csv", "followup.csv"):
+        (tmp_path / name).write_bytes((cli_study / name).read_bytes())
+    rid = _rewrite_cell(cli_study / file_name, tmp_path / file_name, 3, column, value)
+    assert main(["report", *_dataset_args(tmp_path), mode,
+                 "--out-dir", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert str(tmp_path / file_name) in err
+    assert repr(rid) in err and repr(column) in err
+
+
+@pytest.mark.parametrize("file_name", ["respondents.csv", "followup.csv"])
+def test_cli_short_row_exit_code(cli_study, capsys, tmp_path, file_name):
+    for name in ("respondents.csv", "traits.csv", "followup.csv"):
+        (tmp_path / name).write_bytes((cli_study / name).read_bytes())
+    lines = (tmp_path / file_name).read_text().splitlines()
+    lines[4] = ",".join(lines[4].split(",")[:3])
+    (tmp_path / file_name).write_text("\n".join(lines) + "\n")
+    assert main(["ingest", *_dataset_args(tmp_path)]) == 2
+    assert "fewer cells than columns" in capsys.readouterr().err

@@ -123,12 +123,6 @@ def test_motivation_outcome_unbounded_dashed():
     assert dashes.count("3 3") == 1  # only the unbounded interval is dashed
 
 
-def test_style_override():
-    svg = render_plot("bias", SAMPLE_DATA["bias"], style={"series_color": "#000000"})
-    assert "#000000" in svg
-    assert "#1f6fb2" not in svg
-
-
 def test_six_significant_digit_floats():
     data = {"orders": [1, 2], "values": [1 / 3, 2 / 3], "indicators": []}
     svg = render_plot("convergence", data)
