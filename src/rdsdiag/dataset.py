@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import functools
 import warnings as _warnings
 from dataclasses import dataclass, field
 from datetime import date
@@ -120,22 +121,22 @@ class StudyDataset:
     def by_id(self, rid: str) -> Respondent:
         return self._index[rid]
 
-    @property
+    @functools.cached_property
     def _index(self) -> dict[str, Respondent]:
-        idx = object.__getattribute__(self, "__dict__").get("_index_cache")
-        if idx is None:
-            idx = {r.id: r for r in self.respondents}
-            object.__getattribute__(self, "__dict__")["_index_cache"] = idx
-        return idx
+        return {r.id: r for r in self.respondents}
+
+    @functools.cached_property
+    def _specs(self) -> dict[str, TraitSpec]:
+        return {s.name: s for s in self.trait_specs}
 
     def seeds(self) -> list[Respondent]:
         return [r for r in self.respondents if r.is_seed]
 
     def trait_spec(self, name: str) -> TraitSpec:
-        for spec in self.trait_specs:
-            if spec.name == name:
-                return spec
-        raise UnknownTrait(f"trait {name!r} is not defined for this dataset")
+        try:
+            return self._specs[name]
+        except KeyError:
+            raise UnknownTrait(f"trait {name!r} is not defined for this dataset") from None
 
     def indicator(self, resp: Respondent, trait: str) -> Optional[bool]:
         """True/False for the trait's reference level; None when missing."""
@@ -223,25 +224,34 @@ def _require(header: Sequence[str], names: Iterable[str], path: Path) -> None:
         raise MissingColumn(f"{path}: missing columns {missing}")
 
 
-def _open_input(path: Path):
+def _read_csv(path: Path, required: Sequence[str]) -> tuple[list[str], list[dict[str, str]]]:
+    """Header and rows of an input CSV.  A file that cannot be opened raises
+    ``MissingData``, one that is not UTF-8 ``MalformedCell``, and a header
+    without a ``required`` column ``MissingColumn``."""
     try:
-        return open(path, newline="")
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.DictReader(fh)
+            header = list(reader.fieldnames or [])
+            _require(header, required, path)
+            return header, list(reader)
     except OSError as exc:
         raise MissingData(f"cannot read input file {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise MalformedCell(f"{path}: not UTF-8 text (byte {exc.start})") from None
 
 
 def load_traits(path: Path) -> tuple[TraitSpec, ...]:
-    with _open_input(path) as fh:
-        reader = csv.DictReader(fh)
-        _require(reader.fieldnames or [], ["name", "kind", "reference_level"], path)
-        specs = []
-        seen = set()
-        for row in reader:
-            name = row["name"].strip()
-            if name in seen:
-                raise DuplicateId(f"{path}: duplicate trait {name!r}")
-            seen.add(name)
-            specs.append(TraitSpec(name, row["kind"].strip(), row["reference_level"].strip()))
+    _, rows = _read_csv(path, ["name", "kind", "reference_level"])
+    specs = []
+    seen = set()
+    for row in rows:
+        if None in row.values():
+            raise MalformedCell(f"{path}: trait row {len(specs) + 1}: fewer cells than columns")
+        name = row["name"].strip()
+        if name in seen:
+            raise DuplicateId(f"{path}: duplicate trait {name!r}")
+        seen.add(name)
+        specs.append(TraitSpec(name, row["kind"].strip(), row["reference_level"].strip()))
     return tuple(specs)
 
 
@@ -301,28 +311,24 @@ def load_dataset(
     traits_file = Path(traits_file)
     trait_specs = load_traits(traits_file)
 
-    with _open_input(respondents_file) as fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
-        _require(header, ["id", "coupon_in", "interview_order", "interview_date"], respondents_file)
-        out_cols = sorted(
-            (c for c in header if c.startswith("coupon_out_")),
-            key=lambda c: int(c.rsplit("_", 1)[1]),
-        )
-        allotment = max(len(out_cols), 1)
-        trait_cols = [c for c in header if c.startswith("trait:")]
-        rows = list(reader)
+    header, rows = _read_csv(
+        respondents_file, ["id", "coupon_in", "interview_order", "interview_date"]
+    )
+    out_cols = [c for c in header if c.startswith("coupon_out_")]
+    for c in out_cols:
+        if not c.rsplit("_", 1)[1].isdecimal():
+            raise MalformedCell(f"{respondents_file}: column {c!r} is not coupon_out_<number>")
+    out_cols.sort(key=lambda c: int(c.rsplit("_", 1)[1]))
+    allotment = max(len(out_cols), 1)
+    trait_cols = [c for c in header if c.startswith("trait:")]
 
     if not rows:
         raise MissingData(f"{respondents_file}: zero respondents")
 
     followup_rows: dict[str, Mapping[str, str]] = {}
     if followup_file is not None:
-        with _open_input(Path(followup_file)) as fh:
-            freader = csv.DictReader(fh)
-            _require(freader.fieldnames or [], ["id"], Path(followup_file))
-            for row in freader:
-                followup_rows[row["id"].strip()] = row
+        _, frows = _read_csv(Path(followup_file), ["id"])
+        followup_rows = {row["id"].strip(): row for row in frows}
 
     respondents = []
     seen_ids: set[str] = set()

@@ -1,16 +1,13 @@
-"""With-replacement sampling indicators and their summary grid."""
+"""With-replacement sampling indicators."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from .dataset import StudyDataset
 from .errors import InsufficientData, MissingTarget, NoData
-from .forest import RecruitmentForest
 
 
 @dataclass(frozen=True)
@@ -31,13 +28,6 @@ class ParticipantsKnownTrend:
     proportions: tuple[float, ...]
     orders: tuple[int, ...]
     n_excluded_zero_degree: int
-
-
-@dataclass(frozen=True)
-class IndicatorSummary:
-    attainment_failed: Optional[bool]  # None = not evaluable
-    failed_attempts_flag: Optional[bool]
-    participants_known_trend_flag: Optional[bool]
 
 
 def attainment_indicator(ds: StudyDataset) -> bool:
@@ -101,26 +91,4 @@ def participants_known_trend(ds: StudyDataset) -> ParticipantsKnownTrend:
         proportions=tuple(props),
         orders=tuple(orders),
         n_excluded_zero_degree=excluded,
-    )
-
-
-def indicator_summary(ds: StudyDataset, forest: RecruitmentForest) -> IndicatorSummary:
-    """The three with-replacement indicators; cells that cannot be computed
-    come back as None (rendered distinctly from an unflagged cell)."""
-    try:
-        attainment: Optional[bool] = attainment_indicator(ds)
-    except MissingTarget:
-        attainment = None
-    try:
-        failed: Optional[bool] = failed_attempts_indicator(ds).flagged
-    except NoData:
-        failed = None
-    try:
-        trend: Optional[bool] = participants_known_trend(ds).flagged
-    except InsufficientData:
-        trend = None
-    return IndicatorSummary(
-        attainment_failed=attainment,
-        failed_attempts_flag=failed,
-        participants_known_trend_flag=trend,
     )

@@ -1,8 +1,9 @@
 """End-to-end diagnostic pipeline: runs every enabled analysis, writes the
 SVG figures and CSV tables, and assembles a hashed JSON bundle.
 
-All output is deterministic: floats are rounded to 6 significant digits
-before serialization, JSON keys are sorted, and every random step derives
+All output is deterministic: sections return their raw results, which one
+pass (``_jsonable``) turns into the bundle form with every float rounded to
+6 significant digits; JSON keys are sorted, and every random step derives
 from the configured seed.  Diagnostic flags are results, not errors — the
 pipeline exits cleanly when a dataset simply lacks the data for a section,
 recording the reason in the bundle instead.
@@ -14,19 +15,20 @@ import functools
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
 from pathlib import Path
 from typing import Any, Callable, Optional, Sequence
 
 from . import behavior, bottleneck, convergence, degree, estimators, finitepop
 from .dataset import (
+    DEGREE_QUESTIONS,
     IngestOptions,
     StudyDataset,
     ValidationReport,
     load_dataset,
     validate_dataset,
 )
-from .errors import DataRequirementError
+from .errors import DataRequirementError, UnrealizableConfig
 from .forest import RecruitmentForest, build_forest, export_edges
 from .svg import render_plot
 
@@ -61,6 +63,12 @@ class PipelineConfig:
     strict: bool = True
     sections: tuple[str, ...] = ALL_SECTIONS
 
+    def __post_init__(self) -> None:
+        if self.degree_question not in DEGREE_QUESTIONS:
+            raise UnrealizableConfig(f"unknown degree question {self.degree_question!r}")
+        if self.replicates < 1:
+            raise UnrealizableConfig("replicates must be >= 1")
+
 
 @dataclass
 class ReportBundle:
@@ -79,16 +87,32 @@ class ReportBundle:
         return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
-def _num(x: Optional[float]) -> Any:
-    """JSON-safe numeric: 6 significant digits, NaN -> None, inf -> string."""
-    if x is None:
-        return None
-    x = float(x)
+def _num(x: float) -> Any:
+    """JSON-safe number: 6 significant digits, NaN -> None, inf -> string."""
     if math.isnan(x):
         return None
     if math.isinf(x):
         return "inf" if x > 0 else "-inf"
     return float(f"{x:.6g}")
+
+
+def _fields(result: Any, drop: Sequence[str] = ()) -> dict[str, Any]:
+    """A result dataclass's fields as a dict, less the ``drop`` ones."""
+    return {f.name: getattr(result, f.name) for f in fields(result) if f.name not in drop}
+
+
+def _jsonable(x: Any) -> Any:
+    """The bundle form of a section result: a dataclass becomes the dict of
+    its fields, a tuple a list, and every float goes through ``_num``."""
+    if is_dataclass(x):
+        x = _fields(x)
+    if isinstance(x, dict):
+        return {k: _jsonable(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_jsonable(v) for v in x]
+    if isinstance(x, float):
+        return _num(x)
+    return x
 
 
 class _Writer:
@@ -112,6 +136,7 @@ class _Writer:
 
 
 def _csv_cell(v: Any) -> str:
+    v = _jsonable(v)
     if v is None:
         return ""
     if isinstance(v, bool):
@@ -141,10 +166,8 @@ def run_pipeline(cfg: PipelineConfig) -> ReportBundle:
     Raises ingest/config errors; a data-requirement shortfall is recorded
     as ``{"skipped": reason}`` at the narrowest level it hits (trait,
     sub-diagnostic or section) instead of aborting the run."""
-    if cfg.dataset is not None:
-        ds = cfg.dataset
-        report = validate_dataset(ds)
-    else:
+    ds = cfg.dataset
+    if ds is None:
         if cfg.respondents_file is None or cfg.traits_file is None:
             raise DataRequirementError("pipeline needs input files or a dataset")
         ds = load_dataset(
@@ -153,7 +176,7 @@ def run_pipeline(cfg: PipelineConfig) -> ReportBundle:
             cfg.followup_file,
             IngestOptions(strict=cfg.strict),
         )
-        report = validate_dataset(ds)
+    report = validate_dataset(ds)
     ds = report.dataset
     forest = build_forest(ds)
     traits = (
@@ -186,11 +209,11 @@ def run_pipeline(cfg: PipelineConfig) -> ReportBundle:
         "bottleneck": lambda: _section_bottleneck(writer, traits, cfg, sample_of),
         "behavior": lambda: _section_behavior(writer, ds, forest, traits, cfg),
         "degree": lambda: _section_degree(writer, ds, forest, traits, cfg),
-        "finitepop": lambda: _section_finitepop(ds, forest),
+        "finitepop": lambda: _section_finitepop(ds),
     }
     for name in cfg.sections:
         if name in runners:
-            bundle.sections[name] = _attempt(runners[name])
+            bundle.sections[name] = _jsonable(_attempt(runners[name]))
 
     # flag grid over per-trait verdicts from the convergence and bottleneck
     # sections (cells are None when a section was skipped for that trait)
@@ -285,15 +308,11 @@ def _section_estimate(writer, traits, cfg: PipelineConfig, sample_of) -> dict[st
     def estimate(trait: str) -> dict[str, Any]:
         sample = sample_of(trait)
         series = estimators.cumulative_estimates(sample)
-        entry: dict[str, Any] = {"vh": _num(series.final), "n_included": len(series)}
+        entry: dict[str, Any] = {"vh": series.final, "n_included": len(series)}
         if scenarios:
             entry["ss"] = [
-                {
-                    "population_size": row.scenario_population,
-                    "ss": _num(row.ss),
-                    "difference": _num(row.difference),
-                    "flagged": row.flagged,
-                }
+                {"population_size": row.scenario_population, "ss": row.ss,
+                 "difference": row.difference, "flagged": row.flagged}
                 for row in estimators.ss_vh_table([sample], scenarios)
             ]
         return entry
@@ -333,12 +352,7 @@ def _section_converge(writer, traits, cfg: PipelineConfig, sample_of) -> dict[st
             },
         )
         writer.write_text(f"convergence_{_safe_name(trait)}.svg", svg)
-        return {
-            "evaluable": True,
-            "flagged": verdict.flagged,
-            "first_violation_offset": verdict.first_violation_offset,
-            "max_deviation": _num(verdict.max_deviation),
-        }
+        return {"evaluable": True, **_fields(verdict)}
 
     per_trait = {trait: _attempt(converge, trait) for trait in traits}
     writer.write_csv(
@@ -350,7 +364,7 @@ def _section_converge(writer, traits, cfg: PipelineConfig, sample_of) -> dict[st
             for trait, e in per_trait.items()
         ],
     )
-    return {"tau": cfg.tau, "epsilon": _num(cfg.epsilon), "per_trait": per_trait}
+    return {"tau": cfg.tau, "epsilon": cfg.epsilon, "per_trait": per_trait}
 
 
 def _section_bottleneck(writer, traits, cfg: PipelineConfig, sample_of) -> dict[str, Any]:
@@ -383,14 +397,7 @@ def _section_bottleneck(writer, traits, cfg: PipelineConfig, sample_of) -> dict[
             },
         )
         writer.write_text(f"allpoints_{_safe_name(trait)}.svg", svg)
-        return {
-            "observed_wsd": _num(result.observed),
-            "quantile_rank": _num(result.quantile_rank),
-            "flagged": result.flagged,
-            "replicates": result.replicates,
-            "threshold": _num(result.threshold),
-            "rng_seed": result.rng_seed,
-        }
+        return {"observed_wsd": result.observed, **_fields(result, drop=("observed",))}
 
     per_trait = {trait: _attempt(permutation_test, trait) for trait in traits}
     writer.write_csv(
@@ -401,16 +408,16 @@ def _section_bottleneck(writer, traits, cfg: PipelineConfig, sample_of) -> dict[
             for trait, e in per_trait.items()
         ],
     )
-    return {"threshold": _num(cfg.threshold), "per_trait": per_trait}
+    return {"threshold": cfg.threshold, "per_trait": per_trait}
 
 
 def _section_behavior(writer, ds, forest, traits, cfg: PipelineConfig) -> dict[str, Any]:
     def reciprocity() -> dict[str, Any]:
         s = behavior.network_reciprocity_stats(ds)
         return {
-            "median_relative_difference": _num(s.median),
-            "mean_relative_difference": _num(s.mean),
-            "q3_relative_difference": _num(s.q3),
+            "median_relative_difference": s.median,
+            "mean_relative_difference": s.mean,
+            "q3_relative_difference": s.q3,
             "n": len(s.values),
             "n_excluded": s.n_excluded,
         }
@@ -436,16 +443,7 @@ def _section_behavior(writer, ds, forest, traits, cfg: PipelineConfig) -> dict[s
             )
             writer.write_text("effectiveness.svg", svg)
         return {
-            trait: {
-                "mean_recruits_positive": _num(e.mean_recruits_positive),
-                "mean_recruits_negative": _num(e.mean_recruits_negative),
-                "ratio": _num(e.ratio),
-                "ratio_defined": e.ratio_defined,
-                "n_positive": e.n_positive,
-                "n_negative": e.n_negative,
-            }
-            if _ran(e)
-            else e
+            trait: _fields(e, drop=("trait",)) if _ran(e) else e
             for trait, e in results.items()
         }
 
@@ -470,47 +468,20 @@ def _section_behavior(writer, ds, forest, traits, cfg: PipelineConfig) -> dict[s
         writer.write_text("bias.svg", svg)
         return {
             "levels": {
-                "contacts": _num(levels.contacts_level),
-                "recipients": _num(levels.recipients_level),
-                "recruits": _num(levels.recruits_level),
+                "contacts": levels.contacts_level,
+                "recipients": levels.recipients_level,
+                "recruits": levels.recruits_level,
                 "n_recruiters": levels.n_recruiters,
             },
             "tests": {
                 name: {
-                    "observed": _num(t.observed),
-                    "quantile_rank": _num(t.quantile_rank),
+                    "observed": t.observed,
+                    "quantile_rank": t.quantile_rank,
                     "flagged": t.flagged,
-                    "inconsistency": _num(tests.inconsistency[name]),
+                    "inconsistency": tests.inconsistency[name],
                     "n_recruiters": tests.n_recruiters[name],
                 }
-                for name, t in (
-                    ("coupon_passing", tests.coupon_passing),
-                    ("returning_coupons", tests.returning_coupons),
-                    ("overall", tests.overall),
-                )
-            },
-        }
-
-    def nonresponse() -> dict[str, Any]:
-        rates = behavior.nonresponse_rates(ds, forest)
-        return {
-            "coupon_refusal": _num(rates.coupon_refusal),
-            "non_return": _num(rates.non_return),
-            "total_non_response": _num(rates.total_non_response),
-            "n_recruiters": rates.n_recruiters,
-            "n_impossible_excluded": rates.n_impossible_excluded,
-        }
-
-    def reasons() -> dict[str, Any]:
-        refusal, motivation = behavior.reason_tables(ds)
-        return {
-            "refusal": {
-                "percentages": {k: _num(v) for k, v in sorted(refusal.percentages.items())},
-                "total": refusal.total,
-            },
-            "motivation": {
-                "percentages": {k: _num(v) for k, v in sorted(motivation.percentages.items())},
-                "total": motivation.total,
+                for name, t in _fields(tests, drop=("inconsistency", "n_recruiters")).items()
             },
         }
 
@@ -541,21 +512,23 @@ def _section_behavior(writer, ds, forest, traits, cfg: PipelineConfig) -> dict[s
             {
                 "motivation": mo.motivation_category,
                 "trait": mo.outcome_trait,
-                "table": list(mo.table),
-                "odds_ratio": _num(mo.odds_ratio),
-                "ci_low": _num(mo.interval[0]),
-                "ci_high": _num(mo.interval[1]),
+                "table": mo.table,
+                "odds_ratio": mo.odds_ratio,
+                "ci_low": mo.interval[0],
+                "ci_high": mo.interval[1],
             }
             for mo in outcomes
         ]
 
     return {
-        "reciprocation_rate": _attempt(lambda: _num(behavior.reciprocation_rate(ds))),
+        "reciprocation_rate": _attempt(behavior.reciprocation_rate, ds),
         "network_reciprocity": _attempt(reciprocity),
         "effectiveness": effectiveness(),
         "recruitment_bias": _attempt(bias),
-        "nonresponse": _attempt(nonresponse),
-        "reasons": _attempt(reasons),
+        "nonresponse": _attempt(behavior.nonresponse_rates, ds, forest),
+        "reasons": _attempt(
+            lambda: dict(zip(("refusal", "motivation"), behavior.reason_tables(ds)))
+        ),
         "motivation_outcome": _attempt(motivation_outcomes),
     }
 
@@ -563,28 +536,9 @@ def _section_behavior(writer, ds, forest, traits, cfg: PipelineConfig) -> dict[s
 def _section_degree(writer, ds, forest, traits, cfg: PipelineConfig) -> dict[str, Any]:
     def windows() -> dict[str, Any]:
         tw = degree.time_window_stats(ds, forest)
-        return {
-            "mean_reachable_1day": _num(tw.mean_reachable_1day),
-            "mean_reachable_7day": _num(tw.mean_reachable_7day),
-            "share_distributed_1day": _num(tw.share_distributed_1day),
-            "share_distributed_7day": _num(tw.share_distributed_7day),
-            "share_gap_within_7day": _num(tw.share_gap_within_7day),
-            "n_reachability": tw.n_reachability,
-            "n_excluded_inconsistent": tw.n_excluded_inconsistent,
-        }
+        return _fields(tw, drop=("days_to_distribute", "interview_gaps"))
 
-    def retest() -> dict[str, Any]:
-        rt = degree.test_retest_stats(ds, cfg.degree_question)
-        return {
-            "question": rt.question,
-            "n": rt.n,
-            "median_diff": _num(rt.median_diff),
-            "q1_diff": _num(rt.q1_diff),
-            "q3_diff": _num(rt.q3_diff),
-            "spearman_rho": _num(rt.spearman_rho),
-        }
-
-    def sensitivity() -> list[dict[str, Any]] | dict[str, Any]:
+    def sensitivity() -> list[Any] | dict[str, Any]:
         rows = {
             trait: _attempt(degree.estimate_sensitivity, ds, trait, cfg.degree_question)
             for trait in traits
@@ -600,62 +554,45 @@ def _section_degree(writer, ds, forest, traits, cfg: PipelineConfig) -> dict[str
             },
         )
         writer.write_text("sensitivity_pairs.svg", svg)
-        return [
-            {
-                "trait": r.trait,
-                "estimate_test": _num(r.estimate_test),
-                "estimate_retest": _num(r.estimate_retest),
-                "abs_difference": _num(r.abs_difference),
-                "rel_difference": _num(r.rel_difference),
-                "n": r.n,
-            }
-            if _ran(r)
-            else {"trait": trait, **r}
-            for trait, r in rows.items()
-        ]
-
-    def trend() -> list[dict[str, Any]]:
-        return [
-            {"method": v.method, "sign": v.sign, "statistic": _num(v.statistic)}
-            for v in degree.degree_trend(ds, degree_question=cfg.degree_question)
-        ]
+        return [r if _ran(r) else {"trait": trait, **r} for trait, r in rows.items()]
 
     return {
         "time_windows": _attempt(windows),
-        "test_retest": _attempt(retest),
+        "test_retest": _attempt(degree.test_retest_stats, ds, cfg.degree_question),
         "sensitivity": _attempt(sensitivity),
-        "trend": _attempt(trend),
+        "trend": _attempt(
+            lambda: degree.degree_trend(ds, degree_question=cfg.degree_question)
+        ),
     }
 
 
-def _section_finitepop(ds, forest) -> dict[str, Any]:
-    summary = finitepop.indicator_summary(ds, forest)
-
+def _section_finitepop(ds) -> dict[str, Any]:
     def failed_attempts() -> dict[str, Any]:
         fa = finitepop.failed_attempts_indicator(ds)
         return {
-            "percent_reporting": _num(fa.percent_reporting),
-            "flagged": fa.flagged,
-            "threshold": _num(fa.threshold),
-            "n_answered": fa.n_answered,
+            **_fields(fa, drop=("band_0", "band_1_3", "band_4_plus")),
             "bands": {"0": fa.band_0, "1-3": fa.band_1_3, "4+": fa.band_4_plus},
         }
 
     def participants_known() -> dict[str, Any]:
         tr = finitepop.participants_known_trend(ds)
         return {
-            "slope": _num(tr.slope),
+            "slope": tr.slope,
             "flagged": tr.flagged,
             "n": len(tr.orders),
             "n_excluded_zero_degree": tr.n_excluded_zero_degree,
         }
 
+    # the summary reads each flag off its entry: None when the entry is skipped
+    failed = _attempt(failed_attempts)
+    known = _attempt(participants_known)
+    target = ds.target_sample_size
     return {
         "summary": {
-            "attainment_failed": summary.attainment_failed,
-            "failed_attempts_flag": summary.failed_attempts_flag,
-            "participants_known_trend_flag": summary.participants_known_trend_flag,
+            "attainment_failed": None if target is None else ds.n < target,
+            "failed_attempts_flag": failed.get("flagged"),
+            "participants_known_trend_flag": known.get("flagged"),
         },
-        "failed_attempts": _attempt(failed_attempts),
-        "participants_known": _attempt(participants_known),
+        "failed_attempts": failed,
+        "participants_known": known,
     }

@@ -5,10 +5,9 @@ from rdsdiag.errors import InsufficientData, MissingTarget, NoData
 from rdsdiag.finitepop import (
     attainment_indicator,
     failed_attempts_indicator,
-    indicator_summary,
     participants_known_trend,
 )
-from rdsdiag.forest import build_forest
+from rdsdiag.report import PipelineConfig, run_pipeline
 
 
 def _row(rid, order, failed=None, known=None, q_age=5):
@@ -101,25 +100,30 @@ def test_trend_insufficient_data():
         participants_known_trend(make_dataset(rows))
 
 
-def test_indicator_summary_mixed():
+def _summary(ds, out_dir):
+    bundle = run_pipeline(PipelineConfig(out_dir=out_dir, dataset=ds, sections=("finitepop",)))
+    return bundle.sections["finitepop"]["summary"]
+
+
+def test_indicator_summary_mixed(tmp_path):
     rows = [
         _row(f"x{i}", i + 1, failed=1 if i < 3 else 0, known=None, q_age=5)
         for i in range(10)
     ]
     ds = make_dataset(rows)  # no target, no known-participant answers
-    summary = indicator_summary(ds, build_forest(ds))
-    assert summary.attainment_failed is None
-    assert summary.failed_attempts_flag is True  # 30% >= 25%
-    assert summary.participants_known_trend_flag is None
+    summary = _summary(ds, tmp_path)
+    assert summary["attainment_failed"] is None
+    assert summary["failed_attempts_flag"] is True  # 30% >= 25%
+    assert summary["participants_known_trend_flag"] is None
 
 
-def test_indicator_summary_all_evaluable():
+def test_indicator_summary_all_evaluable(tmp_path):
     rows = [
         _row(f"x{i}", i + 1, failed=0, known=1, q_age=10)
         for i in range(4)
     ]
     ds = make_dataset(rows, target=3)
-    summary = indicator_summary(ds, build_forest(ds))
-    assert summary.attainment_failed is False
-    assert summary.failed_attempts_flag is False
-    assert summary.participants_known_trend_flag is False
+    summary = _summary(ds, tmp_path)
+    assert summary["attainment_failed"] is False
+    assert summary["failed_attempts_flag"] is False
+    assert summary["participants_known_trend_flag"] is False

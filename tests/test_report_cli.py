@@ -1,12 +1,13 @@
 import csv
 import dataclasses
 import json
+import math
 import xml.etree.ElementTree as ET
 
 import pytest
 
 from rdsdiag.cli import main
-from rdsdiag.report import ALL_SECTIONS, PipelineConfig, run_pipeline
+from rdsdiag.report import ALL_SECTIONS, PipelineConfig, _csv_cell, _jsonable, run_pipeline
 from rdsdiag.sim import NetworkConfig, SimConfig, TraitRule, generate_network, simulate_rds
 
 
@@ -101,6 +102,21 @@ def test_pipeline_six_digit_floats(sim_dataset, tmp_path):
             assert float(f"{node:.6g}") == node
 
     check(json.loads(payload))
+
+
+def test_jsonable_rounds_every_float():
+    @dataclasses.dataclass(frozen=True)
+    class Result:
+        value: float
+        pair: tuple[float, float]
+        n: int
+
+    bundled = _jsonable({"r": Result(1 / 3, (math.nan, -math.inf), 3), "ok": True})
+    assert bundled == {"r": {"value": 0.333333, "pair": [None, "-inf"], "n": 3}, "ok": True}
+    json.dumps(bundled, allow_nan=False)
+    assert [_csv_cell(v) for v in (1 / 3, math.nan, math.inf, 1234567.0, True, 3)] == [
+        "0.333333", "", "inf", "1.23457e+06", "true", "3"
+    ]
 
 
 def test_pipeline_ss_scenarios(sim_dataset, tmp_path):
@@ -394,8 +410,7 @@ def _rewrite_cell(src, dst, row_index, column, value):
 )
 def test_cli_malformed_cell_exit_code(cli_study, capsys, tmp_path, file_name, column,
                                       value, mode):
-    for name in ("respondents.csv", "traits.csv", "followup.csv"):
-        (tmp_path / name).write_bytes((cli_study / name).read_bytes())
+    _copy_study(cli_study, tmp_path)
     rid = _rewrite_cell(cli_study / file_name, tmp_path / file_name, 3, column, value)
     assert main(["report", *_dataset_args(tmp_path), mode,
                  "--out-dir", str(tmp_path / "o")]) == 2
@@ -404,12 +419,48 @@ def test_cli_malformed_cell_exit_code(cli_study, capsys, tmp_path, file_name, co
     assert repr(rid) in err and repr(column) in err
 
 
-@pytest.mark.parametrize("file_name", ["respondents.csv", "followup.csv"])
-def test_cli_short_row_exit_code(cli_study, capsys, tmp_path, file_name):
+def _copy_study(study, dst):
     for name in ("respondents.csv", "traits.csv", "followup.csv"):
-        (tmp_path / name).write_bytes((cli_study / name).read_bytes())
+        (dst / name).write_bytes((study / name).read_bytes())
+
+
+@pytest.mark.parametrize("file_name", ["respondents.csv", "followup.csv", "traits.csv"])
+def test_cli_short_row_exit_code(cli_study, capsys, tmp_path, file_name):
+    _copy_study(cli_study, tmp_path)
     lines = (tmp_path / file_name).read_text().splitlines()
-    lines[4] = ",".join(lines[4].split(",")[:3])
+    row = min(4, len(lines) - 1)  # the traits file has only a few rows
+    lines[row] = ",".join(lines[row].split(",")[:2])
     (tmp_path / file_name).write_text("\n".join(lines) + "\n")
     assert main(["ingest", *_dataset_args(tmp_path)]) == 2
-    assert "fewer cells than columns" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "fewer cells than columns" in err and str(tmp_path / file_name) in err
+
+
+def test_cli_unnumbered_coupon_column_exit_code(cli_study, capsys, tmp_path):
+    _copy_study(cli_study, tmp_path)
+    path = tmp_path / "respondents.csv"
+    path.write_text(path.read_text().replace("coupon_out_1,", "coupon_out_x,", 1))
+    assert main(["ingest", *_dataset_args(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert str(path) in err and "'coupon_out_x'" in err
+
+
+def test_cli_non_utf8_input_exit_code(cli_study, capsys, tmp_path):
+    _copy_study(cli_study, tmp_path)
+    path = tmp_path / "respondents.csv"
+    path.write_bytes(b"\xff\xfe" + path.read_bytes())
+    assert main(["ingest", *_dataset_args(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert str(path) in err and "UTF-8" in err
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--degree-question", "bogus"), ("--replicates", "0"), ("--replicates", "-5")],
+)
+def test_cli_invalid_config_exit_code(cli_study, capsys, tmp_path, flag, value):
+    out_dir = tmp_path / "o"
+    code = main(["report", *_dataset_args(cli_study), "--out-dir", str(out_dir), flag, value])
+    assert code == 3
+    assert "error:" in capsys.readouterr().err
+    assert not out_dir.exists()  # rejected before any file is written
