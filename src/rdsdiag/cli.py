@@ -196,20 +196,49 @@ def _parse_trait_rule(raw: str) -> TraitRule:
     raise UnrealizableConfig(f"unknown trait rule {raw!r}")
 
 
+def _probs(raw: str) -> tuple[float, ...]:
+    return tuple(float(v) for v in raw.split(","))
+
+
+# scenario key -> (SimConfig field, parser); an absent key keeps the field's default
+_SIM_KEYS = {
+    "target_n": ("target_n", int),
+    "seed_count": ("seed_count", int),
+    "allotment": ("coupon_allotment", int),
+    "mode": ("replacement_mode", str),
+    "recruit_probs": ("recruit_probs", _probs),
+    "differential_trait": ("differential_trait", str),
+    "recruit_probs_if_trait": ("recruit_probs_if_trait", _probs),
+    "refusal_prob": ("refusal_prob", float),
+    "nonreturn_prob": ("nonreturn_prob", float),
+    "seed_block": ("seed_block", int),
+    "followup_prob": ("followup_prob", float),
+    "retest_sd": ("retest_sd", float),
+    "recip_prob": ("recip_prob", float),
+    "trait_missing_prob": ("trait_missing_prob", float),
+    "employment_trait": ("employment_trait", lambda raw: raw or None),
+    "site": ("site_label", str),
+    "rng_seed": ("rng_seed", int),
+}
+
+
 def load_scenario(path: Path) -> tuple[NetworkConfig, SimConfig]:
     """Parse a key=value scenario file into network and process configs."""
     kv = _read_kv(path)
     traits = {}
     net_kv: dict[str, str] = {}
-    sim_kv: dict[str, str] = {}
+    sim_fields: dict[str, Any] = {}
     for key, value in kv.items():
         if key.startswith("trait."):
             traits[key[len("trait."):]] = _parse_trait_rule(value)
         elif key in ("blocks", "within_p", "between_p"):
             net_kv[key] = value
+        elif key in _SIM_KEYS:
+            name, parse = _SIM_KEYS[key]
+            sim_fields[name] = parse(value)
         else:
-            sim_kv[key] = value
-    if "blocks" not in net_kv or "target_n" not in sim_kv:
+            raise UnrealizableConfig(f"unknown scenario key {key!r}")
+    if "blocks" not in net_kv or "target_n" not in sim_fields:
         raise UnrealizableConfig("scenario needs at least blocks= and target_n=")
 
     net_cfg = NetworkConfig(
@@ -218,34 +247,7 @@ def load_scenario(path: Path) -> tuple[NetworkConfig, SimConfig]:
         between_block_edge_prob=float(net_kv.get("between_p", 0.01)),
         traits=traits,
     )
-
-    def probs(raw: str) -> tuple[float, ...]:
-        return tuple(float(v) for v in raw.split(","))
-
-    sim_cfg = SimConfig(
-        target_n=int(sim_kv["target_n"]),
-        seed_count=int(sim_kv.get("seed_count", 6)),
-        coupon_allotment=int(sim_kv.get("allotment", 3)),
-        replacement_mode=sim_kv.get("mode", "without"),
-        recruit_probs=probs(sim_kv.get("recruit_probs", "0.1,0.2,0.3,0.4")),
-        differential_trait=sim_kv.get("differential_trait"),
-        recruit_probs_if_trait=(
-            probs(sim_kv["recruit_probs_if_trait"])
-            if "recruit_probs_if_trait" in sim_kv
-            else None
-        ),
-        refusal_prob=float(sim_kv.get("refusal_prob", 0.05)),
-        nonreturn_prob=float(sim_kv.get("nonreturn_prob", 0.1)),
-        seed_block=(int(sim_kv["seed_block"]) if "seed_block" in sim_kv else None),
-        followup_prob=float(sim_kv.get("followup_prob", 0.43)),
-        retest_sd=float(sim_kv.get("retest_sd", 0.0)),
-        recip_prob=float(sim_kv.get("recip_prob", 0.88)),
-        trait_missing_prob=float(sim_kv.get("trait_missing_prob", 0.0)),
-        employment_trait=sim_kv.get("employment_trait", "employed") or None,
-        site_label=sim_kv.get("site", "sim"),
-        rng_seed=int(sim_kv.get("rng_seed", 0)),
-    )
-    return net_cfg, sim_cfg
+    return net_cfg, SimConfig(**sim_fields)
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:

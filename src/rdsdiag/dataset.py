@@ -26,6 +26,7 @@ from .errors import (
     MissingColumn,
     MissingData,
     NonContiguousOrder,
+    RdsError,
     UnknownTrait,
 )
 
@@ -82,7 +83,6 @@ class FollowUpRecord:
     n_refusals: Optional[int] = None
     refusal_reasons: tuple[str, ...] = ()
     n_contacts_employed: Optional[int] = None
-    n_contacts_employed_valid: bool = True
 
 
 @dataclass(frozen=True)
@@ -113,6 +113,8 @@ class StudyDataset:
     trait_specs: tuple[TraitSpec, ...]
     target_sample_size: Optional[int] = None
     coupon_allotment: int = 3
+    # what lenient ingest repaired, one message per repair
+    repairs: tuple[str, ...] = ()
 
     @property
     def n(self) -> int:
@@ -167,7 +169,19 @@ class ValidationReport:
 
 
 # ---------------------------------------------------------------------------
-# parsing helpers
+# file layout
+#
+# Each table lists one record type's columns as (column, field, parser) in
+# the order save_dataset writes them: load_dataset parses each column into
+# its field, save_dataset writes each field back through _format.  A "{}" in
+# a column is the number of a repeated slot.  The files, in header order:
+#   respondents.csv  id, coupon_in, coupon_out_<1..allotment>,
+#                    _INTERVIEW_COLUMNS, _DEGREE_COLUMNS, _ANSWER_COLUMNS,
+#                    trait:<name> for each trait
+#   followup.csv     id, _RETEST_COLUMNS, _COUNT_COLUMNS,
+#                    refusal_reason_<1..5>, _EMPLOYMENT_COLUMNS,
+#                    _COUPON_COLUMNS for each coupon slot 1..allotment
+#   traits.csv       _TRAIT_COLUMNS
 
 
 def _opt_int(cell: str) -> Optional[int]:
@@ -200,6 +214,98 @@ def _opt_date(cell: str) -> Optional[date]:
     return date.fromisoformat(cell)
 
 
+_ID = "id"
+_COUPON_IN = "coupon_in"
+_COUPON_OUT = "coupon_out_{}"
+_REFUSAL_REASON = "refusal_reason_{}"
+_REFUSAL_SLOTS = 5
+_TRAIT = "trait:{}"
+
+_INTERVIEW_COLUMNS = (
+    ("interview_order", "interview_order", int),
+    ("interview_date", "interview_date", _opt_date),
+)
+_DEGREE_COLUMNS = (
+    ("deg_know", "q_know", _opt_int),
+    ("deg_province", "q_province", _opt_int),
+    ("deg_age", "q_age", _opt_int),
+    ("deg_week", "q_seen_week", _opt_int),
+    ("reach_day", "q_reach_day", _opt_int),
+    ("reach_week", "q_reach_week", _opt_int),
+)
+_ANSWER_COLUMNS = (
+    ("motivation", "motivation", _opt_str),
+    ("employed", "employed", _opt_bool),
+    ("recv_week", "q_recv_week", _opt_int),
+)
+_RETEST_COLUMNS = (
+    ("fu_deg_know", "q_know", _opt_int),
+    ("fu_deg_province", "q_province", _opt_int),
+    ("fu_deg_age", "q_age", _opt_int),
+    ("fu_deg_week", "q_seen_week", _opt_int),
+)
+_COUNT_COLUMNS = (
+    ("n_failed_attempts", "n_failed_attempts", _opt_int),
+    ("n_known_participants", "n_known_participants", _opt_int),
+    ("n_coupons_distributed", "n_coupons_distributed", _opt_int),
+    ("n_refusals", "n_refusals", _opt_int),
+)
+_EMPLOYMENT_COLUMNS = (("n_contacts_employed", "n_contacts_employed", _opt_int),)
+_COUPON_COLUMNS = (
+    ("coupon_id_{}", "coupon_id", _opt_str),
+    ("days_{}", "days_to_distribute", _opt_int),
+    ("recip_{}", "reciprocation_answer", _opt_bool),
+    ("recipient_employed_{}", "recipient_employed", _opt_bool),
+)
+_TRAIT_COLUMNS = (
+    ("name", "name", str.strip),
+    ("kind", "kind", str.strip),
+    ("reference_level", "reference_level", str.strip),
+)
+
+
+def _columns(table) -> list[str]:
+    return [column for column, _, _ in table]
+
+
+def _slot(table, j: int):
+    """``table`` with its columns numbered for slot ``j``."""
+    return tuple((column.format(j), name, parse) for column, name, parse in table)
+
+
+def _fields(table, cell) -> dict:
+    """One record's fields, each parsed from its column by ``cell``."""
+    return {name: cell(column, parse) for column, name, parse in table}
+
+
+def _format(value) -> str:
+    """A field's cell text: blank for None, yes/no for a bool."""
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "yes" if value else "no"
+    return str(value)
+
+
+def _cells(record, table) -> list[str]:
+    """The cells of ``table``'s fields of ``record``; blank when it is None."""
+    if record is None:
+        return [""] * len(table)
+    return [_format(getattr(record, name)) for _, name, _ in table]
+
+
+def _padded(values: Sequence, n: int) -> list:
+    """``values`` filling n numbered slots; an empty slot is None."""
+    return [*values, *[None] * (n - len(values))]
+
+
+def _write_csv(path: Path | str, header: Sequence[str], rows: Iterable[Sequence[str]]) -> None:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def _cell_reader(row: Mapping[str, str], path: Path, rid: str):
     """``cell(column, parse)`` parses one cell of ``row``; a value the column
     cannot hold raises ``MalformedCell`` naming the file, respondent and
@@ -224,6 +330,16 @@ def _require(header: Sequence[str], names: Iterable[str], path: Path) -> None:
         raise MissingColumn(f"{path}: missing columns {missing}")
 
 
+def _numbered(column: str, n: int) -> list[str]:
+    return [column.format(j) for j in range(1, n + 1)]
+
+
+def _present(cell, columns: Iterable[str]) -> list[str]:
+    """The non-blank cells of ``columns``."""
+    values = (cell(column, _opt_str) for column in columns)
+    return [v for v in values if v is not None]
+
+
 def _read_csv(path: Path, required: Sequence[str]) -> tuple[list[str], list[dict[str, str]]]:
     """Header and rows of an input CSV.  A file that cannot be opened raises
     ``MissingData``, one that is not UTF-8 ``MalformedCell``, and a header
@@ -240,58 +356,41 @@ def _read_csv(path: Path, required: Sequence[str]) -> tuple[list[str], list[dict
         raise MalformedCell(f"{path}: not UTF-8 text (byte {exc.start})") from None
 
 
-def load_traits(path: Path) -> tuple[TraitSpec, ...]:
-    _, rows = _read_csv(path, ["name", "kind", "reference_level"])
-    specs = []
-    seen = set()
+def _rows_by_id(rows: Iterable[dict[str, str]], path: Path) -> dict[str, dict[str, str]]:
+    """Rows keyed by their stripped id, in file order; an id seen twice
+    raises ``DuplicateId``."""
+    by_id: dict[str, dict[str, str]] = {}
     for row in rows:
+        rid = row[_ID].strip()
+        if rid in by_id:
+            raise DuplicateId(f"{path}: duplicate id {rid!r}")
+        by_id[rid] = row
+    return by_id
+
+
+def load_traits(path: Path) -> tuple[TraitSpec, ...]:
+    _, rows = _read_csv(path, _columns(_TRAIT_COLUMNS))
+    specs: dict[str, TraitSpec] = {}
+    for number, row in enumerate(rows, 1):
         if None in row.values():
-            raise MalformedCell(f"{path}: trait row {len(specs) + 1}: fewer cells than columns")
-        name = row["name"].strip()
-        if name in seen:
-            raise DuplicateId(f"{path}: duplicate trait {name!r}")
-        seen.add(name)
-        specs.append(TraitSpec(name, row["kind"].strip(), row["reference_level"].strip()))
-    return tuple(specs)
+            raise MalformedCell(f"{path}: trait row {number}: fewer cells than columns")
+        spec = TraitSpec(**_fields(_TRAIT_COLUMNS, lambda column, parse: parse(row[column])))
+        if spec.name in specs:
+            raise DuplicateId(f"{path}: duplicate trait {spec.name!r}")
+        specs[spec.name] = spec
+    return tuple(specs.values())
 
 
 def _followup_from_row(
-    row: Mapping[str, str], allotment: int, path: Path, rid: str
+    row: Mapping[str, str], coupon_slots: Sequence, path: Path, rid: str
 ) -> FollowUpRecord:
     cell = _cell_reader(row, path, rid)
-    retest = DegreeReport(
-        q_know=cell("fu_deg_know", _opt_int),
-        q_province=cell("fu_deg_province", _opt_int),
-        q_age=cell("fu_deg_age", _opt_int),
-        q_seen_week=cell("fu_deg_week", _opt_int),
-    )
-    coupons = []
-    for j in range(1, allotment + 1):
-        cid = _opt_str(row.get(f"coupon_id_{j}", ""))
-        if cid is None:
-            continue
-        coupons.append(
-            CouponOutcome(
-                coupon_id=cid,
-                days_to_distribute=cell(f"days_{j}", _opt_int),
-                reciprocation_answer=cell(f"recip_{j}", _opt_bool),
-                recipient_employed=cell(f"recipient_employed_{j}", _opt_bool),
-            )
-        )
-    reasons = []
-    for j in range(1, 6):
-        reason = _opt_str(row.get(f"refusal_reason_{j}", ""))
-        if reason is not None:
-            reasons.append(reason)
+    coupons = (CouponOutcome(**_fields(slot, cell)) for slot in coupon_slots)
     return FollowUpRecord(
-        degree_retest=retest,
-        n_failed_attempts=cell("n_failed_attempts", _opt_int),
-        n_known_participants=cell("n_known_participants", _opt_int),
-        coupons=tuple(coupons),
-        n_coupons_distributed=cell("n_coupons_distributed", _opt_int),
-        n_refusals=cell("n_refusals", _opt_int),
-        refusal_reasons=tuple(reasons),
-        n_contacts_employed=cell("n_contacts_employed", _opt_int),
+        degree_retest=DegreeReport(**_fields(_RETEST_COLUMNS, cell)),
+        coupons=tuple(c for c in coupons if c.coupon_id is not None),
+        refusal_reasons=tuple(_present(cell, _numbered(_REFUSAL_REASON, _REFUSAL_SLOTS))),
+        **_fields(_COUNT_COLUMNS + _EMPLOYMENT_COLUMNS, cell),
     )
 
 
@@ -305,91 +404,71 @@ def load_dataset(
 
     In strict mode any structural invariant violation aborts with the
     corresponding error; in lenient mode violations are downgraded to
-    warnings and the offending fields are set missing.
+    warnings, kept as the dataset's ``repairs``, and the offending fields
+    are set missing.  A repeated id in either file aborts in both modes.
     """
     respondents_file = Path(respondents_file)
-    traits_file = Path(traits_file)
-    trait_specs = load_traits(traits_file)
+    trait_specs = load_traits(Path(traits_file))
 
     header, rows = _read_csv(
-        respondents_file, ["id", "coupon_in", "interview_order", "interview_date"]
+        respondents_file, [_ID, _COUPON_IN, *_columns(_INTERVIEW_COLUMNS)]
     )
-    out_cols = [c for c in header if c.startswith("coupon_out_")]
+    out_prefix, trait_prefix = _COUPON_OUT.format(""), _TRAIT.format("")
+    out_cols = [c for c in header if c.startswith(out_prefix)]
     for c in out_cols:
-        if not c.rsplit("_", 1)[1].isdecimal():
-            raise MalformedCell(f"{respondents_file}: column {c!r} is not coupon_out_<number>")
-    out_cols.sort(key=lambda c: int(c.rsplit("_", 1)[1]))
+        if not c[len(out_prefix):].isdecimal():
+            raise MalformedCell(
+                f"{respondents_file}: column {c!r} is not {_COUPON_OUT.format('<number>')}"
+            )
     allotment = max(len(out_cols), 1)
-    trait_cols = [c for c in header if c.startswith("trait:")]
+    coupon_slots = [_slot(_COUPON_COLUMNS, j) for j in range(1, allotment + 1)]
+    trait_cols = [c for c in header if c.startswith(trait_prefix)]
 
     if not rows:
         raise MissingData(f"{respondents_file}: zero respondents")
 
-    followup_rows: dict[str, Mapping[str, str]] = {}
+    followup_rows: dict[str, dict[str, str]] = {}
     if followup_file is not None:
-        _, frows = _read_csv(Path(followup_file), ["id"])
-        followup_rows = {row["id"].strip(): row for row in frows}
+        followup_file = Path(followup_file)
+        _, frows = _read_csv(followup_file, [_ID])
+        followup_rows = _rows_by_id(frows, followup_file)
 
     respondents = []
-    seen_ids: set[str] = set()
-    warnings: list[str] = []
-    for row in rows:
-        rid = row["id"].strip()
-        if rid in seen_ids:
-            raise DuplicateId(f"duplicate respondent id {rid!r}")
-        seen_ids.add(rid)
+    for rid, row in _rows_by_id(rows, respondents_file).items():
         cell = _cell_reader(row, respondents_file, rid)
-        outs = frozenset(
-            c for c in (_opt_str(row.get(col, "")) for col in out_cols) if c is not None
-        )
-        degree = DegreeReport(
-            q_know=cell("deg_know", _opt_int),
-            q_province=cell("deg_province", _opt_int),
-            q_age=cell("deg_age", _opt_int),
-            q_seen_week=cell("deg_week", _opt_int),
-            q_reach_day=cell("reach_day", _opt_int),
-            q_reach_week=cell("reach_week", _opt_int),
-        )
-        traits = {c[len("trait:"):]: _opt_str(row.get(c, "")) for c in trait_cols}
         fu = None
         if rid in followup_rows:
-            fu = _followup_from_row(
-                followup_rows[rid], allotment, Path(followup_file), rid
-            )
+            fu = _followup_from_row(followup_rows[rid], coupon_slots, followup_file, rid)
         respondents.append(
             Respondent(
                 id=rid,
-                coupon_in=_opt_str(row.get("coupon_in", "")),
-                coupons_out=outs,
-                interview_order=cell("interview_order", int),
-                interview_date=cell("interview_date", _opt_date),
-                degree=degree,
-                traits=traits,
-                motivation=_opt_str(row.get("motivation", "")),
-                employed=cell("employed", _opt_bool),
-                q_recv_week=cell("recv_week", _opt_int),
+                coupon_in=cell(_COUPON_IN, _opt_str),
+                coupons_out=frozenset(_present(cell, out_cols)),
+                degree=DegreeReport(**_fields(_DEGREE_COLUMNS, cell)),
+                traits={c[len(trait_prefix):]: _opt_str(row[c]) for c in trait_cols},
                 followup=fu,
+                **_fields(_INTERVIEW_COLUMNS + _ANSWER_COLUMNS, cell),
             )
         )
 
     respondents.sort(key=lambda r: r.interview_order)
-    respondents = _check_structure(respondents, options, warnings)
-    for message in warnings:
+    repairs: list[str] = []
+    respondents = _check_structure(respondents, options, repairs)
+    for message in repairs:
         _warnings.warn(message, UserWarning, stacklevel=2)
 
-    target = options.target_sample_size
-    ds = StudyDataset(
+    return StudyDataset(
         site_label=options.site_label,
         respondents=tuple(respondents),
         trait_specs=trait_specs,
-        target_sample_size=target,
+        target_sample_size=options.target_sample_size,
         coupon_allotment=allotment,
+        repairs=tuple(repairs),
     )
-    return ds
 
 
 def _check_structure(
-    respondents: list[Respondent], options: IngestOptions, warnings: list[str]
+    respondents: list[Respondent], options: IngestOptions, repairs: list[str]
 ) -> list[Respondent]:
     orders = [r.interview_order for r in respondents]
     if orders != list(range(1, len(respondents) + 1)):
@@ -423,7 +502,7 @@ def _check_structure(
         elif options.strict:
             raise problem
         else:
-            warnings.append(f"lenient: {problem}; treating {r.id} as a seed")
+            repairs.append(f"lenient: {problem}; treating {r.id} as a seed")
             repaired.append(dataclasses.replace(r, coupon_in=None))
     return repaired
 
@@ -431,8 +510,9 @@ def _check_structure(
 def validate_dataset(ds: StudyDataset) -> ValidationReport:
     """Report funnel violations, apply the known-participants cap, and flag
     logically inconsistent reachability answers.  Reporting only: nothing
-    raises; the repaired dataset is attached to the report."""
-    report = ValidationReport(dataset=ds)
+    raises; the repaired dataset is attached to the report, and the
+    repairs made at ingest are its warnings."""
+    report = ValidationReport(dataset=ds, warnings=list(ds.repairs))
     new_resp = []
     for r in ds.respondents:
         if r.degree.funnel_violated():
@@ -482,123 +562,41 @@ def save_dataset(
     traits_file: Path | str,
     followup_file: Optional[Path | str] = None,
 ) -> None:
+    """Write the dataset as the CSVs ``load_dataset`` reads.  A respondent
+    holding more coupons than the allotment, or more refusal reasons than
+    their five slots, raises ``RdsError`` before any file is written."""
     k = ds.coupon_allotment
-    header = (
-        ["id", "coupon_in"]
-        + [f"coupon_out_{j}" for j in range(1, k + 1)]
-        + [
-            "interview_order",
-            "interview_date",
-            "deg_know",
-            "deg_province",
-            "deg_age",
-            "deg_week",
-            "reach_day",
-            "reach_week",
-            "motivation",
-            "employed",
-            "recv_week",
-        ]
-        + [f"trait:{s.name}" for s in ds.trait_specs]
+    for r in ds.respondents:
+        fu = r.followup or FollowUpRecord()
+        if max(len(r.coupons_out), len(fu.coupons)) > k:
+            raise RdsError(f"respondent {r.id!r} holds more coupons than the allotment of {k}")
+        if len(fu.refusal_reasons) > _REFUSAL_SLOTS:
+            raise RdsError(f"respondent {r.id!r} has more than {_REFUSAL_SLOTS} refusal reasons")
+
+    traits = [s.name for s in ds.trait_specs]
+    header = [_ID, _COUPON_IN, *_numbered(_COUPON_OUT, k), *_columns(_INTERVIEW_COLUMNS),
+              *_columns(_DEGREE_COLUMNS), *_columns(_ANSWER_COLUMNS), *map(_TRAIT.format, traits)]
+    rows = (
+        [r.id, _format(r.coupon_in), *map(_format, _padded(sorted(r.coupons_out), k)),
+         *_cells(r, _INTERVIEW_COLUMNS), *_cells(r.degree, _DEGREE_COLUMNS),
+         *_cells(r, _ANSWER_COLUMNS), *(_format(r.traits.get(t)) for t in traits)]
+        for r in ds.respondents
     )
-
-    def cell(v) -> str:
-        if v is None:
-            return ""
-        if isinstance(v, bool):
-            return "yes" if v else "no"
-        return str(v)
-
-    with open(respondents_file, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for r in ds.respondents:
-            outs = sorted(r.coupons_out)
-            outs += [""] * (k - len(outs))
-            d = r.degree
-            writer.writerow(
-                [r.id, cell(r.coupon_in)]
-                + outs[:k]
-                + [
-                    r.interview_order,
-                    cell(r.interview_date.isoformat() if r.interview_date else None),
-                    cell(d.q_know),
-                    cell(d.q_province),
-                    cell(d.q_age),
-                    cell(d.q_seen_week),
-                    cell(d.q_reach_day),
-                    cell(d.q_reach_week),
-                    cell(r.motivation),
-                    cell(r.employed),
-                    cell(r.q_recv_week),
-                ]
-                + [cell(r.traits.get(s.name)) for s in ds.trait_specs]
-            )
-
-    with open(traits_file, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["name", "kind", "reference_level"])
-        for s in ds.trait_specs:
-            writer.writerow([s.name, s.kind, s.reference_level])
-
+    _write_csv(respondents_file, header, rows)
+    _write_csv(
+        traits_file, _columns(_TRAIT_COLUMNS), (_cells(s, _TRAIT_COLUMNS) for s in ds.trait_specs)
+    )
     if followup_file is None:
         return
-    fu_header = (
-        ["id", "fu_deg_know", "fu_deg_province", "fu_deg_age", "fu_deg_week"]
-        + [
-            "n_failed_attempts",
-            "n_known_participants",
-            "n_coupons_distributed",
-            "n_refusals",
-        ]
-        + [f"refusal_reason_{j}" for j in range(1, 6)]
-        + ["n_contacts_employed"]
-        + [
-            col
-            for j in range(1, k + 1)
-            for col in (
-                f"coupon_id_{j}",
-                f"days_{j}",
-                f"recip_{j}",
-                f"recipient_employed_{j}",
-            )
-        ]
+    header = [_ID, *_columns(_RETEST_COLUMNS), *_columns(_COUNT_COLUMNS),
+              *_numbered(_REFUSAL_REASON, _REFUSAL_SLOTS), *_columns(_EMPLOYMENT_COLUMNS),
+              *(c for j in range(1, k + 1) for c in _columns(_slot(_COUPON_COLUMNS, j)))]
+    rows = (
+        [r.id, *_cells(fu.degree_retest, _RETEST_COLUMNS), *_cells(fu, _COUNT_COLUMNS),
+         *map(_format, _padded(fu.refusal_reasons, _REFUSAL_SLOTS)),
+         *_cells(fu, _EMPLOYMENT_COLUMNS),
+         *(c for coupon in _padded(fu.coupons, k) for c in _cells(coupon, _COUPON_COLUMNS))]
+        for r in ds.respondents
+        if (fu := r.followup) is not None
     )
-    with open(followup_file, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(fu_header)
-        for r in ds.respondents:
-            fu = r.followup
-            if fu is None:
-                continue
-            rt = fu.degree_retest
-            reasons = list(fu.refusal_reasons)[:5]
-            reasons += [""] * (5 - len(reasons))
-            coupon_cells = []
-            for j in range(k):
-                if j < len(fu.coupons):
-                    c = fu.coupons[j]
-                    coupon_cells += [
-                        c.coupon_id,
-                        cell(c.days_to_distribute),
-                        cell(c.reciprocation_answer),
-                        cell(c.recipient_employed),
-                    ]
-                else:
-                    coupon_cells += ["", "", "", ""]
-            writer.writerow(
-                [
-                    r.id,
-                    cell(rt.q_know),
-                    cell(rt.q_province),
-                    cell(rt.q_age),
-                    cell(rt.q_seen_week),
-                    cell(fu.n_failed_attempts),
-                    cell(fu.n_known_participants),
-                    cell(fu.n_coupons_distributed),
-                    cell(fu.n_refusals),
-                ]
-                + reasons
-                + [cell(fu.n_contacts_employed)]
-                + coupon_cells
-            )
+    _write_csv(followup_file, header, rows)

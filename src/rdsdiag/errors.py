@@ -96,10 +96,6 @@ class InsufficientData(DataRequirementError):
     pass
 
 
-class MissingTarget(DataRequirementError):
-    pass
-
-
 class DegenerateTable(DataRequirementError):
     pass
 

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import StudyDataset
-from .errors import InsufficientData, MissingTarget, NoData
+from .errors import InsufficientData, NoData
 
 
 @dataclass(frozen=True)
@@ -28,13 +28,6 @@ class ParticipantsKnownTrend:
     proportions: tuple[float, ...]
     orders: tuple[int, ...]
     n_excluded_zero_degree: int
-
-
-def attainment_indicator(ds: StudyDataset) -> bool:
-    """True when the achieved sample is below the recruitment target."""
-    if ds.target_sample_size is None:
-        raise MissingTarget("dataset has no target sample size")
-    return ds.n < ds.target_sample_size
 
 
 def failed_attempts_indicator(

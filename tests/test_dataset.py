@@ -1,13 +1,22 @@
+import dataclasses
+import tempfile
 import warnings
 from datetime import date
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import chain_dataset, followup, make_dataset, make_degree, make_respondent
 from rdsdiag.dataset import (
     CouponOutcome,
     DegreeReport,
+    FollowUpRecord,
     IngestOptions,
+    Respondent,
+    StudyDataset,
+    TraitSpec,
     load_dataset,
     save_dataset,
     validate_dataset,
@@ -18,6 +27,7 @@ from rdsdiag.errors import (
     MissingColumn,
     MissingData,
     NonContiguousOrder,
+    RdsError,
     UnknownTrait,
 )
 
@@ -98,6 +108,8 @@ def test_dangling_coupon_lenient_becomes_seed(tmp_path):
         ds = load_dataset(r, t, options=IngestOptions(strict=False))
     assert ds.by_id("R3").is_seed
     assert any("C9" in str(w.message) for w in caught)
+    assert validate_dataset(ds).warnings == list(ds.repairs)
+    assert len(ds.repairs) == 1 and "treating R3 as a seed" in ds.repairs[0]
 
 
 def test_duplicate_id_rejected(tmp_path):
@@ -105,6 +117,14 @@ def test_duplicate_id_rejected(tmp_path):
     r, t, _ = write_inputs(tmp_path, rows)
     with pytest.raises(DuplicateId):
         load_dataset(r, t)
+
+
+@pytest.mark.parametrize("strict", [True, False])
+def test_duplicate_followup_id_rejected(tmp_path, strict):
+    fu = "id,n_refusals\nS1,1\nR2,0\nS1,2\n"
+    r, t, f = write_inputs(tmp_path, BASIC_ROWS, followup_rows=fu)
+    with pytest.raises(DuplicateId, match="'S1'"):
+        load_dataset(r, t, f, IngestOptions(strict=strict))
 
 
 def test_noncontiguous_order_rejected(tmp_path):
@@ -205,8 +225,6 @@ def test_round_trip(tmp_path):
     resp = []
     for r in ds.respondents:
         if r.id == "S1":
-            import dataclasses
-
             r = dataclasses.replace(
                 r,
                 motivation="Incentive",
@@ -224,11 +242,102 @@ def test_round_trip(tmp_path):
                 ),
             )
         resp.append(r)
-    import dataclasses
-
     ds = dataclasses.replace(ds, respondents=tuple(resp))
     save_dataset(ds, tmp_path / "r.csv", tmp_path / "t.csv", tmp_path / "f.csv")
     loaded = load_dataset(tmp_path / "r.csv", tmp_path / "t.csv", tmp_path / "f.csv",
                           IngestOptions(site_label="test"))
     assert loaded.trait_specs == ds.trait_specs
     assert loaded.respondents == ds.respondents
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        {"coupons_out": frozenset({"C1", "C2", "C5", "C6"})},
+        {"followup": followup(coupons=[CouponOutcome(f"C{j}") for j in range(4)])},
+        {"followup": followup(refusal_reasons=tuple("abcdef"))},
+    ],
+    ids=["coupons_out", "followup_coupons", "refusal_reasons"],
+)
+def test_save_rejects_more_than_the_slots(tmp_path, change):
+    ds = chain_dataset()  # coupon allotment 3
+    s1 = dataclasses.replace(ds.respondents[0], **change)
+    ds = dataclasses.replace(ds, respondents=(s1, *ds.respondents[1:]))
+    with pytest.raises(RdsError, match="'S1'"):
+        save_dataset(ds, tmp_path / "r.csv", tmp_path / "t.csv", tmp_path / "f.csv")
+    assert list(tmp_path.iterdir()) == []
+
+
+# cell text with CSV quoting, separators and non-ASCII characters; never blank
+_TEXT = st.text("abXY09 ,;'\"-_é", min_size=1, max_size=6).map(str.strip).filter(bool)
+_INT = st.none() | st.integers(0, 500)
+_BOOL = st.none() | st.booleans()
+
+
+@st.composite
+def _datasets(draw):
+    allotment = draw(st.integers(1, 4))
+    specs = tuple(
+        TraitSpec(name, draw(_TEXT), draw(_TEXT))
+        for name in draw(st.lists(_TEXT, max_size=3, unique=True))
+    )
+    ids = draw(st.lists(_TEXT, min_size=1, max_size=8, unique=True))
+    unredeemed: list[str] = []
+    respondents = []
+    for order, rid in enumerate(ids, 1):
+        coupon_in = None
+        if unredeemed and draw(st.booleans()):
+            coupon_in = unredeemed.pop(draw(st.integers(0, len(unredeemed) - 1)))
+        coupons_out = [f"{rid}/{j}" for j in range(draw(st.integers(0, allotment)))]
+        unredeemed += coupons_out
+        fu = None
+        if draw(st.booleans()):
+            fu = FollowUpRecord(
+                degree_retest=DegreeReport(*(draw(_INT) for _ in range(4))),
+                n_failed_attempts=draw(_INT),
+                n_known_participants=draw(_INT),
+                coupons=tuple(
+                    CouponOutcome(draw(_TEXT), draw(_INT), draw(_BOOL), draw(_BOOL))
+                    for _ in range(draw(st.integers(0, allotment)))
+                ),
+                n_coupons_distributed=draw(_INT),
+                n_refusals=draw(_INT),
+                refusal_reasons=tuple(draw(st.lists(_TEXT, max_size=5))),
+                n_contacts_employed=draw(_INT),
+            )
+        respondents.append(
+            Respondent(
+                id=rid,
+                coupon_in=coupon_in,
+                coupons_out=frozenset(coupons_out),
+                interview_order=order,
+                interview_date=draw(st.none() | st.dates()),
+                degree=DegreeReport(*(draw(_INT) for _ in range(6))),
+                traits={s.name: draw(st.none() | _TEXT) for s in specs},
+                motivation=draw(st.none() | _TEXT),
+                employed=draw(_BOOL),
+                q_recv_week=draw(_INT),
+                followup=fu,
+            )
+        )
+    return StudyDataset("round-trip", tuple(respondents), specs, coupon_allotment=allotment)
+
+
+def _saved(ds, out_dir):
+    paths = [out_dir / name for name in ("respondents.csv", "traits.csv", "followup.csv")]
+    save_dataset(ds, *paths)
+    return paths
+
+
+@settings(max_examples=50, deadline=None)
+@given(_datasets())
+def test_round_trip_property(ds):
+    with tempfile.TemporaryDirectory() as tmp:
+        first = _saved(ds, Path(tmp))
+        loaded = load_dataset(*first)
+        assert loaded.respondents == ds.respondents
+        assert loaded.trait_specs == ds.trait_specs
+        assert loaded.coupon_allotment == ds.coupon_allotment
+        (Path(tmp) / "again").mkdir()
+        second = _saved(loaded, Path(tmp) / "again")
+        assert [p.read_bytes() for p in second] == [p.read_bytes() for p in first]

@@ -1,12 +1,8 @@
 import pytest
 
 from conftest import followup, make_dataset, make_degree, make_respondent
-from rdsdiag.errors import InsufficientData, MissingTarget, NoData
-from rdsdiag.finitepop import (
-    attainment_indicator,
-    failed_attempts_indicator,
-    participants_known_trend,
-)
+from rdsdiag.errors import InsufficientData, NoData
+from rdsdiag.finitepop import failed_attempts_indicator, participants_known_trend
 from rdsdiag.report import PipelineConfig, run_pipeline
 
 
@@ -18,17 +14,16 @@ def _row(rid, order, failed=None, known=None, q_age=5):
                            followup=fu)
 
 
-def test_attainment():
+def test_attainment(tmp_path):
     ds = make_dataset([_row("a", 1)], target=2)
-    assert attainment_indicator(ds) is True
+    assert _summary(ds, tmp_path / "short")["attainment_failed"] is True
     ds = make_dataset([_row("a", 1), _row("b", 2)], target=2)
-    assert attainment_indicator(ds) is False
+    assert _summary(ds, tmp_path / "met")["attainment_failed"] is False
 
 
-def test_attainment_missing_target():
+def test_attainment_missing_target(tmp_path):
     ds = make_dataset([_row("a", 1)])
-    with pytest.raises(MissingTarget):
-        attainment_indicator(ds)
+    assert _summary(ds, tmp_path)["attainment_failed"] is None
 
 
 def test_failed_attempts_none_reported():

@@ -6,7 +6,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from rdsdiag.cli import main
+from rdsdiag.cli import load_scenario, main
 from rdsdiag.report import ALL_SECTIONS, PipelineConfig, _csv_cell, _jsonable, run_pipeline
 from rdsdiag.sim import NetworkConfig, SimConfig, TraitRule, generate_network, simulate_rds
 
@@ -199,6 +199,35 @@ def test_cli_simulate_output(cli_study, capsys, tmp_path):
     assert payload["n"] == 80
     assert payload["true_prevalences"]["hiv"] == 0.5
     assert (tmp_path / "again" / "respondents.csv").exists()
+
+
+def test_cli_scenario_unknown_key(tmp_path, capsys):
+    scenario = tmp_path / "scenario.txt"
+    scenario.write_text(SCENARIO.replace("followup_prob", "folowup_prob"))
+    code = main(["simulate", "--scenario", str(scenario), "--out-dir", str(tmp_path / "o")])
+    assert code == 3
+    assert "'folowup_prob'" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_load_scenario_keys(tmp_path):
+    scenario = tmp_path / "scenario.txt"
+    scenario.write_text(
+        "blocks=10,10\ntarget_n=8\nallotment=2\nmode=with\nrecruit_probs=0.2,0.3,0.5\n"
+        "site=here\nemployment_trait=\nseed_block=1\nrecip_prob=0.5\n"
+    )
+    net_cfg, sim_cfg = load_scenario(scenario)
+    assert net_cfg.block_sizes == (10, 10)
+    assert sim_cfg == SimConfig(
+        target_n=8,
+        coupon_allotment=2,
+        replacement_mode="with",
+        recruit_probs=(0.2, 0.3, 0.5),
+        site_label="here",
+        employment_trait=None,
+        seed_block=1,
+        recip_prob=0.5,
+    )
 
 
 def test_cli_ingest(cli_study, capsys):
@@ -417,6 +446,25 @@ def test_cli_malformed_cell_exit_code(cli_study, capsys, tmp_path, file_name, co
     err = capsys.readouterr().err
     assert str(tmp_path / file_name) in err
     assert repr(rid) in err and repr(column) in err
+
+
+def test_cli_lenient_repair_reported(cli_study, capsys, tmp_path):
+    _copy_study(cli_study, tmp_path)
+    with open(cli_study / "respondents.csv", newline="") as fh:
+        recruit = next(i for i, row in enumerate(csv.DictReader(fh)) if row["coupon_in"])
+    rid = _rewrite_cell(cli_study / "respondents.csv", tmp_path / "respondents.csv",
+                        recruit, "coupon_in", "NOBODY")
+    with pytest.warns(UserWarning, match="NOBODY"):
+        assert main(["ingest", *_dataset_args(tmp_path), "--lenient"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["n_warnings"] == 1
+    assert f"treating {rid} as a seed" in payload["warnings"][0]
+    out_dir = tmp_path / "o"
+    with pytest.warns(UserWarning, match="NOBODY"):
+        assert main(["finitepop", *_dataset_args(tmp_path), "--lenient",
+                     "--out-dir", str(out_dir)]) == 0
+    bundle = json.loads((out_dir / "bundle.json").read_text())
+    assert bundle["dataset"]["validation"]["n_warnings"] == 1
 
 
 def _copy_study(study, dst):
