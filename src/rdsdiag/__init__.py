@@ -10,7 +10,7 @@ from .dataset import (
     save_dataset,
     validate_dataset,
 )
-from .estimators import IncludedSample, SSConfig, included_sample, ss_estimate, vh_estimate
+from .estimators import IncludedSample, included_sample, ss_estimate, vh_estimate
 from .forest import RecruitmentForest, build_forest
 from .report import PipelineConfig, ReportBundle, run_pipeline
 from .sim import NetworkConfig, SimConfig, generate_network, simulate_rds
@@ -26,7 +26,6 @@ __all__ = [
     "RecruitmentForest",
     "ReportBundle",
     "Respondent",
-    "SSConfig",
     "SimConfig",
     "StudyDataset",
     "TraitSpec",

@@ -222,32 +222,38 @@ _SIM_KEYS = {
 }
 
 
+# network key -> (NetworkConfig field, parser)
+_NET_KEYS = {
+    "blocks": ("block_sizes", lambda raw: tuple(int(b) for b in raw.split(","))),
+    "within_p": ("within_block_edge_prob", float),
+    "between_p": ("between_block_edge_prob", float),
+}
+
+
 def load_scenario(path: Path) -> tuple[NetworkConfig, SimConfig]:
-    """Parse a key=value scenario file into network and process configs."""
-    kv = _read_kv(path)
-    traits = {}
-    net_kv: dict[str, str] = {}
+    """Parse a key=value scenario file into network and process configs.  An
+    unknown key or a value that does not parse raises ``UnrealizableConfig``."""
+    traits: dict[str, TraitRule] = {}
+    net_fields: dict[str, Any] = {
+        "within_block_edge_prob": 0.05, "between_block_edge_prob": 0.01, "traits": traits
+    }
     sim_fields: dict[str, Any] = {}
-    for key, value in kv.items():
+    for key, value in _read_kv(path).items():
         if key.startswith("trait."):
-            traits[key[len("trait."):]] = _parse_trait_rule(value)
-        elif key in ("blocks", "within_p", "between_p"):
-            net_kv[key] = value
+            fields, name, parse = traits, key[len("trait."):], _parse_trait_rule
+        elif key in _NET_KEYS:
+            fields, (name, parse) = net_fields, _NET_KEYS[key]
         elif key in _SIM_KEYS:
-            name, parse = _SIM_KEYS[key]
-            sim_fields[name] = parse(value)
+            fields, (name, parse) = sim_fields, _SIM_KEYS[key]
         else:
             raise UnrealizableConfig(f"unknown scenario key {key!r}")
-    if "blocks" not in net_kv or "target_n" not in sim_fields:
+        try:
+            fields[name] = parse(value)
+        except ValueError:
+            raise UnrealizableConfig(f"scenario key {key!r}: cannot parse {value!r}") from None
+    if "block_sizes" not in net_fields or "target_n" not in sim_fields:
         raise UnrealizableConfig("scenario needs at least blocks= and target_n=")
-
-    net_cfg = NetworkConfig(
-        block_sizes=tuple(int(b) for b in net_kv["blocks"].split(",")),
-        within_block_edge_prob=float(net_kv.get("within_p", 0.05)),
-        between_block_edge_prob=float(net_kv.get("between_p", 0.01)),
-        traits=traits,
-    )
-    return net_cfg, SimConfig(**sim_fields)
+    return NetworkConfig(**net_fields), SimConfig(**sim_fields)
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:

@@ -22,6 +22,7 @@ from .errors import (
     CycleDetected,
     DanglingCoupon,
     DuplicateId,
+    IngestError,
     MalformedCell,
     MissingColumn,
     MissingData,
@@ -405,7 +406,8 @@ def load_dataset(
     In strict mode any structural invariant violation aborts with the
     corresponding error; in lenient mode violations are downgraded to
     warnings, kept as the dataset's ``repairs``, and the offending fields
-    are set missing.  A repeated id in either file aborts in both modes.
+    are set missing (a follow-up row whose id matches no respondent is
+    dropped).  A repeated id in either file aborts in both modes.
     """
     respondents_file = Path(respondents_file)
     trait_specs = load_traits(Path(traits_file))
@@ -432,9 +434,17 @@ def load_dataset(
         followup_file = Path(followup_file)
         _, frows = _read_csv(followup_file, [_ID])
         followup_rows = _rows_by_id(frows, followup_file)
+    rows_by_id = _rows_by_id(rows, respondents_file)
+    repairs: list[str] = []
+    for rid in followup_rows:
+        if rid not in rows_by_id:
+            problem = f"{followup_file}: follow-up id {rid!r} matches no respondent"
+            if options.strict:
+                raise IngestError(problem)
+            repairs.append(f"lenient: {problem}; row ignored")
 
     respondents = []
-    for rid, row in _rows_by_id(rows, respondents_file).items():
+    for rid, row in rows_by_id.items():
         cell = _cell_reader(row, respondents_file, rid)
         fu = None
         if rid in followup_rows:
@@ -452,7 +462,6 @@ def load_dataset(
         )
 
     respondents.sort(key=lambda r: r.interview_order)
-    repairs: list[str] = []
     respondents = _check_structure(respondents, options, repairs)
     for message in repairs:
         _warnings.warn(message, UserWarning, stacklevel=2)

@@ -2,22 +2,22 @@
 
 ``included_sample`` builds, once per trait, the included respondents every
 per-trait diagnostic works on.  ``vh_estimate`` is the inverse-degree-weighted
-ratio estimator used throughout the toolkit.  ``ss_estimate`` is a
-Monte-Carlo successive-sampling approximation used for finite-population
-sensitivity analysis: it iterates between (a) scaling the sample degree
-distribution into a working population of the assumed size, (b) simulating
-without-replacement draws with probability proportional to degree, and (c)
-re-estimating per-degree-class inclusion probabilities, until the implied
-weights stabilize.
+ratio estimator used throughout the toolkit.  ``ss_estimate`` is the
+successive-sampling estimator (Gile 2011) used for finite-population
+sensitivity analysis, with Rosen's approximation of the inclusion
+probabilities: pi(d) = 1 - exp(-lam * d), where ``lam`` solves
+sum_i 1/pi(d_i) = N over the included sample for an assumed population size
+N.  At N = n (a census) it is the unweighted sample proportion; as N grows it
+tends to the inverse-degree estimate.  It is deterministic and takes no seed.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
+from scipy.optimize import brentq
 
 from .dataset import StudyDataset
 from .errors import EmptySample, PopulationTooSmall, ZeroDegree
@@ -42,23 +42,6 @@ class EstimateSeries:
 
     def __len__(self) -> int:
         return len(self.values)
-
-
-@dataclass(frozen=True)
-class SSConfig:
-    population_size: int
-    replications: int = 2000
-    max_iterations: int = 10
-    tolerance: float = 1e-4
-    rng_seed: int = 0
-
-    def validate(self, n: int) -> None:
-        if self.population_size < n:
-            raise PopulationTooSmall(
-                f"population size {self.population_size} < sample size {n}"
-            )
-        if self.replications < 1:
-            raise PopulationTooSmall("replications must be >= 1")
 
 
 def vh_estimate(members: Iterable[tuple[bool, float]]) -> float:
@@ -173,120 +156,48 @@ def per_tree_series(sample: IncludedSample) -> dict[str, EstimateSeries]:
 # successive sampling
 
 
-def _simulate_class_draws(
-    masses: np.ndarray,
-    class_weights: np.ndarray,
-    n_draws: int,
-    replications: int,
-    seed_children: Sequence[np.random.SeedSequence],
-) -> np.ndarray:
-    """Mean per-class counts among the first ``n_draws`` units of a
-    probability-proportional-to-weight without-replacement draw.
-
-    Classes carry continuous masses; each draw removes one unit of mass from
-    the selected class.  Replicate RNG streams derive from per-replicate seed
-    sequences so results do not depend on execution order.
-    """
-    k = len(masses)
-    uniforms = np.empty((replications, n_draws))
-    for idx, child in enumerate(seed_children):
-        uniforms[idx] = np.random.default_rng(child).random(n_draws)
-
-    remaining = np.tile(masses, (replications, 1))
-    drawn = np.zeros((replications, k))
-    rows = np.arange(replications)
-    for step in range(n_draws):
-        probs = remaining * class_weights
-        totals = probs.sum(axis=1, keepdims=True)
-        cum = np.cumsum(probs, axis=1)
-        u = uniforms[:, step, None] * totals
-        picks = (cum < u).sum(axis=1)
-        picks = np.minimum(picks, k - 1)
-        take = np.minimum(1.0, remaining[rows, picks])
-        remaining[rows, picks] -= take
-        drawn[rows, picks] += take
-    return drawn.mean(axis=0)
-
-
-def _integer_population(
-    counts: np.ndarray, pi: np.ndarray, population_size: int
-) -> np.ndarray:
-    """Scale sample class counts by 1/pi into an integer working population.
-
-    Each class keeps at least its observed count; the remaining
-    ``population_size - n`` units are split proportionally to the excess
-    implied by the inclusion probabilities (largest-remainder rounding)."""
-    n = int(counts.sum())
-    spare = population_size - n
-    if spare <= 0:
-        return counts.astype(float)
-    excess = counts / pi - counts
-    if excess.sum() <= 0:
-        shares = counts / counts.sum() * spare
-    else:
-        shares = excess / excess.sum() * spare
-    base = np.floor(shares).astype(int)
-    remainder = spare - base.sum()
-    if remainder > 0:
-        order = np.argsort(-(shares - base), kind="stable")
-        base[order[:remainder]] += 1
-    return (counts + base).astype(float)
-
-
 def ss_inclusion_weights(
-    degrees: np.ndarray, cfg: SSConfig
+    degrees: np.ndarray, population_size: int
 ) -> tuple[np.ndarray, bool]:
-    """Per-unit inclusion weights from the successive-sampling fixed point.
+    """Per-unit successive-sampling weights 1/pi(d) under Rosen's
+    approximation pi(d) = 1 - exp(-lam * d).
+
+    ``lam`` is the root of sum_i 1/pi(d_i) = N, which is decreasing in
+    ``lam``.  At lam_lo = sum(1/d)/N the sum exceeds N, since
+    1/(1 - e^-x) > 1/x; at lam_hi = -log1p(-n/N)/min(d) every pi is at least
+    n/N, so the sum is at most N.  The root is found in log(lam), so the
+    weights keep their relative accuracy however large N is.  In the census
+    (N = n) and with a single degree class the root gives equal weights N/n.
 
     Returns (weights aligned with ``degrees``, converged flag).
     """
     n = len(degrees)
-    cfg.validate(n)
-    classes, counts = np.unique(degrees, return_counts=True)
-    k = len(classes)
-    if k == 1:
-        return np.ones(n), True
+    if population_size < n:
+        raise PopulationTooSmall(f"population size {population_size} < sample size {n}")
+    if population_size == n or degrees.min() == degrees.max():
+        return np.full(n, population_size / n), True
 
-    pi = classes / classes.max()  # start at the with-replacement mapping
-    root = np.random.SeedSequence(cfg.rng_seed)
-    children = root.spawn(cfg.replications * cfg.max_iterations)
-    converged = False
-    for iteration in range(cfg.max_iterations):
-        masses = _integer_population(counts, pi, cfg.population_size)
-        mean_drawn = _simulate_class_draws(
-            masses,
-            classes.astype(float),
-            n,
-            cfg.replications,
-            children[iteration * cfg.replications : (iteration + 1) * cfg.replications],
-        )
-        new_pi = np.clip(mean_drawn / masses, 1e-12, 1.0)
-        w_old = (1.0 / pi) / (1.0 / pi).mean()
-        w_new = (1.0 / new_pi) / (1.0 / new_pi).mean()
-        delta = np.abs(w_new - w_old).max()
-        pi = new_pi
-        if delta < cfg.tolerance:
-            converged = True
-            break
-    if not converged:
-        warnings.warn(
-            "successive-sampling weights did not converge; using last iterate",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    class_index = np.searchsorted(classes, degrees)
-    return (1.0 / pi)[class_index], converged
+    def weights(log_lam: float) -> np.ndarray:
+        return -1.0 / np.expm1(-np.exp(log_lam) * degrees)
+
+    lo = np.log(np.sum(1.0 / degrees) / population_size)
+    hi = np.log(-np.log1p(-n / population_size) / degrees.min())
+    log_lam, result = brentq(
+        lambda t: weights(t).sum() / population_size - 1.0, lo, hi,
+        xtol=1e-15, full_output=True,
+    )
+    return weights(log_lam), result.converged
 
 
-def ss_estimate(sample: IncludedSample, cfg: SSConfig) -> float:
-    """Monte-Carlo successive-sampling prevalence estimate.
+def ss_estimate(sample: IncludedSample, population_size: int) -> float:
+    """Successive-sampling prevalence estimate for a population of
+    ``population_size``.
 
-    Deterministic given ``cfg.rng_seed``.  Converges to the inverse-degree
-    estimate as the population size grows and to the unweighted sample
-    proportion in the census limit."""
+    Deterministic: it equals the unweighted sample proportion in the census
+    limit and tends to the inverse-degree estimate as the population grows."""
     if not len(sample):
         raise EmptySample(f"no included respondents for trait {sample.trait!r}")
-    weights, _ = ss_inclusion_weights(sample.degree, cfg)
+    weights, _ = ss_inclusion_weights(sample.degree, population_size)
     return float((weights * sample.y).sum() / weights.sum())
 
 
@@ -302,23 +213,24 @@ class SSVHRow:
 
 def ss_vh_table(
     samples: Sequence[IncludedSample],
-    scenarios: Sequence[SSConfig],
+    population_sizes: Sequence[int],
     flag_threshold: float = 0.01,
 ) -> list[SSVHRow]:
-    """Side-by-side estimator comparison; rows flagged when the absolute
-    difference exceeds the threshold.  Empty samples give no rows."""
+    """Side-by-side estimator comparison, one row per sample and population
+    size; rows flagged when the absolute difference exceeds the threshold.
+    Empty samples give no rows."""
     rows = []
     for sample in samples:
         if not len(sample):
             continue
         vh = cumulative_estimates(sample).final
-        for cfg in scenarios:
-            ss = ss_estimate(sample, cfg)
+        for population_size in population_sizes:
+            ss = ss_estimate(sample, population_size)
             diff = ss - vh
             rows.append(
                 SSVHRow(
                     trait=sample.trait,
-                    scenario_population=cfg.population_size,
+                    scenario_population=population_size,
                     vh=vh,
                     ss=ss,
                     difference=diff,

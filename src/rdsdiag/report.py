@@ -58,7 +58,6 @@ class PipelineConfig:
     replicates: int = 10_000
     threshold: float = 0.90
     population_sizes: tuple[int, ...] = ()
-    ss_replications: int = 2000
     rng_seed: int = 0
     strict: bool = True
     sections: tuple[str, ...] = ALL_SECTIONS
@@ -298,22 +297,15 @@ def _render_chains_figure(
 
 
 def _section_estimate(writer, traits, cfg: PipelineConfig, sample_of) -> dict[str, Any]:
-    scenarios = [
-        estimators.SSConfig(
-            population_size=n, replications=cfg.ss_replications, rng_seed=cfg.rng_seed
-        )
-        for n in cfg.population_sizes
-    ]
-
     def estimate(trait: str) -> dict[str, Any]:
         sample = sample_of(trait)
         series = estimators.cumulative_estimates(sample)
         entry: dict[str, Any] = {"vh": series.final, "n_included": len(series)}
-        if scenarios:
+        if cfg.population_sizes:
             entry["ss"] = [
                 {"population_size": row.scenario_population, "ss": row.ss,
                  "difference": row.difference, "flagged": row.flagged}
-                for row in estimators.ss_vh_table([sample], scenarios)
+                for row in estimators.ss_vh_table([sample], cfg.population_sizes)
             ]
         return entry
 

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import make_dataset, make_respondent, unit_degree_two_trees
 from rdsdiag.errors import EmptySample, PopulationTooSmall, ZeroDegree
 from rdsdiag.estimators import (
-    SSConfig,
+    IncludedSample,
     cumulative_estimates,
     included_sample,
     per_tree_series,
@@ -128,43 +130,77 @@ def test_single_tree_estimate_equals_overall():
 
 def test_ss_config_validation():
     with pytest.raises(PopulationTooSmall):
-        SSConfig(population_size=10).validate(20)
+        ss_inclusion_weights(np.ones(20), 10)
 
 
-def test_ss_equal_degrees_exact_sample_proportion():
-    ds, forest = _chain([True, True, False, False, False], degrees=[3] * 5)
-    for n in (5, 10, 1000):
-        est = ss_estimate(included_sample(ds, forest, "hiv"), SSConfig(population_size=n, replications=50))
-        assert est == pytest.approx(0.4, abs=1e-15)
+def _sample(degrees, y):
+    """An included sample made directly from degree and trait arrays."""
+    n = len(degrees)
+    return IncludedSample(
+        trait="hiv", roots=("S",), ids=tuple(f"R{i}" for i in range(n)),
+        orders=np.arange(2, n + 2), y=np.array(y, dtype=float),
+        degree=np.array(degrees, dtype=float), tree=np.zeros(n, dtype=int),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    members=st.lists(
+        st.tuples(st.integers(1, 300), st.booleans()), min_size=1, max_size=60
+    ),
+    factors=st.lists(
+        st.floats(1.0, 1e9, allow_nan=False), min_size=1, max_size=6
+    ),
+)
+@example(members=[(3, True)] * 2 + [(3, False)] * 3, factors=[1.0, 2.0, 200.0])
+@example(members=[(1, True), (4, True), (2, False), (4, False)], factors=[1.0])
+def test_ss_weights_property(members, factors):
+    degrees = np.array([d for d, _ in members], dtype=float)
+    y = np.array([flag for _, flag in members], dtype=float)
+    n = len(members)
+    sizes = sorted({n, *(int(n * f) for f in factors)})
+    vh = vh_estimate((bool(flag), d) for d, flag in zip(degrees, y))
+    order = np.argsort(degrees, kind="stable")
+    ratios, gaps = [], []
+    for size in sizes:
+        weights, converged = ss_inclusion_weights(degrees, size)
+        assert converged is True
+        assert weights.sum() == pytest.approx(size, rel=1e-12)
+        assert np.all(np.diff(weights[order]) <= 0)
+        est = ss_estimate(_sample(degrees, y), size)
+        if size == n or len(set(degrees)) == 1:
+            assert np.all(weights == size / n)
+            assert est == pytest.approx(y.mean(), abs=1e-15)
+        # weight of the lowest-degree member over the highest's
+        ratios.append(weights[order[0]] / weights[order[-1]])
+        gaps.append(abs(est - vh))
+    # as N grows every weight ratio moves from 1 (census) towards the
+    # inverse-degree ratio, never past it
+    assert all(b >= a * (1 - 1e-12) for a, b in zip(ratios, ratios[1:]))
+    assert ratios[-1] <= degrees.max() / degrees.min() * (1 + 1e-12)
+    # with two degree classes the estimate is a monotone function of that one
+    # ratio, so it only approaches VH; with three or more it need not
+    # (degrees 2, 3, 10 with the trait at 3: the gap grows from N = 3 to 4)
+    if len(set(degrees)) == 2:
+        assert all(b <= a + 1e-12 for a, b in zip(gaps, gaps[1:]))
 
 
 def test_ss_census_limit_exact():
     ds, forest = _chain([True, True, False, False], degrees=[1, 4, 2, 4])
-    est = ss_estimate(included_sample(ds, forest, "hiv"), SSConfig(population_size=4, replications=50))
+    est = ss_estimate(included_sample(ds, forest, "hiv"), 4)
     assert est == pytest.approx(0.5, abs=1e-15)
 
 
-def test_ss_census_weights_uniform():
-    degrees = np.array([1.0, 4.0, 2.0, 4.0])
-    weights, _ = ss_inclusion_weights(degrees, SSConfig(population_size=4, replications=50))
-    assert np.allclose(weights, 1.0)
-
-
-def test_ss_deterministic_given_seed():
+def test_ss_deterministic():
     ds, forest = _chain([True, True, False, False], degrees=[1, 4, 2, 4])
-    cfg = SSConfig(population_size=40, replications=200, rng_seed=11)
-    assert ss_estimate(included_sample(ds, forest, "hiv"), cfg) == ss_estimate(included_sample(ds, forest, "hiv"), cfg)
-    other = SSConfig(population_size=40, replications=200, rng_seed=12)
-    # different stream, almost surely different Monte-Carlo value
-    assert ss_estimate(included_sample(ds, forest, "hiv"), cfg) != ss_estimate(included_sample(ds, forest, "hiv"), other)
+    assert ss_estimate(included_sample(ds, forest, "hiv"), 40) == ss_estimate(
+        included_sample(ds, forest, "hiv"), 40
+    )
 
 
 def test_ss_vh_table_equal_degrees_never_flags():
     ds, forest = _chain([True, False, True, False], degrees=[2] * 4)
-    rows = ss_vh_table(
-        [included_sample(ds, forest, "hiv")],
-        [SSConfig(population_size=n, replications=50) for n in (4, 40, 400)],
-    )
+    rows = ss_vh_table([included_sample(ds, forest, "hiv")], (4, 40, 400))
     assert len(rows) == 3
     assert all(not row.flagged for row in rows)
     assert all(row.difference == pytest.approx(0.0, abs=1e-15) for row in rows)
@@ -172,13 +208,11 @@ def test_ss_vh_table_equal_degrees_never_flags():
 
 def test_ss_vh_table_empty_traits():
     ds, forest = _chain([True, False])
-    assert ss_vh_table([], [SSConfig(population_size=10)]) == []
+    assert ss_vh_table([], (10,)) == []
 
 
 def test_ss_large_population_approaches_vh():
     ds, forest = _chain([True, True, False, False] * 10, degrees=[1, 4, 2, 4] * 10)
     vh = cumulative_estimates(included_sample(ds, forest, "hiv")).final
-    est = ss_estimate(
-        included_sample(ds, forest, "hiv"), SSConfig(population_size=40_000, replications=500, rng_seed=5)
-    )
+    est = ss_estimate(included_sample(ds, forest, "hiv"), 40_000)
     assert abs(est - vh) < 0.01

@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import json
 import math
+import warnings
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -120,15 +121,11 @@ def test_jsonable_rounds_every_float():
 
 
 def test_pipeline_ss_scenarios(sim_dataset, tmp_path):
-    bundle = run_pipeline(
-        _cfg(
-            tmp_path / "out",
-            sim_dataset,
-            sections=("estimate",),
-            population_sizes=(500,),
-            ss_replications=100,
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        bundle = run_pipeline(
+            _cfg(tmp_path / "out", sim_dataset, sections=("estimate",), population_sizes=(500,))
         )
-    )
     entry = bundle.sections["estimate"]["per_trait"]["hiv"]
     assert "vh" in entry
     assert entry["ss"][0]["population_size"] == 500
@@ -207,6 +204,19 @@ def test_cli_scenario_unknown_key(tmp_path, capsys):
     code = main(["simulate", "--scenario", str(scenario), "--out-dir", str(tmp_path / "o")])
     assert code == 3
     assert "'folowup_prob'" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "line", ["target_n=abc", "within_p=x", "blocks=1,a", "trait.t=bernoulli:abc"]
+)
+def test_cli_scenario_value_does_not_parse(tmp_path, capsys, line):
+    scenario = tmp_path / "scenario.txt"
+    scenario.write_text(SCENARIO + line + "\n")
+    code = main(["simulate", "--scenario", str(scenario), "--out-dir", str(tmp_path / "o")])
+    assert code == 3
+    key = line.partition("=")[0]
+    assert f"{key!r}" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 
@@ -463,6 +473,29 @@ def test_cli_lenient_repair_reported(cli_study, capsys, tmp_path):
     with pytest.warns(UserWarning, match="NOBODY"):
         assert main(["finitepop", *_dataset_args(tmp_path), "--lenient",
                      "--out-dir", str(out_dir)]) == 0
+    bundle = json.loads((out_dir / "bundle.json").read_text())
+    assert bundle["dataset"]["validation"]["n_warnings"] == 1
+
+
+@pytest.mark.parametrize("strict", [True, False])
+def test_cli_orphan_followup_row(cli_study, capsys, tmp_path, strict):
+    _copy_study(cli_study, tmp_path)
+    with open(tmp_path / "followup.csv", "a") as fh:
+        fh.write("NOBODY,1,1,1,1\n")
+    mode = "--strict" if strict else "--lenient"
+    if strict:
+        assert main(["ingest", *_dataset_args(tmp_path), mode]) == 2
+        err = capsys.readouterr().err
+        assert str(tmp_path / "followup.csv") in err and "'NOBODY'" in err
+        return
+    with pytest.warns(UserWarning, match="NOBODY"):
+        assert main(["ingest", *_dataset_args(tmp_path), mode]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["n_warnings"] == 1
+    assert "follow-up id 'NOBODY' matches no respondent" in payload["warnings"][0]
+    out_dir = tmp_path / "o"
+    with pytest.warns(UserWarning, match="NOBODY"):
+        assert main(["finitepop", *_dataset_args(tmp_path), mode, "--out-dir", str(out_dir)]) == 0
     bundle = json.loads((out_dir / "bundle.json").read_text())
     assert bundle["dataset"]["validation"]["n_warnings"] == 1
 
