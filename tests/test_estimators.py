@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_dataset, make_respondent, unit_degree_two_trees
@@ -152,8 +152,6 @@ def _sample(degrees, y):
         st.floats(1.0, 1e9, allow_nan=False), min_size=1, max_size=6
     ),
 )
-@example(members=[(3, True)] * 2 + [(3, False)] * 3, factors=[1.0, 2.0, 200.0])
-@example(members=[(1, True), (4, True), (2, False), (4, False)], factors=[1.0])
 def test_ss_weights_property(members, factors):
     degrees = np.array([d for d, _ in members], dtype=float)
     y = np.array([flag for _, flag in members], dtype=float)
@@ -185,10 +183,23 @@ def test_ss_weights_property(members, factors):
         assert all(b <= a + 1e-12 for a, b in zip(gaps, gaps[1:]))
 
 
+def test_ss_equal_degrees_exact_sample_proportion():
+    ds, forest = _chain([True, True, False, False, False], degrees=[3] * 5)
+    for n in (5, 10, 1000):
+        est = ss_estimate(included_sample(ds, forest, "hiv"), n)
+        assert est == pytest.approx(0.4, abs=1e-15)
+
+
 def test_ss_census_limit_exact():
     ds, forest = _chain([True, True, False, False], degrees=[1, 4, 2, 4])
     est = ss_estimate(included_sample(ds, forest, "hiv"), 4)
     assert est == pytest.approx(0.5, abs=1e-15)
+
+
+def test_ss_census_weights_uniform():
+    degrees = np.array([1.0, 4.0, 2.0, 4.0])
+    weights, _ = ss_inclusion_weights(degrees, 4)
+    assert np.allclose(weights, 1.0)
 
 
 def test_ss_deterministic():
