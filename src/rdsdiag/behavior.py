@@ -15,7 +15,7 @@ from typing import Mapping
 
 import numpy as np
 from scipy.optimize import brentq
-from scipy.special import gammaln, logsumexp
+from scipy.special import gammaln
 
 from .bottleneck import PermutationResult
 from .dataset import Respondent, StudyDataset
@@ -406,53 +406,39 @@ def _log_pmf_terms(r1: int, r2: int, c1: int) -> tuple[np.ndarray, np.ndarray]:
     return ks, log_coef
 
 
-def _tail_prob(ks: np.ndarray, log_coef: np.ndarray, a: int, log_psi: float, upper: bool) -> float:
-    """P(X >= a) (upper) or P(X <= a) under odds parameter exp(log_psi)."""
-    log_terms = log_coef + ks * log_psi
-    log_total = logsumexp(log_terms)
-    mask = ks >= a if upper else ks <= a
-    return float(np.exp(logsumexp(log_terms[mask]) - log_total))
-
-
-def _solve_tail(
-    ks: np.ndarray, log_coef: np.ndarray, a: int, target: float, upper: bool
-) -> float:
-    """Odds value at which the chosen tail probability equals ``target``.
-
-    The upper tail P(X >= a) is increasing in the odds parameter; the lower
-    tail is decreasing.  Solved on the log scale with an expanding bracket."""
-
-    def f(log_psi: float) -> float:
-        return _tail_prob(ks, log_coef, a, log_psi, upper) - target
-
-    lo, hi = -1.0, 1.0
-    flo, fhi = f(lo), f(hi)
-    for _ in range(200):
-        if flo == 0.0 or fhi == 0.0 or (flo < 0) != (fhi < 0):
-            break
-        lo -= 4.0
-        hi += 4.0
-        flo, fhi = f(lo), f(hi)
-    root = brentq(f, lo, hi, xtol=1e-13, rtol=1e-14)
-    return math.exp(root)
-
-
 def exact_odds_ratio_interval(
     a: int, b: int, c: int, d: int, alpha: float = 0.05
 ) -> tuple[float, float]:
     """Exact conditional interval for the 2x2 odds ratio.
 
     Endpoints invert the one-sided tail probabilities of the conditional
-    distribution of the (1,1) cell given all margins, each at alpha/2.
-    When the observed cell sits at an edge of its support the corresponding
-    endpoint is 0 or infinity (one-sided interval)."""
-    r1, r2, c1 = a + b, c + d, a + c
-    ks, log_coef = _log_pmf_terms(r1, r2, c1)
-    lo_support, hi_support = int(ks[0]), int(ks[-1])
-    if a < lo_support or a > hi_support:
+    distribution of the (1,1) cell given all margins, each at alpha/2.  The
+    upper tail P(X >= a) rises with the log odds and gives the lower
+    endpoint; the lower tail P(X <= a) falls and gives the upper one.  Each
+    is one root on the log scale inside an expanding bracket.  When the
+    observed cell sits at an edge of its support the corresponding endpoint
+    is 0 or infinity (one-sided interval)."""
+    ks, log_coef = _log_pmf_terms(a + b, c + d, a + c)
+    if a < ks[0] or a > ks[-1]:
         raise DegenerateTable("cell count outside the support implied by margins")
-    lower = 0.0 if a == lo_support else _solve_tail(ks, log_coef, a, alpha / 2, upper=True)
-    upper = math.inf if a == hi_support else _solve_tail(ks, log_coef, a, alpha / 2, upper=False)
+
+    def endpoint(tail: np.ndarray) -> float:
+        def excess(log_psi: float) -> float:
+            log_terms = log_coef + ks * log_psi
+            terms = np.exp(log_terms - log_terms.max())
+            return terms[tail].sum() / terms.sum() - alpha / 2
+
+        lo, hi = -1.0, 1.0
+        for _ in range(200):
+            flo, fhi = excess(lo), excess(hi)
+            if flo == 0.0 or fhi == 0.0 or (flo < 0) != (fhi < 0):
+                break
+            lo -= 4.0
+            hi += 4.0
+        return math.exp(brentq(excess, lo, hi, xtol=1e-13, rtol=1e-14))
+
+    lower = 0.0 if a == ks[0] else endpoint(ks >= a)
+    upper = math.inf if a == ks[-1] else endpoint(ks <= a)
     return lower, upper
 
 

@@ -14,7 +14,7 @@ import dataclasses
 import json
 import sys
 from pathlib import Path
-from typing import Any, Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 
 from .dataset import IngestOptions, load_dataset, save_dataset, validate_dataset
 from .errors import RdsError, UnrealizableConfig
@@ -85,30 +85,49 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _items(parse: Callable[[str], Any]) -> Callable[[str], list[Any]]:
+    return lambda raw: [parse(v.strip()) for v in raw.split(",")]
+
+
+def _yes_no(raw: str) -> bool:
+    if raw.lower() not in ("1", "true", "yes", "0", "false", "no"):
+        raise ValueError(raw)
+    return raw.lower() in ("1", "true", "yes")
+
+
+# config key -> parser; the parsed value replaces the flag's, and a key not
+# listed here keeps its text
+_CONFIG_KEYS = {
+    "population_size": _items(int),
+    "trait": _items(str),
+    "seed": int,
+    "tau": int,
+    "replicates": int,
+    "epsilon": float,
+    "threshold": float,
+    "strict": _yes_no,
+    "respondents": Path,
+    "traits": Path,
+    "followup": Path,
+    "out_dir": Path,
+    "scenario": Path,
+}
+
+
 def _apply_config_file(args: argparse.Namespace) -> None:
-    """Key=value config entries override the parsed flags."""
+    """Key=value config entries override the parsed flags.  An unknown key or
+    a value that does not parse raises ``UnrealizableConfig``."""
     path = getattr(args, "config", None)
     if path is None:
         return
     for key, raw in _read_kv(path).items():
         dest = key.replace("-", "_")
-        if dest == "population_size":
-            args.population_size = [int(v) for v in raw.split(",")]
-            continue
-        if not hasattr(args, dest):
+        if not hasattr(args, dest) or dest in ("command", "config"):
             raise UnrealizableConfig(f"unknown config key {key!r}")
-        current = getattr(args, dest)
-        if isinstance(current, bool):
-            setattr(args, dest, raw.lower() in ("1", "true", "yes"))
-        elif isinstance(current, int):
-            setattr(args, dest, int(raw))
-        elif isinstance(current, float):
-            setattr(args, dest, float(raw))
-        elif isinstance(current, Path) or dest in ("respondents", "traits",
-                                                   "followup", "out_dir"):
-            setattr(args, dest, Path(raw))
-        else:
-            setattr(args, dest, raw)
+        try:
+            setattr(args, dest, _CONFIG_KEYS.get(dest, str)(raw))
+        except ValueError:
+            raise UnrealizableConfig(f"config key {key!r}: cannot parse {raw!r}") from None
 
 
 def _read_kv(path: Path) -> dict[str, str]:

@@ -119,7 +119,9 @@ def test_retest_stats(
     test = np.array([p[0] for p in pairs], dtype=float)
     retest = np.array([p[1] for p in pairs], dtype=float)
     diffs = retest - test
-    rho = stats.spearmanr(test, retest).statistic
+    # a constant column has no ranks to correlate: rho is undefined
+    constant = np.all(test == test[0]) or np.all(retest == retest[0])
+    rho = math.nan if constant else stats.spearmanr(test, retest).statistic
     return RetestStats(
         question=question,
         n=len(pairs),

@@ -156,6 +156,12 @@ def per_tree_series(sample: IncludedSample) -> dict[str, EstimateSeries]:
 # successive sampling
 
 
+def check_population_size(population_size: int, n: int) -> None:
+    """Raise ``PopulationTooSmall`` for an SS population below the sample size."""
+    if population_size < n:
+        raise PopulationTooSmall(f"population size {population_size} < sample size {n}")
+
+
 def ss_inclusion_weights(
     degrees: np.ndarray, population_size: int
 ) -> tuple[np.ndarray, bool]:
@@ -172,8 +178,7 @@ def ss_inclusion_weights(
     Returns (weights aligned with ``degrees``, converged flag).
     """
     n = len(degrees)
-    if population_size < n:
-        raise PopulationTooSmall(f"population size {population_size} < sample size {n}")
+    check_population_size(population_size, n)
     if population_size == n or degrees.min() == degrees.max():
         return np.full(n, population_size / n), True
 

@@ -1,9 +1,10 @@
 """Recruitment forest reconstruction.
 
-The coupon links define a forest rooted at the seeds.  Wave numbers, the tree
-of each respondent and the tree sizes computed here feed nearly every other
-diagnostic; the included members of each tree for one trait are in
-``estimators.IncludedSample``.
+The coupon links define a forest rooted at the seeds.  The tree of each
+respondent groups the included sample into trees for the estimators and the
+bottleneck test (``estimators.IncludedSample``); the waves and links draw the
+chains figure and the edge table and summarise the study's shape.  Tree sizes
+are recorded too, but no diagnostic reads them.
 """
 
 from __future__ import annotations

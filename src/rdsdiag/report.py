@@ -11,8 +11,10 @@ recording the reason in the bundle instead.
 
 from __future__ import annotations
 
+import csv
 import functools
 import hashlib
+import io
 import json
 import math
 from dataclasses import dataclass, field, fields, is_dataclass
@@ -128,10 +130,11 @@ class _Writer:
         self.manifest[name] = hashlib.sha256(data).hexdigest()
 
     def write_csv(self, name: str, header: Sequence[str], rows: Sequence[Sequence[Any]]) -> None:
-        lines = [",".join(header)]
-        for row in rows:
-            lines.append(",".join(_csv_cell(v) for v in row))
-        self.write_text(name, "\n".join(lines) + "\n")
+        text = io.StringIO()
+        out = csv.writer(text, lineterminator="\n")
+        out.writerow(header)
+        out.writerows([_csv_cell(v) for v in row] for row in rows)
+        self.write_text(name, text.getvalue())
 
 
 def _csv_cell(v: Any) -> str:
@@ -184,6 +187,16 @@ def run_pipeline(cfg: PipelineConfig) -> ReportBundle:
         else tuple(s.name for s in ds.trait_specs)
     )
 
+    # each trait's included sample is built once and shared by the sections;
+    # an unknown trait raises on every lookup, so each entry records it
+    sample_of = functools.cache(
+        functools.partial(
+            estimators.included_sample, ds, forest, degree_question=cfg.degree_question
+        )
+    )
+    if "estimate" in cfg.sections:
+        _check_population_sizes(traits, cfg.population_sizes, sample_of)
+
     writer = _Writer(Path(cfg.out_dir))
     bundle = ReportBundle(
         dataset_summary=dataset_summary(ds, forest, report), sections={}
@@ -195,13 +208,6 @@ def run_pipeline(cfg: PipelineConfig) -> ReportBundle:
     ).hexdigest()
     _render_chains_figure(writer, ds, forest, traits)
 
-    # each trait's included sample is built once and shared by the sections;
-    # an unknown trait raises on every lookup, so each entry records it
-    sample_of = functools.cache(
-        functools.partial(
-            estimators.included_sample, ds, forest, degree_question=cfg.degree_question
-        )
-    )
     runners = {
         "estimate": lambda: _section_estimate(writer, traits, cfg, sample_of),
         "converge": lambda: _section_converge(writer, traits, cfg, sample_of),
@@ -243,6 +249,20 @@ def run_pipeline(cfg: PipelineConfig) -> ReportBundle:
     # the bundle's own hash is not part of its manifest; re-serialize is
     # unnecessary since manifest was frozen before writing bundle.json
     return bundle
+
+
+def _check_population_sizes(
+    traits: Sequence[str], population_sizes: Sequence[int], sample_of
+) -> None:
+    """Raise, before any output is written, the ``PopulationTooSmall`` that
+    the estimate section would hit: the first SS scenario population below a
+    trait's included sample size, in trait order."""
+    for trait in traits:
+        sample = _attempt(sample_of, trait)
+        if not _ran(sample) or len(sample) == 0:
+            continue  # the estimate section records this trait as skipped
+        for population_size in population_sizes:
+            estimators.check_population_size(population_size, len(sample))
 
 
 def _lookup_flag(section: dict[str, Any], trait: str) -> Optional[bool]:

@@ -3,6 +3,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy.stats.contingency import odds_ratio
 
 from conftest import followup, make_dataset, make_degree, make_respondent
 from rdsdiag.behavior import (
@@ -418,6 +421,32 @@ def test_degenerate_table():
     ds = make_dataset(rows)
     with pytest.raises(DegenerateTable):
         motivation_outcome(ds, "A", "hiv")
+
+
+@st.composite
+def tables_2x2(draw, max_margin=1000):
+    """(a, b, c, d) with every row and column margin in [1, max_margin]."""
+    r1 = draw(st.integers(1, max_margin))
+    r2 = draw(st.integers(1, max_margin))
+    c1 = draw(st.integers(max(1, r1 + r2 - max_margin), min(max_margin, r1 + r2 - 1)))
+    a = draw(st.integers(max(0, c1 - r2), min(r1, c1)))
+    return a, r1 - a, c1 - a, r2 - (c1 - a)
+
+
+@settings(max_examples=80, deadline=None)
+@given(table=tables_2x2())
+@example(table=(67, 637, 32, 264))  # a motivation table of the many-traits study
+def test_interval_matches_scipy_at_report_sizes(table):
+    a, b, c, d = table
+    ours = exact_odds_ratio_interval(*table)
+    ref = odds_ratio([[a, b], [c, d]], kind="conditional").confidence_interval(0.95)
+    for x, y in zip(ours, (ref.low, ref.high)):
+        if x in (0.0, math.inf) or y in (0.0, math.inf):
+            assert x == y
+        else:
+            assert x == pytest.approx(y, rel=1e-8)
+    if a * d > 0 and b * c > 0:
+        assert ours[0] <= (a * d) / (b * c) <= ours[1]
 
 
 def test_interval_contains_point_estimate():

@@ -120,6 +120,12 @@ def test_retest_reversed_negative_rho():
     assert rs.median_diff == pytest.approx(5.0)
 
 
+def test_retest_constant_column_rho_undefined():
+    # a constant column has no ranks; no scipy ConstantInputWarning is raised
+    ds = _ds(_retest_rows([4, 4, 4], [2, 5, 9]))
+    assert math.isnan(retest_stats(ds).spearman_rho)
+
+
 def _average_rank(values):
     order = sorted(range(len(values)), key=lambda i: values[i])
     ranks = [0.0] * len(values)

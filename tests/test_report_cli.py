@@ -545,3 +545,62 @@ def test_cli_invalid_config_exit_code(cli_study, capsys, tmp_path, flag, value):
     assert code == 3
     assert "error:" in capsys.readouterr().err
     assert not out_dir.exists()  # rejected before any file is written
+
+
+@pytest.mark.parametrize(
+    "line",
+    ["population_size=abc", "tau=x", "epsilon=y", "seed=z", "strict=maybe", "command=bogus"],
+)
+def test_cli_config_value_does_not_parse(cli_study, capsys, tmp_path, line):
+    config = tmp_path / "cfg.txt"
+    config.write_text(line + "\n")
+    out_dir = tmp_path / "o"
+    code = main([
+        "report", *_dataset_args(cli_study), "--out-dir", str(out_dir), "--config", str(config),
+    ])
+    assert code == 3
+    assert repr(line.split("=")[0]) in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+def test_cli_config_trait_is_a_list(cli_study, capsys, tmp_path):
+    config = tmp_path / "cfg.txt"
+    config.write_text("trait=hiv\n")
+    assert main([
+        "estimate", *_dataset_args(cli_study), "--out-dir", str(tmp_path / "o"),
+        "--config", str(config),
+    ]) == 0
+    assert list(json.loads(capsys.readouterr().out)["per_trait"]) == ["hiv"]
+
+
+def test_cli_population_below_sample_writes_nothing(cli_study, capsys, tmp_path):
+    out_dir = tmp_path / "o"
+    code = main([
+        "report", *_dataset_args(cli_study), "--out-dir", str(out_dir),
+        "--population-size", "10",
+    ])
+    assert code == 3
+    assert "population size 10 < sample size" in capsys.readouterr().err
+    assert not out_dir.exists() or not any(out_dir.iterdir())
+
+
+def test_cli_report_csvs_quote_cells(cli_study, capsys, tmp_path):
+    # a trait name holding a comma is legal in the quoted traits file
+    renames = (("traits.csv", "hiv", "hiv,x"), ("respondents.csv", "trait:hiv", "trait:hiv,x"))
+    for name, old, new in renames:
+        with open(cli_study / name, newline="") as fh:
+            rows = [[new if cell == old else cell for cell in row] for row in csv.reader(fh)]
+        with open(tmp_path / name, "w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+    (tmp_path / "followup.csv").write_bytes((cli_study / "followup.csv").read_bytes())
+    out_dir = tmp_path / "out"
+    assert main([
+        "report", *_dataset_args(tmp_path), "--out-dir", str(out_dir),
+        "--replicates", "200", "--population-size", "5000",
+    ]) == 0
+    estimates = (out_dir / "estimates.csv").read_text()
+    assert '"hiv,x"' in estimates
+    for path in sorted(out_dir.glob("*.csv")):
+        with open(path, newline="") as fh:
+            header, *rows = list(csv.reader(fh))
+        assert all(len(row) == len(header) for row in rows), path.name
