@@ -10,7 +10,7 @@ from .dataset import (
     save_dataset,
     validate_dataset,
 )
-from .estimators import IncludedSample, included_sample, ss_estimate, vh_estimate
+from .estimators import IncludedSample, included_sample, ss_estimate
 from .forest import RecruitmentForest, build_forest
 from .report import PipelineConfig, ReportBundle, run_pipeline
 from .sim import NetworkConfig, SimConfig, generate_network, simulate_rds
@@ -39,5 +39,4 @@ __all__ = [
     "simulate_rds",
     "ss_estimate",
     "validate_dataset",
-    "vh_estimate",
 ]

@@ -9,7 +9,6 @@ and degrees stay attached to sample positions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
 
 import numpy as np
 
@@ -25,11 +24,6 @@ class PermutationResult:
     flagged: bool
     rng_seed: int
     threshold: float
-
-
-def wsd(per_tree: Mapping[str, tuple[float, int]], overall: float) -> float:
-    """Weighted squared deviation: sum of n_s * (p_s - p)^2 over trees."""
-    return float(sum(n_s * (p_s - overall) ** 2 for p_s, n_s in per_tree.values()))
 
 
 def _wsd_from_matrix(
@@ -87,29 +81,3 @@ def wsd_permutation_test(
         rng_seed=rng_seed,
         threshold=threshold,
     )
-
-
-@dataclass(frozen=True)
-class AllPointsRow:
-    tree: str
-    included_index: int
-    respondent_id: str
-    interview_order: int
-    has_trait: bool
-
-
-def all_points_data(sample: IncludedSample) -> list[AllPointsRow]:
-    """Per-respondent (tree, included index, trait value) records in global
-    interview order."""
-    return [
-        AllPointsRow(
-            tree=sample.roots[tree],
-            included_index=i + 1,
-            respondent_id=rid,
-            interview_order=order,
-            has_trait=bool(y),
-        )
-        for i, (rid, order, y, tree) in enumerate(
-            zip(sample.ids, sample.orders.tolist(), sample.y.tolist(), sample.tree.tolist())
-        )
-    ]

@@ -10,7 +10,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .errors import EmptySeries, UnrealizableConfig
-from .estimators import EstimateSeries
 
 
 @dataclass(frozen=True)
@@ -33,13 +32,12 @@ class ConvergenceVerdict:
 
 
 def convergence_flag(
-    series: EstimateSeries | Sequence[float], cfg: ConvergenceConfig = ConvergenceConfig()
+    values: Sequence[float], cfg: ConvergenceConfig = ConvergenceConfig()
 ) -> ConvergenceVerdict:
     """Evaluate the window rule on a series of cumulative estimates.
 
     The window covers offsets t = 1 .. min(tau - 1, m - 1); series shorter
     than the window are examined in full."""
-    values = series.values if isinstance(series, EstimateSeries) else tuple(series)
     m = len(values)
     if m == 0:
         raise EmptySeries("cannot evaluate convergence of an empty series")

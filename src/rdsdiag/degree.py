@@ -17,7 +17,7 @@ from scipy import stats
 
 from .dataset import StudyDataset, reach_inconsistent
 from .errors import InsufficientData
-from .estimators import DEFAULT_DEGREE_QUESTION, vh_estimate
+from .estimators import DEFAULT_DEGREE_QUESTION, IncludedSample, inverse_degree_series
 from .forest import RecruitmentForest, interview_gap_days
 
 TREND_METHODS = ("linear", "log-linear", "theil-sen", "kendall-tau", "spearman-rho")
@@ -144,37 +144,34 @@ class SensitivityRow:
 
 def estimate_sensitivity(
     ds: StudyDataset,
-    trait: str,
+    sample: IncludedSample,
     degree_question: str = DEFAULT_DEGREE_QUESTION,
 ) -> SensitivityRow:
-    """Prevalence estimates of ``trait`` using initial vs follow-up degree
-    over the same respondents (both interviews completed, both degrees
-    usable).  Raises ``InsufficientData`` when no respondent qualifies."""
-    ds.trait_spec(trait)  # raises UnknownTrait even when nobody has a follow-up
-    members: list[tuple[bool, float, float]] = []
-    for r in ds.respondents:
-        if r.is_seed or r.followup is None:
-            continue
-        flag = ds.indicator(r, trait)
-        test = r.degree.get(degree_question)
-        retest = r.followup.degree_retest.get(degree_question)
-        if flag is None or test is None or retest is None:
-            continue
-        if test < 1 or retest < 1:
-            continue
-        members.append((flag, float(test), float(retest)))
-    if not members:
-        raise InsufficientData(f"no usable test/retest members for {trait!r}")
-    p_test = vh_estimate((m[0], m[1]) for m in members)
-    p_retest = vh_estimate((m[0], m[2]) for m in members)
+    """Prevalence estimates of the sample's trait using initial vs follow-up
+    degree over the same respondents: the members of ``sample`` (built for
+    ``degree_question``) whose follow-up retest degree is at least 1.
+    Raises ``InsufficientData`` when no member qualifies."""
+
+    def retest(rid: str) -> float:
+        followup = ds.by_id(rid).followup
+        d = None if followup is None else followup.degree_retest.get(degree_question)
+        return math.nan if d is None else float(d)
+
+    retest_degree = np.array([retest(rid) for rid in sample.ids], dtype=float)
+    usable = retest_degree >= 1
+    if not usable.any():
+        raise InsufficientData(f"no usable test/retest members for {sample.trait!r}")
+    orders, y = sample.orders[usable], sample.y[usable]
+    p_test = inverse_degree_series(sample.trait, orders, y, sample.degree[usable]).final
+    p_retest = inverse_degree_series(sample.trait, orders, y, retest_degree[usable]).final
     diff = abs(p_test - p_retest)
     return SensitivityRow(
-        trait=trait,
+        trait=sample.trait,
         estimate_test=p_test,
         estimate_retest=p_retest,
         abs_difference=diff,
         rel_difference=diff / p_test if p_test > 0 else None,
-        n=len(members),
+        n=int(usable.sum()),
     )
 
 

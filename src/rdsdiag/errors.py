@@ -72,10 +72,6 @@ class EmptySample(DataRequirementError):
     pass
 
 
-class ZeroDegree(DataRequirementError):
-    pass
-
-
 class EmptySeries(DataRequirementError):
     pass
 

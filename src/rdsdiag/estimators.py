@@ -1,8 +1,10 @@
 """Design-based prevalence estimators.
 
 ``included_sample`` builds, once per trait, the included respondents every
-per-trait diagnostic works on.  ``vh_estimate`` is the inverse-degree-weighted
-ratio estimator used throughout the toolkit.  ``ss_estimate`` is the
+per-trait diagnostic works on.  ``inverse_degree_series`` is the one
+implementation of the inverse-degree-weighted (VH) ratio estimator: its
+running values are the cumulative estimates, and its last value is the VH
+estimate every diagnostic reports.  ``ss_estimate`` is the
 successive-sampling estimator (Gile 2011) used for finite-population
 sensitivity analysis, with Rosen's approximation of the inclusion
 probabilities: pi(d) = 1 - exp(-lam * d), where ``lam`` solves
@@ -14,13 +16,12 @@ tends to the inverse-degree estimate.  It is deterministic and takes no seed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
 
 import numpy as np
 from scipy.optimize import brentq
 
 from .dataset import StudyDataset
-from .errors import EmptySample, PopulationTooSmall, ZeroDegree
+from .errors import EmptySample, PopulationTooSmall
 from .forest import RecruitmentForest
 
 DEFAULT_DEGREE_QUESTION = "q_seen_week"
@@ -42,24 +43,6 @@ class EstimateSeries:
 
     def __len__(self) -> int:
         return len(self.values)
-
-
-def vh_estimate(members: Iterable[tuple[bool, float]]) -> float:
-    """Inverse-degree-weighted proportion over (has_trait, degree) pairs."""
-    num = 0.0
-    den = 0.0
-    n = 0
-    for has_trait, degree in members:
-        if degree is None or degree <= 0:
-            raise ZeroDegree(f"degree {degree!r}: exclude such members before calling")
-        w = 1.0 / degree
-        den += w
-        if has_trait:
-            num += w
-        n += 1
-    if n == 0:
-        raise EmptySample("no members")
-    return num / den
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,11 +104,14 @@ def included_sample(
     )
 
 
-def _series(
+def inverse_degree_series(
     trait: str, orders: np.ndarray, y: np.ndarray, degree: np.ndarray
 ) -> EstimateSeries:
-    # cumsum adds in sequence, like the running sums of ``vh_estimate``, so
-    # the last value equals the inverse-degree estimate bit for bit
+    """Prefix inverse-degree estimates sum(y_i / d_i) / sum(1 / d_i) of the
+    0/1 outcomes ``y`` with degrees ``degree`` (all >= 1), in the given
+    order."""
+    # cumsum adds in sequence, so the last value equals a plain running-sum
+    # loop over the same members bit for bit
     w = 1.0 / degree
     values = np.cumsum(w * y) / np.cumsum(w)
     return EstimateSeries(
@@ -136,7 +122,7 @@ def _series(
 def cumulative_estimates(sample: IncludedSample) -> EstimateSeries:
     """Prefix inverse-degree estimates over the included sample in interview
     order."""
-    return _series(sample.trait, sample.orders, sample.y, sample.degree)
+    return inverse_degree_series(sample.trait, sample.orders, sample.y, sample.degree)
 
 
 def per_tree_series(sample: IncludedSample) -> dict[str, EstimateSeries]:
@@ -146,7 +132,7 @@ def per_tree_series(sample: IncludedSample) -> dict[str, EstimateSeries]:
     for i, root in enumerate(sample.roots):
         in_tree = sample.tree == i
         if in_tree.any():
-            out[root] = _series(
+            out[root] = inverse_degree_series(
                 sample.trait, sample.orders[in_tree], sample.y[in_tree], sample.degree[in_tree]
             )
     return out
@@ -204,42 +190,3 @@ def ss_estimate(sample: IncludedSample, population_size: int) -> float:
         raise EmptySample(f"no included respondents for trait {sample.trait!r}")
     weights, _ = ss_inclusion_weights(sample.degree, population_size)
     return float((weights * sample.y).sum() / weights.sum())
-
-
-@dataclass(frozen=True)
-class SSVHRow:
-    trait: str
-    scenario_population: int
-    vh: float
-    ss: float
-    difference: float
-    flagged: bool
-
-
-def ss_vh_table(
-    samples: Sequence[IncludedSample],
-    population_sizes: Sequence[int],
-    flag_threshold: float = 0.01,
-) -> list[SSVHRow]:
-    """Side-by-side estimator comparison, one row per sample and population
-    size; rows flagged when the absolute difference exceeds the threshold.
-    Empty samples give no rows."""
-    rows = []
-    for sample in samples:
-        if not len(sample):
-            continue
-        vh = cumulative_estimates(sample).final
-        for population_size in population_sizes:
-            ss = ss_estimate(sample, population_size)
-            diff = ss - vh
-            rows.append(
-                SSVHRow(
-                    trait=sample.trait,
-                    scenario_population=population_size,
-                    vh=vh,
-                    ss=ss,
-                    difference=diff,
-                    flagged=abs(diff) > flag_threshold,
-                )
-            )
-    return rows

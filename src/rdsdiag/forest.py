@@ -3,16 +3,13 @@
 The coupon links define a forest rooted at the seeds.  The tree of each
 respondent groups the included sample into trees for the estimators and the
 bottleneck test (``estimators.IncludedSample``); the waves and links draw the
-chains figure and the edge table and summarise the study's shape.  Tree sizes
-are recorded too, but no diagnostic reads them.
+chains figure and the edge table and summarise the study's shape.
 """
 
 from __future__ import annotations
 
-import csv
 from collections import deque
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Optional
 
 from .dataset import StudyDataset
@@ -26,7 +23,6 @@ class RecruitmentForest:
     children: dict[str, tuple[str, ...]]
     wave: dict[str, int]
     tree_of: dict[str, str]
-    tree_size: dict[str, int]
 
     def recruits(self, rid: str) -> tuple[str, ...]:
         return self.children.get(rid, ())
@@ -71,29 +67,22 @@ def build_forest(ds: StudyDataset) -> RecruitmentForest:
         unreached = [r.id for r in ds.respondents if r.id not in wave]
         raise CycleDetected(f"recruitment links contain a cycle: {unreached[:5]}")
 
-    tree_size = {root: 0 for root in roots}
-    for rid, root in tree_of.items():
-        if rid != root:
-            tree_size[root] += 1
-
     return RecruitmentForest(
         roots=tuple(roots),
         parent=parent,
         children={k: tuple(v) for k, v in children.items()},
         wave=wave,
         tree_of=tree_of,
-        tree_size=tree_size,
     )
 
 
-def export_edges(forest: RecruitmentForest, path: Path | str) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["child_id", "parent_id", "wave", "tree_root"])
-        for child in sorted(forest.parent, key=lambda c: (forest.wave[c], c)):
-            writer.writerow(
-                [child, forest.parent[child], forest.wave[child], forest.tree_of[child]]
-            )
+def edge_rows(forest: RecruitmentForest) -> list[tuple[str, str, int, str]]:
+    """One (child, parent, wave, tree root) row per recruitment link, by wave
+    and then child id."""
+    return [
+        (child, forest.parent[child], forest.wave[child], forest.tree_of[child])
+        for child in sorted(forest.parent, key=lambda c: (forest.wave[c], c))
+    ]
 
 
 def interview_gap_days(

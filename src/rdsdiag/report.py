@@ -31,7 +31,7 @@ from .dataset import (
     validate_dataset,
 )
 from .errors import DataRequirementError, UnrealizableConfig
-from .forest import RecruitmentForest, build_forest, export_edges
+from .forest import RecruitmentForest, build_forest, edge_rows
 from .svg import render_plot
 
 SCHEMA_VERSION = "1.0"
@@ -44,6 +44,9 @@ ALL_SECTIONS = (
     "degree",
     "finitepop",
 )
+
+# an SS scenario is flagged when its estimate differs from VH by more than this
+SS_FLAG_THRESHOLD = 0.01
 
 
 @dataclass(frozen=True)
@@ -69,6 +72,13 @@ class PipelineConfig:
             raise UnrealizableConfig(f"unknown degree question {self.degree_question!r}")
         if self.replicates < 1:
             raise UnrealizableConfig("replicates must be >= 1")
+        if self.rng_seed < 0:
+            raise UnrealizableConfig(f"seed must be >= 0, got {self.rng_seed}")
+        self.convergence_config  # checks tau and epsilon before any output
+
+    @functools.cached_property
+    def convergence_config(self) -> convergence.ConvergenceConfig:
+        return convergence.ConvergenceConfig(tau=self.tau, epsilon=self.epsilon)
 
 
 @dataclass
@@ -202,10 +212,9 @@ def run_pipeline(cfg: PipelineConfig) -> ReportBundle:
         dataset_summary=dataset_summary(ds, forest, report), sections={}
     )
 
-    export_edges(forest, writer.out_dir / "edges.csv")
-    writer.manifest["edges.csv"] = hashlib.sha256(
-        (writer.out_dir / "edges.csv").read_bytes()
-    ).hexdigest()
+    writer.write_csv(
+        "edges.csv", ["child_id", "parent_id", "wave", "tree_root"], edge_rows(forest)
+    )
     _render_chains_figure(writer, ds, forest, traits)
 
     runners = {
@@ -213,7 +222,7 @@ def run_pipeline(cfg: PipelineConfig) -> ReportBundle:
         "converge": lambda: _section_converge(writer, traits, cfg, sample_of),
         "bottleneck": lambda: _section_bottleneck(writer, traits, cfg, sample_of),
         "behavior": lambda: _section_behavior(writer, ds, forest, traits, cfg),
-        "degree": lambda: _section_degree(writer, ds, forest, traits, cfg),
+        "degree": lambda: _section_degree(writer, ds, forest, traits, cfg, sample_of),
         "finitepop": lambda: _section_finitepop(ds),
     }
     for name in cfg.sections:
@@ -322,10 +331,11 @@ def _section_estimate(writer, traits, cfg: PipelineConfig, sample_of) -> dict[st
         series = estimators.cumulative_estimates(sample)
         entry: dict[str, Any] = {"vh": series.final, "n_included": len(series)}
         if cfg.population_sizes:
+            ss = [estimators.ss_estimate(sample, size) for size in cfg.population_sizes]
             entry["ss"] = [
-                {"population_size": row.scenario_population, "ss": row.ss,
-                 "difference": row.difference, "flagged": row.flagged}
-                for row in estimators.ss_vh_table([sample], cfg.population_sizes)
+                {"population_size": size, "ss": s, "difference": s - series.final,
+                 "flagged": abs(s - series.final) > SS_FLAG_THRESHOLD}
+                for size, s in zip(cfg.population_sizes, ss)
             ]
         return entry
 
@@ -346,14 +356,12 @@ def _section_estimate(writer, traits, cfg: PipelineConfig, sample_of) -> dict[st
 
 
 def _section_converge(writer, traits, cfg: PipelineConfig, sample_of) -> dict[str, Any]:
-    ccfg = convergence.ConvergenceConfig(tau=cfg.tau, epsilon=cfg.epsilon)
-
     def converge(trait: str) -> dict[str, Any]:
         sample = sample_of(trait)
         if not len(sample):
             return {"evaluable": False}
         series = estimators.cumulative_estimates(sample)
-        verdict = convergence.convergence_flag(series, ccfg)
+        verdict = convergence.convergence_flag(series.values, cfg.convergence_config)
         svg = render_plot(
             "convergence",
             {
@@ -400,12 +408,12 @@ def _section_bottleneck(writer, traits, cfg: PipelineConfig, sample_of) -> dict[
             },
         )
         writer.write_text(f"bottleneck_{_safe_name(trait)}.svg", svg)
-        points = bottleneck.all_points_data(sample)
         svg = render_plot(
             "all-points",
             {
                 "title": f"All points: {trait}",
-                "rows": [(p.tree, p.included_index, p.has_trait) for p in points],
+                "rows": list(zip((sample.roots[t] for t in sample.tree.tolist()),
+                                 (sample.y == 1.0).tolist())),
             },
         )
         writer.write_text(f"allpoints_{_safe_name(trait)}.svg", svg)
@@ -545,16 +553,18 @@ def _section_behavior(writer, ds, forest, traits, cfg: PipelineConfig) -> dict[s
     }
 
 
-def _section_degree(writer, ds, forest, traits, cfg: PipelineConfig) -> dict[str, Any]:
+def _section_degree(
+    writer, ds, forest, traits, cfg: PipelineConfig, sample_of
+) -> dict[str, Any]:
     def windows() -> dict[str, Any]:
         tw = degree.time_window_stats(ds, forest)
         return _fields(tw, drop=("days_to_distribute", "interview_gaps"))
 
+    def estimate_sensitivity(trait: str) -> degree.SensitivityRow:
+        return degree.estimate_sensitivity(ds, sample_of(trait), cfg.degree_question)
+
     def sensitivity() -> list[Any] | dict[str, Any]:
-        rows = {
-            trait: _attempt(degree.estimate_sensitivity, ds, trait, cfg.degree_question)
-            for trait in traits
-        }
+        rows = {trait: _attempt(estimate_sensitivity, trait) for trait in traits}
         estimated = [r for r in rows.values() if _ran(r)]
         if traits and not estimated:
             return rows[traits[0]]  # every trait skipped: the first one's reason

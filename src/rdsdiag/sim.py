@@ -211,6 +211,10 @@ class SimConfig:
     site_label: str = "sim"
     rng_seed: int = 0
 
+    def __post_init__(self) -> None:
+        if self.rng_seed < 0:
+            raise UnrealizableConfig(f"seed must be >= 0, got {self.rng_seed}")
+
     def validate(self, net: SyntheticNetwork) -> None:
         if self.replacement_mode not in ("with", "without"):
             raise UnrealizableConfig(f"bad replacement_mode {self.replacement_mode!r}")

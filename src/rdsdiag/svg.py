@@ -300,7 +300,7 @@ def _render_bottleneck(data: Mapping[str, Any], st: Mapping[str, Any]) -> str:
 def _render_all_points(data: Mapping[str, Any], st: Mapping[str, Any]) -> str:
     """Trait values by tree row and within-tree sample order: filled markers
     for trait-positive respondents, open markers otherwise."""
-    rows: Sequence[tuple[str, int, bool]] = data.get("rows", ())
+    rows: Sequence[tuple[str, bool]] = data.get("rows", ())
     if not rows:
         raise EmptyData("all-points plot needs rows")
     trees = sorted({r[0] for r in rows})
@@ -319,7 +319,7 @@ def _render_all_points(data: Mapping[str, Any], st: Mapping[str, Any]) -> str:
         y = sy(tree_index[t])
         canvas.text(m, y + 4, t, st, size=9)
         canvas.line(m + 36, y, st["width"] - m, y, "#dddddd", 0.5)
-    for tree, _idx, has_trait in rows:
+    for tree, has_trait in rows:
         per_tree_pos[tree] += 1
         x = sx(per_tree_pos[tree])
         y = sy(tree_index[tree])

@@ -17,7 +17,12 @@ from rdsdiag.bottleneck import wsd_permutation_test
 from rdsdiag.convergence import ConvergenceConfig, convergence_flag
 from rdsdiag.dataset import validate_dataset
 from rdsdiag.degree import degree_trend
-from rdsdiag.estimators import included_sample, ss_estimate, vh_estimate
+from rdsdiag.estimators import (
+    IncludedSample,
+    cumulative_estimates,
+    included_sample,
+    ss_estimate,
+)
 from rdsdiag.forest import build_forest
 from rdsdiag.report import PipelineConfig, run_pipeline
 from rdsdiag.sim import NetworkConfig, SimConfig, TraitRule, generate_network, simulate_rds
@@ -73,14 +78,26 @@ def test_criterion_01_vh_under_stationary_sampling():
 EQ1_FIXTURE = [(True, 1.0), (True, 4.0), (False, 2.0), (False, 4.0)]
 
 
+def _vh(members):
+    """The inverse-degree estimate of (has_trait, degree) pairs, as the last
+    cumulative estimate of an included sample made of them."""
+    n = len(members)
+    sample = IncludedSample(
+        trait="t", roots=("S",), ids=tuple(f"R{i}" for i in range(n)),
+        orders=np.arange(2, n + 2), y=np.array([y for y, _ in members], dtype=float),
+        degree=np.array([d for _, d in members], dtype=float), tree=np.zeros(n, dtype=int),
+    )
+    return cumulative_estimates(sample).final
+
+
 def test_criterion_02_estimator_hand_fixtures():
     checks = []
-    checks.append(abs(vh_estimate(EQ1_FIXTURE) - 0.625) <= 1e-12)
+    checks.append(abs(_vh(EQ1_FIXTURE) - 0.625) <= 1e-12)
     for scale in (0.5, 3.0):
         scaled = [(y, d * scale) for y, d in EQ1_FIXTURE]
-        checks.append(abs(vh_estimate(scaled) - 0.625) <= 1e-12)
-    checks.append(abs(vh_estimate([(True, 7.0)]) - 1.0) <= 1e-12)
-    checks.append(abs(vh_estimate([(False, 1.0), (False, 9.0)]) - 0.0) <= 1e-12)
+        checks.append(abs(_vh(scaled) - 0.625) <= 1e-12)
+    checks.append(abs(_vh([(True, 7.0)]) - 1.0) <= 1e-12)
+    checks.append(abs(_vh([(False, 1.0), (False, 9.0)]) - 0.0) <= 1e-12)
     ok = all(checks)
     _report(2, ok, f"{sum(checks)}/{len(checks)} hand fixtures exact to 1e-12")
 

@@ -1,28 +1,52 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from conftest import make_dataset, make_respondent, unit_degree_two_trees
-from rdsdiag.bottleneck import all_points_data, wsd, wsd_permutation_test
+from rdsdiag import report
+from rdsdiag.bottleneck import _wsd_from_matrix, wsd_permutation_test
 from rdsdiag.errors import TooFewTrees, UnknownTrait
-from rdsdiag.estimators import cumulative_estimates, included_sample
+from rdsdiag.estimators import IncludedSample, cumulative_estimates, included_sample
 from rdsdiag.forest import build_forest
+from rdsdiag.report import PipelineConfig, run_pipeline
+
+
+def _unit_degree_trees(trees):
+    """Unit-degree labels, weights and tree indices for trees given as
+    (positives, size) pairs, positives first within each tree."""
+    y, t = [], []
+    for i, (positives, size) in enumerate(trees):
+        y += [1.0] * positives + [0.0] * (size - positives)
+        t += [i] * size
+    return np.array(y), np.ones(len(y)), np.array(t)
+
+
+def _wsd(trees):
+    y, w, t = _unit_degree_trees(trees)
+    return _wsd_from_matrix(y[None, :], w, t, len(trees))[0]
 
 
 def test_wsd_hand_fixture():
-    per_tree = {"s1": (0.2, 10), "s2": (0.8, 10)}
-    assert wsd(per_tree, 0.5) == pytest.approx(1.8, abs=1e-12)
+    assert _wsd([(2, 10), (8, 10)]) == pytest.approx(1.8, abs=1e-12)
 
 
 def test_wsd_trivial_cases():
-    assert wsd({}, 0.5) == 0.0
-    assert wsd({"s": (0.37, 12)}, 0.37) == 0.0
-    assert wsd({"a": (0.4, 5), "b": (0.4, 9)}, 0.4) == 0.0
+    assert _wsd([(3, 12)]) == 0.0
+    assert _wsd([(2, 5), (4, 10)]) == 0.0
 
 
 def test_wsd_invariant_to_empty_trees():
-    base = {"a": (0.2, 4), "b": (0.7, 6)}
-    with_empty = dict(base, c=(0.9, 0))
-    assert wsd(base, 0.5) == wsd(with_empty, 0.5)
+    # a forest root without included members adds no tree to the statistic
+    y, w, t = _unit_degree_trees([(1, 4), (4, 6)])
+    base = IncludedSample(
+        trait="hiv", roots=("a", "b"), ids=tuple(f"R{i}" for i in range(len(y))),
+        orders=np.arange(3, len(y) + 3), y=y, degree=w, tree=t,
+    )
+    with_empty = dataclasses.replace(base, roots=("a", "c", "b"), tree=np.where(t == 1, 2, 0))
+    observed = wsd_permutation_test(base, replicates=10).observed
+    assert observed == wsd_permutation_test(with_empty, replicates=10).observed
+    assert observed == pytest.approx(_wsd([(1, 4), (4, 6)]), abs=1e-15)
 
 
 def _two_block_trees(n_per_tree=20, aligned=True, seed=0):
@@ -109,30 +133,37 @@ def test_unknown_trait():
         wsd_permutation_test(included_sample(ds, build_forest(ds), "nope"), replicates=10)
 
 
-def test_all_points_rows():
-    ds = unit_degree_two_trees()
-    forest = build_forest(ds)
-    rows = all_points_data(included_sample(ds, forest, "hiv"))
-    assert len(rows) == 4  # seeds excluded
-    assert [r.respondent_id for r in rows] == ["A-1", "B-1", "A-2", "B-2"]
-    assert [r.included_index for r in rows] == [1, 2, 3, 4]
-    assert [r.tree for r in rows] == ["A", "B", "A", "B"]
-    assert [r.has_trait for r in rows] == [True, False, True, False]
+def _all_points_rows(ds, out_dir, monkeypatch):
+    """The (tree, has_trait) rows the bottleneck section draws in the
+    all-points figure of ``hiv``."""
+    drawn = {}
+    render = report.render_plot
+
+    def capture(kind, data):
+        drawn.setdefault(kind, data)
+        return render(kind, data)
+
+    monkeypatch.setattr(report, "render_plot", capture)
+    cfg = PipelineConfig(out_dir=out_dir, dataset=ds, replicates=10, sections=("bottleneck",))
+    run_pipeline(cfg)
+    return drawn["all-points"]["rows"]
 
 
-def test_all_points_missing_trait_omitted():
-    import dataclasses
+def test_all_points_rows(tmp_path, monkeypatch):
+    rows = _all_points_rows(unit_degree_two_trees(), tmp_path, monkeypatch)
+    # seeds excluded, included respondents A-1, B-1, A-2, B-2 in interview order
+    assert rows == [("A", True), ("B", False), ("A", True), ("B", False)]
 
+
+def test_all_points_missing_trait_omitted(tmp_path, monkeypatch):
     ds = unit_degree_two_trees()
     rows = tuple(
         dataclasses.replace(r, traits={"hiv": None}) if r.id == "A-2" else r
         for r in ds.respondents
     )
     ds = dataclasses.replace(ds, respondents=rows)
-    forest = build_forest(ds)
-    points = all_points_data(included_sample(ds, forest, "hiv"))
-    assert all(p.respondent_id != "A-2" for p in points)
-    assert len(points) == 3
+    points = _all_points_rows(ds, tmp_path, monkeypatch)
+    assert points == [("A", True), ("B", False), ("B", False)]
 
 
 def test_overall_estimate_matches_wsd_reference():

@@ -110,7 +110,7 @@ def _batch_dataset():
 
 
 def _trait_verdict(ds, forest, trait):
-    return convergence_flag(cumulative_estimates(included_sample(ds, forest, trait)))
+    return convergence_flag(cumulative_estimates(included_sample(ds, forest, trait)).values)
 
 
 def _converge_section(ds, out_dir, traits=None):

@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from conftest import followup, make_dataset, make_degree, make_respondent
+from rdsdiag.dataset import DegreeReport, FollowUpRecord
 from rdsdiag.degree import (
     TREND_METHODS,
     degree_trend,
@@ -13,6 +16,7 @@ from rdsdiag.degree import (
 )
 from rdsdiag.degree import test_retest_stats as retest_stats
 from rdsdiag.errors import InsufficientData
+from rdsdiag.estimators import included_sample
 from rdsdiag.forest import build_forest
 
 
@@ -181,6 +185,11 @@ def test_retest_too_few_pairs():
 # -- estimate sensitivity ----------------------------------------------------
 
 
+def _sensitivity(ds, trait, question="q_seen_week"):
+    sample = included_sample(ds, build_forest(ds), trait, degree_question=question)
+    return estimate_sensitivity(ds, sample, question)
+
+
 def test_sensitivity_hand_fixture():
     rows = [
         make_respondent("S", 1, coupons_out=["C1", "C2"], degree=4,
@@ -191,7 +200,7 @@ def test_sensitivity_hand_fixture():
                         followup=followup(retest=2)),
     ]
     ds = _ds(rows)
-    row = estimate_sensitivity(ds, "hiv")
+    row = _sensitivity(ds, "hiv")
     # test: weights 1, 1/2 -> 2/3; retest: weights 1/4, 1/2 -> 1/3
     assert row.estimate_test == pytest.approx(2 / 3)
     assert row.estimate_retest == pytest.approx(1 / 3)
@@ -207,7 +216,7 @@ def test_sensitivity_zero_prevalence_rel_none():
                         followup=followup(retest=5)),
     ]
     ds = _ds(rows)
-    row = estimate_sensitivity(ds, "hiv")
+    row = _sensitivity(ds, "hiv")
     assert row.estimate_test == 0.0
     assert row.rel_difference is None
 
@@ -219,7 +228,7 @@ def test_sensitivity_requires_completers():
     ]
     ds = _ds(rows)
     with pytest.raises(InsufficientData):
-        estimate_sensitivity(ds, "hiv")
+        _sensitivity(ds, "hiv")
 
 
 def test_sensitivity_skips_trait_without_completers():
@@ -233,12 +242,70 @@ def test_sensitivity_skips_trait_without_completers():
     ]
     ds = _ds(rows, traits=[("emp", "binary", "yes"), ("hiv", "binary", "yes")])
     with pytest.raises(InsufficientData) as skipped:
-        estimate_sensitivity(ds, "emp")
+        _sensitivity(ds, "emp")
     assert str(skipped.value) == "no usable test/retest members for 'emp'"
-    row = estimate_sensitivity(ds, "hiv")
+    row = _sensitivity(ds, "hiv")
     assert row.trait == "hiv"
     assert row.estimate_test == pytest.approx(2 / 3)
     assert row.n == 2
+
+
+@st.composite
+def _followup_studies(draw):
+    """Random recruitment forests with seeds, missing trait answers, missing
+    follow-ups and test or retest degrees that are missing or 0."""
+    n = draw(st.integers(1, 40))
+    n_seeds = draw(st.integers(1, min(n, 4)))
+    recruiter = [None] * n_seeds + [draw(st.integers(0, i - 1)) for i in range(n_seeds, n)]
+    degree = st.one_of(st.none(), st.integers(0, 9))
+    rows = []
+    for i in range(n):
+        retest = draw(st.one_of(st.none(), st.tuples(degree, degree)))
+        rows.append(
+            make_respondent(
+                f"r{i * 37 % 101:03d}", i + 1,  # ids out of interview order
+                coupon_in=None if recruiter[i] is None else f"c{i}",
+                coupons_out=[f"c{j}" for j in range(n) if recruiter[j] == i],
+                degree=DegreeReport(q_seen_week=draw(degree), q_know=draw(degree)),
+                traits={"hiv": draw(st.sampled_from(["yes", "no", None]))},
+                followup=None if retest is None else FollowUpRecord(
+                    degree_retest=DegreeReport(q_seen_week=retest[0], q_know=retest[1])
+                ),
+            )
+        )
+    return make_dataset(rows, allotment=n)
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(ds=_followup_studies(), question=st.sampled_from(["q_seen_week", "q_know"]))
+def test_sensitivity_matches_naive_sums(ds, question):
+    num = {"test": 0.0, "retest": 0.0}
+    den = {"test": 0.0, "retest": 0.0}
+    n = 0
+    for r in ds.respondents:
+        flag = ds.indicator(r, "hiv")
+        if r.is_seed or r.followup is None or flag is None:
+            continue
+        degrees = {
+            "test": r.degree.get(question),
+            "retest": r.followup.degree_retest.get(question),
+        }
+        if any(d is None or d < 1 for d in degrees.values()):
+            continue
+        n += 1
+        for wave, d in degrees.items():
+            den[wave] += 1.0 / d
+            if flag:
+                num[wave] += 1.0 / d
+    if n == 0:
+        with pytest.raises(InsufficientData):
+            _sensitivity(ds, "hiv", question)
+        return
+    row = _sensitivity(ds, "hiv", question)
+    assert row.n == n
+    # the same additions in the same order: equal to the last bit
+    assert row.estimate_test == num["test"] / den["test"]
+    assert row.estimate_retest == num["retest"] / den["retest"]
 
 
 # -- trend -------------------------------------------------------------------

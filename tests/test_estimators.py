@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_dataset, make_respondent, unit_degree_two_trees
-from rdsdiag.errors import EmptySample, PopulationTooSmall, ZeroDegree
+from rdsdiag.errors import EmptySample, PopulationTooSmall
 from rdsdiag.estimators import (
     IncludedSample,
     cumulative_estimates,
@@ -12,35 +12,53 @@ from rdsdiag.estimators import (
     per_tree_series,
     ss_estimate,
     ss_inclusion_weights,
-    ss_vh_table,
-    vh_estimate,
 )
 from rdsdiag.forest import build_forest
+from rdsdiag.report import PipelineConfig, run_pipeline
 
 EQ1_FIXTURE = [(True, 1.0), (True, 4.0), (False, 2.0), (False, 4.0)]
 
 
+def _sample(degrees, y):
+    """An included sample made directly from degree and trait arrays."""
+    n = len(degrees)
+    return IncludedSample(
+        trait="hiv", roots=("S",), ids=tuple(f"R{i}" for i in range(n)),
+        orders=np.arange(2, n + 2), y=np.array(y, dtype=float),
+        degree=np.array(degrees, dtype=float), tree=np.zeros(n, dtype=int),
+    )
+
+
+def _vh(members):
+    """The inverse-degree estimate of (has_trait, degree) pairs: the last
+    cumulative estimate."""
+    sample = _sample([d for _, d in members], [flag for flag, _ in members])
+    return cumulative_estimates(sample).final
+
+
 def test_vh_equal_degrees_is_sample_proportion():
     members = [(i < 3, 2.0) for i in range(6)]
-    assert vh_estimate(members) == pytest.approx(0.5, abs=1e-15)
+    assert _vh(members) == pytest.approx(0.5, abs=1e-15)
 
 
 def test_vh_hand_fixture_exact():
-    assert abs(vh_estimate(EQ1_FIXTURE) - 0.625) < 1e-12
+    assert abs(_vh(EQ1_FIXTURE) - 0.625) < 1e-12
 
 
 def test_vh_extremes():
-    assert vh_estimate([(True, d) for d in (1.0, 3.0, 7.0)]) == 1.0
-    assert vh_estimate([(False, d) for d in (1.0, 3.0, 7.0)]) == 0.0
+    assert _vh([(True, d) for d in (1.0, 3.0, 7.0)]) == 1.0
+    assert _vh([(False, d) for d in (1.0, 3.0, 7.0)]) == 0.0
 
 
 def test_vh_errors():
     with pytest.raises(EmptySample):
-        vh_estimate([])
-    with pytest.raises(ZeroDegree):
-        vh_estimate([(True, 0.0)])
-    with pytest.raises(ZeroDegree):
-        vh_estimate([(True, None)])
+        _vh([])
+    # a zero or missing degree never reaches the estimator: the included
+    # sample leaves such respondents out
+    ds, forest = _chain([True, True, False], degrees=[0, None, 2])
+    sample = included_sample(ds, forest, "hiv")
+    assert sample.ids == ("R3",)
+    assert cumulative_estimates(sample).final == 0.0
 
 
 @pytest.mark.parametrize("scale", [0.5, 2.0, 17.0, 1e6])
@@ -48,7 +66,7 @@ def test_vh_scale_free(scale):
     rng = np.random.default_rng(0)
     members = [(bool(rng.integers(2)), float(rng.integers(1, 30))) for _ in range(40)]
     scaled = [(t, d * scale) for t, d in members]
-    assert vh_estimate(scaled) == pytest.approx(vh_estimate(members), abs=1e-12)
+    assert _vh(scaled) == pytest.approx(_vh(members), abs=1e-12)
 
 
 def _chain(trait_pattern, degrees=None):
@@ -75,9 +93,7 @@ def test_cumulative_series_hand_fixture():
 def test_cumulative_final_equals_vh_of_included():
     ds, forest = _chain([True, True, False, True, False], degrees=[2, 5, 1, 3, 4])
     series = cumulative_estimates(included_sample(ds, forest, "hiv"))
-    direct = vh_estimate(
-        [(True, 2.0), (True, 5.0), (False, 1.0), (True, 3.0), (False, 4.0)]
-    )
+    direct = (1 / 2 + 1 / 5 + 1 / 3) / (1 / 2 + 1 / 5 + 1 / 1 + 1 / 3 + 1 / 4)
     assert series.final == pytest.approx(direct, abs=1e-15)
 
 
@@ -133,16 +149,6 @@ def test_ss_config_validation():
         ss_inclusion_weights(np.ones(20), 10)
 
 
-def _sample(degrees, y):
-    """An included sample made directly from degree and trait arrays."""
-    n = len(degrees)
-    return IncludedSample(
-        trait="hiv", roots=("S",), ids=tuple(f"R{i}" for i in range(n)),
-        orders=np.arange(2, n + 2), y=np.array(y, dtype=float),
-        degree=np.array(degrees, dtype=float), tree=np.zeros(n, dtype=int),
-    )
-
-
 @settings(max_examples=200, deadline=None)
 @given(
     members=st.lists(
@@ -157,7 +163,7 @@ def test_ss_weights_property(members, factors):
     y = np.array([flag for _, flag in members], dtype=float)
     n = len(members)
     sizes = sorted({n, *(int(n * f) for f in factors)})
-    vh = vh_estimate((bool(flag), d) for d, flag in zip(degrees, y))
+    vh = cumulative_estimates(_sample(degrees, y)).final
     order = np.argsort(degrees, kind="stable")
     ratios, gaps = [], []
     for size in sizes:
@@ -209,17 +215,27 @@ def test_ss_deterministic():
     )
 
 
-def test_ss_vh_table_equal_degrees_never_flags():
-    ds, forest = _chain([True, False, True, False], degrees=[2] * 4)
-    rows = ss_vh_table([included_sample(ds, forest, "hiv")], (4, 40, 400))
-    assert len(rows) == 3
-    assert all(not row.flagged for row in rows)
-    assert all(row.difference == pytest.approx(0.0, abs=1e-15) for row in rows)
+def _estimate_section(ds, population_sizes, out_dir):
+    cfg = PipelineConfig(out_dir=out_dir, dataset=ds, population_sizes=population_sizes,
+                         sections=("estimate",))
+    return run_pipeline(cfg).sections["estimate"]["per_trait"]["hiv"]
 
 
-def test_ss_vh_table_empty_traits():
-    ds, forest = _chain([True, False])
-    assert ss_vh_table([], (10,)) == []
+def test_ss_vh_table_equal_degrees_never_flags(tmp_path):
+    ds, _ = _chain([True, False, True, False], degrees=[2] * 4)
+    rows = _estimate_section(ds, (4, 40, 400), tmp_path)["ss"]
+    assert [row["population_size"] for row in rows] == [4, 40, 400]
+    assert all(not row["flagged"] for row in rows)
+    assert all(row["difference"] == pytest.approx(0.0, abs=1e-15) for row in rows)
+
+
+def test_ss_vh_table_empty_traits(tmp_path):
+    # nobody but the seed has a usable degree: no VH estimate, so no SS rows
+    ds, _ = _chain([True, False], degrees=[0, 0])
+    assert "skipped" in _estimate_section(ds, (10,), tmp_path)
+    assert (tmp_path / "estimates.csv").read_text().splitlines() == [
+        "trait,population_size,vh,ss,difference,flagged"
+    ]
 
 
 def test_ss_large_population_approaches_vh():

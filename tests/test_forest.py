@@ -1,11 +1,13 @@
-import csv
+import hashlib
+from collections import Counter
 
 import pytest
 
 from conftest import make_dataset, make_respondent
 from rdsdiag.errors import CycleDetected, DanglingCoupon, UnknownTrait
 from rdsdiag.estimators import included_sample
-from rdsdiag.forest import build_forest, export_edges
+from rdsdiag.forest import build_forest
+from rdsdiag.report import PipelineConfig, run_pipeline
 from rdsdiag.sim import NetworkConfig, SimConfig, TraitRule, generate_network, simulate_rds
 
 
@@ -26,7 +28,7 @@ def test_chain_waves_and_tree_size():
     forest = build_forest(chain_of_three())
     assert forest.roots == ("S",)
     assert [forest.wave[x] for x in "SABC"] == [0, 1, 2, 3]
-    assert forest.tree_size["S"] == 3
+    assert Counter(forest.tree_of.values()) == {"S": 4}  # the root and 3 recruits
     assert forest.tree_of["C"] == "S"
 
 
@@ -43,7 +45,7 @@ def test_two_seed_fixture_tree_sizes():
         ]
     )
     forest = build_forest(ds)
-    assert forest.tree_size == {"A": 3, "B": 0}
+    assert Counter(forest.tree_of.values()) == {"A": 4, "B": 1}  # roots included
     assert forest.parent["r3"] == "r1"
     assert forest.wave["r3"] == 2
 
@@ -55,7 +57,7 @@ def test_all_seeds():
     forest = build_forest(ds)
     assert set(forest.roots) == {"S1", "S2", "S3"}
     assert all(w == 0 for w in forest.wave.values())
-    assert all(s == 0 for s in forest.tree_size.values())
+    assert all(forest.tree_of[root] == root for root in forest.roots)
 
 
 def test_children_ordered_by_interview_order():
@@ -138,15 +140,7 @@ def test_wave_matches_path_length_oracle():
 
 
 def test_export_edges(tmp_path):
-    ds = chain_of_three()
-    forest = build_forest(ds)
-    path = tmp_path / "edges.csv"
-    export_edges(forest, path)
-    with open(path) as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["child_id", "parent_id", "wave", "tree_root"]
-    assert rows[1:] == [
-        ["A", "S", "1", "S"],
-        ["B", "A", "2", "S"],
-        ["C", "B", "3", "S"],
-    ]
+    bundle = run_pipeline(PipelineConfig(out_dir=tmp_path, dataset=chain_of_three(), sections=()))
+    data = (tmp_path / "edges.csv").read_bytes()
+    assert data == b"child_id,parent_id,wave,tree_root\nA,S,1,S\nB,A,2,S\nC,B,3,S\n"
+    assert bundle.manifest["edges.csv"] == hashlib.sha256(data).hexdigest()

@@ -7,7 +7,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_dataset, make_respondent
-from rdsdiag.bottleneck import all_points_data, wsd, wsd_permutation_test
+from rdsdiag.bottleneck import wsd_permutation_test
 from rdsdiag.dataset import DegreeReport
 from rdsdiag.errors import TooFewTrees
 from rdsdiag.estimators import cumulative_estimates, included_sample, per_tree_series
@@ -64,10 +64,7 @@ def _naive(ds, forest, trait):
         rows = [m for m in members if forest.tree_of[m[0].id] == root]
         if rows:
             per_tree[root] = (running(rows)[-1], len(rows))
-    points = [
-        (forest.tree_of[r.id], i + 1, r.id, r.interview_order, flag)
-        for i, (r, flag, _) in enumerate(members)
-    ]
+    points = [(forest.tree_of[r.id], r.id, r.interview_order, flag) for r, flag, _ in members]
     orders = [r.interview_order for r, _, _ in members]
     return orders, running(members), per_tree, points
 
@@ -88,8 +85,10 @@ def test_sample_matches_naive_walk(ds, trait):
     assert {root: (s.final, len(s)) for root, s in trees.items()} == per_tree
 
     rows = [
-        (p.tree, p.included_index, p.respondent_id, p.interview_order, p.has_trait)
-        for p in all_points_data(sample)
+        (sample.roots[tree], rid, order, flag == 1.0)
+        for rid, order, flag, tree in zip(
+            sample.ids, sample.orders.tolist(), sample.y.tolist(), sample.tree.tolist()
+        )
     ]
     assert rows == points
 
@@ -98,5 +97,5 @@ def test_sample_matches_naive_walk(ds, trait):
             wsd_permutation_test(sample, replicates=5)
         return
     result = wsd_permutation_test(sample, replicates=5)
-    reference = wsd(per_tree, values[-1])
+    reference = sum(n_s * (p_s - values[-1]) ** 2 for p_s, n_s in per_tree.values())
     assert np.isclose(result.observed, reference, rtol=1e-9, atol=1e-12)

@@ -537,7 +537,8 @@ def test_cli_non_utf8_input_exit_code(cli_study, capsys, tmp_path):
 
 @pytest.mark.parametrize(
     "flag, value",
-    [("--degree-question", "bogus"), ("--replicates", "0"), ("--replicates", "-5")],
+    [("--degree-question", "bogus"), ("--replicates", "0"), ("--replicates", "-5"),
+     ("--tau", "0"), ("--epsilon", "-1"), ("--epsilon", "0"), ("--seed", "-1")],
 )
 def test_cli_invalid_config_exit_code(cli_study, capsys, tmp_path, flag, value):
     out_dir = tmp_path / "o"
@@ -545,6 +546,48 @@ def test_cli_invalid_config_exit_code(cli_study, capsys, tmp_path, flag, value):
     assert code == 3
     assert "error:" in capsys.readouterr().err
     assert not out_dir.exists()  # rejected before any file is written
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [("tau=0", "tau must be >= 1"), ("epsilon=-1", "epsilon must be > 0"),
+     ("seed=-1", "seed must be >= 0, got -1")],
+)
+def test_cli_invalid_config_value_writes_nothing(cli_study, capsys, tmp_path, line, message):
+    config = tmp_path / "cfg.txt"
+    config.write_text(line + "\n")
+    out_dir = tmp_path / "o"
+    code = main([
+        "report", *_dataset_args(cli_study), "--out-dir", str(out_dir), "--config", str(config),
+    ])
+    assert code == 3
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+def test_cli_bottleneck_negative_seed(cli_study, capsys, tmp_path):
+    out_dir = tmp_path / "o"
+    code = main([
+        "bottleneck", *_dataset_args(cli_study), "--out-dir", str(out_dir), "--seed", "-1",
+    ])
+    assert code == 3
+    assert "seed must be >= 0, got -1" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("flags, line", [(["--seed", "-1"], ""), ([], "rng_seed=-2\n")])
+def test_cli_simulate_negative_seed(tmp_path, capsys, monkeypatch, flags, line):
+    def no_network(*args, **kwargs):
+        raise AssertionError("network generated before the seed was checked")
+
+    monkeypatch.setattr("rdsdiag.cli.generate_network", no_network)
+    scenario = tmp_path / "scenario.txt"
+    scenario.write_text(SCENARIO + line)
+    code = main(["simulate", "--scenario", str(scenario), "--out-dir", str(tmp_path / "o"),
+                 *flags])
+    assert code == 3
+    assert "seed must be >= 0" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize(

@@ -23,7 +23,7 @@ SAMPLE_DATA = {
         "composition": {"S1": 2, "S2": 2},
     },
     "all-points": {
-        "rows": [("S1", 1, True), ("S2", 2, False), ("S1", 3, False)],
+        "rows": [("S1", True), ("S2", False), ("S1", False)],
     },
     "flag-grid": {
         "row_labels": ["hiv", "employed"],
