@@ -1,0 +1,65 @@
+"""End-to-end pins of the command-line output.
+
+The README example scenario is simulated and reported through ``cli.main``
+with the same flags as the CI smoke run.  Its ``bundle.json`` must match the
+checked-in ``tests/golden/bundle.json`` byte for byte; the bundle's manifest
+pins the sha256 of every other output file.  Each single-section command
+must print exactly its section of that bundle.
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from rdsdiag.cli import main
+from rdsdiag.report import ALL_SECTIONS
+
+GOLDEN = Path(__file__).parent / "golden" / "bundle.json"
+
+SCENARIO = """\
+blocks=150,150
+within_p=0.05
+between_p=0.001
+trait.hiv=block:0
+trait.employed=bernoulli:0.6
+target_n=150
+seed_count=6
+rng_seed=0
+"""
+
+REPORT_FLAGS = ["--replicates", "200", "--population-size", "5000", "--population-size", "20000"]
+
+
+@pytest.fixture(scope="module")
+def study(tmp_path_factory):
+    root = tmp_path_factory.mktemp("golden")
+    (root / "scenario.txt").write_text(SCENARIO)
+    out = root / "study"
+    assert main(["simulate", "--scenario", str(root / "scenario.txt"), "--out-dir", str(out)]) == 0
+    return [
+        "--respondents", str(out / "respondents.csv"),
+        "--traits", str(out / "traits.csv"),
+        "--followup", str(out / "followup.csv"),
+        *REPORT_FLAGS,
+    ]
+
+
+@pytest.fixture(scope="module")
+def report_dir(study, tmp_path_factory):
+    out = tmp_path_factory.mktemp("golden-report")
+    assert main(["report", *study, "--out-dir", str(out)]) == 0
+    return out
+
+
+def test_golden_bundle(report_dir):
+    assert (report_dir / "bundle.json").read_bytes() == GOLDEN.read_bytes()
+
+
+@pytest.mark.parametrize("command", ALL_SECTIONS)
+def test_section_command_prints_its_bundle_section(command, study, report_dir, tmp_path, capsys):
+    capsys.readouterr()
+    assert main([command, *study, "--out-dir", str(tmp_path)]) == 0
+    printed = json.loads(capsys.readouterr().out)
+    bundle = json.loads((report_dir / "bundle.json").read_text())
+    assert printed == bundle["sections"][command]
