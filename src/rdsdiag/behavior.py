@@ -17,7 +17,6 @@ import numpy as np
 from scipy.optimize import brentq
 from scipy.special import gammaln
 
-from .bottleneck import PermutationResult
 from .dataset import Respondent, StudyDataset
 from .errors import DegenerateTable, NoData, NoEligibleRecruiters, UnknownTrait
 from .forest import RecruitmentForest
@@ -47,10 +46,10 @@ def reciprocation_rate(ds: StudyDataset) -> float:
 
 @dataclass(frozen=True)
 class ReciprocityStats:
-    values: tuple[float, ...]
-    median: float
-    mean: float
-    q3: float
+    median_relative_difference: float
+    mean_relative_difference: float
+    q3_relative_difference: float
+    n: int
     n_excluded: int
 
 
@@ -71,13 +70,13 @@ def network_reciprocity_stats(ds: StudyDataset) -> ReciprocityStats:
             continue
         values.append(abs(recv - give) / m)
     if not values:
-        return ReciprocityStats((), math.nan, math.nan, math.nan, excluded)
+        return ReciprocityStats(math.nan, math.nan, math.nan, 0, excluded)
     arr = np.array(values)
     return ReciprocityStats(
-        values=tuple(values),
-        median=float(np.median(arr)),
-        mean=float(arr.mean()),
-        q3=float(np.quantile(arr, 0.75)),
+        median_relative_difference=float(np.median(arr)),
+        mean_relative_difference=float(arr.mean()),
+        q3_relative_difference=float(np.quantile(arr, 0.75)),
+        n=len(values),
         n_excluded=excluded,
     )
 
@@ -88,7 +87,6 @@ def network_reciprocity_stats(ds: StudyDataset) -> ReciprocityStats:
 
 @dataclass(frozen=True)
 class EffectivenessResult:
-    trait: str
     mean_recruits_positive: float
     mean_recruits_negative: float
     ratio: float
@@ -115,7 +113,6 @@ def recruitment_effectiveness(
     defined = bool(neg) and mean_neg > 0 and bool(pos)
     ratio = mean_pos / mean_neg if defined else math.nan
     return EffectivenessResult(
-        trait=trait,
         mean_recruits_positive=mean_pos,
         mean_recruits_negative=mean_neg,
         ratio=ratio,
@@ -131,11 +128,10 @@ def recruitment_effectiveness(
 
 @dataclass(frozen=True)
 class BiasLevels:
-    contacts_level: float
-    recipients_level: float
-    recruits_level: float
+    contacts: float
+    recipients: float
+    recruits: float
     n_recruiters: int
-    n_inconsistent_excluded: int
 
 
 @dataclass
@@ -156,15 +152,12 @@ def _recipient_flags(r: Respondent) -> list[bool]:
     ]
 
 
-def _bias_eligible(
-    ds: StudyDataset, forest: RecruitmentForest
-) -> tuple[list[_RecruiterData], int]:
+def _bias_eligible(ds: StudyDataset, forest: RecruitmentForest) -> list[_RecruiterData]:
     """Recruiters with employment data on all three levels: employed
     age-eligible contacts, employed coupon recipients and employed recruits.
     Recruiters reporting more employed contacts than contacts are logically
     inconsistent and excluded."""
     eligible = []
-    inconsistent = 0
     for r in ds.respondents:
         total = r.degree.q_age
         positive = r.followup.n_contacts_employed if r.followup else None
@@ -178,52 +171,57 @@ def _bias_eligible(
         if not recruit_vals:
             continue
         if positive > total:
-            inconsistent += 1
             continue
         eligible.append(_RecruiterData(total, positive, recips, recruit_vals))
-    return eligible, inconsistent
+    return eligible
 
 
 def recruitment_bias_levels(ds: StudyDataset, forest: RecruitmentForest) -> BiasLevels:
     """Equal-recruiter-weight averages of the employed fraction among
     contacts, coupon recipients, and recruits."""
-    eligible, inconsistent = _bias_eligible(ds, forest)
+    eligible = _bias_eligible(ds, forest)
     if not eligible:
         raise NoEligibleRecruiters("no recruiters with data on all three levels")
-    contacts = np.mean([e.contact_positive / e.contact_total for e in eligible])
-    recipients = np.mean([np.mean(e.recipient_flags) for e in eligible])
-    recruits = np.mean([np.mean(e.recruit_flags) for e in eligible])
     return BiasLevels(
-        contacts_level=float(contacts),
-        recipients_level=float(recipients),
-        recruits_level=float(recruits),
+        contacts=float(np.mean([e.contact_positive / e.contact_total for e in eligible])),
+        recipients=float(np.mean([np.mean(e.recipient_flags) for e in eligible])),
+        recruits=float(np.mean([np.mean(e.recruit_flags) for e in eligible])),
         n_recruiters=len(eligible),
-        n_inconsistent_excluded=inconsistent,
     )
 
 
 @dataclass(frozen=True)
+class BiasTest:
+    """One level's SRS reference test over its logically consistent
+    recruiters; ``inconsistency`` is the share of recruiters excluded."""
+
+    observed: float
+    quantile_rank: float
+    flagged: bool
+    inconsistency: float
+    n_recruiters: int
+
+
+@dataclass(frozen=True)
 class BiasTestResults:
-    coupon_passing: PermutationResult
-    returning_coupons: PermutationResult
-    overall: PermutationResult
-    inconsistency: dict[str, float]
-    n_recruiters: dict[str, int]
+    coupon_passing: BiasTest
+    returning_coupons: BiasTest
+    overall: BiasTest
 
 
-def _srs_reference(
+def _srs_quantile_rank(
     ngood: np.ndarray,
     ntotal: np.ndarray,
     nsample: np.ndarray,
     observed: int,
     replicates: int,
-    threshold: float,
     rng_seed: int,
     stream: int,
-) -> PermutationResult:
-    """Null distribution of the summed positive count under per-recruiter
-    simple random sampling.  The rank uses mid-ranking of ties so null ranks
-    stay approximately uniform despite the discrete statistic."""
+) -> float:
+    """Quantile rank of the summed positive count in its null distribution
+    under per-recruiter simple random sampling.  The rank uses mid-ranking of
+    ties so null ranks stay approximately uniform despite the discrete
+    statistic."""
     rng = np.random.default_rng(np.random.SeedSequence(entropy=rng_seed, spawn_key=(stream,)))
     draws = rng.hypergeometric(
         ngood[None, :], (ntotal - ngood)[None, :], nsample[None, :],
@@ -232,15 +230,7 @@ def _srs_reference(
     totals = draws.sum(axis=1)
     below = int((totals < observed).sum())
     ties = int((totals == observed).sum())
-    quantile_rank = (below + 0.5 * ties) / replicates
-    return PermutationResult(
-        observed=float(observed),
-        replicates=replicates,
-        quantile_rank=float(quantile_rank),
-        flagged=quantile_rank > threshold,
-        rng_seed=rng_seed,
-        threshold=threshold,
-    )
+    return (below + 0.5 * ties) / replicates
 
 
 def recruitment_bias_tests(
@@ -257,29 +247,29 @@ def recruitment_bias_tests(
     Recruiters whose reported positives exceed the pool they were drawn from
     are logically inconsistent for that level: they are excluded from the
     test and their proportion is reported alongside."""
-    eligible, _ = _bias_eligible(ds, forest)
+    eligible = _bias_eligible(ds, forest)
     if not eligible:
         raise NoEligibleRecruiters("no recruiters with data on all three levels")
 
-    def run(
-        pools: list[tuple[int, int, int, int]], stream: int
-    ) -> tuple[PermutationResult, float, int]:
+    def run(pools: list[tuple[int, int, int, int]], stream: int) -> BiasTest:
         # pools: (total, positive_available, n_drawn, positive_observed)
         consistent = [
             p for p in pools if p[3] <= p[1] and p[2] <= p[0] and p[1] <= p[0]
         ]
-        n_inconsistent = len(pools) - len(consistent)
-        prop = n_inconsistent / len(pools) if pools else 0.0
         if not consistent:
             raise NoEligibleRecruiters("no logically consistent recruiters")
         ntotal = np.array([p[0] for p in consistent])
         ngood = np.array([p[1] for p in consistent])
         nsample = np.array([p[2] for p in consistent])
         observed = sum(p[3] for p in consistent)
-        result = _srs_reference(
-            ngood, ntotal, nsample, observed, replicates, threshold, rng_seed, stream
+        rank = _srs_quantile_rank(ngood, ntotal, nsample, observed, replicates, rng_seed, stream)
+        return BiasTest(
+            observed=float(observed),
+            quantile_rank=rank,
+            flagged=rank > threshold,
+            inconsistency=(len(pools) - len(consistent)) / len(pools),
+            n_recruiters=len(consistent),
         )
-        return result, prop, len(consistent)
 
     passing_pools = [
         (e.contact_total, e.contact_positive, len(e.recipient_flags), sum(e.recipient_flags))
@@ -294,19 +284,10 @@ def recruitment_bias_tests(
         for e in eligible
     ]
 
-    passing, p_inc, p_n = run(passing_pools, 0)
-    returning, r_inc, r_n = run(returning_pools, 1)
-    overall, o_inc, o_n = run(overall_pools, 2)
     return BiasTestResults(
-        coupon_passing=passing,
-        returning_coupons=returning,
-        overall=overall,
-        inconsistency={
-            "coupon_passing": p_inc,
-            "returning_coupons": r_inc,
-            "overall": o_inc,
-        },
-        n_recruiters={"coupon_passing": p_n, "returning_coupons": r_n, "overall": o_n},
+        coupon_passing=run(passing_pools, 0),
+        returning_coupons=run(returning_pools, 1),
+        overall=run(overall_pools, 2),
     )
 
 
@@ -364,8 +345,14 @@ class CategoryTable:
     total: int
 
 
-def reason_tables(ds: StudyDataset) -> tuple[CategoryTable, CategoryTable]:
-    """(refusal-reason table, motivation table) as percentages with totals."""
+@dataclass(frozen=True)
+class ReasonTables:
+    refusal: CategoryTable
+    motivation: CategoryTable
+
+
+def reason_tables(ds: StudyDataset) -> ReasonTables:
+    """Refusal-reason and motivation tables as percentages with totals."""
     refusal_counts: dict[str, int] = {}
     for r in ds.respondents:
         if r.followup is None:
@@ -386,7 +373,7 @@ def reason_tables(ds: StudyDataset) -> tuple[CategoryTable, CategoryTable]:
             total=total,
         )
 
-    return table(refusal_counts), table(motivation_counts)
+    return ReasonTables(refusal=table(refusal_counts), motivation=table(motivation_counts))
 
 
 # ---------------------------------------------------------------------------
@@ -444,12 +431,12 @@ def exact_odds_ratio_interval(
 
 @dataclass(frozen=True)
 class MotivationOutcome:
-    motivation_category: str
-    outcome_trait: str
+    motivation: str
+    trait: str
     table: tuple[int, int, int, int]  # a, b, c, d
     odds_ratio: float
-    interval: tuple[float, float]
-    alpha: float = 0.05
+    ci_low: float
+    ci_high: float
 
 
 def motivation_outcome(
@@ -486,12 +473,12 @@ def motivation_outcome(
         odds = math.inf
     else:
         odds = (a * d) / (b * c)
-    interval = exact_odds_ratio_interval(a, b, c, d, alpha)
+    ci_low, ci_high = exact_odds_ratio_interval(a, b, c, d, alpha)
     return MotivationOutcome(
-        motivation_category=motivation_category,
-        outcome_trait=outcome_trait,
+        motivation=motivation_category,
+        trait=outcome_trait,
         table=(a, b, c, d),
         odds_ratio=odds,
-        interval=interval,
-        alpha=alpha,
+        ci_low=ci_low,
+        ci_high=ci_high,
     )

@@ -18,7 +18,7 @@ from .estimators import IncludedSample
 
 @dataclass(frozen=True)
 class PermutationResult:
-    observed: float
+    observed_wsd: float
     replicates: int
     quantile_rank: float
     flagged: bool
@@ -74,7 +74,7 @@ def wsd_permutation_test(
     stats = _wsd_from_matrix(y_perm, w, t, n_trees)
     quantile_rank = float((stats < observed).sum() / replicates)
     return PermutationResult(
-        observed=float(observed),
+        observed_wsd=float(observed),
         replicates=replicates,
         quantile_rank=quantile_rank,
         flagged=quantile_rank > threshold,

@@ -131,8 +131,16 @@ def _apply_config_file(args: argparse.Namespace) -> None:
 
 
 def _read_kv(path: Path) -> dict[str, str]:
+    """The key=value lines of a config or scenario file; a file that cannot
+    be read or is not UTF-8 raises ``UnrealizableConfig`` naming it."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise UnrealizableConfig(f"cannot read {path}: {exc.strerror}") from None
+    except UnicodeDecodeError:
+        raise UnrealizableConfig(f"{path} is not UTF-8 text") from None
     out: dict[str, str] = {}
-    for line in Path(path).read_text().splitlines():
+    for line in text.splitlines():
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -177,19 +185,8 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
     return 0
 
 
-_SECTION_COMMANDS = {
-    "estimate": ("estimate",),
-    "converge": ("converge",),
-    "bottleneck": ("bottleneck",),
-    "behavior": ("behavior",),
-    "degree": ("degree",),
-    "finitepop": ("finitepop",),
-    "report": ALL_SECTIONS,
-}
-
-
 def _cmd_sections(args: argparse.Namespace) -> int:
-    sections = _SECTION_COMMANDS[args.command]
+    sections = ALL_SECTIONS if args.command == "report" else (args.command,)
     bundle = run_pipeline(_pipeline_config(args, sections))
     if args.command == "report":
         _emit(

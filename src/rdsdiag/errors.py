@@ -96,9 +96,5 @@ class DegenerateTable(DataRequirementError):
     pass
 
 
-class UnknownKind(RdsError):
-    pass
-
-
 class EmptyData(DataRequirementError):
     """A figure has nothing to draw."""

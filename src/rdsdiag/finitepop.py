@@ -16,18 +16,16 @@ class FailedAttemptsResult:
     flagged: bool
     threshold: float
     n_answered: int
-    band_0: int
-    band_1_3: int
-    band_4_plus: int
+    bands: dict[str, int]  # answerers per band "0", "1-3", "4+"
 
 
 @dataclass(frozen=True)
 class ParticipantsKnownTrend:
     slope: float
     flagged: bool
-    proportions: tuple[float, ...]
-    orders: tuple[int, ...]
+    n: int
     n_excluded_zero_degree: int
+    proportions: tuple[float, ...]
 
 
 def failed_attempts_indicator(
@@ -49,9 +47,11 @@ def failed_attempts_indicator(
         flagged=pct >= threshold,
         threshold=threshold,
         n_answered=len(counts),
-        band_0=sum(1 for c in counts if c == 0),
-        band_1_3=sum(1 for c in counts if 1 <= c <= 3),
-        band_4_plus=sum(1 for c in counts if c >= 4),
+        bands={
+            "0": sum(1 for c in counts if c == 0),
+            "1-3": sum(1 for c in counts if 1 <= c <= 3),
+            "4+": sum(1 for c in counts if c >= 4),
+        },
     )
 
 
@@ -81,7 +81,7 @@ def participants_known_trend(ds: StudyDataset) -> ParticipantsKnownTrend:
     return ParticipantsKnownTrend(
         slope=slope,
         flagged=slope > 1e-12,  # tolerance absorbs least-squares rounding noise
-        proportions=tuple(props),
-        orders=tuple(orders),
+        n=len(orders),
         n_excluded_zero_degree=excluded,
+        proportions=tuple(props),
     )

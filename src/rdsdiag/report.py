@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, fields, is_dataclass
 from pathlib import Path
 from typing import Any, Callable, Optional, Sequence
 
-from . import behavior, bottleneck, convergence, degree, estimators, finitepop
+from . import behavior, bottleneck, convergence, degree, estimators, finitepop, svg
 from .dataset import (
     DEGREE_QUESTIONS,
     IngestOptions,
@@ -32,7 +32,6 @@ from .dataset import (
 )
 from .errors import DataRequirementError, UnrealizableConfig
 from .forest import RecruitmentForest, build_forest, edge_rows
-from .svg import render_plot
 
 SCHEMA_VERSION = "1.0"
 
@@ -237,14 +236,11 @@ def run_pipeline(cfg: PipelineConfig) -> ReportBundle:
         (trait, _lookup_flag(conv, trait), _lookup_flag(bott, trait)) for trait in traits
     ]
     if flag_rows and ("converge" in cfg.sections or "bottleneck" in cfg.sections):
-        grid_svg = render_plot(
-            "flag-grid",
-            {
-                "title": f"Flags: {ds.site_label}",
-                "row_labels": [r[0] for r in flag_rows],
-                "col_labels": ["convergence", "bottleneck"],
-                "cells": [[r[1], r[2]] for r in flag_rows],
-            },
+        grid_svg = svg.flag_grid(
+            title=f"Flags: {ds.site_label}",
+            row_labels=[r[0] for r in flag_rows],
+            col_labels=["convergence", "bottleneck"],
+            cells=[[r[1], r[2]] for r in flag_rows],
         )
         writer.write_text("flag_grid.svg", grid_svg)
         writer.write_csv(
@@ -313,16 +309,14 @@ def _render_chains_figure(
     """Chains coloured by the first requested trait the dataset defines."""
     defined = {s.name for s in ds.trait_specs}
     trait = next((t for t in traits if t in defined), None)
-    data = {
-        "title": f"Recruitment chains: {ds.site_label}",
-        "roots": list(forest.roots),
-        "children": {k: list(v) for k, v in forest.children.items()},
-        "wave": forest.wave,
-        "trait": {
-            r.id: (ds.indicator(r, trait) if trait else None) for r in ds.respondents
-        },
-    }
-    writer.write_text("chains.svg", render_plot("chains", data))
+    figure = svg.chains(
+        title=f"Recruitment chains: {ds.site_label}",
+        roots=forest.roots,
+        children=forest.children,
+        wave=forest.wave,
+        trait={r.id: (ds.indicator(r, trait) if trait else None) for r in ds.respondents},
+    )
+    writer.write_text("chains.svg", figure)
 
 
 def _section_estimate(writer, traits, cfg: PipelineConfig, sample_of) -> dict[str, Any]:
@@ -362,16 +356,13 @@ def _section_converge(writer, traits, cfg: PipelineConfig, sample_of) -> dict[st
             return {"evaluable": False}
         series = estimators.cumulative_estimates(sample)
         verdict = convergence.convergence_flag(series.values, cfg.convergence_config)
-        svg = render_plot(
-            "convergence",
-            {
-                "title": f"Convergence: {trait}",
-                "orders": list(series.orders),
-                "values": list(series.values),
-                "indicators": list(zip(series.orders, (sample.y == 1.0).tolist())),
-            },
+        figure = svg.convergence(
+            title=f"Convergence: {trait}",
+            orders=series.orders,
+            values=series.values,
+            indicators=list(zip(series.orders, (sample.y == 1.0).tolist())),
         )
-        writer.write_text(f"convergence_{_safe_name(trait)}.svg", svg)
+        writer.write_text(f"convergence_{_safe_name(trait)}.svg", figure)
         return {"evaluable": True, **_fields(verdict)}
 
     per_trait = {trait: _attempt(converge, trait) for trait in traits}
@@ -388,7 +379,7 @@ def _section_converge(writer, traits, cfg: PipelineConfig, sample_of) -> dict[st
 
 
 def _section_bottleneck(writer, traits, cfg: PipelineConfig, sample_of) -> dict[str, Any]:
-    def permutation_test(trait: str) -> dict[str, Any]:
+    def permutation_test(trait: str) -> bottleneck.PermutationResult:
         sample = sample_of(trait)
         result = bottleneck.wsd_permutation_test(
             sample,
@@ -397,75 +388,49 @@ def _section_bottleneck(writer, traits, cfg: PipelineConfig, sample_of) -> dict[
             rng_seed=cfg.rng_seed,
         )
         series = estimators.per_tree_series(sample)
-        svg = render_plot(
-            "bottleneck",
-            {
-                "title": f"Bottleneck: {trait}",
-                "series": {
-                    root: (list(s.orders), list(s.values)) for root, s in series.items()
-                },
-                "composition": {root: len(s) for root, s in series.items()},
-            },
+        figure = svg.bottleneck(
+            title=f"Bottleneck: {trait}",
+            series={root: (s.orders, s.values) for root, s in series.items()},
+            composition={root: len(s) for root, s in series.items()},
         )
-        writer.write_text(f"bottleneck_{_safe_name(trait)}.svg", svg)
-        svg = render_plot(
-            "all-points",
-            {
-                "title": f"All points: {trait}",
-                "rows": list(zip((sample.roots[t] for t in sample.tree.tolist()),
-                                 (sample.y == 1.0).tolist())),
-            },
+        writer.write_text(f"bottleneck_{_safe_name(trait)}.svg", figure)
+        figure = svg.all_points(
+            title=f"All points: {trait}",
+            rows=list(zip((sample.roots[t] for t in sample.tree.tolist()),
+                          (sample.y == 1.0).tolist())),
         )
-        writer.write_text(f"allpoints_{_safe_name(trait)}.svg", svg)
-        return {"observed_wsd": result.observed, **_fields(result, drop=("observed",))}
+        writer.write_text(f"allpoints_{_safe_name(trait)}.svg", figure)
+        return result
 
     per_trait = {trait: _attempt(permutation_test, trait) for trait in traits}
+    columns = ("observed_wsd", "quantile_rank", "flagged")
     writer.write_csv(
         "bottleneck.csv",
-        ["trait", "observed_wsd", "quantile_rank", "flagged"],
-        [
-            (trait, e.get("observed_wsd"), e.get("quantile_rank"), e.get("flagged"))
-            for trait, e in per_trait.items()
-        ],
+        ["trait", *columns],
+        [(trait, *(getattr(e, c, None) for c in columns)) for trait, e in per_trait.items()],
     )
     return {"threshold": cfg.threshold, "per_trait": per_trait}
 
 
 def _section_behavior(writer, ds, forest, traits, cfg: PipelineConfig) -> dict[str, Any]:
-    def reciprocity() -> dict[str, Any]:
-        s = behavior.network_reciprocity_stats(ds)
-        return {
-            "median_relative_difference": s.median,
-            "mean_relative_difference": s.mean,
-            "q3_relative_difference": s.q3,
-            "n": len(s.values),
-            "n_excluded": s.n_excluded,
-        }
-
     def effectiveness() -> dict[str, Any]:
         results = {
             trait: _attempt(behavior.recruitment_effectiveness, ds, forest, trait)
             for trait in traits
         }
-        ran = [e for e in results.values() if _ran(e)]
+        ran = [(trait, e) for trait, e in results.items() if _ran(e)]
         if ran:
-            e = ran[0]
-            svg = render_plot(
-                "effectiveness",
-                {
-                    "title": f"Mean recruits by {e.trait}",
-                    "labels": [f"{e.trait}+", f"{e.trait}-"],
-                    "values": [
-                        0.0 if math.isnan(e.mean_recruits_positive) else e.mean_recruits_positive,
-                        0.0 if math.isnan(e.mean_recruits_negative) else e.mean_recruits_negative,
-                    ],
-                },
+            trait, e = ran[0]
+            figure = svg.bars(
+                title=f"Mean recruits by {trait}",
+                labels=[f"{trait}+", f"{trait}-"],
+                values=[
+                    0.0 if math.isnan(e.mean_recruits_positive) else e.mean_recruits_positive,
+                    0.0 if math.isnan(e.mean_recruits_negative) else e.mean_recruits_negative,
+                ],
             )
-            writer.write_text("effectiveness.svg", svg)
-        return {
-            trait: _fields(e, drop=("trait",)) if _ran(e) else e
-            for trait, e in results.items()
-        }
+            writer.write_text("effectiveness.svg", figure)
+        return results
 
     def bias() -> dict[str, Any]:
         levels = behavior.recruitment_bias_levels(ds, forest)
@@ -473,39 +438,15 @@ def _section_behavior(writer, ds, forest, traits, cfg: PipelineConfig) -> dict[s
             ds, forest, replicates=cfg.replicates, threshold=cfg.threshold,
             rng_seed=cfg.rng_seed,
         )
-        svg = render_plot(
-            "bias",
-            {
-                "title": "Attribute share by level",
-                "labels": ["contacts", "recipients", "recruits"],
-                "values": [
-                    100.0 * levels.contacts_level,
-                    100.0 * levels.recipients_level,
-                    100.0 * levels.recruits_level,
-                ],
-            },
+        figure = svg.bars(
+            title="Attribute share by level",
+            labels=["contacts", "recipients", "recruits"],
+            values=[100.0 * levels.contacts, 100.0 * levels.recipients, 100.0 * levels.recruits],
         )
-        writer.write_text("bias.svg", svg)
-        return {
-            "levels": {
-                "contacts": levels.contacts_level,
-                "recipients": levels.recipients_level,
-                "recruits": levels.recruits_level,
-                "n_recruiters": levels.n_recruiters,
-            },
-            "tests": {
-                name: {
-                    "observed": t.observed,
-                    "quantile_rank": t.quantile_rank,
-                    "flagged": t.flagged,
-                    "inconsistency": tests.inconsistency[name],
-                    "n_recruiters": tests.n_recruiters[name],
-                }
-                for name, t in _fields(tests, drop=("inconsistency", "n_recruiters")).items()
-            },
-        }
+        writer.write_text("bias.svg", figure)
+        return {"levels": levels, "tests": tests}
 
-    def motivation_outcomes() -> list[dict[str, Any]]:
+    def motivation_outcomes() -> list[behavior.MotivationOutcome]:
         categories = sorted(
             {r.motivation for r in ds.respondents if r.motivation is not None}
         )
@@ -516,39 +457,23 @@ def _section_behavior(writer, ds, forest, traits, cfg: PipelineConfig) -> dict[s
         ]
         outcomes = [mo for mo in outcomes if _ran(mo)]
         if outcomes:
-            svg = render_plot(
-                "motivation-outcome",
-                {
-                    "title": "Motivation vs outcome",
-                    "rows": [
-                        (f"{mo.motivation_category} / {mo.outcome_trait}",
-                         mo.odds_ratio, *mo.interval)
-                        for mo in outcomes
-                    ],
-                },
+            figure = svg.motivation_outcome(
+                title="Motivation vs outcome",
+                rows=[
+                    (f"{mo.motivation} / {mo.trait}", mo.odds_ratio, mo.ci_low, mo.ci_high)
+                    for mo in outcomes
+                ],
             )
-            writer.write_text("motivation_outcome.svg", svg)
-        return [
-            {
-                "motivation": mo.motivation_category,
-                "trait": mo.outcome_trait,
-                "table": mo.table,
-                "odds_ratio": mo.odds_ratio,
-                "ci_low": mo.interval[0],
-                "ci_high": mo.interval[1],
-            }
-            for mo in outcomes
-        ]
+            writer.write_text("motivation_outcome.svg", figure)
+        return outcomes
 
     return {
         "reciprocation_rate": _attempt(behavior.reciprocation_rate, ds),
-        "network_reciprocity": _attempt(reciprocity),
+        "network_reciprocity": _attempt(behavior.network_reciprocity_stats, ds),
         "effectiveness": effectiveness(),
         "recruitment_bias": _attempt(bias),
         "nonresponse": _attempt(behavior.nonresponse_rates, ds, forest),
-        "reasons": _attempt(
-            lambda: dict(zip(("refusal", "motivation"), behavior.reason_tables(ds)))
-        ),
+        "reasons": _attempt(behavior.reason_tables, ds),
         "motivation_outcome": _attempt(motivation_outcomes),
     }
 
@@ -568,14 +493,11 @@ def _section_degree(
         estimated = [r for r in rows.values() if _ran(r)]
         if traits and not estimated:
             return rows[traits[0]]  # every trait skipped: the first one's reason
-        svg = render_plot(
-            "sensitivity-pairs",
-            {
-                "title": "Estimate sensitivity to degree wave",
-                "rows": [(r.trait, r.estimate_test, r.estimate_retest) for r in estimated],
-            },
+        figure = svg.sensitivity_pairs(
+            title="Estimate sensitivity to degree wave",
+            rows=[(r.trait, r.estimate_test, r.estimate_retest) for r in estimated],
         )
-        writer.write_text("sensitivity_pairs.svg", svg)
+        writer.write_text("sensitivity_pairs.svg", figure)
         return [r if _ran(r) else {"trait": trait, **r} for trait, r in rows.items()]
 
     return {
@@ -589,32 +511,16 @@ def _section_degree(
 
 
 def _section_finitepop(ds) -> dict[str, Any]:
-    def failed_attempts() -> dict[str, Any]:
-        fa = finitepop.failed_attempts_indicator(ds)
-        return {
-            **_fields(fa, drop=("band_0", "band_1_3", "band_4_plus")),
-            "bands": {"0": fa.band_0, "1-3": fa.band_1_3, "4+": fa.band_4_plus},
-        }
-
-    def participants_known() -> dict[str, Any]:
-        tr = finitepop.participants_known_trend(ds)
-        return {
-            "slope": tr.slope,
-            "flagged": tr.flagged,
-            "n": len(tr.orders),
-            "n_excluded_zero_degree": tr.n_excluded_zero_degree,
-        }
-
-    # the summary reads each flag off its entry: None when the entry is skipped
-    failed = _attempt(failed_attempts)
-    known = _attempt(participants_known)
+    failed = _attempt(finitepop.failed_attempts_indicator, ds)
+    known = _attempt(finitepop.participants_known_trend, ds)
     target = ds.target_sample_size
+    # the summary reads each flag off its entry: None when the entry is skipped
     return {
         "summary": {
             "attainment_failed": None if target is None else ds.n < target,
-            "failed_attempts_flag": failed.get("flagged"),
-            "participants_known_trend_flag": known.get("flagged"),
+            "failed_attempts_flag": getattr(failed, "flagged", None),
+            "participants_known_trend_flag": getattr(known, "flagged", None),
         },
         "failed_attempts": failed,
-        "participants_known": known,
+        "participants_known": _fields(known, drop=("proportions",)) if _ran(known) else known,
     }

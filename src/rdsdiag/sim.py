@@ -88,6 +88,8 @@ def generate_network(cfg: NetworkConfig, rng_seed: int = 0) -> SyntheticNetwork:
     for p in (cfg.within_block_edge_prob, cfg.between_block_edge_prob):
         if not 0.0 <= p <= 1.0:
             raise UnrealizableConfig(f"edge probability {p} outside [0, 1]")
+    if any(b < 0 for b in cfg.block_sizes):
+        raise UnrealizableConfig(f"block sizes must be >= 0, got {cfg.block_sizes}")
     n = cfg.node_count
     if n < 2:
         raise UnrealizableConfig("need at least 2 nodes")
@@ -218,15 +220,27 @@ class SimConfig:
     def validate(self, net: SyntheticNetwork) -> None:
         if self.replacement_mode not in ("with", "without"):
             raise UnrealizableConfig(f"bad replacement_mode {self.replacement_mode!r}")
+        if self.target_n < 1 or self.seed_count < 1:
+            raise UnrealizableConfig("target_n and seed_count must be >= 1")
         if self.seed_count > net.node_count:
             raise UnrealizableConfig("more seeds than nodes")
         if self.replacement_mode == "without" and self.target_n > net.node_count:
             raise UnrealizableConfig("target_n exceeds population in without mode")
-        if len(self.recruit_probs) != self.coupon_allotment + 1:
-            raise UnrealizableConfig("recruit_probs must cover 0..allotment")
-        for p in (self.refusal_prob, self.nonreturn_prob, self.followup_prob):
-            if not 0.0 <= p <= 1.0:
-                raise UnrealizableConfig("probabilities must lie in [0, 1]")
+        for name in ("recruit_probs", "recruit_probs_if_trait"):
+            probs = getattr(self, name)
+            if probs is None:
+                continue
+            if len(probs) != self.coupon_allotment + 1:
+                raise UnrealizableConfig(f"{name} must cover 0..allotment")
+            if any(p < 0 for p in probs) or sum(probs) <= 0:
+                raise UnrealizableConfig(f"{name} must be >= 0 with a positive sum")
+        if self.differential_trait not in (None, *net.node_traits):
+            raise UnrealizableConfig(f"network has no trait {self.differential_trait!r}")
+        for name in (
+            "refusal_prob", "nonreturn_prob", "followup_prob", "recip_prob", "trait_missing_prob"
+        ):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise UnrealizableConfig(f"{name} must lie in [0, 1]")
 
 
 @dataclass(frozen=True)

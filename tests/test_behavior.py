@@ -76,9 +76,12 @@ def test_reciprocity_stats():
         make_respondent("d", 4, degree=make_degree(4), traits={"hiv": "no"}),
     ]
     stats = network_reciprocity_stats(make_dataset(rows))
-    assert stats.values == pytest.approx((0.0, 0.75))
+    # relative differences 0.0 and 0.75
+    assert stats.n == 2
     assert stats.n_excluded == 1  # both-zero respondent; missing ones not counted
-    assert stats.median == pytest.approx(0.375)
+    assert stats.median_relative_difference == pytest.approx(0.375)
+    assert stats.mean_relative_difference == pytest.approx(0.375)
+    assert stats.q3_relative_difference == pytest.approx(0.5625)
 
 
 # -- effectiveness -----------------------------------------------------------
@@ -150,9 +153,9 @@ def test_bias_levels_hand_fixture():
     ]
     ds = make_dataset(rows, allotment=2)
     levels = recruitment_bias_levels(ds, build_forest(ds))
-    assert levels.contacts_level == pytest.approx(0.5)
-    assert levels.recipients_level == pytest.approx(1.0)
-    assert levels.recruits_level == pytest.approx(1.0)
+    assert levels.contacts == pytest.approx(0.5)
+    assert levels.recipients == pytest.approx(1.0)
+    assert levels.recruits == pytest.approx(1.0)
     assert levels.n_recruiters == 1
 
 
@@ -165,7 +168,7 @@ def test_bias_levels_uniform_employment():
     ]
     ds = make_dataset(rows)
     levels = recruitment_bias_levels(ds, build_forest(ds))
-    assert (levels.contacts_level, levels.recipients_level, levels.recruits_level) == (
+    assert (levels.contacts, levels.recipients, levels.recruits) == (
         1.0, 1.0, 1.0,
     )
 
@@ -197,8 +200,8 @@ def test_bias_tests_inconsistent_counted():
     ]
     ds = make_dataset(rows)
     results = recruitment_bias_tests(ds, build_forest(ds), replicates=500, rng_seed=2)
-    assert results.inconsistency["coupon_passing"] == pytest.approx(0.5)
-    assert results.n_recruiters["coupon_passing"] == 1
+    assert results.coupon_passing.inconsistency == pytest.approx(0.5)
+    assert results.coupon_passing.n_recruiters == 1
 
 
 def test_bias_tests_symmetric_null_rank_moderate():
@@ -317,7 +320,8 @@ def test_reason_tables():
             followup=followup(refusal_reasons=("Too busy",) * 6),
         ),
     ]
-    refusal, motivation = reason_tables(make_dataset(rows))
+    tables = reason_tables(make_dataset(rows))
+    refusal, motivation = tables.refusal, tables.motivation
     assert refusal.total == 8
     assert refusal.percentages["Not interested"] == pytest.approx(12.5)
     assert sum(refusal.percentages.values()) == pytest.approx(100.0)
@@ -327,9 +331,9 @@ def test_reason_tables():
 
 def test_reason_tables_empty():
     ds = make_dataset([make_respondent("S", 1, degree=2, traits={"hiv": "no"})])
-    refusal, motivation = reason_tables(ds)
-    assert refusal.total == 0 and refusal.percentages == {}
-    assert motivation.total == 0
+    tables = reason_tables(ds)
+    assert tables.refusal.total == 0 and tables.refusal.percentages == {}
+    assert tables.motivation.total == 0
 
 
 # -- odds ratio and exact interval -------------------------------------------
@@ -394,7 +398,7 @@ def test_balanced_table():
     mo = motivation_outcome(ds, "A", "hiv")
     assert mo.table == (10, 10, 10, 10)
     assert mo.odds_ratio == pytest.approx(1.0)
-    assert mo.interval[0] < 1.0 < mo.interval[1]
+    assert mo.ci_low < 1.0 < mo.ci_high
 
 
 def test_or_hand_value():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import make_dataset, make_respondent, unit_degree_two_trees
-from rdsdiag import report
+from rdsdiag import svg
 from rdsdiag.bottleneck import _wsd_from_matrix, wsd_permutation_test
 from rdsdiag.errors import TooFewTrees, UnknownTrait
 from rdsdiag.estimators import IncludedSample, cumulative_estimates, included_sample
@@ -44,8 +44,8 @@ def test_wsd_invariant_to_empty_trees():
         orders=np.arange(3, len(y) + 3), y=y, degree=w, tree=t,
     )
     with_empty = dataclasses.replace(base, roots=("a", "c", "b"), tree=np.where(t == 1, 2, 0))
-    observed = wsd_permutation_test(base, replicates=10).observed
-    assert observed == wsd_permutation_test(with_empty, replicates=10).observed
+    observed = wsd_permutation_test(base, replicates=10).observed_wsd
+    assert observed == wsd_permutation_test(with_empty, replicates=10).observed_wsd
     assert observed == pytest.approx(_wsd([(1, 4), (4, 6)]), abs=1e-15)
 
 
@@ -93,7 +93,7 @@ def test_constant_trait_never_flags():
     ds = dataclasses.replace(ds, respondents=rows)
     forest = build_forest(ds)
     result = wsd_permutation_test(included_sample(ds, forest, "hiv"), replicates=500, rng_seed=1)
-    assert result.observed == 0.0
+    assert result.observed_wsd == 0.0
     assert result.quantile_rank == 0.0
     assert not result.flagged
 
@@ -114,7 +114,7 @@ def test_determinism_and_seed_sensitivity():
     b = wsd_permutation_test(included_sample(ds, forest, "hiv"), replicates=400, rng_seed=9)
     assert a == b
     c = wsd_permutation_test(included_sample(ds, forest, "hiv"), replicates=400, rng_seed=10)
-    assert a.observed == c.observed
+    assert a.observed_wsd == c.observed_wsd
 
 
 def test_too_few_trees():
@@ -136,17 +136,17 @@ def test_unknown_trait():
 def _all_points_rows(ds, out_dir, monkeypatch):
     """The (tree, has_trait) rows the bottleneck section draws in the
     all-points figure of ``hiv``."""
-    drawn = {}
-    render = report.render_plot
+    drawn = []
+    render = svg.all_points
 
-    def capture(kind, data):
-        drawn.setdefault(kind, data)
-        return render(kind, data)
+    def capture(title, rows):
+        drawn.append(rows)
+        return render(title=title, rows=rows)
 
-    monkeypatch.setattr(report, "render_plot", capture)
+    monkeypatch.setattr(svg, "all_points", capture)
     cfg = PipelineConfig(out_dir=out_dir, dataset=ds, replicates=10, sections=("bottleneck",))
     run_pipeline(cfg)
-    return drawn["all-points"]["rows"]
+    return drawn[0]
 
 
 def test_all_points_rows(tmp_path, monkeypatch):

@@ -31,7 +31,7 @@ def test_failed_attempts_none_reported():
     result = failed_attempts_indicator(ds)
     assert result.percent_reporting == 0.0
     assert not result.flagged
-    assert result.band_0 == 5
+    assert result.bands == {"0": 5, "1-3": 0, "4+": 0}
 
 
 def test_failed_attempts_bands_and_flag():
@@ -42,7 +42,7 @@ def test_failed_attempts_bands_and_flag():
     assert result.n_answered == 10
     assert result.percent_reporting == pytest.approx(30.0)
     assert result.flagged  # 0.30 >= 0.25
-    assert (result.band_0, result.band_1_3, result.band_4_plus) == (7, 2, 1)
+    assert result.bands == {"0": 7, "1-3": 2, "4+": 1}
 
 
 def test_failed_attempts_threshold_one_unflagged():
@@ -86,7 +86,7 @@ def test_trend_zero_degree_excluded():
     ]
     trend = participants_known_trend(make_dataset(rows))
     assert trend.n_excluded_zero_degree == 1
-    assert len(trend.orders) == 2
+    assert trend.n == 2
 
 
 def test_trend_insufficient_data():

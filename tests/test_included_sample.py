@@ -98,4 +98,4 @@ def test_sample_matches_naive_walk(ds, trait):
         return
     result = wsd_permutation_test(sample, replicates=5)
     reference = sum(n_s * (p_s - values[-1]) ** 2 for p_s, n_s in per_tree.values())
-    assert np.isclose(result.observed, reference, rtol=1e-9, atol=1e-12)
+    assert np.isclose(result.observed_wsd, reference, rtol=1e-9, atol=1e-12)

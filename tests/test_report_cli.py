@@ -647,3 +647,52 @@ def test_cli_report_csvs_quote_cells(cli_study, capsys, tmp_path):
         with open(path, newline="") as fh:
             header, *rows = list(csv.reader(fh))
         assert all(len(row) == len(header) for row in rows), path.name
+
+
+@pytest.mark.parametrize(
+    "content", [None, b"seed=1\n\xff\xfe\n", "directory"], ids=["missing", "not-utf8", "directory"]
+)
+@pytest.mark.parametrize("command", ["report", "simulate"])
+def test_cli_unreadable_config_or_scenario_file(cli_study, capsys, tmp_path, command, content):
+    path = tmp_path / "nope.cfg"
+    if content == "directory":
+        path.mkdir()
+    elif content is not None:
+        path.write_bytes(content)
+    out_dir = tmp_path / "o"
+    if command == "simulate":
+        argv = ["simulate", "--scenario", str(path), "--out-dir", str(out_dir)]
+    else:
+        argv = ["report", *_dataset_args(cli_study), "--out-dir", str(out_dir),
+                "--config", str(path)]
+    assert main(argv) == 3
+    assert str(path) in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize(
+    "lines, message",
+    [
+        ("seed_count=-1", "seed_count must be >= 1"),
+        ("seed_count=0", "seed_count must be >= 1"),
+        ("target_n=0", "target_n and seed_count must be >= 1"),
+        ("differential_trait=hiv\nrecruit_probs_if_trait=0.5,0.5",
+         "recruit_probs_if_trait must cover 0..allotment"),
+        ("recruit_probs=0.5,-0.1,0.3,0.3", "recruit_probs must be >= 0"),
+        ("recruit_probs=0,0,0,0", "recruit_probs must be >= 0 with a positive sum"),
+        ("differential_trait=nope\nrecruit_probs_if_trait=0.1,0.2,0.3,0.4",
+         "network has no trait 'nope'"),
+        ("recip_prob=1.5", "recip_prob must lie in [0, 1]"),
+        ("blocks=-5,100", "block sizes must be >= 0"),
+    ],
+    ids=["seed_count=-1", "seed_count=0", "target_n=0", "probs-if-trait-length",
+         "negative-prob", "zero-probs", "unknown-differential-trait", "recip_prob=1.5",
+         "negative-block"],
+)
+def test_cli_simulate_unrealizable_scenario(tmp_path, capsys, lines, message):
+    scenario = tmp_path / "scenario.txt"
+    scenario.write_text(SCENARIO + lines + "\n")
+    code = main(["simulate", "--scenario", str(scenario), "--out-dir", str(tmp_path / "o")])
+    assert code == 3
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()

@@ -3,72 +3,83 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from rdsdiag.errors import EmptyData, UnknownKind
-from rdsdiag.svg import PLOT_KINDS, render_plot
+from rdsdiag import svg
+from rdsdiag.errors import EmptyData
 
-SAMPLE_DATA = {
-    "chains": {
+# one figure per family, keyed by the figure it draws in a report
+FIGURES = {
+    "chains": (svg.chains, {
+        "title": "Chains",
         "roots": ["S"],
         "children": {"S": ["a", "b"], "a": ["c"]},
         "wave": {"S": 0, "a": 1, "b": 1, "c": 2},
         "trait": {"S": True, "a": False, "b": None, "c": True},
-    },
-    "convergence": {
+    }),
+    "convergence": (svg.convergence, {
+        "title": "Convergence",
         "orders": [1, 2, 3, 4],
         "values": [1.0, 0.5, 0.4, 0.45],
         "indicators": [(1, True), (2, False), (3, False), (4, True)],
-    },
-    "bottleneck": {
+    }),
+    "bottleneck": (svg.bottleneck, {
+        "title": "Bottleneck",
         "series": {"S1": ([1, 3], [1.0, 0.5]), "S2": ([2, 4], [0.0, 0.25])},
         "composition": {"S1": 2, "S2": 2},
-    },
-    "all-points": {
+    }),
+    "all-points": (svg.all_points, {
+        "title": "All points",
         "rows": [("S1", True), ("S2", False), ("S1", False)],
-    },
-    "flag-grid": {
+    }),
+    "flag-grid": (svg.flag_grid, {
+        "title": "Flags",
         "row_labels": ["hiv", "employed"],
         "col_labels": ["convergence", "bottleneck"],
         "cells": [[True, False], [None, False]],
-    },
-    "effectiveness": {"labels": ["positive", "negative"], "values": [0.5, 2.0]},
-    "bias": {"labels": ["contacts", "recipients", "recruits"],
-             "values": [0.4, 0.6, 0.7]},
-    "motivation-outcome": {
+    }),
+    "effectiveness": (svg.bars, {
+        "title": "Effectiveness", "labels": ["positive", "negative"], "values": [0.5, 2.0],
+    }),
+    "bias": (svg.bars, {
+        "title": "Bias", "labels": ["contacts", "recipients", "recruits"],
+        "values": [0.4, 0.6, 0.7],
+    }),
+    "motivation-outcome": (svg.motivation_outcome, {
+        "title": "Odds ratios",
         "rows": [("Incentive", 2.0, 0.8, 5.0), ("Other", math.inf, 1.2, math.inf)],
-    },
-    "sensitivity-pairs": {"rows": [("hiv", 0.4, 0.45), ("employed", 0.7, 0.6)]},
+    }),
+    "sensitivity-pairs": (svg.sensitivity_pairs, {
+        "title": "Sensitivity", "rows": [("hiv", 0.4, 0.45), ("employed", 0.7, 0.6)],
+    }),
 }
 
 
-def test_unknown_kind():
-    with pytest.raises(UnknownKind):
-        render_plot("scatter", {})
+def _draw(kind):
+    figure, kwargs = FIGURES[kind]
+    return figure(**kwargs)
 
 
-@pytest.mark.parametrize("kind", PLOT_KINDS)
+@pytest.mark.parametrize("kind", FIGURES)
 def test_empty_data(kind):
+    figure, kwargs = FIGURES[kind]
+    empty = {k: v if k == "title" else type(v)() for k, v in kwargs.items()}
     with pytest.raises(EmptyData):
-        render_plot(kind, {})
+        figure(**empty)
 
 
-@pytest.mark.parametrize("kind", PLOT_KINDS)
+@pytest.mark.parametrize("kind", FIGURES)
 def test_all_kinds_well_formed_xml(kind):
-    svg = render_plot(kind, SAMPLE_DATA[kind])
-    root = ET.fromstring(svg)
+    root = ET.fromstring(_draw(kind))
     assert root.tag.endswith("svg")
     assert len(root) > 1
 
 
-@pytest.mark.parametrize("kind", PLOT_KINDS)
+@pytest.mark.parametrize("kind", FIGURES)
 def test_byte_determinism(kind):
-    a = render_plot(kind, SAMPLE_DATA[kind])
-    b = render_plot(kind, SAMPLE_DATA[kind])
-    assert a.encode() == b.encode()
+    assert _draw(kind).encode() == _draw(kind).encode()
 
 
 def test_chains_element_counts():
-    svg = render_plot("chains", SAMPLE_DATA["chains"])
-    root = ET.fromstring(svg)
+    root = ET.fromstring(_draw("chains"))
     ns = "{http://www.w3.org/2000/svg}"
     circles = root.findall(f"{ns}circle")
     lines = root.findall(f"{ns}line")
@@ -80,8 +91,7 @@ def test_chains_element_counts():
 
 
 def test_chains_trait_colors():
-    svg = render_plot("chains", SAMPLE_DATA["chains"])
-    root = ET.fromstring(svg)
+    root = ET.fromstring(_draw("chains"))
     ns = "{http://www.w3.org/2000/svg}"
     fills = [c.get("fill") for c in root.findall(f"{ns}circle")]
     assert "#c43c39" in fills  # positive
@@ -90,9 +100,9 @@ def test_chains_trait_colors():
 
 
 def test_convergence_reference_line_at_final():
-    data = {"orders": [1, 2, 3], "values": [0.7, 0.7, 0.7], "indicators": []}
-    svg = render_plot("convergence", data)
-    root = ET.fromstring(svg)
+    root = ET.fromstring(
+        svg.convergence(title="c", orders=[1, 2, 3], values=[0.7, 0.7, 0.7], indicators=[])
+    )
     ns = "{http://www.w3.org/2000/svg}"
     white = [l for l in root.findall(f"{ns}line") if l.get("stroke") == "#ffffff"]
     assert len(white) == 1
@@ -102,8 +112,7 @@ def test_convergence_reference_line_at_final():
 
 
 def test_flag_grid_cell_colors():
-    svg = render_plot("flag-grid", SAMPLE_DATA["flag-grid"])
-    root = ET.fromstring(svg)
+    root = ET.fromstring(_draw("flag-grid"))
     ns = "{http://www.w3.org/2000/svg}"
     fills = [r.get("fill") for r in root.findall(f"{ns}rect")]
     assert fills.count("#c43c39") == 1  # one flagged cell
@@ -112,8 +121,7 @@ def test_flag_grid_cell_colors():
 
 
 def test_motivation_outcome_unbounded_dashed():
-    svg = render_plot("motivation-outcome", SAMPLE_DATA["motivation-outcome"])
-    root = ET.fromstring(svg)
+    root = ET.fromstring(_draw("motivation-outcome"))
     ns = "{http://www.w3.org/2000/svg}"
     interval_lines = [
         l for l in root.findall(f"{ns}line") if l.get("stroke") == "#1f6fb2"
@@ -124,9 +132,8 @@ def test_motivation_outcome_unbounded_dashed():
 
 
 def test_six_significant_digit_floats():
-    data = {"orders": [1, 2], "values": [1 / 3, 2 / 3], "indicators": []}
-    svg = render_plot("convergence", data)
-    for token in svg.split():
+    figure = svg.convergence(title="c", orders=[1, 2], values=[1 / 3, 2 / 3], indicators=[])
+    for token in figure.split():
         frag = token.split("=")[-1].strip('"')
         for piece in frag.replace(",", " ").split():
             if piece.replace(".", "").replace("-", "").isdigit() and "." in piece:
