@@ -4,16 +4,28 @@ The statistic is the sample-size-weighted squared deviation of per-tree
 estimates around the overall estimate.  Its reference distribution is built
 by shuffling trait labels across included respondents while tree membership
 and degrees stay attached to sample positions.
+
+Replicate r permutes the n included positions with a generator seeded by
+child r of ``SeedSequence(rng_seed)``, so the permutations depend only on
+(n, replicates, rng_seed): traits with the same included size share them.
+The last such block is held as a read-only int32 matrix of 4·R·n bytes
+(16 MB at R = 4000, n = 1000), and the statistics are computed in fixed
+chunks of ``_CHUNK_ROWS`` replicates, whose work arrays take about
+24·256·n bytes; no R×n float matrix is built.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import TooFewTrees
 from .estimators import IncludedSample
+
+# replicates per statistic chunk; a row's bits do not depend on it
+_CHUNK_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -26,19 +38,32 @@ class PermutationResult:
     threshold: float
 
 
+@functools.lru_cache(maxsize=1)
+def _permutations(n: int, replicates: int, rng_seed: int) -> np.ndarray:
+    """Read-only ``replicates × n`` matrix whose row r is the permutation of
+    ``range(n)`` drawn from child r of ``SeedSequence(rng_seed)``."""
+    perms = np.empty((replicates, n), dtype=np.int32)
+    for r, child in enumerate(np.random.SeedSequence(rng_seed).spawn(replicates)):
+        perms[r] = np.random.default_rng(child).permutation(n)
+    perms.flags.writeable = False
+    return perms
+
+
 def _wsd_from_matrix(
     y_matrix: np.ndarray, w: np.ndarray, t: np.ndarray, n_trees: int
 ) -> np.ndarray:
-    """Vectorized WSD for one permuted label row per replicate."""
+    """Vectorized WSD for one permuted label row per replicate.
+
+    Each per-tree numerator is a ``bincount`` sum over its members in
+    position order, so a row's value does not depend on the other rows."""
+    rows = len(y_matrix)
     n_s = np.bincount(t, minlength=n_trees).astype(float)
     denom_s = np.bincount(t, weights=w, minlength=n_trees)
-    denom = w.sum()
     wy = y_matrix * w[None, :]
-    one_hot = np.zeros((len(t), n_trees))
-    one_hot[np.arange(len(t)), t] = 1.0
-    num_s = wy @ one_hot
-    p_s = num_s / denom_s[None, :]
-    p_all = wy.sum(axis=1) / denom
+    cells = (np.arange(rows)[:, None] * n_trees + t[None, :]).ravel()
+    num_s = np.bincount(cells, weights=wy.ravel(), minlength=rows * n_trees)
+    p_s = num_s.reshape(rows, n_trees) / denom_s[None, :]
+    p_all = wy.sum(axis=1) / w.sum()
     return ((p_s - p_all[:, None]) ** 2 * n_s[None, :]).sum(axis=1)
 
 
@@ -66,13 +91,12 @@ def wsd_permutation_test(
         )
     observed = _wsd_from_matrix(y[None, :], w, t, n_trees)[0]
 
-    children = np.random.SeedSequence(rng_seed).spawn(replicates)
-    y_perm = np.empty((replicates, len(y)))
-    for i, child in enumerate(children):
-        rng = np.random.default_rng(child)
-        y_perm[i] = y[rng.permutation(len(y))]
-    stats = _wsd_from_matrix(y_perm, w, t, n_trees)
-    quantile_rank = float((stats < observed).sum() / replicates)
+    perms = _permutations(len(y), replicates, rng_seed)
+    below = sum(
+        int((_wsd_from_matrix(y[perms[i:i + _CHUNK_ROWS]], w, t, n_trees) < observed).sum())
+        for i in range(0, replicates, _CHUNK_ROWS)
+    )
+    quantile_rank = below / replicates
     return PermutationResult(
         observed_wsd=float(observed),
         replicates=replicates,

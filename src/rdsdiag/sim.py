@@ -82,6 +82,25 @@ class SyntheticNetwork:
         return len(self.blocks)
 
 
+def _check_trait_rule(name: str, rule: TraitRule, n_blocks: int) -> None:
+    """Reject a rule whose block, ``p`` or ``fraction`` is out of range,
+    naming the rule's scenario key."""
+    if rule.kind == "block":
+        if not 0 <= rule.block < n_blocks:
+            raise UnrealizableConfig(
+                f"trait.{name}: block must lie in 0..{n_blocks - 1}, got {rule.block}"
+            )
+    elif rule.kind in ("bernoulli", "top_degree"):
+        field_name = "p" if rule.kind == "bernoulli" else "fraction"
+        value = getattr(rule, field_name)
+        if not 0.0 <= value <= 1.0:
+            raise UnrealizableConfig(
+                f"trait.{name}: {field_name} must lie in [0, 1], got {value}"
+            )
+    else:
+        raise UnrealizableConfig(f"unknown trait rule kind {rule.kind!r}")
+
+
 def generate_network(cfg: NetworkConfig, rng_seed: int = 0) -> SyntheticNetwork:
     """Block-structured random graph; connectivity is enforced by linking
     stray components to the largest one (added edges are counted)."""
@@ -93,6 +112,8 @@ def generate_network(cfg: NetworkConfig, rng_seed: int = 0) -> SyntheticNetwork:
     n = cfg.node_count
     if n < 2:
         raise UnrealizableConfig("need at least 2 nodes")
+    for name, rule in cfg.traits.items():
+        _check_trait_rule(name, rule, len(cfg.block_sizes))
     sizes = np.array(cfg.block_sizes)
     expected_degree = (
         cfg.within_block_edge_prob * (sizes.max() - 1)
@@ -133,14 +154,12 @@ def generate_network(cfg: NetworkConfig, rng_seed: int = 0) -> SyntheticNetwork:
             traits[name] = blocks == rule.block
         elif rule.kind == "bernoulli":
             traits[name] = rng.random(n) < rule.p
-        elif rule.kind == "top_degree":
+        else:
             k = int(round(rule.fraction * n))
             order = np.lexsort((np.arange(n), -degrees))
             mask = np.zeros(n, dtype=bool)
             mask[order[:k]] = True
             traits[name] = mask
-        else:
-            raise UnrealizableConfig(f"unknown trait rule kind {rule.kind!r}")
 
     return SyntheticNetwork(
         blocks=blocks,
@@ -241,6 +260,8 @@ class SimConfig:
         ):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise UnrealizableConfig(f"{name} must lie in [0, 1]")
+        if not self.retest_sd >= 0.0:
+            raise UnrealizableConfig(f"retest_sd must be >= 0, got {self.retest_sd}")
 
 
 @dataclass(frozen=True)

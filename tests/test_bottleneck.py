@@ -2,14 +2,22 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_dataset, make_respondent, unit_degree_two_trees
 from rdsdiag import svg
-from rdsdiag.bottleneck import _wsd_from_matrix, wsd_permutation_test
+from rdsdiag.bottleneck import (
+    _CHUNK_ROWS,
+    _permutations,
+    _wsd_from_matrix,
+    wsd_permutation_test,
+)
 from rdsdiag.errors import TooFewTrees, UnknownTrait
 from rdsdiag.estimators import IncludedSample, cumulative_estimates, included_sample
 from rdsdiag.forest import build_forest
 from rdsdiag.report import PipelineConfig, run_pipeline
+from rdsdiag.sim import NetworkConfig, SimConfig, TraitRule, generate_network, simulate_rds
 
 
 def _unit_degree_trees(trees):
@@ -171,3 +179,124 @@ def test_overall_estimate_matches_wsd_reference():
     forest = build_forest(ds)
     overall = cumulative_estimates(included_sample(ds, forest, "hiv")).final
     assert overall == pytest.approx(0.5)
+
+
+def _random_sample(n, n_trees=5, seed=0, trait="t"):
+    """An included sample of ``n`` respondents with random labels, integer
+    degrees and tree memberships; every tree has members."""
+    rng = np.random.default_rng(seed)
+    tree = np.concatenate([np.arange(n_trees), rng.integers(0, n_trees, n - n_trees)])
+    return IncludedSample(
+        trait=trait, roots=tuple(f"S{k}" for k in range(n_trees)),
+        ids=tuple(f"R{i}" for i in range(n)), orders=np.arange(n_trees + 1, n + n_trees + 1),
+        y=(rng.random(n) < 0.4).astype(float),
+        degree=rng.integers(1, 30, n).astype(float), tree=tree,
+    )
+
+
+@pytest.mark.parametrize("replicates", [1, 255, 256, 257, 333])
+def test_chunked_statistics_match_one_call(replicates):
+    sample = _random_sample(90, seed=replicates)
+    y, w, t = sample.y, 1.0 / sample.degree, sample.tree
+    perms = _permutations(len(y), replicates, 7)
+    whole = _wsd_from_matrix(y[perms], w, t, 5)
+    chunked = np.concatenate([
+        _wsd_from_matrix(y[perms[i:i + _CHUNK_ROWS]], w, t, 5)
+        for i in range(0, replicates, _CHUNK_ROWS)
+    ])
+    one_by_one = np.concatenate([_wsd_from_matrix(y[row[None, :]], w, t, 5) for row in perms])
+    assert whole.tobytes() == chunked.tobytes() == one_by_one.tobytes()
+    observed = _wsd_from_matrix(y[None, :], w, t, 5)[0]
+    result = wsd_permutation_test(sample, replicates=replicates, rng_seed=7)
+    assert result.observed_wsd == observed
+    assert result.quantile_rank == (whole < observed).sum() / replicates
+
+
+@pytest.mark.parametrize("n, replicates, seed", [(1, 3, 0), (7, 40, 3), (990, 5, 12)])
+def test_permutations_match_per_replicate_streams(n, replicates, seed):
+    children = np.random.SeedSequence(seed).spawn(replicates)
+    oracle = [np.random.default_rng(child).permutation(n) for child in children]
+    perms = _permutations(n, replicates, seed)
+    assert perms.shape == (replicates, n)
+    assert perms.dtype == np.int32
+    assert all(np.array_equal(row, expected) for row, expected in zip(perms, oracle))
+
+
+def test_permutations_read_only():
+    perms = _permutations(12, 4, 0)
+    with pytest.raises(ValueError):
+        perms[0, 0] = 1
+    assert _permutations(12, 4, 0) is perms
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(2, 6).flatmap(
+        lambda k: st.tuples(
+            st.just(k),
+            st.lists(
+                st.tuples(st.integers(0, k - 1), st.floats(0, 1), st.integers(1, 40)),
+                min_size=k, max_size=40,
+            ),
+            st.integers(1, 4),
+        )
+    )
+)
+def test_wsd_from_matrix_matches_naive_loop(case):
+    n_trees, members, rows = case
+    # every tree gets at least one member, as in np.unique's inverse
+    t = np.array(list(range(n_trees)) + [m[0] for m in members[n_trees:]])
+    w = np.array([1.0 / m[2] for m in members])
+    rng = np.random.default_rng(len(members))
+    y_matrix = np.array([[m[1] for m in members]] + [
+        [members[j][1] for j in rng.permutation(len(members))] for _ in range(rows - 1)
+    ])
+    got = _wsd_from_matrix(y_matrix, w, t, n_trees)
+    for r, y in enumerate(y_matrix.tolist()):
+        p_all = sum(wi * yi for wi, yi in zip(w, y)) / sum(w)
+        naive = 0.0
+        for k in range(n_trees):
+            idx = [j for j in range(len(t)) if t[j] == k]
+            p_k = sum(w[j] * y[j] for j in idx) / sum(w[j] for j in idx)
+            naive += len(idx) * (p_k - p_all) ** 2
+        # an all-equal forest cancels exactly in the reals; only rounding is left
+        assert got[r] == pytest.approx(naive, rel=1e-12, abs=1e-28)
+
+
+def test_cache_isolation_across_sizes_seeds_and_replicates():
+    a, b = _random_sample(60, seed=1), _random_sample(75, seed=2)
+    calls = [
+        (a, 300, 1), (b, 300, 1), (a, 300, 1),
+        (a, 257, 1), (b, 257, 2), (a, 300, 2), (a, 257, 2), (b, 300, 1),
+    ]
+    results = [wsd_permutation_test(s, replicates=r, rng_seed=seed) for s, r, seed in calls]
+    for (sample, replicates, seed), result in zip(calls, results):
+        _permutations.cache_clear()
+        assert result == wsd_permutation_test(sample, replicates=replicates, rng_seed=seed)
+    # the calls above can tell the streams apart
+    assert len({r.quantile_rank for r in results if r.observed_wsd == results[0].observed_wsd}) > 1
+
+
+def test_section_results_independent_of_trait_order(tmp_path):
+    net = generate_network(
+        NetworkConfig(
+            block_sizes=(120, 120), within_block_edge_prob=0.06, between_block_edge_prob=0.004,
+            traits={"hiv": TraitRule("block", block=0), "employed": TraitRule("bernoulli", p=0.6)},
+        ),
+        rng_seed=5,
+    )
+    ds = simulate_rds(
+        net, SimConfig(target_n=100, seed_count=6, trait_missing_prob=0.15, rng_seed=5)
+    ).dataset
+    forest = build_forest(ds)
+    # different included sizes, so the second trait cannot reuse the first's draws
+    assert len(included_sample(ds, forest, "hiv").y) != len(included_sample(ds, forest, "employed").y)
+    per_trait = []
+    for i, traits in enumerate((("hiv", "employed"), ("employed", "hiv"))):
+        bundle = run_pipeline(PipelineConfig(
+            out_dir=tmp_path / str(i), dataset=ds, traits=traits, replicates=300,
+            rng_seed=2, sections=("bottleneck",),
+        ))
+        per_trait.append(bundle.sections["bottleneck"]["per_trait"])
+        assert tuple(per_trait[-1]) == traits
+    assert per_trait[0] == per_trait[1]

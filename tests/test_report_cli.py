@@ -684,10 +684,19 @@ def test_cli_unreadable_config_or_scenario_file(cli_study, capsys, tmp_path, com
          "network has no trait 'nope'"),
         ("recip_prob=1.5", "recip_prob must lie in [0, 1]"),
         ("blocks=-5,100", "block sizes must be >= 0"),
+        ("trait.x=block:9", "trait.x: block must lie in 0..1, got 9"),
+        ("trait.x=block:-1", "trait.x: block must lie in 0..1, got -1"),
+        ("trait.y=bernoulli:2", "trait.y: p must lie in [0, 1], got 2.0"),
+        ("trait.y=bernoulli:nan", "trait.y: p must lie in [0, 1], got nan"),
+        ("trait.z=top_degree:1.5", "trait.z: fraction must lie in [0, 1], got 1.5"),
+        ("trait.z=top_degree:-0.1", "trait.z: fraction must lie in [0, 1], got -0.1"),
+        ("retest_sd=-1", "retest_sd must be >= 0, got -1.0"),
     ],
     ids=["seed_count=-1", "seed_count=0", "target_n=0", "probs-if-trait-length",
          "negative-prob", "zero-probs", "unknown-differential-trait", "recip_prob=1.5",
-         "negative-block"],
+         "negative-block", "trait-block=9", "trait-block=-1", "trait-bernoulli=2",
+         "trait-bernoulli=nan", "trait-top_degree=1.5", "trait-top_degree=-0.1",
+         "retest_sd=-1"],
 )
 def test_cli_simulate_unrealizable_scenario(tmp_path, capsys, lines, message):
     scenario = tmp_path / "scenario.txt"
