@@ -1,7 +1,7 @@
 """Respondent-behavior diagnostics.
 
 Covers reciprocation rates, the network reciprocity summary, recruitment
-effectiveness, the three-level recruitment-bias summary and its simulated
+effectiveness, the three-level recruitment-bias summary and its exact
 simple-random-sampling reference tests, non-response rates, refusal and
 motivation tabulations, and the motivation-outcome odds ratio with an exact
 conditional interval.
@@ -209,40 +209,38 @@ class BiasTestResults:
     overall: BiasTest
 
 
-def _srs_quantile_rank(
-    ngood: np.ndarray,
-    ntotal: np.ndarray,
-    nsample: np.ndarray,
-    observed: int,
-    replicates: int,
-    rng_seed: int,
-    stream: int,
-) -> float:
-    """Quantile rank of the summed positive count in its null distribution
-    under per-recruiter simple random sampling.  The rank uses mid-ranking of
-    ties so null ranks stay approximately uniform despite the discrete
-    statistic."""
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=rng_seed, spawn_key=(stream,)))
-    draws = rng.hypergeometric(
-        ngood[None, :], (ntotal - ngood)[None, :], nsample[None, :],
-        size=(replicates, len(ngood)),
-    )
-    totals = draws.sum(axis=1)
-    below = int((totals < observed).sum())
-    ties = int((totals == observed).sum())
-    return (below + 0.5 * ties) / replicates
+def _summed_positive_pmf(pools: list[tuple[int, int, int, int]]) -> np.ndarray:
+    """pmf over 0..sum(drawn) of the summed positive count when each pool
+    (total, positive, drawn, _) is sampled without replacement: the
+    convolution of the pools' hypergeometric pmfs."""
+    pmf = np.ones(1)
+    for total, positive, drawn, _ in pools:
+        ways = math.comb(total, drawn)
+        pmf = np.convolve(pmf, [
+            math.comb(positive, k) * math.comb(total - positive, drawn - k) / ways
+            for k in range(drawn + 1)
+        ])
+    return pmf
+
+
+def _srs_quantile_rank(pools: list[tuple[int, int, int, int]], observed: int) -> float:
+    """Exact mid-rank P(T < observed) + P(T = observed) / 2 of the summed
+    positive count T under per-recruiter simple random sampling.  Mid-ranking
+    ties keeps null ranks near uniform despite the discrete statistic; the
+    pmf's mass may round to just above 1, so the rank is capped there."""
+    pmf = _summed_positive_pmf(pools)
+    support = np.arange(len(pmf))
+    return min(1.0, float(pmf[support < observed].sum() + 0.5 * pmf[support == observed].sum()))
 
 
 def recruitment_bias_tests(
     ds: StudyDataset,
     forest: RecruitmentForest,
-    replicates: int = 10_000,
     threshold: float = 0.90,
-    rng_seed: int = 0,
 ) -> BiasTestResults:
-    """SRS reference tests at three levels: coupon passing (recipients drawn
-    from contacts), returning coupons (recruits drawn from recipients), and
-    overall (recruits drawn from contacts).
+    """Exact SRS reference tests at three levels: coupon passing (recipients
+    drawn from contacts), returning coupons (recruits drawn from recipients),
+    and overall (recruits drawn from contacts).
 
     Recruiters whose reported positives exceed the pool they were drawn from
     are logically inconsistent for that level: they are excluded from the
@@ -251,18 +249,13 @@ def recruitment_bias_tests(
     if not eligible:
         raise NoEligibleRecruiters("no recruiters with data on all three levels")
 
-    def run(pools: list[tuple[int, int, int, int]], stream: int) -> BiasTest:
+    def run(pools: list[tuple[int, int, int, int]]) -> BiasTest:
         # pools: (total, positive_available, n_drawn, positive_observed)
-        consistent = [
-            p for p in pools if p[3] <= p[1] and p[2] <= p[0] and p[1] <= p[0]
-        ]
+        consistent = [p for p in pools if p[3] <= p[1] and p[2] <= p[0]]
         if not consistent:
             raise NoEligibleRecruiters("no logically consistent recruiters")
-        ntotal = np.array([p[0] for p in consistent])
-        ngood = np.array([p[1] for p in consistent])
-        nsample = np.array([p[2] for p in consistent])
         observed = sum(p[3] for p in consistent)
-        rank = _srs_quantile_rank(ngood, ntotal, nsample, observed, replicates, rng_seed, stream)
+        rank = _srs_quantile_rank(consistent, observed)
         return BiasTest(
             observed=float(observed),
             quantile_rank=rank,
@@ -285,9 +278,9 @@ def recruitment_bias_tests(
     ]
 
     return BiasTestResults(
-        coupon_passing=run(passing_pools, 0),
-        returning_coupons=run(returning_pools, 1),
-        overall=run(overall_pools, 2),
+        coupon_passing=run(passing_pools),
+        returning_coupons=run(returning_pools),
+        overall=run(overall_pools),
     )
 
 

@@ -6,6 +6,7 @@ final estimate by more than ``epsilon``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -20,8 +21,8 @@ class ConvergenceConfig:
     def __post_init__(self) -> None:
         if self.tau < 1:
             raise UnrealizableConfig("tau must be >= 1")
-        if self.epsilon <= 0:
-            raise UnrealizableConfig("epsilon must be > 0")
+        if not 0 < self.epsilon < math.inf:
+            raise UnrealizableConfig(f"epsilon must be > 0 and finite, got {self.epsilon}")
 
 
 @dataclass(frozen=True)

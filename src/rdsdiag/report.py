@@ -73,6 +73,8 @@ class PipelineConfig:
             raise UnrealizableConfig("replicates must be >= 1")
         if self.rng_seed < 0:
             raise UnrealizableConfig(f"seed must be >= 0, got {self.rng_seed}")
+        if not 0 <= self.threshold <= 1:
+            raise UnrealizableConfig(f"threshold must be in [0, 1], got {self.threshold}")
         self.convergence_config  # checks tau and epsilon before any output
 
     @functools.cached_property
@@ -251,8 +253,6 @@ def run_pipeline(cfg: PipelineConfig) -> ReportBundle:
 
     bundle.manifest = dict(sorted(writer.manifest.items()))
     writer.write_text("bundle.json", bundle.to_json())
-    # the bundle's own hash is not part of its manifest; re-serialize is
-    # unnecessary since manifest was frozen before writing bundle.json
     return bundle
 
 
@@ -434,10 +434,7 @@ def _section_behavior(writer, ds, forest, traits, cfg: PipelineConfig) -> dict[s
 
     def bias() -> dict[str, Any]:
         levels = behavior.recruitment_bias_levels(ds, forest)
-        tests = behavior.recruitment_bias_tests(
-            ds, forest, replicates=cfg.replicates, threshold=cfg.threshold,
-            rng_seed=cfg.rng_seed,
-        )
+        tests = behavior.recruitment_bias_tests(ds, forest, threshold=cfg.threshold)
         figure = svg.bars(
             title="Attribute share by level",
             labels=["contacts", "recipients", "recruits"],

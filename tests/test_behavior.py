@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -9,6 +10,8 @@ from scipy.stats.contingency import odds_ratio
 
 from conftest import followup, make_dataset, make_degree, make_respondent
 from rdsdiag.behavior import (
+    _srs_quantile_rank,
+    _summed_positive_pmf,
     exact_odds_ratio_interval,
     motivation_outcome,
     network_reciprocity_stats,
@@ -199,7 +202,7 @@ def test_bias_tests_inconsistent_counted():
                         employed=True),
     ]
     ds = make_dataset(rows)
-    results = recruitment_bias_tests(ds, build_forest(ds), replicates=500, rng_seed=2)
+    results = recruitment_bias_tests(ds, build_forest(ds))
     assert results.coupon_passing.inconsistency == pytest.approx(0.5)
     assert results.coupon_passing.n_recruiters == 1
 
@@ -227,8 +230,97 @@ def test_bias_tests_symmetric_null_rank_moderate():
         order += 1
     # renumber orders contiguously (they already are)
     ds = make_dataset(rows)
-    results = recruitment_bias_tests(ds, build_forest(ds), replicates=4000, rng_seed=3)
+    results = recruitment_bias_tests(ds, build_forest(ds))
     assert 0.2 < results.coupon_passing.quantile_rank < 0.8
+
+
+def _brute_force_pmf(pools):
+    """pmf of the summed positive count over every joint draw: each pool
+    (total, positive, drawn, _) is a list of ``positive`` ones then zeros,
+    and each recruiter's draw is one of its ``drawn``-element combinations."""
+    per_pool = [
+        list(itertools.combinations([1] * positive + [0] * (total - positive), drawn))
+        for total, positive, drawn, _ in pools
+    ]
+    counts = [0] * (sum(p[2] for p in pools) + 1)
+    for joint in itertools.product(*per_pool):
+        counts[sum(map(sum, joint))] += 1
+    n = sum(counts)
+    return [Fraction(c, n) for c in counts]
+
+
+@pytest.mark.parametrize("pools", [
+    [(1, 0, 1, 0)],
+    [(3, 3, 2, 0)],
+    [(4, 2, 2, 0), (3, 1, 1, 0)],
+    [(5, 2, 3, 0), (4, 4, 1, 0), (2, 1, 2, 0)],
+    [(5, 3, 2, 0), (4, 1, 3, 0), (3, 2, 2, 0), (5, 0, 4, 0)],
+    [(4, 2, 0, 0), (5, 1, 2, 0), (5, 4, 3, 0), (2, 1, 1, 0)],
+])
+def test_srs_reference_matches_brute_force_enumeration(pools):
+    oracle = _brute_force_pmf(pools)
+    pmf = _summed_positive_pmf(pools)
+    assert pmf == pytest.approx([float(p) for p in oracle], abs=1e-12)
+    for observed in range(-1, len(oracle) + 1):
+        below = sum(oracle[:max(observed, 0)])
+        tie = oracle[observed] if 0 <= observed < len(oracle) else 0
+        rank = float(below + tie / 2)
+        assert _srs_quantile_rank(pools, observed) == pytest.approx(rank, abs=1e-12)
+
+
+_pool = st.integers(1, 40).flatmap(
+    lambda total: st.tuples(
+        st.just(total), st.integers(0, total), st.integers(0, total), st.just(0)
+    )
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(pools=st.lists(_pool, min_size=1, max_size=12), offset=st.integers(-3, 3))
+@example(pools=[(10, 10, 4, 0)], offset=-1)  # below the support {4}
+def test_srs_reference_mass_mean_and_rank_range(pools, offset):
+    pmf = _summed_positive_pmf(pools)
+    assert len(pmf) == sum(p[2] for p in pools) + 1
+    assert pmf.sum() == pytest.approx(1.0, abs=1e-12)
+    mean = sum(drawn * positive / total for total, positive, drawn, _ in pools)
+    assert (np.arange(len(pmf)) * pmf).sum() == pytest.approx(mean, rel=1e-9, abs=1e-9)
+    support = np.flatnonzero(pmf)
+    for observed in (support[0] + offset, support[-1] + offset, len(pmf) // 2 + offset):
+        assert 0.0 <= _srs_quantile_rank(pools, observed) <= 1.0
+    assert _srs_quantile_rank(pools, support[0] - 1) == 0.0
+    assert _srs_quantile_rank(pools, support[-1] + 1) == pytest.approx(1.0, abs=1e-12)
+
+
+def _monte_carlo_rank(pools, observed, replicates, rng_seed):
+    """The seeded Monte-Carlo estimate of the mid-rank that the exact
+    reference replaced: ``replicates`` joint hypergeometric draws."""
+    ntotal, ngood, nsample = (np.array([p[i] for p in pools]) for i in range(3))
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=rng_seed, spawn_key=(0,)))
+    draws = rng.hypergeometric(
+        ngood[None, :], (ntotal - ngood)[None, :], nsample[None, :],
+        size=(replicates, len(pools)),
+    )
+    totals = draws.sum(axis=1)
+    return ((totals < observed).sum() + 0.5 * (totals == observed).sum()) / replicates
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_srs_reference_agrees_with_monte_carlo(seed):
+    rng = np.random.default_rng(seed)
+    pools = []
+    for _ in range(60):
+        total = int(rng.integers(1, 25))
+        positive = int(rng.integers(0, total + 1))
+        pools.append((total, positive, int(rng.integers(0, min(total, 3) + 1)), 0))
+    pmf = _summed_positive_pmf(pools)
+    cdf = np.cumsum(pmf)
+    replicates = 20_000
+    for q in (0.1, 0.5, 0.9):
+        observed = int(np.searchsorted(cdf, q))
+        exact = _srs_quantile_rank(pools, observed)
+        below, tie = cdf[observed] - pmf[observed], pmf[observed]
+        se = math.sqrt((below + tie / 4 - exact**2) / replicates)
+        assert abs(_monte_carlo_rank(pools, observed, replicates, seed) - exact) <= 4 * se
 
 
 # -- non-response ------------------------------------------------------------

@@ -500,6 +500,19 @@ def test_cli_orphan_followup_row(cli_study, capsys, tmp_path, strict):
     assert bundle["dataset"]["validation"]["n_warnings"] == 1
 
 
+def test_cli_behavior_stdout_ignores_seed_and_replicates(cli_study, capsys, tmp_path):
+    printed = []
+    for seed, replicates in (("1", "300"), ("7", "50")):
+        capsys.readouterr()
+        assert main([
+            "behavior", *_dataset_args(cli_study), "--out-dir", str(tmp_path / seed),
+            "--seed", seed, "--replicates", replicates,
+        ]) == 0
+        printed.append(capsys.readouterr().out)
+    assert printed[0] == printed[1]
+    assert '"quantile_rank"' in printed[0]  # the bias tests ran, not skipped
+
+
 def _copy_study(study, dst):
     for name in ("respondents.csv", "traits.csv", "followup.csv"):
         (dst / name).write_bytes((study / name).read_bytes())
@@ -538,7 +551,9 @@ def test_cli_non_utf8_input_exit_code(cli_study, capsys, tmp_path):
 @pytest.mark.parametrize(
     "flag, value",
     [("--degree-question", "bogus"), ("--replicates", "0"), ("--replicates", "-5"),
-     ("--tau", "0"), ("--epsilon", "-1"), ("--epsilon", "0"), ("--seed", "-1")],
+     ("--tau", "0"), ("--epsilon", "-1"), ("--epsilon", "0"), ("--seed", "-1"),
+     ("--epsilon", "nan"), ("--epsilon", "inf"), ("--threshold", "nan"),
+     ("--threshold", "-0.1"), ("--threshold", "1.5")],
 )
 def test_cli_invalid_config_exit_code(cli_study, capsys, tmp_path, flag, value):
     out_dir = tmp_path / "o"
