@@ -4,6 +4,11 @@ Time-window validity, test-retest reliability, sensitivity of estimates to
 the degree wave, and degree-over-time trend fits.  Trend fits report only
 signs and statistics; the dependence in recruitment chains makes attached
 p-values meaningless, so none are produced.
+
+The rank statistics are a few lines of numpy each, with the usual
+definitions: average ranks for ties, Spearman's rho as the Pearson
+correlation of those ranks, Kendall's tau-b with both tie corrections, and
+the Theil-Sen slope as the median slope over pairs with distinct x.
 """
 
 from __future__ import annotations
@@ -13,7 +18,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy import stats
 
 from .dataset import StudyDataset, reach_inconsistent
 from .errors import InsufficientData
@@ -21,6 +25,42 @@ from .estimators import DEFAULT_DEGREE_QUESTION, IncludedSample, inverse_degree_
 from .forest import RecruitmentForest, interview_gap_days
 
 TREND_METHODS = ("linear", "log-linear", "theil-sen", "kendall-tau", "spearman-rho")
+
+
+def _average_ranks(v: np.ndarray) -> np.ndarray:
+    """1-based ranks of ``v``, tied values sharing the mean of their ranks."""
+    _, inverse, counts = np.unique(v, return_inverse=True, return_counts=True)
+    ends = np.cumsum(counts)
+    return (ends - (counts - 1) / 2)[inverse]
+
+
+def _spearman(x: np.ndarray, y: np.ndarray) -> float:
+    """Spearman's rho: the Pearson correlation of the average ranks."""
+    ranks = np.column_stack((_average_ranks(x), _average_ranks(y)))
+    return float(np.corrcoef(ranks, rowvar=False)[1, 0])
+
+
+def _kendall_tau_b(x: np.ndarray, y: np.ndarray) -> float:
+    """Kendall's tau-b: concordant minus discordant pairs over the geometric
+    mean of the pairs untied in x and the pairs untied in y.  Neither x nor
+    y may be constant."""
+    # each pair untied in x appears once as an (i, j) with x[i] > x[j]
+    x_above = np.greater.outer(x, x)
+    y_above = np.greater.outer(y, y)
+    untied_x = np.count_nonzero(x_above)
+    untied_y = np.count_nonzero(y_above)
+    concordant = np.count_nonzero(x_above & y_above)
+    discordant = np.count_nonzero(x_above & np.less.outer(y, y))
+    tau = (concordant - discordant) / np.sqrt(untied_x) / np.sqrt(untied_y)
+    return float(min(1.0, max(-1.0, tau)))
+
+
+def _theil_sen(x: np.ndarray, y: np.ndarray) -> float:
+    """Theil-Sen slope: the median of (y[i] - y[j]) / (x[i] - x[j]) over the
+    pairs with x[i] > x[j].  x may not be constant."""
+    dx = np.subtract.outer(x, x)
+    x_above = dx > 0
+    return float(np.median(np.subtract.outer(y, y)[x_above] / dx[x_above]))
 
 
 @dataclass(frozen=True)
@@ -121,7 +161,7 @@ def test_retest_stats(
     diffs = retest - test
     # a constant column has no ranks to correlate: rho is undefined
     constant = np.all(test == test[0]) or np.all(retest == retest[0])
-    rho = math.nan if constant else stats.spearmanr(test, retest).statistic
+    rho = math.nan if constant else _spearman(test, retest)
     return RetestStats(
         question=question,
         n=len(pairs),
@@ -216,11 +256,11 @@ def degree_trend(
                 raise InsufficientData("need >= 3 positive degrees for log-linear")
             stat = float(np.polyfit(x[mask], np.log(y[mask]), 1)[0])
         elif method == "theil-sen":
-            stat = float(stats.theilslopes(y, x).slope)
+            stat = _theil_sen(x, y)
         elif method == "kendall-tau":
-            stat = float(stats.kendalltau(x, y).statistic)
+            stat = _kendall_tau_b(x, y)
         elif method == "spearman-rho":
-            stat = float(stats.spearmanr(x, y).statistic)
+            stat = _spearman(x, y)
         else:
             raise ValueError(f"unknown trend method {method!r}")
         verdicts.append(TrendVerdict(method=method, sign=_sign(stat), statistic=stat))

@@ -16,9 +16,9 @@ tends to the inverse-degree estimate.  It is deterministic and takes no seed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .dataset import StudyDataset
 from .errors import EmptySample, PopulationTooSmall
@@ -142,6 +142,32 @@ def per_tree_series(sample: IncludedSample) -> dict[str, EstimateSeries]:
 # successive sampling
 
 
+def _bisect(f: Callable[[float], float], lo: float, hi: float, xtol: float) -> float:
+    """Root of ``f`` between ``lo`` < ``hi`` by bisection.  ``f(lo)`` and
+    ``f(hi)`` must differ in sign unless one of them is 0, which is then
+    the root.  Stops once the bracket is at most ``xtol`` wide or its
+    midpoint equals an end (no float lies between them), and returns the
+    midpoint."""
+    f_lo, f_hi = f(lo), f(hi)
+    if f_lo == 0.0:
+        return lo
+    if f_hi == 0.0:
+        return hi
+    if (f_lo < 0) == (f_hi < 0):
+        raise ValueError(f"f({lo}) and f({hi}) have the same sign")
+    while True:
+        mid = lo + (hi - lo) / 2
+        if hi - lo <= xtol or mid == lo or mid == hi:
+            return mid
+        f_mid = f(mid)
+        if f_mid == 0.0:
+            return mid
+        if (f_mid < 0) == (f_lo < 0):
+            lo, f_lo = mid, f_mid
+        else:
+            hi = mid
+
+
 def check_population_size(population_size: int, n: int) -> None:
     """Raise ``PopulationTooSmall`` for an SS population below the sample size."""
     if population_size < n:
@@ -157,11 +183,13 @@ def ss_inclusion_weights(
     ``lam`` is the root of sum_i 1/pi(d_i) = N, which is decreasing in
     ``lam``.  At lam_lo = sum(1/d)/N the sum exceeds N, since
     1/(1 - e^-x) > 1/x; at lam_hi = -log1p(-n/N)/min(d) every pi is at least
-    n/N, so the sum is at most N.  The root is found in log(lam), so the
-    weights keep their relative accuracy however large N is.  In the census
-    (N = n) and with a single degree class the root gives equal weights N/n.
+    n/N, so the sum is at most N.  The root is found by bisection in
+    log(lam), down to adjacent floats, so the weights keep their relative
+    accuracy however large N is.  In the census (N = n) and with a single
+    degree class the root gives equal weights N/n.
 
-    Returns (weights aligned with ``degrees``, converged flag).
+    Returns (weights aligned with ``degrees``, converged flag); bisection
+    on a valid bracket always converges, so the flag is always True.
     """
     n = len(degrees)
     check_population_size(population_size, n)
@@ -173,11 +201,8 @@ def ss_inclusion_weights(
 
     lo = np.log(np.sum(1.0 / degrees) / population_size)
     hi = np.log(-np.log1p(-n / population_size) / degrees.min())
-    log_lam, result = brentq(
-        lambda t: weights(t).sum() / population_size - 1.0, lo, hi,
-        xtol=1e-15, full_output=True,
-    )
-    return weights(log_lam), result.converged
+    log_lam = _bisect(lambda t: weights(t).sum() / population_size - 1.0, lo, hi, xtol=1e-15)
+    return weights(log_lam), True
 
 
 def ss_estimate(sample: IncludedSample, population_size: int) -> float:

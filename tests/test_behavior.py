@@ -207,6 +207,28 @@ def test_bias_tests_inconsistent_counted():
     assert results.coupon_passing.n_recruiters == 1
 
 
+def test_bias_tests_too_many_negatives_inconsistent():
+    rows = [
+        # 5 contacts, 4 employed: two unemployed recipients cannot be drawn
+        _bias_recruiter("S", 1, q_age=5, n_employed=4,
+                        recipients=[False, False], recruit_coupons=1),
+        _bias_recruiter("T", 2, q_age=5, n_employed=2,
+                        recipients=[True, False], recruit_coupons=1),
+        make_respondent("r0", 3, coupon_in="S-c0", degree=2, traits={"hiv": "no"},
+                        employed=False),
+        make_respondent("r1", 4, coupon_in="T-c0", degree=2, traits={"hiv": "no"},
+                        employed=True),
+    ]
+    ds = make_dataset(rows)
+    passing = recruitment_bias_tests(ds, build_forest(ds)).coupon_passing
+    assert passing.inconsistency == pytest.approx(0.5)
+    assert passing.n_recruiters == 1
+    assert passing.observed == 1.0
+    # T alone: P(0 of 2 employed) = 3/10, P(1) = 6/10, mid-rank 0.3 + 0.3;
+    # with S kept, the observed sum would sit below the null support (rank 0)
+    assert passing.quantile_rank == pytest.approx(0.6, abs=1e-12)
+
+
 def test_bias_tests_symmetric_null_rank_moderate():
     rng = np.random.default_rng(8)
     rows = []

@@ -1,0 +1,79 @@
+"""The runtime needs numpy only: a full ``rdsdiag report`` never imports scipy.
+
+Importing scipy would cost more than a second of every report's start-up,
+so each variant runs the report in a fresh interpreter:
+
+- after ``cli.main`` returns, no ``scipy`` module is loaded (a lazy import
+  inside some function would show here);
+- with ``sys.modules["scipy"] = None`` set first, every scipy import fails,
+  and the report must still exit 0 with the same bundle bytes.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import rdsdiag
+from rdsdiag.cli import main
+from test_golden import GOLDEN, REPORT_FLAGS, SCENARIO
+
+SRC = Path(rdsdiag.__file__).resolve().parents[1]
+
+CHILD = """\
+import json, sys
+if sys.argv[1] == "blocked":
+    sys.modules["scipy"] = None
+from rdsdiag import cli
+code = cli.main(sys.argv[2:])
+loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+print(json.dumps({"code": code, "scipy": loaded}))
+"""
+
+
+@pytest.fixture(scope="module")
+def study(tmp_path_factory):
+    root = tmp_path_factory.mktemp("no-scipy")
+    (root / "scenario.txt").write_text(SCENARIO)
+    out = root / "study"
+    assert main(["simulate", "--scenario", str(root / "scenario.txt"), "--out-dir", str(out)]) == 0
+    return out
+
+
+def _report(study: Path, out_dir: Path, mode: str) -> dict:
+    argv = [
+        "report",
+        "--respondents", str(study / "respondents.csv"),
+        "--traits", str(study / "traits.csv"),
+        "--followup", str(study / "followup.csv"),
+        "--out-dir", str(out_dir),
+        *REPORT_FLAGS,
+    ]
+    proc = subprocess.run(
+        [sys.executable, "-c", CHILD, mode, *argv],
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+@pytest.fixture(scope="module")
+def plain(study, tmp_path_factory):
+    out = tmp_path_factory.mktemp("plain")
+    return _report(study, out, "plain"), out / "bundle.json"
+
+
+def test_report_imports_no_scipy(plain):
+    result, bundle = plain
+    assert result == {"code": 0, "scipy": []}
+    assert bundle.read_bytes() == GOLDEN.read_bytes()
+
+
+def test_report_runs_with_scipy_blocked(study, plain, tmp_path):
+    result = _report(study, tmp_path, "blocked")
+    assert result["code"] == 0
+    assert (tmp_path / "bundle.json").read_bytes() == plain[1].read_bytes()
