@@ -18,7 +18,7 @@ import numpy as np
 
 from .dataset import Respondent, StudyDataset
 from .errors import DegenerateTable, NoData, NoEligibleRecruiters, UnknownTrait
-from .estimators import _bisect
+from .estimators import _bisect, _quantile
 from .forest import RecruitmentForest
 
 
@@ -73,9 +73,9 @@ def network_reciprocity_stats(ds: StudyDataset) -> ReciprocityStats:
         return ReciprocityStats(math.nan, math.nan, math.nan, 0, excluded)
     arr = np.array(values)
     return ReciprocityStats(
-        median_relative_difference=float(np.median(arr)),
+        median_relative_difference=_quantile(arr, 0.5),
         mean_relative_difference=float(arr.mean()),
-        q3_relative_difference=float(np.quantile(arr, 0.75)),
+        q3_relative_difference=_quantile(arr, 0.75),
         n=len(values),
         n_excluded=excluded,
     )

@@ -8,10 +8,17 @@ and degrees stay attached to sample positions.
 Replicate r permutes the n included positions with a generator seeded by
 child r of ``SeedSequence(rng_seed)``, so the permutations depend only on
 (n, replicates, rng_seed): traits with the same included size share them.
-The last such block is held as a read-only int32 matrix of 4·R·n bytes
-(16 MB at R = 4000, n = 1000), and the statistics are computed in fixed
-chunks of ``_CHUNK_ROWS`` replicates, whose work arrays take about
-24·256·n bytes; no R×n float matrix is built.
+The last such block is held as the read-only int32 matrix of their inverses,
+4·R·n bytes (16 MB at R = 4000, n = 1000): row r maps each label's position
+to the position it lands on.
+
+The statistic depends on the labels only through the integer counts of the
+counted class in each (tree, degree) cell, and the counted class is the
+smaller one: the WSD of 1 − y equals that of y, so at most n/2 labels are
+followed per replicate.  Replicates go in fixed chunks of ``_CHUNK_ROWS``,
+whose work arrays take about 256·(12·m + 16·trees·degrees) bytes for m
+counted labels.  A replicate with the observed cell counts gives the
+observed statistic bit for bit, so such a tie is never counted below it.
 """
 
 from __future__ import annotations
@@ -39,32 +46,48 @@ class PermutationResult:
 
 
 @functools.lru_cache(maxsize=1)
-def _permutations(n: int, replicates: int, rng_seed: int) -> np.ndarray:
-    """Read-only ``replicates × n`` matrix whose row r is the permutation of
-    ``range(n)`` drawn from child r of ``SeedSequence(rng_seed)``."""
-    perms = np.empty((replicates, n), dtype=np.int32)
+def _inverse_permutations(n: int, replicates: int, rng_seed: int) -> np.ndarray:
+    """Read-only ``replicates × n`` matrix whose row r is the inverse of the
+    permutation of ``range(n)`` drawn from child r of
+    ``SeedSequence(rng_seed)``: ``inv[r, perm[j]] = j``."""
+    inv = np.empty((replicates, n), dtype=np.int32)
+    positions = np.arange(n, dtype=np.int32)
     for r, child in enumerate(np.random.SeedSequence(rng_seed).spawn(replicates)):
-        perms[r] = np.random.default_rng(child).permutation(n)
-    perms.flags.writeable = False
-    return perms
+        inv[r, np.random.default_rng(child).permutation(n)] = positions
+    inv.flags.writeable = False
+    return inv
 
 
-def _wsd_from_matrix(
-    y_matrix: np.ndarray, w: np.ndarray, t: np.ndarray, n_trees: int
+def _cells(sample: IncludedSample) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each position's (tree, degree class) cell, each class's inverse
+    degree, and the ``trees × classes`` member counts the cells index.
+
+    Trees are numbered in sorted-root order and classes in increasing weight:
+    the statistic sums over them in that order, which fixes its last bits."""
+    roots, tree = np.unique(np.asarray(sample.roots)[sample.tree], return_inverse=True)
+    weights, wclass = np.unique(1.0 / sample.degree, return_inverse=True)
+    shape = (len(roots), len(weights))
+    cell = tree * shape[1] + wclass
+    return cell, weights, np.bincount(cell, minlength=shape[0] * shape[1]).reshape(shape)
+
+
+def _wsd_of_positions(
+    positions: np.ndarray, cell: np.ndarray, weights: np.ndarray, all_counts: np.ndarray
 ) -> np.ndarray:
-    """Vectorized WSD for one permuted label row per replicate.
+    """WSD of each row of ``positions``, the sample positions that carry the
+    counted label in that replicate, with the cells of ``_cells``.
 
-    Each per-tree numerator is a ``bincount`` sum over its members in
-    position order, so a row's value does not depend on the other rows."""
-    rows = len(y_matrix)
-    n_s = np.bincount(t, minlength=n_trees).astype(float)
-    denom_s = np.bincount(t, weights=w, minlength=n_trees)
-    wy = y_matrix * w[None, :]
-    cells = (np.arange(rows)[:, None] * n_trees + t[None, :]).ravel()
-    num_s = np.bincount(cells, weights=wy.ravel(), minlength=rows * n_trees)
-    p_s = num_s.reshape(rows, n_trees) / denom_s[None, :]
-    p_all = wy.sum(axis=1) / w.sum()
-    return ((p_s - p_all[:, None]) ** 2 * n_s[None, :]).sum(axis=1)
+    A row's value is a function of its integer cell counts alone, so it does
+    not depend on the other rows."""
+    rows = len(positions)
+    n_cells = all_counts.size
+    cells = cell[positions]
+    cells += np.arange(rows)[:, None] * n_cells
+    counts = np.bincount(cells.ravel(), minlength=rows * n_cells)
+    num = (counts.reshape(rows, *all_counts.shape) * weights).sum(axis=2)
+    denom = (all_counts * weights).sum(axis=1)
+    p_all = num.sum(axis=1) / denom.sum()
+    return ((num / denom - p_all[:, None]) ** 2 * all_counts.sum(axis=1)).sum(axis=1)
 
 
 def wsd_permutation_test(
@@ -79,21 +102,20 @@ def wsd_permutation_test(
     the observed statistic and replicate values never flag.  Deterministic
     given ``rng_seed``; replicate permutations derive from per-replicate
     seed streams."""
-    y = sample.y
-    w = 1.0 / sample.degree
-    # trees are numbered in sorted-root order: the statistic sums over tree
-    # columns, so this order fixes its last bits and hence quantile-rank ties
-    roots, t = np.unique(np.asarray(sample.roots)[sample.tree], return_inverse=True)
-    n_trees = len(roots)
-    if n_trees < 2:
+    cell, weights, all_counts = _cells(sample)
+    if len(all_counts) < 2:
         raise TooFewTrees(
             f"trait {sample.trait!r}: need at least 2 trees with included members"
         )
-    observed = _wsd_from_matrix(y[None, :], w, t, n_trees)[0]
+    # y is 0/1 and the WSD of 1 - y equals that of y: count the smaller class
+    positive = sample.y == 1.0
+    labels = np.flatnonzero(positive if 2 * positive.sum() <= len(positive) else ~positive)
+    observed = _wsd_of_positions(labels[None, :], cell, weights, all_counts)[0]
 
-    perms = _permutations(len(y), replicates, rng_seed)
+    inv = _inverse_permutations(len(cell), replicates, rng_seed)
     below = sum(
-        int((_wsd_from_matrix(y[perms[i:i + _CHUNK_ROWS]], w, t, n_trees) < observed).sum())
+        int((_wsd_of_positions(np.take(inv[i:i + _CHUNK_ROWS], labels, axis=1),
+                               cell, weights, all_counts) < observed).sum())
         for i in range(0, replicates, _CHUNK_ROWS)
     )
     quantile_rank = below / replicates

@@ -21,7 +21,12 @@ import numpy as np
 
 from .dataset import StudyDataset, reach_inconsistent
 from .errors import InsufficientData
-from .estimators import DEFAULT_DEGREE_QUESTION, IncludedSample, inverse_degree_series
+from .estimators import (
+    DEFAULT_DEGREE_QUESTION,
+    IncludedSample,
+    _quantile,
+    inverse_degree_series,
+)
 from .forest import RecruitmentForest, interview_gap_days
 
 TREND_METHODS = ("linear", "log-linear", "theil-sen", "kendall-tau", "spearman-rho")
@@ -60,7 +65,7 @@ def _theil_sen(x: np.ndarray, y: np.ndarray) -> float:
     pairs with x[i] > x[j].  x may not be constant."""
     dx = np.subtract.outer(x, x)
     x_above = dx > 0
-    return float(np.median(np.subtract.outer(y, y)[x_above] / dx[x_above]))
+    return _quantile(np.subtract.outer(y, y)[x_above] / dx[x_above], 0.5)
 
 
 @dataclass(frozen=True)
@@ -165,9 +170,9 @@ def test_retest_stats(
     return RetestStats(
         question=question,
         n=len(pairs),
-        median_diff=float(np.median(diffs)),
-        q1_diff=float(np.quantile(diffs, 0.25)),
-        q3_diff=float(np.quantile(diffs, 0.75)),
+        median_diff=_quantile(diffs, 0.5),
+        q1_diff=_quantile(diffs, 0.25),
+        q3_diff=_quantile(diffs, 0.75),
         spearman_rho=float(rho),
     )
 

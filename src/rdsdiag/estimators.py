@@ -168,6 +168,26 @@ def _bisect(f: Callable[[float], float], lo: float, hi: float, xtol: float) -> f
             hi = mid
 
 
+def _quantile(a: np.ndarray, q: float) -> float:
+    """``np.quantile(a, q)`` (the linear method) of a non-empty 1-D array
+    without NaN, bit for bit, from one ``np.partition``; ``q = 0.5`` gives
+    ``np.median``, which takes the mean of the two middle values instead of
+    interpolating.  Neither numpy function is used because their first call
+    imports ``numpy.ma``, and ``np.median`` partitions at two indices."""
+    n = len(a)
+    v = (n - 1) * q
+    k = int(v) + 1
+    if k >= n:
+        return float(np.max(a))
+    part = np.partition(a, k)
+    lo, hi = float(part[:k].max()), float(part[k])
+    g = v - (k - 1)
+    if q == 0.5:
+        return lo if g == 0 else (lo + hi) / 2
+    diff = hi - lo
+    return lo + diff * g if g < 0.5 else hi - diff * (1 - g)
+
+
 def check_population_size(population_size: int, n: int) -> None:
     """Raise ``PopulationTooSmall`` for an SS population below the sample size."""
     if population_size < n:

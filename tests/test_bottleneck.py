@@ -1,4 +1,5 @@
 import dataclasses
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,8 +10,9 @@ from conftest import make_dataset, make_respondent, unit_degree_two_trees
 from rdsdiag import svg
 from rdsdiag.bottleneck import (
     _CHUNK_ROWS,
-    _permutations,
-    _wsd_from_matrix,
+    _cells,
+    _inverse_permutations,
+    _wsd_of_positions,
     wsd_permutation_test,
 )
 from rdsdiag.errors import TooFewTrees, UnknownTrait
@@ -20,19 +22,38 @@ from rdsdiag.report import PipelineConfig, run_pipeline
 from rdsdiag.sim import NetworkConfig, SimConfig, TraitRule, generate_network, simulate_rds
 
 
+def _sample(y, degree, tree, trait="t"):
+    """An included sample with the given labels, degrees and tree indices;
+    tree k is rooted at ``S{k}``."""
+    n = len(y)
+    return IncludedSample(
+        trait=trait, roots=tuple(f"S{k}" for k in range(max(tree) + 1)),
+        ids=tuple(f"R{i}" for i in range(n)), orders=np.arange(1, n + 1),
+        y=np.asarray(y, dtype=float), degree=np.asarray(degree, dtype=float),
+        tree=np.asarray(tree),
+    )
+
+
 def _unit_degree_trees(trees):
-    """Unit-degree labels, weights and tree indices for trees given as
-    (positives, size) pairs, positives first within each tree."""
+    """Unit-degree sample of trees given as (positives, size) pairs,
+    positives first within each tree."""
     y, t = [], []
     for i, (positives, size) in enumerate(trees):
         y += [1.0] * positives + [0.0] * (size - positives)
         t += [i] * size
-    return np.array(y), np.ones(len(y)), np.array(t)
+    return _sample(y, np.ones(len(y)), t)
+
+
+def _counted(y):
+    """Positions of the counted class: the positives unless they are more
+    than half."""
+    y = np.asarray(y)
+    return np.flatnonzero(y == 1.0) if 2 * (y == 1.0).sum() <= len(y) else np.flatnonzero(y == 0.0)
 
 
 def _wsd(trees):
-    y, w, t = _unit_degree_trees(trees)
-    return _wsd_from_matrix(y[None, :], w, t, len(trees))[0]
+    sample = _unit_degree_trees(trees)
+    return _wsd_of_positions(_counted(sample.y)[None, :], *_cells(sample))[0]
 
 
 def test_wsd_hand_fixture():
@@ -46,12 +67,8 @@ def test_wsd_trivial_cases():
 
 def test_wsd_invariant_to_empty_trees():
     # a forest root without included members adds no tree to the statistic
-    y, w, t = _unit_degree_trees([(1, 4), (4, 6)])
-    base = IncludedSample(
-        trait="hiv", roots=("a", "b"), ids=tuple(f"R{i}" for i in range(len(y))),
-        orders=np.arange(3, len(y) + 3), y=y, degree=w, tree=t,
-    )
-    with_empty = dataclasses.replace(base, roots=("a", "c", "b"), tree=np.where(t == 1, 2, 0))
+    base = dataclasses.replace(_unit_degree_trees([(1, 4), (4, 6)]), roots=("a", "b"))
+    with_empty = dataclasses.replace(base, roots=("a", "c", "b"), tree=np.where(base.tree == 1, 2, 0))
     observed = wsd_permutation_test(base, replicates=10).observed_wsd
     assert observed == wsd_permutation_test(with_empty, replicates=10).observed_wsd
     assert observed == pytest.approx(_wsd([(1, 4), (4, 6)]), abs=1e-15)
@@ -181,32 +198,35 @@ def test_overall_estimate_matches_wsd_reference():
     assert overall == pytest.approx(0.5)
 
 
-def _random_sample(n, n_trees=5, seed=0, trait="t"):
+def _random_sample(n, n_trees=5, seed=0, trait="t", prevalence=0.4, max_degree=30):
     """An included sample of ``n`` respondents with random labels, integer
     degrees and tree memberships; every tree has members."""
     rng = np.random.default_rng(seed)
     tree = np.concatenate([np.arange(n_trees), rng.integers(0, n_trees, n - n_trees)])
-    return IncludedSample(
-        trait=trait, roots=tuple(f"S{k}" for k in range(n_trees)),
-        ids=tuple(f"R{i}" for i in range(n)), orders=np.arange(n_trees + 1, n + n_trees + 1),
-        y=(rng.random(n) < 0.4).astype(float),
-        degree=rng.integers(1, 30, n).astype(float), tree=tree,
-    )
+    y = (rng.random(n) < prevalence).astype(float)
+    return _sample(y, rng.integers(1, max_degree, n), tree, trait=trait)
 
 
 @pytest.mark.parametrize("replicates", [1, 255, 256, 257, 333])
 def test_chunked_statistics_match_one_call(replicates):
     sample = _random_sample(90, seed=replicates)
-    y, w, t = sample.y, 1.0 / sample.degree, sample.tree
-    perms = _permutations(len(y), replicates, 7)
-    whole = _wsd_from_matrix(y[perms], w, t, 5)
+    cells = _cells(sample)
+    labels = _counted(sample.y)
+    inv = _inverse_permutations(len(sample), replicates, 7)
+    positions = np.take(inv, labels, axis=1)
+    # replicate r labels position j with y[perm_r[j]], perm_r the inverse of inv[r]
+    assert all(
+        np.array_equal(np.sort(row), np.flatnonzero(sample.y[np.argsort(inv_r)] == sample.y[labels[0]]))
+        for row, inv_r in zip(positions, inv)
+    )
+    whole = _wsd_of_positions(positions, *cells)
     chunked = np.concatenate([
-        _wsd_from_matrix(y[perms[i:i + _CHUNK_ROWS]], w, t, 5)
+        _wsd_of_positions(positions[i:i + _CHUNK_ROWS], *cells)
         for i in range(0, replicates, _CHUNK_ROWS)
     ])
-    one_by_one = np.concatenate([_wsd_from_matrix(y[row[None, :]], w, t, 5) for row in perms])
+    one_by_one = np.concatenate([_wsd_of_positions(row[None, :], *cells) for row in positions])
     assert whole.tobytes() == chunked.tobytes() == one_by_one.tobytes()
-    observed = _wsd_from_matrix(y[None, :], w, t, 5)[0]
+    observed = _wsd_of_positions(labels[None, :], *cells)[0]
     result = wsd_permutation_test(sample, replicates=replicates, rng_seed=7)
     assert result.observed_wsd == observed
     assert result.quantile_rank == (whole < observed).sum() / replicates
@@ -216,51 +236,98 @@ def test_chunked_statistics_match_one_call(replicates):
 def test_permutations_match_per_replicate_streams(n, replicates, seed):
     children = np.random.SeedSequence(seed).spawn(replicates)
     oracle = [np.random.default_rng(child).permutation(n) for child in children]
-    perms = _permutations(n, replicates, seed)
-    assert perms.shape == (replicates, n)
-    assert perms.dtype == np.int32
-    assert all(np.array_equal(row, expected) for row, expected in zip(perms, oracle))
+    inv = _inverse_permutations(n, replicates, seed)
+    assert inv.shape == (replicates, n)
+    assert inv.dtype == np.int32
+    assert all(np.array_equal(row, np.argsort(perm)) for row, perm in zip(inv, oracle))
 
 
 def test_permutations_read_only():
-    perms = _permutations(12, 4, 0)
+    inv = _inverse_permutations(12, 4, 0)
     with pytest.raises(ValueError):
-        perms[0, 0] = 1
-    assert _permutations(12, 4, 0) is perms
+        inv[0, 0] = 1
+    assert _inverse_permutations(12, 4, 0) is inv
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=80, deadline=None)
 @given(
     st.integers(2, 6).flatmap(
         lambda k: st.tuples(
             st.just(k),
-            st.lists(
-                st.tuples(st.integers(0, k - 1), st.floats(0, 1), st.integers(1, 40)),
-                min_size=k, max_size=40,
-            ),
+            st.lists(st.tuples(st.integers(0, k - 1), st.integers(1, 40)), min_size=k, max_size=40),
+            st.sampled_from([0.0, 1.0, 0.5, 0.8]) | st.floats(0, 1),
             st.integers(1, 4),
         )
     )
 )
-def test_wsd_from_matrix_matches_naive_loop(case):
-    n_trees, members, rows = case
+def test_wsd_of_positions_matches_naive_loop(case):
+    n_trees, members, prevalence, rows = case
+    n = len(members)
     # every tree gets at least one member, as in np.unique's inverse
-    t = np.array(list(range(n_trees)) + [m[0] for m in members[n_trees:]])
-    w = np.array([1.0 / m[2] for m in members])
-    rng = np.random.default_rng(len(members))
-    y_matrix = np.array([[m[1] for m in members]] + [
-        [members[j][1] for j in rng.permutation(len(members))] for _ in range(rows - 1)
-    ])
-    got = _wsd_from_matrix(y_matrix, w, t, n_trees)
-    for r, y in enumerate(y_matrix.tolist()):
-        p_all = sum(wi * yi for wi, yi in zip(w, y)) / sum(w)
-        naive = 0.0
+    t = list(range(n_trees)) + [m[0] for m in members[n_trees:]]
+    degree = [m[1] for m in members]
+    rng = np.random.default_rng(n)
+    y = np.zeros(n)
+    y[rng.permutation(n)[:round(prevalence * n)]] = 1.0
+    y_matrix = [y] + [y[rng.permutation(n)] for _ in range(rows - 1)]
+    got = _wsd_of_positions(np.array([_counted(row) for row in y_matrix]), *_cells(_sample(y, degree, t)))
+    w = [Fraction(1, d) for d in degree]
+    for r, labels in enumerate(y_matrix):
+        # exact WSD of the 0/1 labels themselves, whichever class is counted
+        p_all = sum(wi for wi, yi in zip(w, labels) if yi) / sum(w)
+        naive = Fraction(0)
         for k in range(n_trees):
-            idx = [j for j in range(len(t)) if t[j] == k]
-            p_k = sum(w[j] * y[j] for j in idx) / sum(w[j] for j in idx)
+            idx = [j for j in range(n) if t[j] == k]
+            p_k = sum(w[j] for j in idx if labels[j]) / sum(w[j] for j in idx)
             naive += len(idx) * (p_k - p_all) ** 2
         # an all-equal forest cancels exactly in the reals; only rounding is left
-        assert got[r] == pytest.approx(naive, rel=1e-12, abs=1e-28)
+        assert got[r] == pytest.approx(float(naive), rel=1e-12, abs=1e-28)
+
+
+def _swap_within_a_cell(y, degree, tree):
+    """``y`` with one positive and one negative of the same tree and degree
+    swapped, or None when no cell holds both labels."""
+    for i in np.flatnonzero(y == 1.0):
+        same_cell = (tree == tree[i]) & (degree == degree[i]) & (y == 0.0)
+        if same_cell.any():
+            swapped = y.copy()
+            swapped[[i, np.flatnonzero(same_cell)[0]]] = 0.0, 1.0
+            return swapped
+    return None
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10_000), st.integers(6, 40), st.floats(0.05, 0.95))
+def test_swap_within_cell_keeps_observed_and_rank(seed, n, prevalence):
+    sample = _random_sample(n, n_trees=3, seed=seed, prevalence=prevalence, max_degree=4)
+    swapped_y = _swap_within_a_cell(sample.y, sample.degree, sample.tree)
+    if swapped_y is None:
+        return
+    result = wsd_permutation_test(sample, replicates=300, rng_seed=seed)
+    swapped = wsd_permutation_test(dataclasses.replace(sample, y=swapped_y), replicates=300, rng_seed=seed)
+    assert swapped.observed_wsd == result.observed_wsd
+    # against the same reference the swapped observed ranks the same: a
+    # replicate with the observed cell counts is its equal, never below it
+    cells = _cells(sample)
+    positions = np.take(_inverse_permutations(n, 300, seed), _counted(sample.y), axis=1)
+    reference = _wsd_of_positions(positions, *cells)
+    tied = reference == result.observed_wsd
+    assert (reference < swapped.observed_wsd).sum() / 300 == result.quantile_rank
+    # every replicate whose cell counts equal the observed's is tied with it
+    counts = np.array([np.bincount(cells[0][row], minlength=cells[2].size) for row in positions])
+    same_counts = (counts == np.bincount(cells[0][_counted(sample.y)], minlength=cells[2].size)).all(axis=1)
+    assert tied[same_counts].all()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10_000), st.integers(4, 60), st.floats(0, 1))
+def test_complement_labels_give_the_same_result(seed, n, prevalence):
+    sample = _random_sample(n, n_trees=4, seed=seed, prevalence=prevalence)
+    if 2 * sample.y.sum() == n:
+        return
+    result = wsd_permutation_test(sample, replicates=200, rng_seed=seed)
+    flipped = wsd_permutation_test(dataclasses.replace(sample, y=1.0 - sample.y), replicates=200, rng_seed=seed)
+    assert flipped == result
 
 
 def test_cache_isolation_across_sizes_seeds_and_replicates():
@@ -271,7 +338,7 @@ def test_cache_isolation_across_sizes_seeds_and_replicates():
     ]
     results = [wsd_permutation_test(s, replicates=r, rng_seed=seed) for s, r, seed in calls]
     for (sample, replicates, seed), result in zip(calls, results):
-        _permutations.cache_clear()
+        _inverse_permutations.cache_clear()
         assert result == wsd_permutation_test(sample, replicates=replicates, rng_seed=seed)
     # the calls above can tell the streams apart
     assert len({r.quantile_rank for r in results if r.observed_wsd == results[0].observed_wsd}) > 1

@@ -7,6 +7,7 @@ from conftest import make_dataset, make_respondent, unit_degree_two_trees
 from rdsdiag.errors import EmptySample, PopulationTooSmall
 from rdsdiag.estimators import (
     IncludedSample,
+    _quantile,
     cumulative_estimates,
     included_sample,
     per_tree_series,
@@ -243,3 +244,20 @@ def test_ss_large_population_approaches_vh():
     vh = cumulative_estimates(included_sample(ds, forest, "hiv")).final
     est = ss_estimate(included_sample(ds, forest, "hiv"), 40_000)
     assert abs(est - vh) < 0.01
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.integers(0, 12).map(lambda k: k / 4) | st.floats(-1e6, 1e6, allow_subnormal=False),
+        min_size=1, max_size=60,
+    ),
+    st.sampled_from([0.25, 0.5, 0.75]),
+)
+def test_quantile_matches_numpy_bitwise(values, q):
+    # numpy's linear quantile, and np.median at q = 0.5; ties are common
+    a = np.array(values) + 0.0  # no -0.0, whose sign numpy's lerp may flip
+    expected = np.median(a) if q == 0.5 else np.quantile(a, q)
+    got = _quantile(a, q)
+    assert np.float64(got).tobytes() == np.float64(expected).tobytes()
+    assert a.tolist() == values  # the input is left in place

@@ -4,7 +4,8 @@ Importing scipy would cost more than a second of every report's start-up,
 so each variant runs the report in a fresh interpreter:
 
 - after ``cli.main`` returns, no ``scipy`` module is loaded (a lazy import
-  inside some function would show here);
+  inside some function would show here), nor ``numpy.ma``, which numpy
+  imports on the first ``np.median`` or ``np.quantile`` call;
 - with ``sys.modules["scipy"] = None`` set first, every scipy import fails,
   and the report must still exit 0 with the same bundle bytes.
 """
@@ -29,8 +30,9 @@ if sys.argv[1] == "blocked":
     sys.modules["scipy"] = None
 from rdsdiag import cli
 code = cli.main(sys.argv[2:])
-loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
-print(json.dumps({"code": code, "scipy": loaded}))
+def loaded(package):
+    return sorted(m for m in sys.modules if m == package or m.startswith(package + "."))
+print(json.dumps({"code": code, "scipy": loaded("scipy"), "numpy.ma": loaded("numpy.ma")}))
 """
 
 
@@ -69,8 +71,13 @@ def plain(study, tmp_path_factory):
 
 def test_report_imports_no_scipy(plain):
     result, bundle = plain
-    assert result == {"code": 0, "scipy": []}
+    assert result["code"] == 0
+    assert result["scipy"] == []
     assert bundle.read_bytes() == GOLDEN.read_bytes()
+
+
+def test_report_imports_no_numpy_ma(plain):
+    assert plain[0]["numpy.ma"] == []
 
 
 def test_report_runs_with_scipy_blocked(study, plain, tmp_path):
