@@ -100,14 +100,15 @@ def recruitment_effectiveness(
 ) -> EffectivenessResult:
     """Mean recruit counts among trait-positive vs trait-negative
     respondents, with their ratio."""
+    reference = ds.trait_spec(trait).reference_level
     pos: list[int] = []
     neg: list[int] = []
     for r in ds.respondents:
-        flag = ds.indicator(r, trait)
-        if flag is None:
+        value = r.traits.get(trait)
+        if value is None:
             continue
         count = len(forest.recruits(r.id))
-        (pos if flag else neg).append(count)
+        (pos if value == reference else neg).append(count)
     mean_pos = float(np.mean(pos)) if pos else math.nan
     mean_neg = float(np.mean(neg)) if neg else math.nan
     defined = bool(neg) and mean_neg > 0 and bool(pos)
@@ -436,7 +437,7 @@ def exact_odds_ratio_interval(
                 break
             lo -= 4.0
             hi += 4.0
-        return math.exp(_bisect(excess, lo, hi, xtol=1e-10))
+        return math.exp(_bisect(excess, lo, hi, xtol=1e-10, f_lo=flo, f_hi=fhi))
 
     lower = 0.0 if a == ks[0] else endpoint(ks >= a)
     upper = math.inf if a == ks[-1] else endpoint(ks <= a)
@@ -464,12 +465,13 @@ def motivation_outcome(
 
     Zero cells give exact 0 or infinite odds ratios with one-sided
     intervals; a zero margin is a degenerate table."""
-    ds.trait_spec(outcome_trait)
+    reference = ds.trait_spec(outcome_trait).reference_level
     a = b = c = d = 0
     for r in ds.respondents:
-        flag = ds.indicator(r, outcome_trait)
-        if flag is None or r.motivation is None:
+        value = r.traits.get(outcome_trait)
+        if value is None or r.motivation is None:
             continue
+        flag = value == reference
         motivated = r.motivation == motivation_category
         if motivated and flag:
             a += 1

@@ -8,6 +8,9 @@ and degrees stay attached to sample positions.
 Replicate r permutes the n included positions with a generator seeded by
 child r of ``SeedSequence(rng_seed)``, so the permutations depend only on
 (n, replicates, rng_seed): traits with the same included size share them.
+The child seeds are derived in one vectorised pass that equals
+``SeedSequence.spawn`` and PCG64's seeding bit for bit, and one generator,
+set to each child's starting state in turn, draws every row.
 The last such block is held as the read-only int32 matrix of their inverses,
 4·R·n bytes (16 MB at R = 4000, n = 1000): row r maps each label's position
 to the position it lands on.
@@ -45,15 +48,88 @@ class PermutationResult:
     threshold: float
 
 
+# SeedSequence's hash constants: a 4-word pool of 32-bit words
+_POOL = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
+# PCG64's 128-bit LCG multiplier
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
+
+
+def _hasher(init: int, mult: int):
+    """SeedSequence's running hash: each call xors in the current constant,
+    steps it and multiplies by the new one, over uint32 lanes."""
+    const = init
+
+    def hash_(value: np.ndarray) -> np.ndarray:
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = const * mult & _MASK32
+        value = value * np.uint32(const)
+        return value ^ (value >> np.uint32(16))
+
+    return hash_
+
+
+def _child_states(rng_seed: int, replicates: int) -> np.ndarray:
+    """``replicates × 4`` uint64 array whose row r is
+    ``SeedSequence(rng_seed).spawn(replicates)[r].generate_state(4, np.uint64)``,
+    with every child hashed at once, one uint32 lane each."""
+    if rng_seed < 0:
+        raise ValueError(f"rng_seed must be non-negative, got {rng_seed}")
+    n_words = max(1, (rng_seed.bit_length() + 31) // 32)
+    words = [rng_seed >> 32 * k & _MASK32 for k in range(n_words)]
+    # child r's entropy: the seed's words zero-padded to the pool, then r
+    # (one word while r < 2**32, which the 4·R·n-byte matrix keeps R below)
+    entropy = [np.full(replicates, w, dtype=np.uint32)
+               for w in words + [0] * (_POOL - len(words))]
+    entropy.append(np.arange(replicates, dtype=np.uint32))
+
+    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        result = np.uint32(_MIX_L) * x - np.uint32(_MIX_R) * y
+        return result ^ (result >> np.uint32(16))
+
+    hashmix = _hasher(_INIT_A, _MULT_A)
+    pool = [hashmix(word) for word in entropy[:_POOL]]
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL:]:
+        for dst in range(_POOL):
+            pool[dst] = mix(pool[dst], hashmix(word))
+
+    # generate_state: 8 words cycling over the pool; uint64 k is words
+    # 2k (low) and 2k + 1 (high)
+    hash_state = _hasher(_INIT_B, _MULT_B)
+    state = np.stack([hash_state(pool[i % _POOL]) for i in range(8)], axis=1).astype(np.uint64)
+    return state[:, 0::2] | state[:, 1::2] << np.uint64(32)
+
+
 @functools.lru_cache(maxsize=1)
 def _inverse_permutations(n: int, replicates: int, rng_seed: int) -> np.ndarray:
     """Read-only ``replicates × n`` matrix whose row r is the inverse of the
     permutation of ``range(n)`` drawn from child r of
-    ``SeedSequence(rng_seed)``: ``inv[r, perm[j]] = j``."""
+    ``SeedSequence(rng_seed)``: ``inv[r, perm[j]] = j``.
+
+    One generator draws every row: before row r it is given the state that
+    ``default_rng(child_r)`` starts from, the PCG64 seeding of
+    ``_child_states`` row r as (initstate, initseq)."""
     inv = np.empty((replicates, n), dtype=np.int32)
     positions = np.arange(n, dtype=np.int32)
-    for r, child in enumerate(np.random.SeedSequence(rng_seed).spawn(replicates)):
-        inv[r, np.random.default_rng(child).permutation(n)] = positions
+    bitgen = np.random.PCG64(0)
+    gen = np.random.Generator(bitgen)
+    for r, (s_hi, s_lo, i_hi, i_lo) in enumerate(_child_states(rng_seed, replicates).tolist()):
+        # PCG64 seeding: inc = 2·initseq + 1, then two LCG steps from 0
+        # with initstate added between them
+        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
+        state = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128
+        bitgen.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                        "has_uint32": 0, "uinteger": 0}
+        inv[r, gen.permutation(n)] = positions
     inv.flags.writeable = False
     return inv
 

@@ -16,7 +16,7 @@ tends to the inverse-degree estimate.  It is deterministic and takes no seed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -142,13 +142,20 @@ def per_tree_series(sample: IncludedSample) -> dict[str, EstimateSeries]:
 # successive sampling
 
 
-def _bisect(f: Callable[[float], float], lo: float, hi: float, xtol: float) -> float:
+def _bisect(
+    f: Callable[[float], float], lo: float, hi: float, xtol: float,
+    f_lo: Optional[float] = None, f_hi: Optional[float] = None,
+) -> float:
     """Root of ``f`` between ``lo`` < ``hi`` by bisection.  ``f(lo)`` and
     ``f(hi)`` must differ in sign unless one of them is 0, which is then
-    the root.  Stops once the bracket is at most ``xtol`` wide or its
+    the root; a caller that has them already passes them as ``f_lo`` and
+    ``f_hi``.  Stops once the bracket is at most ``xtol`` wide or its
     midpoint equals an end (no float lies between them), and returns the
     midpoint."""
-    f_lo, f_hi = f(lo), f(hi)
+    if f_lo is None:
+        f_lo = f(lo)
+    if f_hi is None:
+        f_hi = f(hi)
     if f_lo == 0.0:
         return lo
     if f_hi == 0.0:

@@ -23,7 +23,7 @@ from rdsdiag.behavior import (
     recruitment_effectiveness,
 )
 from rdsdiag.dataset import CouponOutcome
-from rdsdiag.errors import DegenerateTable, NoData, NoEligibleRecruiters
+from rdsdiag.errors import DegenerateTable, NoData, NoEligibleRecruiters, UnknownTrait
 from rdsdiag.forest import build_forest
 
 
@@ -495,6 +495,14 @@ def test_interval_matches_oracle(table):
     ref = oracle_interval(*table)
     for x, y in zip(ours, ref):
         assert abs(x - y) <= 1e-6 * max(1.0, abs(y))
+
+
+def test_undefined_trait_raises_unknown_trait():
+    ds, forest = _effectiveness_fixture()
+    with pytest.raises(UnknownTrait):
+        recruitment_effectiveness(ds, forest, "nope")
+    with pytest.raises(UnknownTrait):
+        motivation_outcome(ds, "A", "nope")
 
 
 def test_balanced_table():

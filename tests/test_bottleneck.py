@@ -11,6 +11,7 @@ from rdsdiag import svg
 from rdsdiag.bottleneck import (
     _CHUNK_ROWS,
     _cells,
+    _child_states,
     _inverse_permutations,
     _wsd_of_positions,
     wsd_permutation_test,
@@ -240,6 +241,33 @@ def test_permutations_match_per_replicate_streams(n, replicates, seed):
     assert inv.shape == (replicates, n)
     assert inv.dtype == np.int32
     assert all(np.array_equal(row, np.argsort(perm)) for row, perm in zip(inv, oracle))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1) | st.integers(2**32, 2**128 - 1) | st.integers(2**128, 2**140),
+    st.integers(1, 300),
+)
+def test_child_states_match_seed_sequence_spawn(seed, replicates):
+    # one seed word, two to four (padded to the pool), more than the pool
+    states = _child_states(seed, replicates)
+    oracle = [child.generate_state(4, np.uint64) for child in np.random.SeedSequence(seed).spawn(replicates)]
+    assert states.dtype == np.uint64
+    assert states.tobytes() == np.array(oracle).tobytes()
+
+
+@pytest.mark.parametrize("seed", [2**64, 2**130 + 7])
+def test_permutations_match_per_replicate_streams_at_large_seeds(seed):
+    n, replicates = 60, 50
+    oracle = [np.random.default_rng(child).permutation(n)
+              for child in np.random.SeedSequence(seed).spawn(replicates)]
+    inv = _inverse_permutations(n, replicates, seed)
+    assert all(np.array_equal(row, np.argsort(perm)) for row, perm in zip(inv, oracle))
+
+
+def test_negative_seed_raises():
+    with pytest.raises(ValueError):
+        wsd_permutation_test(_random_sample(20), replicates=5, rng_seed=-1)
 
 
 def test_permutations_read_only():

@@ -61,6 +61,20 @@ def test_bisect_zero_at_an_end_is_the_root():
     assert _bisect(lambda t: t, 0.0, 1.0, xtol=1e-12) == 0.0
 
 
+def test_bisect_takes_the_end_values_it_is_given():
+    calls = []
+
+    def f(t):
+        calls.append(t)
+        return t - 1 / 3
+
+    root = _bisect(f, 0.0, 1.0, xtol=1e-12)
+    evaluated = calls[2:]
+    calls.clear()
+    assert _bisect(f, 0.0, 1.0, xtol=1e-12, f_lo=-1 / 3, f_hi=2 / 3) == root
+    assert calls == evaluated
+
+
 def test_bisect_requires_a_sign_change():
     with pytest.raises(ValueError):
         _bisect(lambda t: t + 1.0, 0.0, 1.0, xtol=1e-12)
