@@ -2,7 +2,6 @@
 
 from .convergence import ConvergenceConfig, convergence_flag
 from .dataset import (
-    IngestOptions,
     Respondent,
     StudyDataset,
     TraitSpec,
@@ -20,7 +19,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ConvergenceConfig",
     "IncludedSample",
-    "IngestOptions",
     "NetworkConfig",
     "PipelineConfig",
     "RecruitmentForest",

@@ -11,15 +11,14 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import sys
 from pathlib import Path
 from typing import Any, Callable, Optional, Sequence
 
-from .dataset import IngestOptions, load_dataset, save_dataset, validate_dataset
+from .dataset import StudyDataset, load_dataset, save_dataset, validate_dataset
 from .errors import RdsError, UnrealizableConfig
 from .forest import build_forest
-from .report import ALL_SECTIONS, PipelineConfig, dataset_summary, run_pipeline
+from .report import ALL_SECTIONS, PipelineConfig, _json_text, _num, dataset_summary, run_pipeline
 from .sim import (
     NetworkConfig,
     SimConfig,
@@ -154,9 +153,6 @@ def _read_kv(path: Path) -> dict[str, str]:
 def _pipeline_config(args: argparse.Namespace, sections: Sequence[str]) -> PipelineConfig:
     return PipelineConfig(
         out_dir=args.out_dir,
-        respondents_file=args.respondents,
-        traits_file=args.traits,
-        followup_file=args.followup,
         traits=tuple(args.trait) if args.trait else None,
         degree_question=args.degree_question,
         tau=args.tau,
@@ -165,20 +161,20 @@ def _pipeline_config(args: argparse.Namespace, sections: Sequence[str]) -> Pipel
         threshold=args.threshold,
         population_sizes=tuple(args.population_size or ()),
         rng_seed=args.seed,
-        strict=args.strict,
         sections=tuple(sections),
     )
 
 
+def _load_study(args: argparse.Namespace) -> StudyDataset:
+    return load_dataset(args.respondents, args.traits, args.followup, strict=args.strict)
+
+
 def _emit(payload: Any) -> None:
-    sys.stdout.write(json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n")
+    sys.stdout.write(_json_text(payload))
 
 
 def _cmd_ingest(args: argparse.Namespace) -> int:
-    ds = load_dataset(
-        args.respondents, args.traits, args.followup, IngestOptions(strict=args.strict)
-    )
-    report = validate_dataset(ds)
+    report = validate_dataset(_load_study(args))
     summary = dataset_summary(report.dataset, build_forest(report.dataset), report)
     validation = summary.pop("validation")
     _emit({**summary, **validation, "warnings": report.warnings})
@@ -187,7 +183,10 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
 
 def _cmd_sections(args: argparse.Namespace) -> int:
     sections = ALL_SECTIONS if args.command == "report" else (args.command,)
-    bundle = run_pipeline(_pipeline_config(args, sections))
+    # the config is checked before the study is read: a bad value exits 3
+    # even when an input file is missing
+    cfg = _pipeline_config(args, sections)
+    bundle = run_pipeline(_load_study(args), cfg)
     if args.command == "report":
         _emit(
             {
@@ -292,7 +291,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             "n": result.dataset.n,
             "extinct": result.extinct,
             "true_prevalences": {
-                k: float(f"{v:.6g}") for k, v in sorted(result.true_prevalences.items())
+                k: _num(v) for k, v in sorted(result.true_prevalences.items())
             },
             "n_connect_edges": net.n_connect_edges,
         }

@@ -150,13 +150,6 @@ class StudyDataset:
         return value == spec.reference_level
 
 
-@dataclass(frozen=True)
-class IngestOptions:
-    strict: bool = True
-    site_label: str = "study"
-    target_sample_size: Optional[int] = None
-
-
 @dataclass
 class ValidationReport:
     """Counts of structural issues, plus the repaired dataset."""
@@ -186,10 +179,14 @@ class ValidationReport:
 
 
 def _opt_int(cell: str) -> Optional[int]:
+    """A count, degree or number of days: blank, or a whole number >= 0."""
     cell = cell.strip()
     if not cell:
         return None
-    return int(cell)
+    value = int(cell)
+    if value < 0:
+        raise ValueError(f"negative count {cell!r}")
+    return value
 
 
 def _opt_bool(cell: str) -> Optional[bool]:
@@ -399,7 +396,7 @@ def load_dataset(
     respondents_file: Path | str,
     traits_file: Path | str,
     followup_file: Optional[Path | str] = None,
-    options: IngestOptions = IngestOptions(),
+    strict: bool = True,
 ) -> StudyDataset:
     """Read the respondents / follow-up / traits CSVs into a StudyDataset.
 
@@ -407,7 +404,8 @@ def load_dataset(
     corresponding error; in lenient mode violations are downgraded to
     warnings, kept as the dataset's ``repairs``, and the offending fields
     are set missing (a follow-up row whose id matches no respondent is
-    dropped).  A repeated id in either file aborts in both modes.
+    dropped).  A repeated id in either file, or a count, degree or number of
+    days that is not a whole number >= 0, aborts in both modes.
     """
     respondents_file = Path(respondents_file)
     trait_specs = load_traits(Path(traits_file))
@@ -439,7 +437,7 @@ def load_dataset(
     for rid in followup_rows:
         if rid not in rows_by_id:
             problem = f"{followup_file}: follow-up id {rid!r} matches no respondent"
-            if options.strict:
+            if strict:
                 raise IngestError(problem)
             repairs.append(f"lenient: {problem}; row ignored")
 
@@ -462,22 +460,21 @@ def load_dataset(
         )
 
     respondents.sort(key=lambda r: r.interview_order)
-    respondents = _check_structure(respondents, options, repairs)
+    respondents = _check_structure(respondents, strict, repairs)
     for message in repairs:
         _warnings.warn(message, UserWarning, stacklevel=2)
 
     return StudyDataset(
-        site_label=options.site_label,
+        site_label="study",
         respondents=tuple(respondents),
         trait_specs=trait_specs,
-        target_sample_size=options.target_sample_size,
         coupon_allotment=allotment,
         repairs=tuple(repairs),
     )
 
 
 def _check_structure(
-    respondents: list[Respondent], options: IngestOptions, repairs: list[str]
+    respondents: list[Respondent], strict: bool, repairs: list[str]
 ) -> list[Respondent]:
     orders = [r.interview_order for r in respondents]
     if orders != list(range(1, len(respondents) + 1)):
@@ -508,7 +505,7 @@ def _check_structure(
             )
         if problem is None:
             repaired.append(r)
-        elif options.strict:
+        elif strict:
             raise problem
         else:
             repairs.append(f"lenient: {problem}; treating {r.id} as a seed")

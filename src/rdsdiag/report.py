@@ -22,14 +22,7 @@ from pathlib import Path
 from typing import Any, Callable, Optional, Sequence
 
 from . import behavior, bottleneck, convergence, degree, estimators, finitepop, svg
-from .dataset import (
-    DEGREE_QUESTIONS,
-    IngestOptions,
-    StudyDataset,
-    ValidationReport,
-    load_dataset,
-    validate_dataset,
-)
+from .dataset import DEGREE_QUESTIONS, StudyDataset, ValidationReport, validate_dataset
 from .errors import DataRequirementError, UnrealizableConfig
 from .forest import RecruitmentForest, build_forest, edge_rows
 
@@ -51,10 +44,6 @@ SS_FLAG_THRESHOLD = 0.01
 @dataclass(frozen=True)
 class PipelineConfig:
     out_dir: Path
-    respondents_file: Optional[Path] = None
-    traits_file: Optional[Path] = None
-    followup_file: Optional[Path] = None
-    dataset: Optional[StudyDataset] = None  # bypasses file loading
     traits: Optional[tuple[str, ...]] = None  # None = all defined traits
     degree_question: str = estimators.DEFAULT_DEGREE_QUESTION
     tau: int = 50
@@ -63,7 +52,6 @@ class PipelineConfig:
     threshold: float = 0.90
     population_sizes: tuple[int, ...] = ()
     rng_seed: int = 0
-    strict: bool = True
     sections: tuple[str, ...] = ALL_SECTIONS
 
     def __post_init__(self) -> None:
@@ -96,7 +84,13 @@ class ReportBundle:
             "sections": self.sections,
             "manifest": self.manifest,
         }
-        return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
+        return _json_text(payload)
+
+
+def _json_text(payload: Any) -> str:
+    """The one JSON form of the bundle and of every command's stdout: sorted
+    keys, two-space indent, no NaN or infinity, a final newline."""
+    return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def _num(x: float) -> Any:
@@ -173,22 +167,13 @@ def _ran(result: Any) -> bool:
     return not (isinstance(result, dict) and "skipped" in result)
 
 
-def run_pipeline(cfg: PipelineConfig) -> ReportBundle:
-    """Execute all enabled diagnostics and write the output tree.
+def run_pipeline(ds: StudyDataset, cfg: PipelineConfig) -> ReportBundle:
+    """Execute all enabled diagnostics on the loaded study ``ds`` and write
+    the output tree.
 
-    Raises ingest/config errors; a data-requirement shortfall is recorded
-    as ``{"skipped": reason}`` at the narrowest level it hits (trait,
+    Raises config errors; a data-requirement shortfall is recorded as
+    ``{"skipped": reason}`` at the narrowest level it hits (trait,
     sub-diagnostic or section) instead of aborting the run."""
-    ds = cfg.dataset
-    if ds is None:
-        if cfg.respondents_file is None or cfg.traits_file is None:
-            raise DataRequirementError("pipeline needs input files or a dataset")
-        ds = load_dataset(
-            cfg.respondents_file,
-            cfg.traits_file,
-            cfg.followup_file,
-            IngestOptions(strict=cfg.strict),
-        )
     report = validate_dataset(ds)
     ds = report.dataset
     forest = build_forest(ds)

@@ -487,8 +487,9 @@ def test_criterion_11_pipeline_determinism(tmp_path):
     ).dataset
     for sub in ("a", "b"):
         run_pipeline(
-            PipelineConfig(out_dir=tmp_path / sub, dataset=ds, replicates=500,
-                           rng_seed=4, population_sizes=(500,))
+            ds,
+            PipelineConfig(out_dir=tmp_path / sub, replicates=500,
+                           rng_seed=4, population_sizes=(500,)),
         )
     names_a = sorted(p.name for p in (tmp_path / "a").iterdir())
     names_b = sorted(p.name for p in (tmp_path / "b").iterdir())
@@ -503,9 +504,7 @@ def test_criterion_11_pipeline_determinism(tmp_path):
 
 
 def _joint_flags(ds, out_dir) -> bool:
-    bundle = run_pipeline(
-        PipelineConfig(out_dir=out_dir, dataset=ds, sections=("finitepop",))
-    )
+    bundle = run_pipeline(ds, PipelineConfig(out_dir=out_dir, sections=("finitepop",)))
     summary = bundle.sections["finitepop"]["summary"]
     return (
         summary["failed_attempts_flag"] is True

@@ -170,8 +170,8 @@ def _all_points_rows(ds, out_dir, monkeypatch):
         return render(title=title, rows=rows)
 
     monkeypatch.setattr(svg, "all_points", capture)
-    cfg = PipelineConfig(out_dir=out_dir, dataset=ds, replicates=10, sections=("bottleneck",))
-    run_pipeline(cfg)
+    cfg = PipelineConfig(out_dir=out_dir, replicates=10, sections=("bottleneck",))
+    run_pipeline(ds, cfg)
     return drawn[0]
 
 
@@ -388,8 +388,8 @@ def test_section_results_independent_of_trait_order(tmp_path):
     assert len(included_sample(ds, forest, "hiv").y) != len(included_sample(ds, forest, "employed").y)
     per_trait = []
     for i, traits in enumerate((("hiv", "employed"), ("employed", "hiv"))):
-        bundle = run_pipeline(PipelineConfig(
-            out_dir=tmp_path / str(i), dataset=ds, traits=traits, replicates=300,
+        bundle = run_pipeline(ds, PipelineConfig(
+            out_dir=tmp_path / str(i), traits=traits, replicates=300,
             rng_seed=2, sections=("bottleneck",),
         ))
         per_trait.append(bundle.sections["bottleneck"]["per_trait"])

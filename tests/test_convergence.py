@@ -114,8 +114,8 @@ def _trait_verdict(ds, forest, trait):
 
 
 def _converge_section(ds, out_dir, traits=None):
-    cfg = PipelineConfig(out_dir=out_dir, dataset=ds, traits=traits, sections=("converge",))
-    return run_pipeline(cfg).sections["converge"]["per_trait"]
+    cfg = PipelineConfig(out_dir=out_dir, traits=traits, sections=("converge",))
+    return run_pipeline(ds, cfg).sections["converge"]["per_trait"]
 
 
 def test_batch_verdicts(tmp_path):

@@ -13,7 +13,6 @@ from rdsdiag.dataset import (
     CouponOutcome,
     DegreeReport,
     FollowUpRecord,
-    IngestOptions,
     Respondent,
     StudyDataset,
     TraitSpec,
@@ -105,7 +104,7 @@ def test_dangling_coupon_lenient_becomes_seed(tmp_path):
     r, t, _ = write_inputs(tmp_path, rows)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        ds = load_dataset(r, t, options=IngestOptions(strict=False))
+        ds = load_dataset(r, t, strict=False)
     assert ds.by_id("R3").is_seed
     assert any("C9" in str(w.message) for w in caught)
     assert validate_dataset(ds).warnings == list(ds.repairs)
@@ -124,7 +123,7 @@ def test_duplicate_followup_id_rejected(tmp_path, strict):
     fu = "id,n_refusals\nS1,1\nR2,0\nS1,2\n"
     r, t, f = write_inputs(tmp_path, BASIC_ROWS, followup_rows=fu)
     with pytest.raises(DuplicateId, match="'S1'"):
-        load_dataset(r, t, f, IngestOptions(strict=strict))
+        load_dataset(r, t, f, strict=strict)
 
 
 def test_noncontiguous_order_rejected(tmp_path):
@@ -244,8 +243,7 @@ def test_round_trip(tmp_path):
         resp.append(r)
     ds = dataclasses.replace(ds, respondents=tuple(resp))
     save_dataset(ds, tmp_path / "r.csv", tmp_path / "t.csv", tmp_path / "f.csv")
-    loaded = load_dataset(tmp_path / "r.csv", tmp_path / "t.csv", tmp_path / "f.csv",
-                          IngestOptions(site_label="test"))
+    loaded = load_dataset(tmp_path / "r.csv", tmp_path / "t.csv", tmp_path / "f.csv")
     assert loaded.trait_specs == ds.trait_specs
     assert loaded.respondents == ds.respondents
 

@@ -217,9 +217,9 @@ def test_ss_deterministic():
 
 
 def _estimate_section(ds, population_sizes, out_dir):
-    cfg = PipelineConfig(out_dir=out_dir, dataset=ds, population_sizes=population_sizes,
+    cfg = PipelineConfig(out_dir=out_dir, population_sizes=population_sizes,
                          sections=("estimate",))
-    return run_pipeline(cfg).sections["estimate"]["per_trait"]["hiv"]
+    return run_pipeline(ds, cfg).sections["estimate"]["per_trait"]["hiv"]
 
 
 def test_ss_vh_table_equal_degrees_never_flags(tmp_path):

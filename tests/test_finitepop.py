@@ -96,7 +96,7 @@ def test_trend_insufficient_data():
 
 
 def _summary(ds, out_dir):
-    bundle = run_pipeline(PipelineConfig(out_dir=out_dir, dataset=ds, sections=("finitepop",)))
+    bundle = run_pipeline(ds, PipelineConfig(out_dir=out_dir, sections=("finitepop",)))
     return bundle.sections["finitepop"]["summary"]
 
 

@@ -140,7 +140,7 @@ def test_wave_matches_path_length_oracle():
 
 
 def test_export_edges(tmp_path):
-    bundle = run_pipeline(PipelineConfig(out_dir=tmp_path, dataset=chain_of_three(), sections=()))
+    bundle = run_pipeline(chain_of_three(), PipelineConfig(out_dir=tmp_path, sections=()))
     data = (tmp_path / "edges.csv").read_bytes()
     assert data == b"child_id,parent_id,wave,tree_root\nA,S,1,S\nB,A,2,S\nC,B,3,S\n"
     assert bundle.manifest["edges.csv"] == hashlib.sha256(data).hexdigest()

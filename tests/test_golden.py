@@ -1,7 +1,8 @@
 """End-to-end pins of the command-line output.
 
-The README example scenario is simulated and reported through ``cli.main``
-with the same flags as the CI smoke run.  Its ``bundle.json`` must match the
+The README example scenario, ``tests/golden/scenario.txt``, is simulated and
+reported through ``cli.main`` with the same file and flags as the CI smoke
+run.  Its ``bundle.json`` must match the
 checked-in ``tests/golden/bundle.json`` byte for byte; the bundle's manifest
 pins the sha256 of every other output file.  Each single-section command
 must print exactly its section of that bundle.
@@ -16,27 +17,15 @@ from rdsdiag.cli import main
 from rdsdiag.report import ALL_SECTIONS
 
 GOLDEN = Path(__file__).parent / "golden" / "bundle.json"
-
-SCENARIO = """\
-blocks=150,150
-within_p=0.05
-between_p=0.001
-trait.hiv=block:0
-trait.employed=bernoulli:0.6
-target_n=150
-seed_count=6
-rng_seed=0
-"""
+SCENARIO = GOLDEN.parent / "scenario.txt"
 
 REPORT_FLAGS = ["--replicates", "200", "--population-size", "5000", "--population-size", "20000"]
 
 
 @pytest.fixture(scope="module")
 def study(tmp_path_factory):
-    root = tmp_path_factory.mktemp("golden")
-    (root / "scenario.txt").write_text(SCENARIO)
-    out = root / "study"
-    assert main(["simulate", "--scenario", str(root / "scenario.txt"), "--out-dir", str(out)]) == 0
+    out = tmp_path_factory.mktemp("golden") / "study"
+    assert main(["simulate", "--scenario", str(SCENARIO), "--out-dir", str(out)]) == 0
     return [
         "--respondents", str(out / "respondents.csv"),
         "--traits", str(out / "traits.csv"),

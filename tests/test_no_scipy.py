@@ -38,10 +38,8 @@ print(json.dumps({"code": code, "scipy": loaded("scipy"), "numpy.ma": loaded("nu
 
 @pytest.fixture(scope="module")
 def study(tmp_path_factory):
-    root = tmp_path_factory.mktemp("no-scipy")
-    (root / "scenario.txt").write_text(SCENARIO)
-    out = root / "study"
-    assert main(["simulate", "--scenario", str(root / "scenario.txt"), "--out-dir", str(out)]) == 0
+    out = tmp_path_factory.mktemp("no-scipy") / "study"
+    assert main(["simulate", "--scenario", str(SCENARIO), "--out-dir", str(out)]) == 0
     return out
 
 

@@ -31,15 +31,15 @@ def sim_dataset():
     ).dataset
 
 
-def _cfg(out_dir, ds, **kw):
-    base = dict(out_dir=out_dir, dataset=ds, replicates=300, rng_seed=1)
+def _cfg(out_dir, **kw):
+    base = dict(out_dir=out_dir, replicates=300, rng_seed=1)
     base.update(kw)
     return PipelineConfig(**base)
 
 
 def test_pipeline_byte_determinism(sim_dataset, tmp_path):
-    run_pipeline(_cfg(tmp_path / "a", sim_dataset))
-    run_pipeline(_cfg(tmp_path / "b", sim_dataset))
+    run_pipeline(sim_dataset, _cfg(tmp_path / "a"))
+    run_pipeline(sim_dataset, _cfg(tmp_path / "b"))
     files_a = sorted(p.name for p in (tmp_path / "a").iterdir())
     files_b = sorted(p.name for p in (tmp_path / "b").iterdir())
     assert files_a == files_b
@@ -48,7 +48,7 @@ def test_pipeline_byte_determinism(sim_dataset, tmp_path):
 
 
 def test_pipeline_manifest_covers_outputs(sim_dataset, tmp_path):
-    bundle = run_pipeline(_cfg(tmp_path / "out", sim_dataset))
+    bundle = run_pipeline(sim_dataset, _cfg(tmp_path / "out"))
     on_disk = {p.name for p in (tmp_path / "out").iterdir()}
     assert set(bundle.manifest) == on_disk - {"bundle.json"}
     written = json.loads((tmp_path / "out" / "bundle.json").read_text())
@@ -57,9 +57,7 @@ def test_pipeline_manifest_covers_outputs(sim_dataset, tmp_path):
 
 
 def test_pipeline_sections_subset(sim_dataset, tmp_path):
-    bundle = run_pipeline(
-        _cfg(tmp_path / "out", sim_dataset, sections=("finitepop",))
-    )
+    bundle = run_pipeline(sim_dataset, _cfg(tmp_path / "out", sections=("finitepop",)))
     assert set(bundle.sections) == {"finitepop"}
     on_disk = {p.name for p in (tmp_path / "out").iterdir()}
     assert "convergence_flags.csv" not in on_disk
@@ -67,12 +65,12 @@ def test_pipeline_sections_subset(sim_dataset, tmp_path):
 
 
 def test_pipeline_empty_sections(sim_dataset, tmp_path):
-    bundle = run_pipeline(_cfg(tmp_path / "out", sim_dataset, sections=()))
+    bundle = run_pipeline(sim_dataset, _cfg(tmp_path / "out", sections=()))
     assert bundle.sections == {}
 
 
 def test_flag_grid_matches_bundle(sim_dataset, tmp_path):
-    bundle = run_pipeline(_cfg(tmp_path / "out", sim_dataset))
+    bundle = run_pipeline(sim_dataset, _cfg(tmp_path / "out"))
     svg = (tmp_path / "out" / "flag_grid.svg").read_text()
     root = ET.fromstring(svg)
     ns = "{http://www.w3.org/2000/svg}"
@@ -89,7 +87,7 @@ def test_flag_grid_matches_bundle(sim_dataset, tmp_path):
 
 
 def test_pipeline_six_digit_floats(sim_dataset, tmp_path):
-    run_pipeline(_cfg(tmp_path / "out", sim_dataset))
+    run_pipeline(sim_dataset, _cfg(tmp_path / "out"))
     payload = (tmp_path / "out" / "bundle.json").read_text()
 
     def check(node):
@@ -124,7 +122,7 @@ def test_pipeline_ss_scenarios(sim_dataset, tmp_path):
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         bundle = run_pipeline(
-            _cfg(tmp_path / "out", sim_dataset, sections=("estimate",), population_sizes=(500,))
+            sim_dataset, _cfg(tmp_path / "out", sections=("estimate",), population_sizes=(500,))
         )
     entry = bundle.sections["estimate"]["per_trait"]["hiv"]
     assert "vh" in entry
@@ -141,7 +139,7 @@ def test_pipeline_sensitivity_skips_one_trait(sim_dataset, tmp_path):
         for r in sim_dataset.respondents
     )
     ds = dataclasses.replace(sim_dataset, respondents=rows)
-    bundle = run_pipeline(_cfg(tmp_path / "out", ds, sections=("degree",)))
+    bundle = run_pipeline(ds, _cfg(tmp_path / "out", sections=("degree",)))
     employed, hiv = sorted(
         bundle.sections["degree"]["sensitivity"], key=lambda entry: entry["trait"]
     )
@@ -289,6 +287,14 @@ def test_cli_missing_input_exit_code(tmp_path, capsys):
     ])
     assert code == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_cli_config_checked_before_inputs_are_read(tmp_path, capsys):
+    missing = ["--respondents", str(tmp_path / "nope.csv"), "--traits", str(tmp_path / "nope2.csv")]
+    out_dir = tmp_path / "out"
+    assert main(["report", *missing, "--out-dir", str(out_dir), "--tau", "0"]) == 3
+    assert main(["report", *missing, "--out-dir", str(out_dir)]) == 2
+    assert not out_dir.exists()
 
 
 def test_cli_config_file_overrides(cli_study, capsys, tmp_path):
@@ -445,6 +451,9 @@ def _rewrite_cell(src, dst, row_index, column, value):
         ("respondents.csv", "employed", "maybe"),
         ("respondents.csv", "interview_order", ""),
         ("followup.csv", "n_refusals", "x"),
+        ("respondents.csv", "deg_week", "-1"),
+        ("followup.csv", "n_refusals", "-500"),
+        ("followup.csv", "days_1", "-2"),
     ],
 )
 def test_cli_malformed_cell_exit_code(cli_study, capsys, tmp_path, file_name, column,

@@ -25,7 +25,7 @@ NUMERIC = {
                      "n_contacts_employed", "days_1"),
 }
 DEGREE_COLUMNS = ("deg_know", "deg_province", "deg_age", "deg_week")
-MUTATIONS = ("blank", "non_numeric", "zero_degree", "dangle", "duplicate_id",
+MUTATIONS = ("blank", "non_numeric", "negative", "zero_degree", "dangle", "duplicate_id",
              "drop_column", "header_only")
 
 
@@ -56,13 +56,14 @@ def _study():
 
 
 def _mutate(files, draw):
-    """Apply one mutation from the menu to a copy of ``files``."""
+    """Apply one mutation from the menu to a copy of ``files``; returns the
+    mutation's kind and the mutated files."""
     files = {name: (list(header), [dict(r) for r in rows])
              for name, (header, rows) in files.items()}
     kind = draw(st.sampled_from(MUTATIONS))
     if kind in ("blank", "drop_column"):
         name = draw(st.sampled_from(FILES))
-    elif kind == "non_numeric":
+    elif kind in ("non_numeric", "negative"):
         name = draw(st.sampled_from(sorted(NUMERIC)))
     elif kind == "header_only":
         name = draw(st.sampled_from(("traits.csv", "followup.csv")))
@@ -75,6 +76,9 @@ def _mutate(files, draw):
     elif kind == "non_numeric":
         column = draw(st.sampled_from(NUMERIC[name]))
         rows[row][column] = draw(st.sampled_from(("abc", "1.5", "-")))
+    elif kind == "negative":
+        column = draw(st.sampled_from(NUMERIC[name]))
+        rows[row][column] = str(draw(st.integers(-1000, -1)))
     elif kind == "zero_degree":
         column = draw(st.sampled_from(DEGREE_COLUMNS))
         for r in rows:
@@ -89,7 +93,7 @@ def _mutate(files, draw):
         header.remove(draw(st.sampled_from(header)))
     else:
         rows.clear()
-    return files
+    return kind, files
 
 
 def _write(files, root):
@@ -128,12 +132,14 @@ def _check_bundle(out_dir):
 @settings(max_examples=25, deadline=None)
 @given(data=st.data())
 def test_report_survives_one_mutation(data):
-    files = _mutate(_study(), data.draw)
+    kind, files = _mutate(_study(), data.draw)
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
         _write(files, root)
         strict, strict_out = _report(root, "--strict")
         lenient, lenient_out = _report(root, "--lenient")
+        if kind == "negative":
+            assert strict == lenient == 2
         if lenient == 0:
             lenient_bytes = _check_bundle(lenient_out)
         if strict == 0:

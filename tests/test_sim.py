@@ -3,7 +3,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from rdsdiag.dataset import IngestOptions, load_dataset, save_dataset, validate_dataset
+from rdsdiag.dataset import load_dataset, save_dataset, validate_dataset
 from rdsdiag.errors import UnknownTrait, UnrealizableConfig
 from rdsdiag.forest import build_forest
 from rdsdiag.sim import (
@@ -167,7 +167,7 @@ def test_sim_output_survives_strict_ingest(two_block_net, tmp_path):
         tmp_path / "respondents.csv",
         tmp_path / "traits.csv",
         tmp_path / "followup.csv",
-        IngestOptions(strict=True, site_label="sim"),
+        strict=True,
     )
     assert reloaded.n == result.dataset.n
     report = validate_dataset(reloaded)
