@@ -11,31 +11,37 @@ child r of ``SeedSequence(rng_seed)``, so the permutations depend only on
 The child seeds are derived in one vectorised pass that equals
 ``SeedSequence.spawn`` and PCG64's seeding bit for bit, and one generator,
 set to each child's starting state in turn, draws every row.
-The last such block is held as the read-only int32 matrix of their inverses,
-4·R·n bytes (16 MB at R = 4000, n = 1000): row r maps each label's position
-to the position it lands on.
+
+``wsd_permutation_tests`` groups its samples by included size and draws each
+size's replicates once, streamed in blocks through one reused buffer of
+inverse permutations; every sample of that size is evaluated on a block
+before the next is drawn.  Samples with identical cells share one gather of
+the cells the block's labels land in.  A block holds as many rows as keep
+its largest work array (that gather, the buffer itself or a sample's
+per-cell counts, 8 bytes an entry) within ``_BLOCK_BYTES``, so memory is
+O(rows·n) whatever the number of replicates.
 
 The statistic depends on the labels only through the integer counts of the
 counted class in each (tree, degree) cell, and the counted class is the
 smaller one: the WSD of 1 − y equals that of y, so at most n/2 labels are
-followed per replicate.  Replicates go in fixed chunks of ``_CHUNK_ROWS``,
-whose work arrays take about 256·(12·m + 16·trees·degrees) bytes for m
-counted labels.  A replicate with the observed cell counts gives the
-observed statistic bit for bit, so such a tie is never counted below it.
+followed per replicate.  A replicate's value depends on its own counts
+alone, so neither the block size nor the samples that share a block change
+a rank.  A replicate with the observed cell counts gives the observed
+statistic bit for bit, so such a tie is never counted below it.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
 from .errors import TooFewTrees
 from .estimators import IncludedSample
 
-# replicates per statistic chunk; a row's bits do not depend on it
-_CHUNK_ROWS = 256
+# bytes of a block's largest work array; a row's bits do not depend on it
+_BLOCK_BYTES = 512 * 1024
 
 
 @dataclass(frozen=True)
@@ -80,10 +86,12 @@ def _child_states(rng_seed: int, replicates: int) -> np.ndarray:
     with every child hashed at once, one uint32 lane each."""
     if rng_seed < 0:
         raise ValueError(f"rng_seed must be non-negative, got {rng_seed}")
+    if replicates > 2**32:
+        raise ValueError(f"at most 2**32 replicates, got {replicates}")
     n_words = max(1, (rng_seed.bit_length() + 31) // 32)
     words = [rng_seed >> 32 * k & _MASK32 for k in range(n_words)]
     # child r's entropy: the seed's words zero-padded to the pool, then r
-    # (one word while r < 2**32, which the 4·R·n-byte matrix keeps R below)
+    # (one word, as r < 2**32)
     entropy = [np.full(replicates, w, dtype=np.uint32)
                for w in words + [0] * (_POOL - len(words))]
     entropy.append(np.arange(replicates, dtype=np.uint32))
@@ -109,29 +117,32 @@ def _child_states(rng_seed: int, replicates: int) -> np.ndarray:
     return state[:, 0::2] | state[:, 1::2] << np.uint64(32)
 
 
-@functools.lru_cache(maxsize=1)
-def _inverse_permutations(n: int, replicates: int, rng_seed: int) -> np.ndarray:
-    """Read-only ``replicates × n`` matrix whose row r is the inverse of the
-    permutation of ``range(n)`` drawn from child r of
-    ``SeedSequence(rng_seed)``: ``inv[r, perm[j]] = j``.
+def _inverse_blocks(n: int, replicates: int, rng_seed: int, rows: int) -> Iterator[np.ndarray]:
+    """The inverse permutations of the replicates in blocks of at most
+    ``rows``, each a ``k × n`` view of one reused buffer that the next
+    block overwrites.  Row r of the sequence inverts the permutation of
+    ``range(n)`` drawn from child r of ``SeedSequence(rng_seed)``:
+    ``inv[r, perm[j]] = j``.
 
     One generator draws every row: before row r it is given the state that
     ``default_rng(child_r)`` starts from, the PCG64 seeding of
     ``_child_states`` row r as (initstate, initseq)."""
-    inv = np.empty((replicates, n), dtype=np.int32)
-    positions = np.arange(n, dtype=np.int32)
+    states = _child_states(rng_seed, replicates)
+    buffer = np.empty((min(rows, replicates), n), dtype=np.intp)
+    positions = np.arange(n)
     bitgen = np.random.PCG64(0)
     gen = np.random.Generator(bitgen)
-    for r, (s_hi, s_lo, i_hi, i_lo) in enumerate(_child_states(rng_seed, replicates).tolist()):
-        # PCG64 seeding: inc = 2·initseq + 1, then two LCG steps from 0
-        # with initstate added between them
-        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
-        state = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128
-        bitgen.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                        "has_uint32": 0, "uinteger": 0}
-        inv[r, gen.permutation(n)] = positions
-    inv.flags.writeable = False
-    return inv
+    for start in range(0, replicates, rows):
+        block = buffer[:min(rows, replicates - start)]
+        for row, (s_hi, s_lo, i_hi, i_lo) in zip(block, states[start:start + rows].tolist()):
+            # PCG64 seeding: inc = 2·initseq + 1, then two LCG steps from 0
+            # with initstate added between them
+            inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
+            state = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128
+            bitgen.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                            "has_uint32": 0, "uinteger": 0}
+            row[gen.permutation(n)] = positions
+        yield block
 
 
 def _cells(sample: IncludedSample) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -147,23 +158,93 @@ def _cells(sample: IncludedSample) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return cell, weights, np.bincount(cell, minlength=shape[0] * shape[1]).reshape(shape)
 
 
-def _wsd_of_positions(
-    positions: np.ndarray, cell: np.ndarray, weights: np.ndarray, all_counts: np.ndarray
+def _wsd(
+    landed: np.ndarray, labels: np.ndarray, weights: np.ndarray, all_counts: np.ndarray
 ) -> np.ndarray:
-    """WSD of each row of ``positions``, the sample positions that carry the
-    counted label in that replicate, with the cells of ``_cells``.
+    """WSD of each row of ``landed``, which gives the cell each position's
+    label lands in under that replicate, when the labels at positions
+    ``labels`` are the counted ones; ``weights`` and ``all_counts`` are those
+    of ``_cells``.
 
     A row's value is a function of its integer cell counts alone, so it does
     not depend on the other rows."""
-    rows = len(positions)
+    rows = len(landed)
     n_cells = all_counts.size
-    cells = cell[positions]
+    cells = landed[:, labels]
     cells += np.arange(rows)[:, None] * n_cells
     counts = np.bincount(cells.ravel(), minlength=rows * n_cells)
     num = (counts.reshape(rows, *all_counts.shape) * weights).sum(axis=2)
     denom = (all_counts * weights).sum(axis=1)
     p_all = num.sum(axis=1) / denom.sum()
     return ((num / denom - p_all[:, None]) ** 2 * all_counts.sum(axis=1)).sum(axis=1)
+
+
+class _Case(NamedTuple):
+    """One sample's cells, counted labels and observed statistic."""
+
+    cell: np.ndarray
+    weights: np.ndarray
+    all_counts: np.ndarray
+    labels: np.ndarray
+    observed: float
+
+
+def _case(sample: IncludedSample) -> _Case:
+    cell, weights, all_counts = _cells(sample)
+    if len(all_counts) < 2:
+        raise TooFewTrees(
+            f"trait {sample.trait!r}: need at least 2 trees with included members"
+        )
+    # y is 0/1 and the WSD of 1 - y equals that of y: count the smaller class
+    positive = sample.y == 1.0
+    labels = np.flatnonzero(positive if 2 * positive.sum() <= len(positive) else ~positive)
+    observed = _wsd(cell[None, :], labels, weights, all_counts)[0]
+    return _Case(cell, weights, all_counts, labels, observed)
+
+
+def wsd_permutation_tests(
+    samples: Iterable[IncludedSample],
+    replicates: int = 10_000,
+    threshold: float = 0.90,
+    rng_seed: int = 0,
+) -> list[PermutationResult | TooFewTrees]:
+    """``wsd_permutation_test`` of each sample, in order; a sample with fewer
+    than two trees gets its ``TooFewTrees`` in place of a result.
+
+    Each included size's replicates are drawn once, and every sample of that
+    size is evaluated on a block of them before the next block is drawn."""
+    cases: list[_Case | TooFewTrees] = []
+    for sample in samples:
+        try:
+            cases.append(_case(sample))
+        except TooFewTrees as exc:
+            cases.append(exc)
+    # included size -> cell array -> indices of the cases with those cells
+    groups: dict[int, dict[bytes, list[int]]] = {}
+    for i, case in enumerate(cases):
+        if isinstance(case, _Case):
+            groups.setdefault(len(case.cell), {}).setdefault(case.cell.tobytes(), []).append(i)
+    below = [0] * len(cases)
+    for n, by_cells in groups.items():
+        width = max(n, *(cases[i].all_counts.size for ids in by_cells.values() for i in ids))
+        for block in _inverse_blocks(n, replicates, rng_seed, max(1, _BLOCK_BYTES // (8 * width))):
+            for ids in by_cells.values():
+                landed = cases[ids[0]].cell[block]
+                for i in ids:
+                    case = cases[i]
+                    wsd = _wsd(landed, case.labels, case.weights, case.all_counts)
+                    below[i] += int((wsd < case.observed).sum())
+    return [
+        case if isinstance(case, TooFewTrees) else PermutationResult(
+            observed_wsd=float(case.observed),
+            replicates=replicates,
+            quantile_rank=below[i] / replicates,
+            flagged=below[i] / replicates > threshold,
+            rng_seed=rng_seed,
+            threshold=threshold,
+        )
+        for i, case in enumerate(cases)
+    ]
 
 
 def wsd_permutation_test(
@@ -178,28 +259,7 @@ def wsd_permutation_test(
     the observed statistic and replicate values never flag.  Deterministic
     given ``rng_seed``; replicate permutations derive from per-replicate
     seed streams."""
-    cell, weights, all_counts = _cells(sample)
-    if len(all_counts) < 2:
-        raise TooFewTrees(
-            f"trait {sample.trait!r}: need at least 2 trees with included members"
-        )
-    # y is 0/1 and the WSD of 1 - y equals that of y: count the smaller class
-    positive = sample.y == 1.0
-    labels = np.flatnonzero(positive if 2 * positive.sum() <= len(positive) else ~positive)
-    observed = _wsd_of_positions(labels[None, :], cell, weights, all_counts)[0]
-
-    inv = _inverse_permutations(len(cell), replicates, rng_seed)
-    below = sum(
-        int((_wsd_of_positions(np.take(inv[i:i + _CHUNK_ROWS], labels, axis=1),
-                               cell, weights, all_counts) < observed).sum())
-        for i in range(0, replicates, _CHUNK_ROWS)
-    )
-    quantile_rank = below / replicates
-    return PermutationResult(
-        observed_wsd=float(observed),
-        replicates=replicates,
-        quantile_rank=quantile_rank,
-        flagged=quantile_rank > threshold,
-        rng_seed=rng_seed,
-        threshold=threshold,
-    )
+    (result,) = wsd_permutation_tests([sample], replicates, threshold, rng_seed)
+    if isinstance(result, TooFewTrees):
+        raise result
+    return result

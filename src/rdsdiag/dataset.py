@@ -178,15 +178,18 @@ class ValidationReport:
 #   traits.csv       _TRAIT_COLUMNS
 
 
+def _whole(cell: str) -> int:
+    """A whole number >= 0 in ASCII digits; ``int`` alone would also take a
+    sign, underscores and other scripts' digits."""
+    cell = cell.strip()
+    if not (cell.isascii() and cell.isdigit()):
+        raise ValueError(f"not a whole number: {cell!r}")
+    return int(cell)
+
+
 def _opt_int(cell: str) -> Optional[int]:
     """A count, degree or number of days: blank, or a whole number >= 0."""
-    cell = cell.strip()
-    if not cell:
-        return None
-    value = int(cell)
-    if value < 0:
-        raise ValueError(f"negative count {cell!r}")
-    return value
+    return _whole(cell) if cell.strip() else None
 
 
 def _opt_bool(cell: str) -> Optional[bool]:
@@ -220,7 +223,7 @@ _REFUSAL_SLOTS = 5
 _TRAIT = "trait:{}"
 
 _INTERVIEW_COLUMNS = (
-    ("interview_order", "interview_order", int),
+    ("interview_order", "interview_order", _whole),
     ("interview_date", "interview_date", _opt_date),
 )
 _DEGREE_COLUMNS = (

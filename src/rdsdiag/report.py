@@ -23,7 +23,7 @@ from typing import Any, Callable, Optional, Sequence
 
 from . import behavior, bottleneck, convergence, degree, estimators, finitepop, svg
 from .dataset import DEGREE_QUESTIONS, StudyDataset, ValidationReport, validate_dataset
-from .errors import DataRequirementError, UnrealizableConfig
+from .errors import DataRequirementError, TooFewTrees, UnrealizableConfig
 from .forest import RecruitmentForest, build_forest, edge_rows
 
 SCHEMA_VERSION = "1.0"
@@ -364,14 +364,20 @@ def _section_converge(writer, traits, cfg: PipelineConfig, sample_of) -> dict[st
 
 
 def _section_bottleneck(writer, traits, cfg: PipelineConfig, sample_of) -> dict[str, Any]:
-    def permutation_test(trait: str) -> bottleneck.PermutationResult:
-        sample = sample_of(trait)
-        result = bottleneck.wsd_permutation_test(
-            sample,
-            replicates=cfg.replicates,
-            threshold=cfg.threshold,
-            rng_seed=cfg.rng_seed,
-        )
+    samples = {trait: _attempt(sample_of, trait) for trait in traits}
+    built = [trait for trait in traits if _ran(samples[trait])]
+    # one call, so that traits of one included size share each drawn block
+    tests = dict(zip(built, bottleneck.wsd_permutation_tests(
+        [samples[trait] for trait in built],
+        replicates=cfg.replicates,
+        threshold=cfg.threshold,
+        rng_seed=cfg.rng_seed,
+    )))
+
+    def figures(trait: str) -> bottleneck.PermutationResult:
+        sample, result = samples[trait], tests[trait]
+        if isinstance(result, TooFewTrees):
+            raise result
         series = estimators.per_tree_series(sample)
         figure = svg.bottleneck(
             title=f"Bottleneck: {trait}",
@@ -387,7 +393,9 @@ def _section_bottleneck(writer, traits, cfg: PipelineConfig, sample_of) -> dict[
         writer.write_text(f"allpoints_{_safe_name(trait)}.svg", figure)
         return result
 
-    per_trait = {trait: _attempt(permutation_test, trait) for trait in traits}
+    per_trait = {
+        trait: _attempt(figures, trait) if trait in tests else samples[trait] for trait in traits
+    }
     columns = ("observed_wsd", "quantile_rank", "flagged")
     writer.write_csv(
         "bottleneck.csv",

@@ -1,5 +1,8 @@
 import dataclasses
+import re
+import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,14 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_dataset, make_respondent, unit_degree_two_trees
-from rdsdiag import svg
+from rdsdiag import bottleneck, svg
 from rdsdiag.bottleneck import (
-    _CHUNK_ROWS,
     _cells,
     _child_states,
-    _inverse_permutations,
-    _wsd_of_positions,
+    _inverse_blocks,
+    _wsd,
     wsd_permutation_test,
+    wsd_permutation_tests,
 )
 from rdsdiag.errors import TooFewTrees, UnknownTrait
 from rdsdiag.estimators import IncludedSample, cumulative_estimates, included_sample
@@ -52,18 +55,29 @@ def _counted(y):
     return np.flatnonzero(y == 1.0) if 2 * (y == 1.0).sum() <= len(y) else np.flatnonzero(y == 0.0)
 
 
-def _wsd(trees):
-    sample = _unit_degree_trees(trees)
-    return _wsd_of_positions(_counted(sample.y)[None, :], *_cells(sample))[0]
+def _observed(sample):
+    """The WSD of the sample's own labels."""
+    cell, weights, all_counts = _cells(sample)
+    return _wsd(cell[None, :], _counted(sample.y), weights, all_counts)[0]
+
+
+def _tree_wsd(trees):
+    return _observed(_unit_degree_trees(trees))
+
+
+def _draw(n, replicates, seed, rows):
+    """Every inverse permutation of the streamed draw, each block copied out
+    of the buffer the next one overwrites."""
+    return np.concatenate([block.copy() for block in _inverse_blocks(n, replicates, seed, rows)])
 
 
 def test_wsd_hand_fixture():
-    assert _wsd([(2, 10), (8, 10)]) == pytest.approx(1.8, abs=1e-12)
+    assert _tree_wsd([(2, 10), (8, 10)]) == pytest.approx(1.8, abs=1e-12)
 
 
 def test_wsd_trivial_cases():
-    assert _wsd([(3, 12)]) == 0.0
-    assert _wsd([(2, 5), (4, 10)]) == 0.0
+    assert _tree_wsd([(3, 12)]) == 0.0
+    assert _tree_wsd([(2, 5), (4, 10)]) == 0.0
 
 
 def test_wsd_invariant_to_empty_trees():
@@ -72,7 +86,7 @@ def test_wsd_invariant_to_empty_trees():
     with_empty = dataclasses.replace(base, roots=("a", "c", "b"), tree=np.where(base.tree == 1, 2, 0))
     observed = wsd_permutation_test(base, replicates=10).observed_wsd
     assert observed == wsd_permutation_test(with_empty, replicates=10).observed_wsd
-    assert observed == pytest.approx(_wsd([(1, 4), (4, 6)]), abs=1e-15)
+    assert observed == pytest.approx(_tree_wsd([(1, 4), (4, 6)]), abs=1e-15)
 
 
 def _two_block_trees(n_per_tree=20, aligned=True, seed=0):
@@ -211,36 +225,46 @@ def _random_sample(n, n_trees=5, seed=0, trait="t", prevalence=0.4, max_degree=3
 @pytest.mark.parametrize("replicates", [1, 255, 256, 257, 333])
 def test_chunked_statistics_match_one_call(replicates):
     sample = _random_sample(90, seed=replicates)
-    cells = _cells(sample)
+    cell, weights, all_counts = _cells(sample)
     labels = _counted(sample.y)
-    inv = _inverse_permutations(len(sample), replicates, 7)
-    positions = np.take(inv, labels, axis=1)
-    # replicate r labels position j with y[perm_r[j]], perm_r the inverse of inv[r]
+    inv = _draw(len(sample), replicates, 7, replicates)
+    # replicate r labels position j with y[perm_r[j]], perm_r the inverse of
+    # inv[r], so the counted labels land on inv[r, labels]
     assert all(
-        np.array_equal(np.sort(row), np.flatnonzero(sample.y[np.argsort(inv_r)] == sample.y[labels[0]]))
-        for row, inv_r in zip(positions, inv)
+        np.array_equal(np.sort(row[labels]), np.flatnonzero(sample.y[np.argsort(row)] == sample.y[labels[0]]))
+        for row in inv
     )
-    whole = _wsd_of_positions(positions, *cells)
-    chunked = np.concatenate([
-        _wsd_of_positions(positions[i:i + _CHUNK_ROWS], *cells)
-        for i in range(0, replicates, _CHUNK_ROWS)
-    ])
-    one_by_one = np.concatenate([_wsd_of_positions(row[None, :], *cells) for row in positions])
-    assert whole.tobytes() == chunked.tobytes() == one_by_one.tobytes()
-    observed = _wsd_of_positions(labels[None, :], *cells)[0]
+    whole = _wsd(cell[inv], labels, weights, all_counts)
+    one_by_one = np.concatenate([_wsd(cell[row[None, :]], labels, weights, all_counts) for row in inv])
+    assert whole.tobytes() == one_by_one.tobytes()
+    for rows in (1, 64, 256, replicates + 1):
+        blocks = np.concatenate([
+            _wsd(cell[block], labels, weights, all_counts)
+            for block in _inverse_blocks(len(sample), replicates, 7, rows)
+        ])
+        assert blocks.tobytes() == whole.tobytes()
+    observed = _observed(sample)
     result = wsd_permutation_test(sample, replicates=replicates, rng_seed=7)
     assert result.observed_wsd == observed
     assert result.quantile_rank == (whole < observed).sum() / replicates
 
 
+def _assert_inverts_seed_streams(n, replicates, seed):
+    oracle = [np.random.default_rng(child).permutation(n)
+              for child in np.random.SeedSequence(seed).spawn(replicates)]
+    # one row per block, blocks that do not divide the replicates, one block
+    # of more rows than there are replicates
+    for rows in (1, 3, replicates, replicates + 5):
+        blocks = list(_inverse_blocks(n, replicates, seed, rows))
+        assert [len(block) for block in blocks[:-1]] == [rows] * (len(blocks) - 1)
+        inv = _draw(n, replicates, seed, rows)
+        assert inv.shape == (replicates, n)
+        assert all(np.array_equal(row, np.argsort(perm)) for row, perm in zip(inv, oracle))
+
+
 @pytest.mark.parametrize("n, replicates, seed", [(1, 3, 0), (7, 40, 3), (990, 5, 12)])
 def test_permutations_match_per_replicate_streams(n, replicates, seed):
-    children = np.random.SeedSequence(seed).spawn(replicates)
-    oracle = [np.random.default_rng(child).permutation(n) for child in children]
-    inv = _inverse_permutations(n, replicates, seed)
-    assert inv.shape == (replicates, n)
-    assert inv.dtype == np.int32
-    assert all(np.array_equal(row, np.argsort(perm)) for row, perm in zip(inv, oracle))
+    _assert_inverts_seed_streams(n, replicates, seed)
 
 
 @settings(max_examples=60, deadline=None)
@@ -258,23 +282,12 @@ def test_child_states_match_seed_sequence_spawn(seed, replicates):
 
 @pytest.mark.parametrize("seed", [2**64, 2**130 + 7])
 def test_permutations_match_per_replicate_streams_at_large_seeds(seed):
-    n, replicates = 60, 50
-    oracle = [np.random.default_rng(child).permutation(n)
-              for child in np.random.SeedSequence(seed).spawn(replicates)]
-    inv = _inverse_permutations(n, replicates, seed)
-    assert all(np.array_equal(row, np.argsort(perm)) for row, perm in zip(inv, oracle))
+    _assert_inverts_seed_streams(60, 50, seed)
 
 
 def test_negative_seed_raises():
     with pytest.raises(ValueError):
         wsd_permutation_test(_random_sample(20), replicates=5, rng_seed=-1)
-
-
-def test_permutations_read_only():
-    inv = _inverse_permutations(12, 4, 0)
-    with pytest.raises(ValueError):
-        inv[0, 0] = 1
-    assert _inverse_permutations(12, 4, 0) is inv
 
 
 @settings(max_examples=80, deadline=None)
@@ -288,7 +301,7 @@ def test_permutations_read_only():
         )
     )
 )
-def test_wsd_of_positions_matches_naive_loop(case):
+def test_wsd_matches_naive_loop(case):
     n_trees, members, prevalence, rows = case
     n = len(members)
     # every tree gets at least one member, as in np.unique's inverse
@@ -297,8 +310,11 @@ def test_wsd_of_positions_matches_naive_loop(case):
     rng = np.random.default_rng(n)
     y = np.zeros(n)
     y[rng.permutation(n)[:round(prevalence * n)]] = 1.0
-    y_matrix = [y] + [y[rng.permutation(n)] for _ in range(rows - 1)]
-    got = _wsd_of_positions(np.array([_counted(row) for row in y_matrix]), *_cells(_sample(y, degree, t)))
+    perms = [np.arange(n)] + [rng.permutation(n) for _ in range(rows - 1)]
+    y_matrix = [y[perm] for perm in perms]
+    # position perm[j] of y lands on position j
+    cell, weights, all_counts = _cells(_sample(y, degree, t))
+    got = _wsd(np.array([cell[np.argsort(perm)] for perm in perms]), _counted(y), weights, all_counts)
     w = [Fraction(1, d) for d in degree]
     for r, labels in enumerate(y_matrix):
         # exact WSD of the 0/1 labels themselves, whichever class is counted
@@ -336,14 +352,15 @@ def test_swap_within_cell_keeps_observed_and_rank(seed, n, prevalence):
     assert swapped.observed_wsd == result.observed_wsd
     # against the same reference the swapped observed ranks the same: a
     # replicate with the observed cell counts is its equal, never below it
-    cells = _cells(sample)
-    positions = np.take(_inverse_permutations(n, 300, seed), _counted(sample.y), axis=1)
-    reference = _wsd_of_positions(positions, *cells)
+    cell, weights, all_counts = _cells(sample)
+    labels = _counted(sample.y)
+    inv = _draw(n, 300, seed, 7)
+    reference = _wsd(cell[inv], labels, weights, all_counts)
     tied = reference == result.observed_wsd
     assert (reference < swapped.observed_wsd).sum() / 300 == result.quantile_rank
     # every replicate whose cell counts equal the observed's is tied with it
-    counts = np.array([np.bincount(cells[0][row], minlength=cells[2].size) for row in positions])
-    same_counts = (counts == np.bincount(cells[0][_counted(sample.y)], minlength=cells[2].size)).all(axis=1)
+    counts = np.array([np.bincount(cell[row], minlength=all_counts.size) for row in inv[:, labels]])
+    same_counts = (counts == np.bincount(cell[labels], minlength=all_counts.size)).all(axis=1)
     assert tied[same_counts].all()
 
 
@@ -358,6 +375,54 @@ def test_complement_labels_give_the_same_result(seed, n, prevalence):
     assert flipped == result
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_batched_equals_single(data):
+    seed = data.draw(st.integers(0, 10_000))
+    sizes = data.draw(st.lists(st.sampled_from([6, 11, 30]), min_size=1, max_size=4))
+    samples = [
+        _random_sample(n, n_trees=data.draw(st.integers(2, 4)), seed=seed + i, trait=f"t{i}",
+                       prevalence=data.draw(st.floats(0, 1)), max_degree=5)
+        for i, n in enumerate(sizes)
+    ]
+    first = samples[0]
+    samples += [
+        # the same size with other cells
+        dataclasses.replace(first, trait="rolled", tree=np.roll(first.tree, 1)),
+        # the same cells with other weights
+        dataclasses.replace(first, trait="heavier", degree=first.degree + 1),
+        _sample([1.0, 0.0, 0.0], [1, 2, 3], [0, 0, 0], trait="one-tree"),
+    ]
+    samples = data.draw(st.permutations(samples))
+    replicates = data.draw(st.integers(1, 200))
+    # blocks of one row up to a single block: a rank does not depend on them
+    budget = data.draw(st.sampled_from([1, 1000, 2**20]))
+    with mock.patch.object(bottleneck, "_BLOCK_BYTES", budget):
+        batched = wsd_permutation_tests(samples, replicates=replicates, threshold=0.5, rng_seed=seed)
+    assert len(batched) == len(samples)
+    for sample, result in zip(samples, batched):
+        if sample.trait == "one-tree":
+            assert isinstance(result, TooFewTrees)
+            with pytest.raises(TooFewTrees, match=re.escape(str(result))):
+                wsd_permutation_test(sample, replicates=replicates, threshold=0.5, rng_seed=seed)
+        else:
+            assert result == wsd_permutation_test(sample, replicates=replicates, threshold=0.5,
+                                                  rng_seed=seed)
+
+
+def test_batched_memory_stays_within_blocks():
+    # an R × n draw of 4·R·n bytes would take 80 MB here
+    samples = [_random_sample(2000, n_trees=8, seed=s, trait=f"t{s}") for s in range(3)]
+    tracemalloc.start()
+    try:
+        results = wsd_permutation_tests(samples, replicates=10_000, rng_seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert [r.replicates for r in results] == [10_000] * 3
+    assert peak <= 8 * 2**20
+
+
 def test_cache_isolation_across_sizes_seeds_and_replicates():
     a, b = _random_sample(60, seed=1), _random_sample(75, seed=2)
     calls = [
@@ -365,8 +430,7 @@ def test_cache_isolation_across_sizes_seeds_and_replicates():
         (a, 257, 1), (b, 257, 2), (a, 300, 2), (a, 257, 2), (b, 300, 1),
     ]
     results = [wsd_permutation_test(s, replicates=r, rng_seed=seed) for s, r, seed in calls]
-    for (sample, replicates, seed), result in zip(calls, results):
-        _inverse_permutations.cache_clear()
+    for (sample, replicates, seed), result in reversed(list(zip(calls, results))):
         assert result == wsd_permutation_test(sample, replicates=replicates, rng_seed=seed)
     # the calls above can tell the streams apart
     assert len({r.quantile_rank for r in results if r.observed_wsd == results[0].observed_wsd}) > 1

@@ -435,7 +435,7 @@ def _rewrite_cell(src, dst, row_index, column, value):
         reader = csv.DictReader(fh)
         header, rows = reader.fieldnames, list(reader)
     rows[row_index][column] = value
-    with open(dst, "w", newline="") as fh:
+    with open(dst, "w", newline="", encoding="utf-8") as fh:
         writer = csv.DictWriter(fh, fieldnames=header)
         writer.writeheader()
         writer.writerows(rows)
@@ -454,6 +454,10 @@ def _rewrite_cell(src, dst, row_index, column, value):
         ("respondents.csv", "deg_week", "-1"),
         ("followup.csv", "n_refusals", "-500"),
         ("followup.csv", "days_1", "-2"),
+        ("respondents.csv", "deg_week", "1_000"),
+        ("followup.csv", "n_refusals", "+3"),
+        ("respondents.csv", "interview_order", "\u0663"),
+        ("respondents.csv", "deg_know", "\uff13"),
     ],
 )
 def test_cli_malformed_cell_exit_code(cli_study, capsys, tmp_path, file_name, column,

@@ -25,8 +25,11 @@ NUMERIC = {
                      "n_contacts_employed", "days_1"),
 }
 DEGREE_COLUMNS = ("deg_know", "deg_province", "deg_age", "deg_week")
-MUTATIONS = ("blank", "non_numeric", "negative", "zero_degree", "dangle", "duplicate_id",
-             "drop_column", "header_only")
+MUTATIONS = ("blank", "non_numeric", "negative", "not_ascii_whole", "zero_degree", "dangle",
+             "duplicate_id", "drop_column", "header_only")
+# numbers Python's int takes that are not ASCII whole numbers: an underscore,
+# a sign, an Arabic-Indic three and a fullwidth three
+NOT_ASCII_WHOLE = ("1_000", "+3", "\u0663", "\uff13")
 
 
 @functools.cache
@@ -63,7 +66,7 @@ def _mutate(files, draw):
     kind = draw(st.sampled_from(MUTATIONS))
     if kind in ("blank", "drop_column"):
         name = draw(st.sampled_from(FILES))
-    elif kind in ("non_numeric", "negative"):
+    elif kind in ("non_numeric", "negative", "not_ascii_whole"):
         name = draw(st.sampled_from(sorted(NUMERIC)))
     elif kind == "header_only":
         name = draw(st.sampled_from(("traits.csv", "followup.csv")))
@@ -79,6 +82,9 @@ def _mutate(files, draw):
     elif kind == "negative":
         column = draw(st.sampled_from(NUMERIC[name]))
         rows[row][column] = str(draw(st.integers(-1000, -1)))
+    elif kind == "not_ascii_whole":
+        column = draw(st.sampled_from(NUMERIC[name]))
+        rows[row][column] = draw(st.sampled_from(NOT_ASCII_WHOLE))
     elif kind == "zero_degree":
         column = draw(st.sampled_from(DEGREE_COLUMNS))
         for r in rows:
@@ -98,7 +104,7 @@ def _mutate(files, draw):
 
 def _write(files, root):
     for name, (header, rows) in files.items():
-        with open(root / name, "w", newline="") as fh:
+        with open(root / name, "w", newline="", encoding="utf-8") as fh:
             writer = csv.DictWriter(fh, fieldnames=header, extrasaction="ignore")
             writer.writeheader()
             writer.writerows(rows)
@@ -138,7 +144,7 @@ def test_report_survives_one_mutation(data):
         _write(files, root)
         strict, strict_out = _report(root, "--strict")
         lenient, lenient_out = _report(root, "--lenient")
-        if kind == "negative":
+        if kind in ("negative", "not_ascii_whole"):
             assert strict == lenient == 2
         if lenient == 0:
             lenient_bytes = _check_bundle(lenient_out)
