@@ -255,9 +255,10 @@ def _assert_inverts_seed_streams(n, replicates, seed):
     # one row per block, blocks that do not divide the replicates, one block
     # of more rows than there are replicates
     for rows in (1, 3, replicates, replicates + 5):
-        blocks = list(_inverse_blocks(n, replicates, seed, rows))
+        # copied, as the next block overwrites the buffer
+        blocks = [block.copy() for block in _inverse_blocks(n, replicates, seed, rows)]
         assert [len(block) for block in blocks[:-1]] == [rows] * (len(blocks) - 1)
-        inv = _draw(n, replicates, seed, rows)
+        inv = np.concatenate(blocks)
         assert inv.shape == (replicates, n)
         assert all(np.array_equal(row, np.argsort(perm)) for row, perm in zip(inv, oracle))
 
