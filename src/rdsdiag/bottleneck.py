@@ -5,21 +5,21 @@ estimates around the overall estimate.  Its reference distribution is built
 by shuffling trait labels across included respondents while tree membership
 and degrees stay attached to sample positions.
 
-Replicate r permutes the n included positions with a generator seeded by
-child r of ``SeedSequence(rng_seed)``, so the permutations depend only on
-(n, replicates, rng_seed): traits with the same included size share them.
-The child seeds are derived in one vectorised pass that equals
-``SeedSequence.spawn`` and PCG64's seeding bit for bit, and one generator,
-set to each child's starting state in turn, draws every row.
+The replicates are drawn in order from one stream, ``default_rng(rng_seed)``,
+started afresh for each included size: replicate r is the r-th row that
+``Generator.permuted`` shuffles, so the permutations depend only on
+(n, replicates, rng_seed) and traits with the same included size share them.
+Row r sends the label at position j to position ``perm[j]``; the inverse of
+a uniform permutation is uniform too, so the rows are used as drawn.
 
 ``wsd_permutation_tests`` groups its samples by included size and draws each
 size's replicates once, streamed in blocks through one reused buffer of
-inverse permutations; every sample of that size is evaluated on a block
-before the next is drawn.  Samples with identical cells share one gather of
-the cells the block's labels land in.  A block holds as many rows as keep
-its largest work array (that gather, the buffer itself or a sample's
-per-cell counts, 8 bytes an entry) within ``_BLOCK_BYTES``, so memory is
-O(rows·n) whatever the number of replicates.
+permutations; every sample of that size is evaluated on a block before the
+next is drawn.  Samples with identical cells share one gather of the cells
+the block's labels land in.  A block holds as many rows as keep its largest
+work array (that gather, the buffer itself or a sample's per-cell counts,
+8 bytes an entry) within ``_BLOCK_BYTES``, so memory is O(rows·n) whatever
+the number of replicates.
 
 The statistic depends on the labels only through the integer counts of the
 counted class in each (tree, degree) cell, and the counted class is the
@@ -54,95 +54,20 @@ class PermutationResult:
     threshold: float
 
 
-# SeedSequence's hash constants: a 4-word pool of 32-bit words
-_POOL = 4
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-_MASK32 = 0xFFFFFFFF
-# PCG64's 128-bit LCG multiplier
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK128 = (1 << 128) - 1
+def _permutation_blocks(n: int, replicates: int, rng_seed: int, rows: int) -> Iterator[np.ndarray]:
+    """The replicates' permutations of ``range(n)`` in blocks of at most
+    ``rows``, each a ``k × n`` view of one reused buffer that the next block
+    overwrites.
 
-
-def _hasher(init: int, mult: int):
-    """SeedSequence's running hash: each call xors in the current constant,
-    steps it and multiplies by the new one, over uint32 lanes."""
-    const = init
-
-    def hash_(value: np.ndarray) -> np.ndarray:
-        nonlocal const
-        value = value ^ np.uint32(const)
-        const = const * mult & _MASK32
-        value = value * np.uint32(const)
-        return value ^ (value >> np.uint32(16))
-
-    return hash_
-
-
-def _child_states(rng_seed: int, replicates: int) -> np.ndarray:
-    """``replicates × 4`` uint64 array whose row r is
-    ``SeedSequence(rng_seed).spawn(replicates)[r].generate_state(4, np.uint64)``,
-    with every child hashed at once, one uint32 lane each."""
-    if rng_seed < 0:
-        raise ValueError(f"rng_seed must be non-negative, got {rng_seed}")
-    if replicates > 2**32:
-        raise ValueError(f"at most 2**32 replicates, got {replicates}")
-    n_words = max(1, (rng_seed.bit_length() + 31) // 32)
-    words = [rng_seed >> 32 * k & _MASK32 for k in range(n_words)]
-    # child r's entropy: the seed's words zero-padded to the pool, then r
-    # (one word, as r < 2**32)
-    entropy = [np.full(replicates, w, dtype=np.uint32)
-               for w in words + [0] * (_POOL - len(words))]
-    entropy.append(np.arange(replicates, dtype=np.uint32))
-
-    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        result = np.uint32(_MIX_L) * x - np.uint32(_MIX_R) * y
-        return result ^ (result >> np.uint32(16))
-
-    hashmix = _hasher(_INIT_A, _MULT_A)
-    pool = [hashmix(word) for word in entropy[:_POOL]]
-    for src in range(_POOL):
-        for dst in range(_POOL):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for word in entropy[_POOL:]:
-        for dst in range(_POOL):
-            pool[dst] = mix(pool[dst], hashmix(word))
-
-    # generate_state: 8 words cycling over the pool; uint64 k is words
-    # 2k (low) and 2k + 1 (high)
-    hash_state = _hasher(_INIT_B, _MULT_B)
-    state = np.stack([hash_state(pool[i % _POOL]) for i in range(8)], axis=1).astype(np.uint64)
-    return state[:, 0::2] | state[:, 1::2] << np.uint64(32)
-
-
-def _inverse_blocks(n: int, replicates: int, rng_seed: int, rows: int) -> Iterator[np.ndarray]:
-    """The inverse permutations of the replicates in blocks of at most
-    ``rows``, each a ``k × n`` view of one reused buffer that the next
-    block overwrites.  Row r of the sequence inverts the permutation of
-    ``range(n)`` drawn from child r of ``SeedSequence(rng_seed)``:
-    ``inv[r, perm[j]] = j``.
-
-    One generator draws every row: before row r it is given the state that
-    ``default_rng(child_r)`` starts from, the PCG64 seeding of
-    ``_child_states`` row r as (initstate, initseq)."""
-    states = _child_states(rng_seed, replicates)
+    One generator, ``default_rng(rng_seed)``, shuffles the rows in order, so
+    the blocks together equal ``permuted`` on the ``replicates × n`` tile of
+    ``arange(n)``: row r depends only on (n, rng_seed, r)."""
+    gen = np.random.default_rng(rng_seed)
     buffer = np.empty((min(rows, replicates), n), dtype=np.intp)
-    positions = np.arange(n)
-    bitgen = np.random.PCG64(0)
-    gen = np.random.Generator(bitgen)
     for start in range(0, replicates, rows):
         block = buffer[:min(rows, replicates - start)]
-        for row, (s_hi, s_lo, i_hi, i_lo) in zip(block, states[start:start + rows].tolist()):
-            # PCG64 seeding: inc = 2·initseq + 1, then two LCG steps from 0
-            # with initstate added between them
-            inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
-            state = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128
-            bitgen.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                            "has_uint32": 0, "uinteger": 0}
-            row[gen.permutation(n)] = positions
-        yield block
+        block[:] = np.arange(n)
+        yield gen.permuted(block, axis=1, out=block)
 
 
 def _cells(sample: IncludedSample) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -213,6 +138,10 @@ def wsd_permutation_tests(
 
     Each included size's replicates are drawn once, and every sample of that
     size is evaluated on a block of them before the next block is drawn."""
+    if replicates < 1:
+        raise ValueError(f"replicates must be at least 1, got {replicates}")
+    if rng_seed < 0:
+        raise ValueError(f"rng_seed must be non-negative, got {rng_seed}")
     cases: list[_Case | TooFewTrees] = []
     for sample in samples:
         try:
@@ -227,7 +156,7 @@ def wsd_permutation_tests(
     below = [0] * len(cases)
     for n, by_cells in groups.items():
         width = max(n, *(cases[i].all_counts.size for ids in by_cells.values() for i in ids))
-        for block in _inverse_blocks(n, replicates, rng_seed, max(1, _BLOCK_BYTES // (8 * width))):
+        for block in _permutation_blocks(n, replicates, rng_seed, max(1, _BLOCK_BYTES // (8 * width))):
             for ids in by_cells.values():
                 landed = cases[ids[0]].cell[block]
                 for i in ids:
@@ -257,8 +186,8 @@ def wsd_permutation_test(
 
     Flagging uses strict exceedance of the threshold quantile: ties between
     the observed statistic and replicate values never flag.  Deterministic
-    given ``rng_seed``; replicate permutations derive from per-replicate
-    seed streams."""
+    given ``rng_seed``: the replicates are drawn in order from one stream
+    seeded by it, the same for every sample of this included size."""
     (result,) = wsd_permutation_tests([sample], replicates, threshold, rng_seed)
     if isinstance(result, TooFewTrees):
         raise result

@@ -13,8 +13,7 @@ from conftest import make_dataset, make_respondent, unit_degree_two_trees
 from rdsdiag import bottleneck, svg
 from rdsdiag.bottleneck import (
     _cells,
-    _child_states,
-    _inverse_blocks,
+    _permutation_blocks,
     _wsd,
     wsd_permutation_test,
     wsd_permutation_tests,
@@ -66,9 +65,9 @@ def _tree_wsd(trees):
 
 
 def _draw(n, replicates, seed, rows):
-    """Every inverse permutation of the streamed draw, each block copied out
-    of the buffer the next one overwrites."""
-    return np.concatenate([block.copy() for block in _inverse_blocks(n, replicates, seed, rows)])
+    """Every permutation of the streamed draw, each block copied out of the
+    buffer the next one overwrites."""
+    return np.concatenate([block.copy() for block in _permutation_blocks(n, replicates, seed, rows)])
 
 
 def test_wsd_hand_fixture():
@@ -227,20 +226,20 @@ def test_chunked_statistics_match_one_call(replicates):
     sample = _random_sample(90, seed=replicates)
     cell, weights, all_counts = _cells(sample)
     labels = _counted(sample.y)
-    inv = _draw(len(sample), replicates, 7, replicates)
-    # replicate r labels position j with y[perm_r[j]], perm_r the inverse of
-    # inv[r], so the counted labels land on inv[r, labels]
-    assert all(
-        np.array_equal(np.sort(row[labels]), np.flatnonzero(sample.y[np.argsort(row)] == sample.y[labels[0]]))
-        for row in inv
-    )
-    whole = _wsd(cell[inv], labels, weights, all_counts)
-    one_by_one = np.concatenate([_wsd(cell[row[None, :]], labels, weights, all_counts) for row in inv])
+    perms = _draw(len(sample), replicates, 7, replicates)
+    # replicate r moves the label at position j to position perm[j], so the
+    # counted labels land on perm[labels]
+    for perm in perms:
+        moved = np.empty_like(sample.y)
+        moved[perm] = sample.y
+        assert np.array_equal(np.sort(perm[labels]), np.flatnonzero(moved == sample.y[labels[0]]))
+    whole = _wsd(cell[perms], labels, weights, all_counts)
+    one_by_one = np.concatenate([_wsd(cell[perm[None, :]], labels, weights, all_counts) for perm in perms])
     assert whole.tobytes() == one_by_one.tobytes()
     for rows in (1, 64, 256, replicates + 1):
         blocks = np.concatenate([
             _wsd(cell[block], labels, weights, all_counts)
-            for block in _inverse_blocks(len(sample), replicates, 7, rows)
+            for block in _permutation_blocks(len(sample), replicates, 7, rows)
         ])
         assert blocks.tobytes() == whole.tobytes()
     observed = _observed(sample)
@@ -249,46 +248,66 @@ def test_chunked_statistics_match_one_call(replicates):
     assert result.quantile_rank == (whole < observed).sum() / replicates
 
 
-def _assert_inverts_seed_streams(n, replicates, seed):
-    oracle = [np.random.default_rng(child).permutation(n)
-              for child in np.random.SeedSequence(seed).spawn(replicates)]
+def _assert_blocks_equal_one_call(n, replicates, seed):
+    # the whole draw as one permuted call on the replicates × n tile
+    oracle = np.random.default_rng(seed).permuted(np.tile(np.arange(n), (replicates, 1)), axis=1)
     # one row per block, blocks that do not divide the replicates, one block
     # of more rows than there are replicates
     for rows in (1, 3, replicates, replicates + 5):
         # copied, as the next block overwrites the buffer
-        blocks = [block.copy() for block in _inverse_blocks(n, replicates, seed, rows)]
+        blocks = [block.copy() for block in _permutation_blocks(n, replicates, seed, rows)]
         assert [len(block) for block in blocks[:-1]] == [rows] * (len(blocks) - 1)
-        inv = np.concatenate(blocks)
-        assert inv.shape == (replicates, n)
-        assert all(np.array_equal(row, np.argsort(perm)) for row, perm in zip(inv, oracle))
+        assert np.array_equal(np.concatenate(blocks), oracle)
 
 
 @pytest.mark.parametrize("n, replicates, seed", [(1, 3, 0), (7, 40, 3), (990, 5, 12)])
-def test_permutations_match_per_replicate_streams(n, replicates, seed):
-    _assert_inverts_seed_streams(n, replicates, seed)
+def test_blocks_equal_one_permuted_call(n, replicates, seed):
+    _assert_blocks_equal_one_call(n, replicates, seed)
 
 
-@settings(max_examples=60, deadline=None)
-@given(
-    st.integers(0, 2**32 - 1) | st.integers(2**32, 2**128 - 1) | st.integers(2**128, 2**140),
-    st.integers(1, 300),
-)
-def test_child_states_match_seed_sequence_spawn(seed, replicates):
-    # one seed word, two to four (padded to the pool), more than the pool
-    states = _child_states(seed, replicates)
-    oracle = [child.generate_state(4, np.uint64) for child in np.random.SeedSequence(seed).spawn(replicates)]
-    assert states.dtype == np.uint64
-    assert states.tobytes() == np.array(oracle).tobytes()
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 40), st.integers(1, 120), st.integers(0, 2**70), st.integers(1, 50), st.data())
+def test_fewer_replicates_are_a_prefix(n, replicates, seed, rows, data):
+    fewer = data.draw(st.integers(1, replicates))
+    assert np.array_equal(_draw(n, replicates, seed, rows)[:fewer], _draw(n, fewer, seed, rows))
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 144])
+def test_every_row_is_a_permutation(n):
+    perms = _draw(n, 300, 4, 7)
+    assert perms.shape == (300, n)
+    assert (np.sort(perms, axis=1) == np.arange(n)).all()
+
+
+def test_permutations_uniform():
+    # each of the 24 permutations of 4 is drawn 1000 times on average, with
+    # a standard deviation of sqrt(24000 · 1/24 · 23/24) ≈ 31; 155 is 5σ
+    perms = _draw(4, 24_000, 2024, 500)
+    _, counts = np.unique(perms, axis=0, return_counts=True)
+    assert len(counts) == 24
+    assert np.abs(counts - 1000).max() <= 155
 
 
 @pytest.mark.parametrize("seed", [2**64, 2**130 + 7])
-def test_permutations_match_per_replicate_streams_at_large_seeds(seed):
-    _assert_inverts_seed_streams(60, 50, seed)
+def test_draw_at_large_seeds(seed):
+    _assert_blocks_equal_one_call(60, 50, seed)
+    assert wsd_permutation_test(_random_sample(60), replicates=50, rng_seed=seed).replicates == 50
 
 
 def test_negative_seed_raises():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="-1"):
         wsd_permutation_test(_random_sample(20), replicates=5, rng_seed=-1)
+
+
+@pytest.mark.parametrize("replicates", [0, -3])
+def test_replicates_below_one_raise(replicates):
+    # named before any sample is looked at, one-tree samples included
+    one_tree = _sample([1.0, 0.0], [1, 1], [0, 0])
+    for samples in ([_random_sample(20)], [one_tree], []):
+        with pytest.raises(ValueError, match=f"got {replicates}"):
+            wsd_permutation_tests(samples, replicates=replicates)
+    with pytest.raises(ValueError, match=f"got {replicates}"):
+        wsd_permutation_test(_random_sample(20), replicates=replicates)
 
 
 @settings(max_examples=80, deadline=None)
@@ -355,12 +374,12 @@ def test_swap_within_cell_keeps_observed_and_rank(seed, n, prevalence):
     # replicate with the observed cell counts is its equal, never below it
     cell, weights, all_counts = _cells(sample)
     labels = _counted(sample.y)
-    inv = _draw(n, 300, seed, 7)
-    reference = _wsd(cell[inv], labels, weights, all_counts)
+    perms = _draw(n, 300, seed, 7)
+    reference = _wsd(cell[perms], labels, weights, all_counts)
     tied = reference == result.observed_wsd
     assert (reference < swapped.observed_wsd).sum() / 300 == result.quantile_rank
     # every replicate whose cell counts equal the observed's is tied with it
-    counts = np.array([np.bincount(cell[row], minlength=all_counts.size) for row in inv[:, labels]])
+    counts = np.array([np.bincount(cell[row], minlength=all_counts.size) for row in perms[:, labels]])
     same_counts = (counts == np.bincount(cell[labels], minlength=all_counts.size)).all(axis=1)
     assert tied[same_counts].all()
 
