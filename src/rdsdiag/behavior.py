@@ -4,7 +4,8 @@ Covers reciprocation rates, the network reciprocity summary, recruitment
 effectiveness, the three-level recruitment-bias summary and its exact
 simple-random-sampling reference tests, non-response rates, refusal and
 motivation tabulations, and the motivation-outcome odds ratio with an exact
-conditional interval.
+conditional interval.  Whether a respondent has a trait is read from
+``StudyDataset.indicators``.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from typing import Mapping
 import numpy as np
 
 from .dataset import Respondent, StudyDataset
-from .errors import DegenerateTable, NoData, NoEligibleRecruiters, UnknownTrait
+from .errors import DegenerateTable, NoData, NoEligibleRecruiters
 from .estimators import _bisect, _quantile
 from .forest import RecruitmentForest
 
@@ -55,8 +56,9 @@ class ReciprocityStats:
 
 def network_reciprocity_stats(ds: StudyDataset) -> ReciprocityStats:
     """Normalized difference |receive - give| / max(receive, give) between the
-    coupon-receivable and coupon-giveable weekly counts.  Respondents with
-    both answers zero (or either missing) are excluded and counted."""
+    coupon-receivable and coupon-giveable weekly counts.  Respondents missing
+    either answer are skipped; those with both answers zero are excluded and
+    counted.  With no usable respondent left, raises ``NoData``."""
     values = []
     excluded = 0
     for r in ds.respondents:
@@ -70,7 +72,7 @@ def network_reciprocity_stats(ds: StudyDataset) -> ReciprocityStats:
             continue
         values.append(abs(recv - give) / m)
     if not values:
-        return ReciprocityStats(math.nan, math.nan, math.nan, 0, excluded)
+        raise NoData(f"no usable reciprocity answers; {excluded} excluded with both answers zero")
     arr = np.array(values)
     return ReciprocityStats(
         median_relative_difference=_quantile(arr, 0.5),
@@ -100,15 +102,11 @@ def recruitment_effectiveness(
 ) -> EffectivenessResult:
     """Mean recruit counts among trait-positive vs trait-negative
     respondents, with their ratio."""
-    reference = ds.trait_spec(trait).reference_level
     pos: list[int] = []
     neg: list[int] = []
-    for r in ds.respondents:
-        value = r.traits.get(trait)
-        if value is None:
-            continue
-        count = len(forest.recruits(r.id))
-        (pos if value == reference else neg).append(count)
+    for r, flag in zip(ds.respondents, ds.indicators(trait)):
+        if flag is not None:
+            (pos if flag else neg).append(len(forest.recruits(r.id)))
     mean_pos = float(np.mean(pos)) if pos else math.nan
     mean_neg = float(np.mean(neg)) if neg else math.nan
     defined = bool(neg) and mean_neg > 0 and bool(pos)
@@ -465,22 +463,13 @@ def motivation_outcome(
 
     Zero cells give exact 0 or infinite odds ratios with one-sided
     intervals; a zero margin is a degenerate table."""
-    reference = ds.trait_spec(outcome_trait).reference_level
-    a = b = c = d = 0
-    for r in ds.respondents:
-        value = r.traits.get(outcome_trait)
-        if value is None or r.motivation is None:
-            continue
-        flag = value == reference
-        motivated = r.motivation == motivation_category
-        if motivated and flag:
-            a += 1
-        elif motivated:
-            b += 1
-        elif flag:
-            c += 1
-        else:
-            d += 1
+    pairs = [
+        (r.motivation == motivation_category, flag)
+        for r, flag in zip(ds.respondents, ds.indicators(outcome_trait))
+        if flag is not None and r.motivation is not None
+    ]
+    # (motivated, has the trait) for cells a, b, c, d
+    a, b, c, d = map(pairs.count, ((True, True), (True, False), (False, True), (False, False)))
     if min(a + b, c + d, a + c, b + d) < 1:
         raise DegenerateTable(f"zero margin in table {(a, b, c, d)}")
     if a * d == 0 and b * c == 0:

@@ -177,7 +177,7 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
     report = validate_dataset(_load_study(args))
     summary = dataset_summary(report.dataset, build_forest(report.dataset), report)
     validation = summary.pop("validation")
-    _emit({**summary, **validation, "warnings": report.warnings})
+    _emit({**summary, **validation, "warnings": report.dataset.repairs})
     return 0
 
 

@@ -2,7 +2,11 @@
 
 The dataset is immutable after construction.  Missing answers are stored as
 ``None`` and are never imputed; each diagnostic declares its own exclusion
-rule.  Validation applies exactly one recorded repair: the number of known
+rule.  ``StudyDataset.indicator`` is the one definition of "has the trait":
+the answer equals the trait's reference level.  Diagnostics read it through
+``indicators``, its column over the respondents, built once per trait.
+
+Validation applies exactly one recorded repair: the number of known
 participants is capped at one less than the reported number of age-eligible
 contacts, and the number of caps is reported.
 """
@@ -112,7 +116,6 @@ class StudyDataset:
     site_label: str
     respondents: tuple[Respondent, ...]
     trait_specs: tuple[TraitSpec, ...]
-    target_sample_size: Optional[int] = None
     coupon_allotment: int = 3
     # what lenient ingest repaired, one message per repair
     repairs: tuple[str, ...] = ()
@@ -149,6 +152,20 @@ class StudyDataset:
             return None
         return value == spec.reference_level
 
+    def indicators(self, trait: str) -> tuple[Optional[bool], ...]:
+        """``indicator`` of every respondent, in respondent order; built once
+        per trait.  An unknown trait raises ``UnknownTrait`` even when there
+        are no respondents."""
+        columns = self._indicator_columns
+        if trait not in columns:
+            self.trait_spec(trait)
+            columns[trait] = tuple(self.indicator(r, trait) for r in self.respondents)
+        return columns[trait]
+
+    @functools.cached_property
+    def _indicator_columns(self) -> dict[str, tuple[Optional[bool], ...]]:
+        return {}
+
 
 @dataclass
 class ValidationReport:
@@ -159,7 +176,6 @@ class ValidationReport:
     truncations_applied: int = 0
     inconsistent_reach: int = 0
     missing_traits: dict[str, int] = field(default_factory=dict)
-    warnings: list[str] = field(default_factory=list)
 
 
 # ---------------------------------------------------------------------------
@@ -201,6 +217,14 @@ def _opt_bool(cell: str) -> Optional[bool]:
     if cell in ("no", "n", "0", "false"):
         return False
     raise ValueError(f"cannot parse yes/no value {cell!r}")
+
+
+def _text(cell: str) -> str:
+    """Text that may not be blank: a trait's name or reference level."""
+    cell = cell.strip()
+    if not cell:
+        raise ValueError("blank")
+    return cell
 
 
 def _opt_str(cell: str) -> Optional[str]:
@@ -259,9 +283,9 @@ _COUPON_COLUMNS = (
     ("recipient_employed_{}", "recipient_employed", _opt_bool),
 )
 _TRAIT_COLUMNS = (
-    ("name", "name", str.strip),
+    ("name", "name", _text),
     ("kind", "kind", str.strip),
-    ("reference_level", "reference_level", str.strip),
+    ("reference_level", "reference_level", _text),
 )
 
 
@@ -307,20 +331,19 @@ def _write_csv(path: Path | str, header: Sequence[str], rows: Iterable[Sequence[
         writer.writerows(rows)
 
 
-def _cell_reader(row: Mapping[str, str], path: Path, rid: str):
+def _cell_reader(row: Mapping[str, str], path: Path, record: str):
     """``cell(column, parse)`` parses one cell of ``row``; a value the column
-    cannot hold raises ``MalformedCell`` naming the file, respondent and
-    column.  A row with fewer cells than the header is rejected whole."""
+    cannot hold raises ``MalformedCell`` naming the file, the ``record`` (a
+    respondent or a trait row) and the column.  A row with fewer cells than
+    the header is rejected whole."""
     if None in row.values():
-        raise MalformedCell(f"{path}: respondent {rid!r}: fewer cells than columns")
+        raise MalformedCell(f"{path}: {record}: fewer cells than columns")
 
     def cell(column: str, parse):
         try:
             return parse(row.get(column, ""))
         except ValueError as exc:
-            raise MalformedCell(
-                f"{path}: respondent {rid!r}, column {column!r}: {exc}"
-            ) from None
+            raise MalformedCell(f"{path}: {record}, column {column!r}: {exc}") from None
 
     return cell
 
@@ -373,9 +396,7 @@ def load_traits(path: Path) -> tuple[TraitSpec, ...]:
     _, rows = _read_csv(path, _columns(_TRAIT_COLUMNS))
     specs: dict[str, TraitSpec] = {}
     for number, row in enumerate(rows, 1):
-        if None in row.values():
-            raise MalformedCell(f"{path}: trait row {number}: fewer cells than columns")
-        spec = TraitSpec(**_fields(_TRAIT_COLUMNS, lambda column, parse: parse(row[column])))
+        spec = TraitSpec(**_fields(_TRAIT_COLUMNS, _cell_reader(row, path, f"trait row {number}")))
         if spec.name in specs:
             raise DuplicateId(f"{path}: duplicate trait {spec.name!r}")
         specs[spec.name] = spec
@@ -385,7 +406,7 @@ def load_traits(path: Path) -> tuple[TraitSpec, ...]:
 def _followup_from_row(
     row: Mapping[str, str], coupon_slots: Sequence, path: Path, rid: str
 ) -> FollowUpRecord:
-    cell = _cell_reader(row, path, rid)
+    cell = _cell_reader(row, path, f"respondent {rid!r}")
     coupons = (CouponOutcome(**_fields(slot, cell)) for slot in coupon_slots)
     return FollowUpRecord(
         degree_retest=DegreeReport(**_fields(_RETEST_COLUMNS, cell)),
@@ -407,8 +428,9 @@ def load_dataset(
     corresponding error; in lenient mode violations are downgraded to
     warnings, kept as the dataset's ``repairs``, and the offending fields
     are set missing (a follow-up row whose id matches no respondent is
-    dropped).  A repeated id in either file, or a count, degree or number of
-    days that is not a whole number >= 0, aborts in both modes.
+    dropped).  A repeated id in either file, a count, degree or number of
+    days that is not a whole number >= 0, or a blank trait name or reference
+    level aborts in both modes.
     """
     respondents_file = Path(respondents_file)
     trait_specs = load_traits(Path(traits_file))
@@ -446,7 +468,7 @@ def load_dataset(
 
     respondents = []
     for rid, row in rows_by_id.items():
-        cell = _cell_reader(row, respondents_file, rid)
+        cell = _cell_reader(row, respondents_file, f"respondent {rid!r}")
         fu = None
         if rid in followup_rows:
             fu = _followup_from_row(followup_rows[rid], coupon_slots, followup_file, rid)
@@ -519,9 +541,8 @@ def _check_structure(
 def validate_dataset(ds: StudyDataset) -> ValidationReport:
     """Report funnel violations, apply the known-participants cap, and flag
     logically inconsistent reachability answers.  Reporting only: nothing
-    raises; the repaired dataset is attached to the report, and the
-    repairs made at ingest are its warnings."""
-    report = ValidationReport(dataset=ds, warnings=list(ds.repairs))
+    raises; the repaired dataset is attached to the report."""
+    report = ValidationReport(dataset=ds)
     new_resp = []
     for r in ds.respondents:
         if r.degree.funnel_violated():

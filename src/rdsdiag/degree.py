@@ -81,10 +81,8 @@ class TimeWindowStats:
     mean_reachable_7day: float
     n_reachability: int
     n_excluded_inconsistent: int
-    days_to_distribute: tuple[int, ...]
     share_distributed_1day: float
     share_distributed_7day: float
-    interview_gaps: tuple[int, ...]
     share_gap_within_7day: float
 
 
@@ -127,10 +125,8 @@ def time_window_stats(ds: StudyDataset, forest: RecruitmentForest) -> TimeWindow
         mean_reachable_7day=float(np.mean(frac_week)) if frac_week else math.nan,
         n_reachability=max(len(frac_day), len(frac_week)),
         n_excluded_inconsistent=excluded,
-        days_to_distribute=tuple(days),
         share_distributed_1day=share(days, 1),
         share_distributed_7day=share(days, 7),
-        interview_gaps=tuple(gaps),
         share_gap_within_7day=share(gaps, 7),
     )
 

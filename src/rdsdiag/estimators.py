@@ -1,7 +1,8 @@
 """Design-based prevalence estimators.
 
 ``included_sample`` builds, once per trait, the included respondents every
-per-trait diagnostic works on.  ``inverse_degree_series`` is the one
+per-trait diagnostic works on, with their outcomes taken from
+``StudyDataset.indicators``.  ``inverse_degree_series`` is the one
 implementation of the inverse-degree-weighted (VH) ratio estimator: its
 running values are the cumulative estimates, and its last value is the VH
 estimate every diagnostic reports.  ``ss_estimate`` is the
@@ -73,14 +74,11 @@ def included_sample(
     degree_question: str = DEFAULT_DEGREE_QUESTION,
 ) -> IncludedSample:
     """Build the included sample of ``trait`` in one pass over respondents."""
-    ds.trait_spec(trait)  # raises UnknownTrait even when nobody is included
     root_index = {root: i for i, root in enumerate(forest.roots)}
     members = []
-    for r in sorted(ds.respondents, key=lambda r: r.interview_order):
-        if r.is_seed:
-            continue
-        flag = ds.indicator(r, trait)
-        if flag is None:
+    flags = zip(ds.respondents, ds.indicators(trait))
+    for r, flag in sorted(flags, key=lambda pair: pair[0].interview_order):
+        if r.is_seed or flag is None:
             continue
         d = r.degree.get(degree_question)
         if d is None or d < 1:

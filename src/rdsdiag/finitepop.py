@@ -1,4 +1,6 @@
-"""With-replacement sampling indicators."""
+"""With-replacement sampling indicators: the share of follow-up answerers
+reporting a failed attempt to pass on a coupon, and the trend of the share
+of contacts already in the study."""
 
 from __future__ import annotations
 
@@ -25,7 +27,6 @@ class ParticipantsKnownTrend:
     flagged: bool
     n: int
     n_excluded_zero_degree: int
-    proportions: tuple[float, ...]
 
 
 def failed_attempts_indicator(
@@ -83,5 +84,4 @@ def participants_known_trend(ds: StudyDataset) -> ParticipantsKnownTrend:
         flagged=slope > 1e-12,  # tolerance absorbs least-squares rounding noise
         n=len(orders),
         n_excluded_zero_degree=excluded,
-        proportions=tuple(props),
     )

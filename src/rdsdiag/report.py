@@ -1,10 +1,10 @@
 """End-to-end diagnostic pipeline: runs every enabled analysis, writes the
 SVG figures and CSV tables, and assembles a hashed JSON bundle.
 
-All output is deterministic: sections return their raw results, which one
-pass (``_jsonable``) turns into the bundle form with every float rounded to
-6 significant digits; JSON keys are sorted, and every random step derives
-from the configured seed.  Diagnostic flags are results, not errors — the
+All output is deterministic: sections return their raw results whole, and
+one pass (``_jsonable``) turns them into the bundle form with every float
+rounded to 6 significant digits; JSON keys are sorted, and every random step
+derives from the configured seed.  Diagnostic flags are results, not errors — the
 pipeline exits cleanly when a dataset simply lacks the data for a section,
 recording the reason in the bundle instead.
 """
@@ -26,7 +26,7 @@ from .dataset import DEGREE_QUESTIONS, StudyDataset, ValidationReport, validate_
 from .errors import DataRequirementError, TooFewTrees, UnrealizableConfig
 from .forest import RecruitmentForest, build_forest, edge_rows
 
-SCHEMA_VERSION = "1.0"
+SCHEMA_VERSION = "2.0"
 
 ALL_SECTIONS = (
     "estimate",
@@ -75,11 +75,10 @@ class ReportBundle:
     dataset_summary: dict[str, Any]
     sections: dict[str, Any]
     manifest: dict[str, str] = field(default_factory=dict)
-    schema_version: str = SCHEMA_VERSION
 
     def to_json(self) -> str:
         payload = {
-            "schema_version": self.schema_version,
+            "schema_version": SCHEMA_VERSION,
             "dataset": self.dataset_summary,
             "sections": self.sections,
             "manifest": self.manifest,
@@ -102,9 +101,9 @@ def _num(x: float) -> Any:
     return float(f"{x:.6g}")
 
 
-def _fields(result: Any, drop: Sequence[str] = ()) -> dict[str, Any]:
-    """A result dataclass's fields as a dict, less the ``drop`` ones."""
-    return {f.name: getattr(result, f.name) for f in fields(result) if f.name not in drop}
+def _fields(result: Any) -> dict[str, Any]:
+    """A result dataclass's fields as a dict."""
+    return {f.name: getattr(result, f.name) for f in fields(result)}
 
 
 def _jsonable(x: Any) -> Any:
@@ -271,7 +270,6 @@ def dataset_summary(
         "n_seeds": len(ds.seeds()),
         "n_trees": len(forest.roots),
         "max_wave": max(waves) if waves else 0,
-        "target_sample_size": ds.target_sample_size,
         "coupon_allotment": ds.coupon_allotment,
         "traits": [s.name for s in ds.trait_specs],
         "validation": {
@@ -279,7 +277,7 @@ def dataset_summary(
             "truncations_applied": report.truncations_applied,
             "inconsistent_reach": report.inconsistent_reach,
             "missing_traits": dict(sorted(report.missing_traits.items())),
-            "n_warnings": len(report.warnings),
+            "n_warnings": len(ds.repairs),
         },
     }
 
@@ -299,7 +297,7 @@ def _render_chains_figure(
         roots=forest.roots,
         children=forest.children,
         wave=forest.wave,
-        trait={r.id: (ds.indicator(r, trait) if trait else None) for r in ds.respondents},
+        trait=dict(zip((r.id for r in ds.respondents), ds.indicators(trait))) if trait else {},
     )
     writer.write_text("chains.svg", figure)
 
@@ -471,10 +469,6 @@ def _section_behavior(writer, ds, forest, traits, cfg: PipelineConfig) -> dict[s
 def _section_degree(
     writer, ds, forest, traits, cfg: PipelineConfig, sample_of
 ) -> dict[str, Any]:
-    def windows() -> dict[str, Any]:
-        tw = degree.time_window_stats(ds, forest)
-        return _fields(tw, drop=("days_to_distribute", "interview_gaps"))
-
     def estimate_sensitivity(trait: str) -> degree.SensitivityRow:
         return degree.estimate_sensitivity(ds, sample_of(trait), cfg.degree_question)
 
@@ -491,7 +485,7 @@ def _section_degree(
         return [r if _ran(r) else {"trait": trait, **r} for trait, r in rows.items()]
 
     return {
-        "time_windows": _attempt(windows),
+        "time_windows": _attempt(degree.time_window_stats, ds, forest),
         "test_retest": _attempt(degree.test_retest_stats, ds, cfg.degree_question),
         "sensitivity": _attempt(sensitivity),
         "trend": _attempt(
@@ -503,14 +497,12 @@ def _section_degree(
 def _section_finitepop(ds) -> dict[str, Any]:
     failed = _attempt(finitepop.failed_attempts_indicator, ds)
     known = _attempt(finitepop.participants_known_trend, ds)
-    target = ds.target_sample_size
     # the summary reads each flag off its entry: None when the entry is skipped
     return {
         "summary": {
-            "attainment_failed": None if target is None else ds.n < target,
             "failed_attempts_flag": getattr(failed, "flagged", None),
             "participants_known_trend_flag": getattr(known, "flagged", None),
         },
         "failed_attempts": failed,
-        "participants_known": _fields(known, drop=("proportions",)) if _ran(known) else known,
+        "participants_known": known,
     }

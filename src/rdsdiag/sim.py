@@ -398,7 +398,6 @@ def simulate_rds(net: SyntheticNetwork, cfg: SimConfig) -> SimulationResult:
         site_label=cfg.site_label,
         respondents=tuple(respondents),
         trait_specs=specs,
-        target_sample_size=cfg.target_n,
         coupon_allotment=cfg.coupon_allotment,
     )
     prevalences = {name: true_prevalence(net, name) for name in net.node_traits}

@@ -139,27 +139,27 @@ def chains(
     if not roots:
         raise EmptyData("chains plot needs at least one root")
 
+    # an explicit stack places a chain of any depth: leaves take their slots
+    # left to right, and a parent is placed once its children are
     xs: dict[str, float] = {}
-    next_slot = [0.0]
-
-    def place(node: str) -> float:
-        kids = children.get(node, ())
-        if not kids:
-            x = next_slot[0]
-            next_slot[0] += 1.0
-        else:
-            x = sum(place(k) for k in kids) / len(kids)
-        xs[node] = x
-        return x
-
+    slot = 0.0
     for root in roots:
-        place(root)
-        next_slot[0] += 0.8  # gap between trees
+        stack = [(root, False)]
+        while stack:
+            node, kids_placed = stack.pop()
+            kids = children.get(node, ())
+            if kids and not kids_placed:
+                stack += [(node, True), *((k, False) for k in reversed(kids))]
+            elif kids:
+                xs[node] = sum(xs[k] for k in kids) / len(kids)
+            else:
+                xs[node], slot = slot, slot + 1.0
+        slot += 0.8  # gap between trees
 
     max_wave = max(wave.values()) if wave else 0
     m = _STYLE["margin"]
     canvas = _Canvas()
-    sx = _Scale(-0.5, max(next_slot[0] - 0.8, 0.5), m, _STYLE["width"] - m)
+    sx = _Scale(-0.5, max(slot - 0.8, 0.5), m, _STYLE["width"] - m)
     sy = _Scale(-0.5, max_wave + 0.5, m, _STYLE["height"] - m)
 
     for node, kids in sorted(children.items()):

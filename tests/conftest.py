@@ -58,7 +58,6 @@ def make_respondent(
 def make_dataset(
     respondents: Sequence[Respondent],
     traits: Sequence[tuple[str, str, str]] = (("hiv", "binary", "yes"),),
-    target: Optional[int] = None,
     allotment: int = 3,
     site: str = "test",
 ) -> StudyDataset:
@@ -66,7 +65,6 @@ def make_dataset(
         site_label=site,
         respondents=tuple(respondents),
         trait_specs=tuple(TraitSpec(*t) for t in traits),
-        target_sample_size=target,
         coupon_allotment=allotment,
     )
 

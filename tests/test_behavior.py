@@ -25,6 +25,7 @@ from rdsdiag.behavior import (
 from rdsdiag.dataset import CouponOutcome
 from rdsdiag.errors import DegenerateTable, NoData, NoEligibleRecruiters, UnknownTrait
 from rdsdiag.forest import build_forest
+from rdsdiag.report import PipelineConfig, run_pipeline
 
 
 def coupon(cid, recip=None, employed=None, days=None):
@@ -85,6 +86,34 @@ def test_reciprocity_stats():
     assert stats.median_relative_difference == pytest.approx(0.375)
     assert stats.mean_relative_difference == pytest.approx(0.375)
     assert stats.q3_relative_difference == pytest.approx(0.5625)
+
+
+def _no_usable_reciprocity():
+    """Two respondents answering zero to both questions, one leaving the
+    receive question blank."""
+    return make_dataset([
+        make_respondent("a", 1, degree=make_degree(4, q_reach_week=0), q_recv_week=0,
+                        traits={"hiv": "no"}),
+        make_respondent("b", 2, degree=make_degree(4, q_reach_week=0), q_recv_week=0,
+                        traits={"hiv": "yes"}),
+        make_respondent("c", 3, degree=make_degree(4, q_reach_week=3), traits={"hiv": "no"}),
+    ])
+
+
+NO_RECIPROCITY = "no usable reciprocity answers; 2 excluded with both answers zero"
+
+
+def test_reciprocity_no_usable_respondent_raises():
+    with pytest.raises(NoData) as info:
+        network_reciprocity_stats(_no_usable_reciprocity())
+    assert str(info.value) == NO_RECIPROCITY
+
+
+def test_reciprocity_no_usable_respondent_skipped_in_bundle(tmp_path):
+    bundle = run_pipeline(
+        _no_usable_reciprocity(), PipelineConfig(out_dir=tmp_path, sections=("behavior",))
+    )
+    assert bundle.sections["behavior"]["network_reciprocity"] == {"skipped": NO_RECIPROCITY}
 
 
 # -- effectiveness -----------------------------------------------------------

@@ -107,7 +107,7 @@ def test_dangling_coupon_lenient_becomes_seed(tmp_path):
         ds = load_dataset(r, t, strict=False)
     assert ds.by_id("R3").is_seed
     assert any("C9" in str(w.message) for w in caught)
-    assert validate_dataset(ds).warnings == list(ds.repairs)
+    assert validate_dataset(ds).dataset.repairs == ds.repairs
     assert len(ds.repairs) == 1 and "treating R3 as a seed" in ds.repairs[0]
 
 

@@ -1,4 +1,5 @@
 import math
+from datetime import date
 
 import numpy as np
 import pytest
@@ -77,15 +78,15 @@ def test_time_window_distribution_and_gaps():
         make_respondent("S", 1, coupons_out=["C1", "C2"], degree=4,
                         traits={"hiv": "no"}, followup=followup(coupons=coupons)),
         make_respondent("r1", 2, coupon_in="C1", degree=2, traits={"hiv": "no"}),
-        make_respondent("r2", 3, coupon_in="C2", degree=2, traits={"hiv": "no"}),
+        # interviewed 19 days after the seed: one of the two gaps exceeds 7 days
+        make_respondent("r2", 3, coupon_in="C2", degree=2, traits={"hiv": "no"},
+                        interview_date=date(2008, 3, 20)),
     ]
     ds = _ds(rows)
     tw = time_window_stats(ds, build_forest(ds))
-    assert tw.days_to_distribute == (0, 9)
     assert tw.share_distributed_1day == pytest.approx(0.5)
     assert tw.share_distributed_7day == pytest.approx(0.5)
-    assert len(tw.interview_gaps) == 2
-    assert tw.share_gap_within_7day == pytest.approx(1.0)
+    assert tw.share_gap_within_7day == pytest.approx(0.5)
 
 
 def test_time_window_empty_parts_nan():

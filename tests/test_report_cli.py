@@ -7,8 +7,17 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
+from conftest import make_dataset, make_respondent
 from rdsdiag.cli import load_scenario, main
-from rdsdiag.report import ALL_SECTIONS, PipelineConfig, _csv_cell, _jsonable, run_pipeline
+from rdsdiag.dataset import save_dataset
+from rdsdiag.report import (
+    ALL_SECTIONS,
+    SCHEMA_VERSION,
+    PipelineConfig,
+    _csv_cell,
+    _jsonable,
+    run_pipeline,
+)
 from rdsdiag.sim import NetworkConfig, SimConfig, TraitRule, generate_network, simulate_rds
 
 
@@ -53,7 +62,7 @@ def test_pipeline_manifest_covers_outputs(sim_dataset, tmp_path):
     assert set(bundle.manifest) == on_disk - {"bundle.json"}
     written = json.loads((tmp_path / "out" / "bundle.json").read_text())
     assert written["manifest"] == bundle.manifest
-    assert written["schema_version"] == bundle.schema_version
+    assert written["schema_version"] == SCHEMA_VERSION
 
 
 def test_pipeline_sections_subset(sim_dataset, tmp_path):
@@ -439,7 +448,7 @@ def _rewrite_cell(src, dst, row_index, column, value):
         writer = csv.DictWriter(fh, fieldnames=header)
         writer.writeheader()
         writer.writerows(rows)
-    return rows[row_index]["id"]
+    return rows[row_index].get("id")
 
 
 @pytest.mark.parametrize("mode", ["--strict", "--lenient"])
@@ -458,17 +467,21 @@ def _rewrite_cell(src, dst, row_index, column, value):
         ("followup.csv", "n_refusals", "+3"),
         ("respondents.csv", "interview_order", "\u0663"),
         ("respondents.csv", "deg_know", "\uff13"),
+        ("traits.csv", "name", ""),
+        ("traits.csv", "reference_level", " "),
     ],
 )
 def test_cli_malformed_cell_exit_code(cli_study, capsys, tmp_path, file_name, column,
                                       value, mode):
     _copy_study(cli_study, tmp_path)
-    rid = _rewrite_cell(cli_study / file_name, tmp_path / file_name, 3, column, value)
+    row = 1 if file_name == "traits.csv" else 3  # the traits file has two rows
+    rid = _rewrite_cell(cli_study / file_name, tmp_path / file_name, row, column, value)
     assert main(["report", *_dataset_args(tmp_path), mode,
                  "--out-dir", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert str(tmp_path / file_name) in err
-    assert repr(rid) in err and repr(column) in err
+    record = f"trait row {row + 1}" if rid is None else f"respondent {rid!r}"
+    assert f"{record}, column {column!r}" in err
 
 
 def test_cli_lenient_repair_reported(cli_study, capsys, tmp_path):
@@ -733,3 +746,22 @@ def test_cli_simulate_unrealizable_scenario(tmp_path, capsys, lines, message):
     assert code == 3
     assert message in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+def test_cli_report_deep_chain(capsys, tmp_path):
+    # one seed heading a single chain 3000 waves deep
+    depth = 3000
+    rows = [
+        make_respondent(f"R{i}", i + 1, coupon_in=f"C{i}" if i else None,
+                        coupons_out=[f"C{i + 1}"] if i < depth else [], degree=2,
+                        traits={"hiv": "yes" if i % 2 else "no"})
+        for i in range(depth + 1)
+    ]
+    save_dataset(make_dataset(rows, allotment=1), tmp_path / "respondents.csv",
+                 tmp_path / "traits.csv")
+    out_dir = tmp_path / "o"
+    assert main(["report", "--respondents", str(tmp_path / "respondents.csv"),
+                 "--traits", str(tmp_path / "traits.csv"), "--out-dir", str(out_dir),
+                 "--replicates", "50"]) == 0
+    assert json.loads(capsys.readouterr().out)["dataset"]["max_wave"] == depth
+    assert (out_dir / "chains.svg").read_text().count("<circle") == depth + 1

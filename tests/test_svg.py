@@ -138,3 +138,37 @@ def test_six_significant_digit_floats():
         for piece in frag.replace(",", " ").split():
             if piece.replace(".", "").replace("-", "").isdigit() and "." in piece:
                 assert len(piece.replace("-", "").replace(".", "").lstrip("0")) <= 6
+
+
+def _chain(depth):
+    """One seed heading a single chain of ``depth`` waves below it."""
+    ids = [f"n{i}" for i in range(depth + 1)]
+    return {
+        "roots": ids[:1],
+        "children": {parent: (child,) for parent, child in zip(ids, ids[1:])},
+        "wave": {rid: i for i, rid in enumerate(ids)},
+    }
+
+
+def test_chains_deep_chain():
+    root = ET.fromstring(svg.chains(title="deep", trait={}, **_chain(3000)))
+    ns = "{http://www.w3.org/2000/svg}"
+    circles = root.findall(f"{ns}circle")
+    assert len(circles) == 3001
+    assert len(root.findall(f"{ns}line")) == 3000
+    # one leaf: every node sits over its only slot
+    assert {c.get("cx") for c in circles} == {circles[0].get("cx")}
+
+
+def test_chains_leaves_left_to_right_parents_centered():
+    root = ET.fromstring(svg.chains(
+        title="t", roots=["S", "T"],
+        children={"S": ("a", "b"), "a": ("c", "d", "e")},
+        wave={"S": 0, "T": 0, "a": 1, "b": 1, "c": 2, "d": 2, "e": 2}, trait={},
+    ))
+    ns = "{http://www.w3.org/2000/svg}"
+    # circles are drawn in id order: S T a b c d e
+    x = dict(zip("STabcde", (float(c.get("cx")) for c in root.findall(f"{ns}circle"))))
+    assert x["c"] < x["d"] < x["e"] < x["b"] < x["T"]
+    assert x["a"] == pytest.approx(x["d"])
+    assert x["S"] == pytest.approx((x["a"] + x["b"]) / 2)
