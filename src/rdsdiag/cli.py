@@ -174,10 +174,10 @@ def _emit(payload: Any) -> None:
 
 
 def _cmd_ingest(args: argparse.Namespace) -> int:
-    report = validate_dataset(_load_study(args))
-    summary = dataset_summary(report.dataset, build_forest(report.dataset), report)
+    ds = _load_study(args)
+    summary = dataset_summary(ds, build_forest(ds), validate_dataset(ds))
     validation = summary.pop("validation")
-    _emit({**summary, **validation, "warnings": report.dataset.repairs})
+    _emit({**summary, **validation, "warnings": ds.repairs})
     return 0
 
 
@@ -256,6 +256,8 @@ def load_scenario(path: Path) -> tuple[NetworkConfig, SimConfig]:
     for key, value in _read_kv(path).items():
         if key.startswith("trait."):
             fields, name, parse = traits, key[len("trait."):], _parse_trait_rule
+            if not name:
+                raise UnrealizableConfig(f"scenario key {key!r}: blank trait name")
         elif key in _NET_KEYS:
             fields, (name, parse) = net_fields, _NET_KEYS[key]
         elif key in _SIM_KEYS:

@@ -1,14 +1,13 @@
 """Study data model, CSV ingestion, and structural validation.
 
-The dataset is immutable after construction.  Missing answers are stored as
-``None`` and are never imputed; each diagnostic declares its own exclusion
-rule.  ``StudyDataset.indicator`` is the one definition of "has the trait":
-the answer equals the trait's reference level.  Diagnostics read it through
-``indicators``, its column over the respondents, built once per trait.
-
-Validation applies exactly one recorded repair: the number of known
-participants is capped at one less than the reported number of age-eligible
-contacts, and the number of caps is reported.
+The dataset is immutable, and building one checks its recruitment structure:
+unique ids, respondents in interview order 1..n, each coupon issued once and
+each redeemed coupon issued by a respondent interviewed earlier.  Missing
+answers are stored as ``None`` and are never imputed; each diagnostic
+declares its own exclusion rule.  ``StudyDataset.indicator`` is the one
+definition of "has the trait": the answer equals the trait's reference
+level.  Diagnostics read it through ``indicators``, its column over the
+respondents, built once per trait.  Validation only counts.
 """
 
 from __future__ import annotations
@@ -44,7 +43,6 @@ class TraitSpec:
     "has the trait" when the trait is estimated as a proportion."""
 
     name: str
-    kind: str  # "binary" | "categorical"
     reference_level: str
 
 
@@ -113,12 +111,18 @@ class Respondent:
 
 @dataclass(frozen=True)
 class StudyDataset:
+    """A study; one whose structure breaks a rule of the module docstring
+    raises the ``IngestError`` ``load_dataset`` raises for the same rows."""
+
     site_label: str
     respondents: tuple[Respondent, ...]
     trait_specs: tuple[TraitSpec, ...]
     coupon_allotment: int = 3
     # what lenient ingest repaired, one message per repair
     repairs: tuple[str, ...] = ()
+
+    def __post_init__(self) -> None:
+        _check_structure(self.respondents)
 
     @property
     def n(self) -> int:
@@ -169,9 +173,8 @@ class StudyDataset:
 
 @dataclass
 class ValidationReport:
-    """Counts of structural issues, plus the repaired dataset."""
+    """Counts of answers that break a rule between survey questions."""
 
-    dataset: StudyDataset
     funnel_violations: int = 0
     truncations_applied: int = 0
     inconsistent_reach: int = 0
@@ -284,7 +287,6 @@ _COUPON_COLUMNS = (
 )
 _TRAIT_COLUMNS = (
     ("name", "name", _text),
-    ("kind", "kind", str.strip),
     ("reference_level", "reference_level", _text),
 )
 
@@ -425,12 +427,13 @@ def load_dataset(
     """Read the respondents / follow-up / traits CSVs into a StudyDataset.
 
     In strict mode any structural invariant violation aborts with the
-    corresponding error; in lenient mode violations are downgraded to
-    warnings, kept as the dataset's ``repairs``, and the offending fields
-    are set missing (a follow-up row whose id matches no respondent is
-    dropped).  A repeated id in either file, a count, degree or number of
-    days that is not a whole number >= 0, or a blank trait name or reference
-    level aborts in both modes.
+    corresponding error; in lenient mode a broken coupon link or a follow-up
+    row whose id matches no respondent is repaired (the link is dropped, the
+    row ignored) with a warning, kept as the dataset's ``repairs``.  A
+    repeated id in either file, interview orders that are not 1..n, a coupon
+    issued twice, a count, degree or number of days that is not a whole
+    number >= 0, or a blank trait name or reference level aborts in both
+    modes.
     """
     respondents_file = Path(respondents_file)
     trait_specs = load_traits(Path(traits_file))
@@ -447,7 +450,8 @@ def load_dataset(
             )
     allotment = max(len(out_cols), 1)
     coupon_slots = [_slot(_COUPON_COLUMNS, j) for j in range(1, allotment + 1)]
-    trait_cols = [c for c in header if c.startswith(trait_prefix)]
+    # trait:<name> column -> name, stripped as load_traits strips it
+    trait_of = {c: c[len(trait_prefix):].strip() for c in header if c.startswith(trait_prefix)}
 
     if not rows:
         raise MissingData(f"{respondents_file}: zero respondents")
@@ -478,14 +482,15 @@ def load_dataset(
                 coupon_in=cell(_COUPON_IN, _opt_str),
                 coupons_out=frozenset(_present(cell, out_cols)),
                 degree=DegreeReport(**_fields(_DEGREE_COLUMNS, cell)),
-                traits={c[len(trait_prefix):]: _opt_str(row[c]) for c in trait_cols},
+                traits={name: _opt_str(row[c]) for c, name in trait_of.items()},
                 followup=fu,
                 **_fields(_INTERVIEW_COLUMNS + _ANSWER_COLUMNS, cell),
             )
         )
 
     respondents.sort(key=lambda r: r.interview_order)
-    respondents = _check_structure(respondents, strict, repairs)
+    if not strict:  # repair what the StudyDataset constructor would reject
+        respondents = _check_structure(respondents, repairs)
     for message in repairs:
         _warnings.warn(message, UserWarning, stacklevel=2)
 
@@ -499,10 +504,18 @@ def load_dataset(
 
 
 def _check_structure(
-    respondents: list[Respondent], strict: bool, repairs: list[str]
+    respondents: Sequence[Respondent], repairs: Optional[list[str]] = None
 ) -> list[Respondent]:
-    orders = [r.interview_order for r in respondents]
-    if orders != list(range(1, len(respondents) + 1)):
+    """Check the structure rules of the module docstring.  Without
+    ``repairs`` a broken rule raises; with it (lenient ingest), a redeemed
+    coupon its holder cannot hold is dropped, making them a seed, and the
+    repair is recorded there.  Returns the respondents, repaired."""
+    order_of: dict[str, int] = {}
+    for r in respondents:
+        if r.id in order_of:
+            raise DuplicateId(f"duplicate respondent id {r.id!r}")
+        order_of[r.id] = r.interview_order
+    if list(order_of.values()) != list(range(1, len(respondents) + 1)):
         raise NonContiguousOrder("interview_order must be contiguous 1..n")
 
     issuer_of: dict[str, str] = {}
@@ -512,7 +525,6 @@ def _check_structure(
                 raise DuplicateId(f"coupon {c!r} issued by two respondents")
             issuer_of[c] = r.id
 
-    order_of = {r.id: r.interview_order for r in respondents}
     repaired = []
     for r in respondents:
         if r.coupon_in is None:
@@ -530,7 +542,7 @@ def _check_structure(
             )
         if problem is None:
             repaired.append(r)
-        elif strict:
+        elif repairs is None:
             raise problem
         else:
             repairs.append(f"lenient: {problem}; treating {r.id} as a seed")
@@ -539,35 +551,26 @@ def _check_structure(
 
 
 def validate_dataset(ds: StudyDataset) -> ValidationReport:
-    """Report funnel violations, apply the known-participants cap, and flag
-    logically inconsistent reachability answers.  Reporting only: nothing
-    raises; the repaired dataset is attached to the report."""
-    report = ValidationReport(dataset=ds)
-    new_resp = []
+    """Count funnel violations, known-participants answers above the cap
+    that ``finitepop.known_participants`` applies, logically inconsistent
+    reachability answers and missing trait answers.  Reporting only:
+    nothing raises and nothing is changed."""
+    from .finitepop import known_participants  # finitepop imports this module
+
+    report = ValidationReport()
     for r in ds.respondents:
         if r.degree.funnel_violated():
             report.funnel_violations += 1
-        d = r.degree
         if reach_inconsistent(r):
             report.inconsistent_reach += 1
-        fu = r.followup
-        if (
-            fu is not None
-            and fu.n_known_participants is not None
-            and d.q_age is not None
-        ):
-            cap = max(d.q_age - 1, 0)
-            if fu.n_known_participants > cap:
-                report.truncations_applied += 1
-                fu = dataclasses.replace(fu, n_known_participants=cap)
-                r = dataclasses.replace(r, followup=fu)
+        known = known_participants(r)
+        if known is not None and known < r.followup.n_known_participants:
+            report.truncations_applied += 1
         for spec in ds.trait_specs:
             if r.traits.get(spec.name) is None:
                 report.missing_traits[spec.name] = (
                     report.missing_traits.get(spec.name, 0) + 1
                 )
-        new_resp.append(r)
-    report.dataset = dataclasses.replace(ds, respondents=tuple(new_resp))
     return report
 
 

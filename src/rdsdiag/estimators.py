@@ -76,8 +76,7 @@ def included_sample(
     """Build the included sample of ``trait`` in one pass over respondents."""
     root_index = {root: i for i, root in enumerate(forest.roots)}
     members = []
-    flags = zip(ds.respondents, ds.indicators(trait))
-    for r, flag in sorted(flags, key=lambda pair: pair[0].interview_order):
+    for r, flag in zip(ds.respondents, ds.indicators(trait)):
         if r.is_seed or flag is None:
             continue
         d = r.degree.get(degree_question)

@@ -5,10 +5,11 @@ of contacts already in the study."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
-from .dataset import StudyDataset
+from .dataset import Respondent, StudyDataset
 from .errors import InsufficientData, NoData
 
 
@@ -56,26 +57,32 @@ def failed_attempts_indicator(
     )
 
 
+def known_participants(r: Respondent) -> Optional[int]:
+    """The respondent's number of contacts already in the study, capped at
+    one less than their age-eligible contacts (and at least 0); None when
+    either answer is missing."""
+    fu, q_age = r.followup, r.degree.q_age
+    if fu is None or fu.n_known_participants is None or q_age is None:
+        return None
+    return min(fu.n_known_participants, max(q_age - 1, 0))
+
+
 def participants_known_trend(ds: StudyDataset) -> ParticipantsKnownTrend:
     """Least-squares slope of the proportion of contacts already in the
-    study against interview order; positive slopes flag.
-
-    Expects the known-participants cap to have been applied by validation;
-    respondents with zero reported contacts are excluded and counted."""
+    study, ``known_participants`` over age-eligible contacts, against
+    interview order; positive slopes flag.  Respondents with zero reported
+    contacts are excluded and counted."""
     orders, props = [], []
     excluded = 0
     for r in ds.respondents:
-        fu = r.followup
-        if fu is None or fu.n_known_participants is None:
+        known = known_participants(r)
+        if known is None:
             continue
-        q_age = r.degree.q_age
-        if q_age is None:
-            continue
-        if q_age == 0:
+        if r.degree.q_age == 0:
             excluded += 1
             continue
         orders.append(r.interview_order)
-        props.append(fu.n_known_participants / q_age)
+        props.append(known / r.degree.q_age)
     if len(set(orders)) < 2:
         raise InsufficientData("need >= 2 distinct orders with proportions")
     slope = float(np.polyfit(np.array(orders, dtype=float), np.array(props), 1)[0])

@@ -4,16 +4,17 @@ The coupon links define a forest rooted at the seeds.  The tree of each
 respondent groups the included sample into trees for the estimators and the
 bottleneck test (``estimators.IncludedSample``); the waves and links draw the
 chains figure and the edge table and summarise the study's shape.
+
+A ``StudyDataset`` lists every recruiter before their recruits, so one pass
+in interview order builds the forest.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
 from .dataset import StudyDataset
-from .errors import CycleDetected, DanglingCoupon
 
 
 @dataclass(frozen=True)
@@ -29,43 +30,25 @@ class RecruitmentForest:
 
 
 def build_forest(ds: StudyDataset) -> RecruitmentForest:
-    """Attach every non-seed respondent to the issuer of their coupon and
-    derive waves by breadth-first traversal from the seeds."""
-    issuer_of: dict[str, str] = {}
-    for r in ds.respondents:
-        for c in r.coupons_out:
-            issuer_of[c] = r.id
-
+    """Attach every non-seed respondent to the issuer of their coupon, one
+    wave below them and in their tree; children are in interview order."""
+    issuer_of = {c: r.id for r in ds.respondents for c in r.coupons_out}
     parent: dict[str, str] = {}
     children: dict[str, list[str]] = {r.id: [] for r in ds.respondents}
-    roots = []
-    for r in ds.respondents:  # already ordered by interview_order
-        if r.coupon_in is None:
-            roots.append(r.id)
-            continue
-        issuer = issuer_of.get(r.coupon_in)
-        if issuer is None:
-            raise DanglingCoupon(f"coupon {r.coupon_in!r} of {r.id} issued by nobody")
-        parent[r.id] = issuer
-        children[issuer].append(r.id)
-
     wave: dict[str, int] = {}
     tree_of: dict[str, str] = {}
-    queue: deque[str] = deque()
-    for root in roots:
-        wave[root] = 0
-        tree_of[root] = root
-        queue.append(root)
-    while queue:
-        rid = queue.popleft()
-        for child in children[rid]:
-            wave[child] = wave[rid] + 1
-            tree_of[child] = tree_of[rid]
-            queue.append(child)
-
-    if len(wave) != ds.n:
-        unreached = [r.id for r in ds.respondents if r.id not in wave]
-        raise CycleDetected(f"recruitment links contain a cycle: {unreached[:5]}")
+    roots = []
+    for r in ds.respondents:
+        if r.coupon_in is None:
+            roots.append(r.id)
+            wave[r.id] = 0
+            tree_of[r.id] = r.id
+            continue
+        issuer = issuer_of[r.coupon_in]
+        parent[r.id] = issuer
+        children[issuer].append(r.id)
+        wave[r.id] = wave[issuer] + 1
+        tree_of[r.id] = tree_of[issuer]
 
     return RecruitmentForest(
         roots=tuple(roots),

@@ -174,7 +174,6 @@ def run_pipeline(ds: StudyDataset, cfg: PipelineConfig) -> ReportBundle:
     ``{"skipped": reason}`` at the narrowest level it hits (trait,
     sub-diagnostic or section) instead of aborting the run."""
     report = validate_dataset(ds)
-    ds = report.dataset
     forest = build_forest(ds)
     traits = (
         tuple(dict.fromkeys(cfg.traits))

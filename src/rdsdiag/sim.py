@@ -43,7 +43,8 @@ MOTIVATION_CATEGORIES = (
     "Study interest",
     "Other",
 )
-DEFAULT_MOTIVATION_PROBS = (0.7, 0.1, 0.08, 0.1, 0.02)
+MOTIVATION_PROBS = (0.7, 0.1, 0.08, 0.1, 0.02)
+INTERVIEWS_PER_DAY = 10
 
 
 @dataclass(frozen=True)
@@ -227,8 +228,6 @@ class SimConfig:
     recip_prob: float = 0.88
     trait_missing_prob: float = 0.0
     employment_trait: Optional[str] = "employed"
-    interviews_per_day: int = 10
-    motivation_probs: tuple[float, ...] = DEFAULT_MOTIVATION_PROBS
     site_label: str = "sim"
     rng_seed: int = 0
 
@@ -377,13 +376,13 @@ def simulate_rds(net: SyntheticNetwork, cfg: SimConfig) -> SimulationResult:
                 coupons_out=frozenset(cid for cid, _ in distributed),
                 interview_order=order,
                 interview_date=start_date
-                + timedelta(days=(order - 1) // cfg.interviews_per_day),
+                + timedelta(days=(order - 1) // INTERVIEWS_PER_DAY),
                 degree=degree_report,
                 traits=traits,
                 motivation=str(
                     rng.choice(
                         MOTIVATION_CATEGORIES,
-                        p=np.array(cfg.motivation_probs) / sum(cfg.motivation_probs),
+                        p=np.array(MOTIVATION_PROBS) / sum(MOTIVATION_PROBS),
                     )
                 ),
                 employed=bool(employed_arr[node]) if employed_arr is not None else None,
@@ -393,7 +392,7 @@ def simulate_rds(net: SyntheticNetwork, cfg: SimConfig) -> SimulationResult:
         )
 
     extinct = len(respondents) < cfg.target_n
-    specs = tuple(TraitSpec(name, "binary", "yes") for name in sorted(net.node_traits))
+    specs = tuple(TraitSpec(name, "yes") for name in sorted(net.node_traits))
     ds = StudyDataset(
         site_label=cfg.site_label,
         respondents=tuple(respondents),

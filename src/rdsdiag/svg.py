@@ -13,6 +13,7 @@ is involved, so golden-file tests can diff output directly.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from typing import Mapping, Optional, Sequence
 
 from .errors import EmptyData
@@ -282,15 +283,14 @@ def all_points(title: str, rows: Sequence[tuple[str, bool]]) -> str:
     respondents, open markers otherwise."""
     if not rows:
         raise EmptyData("all-points plot needs rows")
-    trees = sorted({r[0] for r in rows})
+    counts = Counter(tree for tree, _ in rows)
+    trees = sorted(counts)
     tree_index = {t: i for i, t in enumerate(trees)}
     per_tree_pos: dict[str, int] = {t: 0 for t in trees}
 
     m = _STYLE["margin"]
     canvas = _Canvas()
-    max_len = max(
-        sum(1 for r in rows if r[0] == t) for t in trees
-    )
+    max_len = max(counts.values())
     sx = _Scale(0.5, max(max_len, 2) + 0.5, m + 40, _STYLE["width"] - m)
     sy = _Scale(-0.5, len(trees) - 0.5, m, _STYLE["height"] - m)
 

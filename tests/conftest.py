@@ -57,7 +57,7 @@ def make_respondent(
 
 def make_dataset(
     respondents: Sequence[Respondent],
-    traits: Sequence[tuple[str, str, str]] = (("hiv", "binary", "yes"),),
+    traits: Sequence[tuple[str, str]] = (("hiv", "yes"),),
     allotment: int = 3,
     site: str = "test",
 ) -> StudyDataset:

@@ -23,6 +23,7 @@ from rdsdiag.estimators import (
     included_sample,
     ss_estimate,
 )
+from rdsdiag.finitepop import known_participants, participants_known_trend
 from rdsdiag.forest import build_forest
 from rdsdiag.report import PipelineConfig, run_pipeline
 from rdsdiag.sim import NetworkConfig, SimConfig, TraitRule, generate_network, simulate_rds
@@ -159,7 +160,7 @@ def _null_dataset(rng: np.random.Generator):
             )
         )
         order += 1
-    return make_dataset(rows, traits=[("x", "binary", "yes")], allotment=24)
+    return make_dataset(rows, traits=[("x", "yes")], allotment=24)
 
 
 def test_criterion_04_null_calibration():
@@ -223,7 +224,7 @@ def _ss_fixture_dataset():
             make_respondent(f"r{j}", j + 2, coupon_in=coupons[j], degree=d,
                             traits={"x": v})
         )
-    return make_dataset(rows, traits=[("x", "binary", "yes")], allotment=100)
+    return make_dataset(rows, traits=[("x", "yes")], allotment=100)
 
 
 def test_criterion_06_ss_vh_limits():
@@ -435,17 +436,19 @@ def test_criterion_10_truncation_rule():
             followup=followup(n_known_participants=3),
         ),
     ]
-    report = validate_dataset(make_dataset(rows))
+    ds = make_dataset(rows)
+    report = validate_dataset(ds)
     first_ok = report.truncations_applied == 1
-    capped = all(
-        r.followup is None
-        or r.followup.n_known_participants is None
-        or r.degree.q_age is None
-        or r.followup.n_known_participants <= max(r.degree.q_age - 1, 0)
-        for r in report.dataset.respondents
+    # the trend reads S's 9 as 3: proportions 3/4 and 3/6 (9/4 uncapped)
+    capped = [known_participants(r) for r in ds.respondents] == [3, 3] and math.isclose(
+        participants_known_trend(ds).slope, 3 / 6 - 3 / 4
     )
-    again = validate_dataset(report.dataset)
-    idempotent = again.truncations_applied == 0 and again.dataset == report.dataset
+    # validation only counts: the study keeps its answers and a second pass
+    # counts the same
+    unchanged = (
+        ds.by_id("S").followup.n_known_participants == 9
+        and validate_dataset(ds) == report
+    )
 
     net = generate_network(
         NetworkConfig(block_sizes=(150,), within_block_edge_prob=0.06,
@@ -455,15 +458,17 @@ def test_criterion_10_truncation_rule():
     sim_ds = simulate_rds(
         net, SimConfig(target_n=100, seed_count=5, followup_prob=1.0, rng_seed=3)
     ).dataset
-    sim_report = validate_dataset(sim_ds)
     sim_capped = all(
-        r.followup is None
-        or r.followup.n_known_participants is None
-        or r.followup.n_known_participants <= max(r.degree.q_age - 1, 0)
-        for r in sim_report.dataset.respondents
+        known_participants(r) is None
+        or known_participants(r) <= max(r.degree.q_age - 1, 0)
+        for r in sim_ds.respondents
+    ) and validate_dataset(sim_ds).truncations_applied == sum(
+        known_participants(r) != r.followup.n_known_participants
+        for r in sim_ds.respondents
+        if known_participants(r) is not None
     )
-    ok = first_ok and capped and idempotent and sim_capped
-    _report(10, ok, "cap enforced after validation and re-validation is a no-op")
+    ok = first_ok and capped and unchanged and sim_capped
+    _report(10, ok, "cap applied where read, each capped answer counted by validation")
 
 
 # -- criterion 11: pipeline determinism ----------------------------------------

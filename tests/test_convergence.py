@@ -104,7 +104,7 @@ def _batch_dataset():
         )
     return make_dataset(
         rows,
-        traits=[("hiv", "binary", "yes"), ("emp", "binary", "yes")],
+        traits=[("hiv", "yes"), ("emp", "yes")],
         allotment=6,
     )
 

@@ -21,6 +21,7 @@ from rdsdiag.dataset import (
     validate_dataset,
 )
 from rdsdiag.errors import (
+    CycleDetected,
     DanglingCoupon,
     DuplicateId,
     MissingColumn,
@@ -29,8 +30,9 @@ from rdsdiag.errors import (
     RdsError,
     UnknownTrait,
 )
+from rdsdiag.finitepop import known_participants
 
-TRAITS_CSV = "name,kind,reference_level\nhiv,binary,yes\n"
+TRAITS_CSV = "name,reference_level\nhiv,yes\n"
 
 RESPONDENTS_HEADER = (
     "id,coupon_in,coupon_out_1,coupon_out_2,coupon_out_3,interview_order,"
@@ -71,6 +73,17 @@ def test_three_row_fixture_loads(tmp_path):
     assert ds.by_id("R3").motivation is None
 
 
+def test_traits_file_with_kind_column_loads(tmp_path):
+    # traits.csv had a kind column ("binary" or "categorical") that nothing
+    # read; a file that still has it loads the same, and it is not written
+    old_format = "name,kind,reference_level\nhiv,foo,yes\n"
+    r, t, _ = write_inputs(tmp_path, BASIC_ROWS, traits=old_format)
+    ds = load_dataset(r, t)
+    assert ds.trait_specs == (TraitSpec("hiv", "yes"),)
+    save_dataset(ds, tmp_path / "r2.csv", tmp_path / "t2.csv")
+    assert (tmp_path / "t2.csv").read_text() == TRAITS_CSV
+
+
 def test_empty_respondents_file_is_missing_data(tmp_path):
     r, t, _ = write_inputs(tmp_path, [])
     with pytest.raises(MissingData):
@@ -107,7 +120,6 @@ def test_dangling_coupon_lenient_becomes_seed(tmp_path):
         ds = load_dataset(r, t, strict=False)
     assert ds.by_id("R3").is_seed
     assert any("C9" in str(w.message) for w in caught)
-    assert validate_dataset(ds).dataset.repairs == ds.repairs
     assert len(ds.repairs) == 1 and "treating R3 as a seed" in ds.repairs[0]
 
 
@@ -153,6 +165,57 @@ def test_duplicate_coupon_issue_rejected(tmp_path):
         load_dataset(r, t)
 
 
+# (id, coupon_in, coupons_out, interview_order) per respondent, in file order
+STRUCTURE_CASES = {
+    # the second S redeeming the first S's coupon made build_forest loop
+    "duplicate id": ([("S", None, ["C1"], 1), ("S", "C1", [], 2)], DuplicateId),
+    "gapped orders": ([("S", None, [], 1), ("T", None, [], 5)], NonContiguousOrder),
+    "duplicate coupon": ([("S1", None, ["C1"], 1), ("S2", None, ["C1"], 2)], DuplicateId),
+    "dangling coupon": ([("S", None, [], 1), ("R", "C9", [], 2)], DanglingCoupon),
+    "self-recruit": ([("S", "C1", ["C1"], 1)], CycleDetected),
+    "recruiter after recruit": ([("R", "C1", [], 1), ("S", None, ["C1"], 2)],
+                                NonContiguousOrder),
+}
+# a broken link is repaired by lenient ingest; the other rules abort it too
+REPAIRABLE = ("dangling coupon", "self-recruit", "recruiter after recruit")
+
+
+def _structure_rows(records):
+    return [
+        f"{rid},{cin or ''},{','.join([*out, '', '', ''][:3])},{order},,1,1,1,1,,,,,,no\n"
+        for rid, cin, out, order in records
+    ]
+
+
+@pytest.mark.parametrize("case", sorted(STRUCTURE_CASES))
+def test_construction_raises_what_load_raises(tmp_path, case):
+    records, error = STRUCTURE_CASES[case]
+    with pytest.raises(error):
+        make_dataset([make_respondent(rid, order, coupon_in=cin, coupons_out=out)
+                      for rid, cin, out, order in records])
+    r, t, _ = write_inputs(tmp_path, _structure_rows(records))
+    with pytest.raises(error):
+        load_dataset(r, t)
+    if case not in REPAIRABLE:
+        with pytest.raises(error):
+            load_dataset(r, t, strict=False)
+        return
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        ds = load_dataset(r, t, strict=False)
+    assert len(ds.repairs) == 1 and all(x.is_seed for x in ds.respondents)
+
+
+def test_construction_requires_interview_order(tmp_path):
+    records = [("R", "C1", [], 2), ("S", None, ["C1"], 1)]
+    with pytest.raises(NonContiguousOrder):
+        make_dataset([make_respondent(rid, order, coupon_in=cin, coupons_out=out)
+                      for rid, cin, out, order in records])
+    # the file may list them in any order: ingest sorts by interview order
+    r, t, _ = write_inputs(tmp_path, _structure_rows(records))
+    assert [x.id for x in load_dataset(r, t).respondents] == ["S", "R"]
+
+
 def test_followup_parsing(tmp_path):
     fu = (
         "id,fu_deg_know,fu_deg_province,fu_deg_age,fu_deg_week,"
@@ -184,11 +247,10 @@ def test_validate_truncates_known_participants():
         "S1", 1, degree=make_degree(q_age=5),
         followup=followup(n_known_participants=8),
     )
-    report = validate_dataset(make_dataset([r]))
-    assert report.truncations_applied == 1
-    assert report.dataset.by_id("S1").followup.n_known_participants == 4
-    again = validate_dataset(report.dataset)
-    assert again.truncations_applied == 0
+    ds = make_dataset([r])
+    assert validate_dataset(ds).truncations_applied == 1
+    assert known_participants(ds.by_id("S1")) == 4
+    assert ds.by_id("S1").followup.n_known_participants == 8
 
 
 def test_validate_clean_fixture_no_violations(chain_ds):
@@ -276,7 +338,7 @@ _BOOL = st.none() | st.booleans()
 def _datasets(draw):
     allotment = draw(st.integers(1, 4))
     specs = tuple(
-        TraitSpec(name, draw(_TEXT), draw(_TEXT))
+        TraitSpec(name, draw(_TEXT))
         for name in draw(st.lists(_TEXT, max_size=3, unique=True))
     )
     ids = draw(st.lists(_TEXT, min_size=1, max_size=8, unique=True))

@@ -241,7 +241,7 @@ def test_sensitivity_skips_trait_without_completers():
         make_respondent("b", 3, coupon_in="C2", degree=2, traits={"hiv": "no"},
                         followup=followup(retest=2)),
     ]
-    ds = _ds(rows, traits=[("emp", "binary", "yes"), ("hiv", "binary", "yes")])
+    ds = _ds(rows, traits=[("emp", "yes"), ("hiv", "yes")])
     with pytest.raises(InsufficientData) as skipped:
         _sensitivity(ds, "emp")
     assert str(skipped.value) == "no usable test/retest members for 'emp'"

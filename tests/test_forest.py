@@ -1,12 +1,14 @@
 import hashlib
-from collections import Counter
+from collections import Counter, deque
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_dataset, make_respondent
-from rdsdiag.errors import CycleDetected, DanglingCoupon, UnknownTrait
+from rdsdiag.errors import DanglingCoupon, NonContiguousOrder, UnknownTrait
 from rdsdiag.estimators import included_sample
-from rdsdiag.forest import build_forest
+from rdsdiag.forest import RecruitmentForest, build_forest
 from rdsdiag.report import PipelineConfig, run_pipeline
 from rdsdiag.sim import NetworkConfig, SimConfig, TraitRule, generate_network, simulate_rds
 
@@ -80,21 +82,94 @@ def test_children_ordered_by_interview_order():
 
 
 def test_dangling_and_cycle_raise():
-    dangling = make_dataset(
-        [make_respondent("X", 1, coupon_in="C9", degree=1, traits={"hiv": "no"})]
-    )
+    # a StudyDataset checks its links when it is built, so build_forest never
+    # sees a dangling coupon or a cycle
     with pytest.raises(DanglingCoupon):
-        build_forest(dangling)
-    cycle = make_dataset(
+        make_dataset([make_respondent("X", 1, coupon_in="C9", degree=1, traits={"hiv": "no"})])
+    # a cycle has a recruiter interviewed no earlier than their recruit
+    with pytest.raises(NonContiguousOrder):
+        make_dataset(
+            [
+                make_respondent("A", 1, coupon_in="CB", coupons_out=["CA"], degree=1,
+                                traits={"hiv": "no"}),
+                make_respondent("B", 2, coupon_in="CA", coupons_out=["CB"], degree=1,
+                                traits={"hiv": "no"}),
+            ]
+        )
+
+
+def bfs_forest(ds):
+    """Breadth-first reference for ``build_forest``: attach each recruit to
+    the issuer of their coupon, then derive waves and trees from the seeds."""
+    issuer_of = {c: r.id for r in ds.respondents for c in r.coupons_out}
+    parent, children, roots = {}, {r.id: [] for r in ds.respondents}, []
+    for r in ds.respondents:
+        if r.coupon_in is None:
+            roots.append(r.id)
+        else:
+            parent[r.id] = issuer_of[r.coupon_in]
+            children[parent[r.id]].append(r.id)
+    wave = {root: 0 for root in roots}
+    tree_of = {root: root for root in roots}
+    queue = deque(roots)
+    while queue:
+        rid = queue.popleft()
+        for child in children[rid]:
+            wave[child] = wave[rid] + 1
+            tree_of[child] = tree_of[rid]
+            queue.append(child)
+    assert len(wave) == ds.n
+    return RecruitmentForest(
+        roots=tuple(roots),
+        parent=parent,
+        children={k: tuple(v) for k, v in children.items()},
+        wave=wave,
+        tree_of=tree_of,
+    )
+
+
+@st.composite
+def forests(draw):
+    """A valid study: a bush of random shape, or a chain up to 299 waves
+    deep.  Each recruit holds a coupon of an earlier respondent."""
+    n = draw(st.integers(1, 300))
+    chain = draw(st.booleans())
+    rows = []
+    for i in range(n):
+        issuer = None
+        if i and (chain or draw(st.booleans())):
+            issuer = i - 1 if chain else draw(st.integers(0, i - 1))
+        rows.append((i, issuer))
+    return make_dataset(
         [
-            make_respondent("A", 1, coupon_in="CB", coupons_out=["CA"], degree=1,
-                            traits={"hiv": "no"}),
-            make_respondent("B", 2, coupon_in="CA", coupons_out=["CB"], degree=1,
-                            traits={"hiv": "no"}),
+            make_respondent(
+                f"R{i}", i + 1,
+                coupon_in=None if issuer is None else f"C{i}",
+                coupons_out=[f"C{j}" for j, q in rows if q == i],
+            )
+            for i, issuer in rows
         ]
     )
-    with pytest.raises(CycleDetected):
-        build_forest(cycle)
+
+
+@settings(max_examples=60, deadline=None)
+@given(ds=forests())
+def test_forward_pass_matches_bfs(ds):
+    assert build_forest(ds) == bfs_forest(ds)
+
+
+def test_forward_pass_matches_bfs_on_a_deep_chain():
+    n = 3000
+    ds = make_dataset(
+        [
+            make_respondent(f"R{i}", i + 1, coupon_in=f"C{i}" if i else None,
+                            coupons_out=[f"C{i + 1}"] if i + 1 < n else [])
+            for i in range(n)
+        ]
+    )
+    forest = build_forest(ds)
+    assert forest == bfs_forest(ds)
+    assert forest.wave[f"R{n - 1}"] == n - 1
 
 
 def test_per_tree_subsets_exclusions():

@@ -5,7 +5,8 @@ reported through ``cli.main`` with the same file and flags as the CI smoke
 run.  Its ``bundle.json`` must match the
 checked-in ``tests/golden/bundle.json`` byte for byte; the bundle's manifest
 pins the sha256 of every other output file.  Each single-section command
-must print exactly its section of that bundle.
+must print exactly its section of that bundle, and ``ingest`` its
+``dataset`` block.
 """
 
 import json
@@ -52,3 +53,12 @@ def test_section_command_prints_its_bundle_section(command, study, report_dir, t
     printed = json.loads(capsys.readouterr().out)
     bundle = json.loads((report_dir / "bundle.json").read_text())
     assert printed == bundle["sections"][command]
+
+
+def test_ingest_prints_the_bundle_dataset_block(study, report_dir, capsys):
+    capsys.readouterr()
+    assert main(["ingest", *study[: -len(REPORT_FLAGS)]]) == 0
+    printed = json.loads(capsys.readouterr().out)
+    expected = json.loads((report_dir / "bundle.json").read_text())["dataset"]
+    expected.update(expected.pop("validation"), warnings=[])
+    assert printed == expected

@@ -13,7 +13,7 @@ from rdsdiag.errors import TooFewTrees
 from rdsdiag.estimators import cumulative_estimates, included_sample, per_tree_series
 from rdsdiag.forest import build_forest
 
-TRAITS = (("hiv", "binary", "yes"), ("emp", "binary", "yes"))
+TRAITS = (("hiv", "yes"), ("emp", "yes"))
 
 
 @st.composite

@@ -549,7 +549,7 @@ def test_cli_short_row_exit_code(cli_study, capsys, tmp_path, file_name):
     _copy_study(cli_study, tmp_path)
     lines = (tmp_path / file_name).read_text().splitlines()
     row = min(4, len(lines) - 1)  # the traits file has only a few rows
-    lines[row] = ",".join(lines[row].split(",")[:2])
+    lines[row] = ",".join(lines[row].split(",")[:-1])
     (tmp_path / file_name).write_text("\n".join(lines) + "\n")
     assert main(["ingest", *_dataset_args(tmp_path)]) == 2
     err = capsys.readouterr().err
@@ -732,12 +732,13 @@ def test_cli_unreadable_config_or_scenario_file(cli_study, capsys, tmp_path, com
         ("trait.z=top_degree:1.5", "trait.z: fraction must lie in [0, 1], got 1.5"),
         ("trait.z=top_degree:-0.1", "trait.z: fraction must lie in [0, 1], got -0.1"),
         ("retest_sd=-1", "retest_sd must be >= 0, got -1.0"),
+        ("trait.=block:0", "scenario key 'trait.': blank trait name"),
     ],
     ids=["seed_count=-1", "seed_count=0", "target_n=0", "probs-if-trait-length",
          "negative-prob", "zero-probs", "unknown-differential-trait", "recip_prob=1.5",
          "negative-block", "trait-block=9", "trait-block=-1", "trait-bernoulli=2",
          "trait-bernoulli=nan", "trait-top_degree=1.5", "trait-top_degree=-0.1",
-         "retest_sd=-1"],
+         "retest_sd=-1", "blank-trait-name"],
 )
 def test_cli_simulate_unrealizable_scenario(tmp_path, capsys, lines, message):
     scenario = tmp_path / "scenario.txt"
@@ -746,6 +747,21 @@ def test_cli_simulate_unrealizable_scenario(tmp_path, capsys, lines, message):
     assert code == 3
     assert message in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+def test_cli_trait_name_with_spaces(capsys, tmp_path):
+    # the name is stripped in traits.csv and in the trait:<name> header alike
+    scenario = tmp_path / "scenario.txt"
+    scenario.write_text(SCENARIO + "trait. x=block:0\n")
+    study = tmp_path / "study"
+    assert main(["simulate", "--scenario", str(scenario), "--out-dir", str(study)]) == 0
+    capsys.readouterr()
+    assert main(["ingest", *_dataset_args(study)]) == 0
+    summary = json.loads(capsys.readouterr().out)
+    assert "x" in summary["traits"] and "x" not in summary["missing_traits"]
+    assert main(["estimate", *_dataset_args(study), "--trait", "x",
+                 "--out-dir", str(tmp_path / "o")]) == 0
+    assert "skipped" not in json.loads(capsys.readouterr().out)["per_trait"]["x"]
 
 
 def test_cli_report_deep_chain(capsys, tmp_path):
