@@ -450,8 +450,12 @@ def load_dataset(
             )
     allotment = max(len(out_cols), 1)
     coupon_slots = [_slot(_COUPON_COLUMNS, j) for j in range(1, allotment + 1)]
-    # trait:<name> column -> name, stripped as load_traits strips it
-    trait_of = {c: c[len(trait_prefix):].strip() for c in header if c.startswith(trait_prefix)}
+    # each trait:<name> column and its name, stripped as load_traits strips it
+    trait_of = [(c, c[len(trait_prefix):].strip()) for c in header if c.startswith(trait_prefix)]
+    names = [name for _, name in trait_of]
+    for name in names:
+        if names.count(name) > 1:
+            raise DuplicateId(f"{respondents_file}: duplicate column for trait {name!r}")
 
     if not rows:
         raise MissingData(f"{respondents_file}: zero respondents")
@@ -482,7 +486,7 @@ def load_dataset(
                 coupon_in=cell(_COUPON_IN, _opt_str),
                 coupons_out=frozenset(_present(cell, out_cols)),
                 degree=DegreeReport(**_fields(_DEGREE_COLUMNS, cell)),
-                traits={name: _opt_str(row[c]) for c, name in trait_of.items()},
+                traits={name: _opt_str(row[c]) for c, name in trait_of},
                 followup=fu,
                 **_fields(_INTERVIEW_COLUMNS + _ANSWER_COLUMNS, cell),
             )

@@ -84,6 +84,17 @@ def test_traits_file_with_kind_column_loads(tmp_path):
     assert (tmp_path / "t2.csv").read_text() == TRAITS_CSV
 
 
+@pytest.mark.parametrize("strict", [True, False])
+@pytest.mark.parametrize("second", ["trait:hiv", "trait: hiv "])
+def test_two_columns_for_one_trait_rejected(tmp_path, strict, second):
+    # a trait:<name> header is stripped like a traits.csv name, so both
+    # columns name the trait hiv
+    r, t, _ = write_inputs(tmp_path, [row.replace("\n", ",yes\n") for row in BASIC_ROWS])
+    r.write_text(r.read_text().replace("trait:hiv\n", f"trait:hiv,{second}\n", 1))
+    with pytest.raises(DuplicateId, match="'hiv'"):
+        load_dataset(r, t, strict=strict)
+
+
 def test_empty_respondents_file_is_missing_data(tmp_path):
     r, t, _ = write_inputs(tmp_path, [])
     with pytest.raises(MissingData):
