@@ -173,7 +173,7 @@ class StudyDataset:
 
 @dataclass
 class ValidationReport:
-    """Counts of answers that break a rule between survey questions."""
+    """Counts of inconsistent, capped and missing answers."""
 
     funnel_violations: int = 0
     truncations_applied: int = 0
