@@ -12,9 +12,12 @@ from .dataset import (
 from .estimators import IncludedSample, included_sample, ss_estimate
 from .forest import RecruitmentForest, build_forest
 from .report import PipelineConfig, ReportBundle, run_pipeline
-from .sim import NetworkConfig, SimConfig, generate_network, simulate_rds
 
 __version__ = "0.1.0"
+
+# the simulator's names load ``rdsdiag.sim`` on first use (see __getattr__),
+# so that a report does not import it
+_SIM_NAMES = ("NetworkConfig", "SimConfig", "generate_network", "simulate_rds")
 
 __all__ = [
     "ConvergenceConfig",
@@ -38,3 +41,11 @@ __all__ = [
     "ss_estimate",
     "validate_dataset",
 ]
+
+
+def __getattr__(name: str):
+    if name in _SIM_NAMES:
+        from . import sim
+
+        return getattr(sim, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

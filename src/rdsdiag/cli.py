@@ -13,19 +13,18 @@ import argparse
 import dataclasses
 import sys
 from pathlib import Path
-from typing import Any, Callable, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Optional, Sequence
 
 from .dataset import StudyDataset, load_dataset, save_dataset, validate_dataset
 from .errors import RdsError, UnrealizableConfig
 from .forest import build_forest
 from .report import ALL_SECTIONS, PipelineConfig, _json_text, _num, dataset_summary, run_pipeline
-from .sim import (
-    NetworkConfig,
-    SimConfig,
-    TraitRule,
-    generate_network,
-    simulate_rds,
-)
+
+if TYPE_CHECKING:
+    from .sim import NetworkConfig, SimConfig, TraitRule
+
+# ``rdsdiag.sim`` is imported by the functions that use it, so that the
+# diagnostic commands do not pay for loading the simulator
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -201,6 +200,8 @@ def _cmd_sections(args: argparse.Namespace) -> int:
 
 
 def _parse_trait_rule(raw: str) -> TraitRule:
+    from .sim import TraitRule
+
     kind, _, value = raw.partition(":")
     if kind == "block":
         return TraitRule(kind="block", block=int(value or 0))
@@ -248,6 +249,8 @@ _NET_KEYS = {
 def load_scenario(path: Path) -> tuple[NetworkConfig, SimConfig]:
     """Parse a key=value scenario file into network and process configs.  An
     unknown key or a value that does not parse raises ``UnrealizableConfig``."""
+    from .sim import NetworkConfig, SimConfig
+
     traits: dict[str, TraitRule] = {}
     net_fields: dict[str, Any] = {
         "within_block_edge_prob": 0.05, "between_block_edge_prob": 0.01, "traits": traits
@@ -274,6 +277,8 @@ def load_scenario(path: Path) -> tuple[NetworkConfig, SimConfig]:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    from .sim import generate_network, simulate_rds
+
     net_cfg, sim_cfg = load_scenario(args.scenario)
     if args.seed is not None:
         sim_cfg = dataclasses.replace(sim_cfg, rng_seed=args.seed)

@@ -180,6 +180,8 @@ def run_pipeline(ds: StudyDataset, cfg: PipelineConfig) -> ReportBundle:
         if cfg.traits is not None
         else tuple(s.name for s in ds.trait_specs)
     )
+    if "converge" in cfg.sections or "bottleneck" in cfg.sections:
+        _check_figure_names(traits)
 
     # each trait's included sample is built once and shared by the sections;
     # an unknown trait raises on every lookup, so each entry records it
@@ -237,6 +239,19 @@ def run_pipeline(ds: StudyDataset, cfg: PipelineConfig) -> ReportBundle:
     bundle.manifest = dict(sorted(writer.manifest.items()))
     writer.write_text("bundle.json", bundle.to_json())
     return bundle
+
+
+def _check_figure_names(traits: Sequence[str]) -> None:
+    """Raise, before any output is written, when two traits would write their
+    figures to one file name."""
+    owner: dict[str, str] = {}
+    for trait in traits:
+        first = owner.setdefault(_safe_name(trait), trait)
+        if first != trait:
+            raise UnrealizableConfig(
+                f"traits {first!r} and {trait!r} share the figure file name "
+                f"{_safe_name(trait)!r}"
+            )
 
 
 def _check_population_sizes(

@@ -5,9 +5,15 @@ One public function per family (``chains``, ``convergence``, ``bottleneck``,
 ``sensitivity_pairs``) takes the figure's title and data as named parameters
 and returns a standalone SVG string; a figure with nothing to draw raises
 ``EmptyData``.  Each is a pure function of its arguments and the fixed style,
-and emits byte-identical markup across runs: element order is fixed and all
-numbers pass through a 6-significant-digit formatter.  No plotting library
-is involved, so golden-file tests can diff output directly.
+and emits byte-identical markup across runs: element order is fixed and every
+number is written with 6 significant digits, never as negative zero.  No
+plotting library is involved, so golden-file tests can diff output directly.
+
+Marks are written one family at a time: a polyline's points, the convergence
+rugs, the all-points markers, and the chains edges and nodes.  The family's
+coordinates go through the figure's ``_Scale`` as one float array, and one
+``'%.6g'`` template, whose constant attributes are formatted once, formats
+them all in one pass.
 """
 
 from __future__ import annotations
@@ -15,6 +21,8 @@ from __future__ import annotations
 import math
 from collections import Counter
 from typing import Mapping, Optional, Sequence
+
+import numpy as np
 
 from .errors import EmptyData
 
@@ -49,51 +57,83 @@ _TREE_PALETTE = (
 
 def _f(x: float) -> str:
     """Fixed numeric formatting: 6 significant digits, no negative zero."""
-    if x == 0:
-        x = 0.0
-    return f"{float(x):.6g}"
+    return "%.6g" % (x + 0.0)
+
+
+# Element templates: each coordinate is a ``%.6g`` field, and the constant
+# attributes are formatted once, when the template is built.
+
+
+def _line(
+    color: str,
+    width: float = 1.0,
+    dash: Optional[str] = None,
+    y1: Optional[float] = None,
+    y2: Optional[float] = None,
+) -> str:
+    """Fields x1, y1, x2, y2, less a y given here, which the template fixes."""
+    y1_text, y2_text = ("%.6g" if y is None else _f(y) for y in (y1, y2))
+    dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
+    return (
+        f'<line x1="%.6g" y1="{y1_text}" x2="%.6g" y2="{y2_text}" '
+        f'stroke="{color}" stroke-width="{_f(width)}"{dash_attr}/>'
+    )
+
+
+def _rect(fill: str, stroke: Optional[str] = None) -> str:
+    """Fields x, y, width, height."""
+    stroke_attr = f' stroke="{stroke}"' if stroke else ""
+    return f'<rect x="%.6g" y="%.6g" width="%.6g" height="%.6g" fill="{fill}"{stroke_attr}/>'
+
+
+def _circle(r: float, fill: str, stroke: Optional[str] = None) -> str:
+    """Fields cx, cy."""
+    stroke_attr = f' stroke="{stroke}"' if stroke else ""
+    return f'<circle cx="%.6g" cy="%.6g" r="{_f(r)}" fill="{fill}"{stroke_attr}/>'
+
+
+def _polyline(n_points: int, color: str, width: float = 1.5) -> str:
+    """Fields x, y of each point in turn."""
+    points = " ".join(["%.6g,%.6g"] * n_points)
+    return (
+        f'<polyline points="{points}" fill="none" stroke="{color}" '
+        f'stroke-width="{_f(width)}"/>'
+    )
+
+
+_HEADER = (
+    '<?xml version="1.0" encoding="UTF-8"?>',
+    f'<svg xmlns="http://www.w3.org/2000/svg" width="{_f(_STYLE["width"])}" '
+    f'height="{_f(_STYLE["height"])}" '
+    f'viewBox="0 0 {_f(_STYLE["width"])} {_f(_STYLE["height"])}">',
+    _rect(_STYLE["background"]) % (0, 0, _STYLE["width"], _STYLE["height"]),
+)
 
 
 class _Canvas:
     """Accumulates SVG elements in insertion order."""
 
     def __init__(self):
-        width, height = _STYLE["width"], _STYLE["height"]
-        self.parts: list[str] = [
-            '<?xml version="1.0" encoding="UTF-8"?>',
-            f'<svg xmlns="http://www.w3.org/2000/svg" width="{_f(width)}" '
-            f'height="{_f(height)}" viewBox="0 0 {_f(width)} {_f(height)}">',
-            f'<rect x="0" y="0" width="{_f(width)}" height="{_f(height)}" '
-            f'fill="{_STYLE["background"]}"/>',
-        ]
+        self.parts: list[str] = list(_HEADER)
+
+    def marks(self, templates: Sequence[str], coords) -> None:
+        """One element per template.  ``coords`` holds all their fields in
+        order; they are cleared of negative zero and formatted in one pass."""
+        if templates:
+            fields = (np.asarray(coords, dtype=float).ravel() + 0.0).tolist()
+            self.parts.append("\n".join(templates) % tuple(fields))
 
     def line(self, x1, y1, x2, y2, color, width=1.0, dash: Optional[str] = None):
-        dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
-        self.parts.append(
-            f'<line x1="{_f(x1)}" y1="{_f(y1)}" x2="{_f(x2)}" y2="{_f(y2)}" '
-            f'stroke="{color}" stroke-width="{_f(width)}"{dash_attr}/>'
-        )
+        self.marks([_line(color, width, dash)], (x1, y1, x2, y2))
 
     def rect(self, x, y, w, h, fill, stroke: Optional[str] = None):
-        stroke_attr = f' stroke="{stroke}"' if stroke else ""
-        self.parts.append(
-            f'<rect x="{_f(x)}" y="{_f(y)}" width="{_f(w)}" height="{_f(h)}" '
-            f'fill="{fill}"{stroke_attr}/>'
-        )
+        self.marks([_rect(fill, stroke)], (x, y, w, h))
 
     def circle(self, cx, cy, r, fill, stroke: Optional[str] = None):
-        stroke_attr = f' stroke="{stroke}"' if stroke else ""
-        self.parts.append(
-            f'<circle cx="{_f(cx)}" cy="{_f(cy)}" r="{_f(r)}" '
-            f'fill="{fill}"{stroke_attr}/>'
-        )
+        self.marks([_circle(r, fill, stroke)], (cx, cy))
 
-    def polyline(self, points: Sequence[tuple[float, float]], color, width=1.5):
-        pts = " ".join(f"{_f(x)},{_f(y)}" for x, y in points)
-        self.parts.append(
-            f'<polyline points="{pts}" fill="none" stroke="{color}" '
-            f'stroke-width="{_f(width)}"/>'
-        )
+    def polyline(self, xs: np.ndarray, ys: np.ndarray, color, width=1.5):
+        self.marks([_polyline(len(xs), color, width)], np.column_stack([xs, ys]))
 
     def text(self, x, y, s, anchor="start", size=None):
         size = size if size is not None else _STYLE["font_size"]
@@ -120,7 +160,9 @@ class _Scale:
         self.lo, self.hi = lo, hi
         self.px_lo, self.px_hi = px_lo, px_hi
 
-    def __call__(self, v: float) -> float:
+    def __call__(self, v):
+        """The pixel position of ``v``, a number or a float array mapped
+        element by element with the same operations."""
         frac = (v - self.lo) / (self.hi - self.lo)
         return self.px_lo + frac * (self.px_hi - self.px_lo)
 
@@ -163,21 +205,32 @@ def chains(
     sx = _Scale(-0.5, max(slot - 0.8, 0.5), m, _STYLE["width"] - m)
     sy = _Scale(-0.5, max_wave + 0.5, m, _STYLE["height"] - m)
 
-    for node, kids in sorted(children.items()):
-        for kid in kids:
-            canvas.line(
-                sx(xs[node]), sy(wave.get(node, 0)),
-                sx(xs[kid]), sy(wave.get(kid, 0)),
-                _STYLE["axis_color"], 0.8,
-            )
-    for node in sorted(xs):
-        val = trait.get(node)
-        if val is None:
-            fill = _STYLE["na_color"]
-        else:
-            fill = _STYLE["positive_color"] if val else _STYLE["negative_color"]
-        r = 5.0 if node in roots else 3.0
-        canvas.circle(sx(xs[node]), sy(wave.get(node, 0)), r, fill, _STYLE["axis_color"])
+    nodes = sorted(xs)
+    index = {node: i for i, node in enumerate(nodes)}
+    px = sx(np.array([xs[node] for node in nodes]))
+    py = sy(np.array([wave.get(node, 0) for node in nodes], dtype=float))
+
+    edges = np.array(
+        [(index[node], index[kid]) for node, kids in sorted(children.items()) for kid in kids],
+        dtype=np.intp,
+    ).reshape(-1, 2)
+    parent, kid = edges[:, 0], edges[:, 1]
+    canvas.marks(
+        [_line(_STYLE["axis_color"], 0.8)] * len(edges),
+        np.column_stack([px[parent], py[parent], px[kid], py[kid]]),
+    )
+
+    fills = {None: _STYLE["na_color"], True: _STYLE["positive_color"],
+             False: _STYLE["negative_color"]}
+    marker = {
+        (is_root, value): _circle(5.0 if is_root else 3.0, fill, _STYLE["axis_color"])
+        for is_root in (True, False) for value, fill in fills.items()
+    }
+    root_set = set(roots)
+    canvas.marks(
+        [marker[node in root_set, trait.get(node)] for node in nodes],
+        np.column_stack([px, py]),
+    )
     canvas.text(m, m / 2, title)
     return canvas.render()
 
@@ -207,15 +260,15 @@ def convergence(
     canvas.rect(m, m + rug, _STYLE["width"] - 2 * m, _STYLE["height"] - 2 * (m + rug),
                 "#d9e4ee", _STYLE["axis_color"])
     canvas.line(m, sy(final), _STYLE["width"] - m, sy(final), _STYLE["reference_color"], 2.0)
-    canvas.polyline([(sx(o), sy(v)) for o, v in zip(orders, values)],
+    canvas.polyline(sx(np.asarray(orders, dtype=float)), sy(np.asarray(values, dtype=float)),
                     _STYLE["series_color"])
 
-    for order, flag in indicators:
-        if flag:
-            canvas.line(sx(order), m, sx(order), m + rug - 2, _STYLE["positive_color"], 1.0)
-        else:
-            canvas.line(sx(order), _STYLE["height"] - m - rug + 2, sx(order),
-                        _STYLE["height"] - m, _STYLE["negative_color"], 1.0)
+    header = _line(_STYLE["positive_color"], y1=m, y2=m + rug - 2)
+    footer = _line(_STYLE["negative_color"], y1=_STYLE["height"] - m - rug + 2,
+                   y2=_STYLE["height"] - m)
+    x = sx(np.array([order for order, _ in indicators], dtype=float))
+    canvas.marks([header if flag else footer for _, flag in indicators],
+                 np.column_stack([x, x]))
 
     for tick in (0.0, 0.25, 0.5, 0.75, 1.0):
         canvas.text(m - 6, sy(tick) + 4, _f(tick), anchor="end")
@@ -262,7 +315,8 @@ def bottleneck(
                         f"{root}:{composition.get(root, 0)}", size=9)
         y_cursor += h
         orders, values = series[root]
-        canvas.polyline([(sx(o), sy(v)) for o, v in zip(orders, values)], color)
+        canvas.polyline(sx(np.asarray(orders, dtype=float)), sy(np.asarray(values, dtype=float)),
+                        color)
         if values:
             final = float(values[-1])
             canvas.line(_STYLE["width"] - m, sy(final), _STYLE["width"] - m + 8, sy(final),
@@ -286,26 +340,30 @@ def all_points(title: str, rows: Sequence[tuple[str, bool]]) -> str:
     counts = Counter(tree for tree, _ in rows)
     trees = sorted(counts)
     tree_index = {t: i for i, t in enumerate(trees)}
-    per_tree_pos: dict[str, int] = {t: 0 for t in trees}
 
     m = _STYLE["margin"]
     canvas = _Canvas()
     max_len = max(counts.values())
     sx = _Scale(0.5, max(max_len, 2) + 0.5, m + 40, _STYLE["width"] - m)
     sy = _Scale(-0.5, len(trees) - 0.5, m, _STYLE["height"] - m)
+    tree_y = sy(np.arange(len(trees), dtype=float))
 
-    for t in trees:
-        y = sy(tree_index[t])
+    for t, y in zip(trees, tree_y.tolist()):
         canvas.text(m, y + 4, t, size=9)
         canvas.line(m + 36, y, _STYLE["width"] - m, y, "#dddddd", 0.5)
-    for tree, has_trait in rows:
+    # each respondent's 1-based position within its tree, in row order
+    per_tree_pos = dict.fromkeys(trees, 0)
+    position, row_tree = [], []
+    for tree, _ in rows:
         per_tree_pos[tree] += 1
-        x = sx(per_tree_pos[tree])
-        y = sy(tree_index[tree])
-        if has_trait:
-            canvas.circle(x, y, 3.0, _STYLE["positive_color"])
-        else:
-            canvas.circle(x, y, 3.0, _STYLE["background"], _STYLE["negative_color"])
+        position.append(per_tree_pos[tree])
+        row_tree.append(tree_index[tree])
+    filled = _circle(3.0, _STYLE["positive_color"])
+    hollow = _circle(3.0, _STYLE["background"], _STYLE["negative_color"])
+    canvas.marks(
+        [filled if has_trait else hollow for _, has_trait in rows],
+        np.column_stack([sx(np.array(position, dtype=float)), tree_y[row_tree]]),
+    )
     canvas.text(m, m / 2, title)
     return canvas.render()
 

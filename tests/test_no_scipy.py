@@ -7,7 +7,9 @@ so each variant runs the report in a fresh interpreter:
   inside some function would show here), nor ``numpy.ma``, which numpy
   imports on the first ``np.median`` or ``np.quantile`` call;
 - with ``sys.modules["scipy"] = None`` set first, every scipy import fails,
-  and the report must still exit 0 with the same bundle bytes.
+  and the report must still exit 0 with the same bundle bytes;
+- neither ``import rdsdiag.cli`` nor the report loads ``rdsdiag.sim``,
+  which only ``simulate`` uses.
 """
 
 import json
@@ -26,13 +28,15 @@ SRC = Path(rdsdiag.__file__).resolve().parents[1]
 
 CHILD = """\
 import json, sys
-if sys.argv[1] == "blocked":
-    sys.modules["scipy"] = None
-from rdsdiag import cli
-code = cli.main(sys.argv[2:])
 def loaded(package):
     return sorted(m for m in sys.modules if m == package or m.startswith(package + "."))
-print(json.dumps({"code": code, "scipy": loaded("scipy"), "numpy.ma": loaded("numpy.ma")}))
+if sys.argv[1] == "blocked":
+    sys.modules["scipy"] = None
+import rdsdiag.cli
+sim_at_import = loaded("rdsdiag.sim")
+code = rdsdiag.cli.main(sys.argv[2:])
+print(json.dumps({"code": code, "scipy": loaded("scipy"), "numpy.ma": loaded("numpy.ma"),
+                  "sim": sim_at_import + loaded("rdsdiag.sim")}))
 """
 
 
@@ -82,3 +86,19 @@ def test_report_runs_with_scipy_blocked(study, plain, tmp_path):
     result = _report(study, tmp_path, "blocked")
     assert result["code"] == 0
     assert (tmp_path / "bundle.json").read_bytes() == plain[1].read_bytes()
+
+
+def test_report_imports_no_simulator(plain):
+    assert plain[0]["sim"] == []
+
+
+def test_simulator_names_load_on_first_use():
+    import rdsdiag.sim
+
+    for name in ("NetworkConfig", "SimConfig", "generate_network", "simulate_rds"):
+        assert getattr(rdsdiag, name) is getattr(rdsdiag.sim, name)
+    namespace = {}
+    exec("from rdsdiag import *", namespace)
+    assert all(namespace[name] is getattr(rdsdiag, name) for name in rdsdiag.__all__)
+    with pytest.raises(AttributeError, match="nope"):
+        rdsdiag.nope

@@ -621,7 +621,7 @@ def test_cli_simulate_negative_seed(tmp_path, capsys, monkeypatch, flags, line):
     def no_network(*args, **kwargs):
         raise AssertionError("network generated before the seed was checked")
 
-    monkeypatch.setattr("rdsdiag.cli.generate_network", no_network)
+    monkeypatch.setattr("rdsdiag.sim.generate_network", no_network)
     scenario = tmp_path / "scenario.txt"
     scenario.write_text(SCENARIO + line)
     code = main(["simulate", "--scenario", str(scenario), "--out-dir", str(tmp_path / "o"),
@@ -762,6 +762,27 @@ def test_cli_trait_name_with_spaces(capsys, tmp_path):
     assert main(["estimate", *_dataset_args(study), "--trait", "x",
                  "--out-dir", str(tmp_path / "o")]) == 0
     assert "skipped" not in json.loads(capsys.readouterr().out)["per_trait"]["x"]
+
+
+def test_cli_traits_sharing_a_figure_name(capsys, tmp_path):
+    # "x y" and "x_y" would both write convergence_x_y.svg, bottleneck_x_y.svg
+    # and allpoints_x_y.svg
+    scenario = tmp_path / "scenario.txt"
+    scenario.write_text(SCENARIO + "trait.x y=block:0\ntrait.x_y=bernoulli:0.5\n")
+    study = tmp_path / "study"
+    assert main(["simulate", "--scenario", str(scenario), "--out-dir", str(study)]) == 0
+    capsys.readouterr()
+    for command in ("report", "converge", "bottleneck"):
+        out_dir = tmp_path / command
+        assert main([command, *_dataset_args(study), "--out-dir", str(out_dir)]) == 3
+        err = capsys.readouterr().err
+        assert "'x y'" in err and "'x_y'" in err
+        assert not out_dir.exists()
+    # a command that writes no per-trait figure, or one of the two traits alone, runs
+    assert main(["estimate", *_dataset_args(study), "--out-dir", str(tmp_path / "e")]) == 0
+    assert main(["report", *_dataset_args(study), "--out-dir", str(tmp_path / "one"),
+                 "--trait", "x y", "--replicates", "50"]) == 0
+    assert (tmp_path / "one" / "convergence_x_y.svg").exists()
 
 
 def test_cli_report_deep_chain(capsys, tmp_path):
