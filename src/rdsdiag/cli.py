@@ -20,11 +20,10 @@ from .errors import RdsError, UnrealizableConfig
 from .forest import build_forest
 from .report import ALL_SECTIONS, PipelineConfig, _json_text, _num, dataset_summary, run_pipeline
 
+# ``rdsdiag.sim`` is imported inside the functions that use it, so that the
+# diagnostic commands do not load the simulator
 if TYPE_CHECKING:
     from .sim import NetworkConfig, SimConfig, TraitRule
-
-# ``rdsdiag.sim`` is imported by the functions that use it, so that the
-# diagnostic commands do not pay for loading the simulator
 
 
 def _build_parser() -> argparse.ArgumentParser:
