@@ -1,6 +1,6 @@
 """Diagnostics toolkit for respondent-driven sampling studies."""
 
-from .convergence import ConvergenceConfig, convergence_flag
+from .convergence import convergence_flag
 from .dataset import (
     Respondent,
     StudyDataset,
@@ -20,7 +20,6 @@ __version__ = "0.1.0"
 _SIM_NAMES = ("NetworkConfig", "SimConfig", "generate_network", "simulate_rds")
 
 __all__ = [
-    "ConvergenceConfig",
     "IncludedSample",
     "NetworkConfig",
     "PipelineConfig",

@@ -10,19 +10,17 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .errors import EmptySeries, UnrealizableConfig
 
 
-@dataclass(frozen=True)
-class ConvergenceConfig:
-    tau: int = 50
-    epsilon: float = 0.02
-
-    def __post_init__(self) -> None:
-        if self.tau < 1:
-            raise UnrealizableConfig("tau must be >= 1")
-        if not 0 < self.epsilon < math.inf:
-            raise UnrealizableConfig(f"epsilon must be > 0 and finite, got {self.epsilon}")
+def _check_window(tau: int, epsilon: float) -> None:
+    """Raise ``UnrealizableConfig`` for a window no series can be judged by."""
+    if tau < 1:
+        raise UnrealizableConfig("tau must be >= 1")
+    if not 0 < epsilon < math.inf:
+        raise UnrealizableConfig(f"epsilon must be > 0 and finite, got {epsilon}")
 
 
 @dataclass(frozen=True)
@@ -33,26 +31,23 @@ class ConvergenceVerdict:
 
 
 def convergence_flag(
-    values: Sequence[float], cfg: ConvergenceConfig = ConvergenceConfig()
+    values: Sequence[float], tau: int = 50, epsilon: float = 0.02
 ) -> ConvergenceVerdict:
     """Evaluate the window rule on a series of cumulative estimates.
 
     The window covers offsets t = 1 .. min(tau - 1, m - 1); series shorter
     than the window are examined in full."""
+    _check_window(tau, epsilon)
+    values = np.asarray(values, dtype=float)
     m = len(values)
     if m == 0:
         raise EmptySeries("cannot evaluate convergence of an empty series")
-    final = values[-1]
-    max_dev = 0.0
-    first_offset = None
-    for t in range(1, min(cfg.tau - 1, m - 1) + 1):
-        dev = abs(values[m - 1 - t] - final)
-        if dev > max_dev:
-            max_dev = dev
-        if first_offset is None and dev > cfg.epsilon:
-            first_offset = t
+    # deviations at offsets 1, 2, ... back from the final estimate
+    dev = np.abs(values[max(m - tau, 0):m - 1][::-1] - values[-1])
+    violations = np.flatnonzero(dev > epsilon)
+    max_dev = float(dev.max()) if len(dev) else 0.0
     return ConvergenceVerdict(
-        flagged=max_dev > cfg.epsilon,
-        first_violation_offset=first_offset,
+        flagged=max_dev > epsilon,
+        first_violation_offset=int(violations[0]) + 1 if len(violations) else None,
         max_deviation=max_dev,
     )

@@ -25,7 +25,7 @@ from .estimators import (
     DEFAULT_DEGREE_QUESTION,
     IncludedSample,
     _quantile,
-    inverse_degree_series,
+    inverse_degree_estimates,
 )
 from .forest import RecruitmentForest, interview_gap_days
 
@@ -202,9 +202,9 @@ def estimate_sensitivity(
     usable = retest_degree >= 1
     if not usable.any():
         raise InsufficientData(f"no usable test/retest members for {sample.trait!r}")
-    orders, y = sample.orders[usable], sample.y[usable]
-    p_test = inverse_degree_series(sample.trait, orders, y, sample.degree[usable]).final
-    p_retest = inverse_degree_series(sample.trait, orders, y, retest_degree[usable]).final
+    y = sample.y[usable]
+    p_test = float(inverse_degree_estimates(y, sample.degree[usable])[-1])
+    p_retest = float(inverse_degree_estimates(y, retest_degree[usable])[-1])
     diff = abs(p_test - p_retest)
     return SensitivityRow(
         trait=sample.trait,

@@ -2,7 +2,7 @@
 
 ``included_sample`` builds, once per trait, the included respondents every
 per-trait diagnostic works on, with their outcomes taken from
-``StudyDataset.indicators``.  ``inverse_degree_series`` is the one
+``StudyDataset.indicators``.  ``inverse_degree_estimates`` is the one
 implementation of the inverse-degree-weighted (VH) ratio estimator: its
 running values are the cumulative estimates, and its last value is the VH
 estimate every diagnostic reports.  ``ss_estimate`` is the
@@ -26,24 +26,6 @@ from .errors import EmptySample, PopulationTooSmall
 from .forest import RecruitmentForest
 
 DEFAULT_DEGREE_QUESTION = "q_seen_week"
-
-
-@dataclass(frozen=True)
-class EstimateSeries:
-    """Cumulative prevalence estimates over included respondents."""
-
-    trait: str
-    orders: tuple[int, ...]
-    values: tuple[float, ...]
-
-    @property
-    def final(self) -> float:
-        if not self.values:
-            raise EmptySample(f"no included respondents for trait {self.trait!r}")
-        return self.values[-1]
-
-    def __len__(self) -> int:
-        return len(self.values)
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,36 +83,34 @@ def included_sample(
     )
 
 
-def inverse_degree_series(
-    trait: str, orders: np.ndarray, y: np.ndarray, degree: np.ndarray
-) -> EstimateSeries:
+def inverse_degree_estimates(y: np.ndarray, degree: np.ndarray) -> np.ndarray:
     """Prefix inverse-degree estimates sum(y_i / d_i) / sum(1 / d_i) of the
     0/1 outcomes ``y`` with degrees ``degree`` (all >= 1), in the given
-    order."""
+    order; the last value is the VH estimate."""
     # cumsum adds in sequence, so the last value equals a plain running-sum
     # loop over the same members bit for bit
     w = 1.0 / degree
-    values = np.cumsum(w * y) / np.cumsum(w)
-    return EstimateSeries(
-        trait=trait, orders=tuple(orders.tolist()), values=tuple(values.tolist())
-    )
+    return np.cumsum(w * y) / np.cumsum(w)
 
 
-def cumulative_estimates(sample: IncludedSample) -> EstimateSeries:
+def cumulative_estimates(sample: IncludedSample) -> np.ndarray:
     """Prefix inverse-degree estimates over the included sample in interview
-    order."""
-    return inverse_degree_series(sample.trait, sample.orders, sample.y, sample.degree)
+    order; raises ``EmptySample`` when the sample is empty."""
+    if not len(sample):
+        raise EmptySample(f"no included respondents for trait {sample.trait!r}")
+    return inverse_degree_estimates(sample.y, sample.degree)
 
 
-def per_tree_series(sample: IncludedSample) -> dict[str, EstimateSeries]:
-    """Per-tree cumulative estimate series in forest root order; trees with
+def per_tree_series(sample: IncludedSample) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+    """Per-tree (orders, prefix estimates) in forest root order; trees with
     no included member are omitted."""
     out = {}
     for i, root in enumerate(sample.roots):
         in_tree = sample.tree == i
         if in_tree.any():
-            out[root] = inverse_degree_series(
-                sample.trait, sample.orders[in_tree], sample.y[in_tree], sample.degree[in_tree]
+            out[root] = (
+                sample.orders[in_tree],
+                inverse_degree_estimates(sample.y[in_tree], sample.degree[in_tree]),
             )
     return out
 

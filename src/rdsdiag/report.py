@@ -63,11 +63,7 @@ class PipelineConfig:
             raise UnrealizableConfig(f"seed must be >= 0, got {self.rng_seed}")
         if not 0 <= self.threshold <= 1:
             raise UnrealizableConfig(f"threshold must be in [0, 1], got {self.threshold}")
-        self.convergence_config  # checks tau and epsilon before any output
-
-    @functools.cached_property
-    def convergence_config(self) -> convergence.ConvergenceConfig:
-        return convergence.ConvergenceConfig(tau=self.tau, epsilon=self.epsilon)
+        convergence._check_window(self.tau, self.epsilon)
 
 
 @dataclass
@@ -319,13 +315,13 @@ def _render_chains_figure(
 def _section_estimate(writer, traits, cfg: PipelineConfig, sample_of) -> dict[str, Any]:
     def estimate(trait: str) -> dict[str, Any]:
         sample = sample_of(trait)
-        series = estimators.cumulative_estimates(sample)
-        entry: dict[str, Any] = {"vh": series.final, "n_included": len(series)}
+        vh = float(estimators.cumulative_estimates(sample)[-1])
+        entry: dict[str, Any] = {"vh": vh, "n_included": len(sample)}
         if cfg.population_sizes:
             ss = [estimators.ss_estimate(sample, size) for size in cfg.population_sizes]
             entry["ss"] = [
-                {"population_size": size, "ss": s, "difference": s - series.final,
-                 "flagged": abs(s - series.final) > SS_FLAG_THRESHOLD}
+                {"population_size": size, "ss": s, "difference": s - vh,
+                 "flagged": abs(s - vh) > SS_FLAG_THRESHOLD}
                 for size, s in zip(cfg.population_sizes, ss)
             ]
         return entry
@@ -351,13 +347,14 @@ def _section_converge(writer, traits, cfg: PipelineConfig, sample_of) -> dict[st
         sample = sample_of(trait)
         if not len(sample):
             return {"evaluable": False}
-        series = estimators.cumulative_estimates(sample)
-        verdict = convergence.convergence_flag(series.values, cfg.convergence_config)
+        values = estimators.cumulative_estimates(sample)
+        verdict = convergence.convergence_flag(values, cfg.tau, cfg.epsilon)
+        orders = sample.orders.tolist()
         figure = svg.convergence(
             title=f"Convergence: {trait}",
-            orders=series.orders,
-            values=series.values,
-            indicators=list(zip(series.orders, (sample.y == 1.0).tolist())),
+            orders=orders,
+            values=values.tolist(),
+            indicators=list(zip(orders, (sample.y == 1.0).tolist())),
         )
         writer.write_text(f"convergence_{_safe_name(trait)}.svg", figure)
         return {"evaluable": True, **_fields(verdict)}
@@ -390,11 +387,14 @@ def _section_bottleneck(writer, traits, cfg: PipelineConfig, sample_of) -> dict[
         sample, result = samples[trait], tests[trait]
         if isinstance(result, TooFewTrees):
             raise result
-        series = estimators.per_tree_series(sample)
+        series = {
+            root: (orders.tolist(), values.tolist())
+            for root, (orders, values) in estimators.per_tree_series(sample).items()
+        }
         figure = svg.bottleneck(
             title=f"Bottleneck: {trait}",
-            series={root: (s.orders, s.values) for root, s in series.items()},
-            composition={root: len(s) for root, s in series.items()},
+            series=series,
+            composition={root: len(values) for root, (_, values) in series.items()},
         )
         writer.write_text(f"bottleneck_{_safe_name(trait)}.svg", figure)
         figure = svg.all_points(

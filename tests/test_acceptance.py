@@ -14,7 +14,7 @@ import pytest
 from conftest import followup, make_dataset, make_respondent
 from rdsdiag.behavior import exact_odds_ratio_interval, nonresponse_rates
 from rdsdiag.bottleneck import wsd_permutation_test
-from rdsdiag.convergence import ConvergenceConfig, convergence_flag
+from rdsdiag.convergence import convergence_flag
 from rdsdiag.dataset import validate_dataset
 from rdsdiag.degree import degree_trend
 from rdsdiag.estimators import (
@@ -88,7 +88,7 @@ def _vh(members):
         orders=np.arange(2, n + 2), y=np.array([y for y, _ in members], dtype=float),
         degree=np.array([d for _, d in members], dtype=float), tree=np.zeros(n, dtype=int),
     )
-    return cumulative_estimates(sample).final
+    return cumulative_estimates(sample)[-1]
 
 
 def test_criterion_02_estimator_hand_fixtures():
@@ -112,8 +112,8 @@ def test_criterion_03_convergence_rule():
     step = convergence_flag([0.40] * 81 + [0.47])
     checks.append(step.flagged and step.first_violation_offset == 1)
     drift = [0.5] * 60 + [0.53] + [0.51] * 20 + [0.5]
-    checks.append(convergence_flag(drift, ConvergenceConfig(epsilon=0.02)).flagged)
-    checks.append(not convergence_flag(drift, ConvergenceConfig(epsilon=0.05)).flagged)
+    checks.append(convergence_flag(drift, epsilon=0.02).flagged)
+    checks.append(not convergence_flag(drift, epsilon=0.05).flagged)
 
     rng = np.random.default_rng(7)
     mono_ok = True
@@ -122,11 +122,11 @@ def test_criterion_03_convergence_rule():
         series = np.clip(np.cumsum(rng.normal(0, 0.03, size=m)) + 0.5, 0, 1)
         e1, e2 = sorted(rng.uniform(0.001, 0.2, size=2))
         t1, t2 = sorted(int(v) for v in rng.integers(2, 80, size=2))
-        if convergence_flag(series, ConvergenceConfig(tau=50, epsilon=float(e2))).flagged:
-            if not convergence_flag(series, ConvergenceConfig(tau=50, epsilon=float(e1))).flagged:
+        if convergence_flag(series, tau=50, epsilon=float(e2)).flagged:
+            if not convergence_flag(series, tau=50, epsilon=float(e1)).flagged:
                 mono_ok = False
-        if convergence_flag(series, ConvergenceConfig(tau=t1, epsilon=0.02)).flagged:
-            if not convergence_flag(series, ConvergenceConfig(tau=t2, epsilon=0.02)).flagged:
+        if convergence_flag(series, tau=t1, epsilon=0.02).flagged:
+            if not convergence_flag(series, tau=t2, epsilon=0.02).flagged:
                 mono_ok = False
     checks.append(mono_ok)
     ok = all(checks)

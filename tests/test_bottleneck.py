@@ -208,7 +208,7 @@ def test_all_points_missing_trait_omitted(tmp_path, monkeypatch):
 def test_overall_estimate_matches_wsd_reference():
     ds = unit_degree_two_trees()
     forest = build_forest(ds)
-    overall = cumulative_estimates(included_sample(ds, forest, "hiv")).final
+    overall = cumulative_estimates(included_sample(ds, forest, "hiv"))[-1]
     assert overall == pytest.approx(0.5)
 
 

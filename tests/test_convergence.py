@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from conftest import make_dataset, make_respondent
-from rdsdiag.convergence import ConvergenceConfig, convergence_flag
-from rdsdiag.errors import EmptySeries, RdsError
+from rdsdiag.convergence import convergence_flag
+from rdsdiag.errors import EmptySample, EmptySeries, RdsError
 from rdsdiag.estimators import cumulative_estimates, included_sample
 from rdsdiag.forest import build_forest
 from rdsdiag.report import PipelineConfig, run_pipeline
@@ -18,7 +18,7 @@ def test_constant_series_unflagged():
 
 def test_jump_at_end_flags():
     series = [0.40] * 80 + [0.40, 0.47]
-    verdict = convergence_flag(series, ConvergenceConfig(tau=50, epsilon=0.02))
+    verdict = convergence_flag(series, tau=50, epsilon=0.02)
     assert verdict.flagged
     assert verdict.max_deviation >= 0.07 - 1e-15
     assert verdict.first_violation_offset == 1
@@ -27,14 +27,14 @@ def test_jump_at_end_flags():
 def test_raising_epsilon_unflags_mild_drift():
     # max in-window deviation exactly 0.03
     series = [0.5] * 60 + [0.53] + [0.51] * 20 + [0.5]
-    strict = convergence_flag(series, ConvergenceConfig(tau=50, epsilon=0.02))
-    loose = convergence_flag(series, ConvergenceConfig(tau=50, epsilon=0.05))
+    strict = convergence_flag(series, tau=50, epsilon=0.02)
+    loose = convergence_flag(series, tau=50, epsilon=0.05)
     assert strict.flagged
     assert not loose.flagged
 
 
 def test_short_series_uses_whole_window():
-    verdict = convergence_flag([0.1, 0.9], ConvergenceConfig(tau=50, epsilon=0.02))
+    verdict = convergence_flag([0.1, 0.9], tau=50, epsilon=0.02)
     assert verdict.flagged
     assert verdict.max_deviation == pytest.approx(0.8)
 
@@ -52,17 +52,17 @@ def test_empty_series_raises():
 
 def test_config_validation():
     with pytest.raises(RdsError):
-        ConvergenceConfig(tau=0)
+        convergence_flag([0.4], tau=0)
     with pytest.raises(RdsError):
-        ConvergenceConfig(epsilon=0.0)
+        convergence_flag([0.4], epsilon=0.0)
 
 
 def test_window_only_looks_back_tau_minus_one():
     # the big deviation sits exactly tau steps back, outside the window
     series = [0.9] + [0.5] * 10 + [0.5]
-    verdict = convergence_flag(series, ConvergenceConfig(tau=11, epsilon=0.02))
+    verdict = convergence_flag(series, tau=11, epsilon=0.02)
     assert not verdict.flagged
-    verdict_wider = convergence_flag(series, ConvergenceConfig(tau=12, epsilon=0.02))
+    verdict_wider = convergence_flag(series, tau=12, epsilon=0.02)
     assert verdict_wider.flagged
 
 
@@ -73,10 +73,10 @@ def test_monotonicity_properties():
         series = np.clip(np.cumsum(rng.normal(0, 0.03, size=m)) + 0.5, 0, 1)
         e1, e2 = sorted(rng.uniform(0.001, 0.2, size=2))
         t1, t2 = sorted(rng.integers(2, 80, size=2))
-        if convergence_flag(series, ConvergenceConfig(tau=50, epsilon=float(e2))).flagged:
-            assert convergence_flag(series, ConvergenceConfig(tau=50, epsilon=float(e1))).flagged
-        if convergence_flag(series, ConvergenceConfig(tau=int(t1), epsilon=0.02)).flagged:
-            assert convergence_flag(series, ConvergenceConfig(tau=int(t2), epsilon=0.02)).flagged
+        if convergence_flag(series, tau=50, epsilon=float(e2)).flagged:
+            assert convergence_flag(series, tau=50, epsilon=float(e1)).flagged
+        if convergence_flag(series, tau=int(t1), epsilon=0.02).flagged:
+            assert convergence_flag(series, tau=int(t2), epsilon=0.02).flagged
 
 
 def test_constant_tail_unflags():
@@ -85,7 +85,7 @@ def test_constant_tail_unflags():
     for _ in range(20):
         head = list(np.clip(rng.normal(0.5, 0.2, size=40), 0, 1))
         series = head + [head[-1]] * tau
-        verdict = convergence_flag(series, ConvergenceConfig(tau=tau, epsilon=0.02))
+        verdict = convergence_flag(series, tau=tau, epsilon=0.02)
         assert not verdict.flagged
 
 
@@ -110,7 +110,7 @@ def _batch_dataset():
 
 
 def _trait_verdict(ds, forest, trait):
-    return convergence_flag(cumulative_estimates(included_sample(ds, forest, trait)).values)
+    return convergence_flag(cumulative_estimates(included_sample(ds, forest, trait)))
 
 
 def _converge_section(ds, out_dir, traits=None):
@@ -122,7 +122,7 @@ def test_batch_verdicts(tmp_path):
     ds = _batch_dataset()
     forest = build_forest(ds)
     assert _trait_verdict(ds, forest, "hiv") == _trait_verdict(ds, forest, "hiv")
-    with pytest.raises(EmptySeries):  # all-missing trait has an empty series
+    with pytest.raises(EmptySample):  # all-missing trait has no included sample
         _trait_verdict(ds, forest, "emp")
     # the report collapses the repeated trait and records the empty one
     per_trait = _converge_section(ds, tmp_path, traits=("hiv", "hiv", "emp"))

@@ -34,7 +34,7 @@ def _vh(members):
     """The inverse-degree estimate of (has_trait, degree) pairs: the last
     cumulative estimate."""
     sample = _sample([d for _, d in members], [flag for flag, _ in members])
-    return cumulative_estimates(sample).final
+    return cumulative_estimates(sample)[-1]
 
 
 def test_vh_equal_degrees_is_sample_proportion():
@@ -59,7 +59,7 @@ def test_vh_errors():
     ds, forest = _chain([True, True, False], degrees=[0, None, 2])
     sample = included_sample(ds, forest, "hiv")
     assert sample.ids == ("R3",)
-    assert cumulative_estimates(sample).final == 0.0
+    assert cumulative_estimates(sample)[-1] == 0.0
 
 
 @pytest.mark.parametrize("scale", [0.5, 2.0, 17.0, 1e6])
@@ -85,32 +85,33 @@ def _chain(trait_pattern, degrees=None):
 
 def test_cumulative_series_hand_fixture():
     ds, forest = _chain([True, False, False, True])
-    series = cumulative_estimates(included_sample(ds, forest, "hiv"))
-    assert series.orders == (2, 3, 4, 5)
-    assert series.values == pytest.approx((1.0, 0.5, 1 / 3, 0.5), abs=1e-15)
-    assert series.final == pytest.approx(0.5)
+    sample = included_sample(ds, forest, "hiv")
+    values = cumulative_estimates(sample)
+    assert sample.orders.tolist() == [2, 3, 4, 5]
+    assert values.tolist() == pytest.approx([1.0, 0.5, 1 / 3, 0.5], abs=1e-15)
+    assert values[-1] == pytest.approx(0.5)
 
 
 def test_cumulative_final_equals_vh_of_included():
     ds, forest = _chain([True, True, False, True, False], degrees=[2, 5, 1, 3, 4])
-    series = cumulative_estimates(included_sample(ds, forest, "hiv"))
+    values = cumulative_estimates(included_sample(ds, forest, "hiv"))
     direct = (1 / 2 + 1 / 5 + 1 / 3) / (1 / 2 + 1 / 5 + 1 / 1 + 1 / 3 + 1 / 4)
-    assert series.final == pytest.approx(direct, abs=1e-15)
+    assert values[-1] == pytest.approx(direct, abs=1e-15)
 
 
 def test_seeds_only_series_empty():
     ds = make_dataset([make_respondent("S", 1, degree=2, traits={"hiv": "yes"})])
     forest = build_forest(ds)
-    series = cumulative_estimates(included_sample(ds, forest, "hiv"))
-    assert len(series) == 0
-    with pytest.raises(EmptySample):
-        series.final
+    sample = included_sample(ds, forest, "hiv")
+    assert len(sample) == 0
+    with pytest.raises(EmptySample, match="no included respondents for trait 'hiv'"):
+        cumulative_estimates(sample)
 
 
 def _per_tree_estimates(ds, forest):
     """Mapping root -> (tree estimate, n_s) from the per-tree series."""
     series = per_tree_series(included_sample(ds, forest, "hiv"))
-    return {root: (s.final, len(s)) for root, s in series.items()}
+    return {root: (values[-1], len(values)) for root, (_, values) in series.items()}
 
 
 def test_per_tree_estimates():
@@ -136,9 +137,9 @@ def test_per_tree_all_missing_tree_omitted():
 def test_single_tree_estimate_equals_overall():
     ds, forest = _chain([True, False, True], degrees=[3, 2, 6])
     per_tree = _per_tree_estimates(ds, forest)
-    series = cumulative_estimates(included_sample(ds, forest, "hiv"))
+    values = cumulative_estimates(included_sample(ds, forest, "hiv"))
     (est, n_s), = per_tree.values()
-    assert est == pytest.approx(series.final, abs=1e-15)
+    assert est == pytest.approx(values[-1], abs=1e-15)
     assert n_s == 3
 
 
@@ -164,7 +165,7 @@ def test_ss_weights_property(members, factors):
     y = np.array([flag for _, flag in members], dtype=float)
     n = len(members)
     sizes = sorted({n, *(int(n * f) for f in factors)})
-    vh = cumulative_estimates(_sample(degrees, y)).final
+    vh = cumulative_estimates(_sample(degrees, y))[-1]
     order = np.argsort(degrees, kind="stable")
     ratios, gaps = [], []
     for size in sizes:
@@ -241,7 +242,7 @@ def test_ss_vh_table_empty_traits(tmp_path):
 
 def test_ss_large_population_approaches_vh():
     ds, forest = _chain([True, True, False, False] * 10, degrees=[1, 4, 2, 4] * 10)
-    vh = cumulative_estimates(included_sample(ds, forest, "hiv")).final
+    vh = cumulative_estimates(included_sample(ds, forest, "hiv"))[-1]
     est = ss_estimate(included_sample(ds, forest, "hiv"), 40_000)
     assert abs(est - vh) < 0.01
 
