@@ -18,7 +18,15 @@ from typing import TYPE_CHECKING, Any, Callable, Optional, Sequence
 from .dataset import StudyDataset, load_dataset, save_dataset, validate_dataset
 from .errors import RdsError, UnrealizableConfig
 from .forest import build_forest
-from .report import ALL_SECTIONS, PipelineConfig, _json_text, _num, dataset_summary, run_pipeline
+from .report import (
+    ALL_SECTIONS,
+    PipelineConfig,
+    _json_text,
+    _make_out_dir,
+    _num,
+    dataset_summary,
+    run_pipeline,
+)
 
 # ``rdsdiag.sim`` is imported inside the functions that use it, so that the
 # diagnostic commands do not load the simulator
@@ -284,7 +292,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     net = generate_network(net_cfg, rng_seed=sim_cfg.rng_seed)
     result = simulate_rds(net, sim_cfg)
     out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    _make_out_dir(out)
     save_dataset(
         result.dataset,
         out / "respondents.csv",

@@ -108,6 +108,16 @@ class Respondent:
     def is_seed(self) -> bool:
         return self.coupon_in is None
 
+    @property
+    def known_participants(self) -> Optional[int]:
+        """The number of contacts already in the study, capped at one less
+        than the age-eligible contacts (and at least 0); None when either
+        answer is missing."""
+        fu, q_age = self.followup, self.degree.q_age
+        if fu is None or fu.n_known_participants is None or q_age is None:
+            return None
+        return min(fu.n_known_participants, max(q_age - 1, 0))
+
 
 @dataclass(frozen=True)
 class StudyDataset:
@@ -556,18 +566,16 @@ def _check_structure(
 
 def validate_dataset(ds: StudyDataset) -> ValidationReport:
     """Count funnel violations, known-participants answers above the cap
-    that ``finitepop.known_participants`` applies, logically inconsistent
+    that ``Respondent.known_participants`` applies, logically inconsistent
     reachability answers and missing trait answers.  Reporting only:
     nothing raises and nothing is changed."""
-    from .finitepop import known_participants  # finitepop imports this module
-
     report = ValidationReport()
     for r in ds.respondents:
         if r.degree.funnel_violated():
             report.funnel_violations += 1
         if reach_inconsistent(r):
             report.inconsistent_reach += 1
-        known = known_participants(r)
+        known = r.known_participants
         if known is not None and known < r.followup.n_known_participants:
             report.truncations_applied += 1
         for spec in ds.trait_specs:

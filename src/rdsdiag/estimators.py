@@ -189,8 +189,11 @@ def ss_inclusion_weights(
     1/(1 - e^-x) > 1/x; at lam_hi = -log1p(-n/N)/min(d) every pi is at least
     n/N, so the sum is at most N.  The root is found by bisection in
     log(lam), down to adjacent floats, so the weights keep their relative
-    accuracy however large N is.  In the census (N = n) and with a single
-    degree class the root gives equal weights N/n.
+    accuracy however large N is.  Once N is so large that the excess at
+    lam_lo, about n/(2N), is below float resolution, the sum there no longer
+    rounds above N, and the weights at lam_lo are returned: they are the
+    inverse-degree weights to float precision.  In the census (N = n) and
+    with a single degree class the root gives equal weights N/n.
 
     Returns (weights aligned with ``degrees``, converged flag); bisection
     on a valid bracket always converges, so the flag is always True.
@@ -203,10 +206,15 @@ def ss_inclusion_weights(
     def weights(log_lam: float) -> np.ndarray:
         return -1.0 / np.expm1(-np.exp(log_lam) * degrees)
 
+    def excess(log_lam: float) -> float:
+        return weights(log_lam).sum() / population_size - 1.0
+
     lo = np.log(np.sum(1.0 / degrees) / population_size)
     hi = np.log(-np.log1p(-n / population_size) / degrees.min())
-    log_lam = _bisect(lambda t: weights(t).sum() / population_size - 1.0, lo, hi, xtol=1e-15)
-    return weights(log_lam), True
+    f_lo = excess(lo)
+    if f_lo <= 0.0:
+        return weights(lo), True
+    return weights(_bisect(excess, lo, hi, xtol=1e-15, f_lo=f_lo)), True
 
 
 def ss_estimate(sample: IncludedSample, population_size: int) -> float:

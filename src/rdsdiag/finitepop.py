@@ -5,11 +5,9 @@ of contacts already in the study."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
-
 import numpy as np
 
-from .dataset import Respondent, StudyDataset
+from .dataset import StudyDataset
 from .errors import InsufficientData, NoData
 
 
@@ -57,25 +55,15 @@ def failed_attempts_indicator(
     )
 
 
-def known_participants(r: Respondent) -> Optional[int]:
-    """The respondent's number of contacts already in the study, capped at
-    one less than their age-eligible contacts (and at least 0); None when
-    either answer is missing."""
-    fu, q_age = r.followup, r.degree.q_age
-    if fu is None or fu.n_known_participants is None or q_age is None:
-        return None
-    return min(fu.n_known_participants, max(q_age - 1, 0))
-
-
 def participants_known_trend(ds: StudyDataset) -> ParticipantsKnownTrend:
     """Least-squares slope of the proportion of contacts already in the
-    study, ``known_participants`` over age-eligible contacts, against
-    interview order; positive slopes flag.  Respondents with zero reported
-    contacts are excluded and counted."""
+    study, ``Respondent.known_participants`` over age-eligible contacts,
+    against interview order; positive slopes flag.  Respondents with zero
+    reported contacts are excluded and counted."""
     orders, props = [], []
     excluded = 0
     for r in ds.respondents:
-        known = known_participants(r)
+        known = r.known_participants
         if known is None:
             continue
         if r.degree.q_age == 0:

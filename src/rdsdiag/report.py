@@ -63,6 +63,13 @@ class PipelineConfig:
             raise UnrealizableConfig(f"seed must be >= 0, got {self.rng_seed}")
         if not 0 <= self.threshold <= 1:
             raise UnrealizableConfig(f"threshold must be in [0, 1], got {self.threshold}")
+        for size in self.population_sizes:
+            try:
+                finite = math.isfinite(size)
+            except OverflowError:  # an int beyond the largest float
+                finite = False
+            if not finite:
+                raise UnrealizableConfig(f"population size {size} is too large for a float")
         convergence._check_window(self.tau, self.epsilon)
 
 
@@ -122,7 +129,7 @@ class _Writer:
     def __init__(self, out_dir: Path):
         self.out_dir = out_dir
         self.manifest: dict[str, str] = {}
-        out_dir.mkdir(parents=True, exist_ok=True)
+        _make_out_dir(out_dir)
 
     def write_text(self, name: str, text: str) -> None:
         data = text.encode("utf-8")
@@ -135,6 +142,18 @@ class _Writer:
         out.writerow(header)
         out.writerows([_csv_cell(v) for v in row] for row in rows)
         self.write_text(name, text.getvalue())
+
+
+def _make_out_dir(out_dir: Path) -> None:
+    """Create ``out_dir`` and its parents as needed; a path that cannot be
+    made a directory (a file is in the way, or no permission) raises
+    ``UnrealizableConfig`` naming it."""
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        # mkdir(exist_ok=True) raises FileExistsError for a file at out_dir
+        reason = "Not a directory" if isinstance(exc, FileExistsError) else exc.strerror
+        raise UnrealizableConfig(f"cannot create output directory {out_dir}: {reason}") from None
 
 
 def _csv_cell(v: Any) -> str:
@@ -239,9 +258,16 @@ def run_pipeline(ds: StudyDataset, cfg: PipelineConfig) -> ReportBundle:
 
 def _check_figure_names(traits: Sequence[str]) -> None:
     """Raise, before any output is written, when two traits would write their
-    figures to one file name."""
+    figures to one file name, or a trait's longest figure name,
+    ``convergence_<name>.svg``, is too long for a file name."""
     owner: dict[str, str] = {}
     for trait in traits:
+        size = len(f"convergence_{_safe_name(trait)}.svg".encode("utf-8"))
+        if size > 255:  # the longest file name most file systems take
+            raise UnrealizableConfig(
+                f"trait {trait!r} is too long for a figure file name "
+                f"({size} bytes in UTF-8, at most 255)"
+            )
         first = owner.setdefault(_safe_name(trait), trait)
         if first != trait:
             raise UnrealizableConfig(

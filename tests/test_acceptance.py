@@ -23,7 +23,7 @@ from rdsdiag.estimators import (
     included_sample,
     ss_estimate,
 )
-from rdsdiag.finitepop import known_participants, participants_known_trend
+from rdsdiag.finitepop import participants_known_trend
 from rdsdiag.forest import build_forest
 from rdsdiag.report import PipelineConfig, run_pipeline
 from rdsdiag.sim import NetworkConfig, SimConfig, TraitRule, generate_network, simulate_rds
@@ -440,7 +440,7 @@ def test_criterion_10_truncation_rule():
     report = validate_dataset(ds)
     first_ok = report.truncations_applied == 1
     # the trend reads S's 9 as 3: proportions 3/4 and 3/6 (9/4 uncapped)
-    capped = [known_participants(r) for r in ds.respondents] == [3, 3] and math.isclose(
+    capped = [r.known_participants for r in ds.respondents] == [3, 3] and math.isclose(
         participants_known_trend(ds).slope, 3 / 6 - 3 / 4
     )
     # validation only counts: the study keeps its answers and a second pass
@@ -459,13 +459,13 @@ def test_criterion_10_truncation_rule():
         net, SimConfig(target_n=100, seed_count=5, followup_prob=1.0, rng_seed=3)
     ).dataset
     sim_capped = all(
-        known_participants(r) is None
-        or known_participants(r) <= max(r.degree.q_age - 1, 0)
+        r.known_participants is None
+        or r.known_participants <= max(r.degree.q_age - 1, 0)
         for r in sim_ds.respondents
     ) and validate_dataset(sim_ds).truncations_applied == sum(
-        known_participants(r) != r.followup.n_known_participants
+        r.known_participants != r.followup.n_known_participants
         for r in sim_ds.respondents
-        if known_participants(r) is not None
+        if r.known_participants is not None
     )
     ok = first_ok and capped and unchanged and sim_capped
     _report(10, ok, "cap applied where read, each capped answer counted by validation")

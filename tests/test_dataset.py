@@ -30,7 +30,6 @@ from rdsdiag.errors import (
     RdsError,
     UnknownTrait,
 )
-from rdsdiag.finitepop import known_participants
 
 TRAITS_CSV = "name,reference_level\nhiv,yes\n"
 
@@ -260,7 +259,7 @@ def test_validate_truncates_known_participants():
     )
     ds = make_dataset([r])
     assert validate_dataset(ds).truncations_applied == 1
-    assert known_participants(ds.by_id("S1")) == 4
+    assert ds.by_id("S1").known_participants == 4
     assert ds.by_id("S1").followup.n_known_participants == 8
 
 

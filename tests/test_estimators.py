@@ -247,6 +247,28 @@ def test_ss_large_population_approaches_vh():
     assert abs(est - vh) < 0.01
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    members=st.lists(
+        st.tuples(st.integers(1, 10_000), st.booleans()), min_size=2, max_size=60
+    ),
+    exponent=st.floats(15.0, 308.0),
+)
+def test_ss_weights_at_huge_population(members, exponent):
+    # from about N = 1e16 the excess at the lower bracket end, about n/(2N),
+    # is below float resolution; the weights there are returned
+    degrees = np.array([d for d, _ in members], dtype=float)
+    y = np.array([flag for _, flag in members], dtype=float)
+    population_size = int(10.0**exponent)
+    weights, converged = ss_inclusion_weights(degrees, population_size)
+    assert converged
+    assert np.all(np.isfinite(weights)) and np.all(weights > 0)
+    # exp(log(lam)) at log(lam) near -700 loses about 700 ulps
+    assert abs(weights.sum() / population_size - 1.0) <= 1e-11
+    ss = float((weights * y).sum() / weights.sum())
+    assert abs(ss - cumulative_estimates(_sample(degrees, y))[-1]) <= 1e-12
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     st.lists(

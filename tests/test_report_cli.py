@@ -802,3 +802,76 @@ def test_cli_report_deep_chain(capsys, tmp_path):
                  "--replicates", "50"]) == 0
     assert json.loads(capsys.readouterr().out)["dataset"]["max_wave"] == depth
     assert (out_dir / "chains.svg").read_text().count("<circle") == depth + 1
+
+
+SECTION_COMMANDS = ("report", "estimate", "converge", "bottleneck", "behavior", "degree",
+                    "finitepop")
+
+
+@pytest.mark.parametrize("command", [*SECTION_COMMANDS, "simulate"])
+@pytest.mark.parametrize("below", ["", "sub"], ids=["file", "below-file"])
+def test_cli_out_dir_that_cannot_be_a_directory(cli_study, capsys, tmp_path, command, below):
+    blocker = tmp_path / "F"
+    blocker.write_text("keep\n")
+    out_dir = blocker / below if below else blocker
+    if command == "simulate":
+        args = ["--scenario", str(cli_study.parent / "scenario.txt")]
+    else:
+        args = [*_dataset_args(cli_study), "--replicates", "50"]
+    assert main([command, *args, "--out-dir", str(out_dir)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and str(out_dir) in captured.err
+    assert captured.out == ""
+    assert blocker.read_text() == "keep\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["F"]
+
+
+def _study_with_trait(tmp_path, capsys, name):
+    scenario = tmp_path / "scenario.txt"
+    scenario.write_text(SCENARIO + f"trait.{name}=block:0\n")
+    study = tmp_path / "study"
+    assert main(["simulate", "--scenario", str(scenario), "--out-dir", str(study)]) == 0
+    capsys.readouterr()
+    return study
+
+
+@pytest.mark.parametrize("name", ["t" * 240, "t" * 300, "é" * 120],
+                         ids=["256-bytes", "300-chars", "two-byte-chars"])
+def test_cli_trait_too_long_for_a_file_name(capsys, tmp_path, name):
+    # convergence_<name>.svg, the longest figure name, is over 255 bytes
+    study = _study_with_trait(tmp_path, capsys, name)
+    for command in ("report", "converge", "bottleneck"):
+        out_dir = tmp_path / command
+        assert main([command, *_dataset_args(study), "--out-dir", str(out_dir)]) == 3
+        assert f"trait {name!r} is too long" in capsys.readouterr().err
+        assert not out_dir.exists()
+    assert main(["estimate", *_dataset_args(study), "--out-dir", str(tmp_path / "e")]) == 0
+
+
+def test_cli_trait_at_the_file_name_limit(capsys, tmp_path):
+    name = "t" * 239  # convergence_<name>.svg is 255 bytes
+    study = _study_with_trait(tmp_path, capsys, name)
+    out_dir = tmp_path / "o"
+    assert main(["converge", *_dataset_args(study), "--out-dir", str(out_dir),
+                 "--trait", name]) == 0
+    assert (out_dir / f"convergence_{name}.svg").exists()
+
+
+def test_cli_population_size_beyond_float_precision(cli_study, capsys, tmp_path):
+    # 1e16 and 1e308 put the SS excess below float resolution; SS equals VH
+    for size in (10**16, 10**308):
+        assert main(["estimate", *_dataset_args(cli_study), "--out-dir", str(tmp_path / "o"),
+                     "--population-size", str(size)]) == 0
+        for entry in json.loads(capsys.readouterr().out)["per_trait"].values():
+            (scenario,) = entry["ss"]
+            assert scenario["population_size"] == size
+            assert scenario["ss"] == entry["vh"] and not scenario["flagged"]
+
+
+def test_cli_population_size_too_large_for_a_float(cli_study, capsys, tmp_path):
+    out_dir = tmp_path / "o"
+    code = main(["report", *_dataset_args(cli_study), "--out-dir", str(out_dir),
+                 "--population-size", str(10**400)])
+    assert code == 3
+    assert "is too large for a float" in capsys.readouterr().err
+    assert not out_dir.exists()
