@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_dataset, make_respondent
 from rdsdiag.convergence import convergence_flag
@@ -77,6 +79,33 @@ def test_monotonicity_properties():
             assert convergence_flag(series, tau=50, epsilon=float(e1)).flagged
         if convergence_flag(series, tau=int(t1), epsilon=0.02).flagged:
             assert convergence_flag(series, tau=int(t2), epsilon=0.02).flagged
+
+
+def _loop_verdict(values, tau, epsilon):
+    """The window rule one offset at a time, as (flagged, first offset, max
+    deviation)."""
+    m, final = len(values), values[-1]
+    max_dev, first_offset = 0.0, None
+    for t in range(1, min(tau - 1, m - 1) + 1):
+        dev = abs(values[m - 1 - t] - final)
+        max_dev = max(max_dev, dev)
+        if first_offset is None and dev > epsilon:
+            first_offset = t
+    return max_dev > epsilon, first_offset, max_dev
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    values=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=120),
+    tau=st.integers(1, 130),
+    epsilon=st.floats(1e-6, 0.5),
+)
+def test_window_matches_loop(values, tau, epsilon):
+    verdict = convergence_flag(np.array(values), tau=tau, epsilon=epsilon)
+    assert (verdict.flagged, verdict.first_violation_offset, verdict.max_deviation) == (
+        _loop_verdict(values, tau, epsilon)
+    )
+    assert type(verdict.flagged) is bool and type(verdict.max_deviation) is float
 
 
 def test_constant_tail_unflags():

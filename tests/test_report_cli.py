@@ -804,11 +804,8 @@ def test_cli_report_deep_chain(capsys, tmp_path):
     assert (out_dir / "chains.svg").read_text().count("<circle") == depth + 1
 
 
-SECTION_COMMANDS = ("report", "estimate", "converge", "bottleneck", "behavior", "degree",
-                    "finitepop")
-
-
-@pytest.mark.parametrize("command", [*SECTION_COMMANDS, "simulate"])
+@pytest.mark.parametrize("command", ["report", "estimate", "converge", "bottleneck", "behavior",
+                                     "degree", "finitepop", "simulate"])
 @pytest.mark.parametrize("below", ["", "sub"], ids=["file", "below-file"])
 def test_cli_out_dir_that_cannot_be_a_directory(cli_study, capsys, tmp_path, command, below):
     blocker = tmp_path / "F"
