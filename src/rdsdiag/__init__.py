@@ -10,7 +10,7 @@ from .dataset import (
     validate_dataset,
 )
 from .estimators import IncludedSample, included_sample, ss_estimate
-from .forest import RecruitmentForest, build_forest
+from .forest import RecruitmentForest
 from .report import PipelineConfig, ReportBundle, run_pipeline
 
 __version__ = "0.1.0"
@@ -29,7 +29,6 @@ __all__ = [
     "SimConfig",
     "StudyDataset",
     "TraitSpec",
-    "build_forest",
     "convergence_flag",
     "generate_network",
     "included_sample",

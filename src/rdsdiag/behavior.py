@@ -20,7 +20,6 @@ import numpy as np
 from .dataset import Respondent, StudyDataset
 from .errors import DegenerateTable, NoData, NoEligibleRecruiters
 from .estimators import _bisect, _quantile
-from .forest import RecruitmentForest
 
 
 # ---------------------------------------------------------------------------
@@ -97,16 +96,14 @@ class EffectivenessResult:
     n_negative: int
 
 
-def recruitment_effectiveness(
-    ds: StudyDataset, forest: RecruitmentForest, trait: str
-) -> EffectivenessResult:
+def recruitment_effectiveness(ds: StudyDataset, trait: str) -> EffectivenessResult:
     """Mean recruit counts among trait-positive vs trait-negative
     respondents, with their ratio."""
     pos: list[int] = []
     neg: list[int] = []
     for r, flag in zip(ds.respondents, ds.indicators(trait)):
         if flag is not None:
-            (pos if flag else neg).append(len(forest.recruits(r.id)))
+            (pos if flag else neg).append(len(ds.forest.recruits(r.id)))
     mean_pos = float(np.mean(pos)) if pos else math.nan
     mean_neg = float(np.mean(neg)) if neg else math.nan
     defined = bool(neg) and mean_neg > 0 and bool(pos)
@@ -151,7 +148,7 @@ def _recipient_flags(r: Respondent) -> list[bool]:
     ]
 
 
-def _bias_eligible(ds: StudyDataset, forest: RecruitmentForest) -> list[_RecruiterData]:
+def _bias_eligible(ds: StudyDataset) -> list[_RecruiterData]:
     """Recruiters with employment data on all three levels: employed
     age-eligible contacts, employed coupon recipients and employed recruits.
     Recruiters reporting more employed contacts than contacts are logically
@@ -165,7 +162,7 @@ def _bias_eligible(ds: StudyDataset, forest: RecruitmentForest) -> list[_Recruit
         recips = _recipient_flags(r)
         if not recips:
             continue
-        recruit_vals = [ds.by_id(cid).employed for cid in forest.recruits(r.id)]
+        recruit_vals = [ds.by_id(cid).employed for cid in ds.forest.recruits(r.id)]
         recruit_vals = [v for v in recruit_vals if v is not None]
         if not recruit_vals:
             continue
@@ -175,10 +172,10 @@ def _bias_eligible(ds: StudyDataset, forest: RecruitmentForest) -> list[_Recruit
     return eligible
 
 
-def recruitment_bias_levels(ds: StudyDataset, forest: RecruitmentForest) -> BiasLevels:
+def recruitment_bias_levels(ds: StudyDataset) -> BiasLevels:
     """Equal-recruiter-weight averages of the employed fraction among
     contacts, coupon recipients, and recruits."""
-    eligible = _bias_eligible(ds, forest)
+    eligible = _bias_eligible(ds)
     if not eligible:
         raise NoEligibleRecruiters("no recruiters with data on all three levels")
     return BiasLevels(
@@ -232,11 +229,7 @@ def _srs_quantile_rank(pools: list[tuple[int, int, int, int]], observed: int) ->
     return min(1.0, float(pmf[support < observed].sum() + 0.5 * pmf[support == observed].sum()))
 
 
-def recruitment_bias_tests(
-    ds: StudyDataset,
-    forest: RecruitmentForest,
-    threshold: float = 0.90,
-) -> BiasTestResults:
+def recruitment_bias_tests(ds: StudyDataset, threshold: float = 0.90) -> BiasTestResults:
     """Exact SRS reference tests at three levels: coupon passing (recipients
     drawn from contacts), returning coupons (recruits drawn from recipients),
     and overall (recruits drawn from contacts).
@@ -245,7 +238,7 @@ def recruitment_bias_tests(
     positives, more negatives, or more draws than the pool holds) are
     logically inconsistent for that level: they are excluded from the test
     and their proportion is reported alongside."""
-    eligible = _bias_eligible(ds, forest)
+    eligible = _bias_eligible(ds)
     if not eligible:
         raise NoEligibleRecruiters("no recruiters with data on all three levels")
 
@@ -300,7 +293,7 @@ class NonResponseRates:
     n_impossible_excluded: int
 
 
-def nonresponse_rates(ds: StudyDataset, forest: RecruitmentForest) -> NonResponseRates:
+def nonresponse_rates(ds: StudyDataset) -> NonResponseRates:
     """Coupon-refusal, non-return, and total non-response rates over
     follow-up completers.  Recruits are counted from redeemed coupons, not
     self-report; recruiters whose redeemed count exceeds their reported
@@ -311,7 +304,7 @@ def nonresponse_rates(ds: StudyDataset, forest: RecruitmentForest) -> NonRespons
         fu = r.followup
         if fu is None or fu.n_coupons_distributed is None or fu.n_refusals is None:
             continue
-        recruits = len(forest.recruits(r.id))
+        recruits = len(ds.forest.recruits(r.id))
         if recruits > fu.n_coupons_distributed:
             impossible += 1
             continue

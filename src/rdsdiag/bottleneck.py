@@ -133,11 +133,15 @@ def wsd_permutation_tests(
     threshold: float = 0.90,
     rng_seed: int = 0,
 ) -> list[PermutationResult | TooFewTrees]:
-    """``wsd_permutation_test`` of each sample, in order; a sample with fewer
-    than two trees gets its ``TooFewTrees`` in place of a result.
+    """Permutation reference for the weighted squared deviation of each
+    sample, in order; a sample with fewer than two trees gets its
+    ``TooFewTrees`` in place of a result.
 
-    Each included size's replicates are drawn once, and every sample of that
-    size is evaluated on a block of them before the next block is drawn."""
+    Flagging uses strict exceedance of the threshold quantile: ties between
+    the observed statistic and replicate values never flag.  Deterministic
+    given ``rng_seed``: each included size's replicates are drawn once, in
+    order, from one stream seeded by it, and every sample of that size is
+    evaluated on a block of them before the next block is drawn."""
     if replicates < 1:
         raise ValueError(f"replicates must be at least 1, got {replicates}")
     if rng_seed < 0:
@@ -175,20 +179,3 @@ def wsd_permutation_tests(
         for i, case in enumerate(cases)
     ]
 
-
-def wsd_permutation_test(
-    sample: IncludedSample,
-    replicates: int = 10_000,
-    threshold: float = 0.90,
-    rng_seed: int = 0,
-) -> PermutationResult:
-    """Permutation reference for the weighted squared deviation.
-
-    Flagging uses strict exceedance of the threshold quantile: ties between
-    the observed statistic and replicate values never flag.  Deterministic
-    given ``rng_seed``: the replicates are drawn in order from one stream
-    seeded by it, the same for every sample of this included size."""
-    (result,) = wsd_permutation_tests([sample], replicates, threshold, rng_seed)
-    if isinstance(result, TooFewTrees):
-        raise result
-    return result

@@ -17,7 +17,6 @@ from typing import TYPE_CHECKING, Any, Callable, Optional, Sequence
 
 from .dataset import StudyDataset, load_dataset, save_dataset, validate_dataset
 from .errors import RdsError, UnrealizableConfig
-from .forest import build_forest
 from .report import (
     ALL_SECTIONS,
     PipelineConfig,
@@ -181,7 +180,7 @@ def _emit(payload: Any) -> None:
 
 def _cmd_ingest(args: argparse.Namespace) -> int:
     ds = _load_study(args)
-    summary = dataset_summary(ds, build_forest(ds), validate_dataset(ds))
+    summary = dataset_summary(ds, validate_dataset(ds))
     validation = summary.pop("validation")
     _emit({**summary, **validation, "warnings": ds.repairs})
     return 0

@@ -21,6 +21,7 @@ from datetime import date
 from pathlib import Path
 from typing import Iterable, Mapping, Optional, Sequence
 
+from . import forest as _forest
 from .errors import (
     CycleDetected,
     DanglingCoupon,
@@ -32,6 +33,7 @@ from .errors import (
     NonContiguousOrder,
     RdsError,
     UnknownTrait,
+    UnrealizableConfig,
 )
 
 DEGREE_QUESTIONS = ("q_know", "q_province", "q_age", "q_seen_week")
@@ -148,6 +150,11 @@ class StudyDataset:
     @functools.cached_property
     def _specs(self) -> dict[str, TraitSpec]:
         return {s.name: s for s in self.trait_specs}
+
+    @functools.cached_property
+    def forest(self) -> _forest.RecruitmentForest:
+        """The recruitment trees of the coupon links, built on first use."""
+        return _forest.build_forest(self)
 
     def seeds(self) -> list[Respondent]:
         return [r for r in self.respondents if r.is_seed]
@@ -337,10 +344,14 @@ def _padded(values: Sequence, n: int) -> list:
 
 
 def _write_csv(path: Path | str, header: Sequence[str], rows: Iterable[Sequence[str]]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+    """A failed write raises ``UnrealizableConfig`` naming ``path``."""
+    try:
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            writer.writerows(rows)
+    except OSError as exc:
+        raise UnrealizableConfig(f"cannot write {path}: {exc.strerror}") from None
 
 
 def _cell_reader(row: Mapping[str, str], path: Path, record: str):
@@ -609,7 +620,8 @@ def save_dataset(
 ) -> None:
     """Write the dataset as the CSVs ``load_dataset`` reads.  A respondent
     holding more coupons than the allotment, or more refusal reasons than
-    their five slots, raises ``RdsError`` before any file is written."""
+    their five slots, raises ``RdsError`` before any file is written; a file
+    that cannot be written raises ``UnrealizableConfig`` naming it."""
     k = ds.coupon_allotment
     for r in ds.respondents:
         fu = r.followup or FollowUpRecord()

@@ -27,7 +27,7 @@ from .estimators import (
     _quantile,
     inverse_degree_estimates,
 )
-from .forest import RecruitmentForest, interview_gap_days
+from .forest import interview_gap_days
 
 TREND_METHODS = ("linear", "log-linear", "theil-sen", "kendall-tau", "spearman-rho")
 
@@ -86,7 +86,7 @@ class TimeWindowStats:
     share_gap_within_7day: float
 
 
-def time_window_stats(ds: StudyDataset, forest: RecruitmentForest) -> TimeWindowStats:
+def time_window_stats(ds: StudyDataset) -> TimeWindowStats:
     """Three summaries of whether the one-week degree recall window fits the
     observed recruitment tempo."""
     frac_day: list[float] = []
@@ -113,7 +113,7 @@ def time_window_stats(ds: StudyDataset, forest: RecruitmentForest) -> TimeWindow
         for c in r.followup.coupons
         if c.days_to_distribute is not None
     ]
-    gaps = [g for g in interview_gap_days(ds, forest) if g is not None]
+    gaps = [g for g in interview_gap_days(ds) if g is not None]
 
     def share(values: Sequence[int], limit: int) -> float:
         if not values:

@@ -23,7 +23,6 @@ import numpy as np
 
 from .dataset import StudyDataset
 from .errors import EmptySample, PopulationTooSmall
-from .forest import RecruitmentForest
 
 DEFAULT_DEGREE_QUESTION = "q_seen_week"
 
@@ -50,12 +49,10 @@ class IncludedSample:
 
 
 def included_sample(
-    ds: StudyDataset,
-    forest: RecruitmentForest,
-    trait: str,
-    degree_question: str = DEFAULT_DEGREE_QUESTION,
+    ds: StudyDataset, trait: str, degree_question: str = DEFAULT_DEGREE_QUESTION
 ) -> IncludedSample:
     """Build the included sample of ``trait`` in one pass over respondents."""
+    forest = ds.forest
     root_index = {root: i for i, root in enumerate(forest.roots)}
     members = []
     for r, flag in zip(ds.respondents, ds.indicators(trait)):

@@ -6,15 +6,17 @@ bottleneck test (``estimators.IncludedSample``); the waves and links draw the
 chains figure and the edge table and summarise the study's shape.
 
 A ``StudyDataset`` lists every recruiter before their recruits, so one pass
-in interview order builds the forest.
+in interview order builds the forest; ``StudyDataset.forest`` builds it once
+per study.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-from .dataset import StudyDataset
+if TYPE_CHECKING:  # dataset imports this module for StudyDataset.forest
+    from .dataset import StudyDataset
 
 
 @dataclass(frozen=True)
@@ -59,25 +61,24 @@ def build_forest(ds: StudyDataset) -> RecruitmentForest:
     )
 
 
-def edge_rows(forest: RecruitmentForest) -> list[tuple[str, str, int, str]]:
+def edge_rows(ds: StudyDataset) -> list[tuple[str, str, int, str]]:
     """One (child, parent, wave, tree root) row per recruitment link, by wave
     and then child id."""
+    forest = ds.forest
     return [
         (child, forest.parent[child], forest.wave[child], forest.tree_of[child])
         for child in sorted(forest.parent, key=lambda c: (forest.wave[c], c))
     ]
 
 
-def interview_gap_days(
-    ds: StudyDataset, forest: RecruitmentForest
-) -> list[Optional[int]]:
+def interview_gap_days(ds: StudyDataset) -> list[Optional[int]]:
     """Whole-day gaps between each recruit's interview and their recruiter's;
     None when either date is missing."""
     gaps: list[Optional[int]] = []
     for r in ds.respondents:
         if r.is_seed:
             continue
-        recruiter = ds.by_id(forest.parent[r.id])
+        recruiter = ds.by_id(ds.forest.parent[r.id])
         if r.interview_date is None or recruiter.interview_date is None:
             gaps.append(None)
         else:

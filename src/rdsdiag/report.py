@@ -24,7 +24,7 @@ from typing import Any, Callable, Optional, Sequence
 from . import behavior, bottleneck, convergence, degree, estimators, finitepop, svg
 from .dataset import DEGREE_QUESTIONS, StudyDataset, ValidationReport, validate_dataset
 from .errors import DataRequirementError, TooFewTrees, UnrealizableConfig
-from .forest import RecruitmentForest, build_forest, edge_rows
+from .forest import edge_rows
 
 SCHEMA_VERSION = "2.0"
 
@@ -132,8 +132,14 @@ class _Writer:
         _make_out_dir(out_dir)
 
     def write_text(self, name: str, text: str) -> None:
+        """Write one output file; a failed write raises ``UnrealizableConfig``
+        naming it."""
         data = text.encode("utf-8")
-        (self.out_dir / name).write_bytes(data)
+        path = self.out_dir / name
+        try:
+            path.write_bytes(data)
+        except OSError as exc:
+            raise UnrealizableConfig(f"cannot write {path}: {exc.strerror}") from None
         self.manifest[name] = hashlib.sha256(data).hexdigest()
 
     def write_csv(self, name: str, header: Sequence[str], rows: Sequence[Sequence[Any]]) -> None:
@@ -189,7 +195,6 @@ def run_pipeline(ds: StudyDataset, cfg: PipelineConfig) -> ReportBundle:
     ``{"skipped": reason}`` at the narrowest level it hits (trait,
     sub-diagnostic or section) instead of aborting the run."""
     report = validate_dataset(ds)
-    forest = build_forest(ds)
     traits = (
         tuple(dict.fromkeys(cfg.traits))
         if cfg.traits is not None
@@ -201,29 +206,25 @@ def run_pipeline(ds: StudyDataset, cfg: PipelineConfig) -> ReportBundle:
     # each trait's included sample is built once and shared by the sections;
     # an unknown trait raises on every lookup, so each entry records it
     sample_of = functools.cache(
-        functools.partial(
-            estimators.included_sample, ds, forest, degree_question=cfg.degree_question
-        )
+        functools.partial(estimators.included_sample, ds, degree_question=cfg.degree_question)
     )
     if "estimate" in cfg.sections:
         _check_population_sizes(traits, cfg.population_sizes, sample_of)
 
     writer = _Writer(Path(cfg.out_dir))
-    bundle = ReportBundle(
-        dataset_summary=dataset_summary(ds, forest, report), sections={}
-    )
+    bundle = ReportBundle(dataset_summary=dataset_summary(ds, report), sections={})
 
     writer.write_csv(
-        "edges.csv", ["child_id", "parent_id", "wave", "tree_root"], edge_rows(forest)
+        "edges.csv", ["child_id", "parent_id", "wave", "tree_root"], edge_rows(ds)
     )
-    _render_chains_figure(writer, ds, forest, traits)
+    _render_chains_figure(writer, ds, traits)
 
     runners = {
         "estimate": lambda: _section_estimate(writer, traits, cfg, sample_of),
         "converge": lambda: _section_converge(writer, traits, cfg, sample_of),
         "bottleneck": lambda: _section_bottleneck(writer, traits, cfg, sample_of),
-        "behavior": lambda: _section_behavior(writer, ds, forest, traits, cfg),
-        "degree": lambda: _section_degree(writer, ds, forest, traits, cfg, sample_of),
+        "behavior": lambda: _section_behavior(writer, ds, traits, cfg),
+        "degree": lambda: _section_degree(writer, ds, traits, cfg, sample_of),
         "finitepop": lambda: _section_finitepop(ds),
     }
     for name in cfg.sections:
@@ -294,17 +295,15 @@ def _lookup_flag(section: dict[str, Any], trait: str) -> Optional[bool]:
     return section.get("per_trait", {}).get(trait, {}).get("flagged")
 
 
-def dataset_summary(
-    ds: StudyDataset, forest: RecruitmentForest, report: ValidationReport
-) -> dict[str, Any]:
+def dataset_summary(ds: StudyDataset, report: ValidationReport) -> dict[str, Any]:
     """Size, shape and validation counts of the study, as the bundle and
     ``rdsdiag ingest`` report them."""
-    waves = [forest.wave[r.id] for r in ds.respondents]
+    waves = [ds.forest.wave[r.id] for r in ds.respondents]
     return {
         "site": ds.site_label,
         "n": ds.n,
         "n_seeds": len(ds.seeds()),
-        "n_trees": len(forest.roots),
+        "n_trees": len(ds.forest.roots),
         "max_wave": max(waves) if waves else 0,
         "coupon_allotment": ds.coupon_allotment,
         "traits": [s.name for s in ds.trait_specs],
@@ -322,17 +321,15 @@ def _safe_name(trait: str) -> str:
     return "".join(c if c.isalnum() or c in "-_" else "_" for c in trait)
 
 
-def _render_chains_figure(
-    writer: _Writer, ds: StudyDataset, forest: RecruitmentForest, traits: Sequence[str]
-) -> None:
+def _render_chains_figure(writer: _Writer, ds: StudyDataset, traits: Sequence[str]) -> None:
     """Chains coloured by the first requested trait the dataset defines."""
     defined = {s.name for s in ds.trait_specs}
     trait = next((t for t in traits if t in defined), None)
     figure = svg.chains(
         title=f"Recruitment chains: {ds.site_label}",
-        roots=forest.roots,
-        children=forest.children,
-        wave=forest.wave,
+        roots=ds.forest.roots,
+        children=ds.forest.children,
+        wave=ds.forest.wave,
         trait=dict(zip((r.id for r in ds.respondents), ds.indicators(trait))) if trait else {},
     )
     writer.write_text("chains.svg", figure)
@@ -443,11 +440,10 @@ def _section_bottleneck(writer, traits, cfg: PipelineConfig, sample_of) -> dict[
     return {"threshold": cfg.threshold, "per_trait": per_trait}
 
 
-def _section_behavior(writer, ds, forest, traits, cfg: PipelineConfig) -> dict[str, Any]:
+def _section_behavior(writer, ds, traits, cfg: PipelineConfig) -> dict[str, Any]:
     def effectiveness() -> dict[str, Any]:
         results = {
-            trait: _attempt(behavior.recruitment_effectiveness, ds, forest, trait)
-            for trait in traits
+            trait: _attempt(behavior.recruitment_effectiveness, ds, trait) for trait in traits
         }
         ran = [(trait, e) for trait, e in results.items() if _ran(e)]
         if ran:
@@ -464,8 +460,8 @@ def _section_behavior(writer, ds, forest, traits, cfg: PipelineConfig) -> dict[s
         return results
 
     def bias() -> dict[str, Any]:
-        levels = behavior.recruitment_bias_levels(ds, forest)
-        tests = behavior.recruitment_bias_tests(ds, forest, threshold=cfg.threshold)
+        levels = behavior.recruitment_bias_levels(ds)
+        tests = behavior.recruitment_bias_tests(ds, threshold=cfg.threshold)
         figure = svg.bars(
             title="Attribute share by level",
             labels=["contacts", "recipients", "recruits"],
@@ -500,15 +496,13 @@ def _section_behavior(writer, ds, forest, traits, cfg: PipelineConfig) -> dict[s
         "network_reciprocity": _attempt(behavior.network_reciprocity_stats, ds),
         "effectiveness": effectiveness(),
         "recruitment_bias": _attempt(bias),
-        "nonresponse": _attempt(behavior.nonresponse_rates, ds, forest),
+        "nonresponse": _attempt(behavior.nonresponse_rates, ds),
         "reasons": _attempt(behavior.reason_tables, ds),
         "motivation_outcome": _attempt(motivation_outcomes),
     }
 
 
-def _section_degree(
-    writer, ds, forest, traits, cfg: PipelineConfig, sample_of
-) -> dict[str, Any]:
+def _section_degree(writer, ds, traits, cfg: PipelineConfig, sample_of) -> dict[str, Any]:
     def estimate_sensitivity(trait: str) -> degree.SensitivityRow:
         return degree.estimate_sensitivity(ds, sample_of(trait), cfg.degree_question)
 
@@ -525,7 +519,7 @@ def _section_degree(
         return [r if _ran(r) else {"trait": trait, **r} for trait, r in rows.items()]
 
     return {
-        "time_windows": _attempt(degree.time_window_stats, ds, forest),
+        "time_windows": _attempt(degree.time_window_stats, ds),
         "test_retest": _attempt(degree.test_retest_stats, ds, cfg.degree_question),
         "sensitivity": _attempt(sensitivity),
         "trend": _attempt(

@@ -13,10 +13,11 @@ import pytest
 
 from conftest import followup, make_dataset, make_respondent
 from rdsdiag.behavior import exact_odds_ratio_interval, nonresponse_rates
-from rdsdiag.bottleneck import wsd_permutation_test
+from rdsdiag.bottleneck import wsd_permutation_tests
 from rdsdiag.convergence import convergence_flag
 from rdsdiag.dataset import validate_dataset
 from rdsdiag.degree import degree_trend
+from rdsdiag.errors import TooFewTrees
 from rdsdiag.estimators import (
     IncludedSample,
     cumulative_estimates,
@@ -24,7 +25,6 @@ from rdsdiag.estimators import (
     ss_estimate,
 )
 from rdsdiag.finitepop import participants_known_trend
-from rdsdiag.forest import build_forest
 from rdsdiag.report import PipelineConfig, run_pipeline
 from rdsdiag.sim import NetworkConfig, SimConfig, TraitRule, generate_network, simulate_rds
 
@@ -169,8 +169,7 @@ def test_criterion_04_null_calibration():
     flags = 0
     for i in range(500):
         ds = _null_dataset(rng)
-        forest = build_forest(ds)
-        result = wsd_permutation_test(included_sample(ds, forest, "x"), replicates=2000, rng_seed=i)
+        (result,) = wsd_permutation_tests([included_sample(ds, "x")], replicates=2000, rng_seed=i)
         flags += result.flagged
     rate = flags / 500
     elapsed = time.perf_counter() - t0
@@ -198,10 +197,10 @@ def test_criterion_05_bottleneck_power():
             net, SimConfig(target_n=150, seed_count=6, followup_prob=0.0, rng_seed=seed)
         )
         ds = result.dataset
-        forest = build_forest(ds)
-        try:
-            test = wsd_permutation_test(included_sample(ds, forest, "hiv"), replicates=1000, rng_seed=seed)
-        except Exception:
+        (test,) = wsd_permutation_tests(
+            [included_sample(ds, "hiv")], replicates=1000, rng_seed=seed
+        )
+        if isinstance(test, TooFewTrees):
             continue
         flags += test.flagged
     rate = flags / runs
@@ -229,7 +228,7 @@ def _ss_fixture_dataset():
 
 def test_criterion_06_ss_vh_limits():
     ds = _ss_fixture_dataset()
-    sample = included_sample(ds, build_forest(ds), "x")
+    sample = included_sample(ds, "x")
     vh = 0.625
 
     ss_large = ss_estimate(sample, 100_000)
@@ -279,7 +278,7 @@ def test_criterion_07_nonresponse_identity():
 
     worst = 0.0
     for ds in datasets:
-        rates = nonresponse_rates(ds, build_forest(ds))
+        rates = nonresponse_rates(ds)
         lhs = rates.total_non_response
         rhs = 1 - (1 - rates.coupon_refusal) * (1 - rates.non_return)
         worst = max(worst, abs(lhs - rhs))

@@ -24,7 +24,6 @@ from rdsdiag.behavior import (
 )
 from rdsdiag.dataset import CouponOutcome
 from rdsdiag.errors import DegenerateTable, NoData, NoEligibleRecruiters, UnknownTrait
-from rdsdiag.forest import build_forest
 from rdsdiag.report import PipelineConfig, run_pipeline
 
 
@@ -133,13 +132,12 @@ def _effectiveness_fixture():
         make_respondent("r4", 8, coupon_in="C4", degree=1, traits={"hiv": None}),
         make_respondent("r5", 9, coupon_in="C5", degree=1, traits={"hiv": None}),
     ]
-    ds = make_dataset(rows)
-    return ds, build_forest(ds)
+    return make_dataset(rows)
 
 
 def test_effectiveness_hand_fixture():
-    ds, forest = _effectiveness_fixture()
-    result = recruitment_effectiveness(ds, forest, "hiv")
+    ds = _effectiveness_fixture()
+    result = recruitment_effectiveness(ds, "hiv")
     assert result.mean_recruits_positive == pytest.approx(0.5)
     assert result.mean_recruits_negative == pytest.approx(2.0)
     assert result.ratio == pytest.approx(0.25)
@@ -152,7 +150,7 @@ def test_effectiveness_no_negatives_undefined():
         make_respondent("r1", 2, coupon_in="C1", degree=1, traits={"hiv": "yes"}),
     ]
     ds = make_dataset(rows)
-    result = recruitment_effectiveness(ds, build_forest(ds), "hiv")
+    result = recruitment_effectiveness(ds, "hiv")
     assert not result.ratio_defined
     assert math.isnan(result.ratio)
 
@@ -184,7 +182,7 @@ def test_bias_levels_hand_fixture():
                         employed=True),
     ]
     ds = make_dataset(rows, allotment=2)
-    levels = recruitment_bias_levels(ds, build_forest(ds))
+    levels = recruitment_bias_levels(ds)
     assert levels.contacts == pytest.approx(0.5)
     assert levels.recipients == pytest.approx(1.0)
     assert levels.recruits == pytest.approx(1.0)
@@ -199,7 +197,7 @@ def test_bias_levels_uniform_employment():
                         employed=True),
     ]
     ds = make_dataset(rows)
-    levels = recruitment_bias_levels(ds, build_forest(ds))
+    levels = recruitment_bias_levels(ds)
     assert (levels.contacts, levels.recipients, levels.recruits) == (
         1.0, 1.0, 1.0,
     )
@@ -215,7 +213,7 @@ def test_bias_levels_requires_all_three_levels():
     ]
     ds = make_dataset(rows)
     with pytest.raises(NoEligibleRecruiters):
-        recruitment_bias_levels(ds, build_forest(ds))
+        recruitment_bias_levels(ds)
 
 
 def test_bias_tests_inconsistent_counted():
@@ -231,7 +229,7 @@ def test_bias_tests_inconsistent_counted():
                         employed=True),
     ]
     ds = make_dataset(rows)
-    results = recruitment_bias_tests(ds, build_forest(ds))
+    results = recruitment_bias_tests(ds)
     assert results.coupon_passing.inconsistency == pytest.approx(0.5)
     assert results.coupon_passing.n_recruiters == 1
 
@@ -249,7 +247,7 @@ def test_bias_tests_too_many_negatives_inconsistent():
                         employed=True),
     ]
     ds = make_dataset(rows)
-    passing = recruitment_bias_tests(ds, build_forest(ds)).coupon_passing
+    passing = recruitment_bias_tests(ds).coupon_passing
     assert passing.inconsistency == pytest.approx(0.5)
     assert passing.n_recruiters == 1
     assert passing.observed == 1.0
@@ -281,7 +279,7 @@ def test_bias_tests_symmetric_null_rank_moderate():
         order += 1
     # renumber orders contiguously (they already are)
     ds = make_dataset(rows)
-    results = recruitment_bias_tests(ds, build_forest(ds))
+    results = recruitment_bias_tests(ds)
     assert 0.2 < results.coupon_passing.quantile_rank < 0.8
 
 
@@ -387,7 +385,7 @@ def test_nonresponse_hand_fixture():
         make_respondent("r2", 3, coupon_in="C2", degree=2, traits={"hiv": "no"}),
     ]
     ds = make_dataset(rows)
-    rates = nonresponse_rates(ds, build_forest(ds))
+    rates = nonresponse_rates(ds)
     assert rates.coupon_refusal == pytest.approx(0.4)
     assert rates.non_return == pytest.approx(1 / 3)
     assert rates.total_non_response == pytest.approx(0.6)
@@ -403,7 +401,7 @@ def test_nonresponse_zero_rates():
         make_respondent("r1", 2, coupon_in="C1", degree=2, traits={"hiv": "no"}),
     ]
     ds = make_dataset(rows)
-    rates = nonresponse_rates(ds, build_forest(ds))
+    rates = nonresponse_rates(ds)
     assert (rates.coupon_refusal, rates.non_return, rates.total_non_response) == (
         0.0, 0.0, 0.0,
     )
@@ -424,7 +422,7 @@ def test_nonresponse_impossible_counts_excluded():
         make_respondent("r3", 5, coupon_in="C4", degree=2, traits={"hiv": "no"}),
     ]
     ds = make_dataset(rows)
-    rates = nonresponse_rates(ds, build_forest(ds))
+    rates = nonresponse_rates(ds)
     assert rates.n_impossible_excluded == 1
     assert rates.n_recruiters == 1
 
@@ -443,7 +441,7 @@ def test_nonresponse_identity_exact():
         make_respondent("r2", 3, coupon_in="C2", degree=2, traits={"hiv": "no"}),
     ]
     ds = make_dataset(rows)
-    rates = nonresponse_rates(ds, build_forest(ds))
+    rates = nonresponse_rates(ds)
     lhs = rates.total_non_response
     rhs = 1 - (1 - rates.coupon_refusal) * (1 - rates.non_return)
     assert abs(lhs - rhs) <= 1e-12
@@ -527,9 +525,9 @@ def test_interval_matches_oracle(table):
 
 
 def test_undefined_trait_raises_unknown_trait():
-    ds, forest = _effectiveness_fixture()
+    ds = _effectiveness_fixture()
     with pytest.raises(UnknownTrait):
-        recruitment_effectiveness(ds, forest, "nope")
+        recruitment_effectiveness(ds, "nope")
     with pytest.raises(UnknownTrait):
         motivation_outcome(ds, "A", "nope")
 

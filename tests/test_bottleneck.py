@@ -1,5 +1,4 @@
 import dataclasses
-import re
 import tracemalloc
 from fractions import Fraction
 from unittest import mock
@@ -15,12 +14,10 @@ from rdsdiag.bottleneck import (
     _cells,
     _permutation_blocks,
     _wsd,
-    wsd_permutation_test,
     wsd_permutation_tests,
 )
 from rdsdiag.errors import TooFewTrees, UnknownTrait
 from rdsdiag.estimators import IncludedSample, cumulative_estimates, included_sample
-from rdsdiag.forest import build_forest
 from rdsdiag.report import PipelineConfig, run_pipeline
 from rdsdiag.sim import NetworkConfig, SimConfig, TraitRule, generate_network, simulate_rds
 
@@ -83,8 +80,8 @@ def test_wsd_invariant_to_empty_trees():
     # a forest root without included members adds no tree to the statistic
     base = dataclasses.replace(_unit_degree_trees([(1, 4), (4, 6)]), roots=("a", "b"))
     with_empty = dataclasses.replace(base, roots=("a", "c", "b"), tree=np.where(base.tree == 1, 2, 0))
-    observed = wsd_permutation_test(base, replicates=10).observed_wsd
-    assert observed == wsd_permutation_test(with_empty, replicates=10).observed_wsd
+    observed = wsd_permutation_tests([base], replicates=10)[0].observed_wsd
+    assert observed == wsd_permutation_tests([with_empty], replicates=10)[0].observed_wsd
     assert observed == pytest.approx(_tree_wsd([(1, 4), (4, 6)]), abs=1e-15)
 
 
@@ -115,8 +112,7 @@ def _two_block_trees(n_per_tree=20, aligned=True, seed=0):
 
 def test_aligned_trees_flagged():
     ds = _two_block_trees(aligned=True)
-    forest = build_forest(ds)
-    result = wsd_permutation_test(included_sample(ds, forest, "hiv"), replicates=2000, rng_seed=3)
+    (result,) = wsd_permutation_tests([included_sample(ds, "hiv")], replicates=2000, rng_seed=3)
     assert result.flagged
     assert result.quantile_rank > 0.99
 
@@ -130,8 +126,7 @@ def test_constant_trait_never_flags():
         dataclasses.replace(r, traits={"hiv": "yes"}) for r in ds.respondents
     )
     ds = dataclasses.replace(ds, respondents=rows)
-    forest = build_forest(ds)
-    result = wsd_permutation_test(included_sample(ds, forest, "hiv"), replicates=500, rng_seed=1)
+    (result,) = wsd_permutation_tests([included_sample(ds, "hiv")], replicates=500, rng_seed=1)
     assert result.observed_wsd == 0.0
     assert result.quantile_rank == 0.0
     assert not result.flagged
@@ -139,20 +134,18 @@ def test_constant_trait_never_flags():
 
 def test_threshold_one_never_flags():
     ds = _two_block_trees(aligned=True)
-    forest = build_forest(ds)
-    result = wsd_permutation_test(
-        included_sample(ds, forest, "hiv"), replicates=500, threshold=1.0, rng_seed=3
+    (result,) = wsd_permutation_tests(
+        [included_sample(ds, "hiv")], replicates=500, threshold=1.0, rng_seed=3
     )
     assert not result.flagged
 
 
 def test_determinism_and_seed_sensitivity():
     ds = _two_block_trees(aligned=False, seed=5)
-    forest = build_forest(ds)
-    a = wsd_permutation_test(included_sample(ds, forest, "hiv"), replicates=400, rng_seed=9)
-    b = wsd_permutation_test(included_sample(ds, forest, "hiv"), replicates=400, rng_seed=9)
+    (a,) = wsd_permutation_tests([included_sample(ds, "hiv")], replicates=400, rng_seed=9)
+    (b,) = wsd_permutation_tests([included_sample(ds, "hiv")], replicates=400, rng_seed=9)
     assert a == b
-    c = wsd_permutation_test(included_sample(ds, forest, "hiv"), replicates=400, rng_seed=10)
+    (c,) = wsd_permutation_tests([included_sample(ds, "hiv")], replicates=400, rng_seed=10)
     assert a.observed_wsd == c.observed_wsd
 
 
@@ -162,14 +155,14 @@ def test_too_few_trees():
         make_respondent("r", 2, coupon_in="C1", degree=1, traits={"hiv": "yes"}),
     ]
     ds = make_dataset(rows)
-    with pytest.raises(TooFewTrees):
-        wsd_permutation_test(included_sample(ds, build_forest(ds), "hiv"), replicates=10)
+    (result,) = wsd_permutation_tests([included_sample(ds, "hiv")], replicates=10)
+    assert isinstance(result, TooFewTrees)
 
 
 def test_unknown_trait():
     ds = unit_degree_two_trees()
     with pytest.raises(UnknownTrait):
-        wsd_permutation_test(included_sample(ds, build_forest(ds), "nope"), replicates=10)
+        wsd_permutation_tests([included_sample(ds, "nope")], replicates=10)
 
 
 def _all_points_rows(ds, out_dir, monkeypatch):
@@ -207,8 +200,7 @@ def test_all_points_missing_trait_omitted(tmp_path, monkeypatch):
 
 def test_overall_estimate_matches_wsd_reference():
     ds = unit_degree_two_trees()
-    forest = build_forest(ds)
-    overall = cumulative_estimates(included_sample(ds, forest, "hiv"))[-1]
+    overall = cumulative_estimates(included_sample(ds, "hiv"))[-1]
     assert overall == pytest.approx(0.5)
 
 
@@ -243,7 +235,7 @@ def test_chunked_statistics_match_one_call(replicates):
         ])
         assert blocks.tobytes() == whole.tobytes()
     observed = _observed(sample)
-    result = wsd_permutation_test(sample, replicates=replicates, rng_seed=7)
+    (result,) = wsd_permutation_tests([sample], replicates=replicates, rng_seed=7)
     assert result.observed_wsd == observed
     assert result.quantile_rank == (whole < observed).sum() / replicates
 
@@ -291,12 +283,13 @@ def test_permutations_uniform():
 @pytest.mark.parametrize("seed", [2**64, 2**130 + 7])
 def test_draw_at_large_seeds(seed):
     _assert_blocks_equal_one_call(60, 50, seed)
-    assert wsd_permutation_test(_random_sample(60), replicates=50, rng_seed=seed).replicates == 50
+    (result,) = wsd_permutation_tests([_random_sample(60)], replicates=50, rng_seed=seed)
+    assert result.replicates == 50
 
 
 def test_negative_seed_raises():
     with pytest.raises(ValueError, match="-1"):
-        wsd_permutation_test(_random_sample(20), replicates=5, rng_seed=-1)
+        wsd_permutation_tests([_random_sample(20)], replicates=5, rng_seed=-1)
 
 
 @pytest.mark.parametrize("replicates", [0, -3])
@@ -306,8 +299,6 @@ def test_replicates_below_one_raise(replicates):
     for samples in ([_random_sample(20)], [one_tree], []):
         with pytest.raises(ValueError, match=f"got {replicates}"):
             wsd_permutation_tests(samples, replicates=replicates)
-    with pytest.raises(ValueError, match=f"got {replicates}"):
-        wsd_permutation_test(_random_sample(20), replicates=replicates)
 
 
 @settings(max_examples=80, deadline=None)
@@ -367,8 +358,10 @@ def test_swap_within_cell_keeps_observed_and_rank(seed, n, prevalence):
     swapped_y = _swap_within_a_cell(sample.y, sample.degree, sample.tree)
     if swapped_y is None:
         return
-    result = wsd_permutation_test(sample, replicates=300, rng_seed=seed)
-    swapped = wsd_permutation_test(dataclasses.replace(sample, y=swapped_y), replicates=300, rng_seed=seed)
+    (result,) = wsd_permutation_tests([sample], replicates=300, rng_seed=seed)
+    (swapped,) = wsd_permutation_tests(
+        [dataclasses.replace(sample, y=swapped_y)], replicates=300, rng_seed=seed
+    )
     assert swapped.observed_wsd == result.observed_wsd
     # against the same reference the swapped observed ranks the same: a
     # replicate with the observed cell counts is its equal, never below it
@@ -390,8 +383,10 @@ def test_complement_labels_give_the_same_result(seed, n, prevalence):
     sample = _random_sample(n, n_trees=4, seed=seed, prevalence=prevalence)
     if 2 * sample.y.sum() == n:
         return
-    result = wsd_permutation_test(sample, replicates=200, rng_seed=seed)
-    flipped = wsd_permutation_test(dataclasses.replace(sample, y=1.0 - sample.y), replicates=200, rng_seed=seed)
+    (result,) = wsd_permutation_tests([sample], replicates=200, rng_seed=seed)
+    (flipped,) = wsd_permutation_tests(
+        [dataclasses.replace(sample, y=1.0 - sample.y)], replicates=200, rng_seed=seed
+    )
     assert flipped == result
 
 
@@ -421,13 +416,13 @@ def test_batched_equals_single(data):
         batched = wsd_permutation_tests(samples, replicates=replicates, threshold=0.5, rng_seed=seed)
     assert len(batched) == len(samples)
     for sample, result in zip(samples, batched):
+        (single,) = wsd_permutation_tests([sample], replicates=replicates, threshold=0.5,
+                                          rng_seed=seed)
         if sample.trait == "one-tree":
             assert isinstance(result, TooFewTrees)
-            with pytest.raises(TooFewTrees, match=re.escape(str(result))):
-                wsd_permutation_test(sample, replicates=replicates, threshold=0.5, rng_seed=seed)
+            assert isinstance(single, TooFewTrees) and str(single) == str(result)
         else:
-            assert result == wsd_permutation_test(sample, replicates=replicates, threshold=0.5,
-                                                  rng_seed=seed)
+            assert result == single
 
 
 def test_batched_memory_stays_within_blocks():
@@ -449,9 +444,9 @@ def test_cache_isolation_across_sizes_seeds_and_replicates():
         (a, 300, 1), (b, 300, 1), (a, 300, 1),
         (a, 257, 1), (b, 257, 2), (a, 300, 2), (a, 257, 2), (b, 300, 1),
     ]
-    results = [wsd_permutation_test(s, replicates=r, rng_seed=seed) for s, r, seed in calls]
+    results = [wsd_permutation_tests([s], replicates=r, rng_seed=seed)[0] for s, r, seed in calls]
     for (sample, replicates, seed), result in reversed(list(zip(calls, results))):
-        assert result == wsd_permutation_test(sample, replicates=replicates, rng_seed=seed)
+        assert result == wsd_permutation_tests([sample], replicates=replicates, rng_seed=seed)[0]
     # the calls above can tell the streams apart
     assert len({r.quantile_rank for r in results if r.observed_wsd == results[0].observed_wsd}) > 1
 
@@ -467,9 +462,8 @@ def test_section_results_independent_of_trait_order(tmp_path):
     ds = simulate_rds(
         net, SimConfig(target_n=100, seed_count=6, trait_missing_prob=0.15, rng_seed=5)
     ).dataset
-    forest = build_forest(ds)
     # different included sizes, so the second trait cannot reuse the first's draws
-    assert len(included_sample(ds, forest, "hiv").y) != len(included_sample(ds, forest, "employed").y)
+    assert len(included_sample(ds, "hiv").y) != len(included_sample(ds, "employed").y)
     per_trait = []
     for i, traits in enumerate((("hiv", "employed"), ("employed", "hiv"))):
         bundle = run_pipeline(ds, PipelineConfig(

@@ -7,7 +7,6 @@ from conftest import make_dataset, make_respondent
 from rdsdiag.convergence import convergence_flag
 from rdsdiag.errors import EmptySample, EmptySeries, RdsError
 from rdsdiag.estimators import cumulative_estimates, included_sample
-from rdsdiag.forest import build_forest
 from rdsdiag.report import PipelineConfig, run_pipeline
 
 
@@ -138,8 +137,8 @@ def _batch_dataset():
     )
 
 
-def _trait_verdict(ds, forest, trait):
-    return convergence_flag(cumulative_estimates(included_sample(ds, forest, trait)))
+def _trait_verdict(ds, trait):
+    return convergence_flag(cumulative_estimates(included_sample(ds, trait)))
 
 
 def _converge_section(ds, out_dir, traits=None):
@@ -149,10 +148,9 @@ def _converge_section(ds, out_dir, traits=None):
 
 def test_batch_verdicts(tmp_path):
     ds = _batch_dataset()
-    forest = build_forest(ds)
-    assert _trait_verdict(ds, forest, "hiv") == _trait_verdict(ds, forest, "hiv")
+    assert _trait_verdict(ds, "hiv") == _trait_verdict(ds, "hiv")
     with pytest.raises(EmptySample):  # all-missing trait has no included sample
-        _trait_verdict(ds, forest, "emp")
+        _trait_verdict(ds, "emp")
     # the report collapses the repeated trait and records the empty one
     per_trait = _converge_section(ds, tmp_path, traits=("hiv", "hiv", "emp"))
     assert list(per_trait) == ["hiv", "emp"]
@@ -166,7 +164,7 @@ def test_batch_constant_trait_unflagged(tmp_path):
     rows.append(make_respondent("a", 2, coupon_in="C1", degree=2, traits={"hiv": "yes"}))
     rows.append(make_respondent("b", 3, coupon_in="C2", degree=1, traits={"hiv": "yes"}))
     ds = make_dataset(rows)
-    assert not _trait_verdict(ds, build_forest(ds), "hiv").flagged
+    assert not _trait_verdict(ds, "hiv").flagged
     entry = _converge_section(ds, tmp_path)["hiv"]
     assert entry["evaluable"]
     assert not entry["flagged"]

@@ -18,7 +18,6 @@ from rdsdiag.degree import (
 from rdsdiag.degree import test_retest_stats as retest_stats
 from rdsdiag.errors import InsufficientData
 from rdsdiag.estimators import included_sample
-from rdsdiag.forest import build_forest
 
 
 def _ds(rows, **kw):
@@ -33,7 +32,7 @@ def test_time_window_full_reach():
         make_respondent("S", 1, degree=make_degree(6, q_reach_day=6, q_reach_week=6),
                         traits={"hiv": "no"}),
     ]
-    tw = time_window_stats(_ds(rows), build_forest(_ds(rows)))
+    tw = time_window_stats(_ds(rows))
     assert tw.mean_reachable_1day == pytest.approx(1.0)
     assert tw.mean_reachable_7day == pytest.approx(1.0)
     assert tw.n_reachability == 1
@@ -45,7 +44,7 @@ def test_time_window_partial_reach():
                         traits={"hiv": "no"}),
     ]
     ds = _ds(rows)
-    tw = time_window_stats(ds, build_forest(ds))
+    tw = time_window_stats(ds)
     assert tw.mean_reachable_1day == pytest.approx(0.5)
     assert tw.mean_reachable_7day == pytest.approx(0.8)
     assert tw.n_excluded_inconsistent == 0
@@ -59,7 +58,7 @@ def test_time_window_inconsistent_excluded():
                         traits={"hiv": "no"}),
     ]
     ds = _ds(rows)
-    tw = time_window_stats(ds, build_forest(ds))
+    tw = time_window_stats(ds)
     assert tw.n_excluded_inconsistent == 1
     assert tw.mean_reachable_7day == pytest.approx(0.5)
     assert tw.n_reachability == 1
@@ -83,7 +82,7 @@ def test_time_window_distribution_and_gaps():
                         interview_date=date(2008, 3, 20)),
     ]
     ds = _ds(rows)
-    tw = time_window_stats(ds, build_forest(ds))
+    tw = time_window_stats(ds)
     assert tw.share_distributed_1day == pytest.approx(0.5)
     assert tw.share_distributed_7day == pytest.approx(0.5)
     assert tw.share_gap_within_7day == pytest.approx(0.5)
@@ -92,7 +91,7 @@ def test_time_window_distribution_and_gaps():
 def test_time_window_empty_parts_nan():
     rows = [make_respondent("S", 1, degree=4, traits={"hiv": "no"})]
     ds = _ds(rows)
-    tw = time_window_stats(ds, build_forest(ds))
+    tw = time_window_stats(ds)
     assert math.isnan(tw.mean_reachable_1day)
     assert math.isnan(tw.share_distributed_7day)
 
@@ -187,7 +186,7 @@ def test_retest_too_few_pairs():
 
 
 def _sensitivity(ds, trait, question="q_seen_week"):
-    sample = included_sample(ds, build_forest(ds), trait, degree_question=question)
+    sample = included_sample(ds, trait, degree_question=question)
     return estimate_sensitivity(ds, sample, question)
 
 

@@ -14,7 +14,6 @@ from rdsdiag.estimators import (
     ss_estimate,
     ss_inclusion_weights,
 )
-from rdsdiag.forest import build_forest
 from rdsdiag.report import PipelineConfig, run_pipeline
 
 EQ1_FIXTURE = [(True, 1.0), (True, 4.0), (False, 2.0), (False, 4.0)]
@@ -56,8 +55,8 @@ def test_vh_errors():
         _vh([])
     # a zero or missing degree never reaches the estimator: the included
     # sample leaves such respondents out
-    ds, forest = _chain([True, True, False], degrees=[0, None, 2])
-    sample = included_sample(ds, forest, "hiv")
+    ds = _chain([True, True, False], degrees=[0, None, 2])
+    sample = included_sample(ds, "hiv")
     assert sample.ids == ("R3",)
     assert cumulative_estimates(sample)[-1] == 0.0
 
@@ -79,13 +78,12 @@ def _chain(trait_pattern, degrees=None):
             make_respondent(f"R{i}", i + 1, coupon_in=f"C{i}", degree=d,
                             traits={"hiv": "yes" if flag else "no"})
         )
-    ds = make_dataset(rows, allotment=len(trait_pattern))
-    return ds, build_forest(ds)
+    return make_dataset(rows, allotment=len(trait_pattern))
 
 
 def test_cumulative_series_hand_fixture():
-    ds, forest = _chain([True, False, False, True])
-    sample = included_sample(ds, forest, "hiv")
+    ds = _chain([True, False, False, True])
+    sample = included_sample(ds, "hiv")
     values = cumulative_estimates(sample)
     assert sample.orders.tolist() == [2, 3, 4, 5]
     assert values.tolist() == pytest.approx([1.0, 0.5, 1 / 3, 0.5], abs=1e-15)
@@ -93,31 +91,29 @@ def test_cumulative_series_hand_fixture():
 
 
 def test_cumulative_final_equals_vh_of_included():
-    ds, forest = _chain([True, True, False, True, False], degrees=[2, 5, 1, 3, 4])
-    values = cumulative_estimates(included_sample(ds, forest, "hiv"))
+    ds = _chain([True, True, False, True, False], degrees=[2, 5, 1, 3, 4])
+    values = cumulative_estimates(included_sample(ds, "hiv"))
     direct = (1 / 2 + 1 / 5 + 1 / 3) / (1 / 2 + 1 / 5 + 1 / 1 + 1 / 3 + 1 / 4)
     assert values[-1] == pytest.approx(direct, abs=1e-15)
 
 
 def test_seeds_only_series_empty():
     ds = make_dataset([make_respondent("S", 1, degree=2, traits={"hiv": "yes"})])
-    forest = build_forest(ds)
-    sample = included_sample(ds, forest, "hiv")
+    sample = included_sample(ds, "hiv")
     assert len(sample) == 0
     with pytest.raises(EmptySample, match="no included respondents for trait 'hiv'"):
         cumulative_estimates(sample)
 
 
-def _per_tree_estimates(ds, forest):
+def _per_tree_estimates(ds):
     """Mapping root -> (tree estimate, n_s) from the per-tree series."""
-    series = per_tree_series(included_sample(ds, forest, "hiv"))
+    series = per_tree_series(included_sample(ds, "hiv"))
     return {root: (values[-1], len(values)) for root, (_, values) in series.items()}
 
 
 def test_per_tree_estimates():
     ds = unit_degree_two_trees()
-    forest = build_forest(ds)
-    per_tree = _per_tree_estimates(ds, forest)
+    per_tree = _per_tree_estimates(ds)
     assert per_tree == {"A": (1.0, 2), "B": (0.0, 2)}
 
 
@@ -130,14 +126,13 @@ def test_per_tree_all_missing_tree_omitted():
             make_respondent("b1", 4, coupon_in="C2", degree=1, traits={}),
         ]
     )
-    forest = build_forest(ds)
-    assert set(_per_tree_estimates(ds, forest)) == {"A"}
+    assert set(_per_tree_estimates(ds)) == {"A"}
 
 
 def test_single_tree_estimate_equals_overall():
-    ds, forest = _chain([True, False, True], degrees=[3, 2, 6])
-    per_tree = _per_tree_estimates(ds, forest)
-    values = cumulative_estimates(included_sample(ds, forest, "hiv"))
+    ds = _chain([True, False, True], degrees=[3, 2, 6])
+    per_tree = _per_tree_estimates(ds)
+    values = cumulative_estimates(included_sample(ds, "hiv"))
     (est, n_s), = per_tree.values()
     assert est == pytest.approx(values[-1], abs=1e-15)
     assert n_s == 3
@@ -192,15 +187,15 @@ def test_ss_weights_property(members, factors):
 
 
 def test_ss_equal_degrees_exact_sample_proportion():
-    ds, forest = _chain([True, True, False, False, False], degrees=[3] * 5)
+    ds = _chain([True, True, False, False, False], degrees=[3] * 5)
     for n in (5, 10, 1000):
-        est = ss_estimate(included_sample(ds, forest, "hiv"), n)
+        est = ss_estimate(included_sample(ds, "hiv"), n)
         assert est == pytest.approx(0.4, abs=1e-15)
 
 
 def test_ss_census_limit_exact():
-    ds, forest = _chain([True, True, False, False], degrees=[1, 4, 2, 4])
-    est = ss_estimate(included_sample(ds, forest, "hiv"), 4)
+    ds = _chain([True, True, False, False], degrees=[1, 4, 2, 4])
+    est = ss_estimate(included_sample(ds, "hiv"), 4)
     assert est == pytest.approx(0.5, abs=1e-15)
 
 
@@ -211,9 +206,9 @@ def test_ss_census_weights_uniform():
 
 
 def test_ss_deterministic():
-    ds, forest = _chain([True, True, False, False], degrees=[1, 4, 2, 4])
-    assert ss_estimate(included_sample(ds, forest, "hiv"), 40) == ss_estimate(
-        included_sample(ds, forest, "hiv"), 40
+    ds = _chain([True, True, False, False], degrees=[1, 4, 2, 4])
+    assert ss_estimate(included_sample(ds, "hiv"), 40) == ss_estimate(
+        included_sample(ds, "hiv"), 40
     )
 
 
@@ -224,7 +219,7 @@ def _estimate_section(ds, population_sizes, out_dir):
 
 
 def test_ss_vh_table_equal_degrees_never_flags(tmp_path):
-    ds, _ = _chain([True, False, True, False], degrees=[2] * 4)
+    ds = _chain([True, False, True, False], degrees=[2] * 4)
     rows = _estimate_section(ds, (4, 40, 400), tmp_path)["ss"]
     assert [row["population_size"] for row in rows] == [4, 40, 400]
     assert all(not row["flagged"] for row in rows)
@@ -233,7 +228,7 @@ def test_ss_vh_table_equal_degrees_never_flags(tmp_path):
 
 def test_ss_vh_table_empty_traits(tmp_path):
     # nobody but the seed has a usable degree: no VH estimate, so no SS rows
-    ds, _ = _chain([True, False], degrees=[0, 0])
+    ds = _chain([True, False], degrees=[0, 0])
     assert "skipped" in _estimate_section(ds, (10,), tmp_path)
     assert (tmp_path / "estimates.csv").read_text().splitlines() == [
         "trait,population_size,vh,ss,difference,flagged"
@@ -241,9 +236,9 @@ def test_ss_vh_table_empty_traits(tmp_path):
 
 
 def test_ss_large_population_approaches_vh():
-    ds, forest = _chain([True, True, False, False] * 10, degrees=[1, 4, 2, 4] * 10)
-    vh = cumulative_estimates(included_sample(ds, forest, "hiv"))[-1]
-    est = ss_estimate(included_sample(ds, forest, "hiv"), 40_000)
+    ds = _chain([True, True, False, False] * 10, degrees=[1, 4, 2, 4] * 10)
+    vh = cumulative_estimates(included_sample(ds, "hiv"))[-1]
+    est = ss_estimate(included_sample(ds, "hiv"), 40_000)
     assert abs(est - vh) < 0.01
 
 

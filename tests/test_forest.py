@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 from collections import Counter, deque
 
@@ -182,19 +183,17 @@ def test_per_tree_subsets_exclusions():
             make_respondent("c", 4, coupon_in="C3", degree=2, traits={"hiv": "no"}),
         ]
     )
-    forest = build_forest(ds)
-    sample = included_sample(ds, forest, "hiv")
+    sample = included_sample(ds, "hiv")
     assert len(sample) == 2  # seed excluded, missing-trait member excluded
     assert sample.ids == ("a", "c")
     assert [sample.roots[t] for t in sample.tree] == ["S", "S"]
     with pytest.raises(UnknownTrait):
-        included_sample(ds, forest, "nope")
+        included_sample(ds, "nope")
 
 
 def test_included_sum_bound_and_equality():
     ds = chain_of_three()
-    forest = build_forest(ds)
-    total = len(included_sample(ds, forest, "hiv"))
+    total = len(included_sample(ds, "hiv"))
     assert total == ds.n - len(ds.seeds())  # no missing data -> equality
 
 
@@ -219,3 +218,38 @@ def test_export_edges(tmp_path):
     data = (tmp_path / "edges.csv").read_bytes()
     assert data == b"child_id,parent_id,wave,tree_root\nA,S,1,S\nB,A,2,S\nC,B,3,S\n"
     assert bundle.manifest["edges.csv"] == hashlib.sha256(data).hexdigest()
+
+
+def test_study_builds_its_forest_once():
+    ds = chain_of_three()
+    assert ds.forest is ds.forest
+    assert ds.forest == build_forest(ds)
+
+
+def test_copy_of_a_study_has_its_own_forest():
+    ds = chain_of_three()
+    assert ds.forest.roots == ("S",)
+    # B's coupon from A goes unredeemed; B starts a second tree
+    rows = tuple(
+        dataclasses.replace(r, coupon_in=None) if r.id == "B" else r for r in ds.respondents
+    )
+    copy = dataclasses.replace(ds, respondents=rows)
+    assert copy.forest.roots == ("S", "B")
+    sample = included_sample(copy, "hiv")
+    assert sample.roots == copy.forest.roots
+    assert [(rid, sample.roots[t]) for rid, t in zip(sample.ids, sample.tree)] == [
+        ("A", "S"), ("C", "B")
+    ]
+
+
+def test_report_builds_the_forest_once(tmp_path, monkeypatch):
+    built = []
+
+    def counted(ds):
+        built.append(ds)
+        return build_forest(ds)
+
+    monkeypatch.setattr("rdsdiag.forest.build_forest", counted)
+    ds = chain_of_three()
+    run_pipeline(ds, PipelineConfig(out_dir=tmp_path, replicates=20))
+    assert len(built) == 1 and built[0] is ds

@@ -7,11 +7,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_dataset, make_respondent
-from rdsdiag.bottleneck import wsd_permutation_test
+from rdsdiag.bottleneck import wsd_permutation_tests
 from rdsdiag.dataset import DegreeReport
 from rdsdiag.errors import TooFewTrees
 from rdsdiag.estimators import cumulative_estimates, included_sample, per_tree_series
-from rdsdiag.forest import build_forest
 
 TRAITS = (("hiv", "yes"), ("emp", "yes"))
 
@@ -40,8 +39,9 @@ def studies(draw):
     return make_dataset(rows, traits=TRAITS, allotment=n)
 
 
-def _naive(ds, forest, trait):
+def _naive(ds, trait):
     """Included members by a direct walk, then running sums per respondent."""
+    forest = ds.forest
     members = []
     for r in ds.respondents:
         d = r.degree.q_seen_week
@@ -72,9 +72,8 @@ def _naive(ds, forest, trait):
 @settings(max_examples=50, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(ds=studies(), trait=st.sampled_from(["hiv", "emp"]))
 def test_sample_matches_naive_walk(ds, trait):
-    forest = build_forest(ds)
-    sample = included_sample(ds, forest, trait)
-    orders, values, per_tree, points = _naive(ds, forest, trait)
+    sample = included_sample(ds, trait)
+    orders, values, per_tree, points = _naive(ds, trait)
 
     assert sample.orders.tolist() == orders
     if orders:
@@ -95,10 +94,9 @@ def test_sample_matches_naive_walk(ds, trait):
     ]
     assert rows == points
 
+    (result,) = wsd_permutation_tests([sample], replicates=5)
     if len(per_tree) < 2:
-        with pytest.raises(TooFewTrees):
-            wsd_permutation_test(sample, replicates=5)
+        assert isinstance(result, TooFewTrees)
         return
-    result = wsd_permutation_test(sample, replicates=5)
     reference = sum(n_s * (p_s - values[-1]) ** 2 for p_s, n_s in per_tree.values())
     assert np.isclose(result.observed_wsd, reference, rtol=1e-9, atol=1e-12)

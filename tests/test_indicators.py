@@ -13,7 +13,6 @@ from rdsdiag import report
 from rdsdiag.behavior import motivation_outcome, recruitment_effectiveness
 from rdsdiag.errors import DegenerateTable, UnknownTrait
 from rdsdiag.estimators import included_sample
-from rdsdiag.forest import build_forest
 
 ANSWERS = st.sampled_from(["low", "mid", "high", None])
 TRAITS = (("level", "mid"),)
@@ -54,9 +53,8 @@ class _Capture:
 def test_every_site_agrees_with_indicator(ds):
     flag = {r.id: ds.indicator(r, "level") for r in ds.respondents}
     assert ds.indicators("level") == tuple(flag.values())
-    forest = build_forest(ds)
 
-    sample = included_sample(ds, forest, "level")
+    sample = included_sample(ds, "level")
     included = sorted(
         (r.interview_order, r.id) for r in ds.respondents
         if not r.is_seed and flag[r.id] is not None and (r.degree.q_seen_week or 0) >= 1
@@ -64,7 +62,7 @@ def test_every_site_agrees_with_indicator(ds):
     assert sample.ids == tuple(rid for _, rid in included)
     assert sample.y.tolist() == [float(flag[rid]) for rid in sample.ids]
 
-    effectiveness = recruitment_effectiveness(ds, forest, "level")
+    effectiveness = recruitment_effectiveness(ds, "level")
     assert effectiveness.n_positive == sum(f is True for f in flag.values())
     assert effectiveness.n_negative == sum(f is False for f in flag.values())
 
@@ -83,7 +81,7 @@ def test_every_site_agrees_with_indicator(ds):
         assert (a + b, c + d, a + c, b + d) == margins
 
     writer = _Capture()
-    report._render_chains_figure(writer, ds, forest, ["nope", "level"])
+    report._render_chains_figure(writer, ds, ["nope", "level"])
     circles = ET.fromstring(writer.files["chains.svg"]).iter("{http://www.w3.org/2000/svg}circle")
     colors = {True: "#c43c39", False: "#4472a8", None: "#bbbbbb"}
     # circles are drawn in id order

@@ -823,6 +823,23 @@ def test_cli_out_dir_that_cannot_be_a_directory(cli_study, capsys, tmp_path, com
     assert sorted(p.name for p in tmp_path.iterdir()) == ["F"]
 
 
+@pytest.mark.parametrize("command, name", [
+    ("report", "edges.csv"), ("report", "chains.svg"), ("report", "bundle.json"),
+    ("simulate", "respondents.csv"),
+])
+def test_cli_output_name_taken_by_a_directory(cli_study, capsys, tmp_path, command, name):
+    out_dir = tmp_path / "out"
+    (out_dir / name).mkdir(parents=True)
+    if command == "simulate":
+        args = ["--scenario", str(cli_study.parent / "scenario.txt")]
+    else:
+        args = [*_dataset_args(cli_study), "--replicates", "50"]
+    assert main([command, *args, "--out-dir", str(out_dir)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == f"error: cannot write {out_dir / name}: Is a directory\n"
+    assert captured.out == ""
+
+
 def _study_with_trait(tmp_path, capsys, name):
     scenario = tmp_path / "scenario.txt"
     scenario.write_text(SCENARIO + f"trait.{name}=block:0\n")
