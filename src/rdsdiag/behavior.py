@@ -368,6 +368,8 @@ def reason_tables(ds: StudyDataset) -> ReasonTables:
 # ---------------------------------------------------------------------------
 # motivation-outcome odds ratio with exact conditional interval
 
+CI_ALPHA = 0.05  # two-sided level of the exact interval: a 95% interval
+
 
 @functools.lru_cache(maxsize=None)
 def _log_factorials(size: int) -> np.ndarray:
@@ -392,14 +394,12 @@ def _log_pmf_terms(r1: int, r2: int, c1: int) -> tuple[np.ndarray, np.ndarray]:
     return ks, log_coef
 
 
-def exact_odds_ratio_interval(
-    a: int, b: int, c: int, d: int, alpha: float = 0.05
-) -> tuple[float, float]:
-    """Exact conditional interval for the 2x2 odds ratio.
+def exact_odds_ratio_interval(a: int, b: int, c: int, d: int) -> tuple[float, float]:
+    """Exact conditional 95% interval for the 2x2 odds ratio.
 
     Endpoints invert the one-sided tail probabilities of the conditional
-    distribution of the (1,1) cell given all margins, each at alpha/2.  The
-    upper tail P(X >= a) rises with the log odds and gives the lower
+    distribution of the (1,1) cell given all margins, each at ``CI_ALPHA/2``.
+    The upper tail P(X >= a) rises with the log odds and gives the lower
     endpoint; the lower tail P(X <= a) falls and gives the upper one.  Each
     is found by bisection in the log odds, inside a bracket that expands
     from [-1, 1] until it holds the root, down to a bracket 1e-10 wide: each
@@ -414,8 +414,8 @@ def exact_odds_ratio_interval(
     k = ks.astype(float)
 
     def endpoint(tail: np.ndarray) -> float:
-        # sum_k weight_k * pmf_k = P(tail) - alpha/2, up to a positive factor
-        weight = np.where(tail, 1.0 - alpha / 2, -alpha / 2)
+        # sum_k weight_k * pmf_k = P(tail) - CI_ALPHA/2, up to a positive factor
+        weight = np.where(tail, 1.0 - CI_ALPHA / 2, -CI_ALPHA / 2)
 
         def excess(log_psi: float) -> float:
             log_terms = k * log_psi + log_coef
@@ -446,13 +446,10 @@ class MotivationOutcome:
 
 
 def motivation_outcome(
-    ds: StudyDataset,
-    motivation_category: str,
-    outcome_trait: str,
-    alpha: float = 0.05,
+    ds: StudyDataset, motivation_category: str, outcome_trait: str
 ) -> MotivationOutcome:
     """Sample odds ratio of the outcome given the stated motivation, with the
-    nominal exact-conditional interval.
+    exact conditional 95% interval.
 
     Zero cells give exact 0 or infinite odds ratios with one-sided
     intervals; a zero margin is a degenerate table."""
@@ -471,7 +468,7 @@ def motivation_outcome(
         odds = math.inf
     else:
         odds = (a * d) / (b * c)
-    ci_low, ci_high = exact_odds_ratio_interval(a, b, c, d, alpha)
+    ci_low, ci_high = exact_odds_ratio_interval(a, b, c, d)
     return MotivationOutcome(
         motivation=motivation_category,
         trait=outcome_trait,

@@ -48,21 +48,21 @@ def _build_parser() -> argparse.ArgumentParser:
         strictness.add_argument("--strict", dest="strict", action="store_true",
                                 default=True)
         strictness.add_argument("--lenient", dest="strict", action="store_false")
-        p.add_argument("--degree-question", default="q_seen_week")
-        p.add_argument("--trait", action="append", default=None,
-                       help="restrict analysis to this trait (repeatable)")
         p.add_argument("--config", type=Path, default=None,
                        help="key=value file whose entries override flags")
 
     def analysis_flags(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--degree-question", default=PipelineConfig.degree_question)
+        p.add_argument("--trait", action="append",
+                       help="restrict analysis to this trait (repeatable)")
         p.add_argument("--out-dir", type=Path, default=Path("rdsdiag-out"))
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--tau", type=int, default=50)
-        p.add_argument("--epsilon", type=float, default=0.02)
-        p.add_argument("--replicates", type=int, default=10_000)
-        p.add_argument("--threshold", type=float, default=0.90)
+        p.add_argument("--seed", type=int, default=PipelineConfig.rng_seed)
+        p.add_argument("--tau", type=int, default=PipelineConfig.tau)
+        p.add_argument("--epsilon", type=float, default=PipelineConfig.epsilon)
+        p.add_argument("--replicates", type=int, default=PipelineConfig.replicates)
+        p.add_argument("--threshold", type=float, default=PipelineConfig.threshold)
         p.add_argument("--population-size", action="append", type=int,
-                       default=None, help="SS scenario population (repeatable)")
+                       help="SS scenario population (repeatable)")
 
     for name, help_text in (
         ("ingest", "load, validate and summarize the input files"),
@@ -74,12 +74,15 @@ def _build_parser() -> argparse.ArgumentParser:
         ("finitepop", "with-replacement indicator summary"),
         ("report", "run every diagnostic and write the full bundle"),
     ):
-        p = sub.add_parser(name, help=help_text)
+        # flags are taken by full name only: ``ingest --trait`` would
+        # otherwise be read as ``--traits``
+        p = sub.add_parser(name, help=help_text, allow_abbrev=False)
         dataset_flags(p)
         if name != "ingest":
             analysis_flags(p)
 
-    p = sub.add_parser("simulate", help="generate a synthetic study dataset")
+    p = sub.add_parser("simulate", help="generate a synthetic study dataset",
+                       allow_abbrev=False)
     p.add_argument("--scenario", required=True, type=Path,
                    help="key=value scenario description")
     p.add_argument("--out-dir", required=True, type=Path)

@@ -10,6 +10,8 @@ import numpy as np
 from .dataset import StudyDataset
 from .errors import InsufficientData, NoData
 
+FAILED_ATTEMPTS_THRESHOLD = 0.25  # flag when at least this share report a failed attempt
+
 
 @dataclass(frozen=True)
 class FailedAttemptsResult:
@@ -28,9 +30,7 @@ class ParticipantsKnownTrend:
     n_excluded_zero_degree: int
 
 
-def failed_attempts_indicator(
-    ds: StudyDataset, threshold: float = 0.25
-) -> FailedAttemptsResult:
+def failed_attempts_indicator(ds: StudyDataset) -> FailedAttemptsResult:
     """Share of follow-up answerers reporting at least one failed coupon
     attempt, with the 0 / 1-3 / 4+ banding."""
     counts = [
@@ -44,8 +44,8 @@ def failed_attempts_indicator(
     pct = at_least_one / len(counts)
     return FailedAttemptsResult(
         percent_reporting=100.0 * pct,
-        flagged=pct >= threshold,
-        threshold=threshold,
+        flagged=pct >= FAILED_ATTEMPTS_THRESHOLD,
+        threshold=FAILED_ATTEMPTS_THRESHOLD,
         n_answered=len(counts),
         bands={
             "0": sum(1 for c in counts if c == 0),

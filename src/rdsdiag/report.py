@@ -57,6 +57,9 @@ class PipelineConfig:
     def __post_init__(self) -> None:
         if self.degree_question not in DEGREE_QUESTIONS:
             raise UnrealizableConfig(f"unknown degree question {self.degree_question!r}")
+        for name in self.sections:
+            if name not in ALL_SECTIONS:
+                raise UnrealizableConfig(f"unknown section {name!r}")
         if self.replicates < 1:
             raise UnrealizableConfig("replicates must be >= 1")
         if self.rng_seed < 0:
@@ -228,8 +231,7 @@ def run_pipeline(ds: StudyDataset, cfg: PipelineConfig) -> ReportBundle:
         "finitepop": lambda: _section_finitepop(ds),
     }
     for name in cfg.sections:
-        if name in runners:
-            bundle.sections[name] = _jsonable(_attempt(runners[name]))
+        bundle.sections[name] = _jsonable(_attempt(runners[name]))
 
     # flag grid over per-trait verdicts from the convergence and bottleneck
     # sections (cells are None when a section was skipped for that trait)
@@ -414,11 +416,7 @@ def _section_bottleneck(writer, traits, cfg: PipelineConfig, sample_of) -> dict[
             root: (orders.tolist(), values.tolist())
             for root, (orders, values) in estimators.per_tree_series(sample).items()
         }
-        figure = svg.bottleneck(
-            title=f"Bottleneck: {trait}",
-            series=series,
-            composition={root: len(values) for root, (_, values) in series.items()},
-        )
+        figure = svg.bottleneck(title=f"Bottleneck: {trait}", series=series)
         writer.write_text(f"bottleneck_{_safe_name(trait)}.svg", figure)
         figure = svg.all_points(
             title=f"All points: {trait}",
@@ -518,13 +516,22 @@ def _section_degree(writer, ds, traits, cfg: PipelineConfig, sample_of) -> dict[
         writer.write_text("sensitivity_pairs.svg", figure)
         return [r if _ran(r) else {"trait": trait, **r} for trait, r in rows.items()]
 
+    def trend() -> list[Any] | dict[str, Any]:
+        # one fit per method, so that a shortfall (the log-linear fit's
+        # positive degrees) skips only the method that needed the data
+        fits = {
+            m: _attempt(degree.degree_trend, ds, (m,), cfg.degree_question)
+            for m in degree.TREND_METHODS
+        }
+        if not any(map(_ran, fits.values())):
+            return fits[degree.TREND_METHODS[0]]  # every method skipped: the first reason
+        return [fit[0] if _ran(fit) else {"method": m, **fit} for m, fit in fits.items()]
+
     return {
         "time_windows": _attempt(degree.time_window_stats, ds),
         "test_retest": _attempt(degree.test_retest_stats, ds, cfg.degree_question),
         "sensitivity": _attempt(sensitivity),
-        "trend": _attempt(
-            lambda: degree.degree_trend(ds, degree_question=cfg.degree_question)
-        ),
+        "trend": trend(),
     }
 
 

@@ -283,10 +283,10 @@ def convergence(
 def bottleneck(
     title: str,
     series: Mapping[str, tuple[Sequence[int], Sequence[float]]],
-    composition: Mapping[str, int],
 ) -> str:
-    """Per-tree cumulative estimates (orders, values) with a seed-composition
-    panel on the left and per-tree final estimates ticked on the right axis."""
+    """Per-tree cumulative estimates (orders, values), with a composition
+    panel on the left (each tree's count and share of the plotted values)
+    and per-tree final estimates ticked on the right axis."""
     if not series:
         raise EmptyData("bottleneck plot needs at least one tree series")
 
@@ -302,19 +302,17 @@ def bottleneck(
                 _STYLE["axis_color"])
 
     roots = sorted(series)
-    total = sum(composition.get(r, 0) for r in roots)
+    total = sum(len(values) for _, values in series.values())
     y_cursor = m
     panel_h = _STYLE["height"] - 2 * m
     for i, root in enumerate(roots):
         color = _TREE_PALETTE[i % len(_TREE_PALETTE)]
-        share = (composition.get(root, 0) / total) if total else 1.0 / len(roots)
-        h = share * panel_h
+        orders, values = series[root]
+        h = len(values) / total * panel_h
         canvas.rect(m, y_cursor, panel_w, h, color, _STYLE["axis_color"])
         if h >= _STYLE["font_size"] + 2:
-            canvas.text(m + 4, y_cursor + h / 2 + 4,
-                        f"{root}:{composition.get(root, 0)}", size=9)
+            canvas.text(m + 4, y_cursor + h / 2 + 4, f"{root}:{len(values)}", size=9)
         y_cursor += h
-        orders, values = series[root]
         canvas.polyline(sx(np.asarray(orders, dtype=float)), sy(np.asarray(values, dtype=float)),
                         color)
         if values:

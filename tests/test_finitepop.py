@@ -33,14 +33,15 @@ def test_failed_attempts_bands_and_flag():
     assert result.bands == {"0": 7, "1-3": 2, "4+": 1}
 
 
-def test_failed_attempts_threshold_one_unflagged():
-    rows = [_row(f"x{i}", i + 1, failed=2) for i in range(4)]
-    result = failed_attempts_indicator(make_dataset(rows), threshold=1.0)
-    assert result.percent_reporting == 100.0
-    assert result.flagged  # exactly at threshold counts
-    result = failed_attempts_indicator(make_dataset(rows[:3] + [_row("z", 4, failed=0)]),
-                                       threshold=1.0)
-    assert not result.flagged
+def test_failed_attempts_flag_at_quarter_boundary():
+    rows = [_row(f"x{i}", i + 1, failed=2 if i == 0 else 0) for i in range(5)]
+    result = failed_attempts_indicator(make_dataset(rows[:4]))
+    assert result.percent_reporting == 25.0
+    assert result.threshold == 0.25
+    assert result.flagged  # 1 of 4: exactly at the threshold counts
+    result = failed_attempts_indicator(make_dataset(rows))
+    assert result.percent_reporting == 20.0
+    assert not result.flagged  # 1 of 5
 
 
 def test_failed_attempts_no_answers():

@@ -10,6 +10,8 @@ import pytest
 from conftest import make_dataset, make_respondent
 from rdsdiag.cli import load_scenario, main
 from rdsdiag.dataset import save_dataset
+from rdsdiag.degree import TREND_METHODS
+from rdsdiag.errors import UnrealizableConfig
 from rdsdiag.report import (
     ALL_SECTIONS,
     SCHEMA_VERSION,
@@ -76,6 +78,11 @@ def test_pipeline_sections_subset(sim_dataset, tmp_path):
 def test_pipeline_empty_sections(sim_dataset, tmp_path):
     bundle = run_pipeline(sim_dataset, _cfg(tmp_path / "out", sections=()))
     assert bundle.sections == {}
+
+
+def test_pipeline_unknown_section(tmp_path):
+    with pytest.raises(UnrealizableConfig, match="unknown section 'estmate'"):
+        _cfg(tmp_path / "out", sections=("estimate", "estmate"))
 
 
 def test_flag_grid_matches_bundle(sim_dataset, tmp_path):
@@ -158,6 +165,33 @@ def test_pipeline_sensitivity_skips_one_trait(sim_dataset, tmp_path):
     }
     assert hiv["trait"] == "hiv" and hiv["n"] > 0
     assert (tmp_path / "out" / "sensitivity_pairs.svg").exists()
+
+
+def _trend(ds, out_dir, degree_from_third_row):
+    rows = tuple(
+        dataclasses.replace(
+            r, degree=dataclasses.replace(r.degree, q_seen_week=degree_from_third_row)
+        ) if i >= 2 else r
+        for i, r in enumerate(ds.respondents)
+    )
+    ds = dataclasses.replace(ds, respondents=rows)
+    return run_pipeline(ds, _cfg(out_dir, sections=("degree",))).sections["degree"]["trend"]
+
+
+def test_pipeline_trend_skips_only_the_log_linear_fit(sim_dataset, tmp_path):
+    # two positive degrees are too few for the log-linear fit alone
+    trend = _trend(sim_dataset, tmp_path / "out", 0)
+    assert [entry["method"] for entry in trend] == list(TREND_METHODS)
+    assert trend[1] == {
+        "method": "log-linear", "skipped": "need >= 3 positive degrees for log-linear"
+    }
+    assert all(set(entry) == {"method", "sign", "statistic"} for entry in trend[:1] + trend[2:])
+
+
+def test_pipeline_trend_every_method_skipped(sim_dataset, tmp_path):
+    # two answered degrees: every method skips, and the first reason stands
+    trend = _trend(sim_dataset, tmp_path / "out", None)
+    assert trend == {"skipped": "need >= 3 respondents with degree"}
 
 
 # -- CLI ---------------------------------------------------------------------
@@ -316,6 +350,22 @@ def test_cli_config_file_overrides(cli_study, capsys, tmp_path):
     payload = json.loads(capsys.readouterr().out)
     assert payload["tau"] == 25
     assert payload["epsilon"] == 0.1
+
+
+@pytest.mark.parametrize("flag, value", [("--trait", "hiv"), ("--degree-question", "bogus")])
+def test_cli_ingest_takes_no_analysis_flag(cli_study, capsys, flag, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["ingest", *_dataset_args(cli_study), flag, value])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value", [("trait", "hiv"), ("degree_question", "q_know")])
+def test_cli_ingest_config_has_no_analysis_key(cli_study, capsys, tmp_path, key, value):
+    config = tmp_path / "cfg.txt"
+    config.write_text(f"{key}={value}\n")
+    assert main(["ingest", *_dataset_args(cli_study), "--config", str(config)]) == 3
+    assert f"unknown config key {key!r}" in capsys.readouterr().err
 
 
 def test_cli_bad_config_key(cli_study, capsys, tmp_path):

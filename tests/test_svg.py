@@ -29,7 +29,6 @@ FIGURES = {
     "bottleneck": (svg.bottleneck, {
         "title": "Bottleneck",
         "series": {"S1": ([1, 3], [1.0, 0.5]), "S2": ([2, 4], [0.0, 0.25])},
-        "composition": {"S1": 2, "S2": 2},
     }),
     "all-points": (svg.all_points, {
         "title": "All points",
@@ -372,10 +371,10 @@ def oracle_convergence(
 def oracle_bottleneck(
     title: str,
     series: Mapping[str, tuple[Sequence[int], Sequence[float]]],
-    composition: Mapping[str, int],
 ) -> str:
-    """Per-tree cumulative estimates (orders, values) with a seed-composition
-    panel on the left and per-tree final estimates ticked on the right axis."""
+    """Per-tree cumulative estimates (orders, values), with a composition
+    panel on the left (each tree's count and share of the plotted values)
+    and per-tree final estimates ticked on the right axis."""
     if not series:
         raise EmptyData("bottleneck plot needs at least one tree series")
 
@@ -391,17 +390,17 @@ def oracle_bottleneck(
                 _STYLE["axis_color"])
 
     roots = sorted(series)
-    total = sum(composition.get(r, 0) for r in roots)
+    composition = {root: len(values) for root, (_, values) in series.items()}
+    total = sum(composition.values())
     y_cursor = m
     panel_h = _STYLE["height"] - 2 * m
     for i, root in enumerate(roots):
         color = _TREE_PALETTE[i % len(_TREE_PALETTE)]
-        share = (composition.get(root, 0) / total) if total else 1.0 / len(roots)
+        share = composition[root] / total
         h = share * panel_h
         canvas.rect(m, y_cursor, panel_w, h, color, _STYLE["axis_color"])
         if h >= _STYLE["font_size"] + 2:
-            canvas.text(m + 4, y_cursor + h / 2 + 4,
-                        f"{root}:{composition.get(root, 0)}", size=9)
+            canvas.text(m + 4, y_cursor + h / 2 + 4, f"{root}:{composition[root]}", size=9)
         y_cursor += h
         orders, values = series[root]
         canvas.polyline([(sx(o), sy(v)) for o, v in zip(orders, values)], color)
@@ -643,9 +642,9 @@ def _bottleneck(draw):
     series = {root: draw(_series(min_size=0)) for root in roots}
     if not any(orders for orders, _ in series.values()):
         series[roots[0]] = draw(_series())
-    # a zero count over a negative total gives a -0.0 panel height
-    composition = draw(st.dictionaries(st.sampled_from(roots), st.integers(-3, 5)))
-    return {"series": series, "composition": composition}
+    # each tree's count is its number of values; a tree with none gets a
+    # zero-height panel
+    return {"series": series}
 
 
 @st.composite
