@@ -13,11 +13,11 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Iterable, Mapping, Optional
 
 import numpy as np
 
-from .dataset import Respondent, StudyDataset
+from .dataset import StudyDataset
 from .errors import DegenerateTable, NoData, NoEligibleRecruiters
 from .estimators import _bisect, _quantile
 
@@ -130,45 +130,33 @@ class BiasLevels:
     n_recruiters: int
 
 
-@dataclass
-class _RecruiterData:
-    contact_total: int
-    contact_positive: int
-    recipient_flags: list[bool]
-    recruit_flags: list[bool]
+def _level(answers: Iterable[Optional[bool]]) -> tuple[int, int]:
+    """(size, employed) of one level's answered employment questions."""
+    answered = [a for a in answers if a is not None]
+    return len(answered), sum(answered)
 
 
-def _recipient_flags(r: Respondent) -> list[bool]:
-    if r.followup is None:
-        return []
-    return [
-        c.recipient_employed
-        for c in r.followup.coupons
-        if c.recipient_employed is not None
-    ]
-
-
-def _bias_eligible(ds: StudyDataset) -> list[_RecruiterData]:
-    """Recruiters with employment data on all three levels: employed
-    age-eligible contacts, employed coupon recipients and employed recruits.
-    Recruiters reporting more employed contacts than contacts are logically
-    inconsistent and excluded."""
+def _bias_eligible(ds: StudyDataset) -> list[tuple[tuple[int, int], ...]]:
+    """Each recruiter with employment data on all three levels, as three
+    (size, employed) pairs: age-eligible contacts, coupon recipients and
+    recruits.  Unanswered recipients and recruits are left out of their
+    level.  Recruiters reporting more employed contacts than contacts are
+    logically inconsistent and excluded.  With no recruiter left, raises
+    ``NoEligibleRecruiters``."""
     eligible = []
     for r in ds.respondents:
-        total = r.degree.q_age
-        positive = r.followup.n_contacts_employed if r.followup else None
-        if total is None or positive is None or total < 1:
+        fu = r.followup
+        if fu is None or r.degree.q_age is None or fu.n_contacts_employed is None:
             continue
-        recips = _recipient_flags(r)
-        if not recips:
-            continue
-        recruit_vals = [ds.by_id(cid).employed for cid in ds.forest.recruits(r.id)]
-        recruit_vals = [v for v in recruit_vals if v is not None]
-        if not recruit_vals:
-            continue
-        if positive > total:
-            continue
-        eligible.append(_RecruiterData(total, positive, recips, recruit_vals))
+        levels = (
+            (r.degree.q_age, fu.n_contacts_employed),
+            _level(c.recipient_employed for c in fu.coupons),
+            _level(ds.by_id(cid).employed for cid in ds.forest.recruits(r.id)),
+        )
+        if all(size > 0 for size, _ in levels) and levels[0][1] <= levels[0][0]:
+            eligible.append(levels)
+    if not eligible:
+        raise NoEligibleRecruiters("no recruiters with data on all three levels")
     return eligible
 
 
@@ -176,14 +164,11 @@ def recruitment_bias_levels(ds: StudyDataset) -> BiasLevels:
     """Equal-recruiter-weight averages of the employed fraction among
     contacts, coupon recipients, and recruits."""
     eligible = _bias_eligible(ds)
-    if not eligible:
-        raise NoEligibleRecruiters("no recruiters with data on all three levels")
-    return BiasLevels(
-        contacts=float(np.mean([e.contact_positive / e.contact_total for e in eligible])),
-        recipients=float(np.mean([np.mean(e.recipient_flags) for e in eligible])),
-        recruits=float(np.mean([np.mean(e.recruit_flags) for e in eligible])),
-        n_recruiters=len(eligible),
+    contacts, recipients, recruits = (
+        float(np.mean([employed / size for size, employed in level]))
+        for level in zip(*eligible)
     )
+    return BiasLevels(contacts, recipients, recruits, n_recruiters=len(eligible))
 
 
 @dataclass(frozen=True)
@@ -235,19 +220,15 @@ def recruitment_bias_tests(ds: StudyDataset, threshold: float = 0.90) -> BiasTes
     and overall (recruits drawn from contacts).
 
     Recruiters whose reported draw cannot come from their pool (more
-    positives, more negatives, or more draws than the pool holds) are
-    logically inconsistent for that level: they are excluded from the test
-    and their proportion is reported alongside."""
+    positives or more negatives than the pool holds, and so any draw larger
+    than the pool) are logically inconsistent for that level: they are
+    excluded from the test and their proportion is reported alongside."""
     eligible = _bias_eligible(ds)
-    if not eligible:
-        raise NoEligibleRecruiters("no recruiters with data on all three levels")
 
-    def run(pools: list[tuple[int, int, int, int]]) -> BiasTest:
-        # pools: (total, positive_available, n_drawn, positive_observed)
-        consistent = [
-            p for p in pools
-            if p[3] <= p[1] and p[2] - p[3] <= p[0] - p[1] and p[2] <= p[0]
-        ]
+    def run(pool: int, drawn: int) -> BiasTest:
+        # (total, positive_available, n_drawn, positive_observed) per recruiter
+        pools = [(*levels[pool], *levels[drawn]) for levels in eligible]
+        consistent = [p for p in pools if p[3] <= p[1] and p[2] - p[3] <= p[0] - p[1]]
         if not consistent:
             raise NoEligibleRecruiters("no logically consistent recruiters")
         observed = sum(p[3] for p in consistent)
@@ -260,23 +241,8 @@ def recruitment_bias_tests(ds: StudyDataset, threshold: float = 0.90) -> BiasTes
             n_recruiters=len(consistent),
         )
 
-    passing_pools = [
-        (e.contact_total, e.contact_positive, len(e.recipient_flags), sum(e.recipient_flags))
-        for e in eligible
-    ]
-    returning_pools = [
-        (len(e.recipient_flags), sum(e.recipient_flags), len(e.recruit_flags), sum(e.recruit_flags))
-        for e in eligible
-    ]
-    overall_pools = [
-        (e.contact_total, e.contact_positive, len(e.recruit_flags), sum(e.recruit_flags))
-        for e in eligible
-    ]
-
     return BiasTestResults(
-        coupon_passing=run(passing_pools),
-        returning_coupons=run(returning_pools),
-        overall=run(overall_pools),
+        coupon_passing=run(0, 1), returning_coupons=run(1, 2), overall=run(0, 2)
     )
 
 

@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Optional, Sequence
 
-from .dataset import StudyDataset, load_dataset, save_dataset, validate_dataset
+from .dataset import StudyDataset, load_dataset, save_dataset
 from .errors import RdsError, UnrealizableConfig
 from .report import (
     ALL_SECTIONS,
@@ -33,6 +33,14 @@ if TYPE_CHECKING:
     from .sim import NetworkConfig, SimConfig, TraitRule
 
 
+def _path(raw: str) -> Path:
+    """A path flag's or config key's value.  ``Path("")`` is the working
+    directory, so an empty value is refused rather than read as "."."""
+    if not raw:
+        raise argparse.ArgumentTypeError("empty path")
+    return Path(raw)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rdsdiag",
@@ -41,21 +49,21 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def dataset_flags(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--respondents", required=True, type=Path)
-        p.add_argument("--traits", required=True, type=Path)
-        p.add_argument("--followup", type=Path, default=None)
+        p.add_argument("--respondents", required=True, type=_path)
+        p.add_argument("--traits", required=True, type=_path)
+        p.add_argument("--followup", type=_path, default=None)
         strictness = p.add_mutually_exclusive_group()
         strictness.add_argument("--strict", dest="strict", action="store_true",
                                 default=True)
         strictness.add_argument("--lenient", dest="strict", action="store_false")
-        p.add_argument("--config", type=Path, default=None,
+        p.add_argument("--config", type=_path, default=None,
                        help="key=value file whose entries override flags")
 
     def analysis_flags(p: argparse.ArgumentParser) -> None:
         p.add_argument("--degree-question", default=PipelineConfig.degree_question)
         p.add_argument("--trait", action="append",
                        help="restrict analysis to this trait (repeatable)")
-        p.add_argument("--out-dir", type=Path, default=Path("rdsdiag-out"))
+        p.add_argument("--out-dir", type=_path, default=Path("rdsdiag-out"))
         p.add_argument("--seed", type=int, default=PipelineConfig.rng_seed)
         p.add_argument("--tau", type=int, default=PipelineConfig.tau)
         p.add_argument("--epsilon", type=float, default=PipelineConfig.epsilon)
@@ -83,12 +91,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="generate a synthetic study dataset",
                        allow_abbrev=False)
-    p.add_argument("--scenario", required=True, type=Path,
+    p.add_argument("--scenario", required=True, type=_path,
                    help="key=value scenario description")
-    p.add_argument("--out-dir", required=True, type=Path)
+    p.add_argument("--out-dir", required=True, type=_path)
     p.add_argument("--seed", type=int, default=None,
                    help="override the scenario rng_seed")
-    p.add_argument("--config", type=Path, default=None)
+    p.add_argument("--config", type=_path, default=None)
     return parser
 
 
@@ -113,11 +121,11 @@ _CONFIG_KEYS = {
     "epsilon": float,
     "threshold": float,
     "strict": _yes_no,
-    "respondents": Path,
-    "traits": Path,
-    "followup": Path,
-    "out_dir": Path,
-    "scenario": Path,
+    "respondents": _path,
+    "traits": _path,
+    "followup": _path,
+    "out_dir": _path,
+    "scenario": _path,
 }
 
 
@@ -133,7 +141,7 @@ def _apply_config_file(args: argparse.Namespace) -> None:
             raise UnrealizableConfig(f"unknown config key {key!r}")
         try:
             setattr(args, dest, _CONFIG_KEYS.get(dest, str)(raw))
-        except ValueError:
+        except (ValueError, argparse.ArgumentTypeError):
             raise UnrealizableConfig(f"config key {key!r}: cannot parse {raw!r}") from None
 
 
@@ -183,7 +191,7 @@ def _emit(payload: Any) -> None:
 
 def _cmd_ingest(args: argparse.Namespace) -> int:
     ds = _load_study(args)
-    summary = dataset_summary(ds, validate_dataset(ds))
+    summary = dataset_summary(ds)
     validation = summary.pop("validation")
     _emit({**summary, **validation, "warnings": ds.repairs})
     return 0
@@ -293,7 +301,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         sim_cfg = dataclasses.replace(sim_cfg, rng_seed=args.seed)
     net = generate_network(net_cfg, rng_seed=sim_cfg.rng_seed)
     result = simulate_rds(net, sim_cfg)
-    out = Path(args.out_dir)
+    out = args.out_dir
     _make_out_dir(out)
     save_dataset(
         result.dataset,

@@ -283,12 +283,8 @@ _ANSWER_COLUMNS = (
     ("employed", "employed", _opt_bool),
     ("recv_week", "q_recv_week", _opt_int),
 )
-_RETEST_COLUMNS = (
-    ("fu_deg_know", "q_know", _opt_int),
-    ("fu_deg_province", "q_province", _opt_int),
-    ("fu_deg_age", "q_age", _opt_int),
-    ("fu_deg_week", "q_seen_week", _opt_int),
-)
+# the follow-up retest repeats the four degree-funnel questions
+_RETEST_COLUMNS = tuple(("fu_" + column, *rest) for column, *rest in _DEGREE_COLUMNS[:4])
 _COUNT_COLUMNS = (
     ("n_failed_attempts", "n_failed_attempts", _opt_int),
     ("n_known_participants", "n_known_participants", _opt_int),

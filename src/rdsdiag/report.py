@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import Any, Callable, Optional, Sequence
 
 from . import behavior, bottleneck, convergence, degree, estimators, finitepop, svg
-from .dataset import DEGREE_QUESTIONS, StudyDataset, ValidationReport, validate_dataset
+from .dataset import DEGREE_QUESTIONS, StudyDataset, validate_dataset
 from .errors import DataRequirementError, TooFewTrees, UnrealizableConfig
 from .forest import edge_rows
 
@@ -197,7 +197,6 @@ def run_pipeline(ds: StudyDataset, cfg: PipelineConfig) -> ReportBundle:
     Raises config errors; a data-requirement shortfall is recorded as
     ``{"skipped": reason}`` at the narrowest level it hits (trait,
     sub-diagnostic or section) instead of aborting the run."""
-    report = validate_dataset(ds)
     traits = (
         tuple(dict.fromkeys(cfg.traits))
         if cfg.traits is not None
@@ -215,7 +214,7 @@ def run_pipeline(ds: StudyDataset, cfg: PipelineConfig) -> ReportBundle:
         _check_population_sizes(traits, cfg.population_sizes, sample_of)
 
     writer = _Writer(Path(cfg.out_dir))
-    bundle = ReportBundle(dataset_summary=dataset_summary(ds, report), sections={})
+    bundle = ReportBundle(dataset_summary=dataset_summary(ds), sections={})
 
     writer.write_csv(
         "edges.csv", ["child_id", "parent_id", "wave", "tree_root"], edge_rows(ds)
@@ -297,9 +296,10 @@ def _lookup_flag(section: dict[str, Any], trait: str) -> Optional[bool]:
     return section.get("per_trait", {}).get(trait, {}).get("flagged")
 
 
-def dataset_summary(ds: StudyDataset, report: ValidationReport) -> dict[str, Any]:
-    """Size, shape and validation counts of the study, as the bundle and
-    ``rdsdiag ingest`` report them."""
+def dataset_summary(ds: StudyDataset) -> dict[str, Any]:
+    """Size, shape and ``validate_dataset`` counts of the study, as the
+    bundle and ``rdsdiag ingest`` report them."""
+    report = validate_dataset(ds)
     waves = [ds.forest.wave[r.id] for r in ds.respondents]
     return {
         "site": ds.site_label,

@@ -10,6 +10,9 @@ from scipy.stats.contingency import odds_ratio
 
 from conftest import followup, make_dataset, make_degree, make_respondent
 from rdsdiag.behavior import (
+    BiasLevels,
+    BiasTest,
+    BiasTestResults,
     _srs_quantile_rank,
     _summed_positive_pmf,
     exact_odds_ratio_interval,
@@ -281,6 +284,89 @@ def test_bias_tests_symmetric_null_rank_moderate():
     ds = make_dataset(rows)
     results = recruitment_bias_tests(ds)
     assert 0.2 < results.coupon_passing.quantile_rank < 0.8
+
+
+def _oracle_eligible(ds):
+    """Each eligible recruiter's contact counts and answered recipient and
+    recruit flags, as the per-level formulas read them."""
+    eligible = []
+    for r in ds.respondents:
+        total = r.degree.q_age
+        positive = r.followup.n_contacts_employed if r.followup else None
+        if total is None or positive is None or total < 1 or positive > total:
+            continue
+        recips = [c.recipient_employed for c in r.followup.coupons
+                  if c.recipient_employed is not None]
+        recruits = [ds.by_id(cid).employed for cid in ds.forest.recruits(r.id)]
+        recruits = [v for v in recruits if v is not None]
+        if recips and recruits:
+            eligible.append((total, positive, recips, recruits))
+    if not eligible:
+        raise NoEligibleRecruiters("no recruiters with data on all three levels")
+    return eligible
+
+
+def _oracle_levels(ds):
+    eligible = _oracle_eligible(ds)
+    return BiasLevels(
+        contacts=float(np.mean([p / t for t, p, _, _ in eligible])),
+        recipients=float(np.mean([np.mean(f) for _, _, f, _ in eligible])),
+        recruits=float(np.mean([np.mean(g) for _, _, _, g in eligible])),
+        n_recruiters=len(eligible),
+    )
+
+
+def _oracle_tests(ds):
+    """The three tests from their pool lists written out."""
+    eligible = _oracle_eligible(ds)
+
+    def run(pools):
+        consistent = [p for p in pools if p[3] <= p[1] and p[2] - p[3] <= p[0] - p[1]]
+        if not consistent:
+            raise NoEligibleRecruiters("no logically consistent recruiters")
+        observed = sum(p[3] for p in consistent)
+        rank = _srs_quantile_rank(consistent, observed)
+        return BiasTest(float(observed), rank, rank > 0.90,
+                        (len(pools) - len(consistent)) / len(pools), len(consistent))
+
+    return BiasTestResults(
+        coupon_passing=run([(t, p, len(f), sum(f)) for t, p, f, _ in eligible]),
+        returning_coupons=run([(len(f), sum(f), len(g), sum(g)) for _, _, f, g in eligible]),
+        overall=run([(t, p, len(g), sum(g)) for t, p, _, g in eligible]),
+    )
+
+
+def _outcome(fn, ds):
+    try:
+        return fn(ds)
+    except NoEligibleRecruiters:
+        return NoEligibleRecruiters
+
+
+_answer = st.sampled_from([True, False, None])
+_recruiter = st.tuples(
+    st.one_of(st.none(), st.integers(0, 6)),  # q_age
+    st.one_of(st.none(), st.integers(0, 8)),  # employed contacts, may exceed q_age
+    st.lists(_answer, max_size=4),  # recipient_employed per coupon
+    st.lists(_answer, max_size=4),  # employed per recruit, one per coupon at most
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(recruiters=st.lists(_recruiter, min_size=1, max_size=8))
+def test_bias_levels_and_tests_match_per_level_formulas(recruiters):
+    rows, recruits = [], []
+    for i, (q_age, n_employed, recipients, recruited) in enumerate(recruiters):
+        rows.append(_bias_recruiter(f"S{i}", len(rows) + 1, q_age=q_age,
+                                    n_employed=n_employed, recipients=recipients,
+                                    recruit_coupons=0))
+        recruits += [(f"S{i}-c{j}", e) for j, e in enumerate(recruited[:len(recipients)])]
+    for cid, employed in recruits:
+        rows.append(make_respondent(f"r-{cid}", len(rows) + 1, coupon_in=cid, degree=2,
+                                    traits={"hiv": "no"}, employed=employed))
+    ds = make_dataset(rows, allotment=4)
+    assert _outcome(recruitment_bias_levels, ds) == _outcome(_oracle_levels, ds)
+    assert _outcome(recruitment_bias_tests, ds) == _outcome(_oracle_tests, ds)
 
 
 def _brute_force_pmf(pools):

@@ -873,6 +873,55 @@ def test_cli_out_dir_that_cannot_be_a_directory(cli_study, capsys, tmp_path, com
     assert sorted(p.name for p in tmp_path.iterdir()) == ["F"]
 
 
+def _argv_in(command, study, **paths):
+    """``command``'s arguments with each named path flag set, keeping the
+    study's inputs and a config or scenario outside the working directory."""
+    if command == "simulate":
+        defaults = {"scenario": str(study.parent / "scenario.txt")}
+    else:
+        defaults = {name: str(study / f"{name}.csv")
+                    for name in ("respondents", "traits", "followup")}
+    if command != "ingest":
+        defaults["out_dir"] = str(study / "o")
+    argv = [command, "--replicates", "50"] if command == "report" else [command]
+    for key, value in {**defaults, **paths}.items():
+        argv += ["--" + key.replace("_", "-"), value]
+    return argv
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("report", "out_dir"), ("report", "followup"), ("report", "config"),
+    ("ingest", "respondents"), ("simulate", "out_dir"), ("simulate", "scenario"),
+])
+def test_cli_empty_path_flag_exits_2(cli_study, capsys, tmp_path, monkeypatch, command, flag):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(_argv_in(command, cli_study, **{flag: ""}))
+    assert exc.value.code == 2
+    assert f"--{flag.replace('_', '-')}: empty path" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+    assert not (cli_study / "o").exists()
+
+
+@pytest.mark.parametrize("command, key", [
+    ("report", "out_dir"), ("report", "followup"), ("simulate", "out_dir"),
+])
+def test_cli_empty_path_config_key_exits_3(cli_study, capsys, tmp_path, monkeypatch,
+                                            command, key):
+    config = tmp_path / "cfg" / "cfg.txt"
+    config.parent.mkdir()
+    config.write_text(f"{key}=\n")
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    assert main(_argv_in(command, cli_study, config=str(config))) == 3
+    captured = capsys.readouterr()
+    assert captured.err == f"error: config key {key!r}: cannot parse ''\n"
+    assert captured.out == ""
+    assert list(work.iterdir()) == []
+    assert not (cli_study / "o").exists()
+
+
 @pytest.mark.parametrize("command, name", [
     ("report", "edges.csv"), ("report", "chains.svg"), ("report", "bundle.json"),
     ("simulate", "respondents.csv"),
