@@ -226,11 +226,11 @@ def _sign(x: float) -> int:
 
 def degree_trend(
     ds: StudyDataset,
-    methods: Sequence[str] = TREND_METHODS,
+    method: str,
     degree_question: str = DEFAULT_DEGREE_QUESTION,
-) -> list[TrendVerdict]:
-    """Trend of reported degree against interview order under the requested
-    methods.  The log-linear fit drops zero degrees."""
+) -> TrendVerdict:
+    """Trend of reported degree against interview order under one of
+    ``TREND_METHODS``.  The log-linear fit drops zero degrees."""
     xs, ys = [], []
     for r in ds.respondents:
         d = r.degree.get(degree_question)
@@ -245,24 +245,20 @@ def degree_trend(
     if np.all(y == y[0]):
         # constant degree: every method reports a flat trend, and the rank
         # correlations are undefined
-        return [TrendVerdict(method=m, sign=0, statistic=0.0) for m in methods]
-
-    verdicts = []
-    for method in methods:
-        if method == "linear":
-            stat = float(np.polyfit(x, y, 1)[0])
-        elif method == "log-linear":
-            mask = y > 0
-            if mask.sum() < 3:
-                raise InsufficientData("need >= 3 positive degrees for log-linear")
-            stat = float(np.polyfit(x[mask], np.log(y[mask]), 1)[0])
-        elif method == "theil-sen":
-            stat = _theil_sen(x, y)
-        elif method == "kendall-tau":
-            stat = _kendall_tau_b(x, y)
-        elif method == "spearman-rho":
-            stat = _spearman(x, y)
-        else:
-            raise ValueError(f"unknown trend method {method!r}")
-        verdicts.append(TrendVerdict(method=method, sign=_sign(stat), statistic=stat))
-    return verdicts
+        return TrendVerdict(method=method, sign=0, statistic=0.0)
+    if method == "linear":
+        stat = float(np.polyfit(x, y, 1)[0])
+    elif method == "log-linear":
+        mask = y > 0
+        if mask.sum() < 3:
+            raise InsufficientData("need >= 3 positive degrees for log-linear")
+        stat = float(np.polyfit(x[mask], np.log(y[mask]), 1)[0])
+    elif method == "theil-sen":
+        stat = _theil_sen(x, y)
+    elif method == "kendall-tau":
+        stat = _kendall_tau_b(x, y)
+    elif method == "spearman-rho":
+        stat = _spearman(x, y)
+    else:
+        raise ValueError(f"unknown trend method {method!r}")
+    return TrendVerdict(method=method, sign=_sign(stat), statistic=stat)

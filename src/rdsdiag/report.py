@@ -55,6 +55,8 @@ class PipelineConfig:
     sections: tuple[str, ...] = ALL_SECTIONS
 
     def __post_init__(self) -> None:
+        if not str(self.out_dir):  # Path("") would be the working directory
+            raise UnrealizableConfig("out_dir: empty path")
         if self.degree_question not in DEGREE_QUESTIONS:
             raise UnrealizableConfig(f"unknown degree question {self.degree_question!r}")
         for name in self.sections:
@@ -520,12 +522,12 @@ def _section_degree(writer, ds, traits, cfg: PipelineConfig, sample_of) -> dict[
         # one fit per method, so that a shortfall (the log-linear fit's
         # positive degrees) skips only the method that needed the data
         fits = {
-            m: _attempt(degree.degree_trend, ds, (m,), cfg.degree_question)
+            m: _attempt(degree.degree_trend, ds, m, cfg.degree_question)
             for m in degree.TREND_METHODS
         }
         if not any(map(_ran, fits.values())):
             return fits[degree.TREND_METHODS[0]]  # every method skipped: the first reason
-        return [fit[0] if _ran(fit) else {"method": m, **fit} for m, fit in fits.items()]
+        return [fit if _ran(fit) else {"method": m, **fit} for m, fit in fits.items()]
 
     return {
         "time_windows": _attempt(degree.time_window_stats, ds),

@@ -46,6 +46,9 @@ MOTIVATION_CATEGORIES = (
 MOTIVATION_PROBS = (0.7, 0.1, 0.08, 0.1, 0.02)
 INTERVIEWS_PER_DAY = 10
 
+# bytes of one row chunk of a block pair's uniform draw; the edges do not depend on it
+_DRAW_BYTES = 8 * 1024 * 1024
+
 
 @dataclass(frozen=True)
 class TraitRule:
@@ -126,28 +129,38 @@ def generate_network(cfg: NetworkConfig, rng_seed: int = 0) -> SyntheticNetwork:
     rng = np.random.default_rng(rng_seed)
     blocks = np.repeat(np.arange(len(sizes)), sizes)
     starts = np.concatenate([[0], np.cumsum(sizes)])
-    adjacency: list[list[int]] = [[] for _ in range(n)]
-
-    def add_edge(u: int, v: int) -> None:
-        adjacency[u].append(v)
-        adjacency[v].append(u)
-
+    us, vs = [], []  # the expected-degree check leaves at least one pair to draw
     for bi in range(len(sizes)):
         for bj in range(bi, len(sizes)):
             p = cfg.within_block_edge_prob if bi == bj else cfg.between_block_edge_prob
-            if p <= 0.0:
-                continue
             ni, nj = sizes[bi], sizes[bj]
-            mat = rng.random((ni, nj)) < p
-            if bi == bj:
-                mat = np.triu(mat, k=1)
-            us, vs = np.nonzero(mat)
-            for u, v in zip(us + starts[bi], vs + starts[bj]):
-                add_edge(int(u), int(v))
+            if p <= 0.0 or ni == 0 or nj == 0:
+                continue
+            # Generator.random fills its output in sequence, so row chunks
+            # draw the same bits as one ni x nj matrix
+            rows = max(1, _DRAW_BYTES // (8 * nj))
+            for r0 in range(0, ni, rows):
+                hit = rng.random((min(rows, ni - r0), nj)) < p
+                if bi == bj:
+                    hit = np.triu(hit, k=r0 + 1)
+                u, v = np.nonzero(hit)
+                us.append(u + starts[bi] + r0)
+                vs.append(v + starts[bj])
+    u, v = np.concatenate(us), np.concatenate(vs)
 
-    n_connect = _connect_components(adjacency, rng)
-    neighbors = tuple(np.array(sorted(set(a)), dtype=int) for a in adjacency)
-    degrees = np.array([len(a) for a in neighbors])
+    # link each stray component, in the order of its smallest node, to the largest
+    component = _components(n, u, v)
+    counts = np.bincount(component)
+    members = np.split(np.argsort(component, kind="stable"), np.cumsum(counts)[:-1])
+    main = int(counts.argmax())
+    links = np.array(
+        [(rng.choice(c), rng.choice(members[main])) for i, c in enumerate(members) if i != main],
+        dtype=int,
+    ).reshape(-1, 2)
+    u, v = np.concatenate([u, links[:, 0]]), np.concatenate([v, links[:, 1]])
+    src, dst = np.concatenate([u, v]), np.concatenate([v, u])
+    degrees = np.bincount(src, minlength=n)
+    neighbors = tuple(np.split(dst[np.lexsort((dst, src))], np.cumsum(degrees)[:-1]))
 
     traits: dict[str, np.ndarray] = {}
     for name, rule in cfg.traits.items():
@@ -167,42 +180,24 @@ def generate_network(cfg: NetworkConfig, rng_seed: int = 0) -> SyntheticNetwork:
         neighbors=neighbors,
         degrees=degrees,
         node_traits=traits,
-        n_connect_edges=n_connect,
+        n_connect_edges=len(links),
     )
 
 
-def _connect_components(adjacency: list[list[int]], rng: np.random.Generator) -> int:
-    n = len(adjacency)
-    component = np.full(n, -1)
-    comp_id = 0
-    for start in range(n):
-        if component[start] >= 0:
-            continue
-        queue = deque([start])
-        component[start] = comp_id
-        while queue:
-            u = queue.popleft()
-            for v in adjacency[u]:
-                if component[v] < 0:
-                    component[v] = comp_id
-                    queue.append(v)
-        comp_id += 1
-    if comp_id == 1:
-        return 0
-    counts = np.bincount(component)
-    main = int(counts.argmax())
-    main_nodes = np.nonzero(component == main)[0]
-    added = 0
-    for cid in range(comp_id):
-        if cid == main:
-            continue
-        nodes = np.nonzero(component == cid)[0]
-        u = int(rng.choice(nodes))
-        v = int(rng.choice(main_nodes))
-        adjacency[u].append(v)
-        adjacency[v].append(u)
-        added += 1
-    return added
+def _components(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Component of each node, numbered in the order of the components'
+    smallest nodes: labels fall across edges and to their labels' labels
+    until nothing moves, leaving each node its component's smallest node."""
+    label = np.arange(n)
+    while True:
+        low = np.minimum(label[u], label[v])
+        lower = label.copy()
+        np.minimum.at(lower, u, low)
+        np.minimum.at(lower, v, low)
+        lower = lower[lower]
+        if np.array_equal(lower, label):
+            return np.unique(label, return_inverse=True)[1]
+        label = lower
 
 
 def true_prevalence(net: SyntheticNetwork, trait: str) -> float:
@@ -261,6 +256,9 @@ class SimConfig:
                 raise UnrealizableConfig(f"{name} must lie in [0, 1]")
         if not self.retest_sd >= 0.0:
             raise UnrealizableConfig(f"retest_sd must be >= 0, got {self.retest_sd}")
+        last = int(net.blocks.max())
+        if self.seed_block is not None and not 0 <= self.seed_block <= last:
+            raise UnrealizableConfig(f"seed_block must lie in 0..{last}, got {self.seed_block}")
 
 
 @dataclass(frozen=True)

@@ -341,8 +341,7 @@ def test_criterion_08_rank_statistic_oracles():
         # zero degrees are fine here: only the rank methods are exercised
         ds = make_dataset(rows)
         verdicts = {
-            v.method: v.statistic
-            for v in degree_trend(ds, methods=("theil-sen", "kendall-tau", "spearman-rho"))
+            m: degree_trend(ds, m).statistic for m in ("theil-sen", "kendall-tau", "spearman-rho")
         }
         theil, tau, rho = _oracle_rank_stats(y)
         worst = max(

@@ -320,13 +320,15 @@ def _trend_ds(degrees):
 
 
 def test_trend_decreasing_all_negative():
-    verdicts = degree_trend(_trend_ds([10, 8, 6, 4, 2]))
+    ds = _trend_ds([10, 8, 6, 4, 2])
+    verdicts = [degree_trend(ds, m) for m in TREND_METHODS]
     assert [v.method for v in verdicts] == list(TREND_METHODS)
     assert all(v.sign == -1 for v in verdicts)
 
 
 def test_trend_constant_all_zero():
-    verdicts = degree_trend(_trend_ds([5, 5, 5, 5]))
+    ds = _trend_ds([5, 5, 5, 5])
+    verdicts = [degree_trend(ds, m) for m in TREND_METHODS]
     assert all(v.sign == 0 for v in verdicts)
 
 
@@ -335,7 +337,7 @@ def test_trend_linear_matches_polyfit_oracle():
     x = np.arange(1, 7, dtype=float)
     y = np.array(degrees, dtype=float)
     slope = float(np.polyfit(x, y, 1)[0])
-    (linear,) = [v for v in degree_trend(_trend_ds(degrees)) if v.method == "linear"]
+    linear = degree_trend(_trend_ds(degrees), "linear")
     assert linear.statistic == pytest.approx(slope, abs=1e-12)
 
 
@@ -347,14 +349,14 @@ def test_trend_theil_sen_median_of_pairwise_slopes():
         for i in range(len(x))
         for j in range(i + 1, len(x))
     ]
-    (ts,) = [v for v in degree_trend(_trend_ds(degrees)) if v.method == "theil-sen"]
+    ts = degree_trend(_trend_ds(degrees), "theil-sen")
     assert ts.statistic == pytest.approx(float(np.median(slopes)), abs=1e-12)
 
 
 def test_trend_kendall_matches_concordance_oracle():
     degrees = [4, 7, 2, 9, 9, 3]
     x = list(range(1, 7))
-    (kt,) = [v for v in degree_trend(_trend_ds(degrees)) if v.method == "kendall-tau"]
+    kt = degree_trend(_trend_ds(degrees), "kendall-tau")
     ref = stats.kendalltau(x, degrees).statistic
     assert kt.statistic == pytest.approx(float(ref), abs=1e-12)
     # brute concordance count (tau-b with no ties in x)
@@ -376,21 +378,20 @@ def test_trend_kendall_matches_concordance_oracle():
 def test_trend_spearman_invariant_under_monotone_transform():
     degrees = [2, 5, 3, 9, 7, 4]
     cubed = [d**3 for d in degrees]
-    (a,) = [v for v in degree_trend(_trend_ds(degrees)) if v.method == "spearman-rho"]
-    (b,) = [v for v in degree_trend(_trend_ds(cubed)) if v.method == "spearman-rho"]
+    a = degree_trend(_trend_ds(degrees), "spearman-rho")
+    b = degree_trend(_trend_ds(cubed), "spearman-rho")
     assert a.statistic == pytest.approx(b.statistic, abs=1e-12)
 
 
 def test_trend_log_linear_drops_zero_degrees():
-    verdicts = degree_trend(
-        _trend_ds([0, 8, 4, 2, 1]), methods=("log-linear",)
-    )
+    verdict = degree_trend(_trend_ds([0, 8, 4, 2, 1]), "log-linear")
     x = np.array([2.0, 3.0, 4.0, 5.0])
     y = np.log(np.array([8.0, 4.0, 2.0, 1.0]))
-    assert verdicts[0].statistic == pytest.approx(float(np.polyfit(x, y, 1)[0]))
-    assert verdicts[0].sign == -1
+    assert verdict.statistic == pytest.approx(float(np.polyfit(x, y, 1)[0]))
+    assert verdict.sign == -1
 
 
 def test_trend_insufficient_data():
-    with pytest.raises(InsufficientData):
-        degree_trend(_trend_ds([4, 5]))
+    for method in TREND_METHODS:
+        with pytest.raises(InsufficientData):
+            degree_trend(_trend_ds([4, 5]), method)

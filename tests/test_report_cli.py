@@ -85,6 +85,14 @@ def test_pipeline_unknown_section(tmp_path):
         _cfg(tmp_path / "out", sections=("estimate", "estmate"))
 
 
+def test_pipeline_empty_out_dir_writes_nothing(sim_dataset, tmp_path, monkeypatch):
+    # Path("") is the working directory, so an empty out_dir is refused
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(UnrealizableConfig, match="out_dir: empty path"):
+        run_pipeline(sim_dataset, _cfg(""))
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_flag_grid_matches_bundle(sim_dataset, tmp_path):
     bundle = run_pipeline(sim_dataset, _cfg(tmp_path / "out"))
     svg = (tmp_path / "out" / "flag_grid.svg").read_text()
@@ -783,12 +791,14 @@ def test_cli_unreadable_config_or_scenario_file(cli_study, capsys, tmp_path, com
         ("trait.z=top_degree:-0.1", "trait.z: fraction must lie in [0, 1], got -0.1"),
         ("retest_sd=-1", "retest_sd must be >= 0, got -1.0"),
         ("trait.=block:0", "scenario key 'trait.': blank trait name"),
+        ("seed_block=9", "seed_block must lie in 0..1, got 9"),
+        ("seed_block=-1", "seed_block must lie in 0..1, got -1"),
     ],
     ids=["seed_count=-1", "seed_count=0", "target_n=0", "probs-if-trait-length",
          "negative-prob", "zero-probs", "unknown-differential-trait", "recip_prob=1.5",
          "negative-block", "trait-block=9", "trait-block=-1", "trait-bernoulli=2",
          "trait-bernoulli=nan", "trait-top_degree=1.5", "trait-top_degree=-0.1",
-         "retest_sd=-1", "blank-trait-name"],
+         "retest_sd=-1", "blank-trait-name", "seed_block=9", "seed_block=-1"],
 )
 def test_cli_simulate_unrealizable_scenario(tmp_path, capsys, lines, message):
     scenario = tmp_path / "scenario.txt"

@@ -1,8 +1,11 @@
-from collections import Counter
+from collections import Counter, deque
 
 import numpy as np
 import pytest
+from hypothesis import example, given, reject, settings
+from hypothesis import strategies as st
 
+from rdsdiag import sim
 from rdsdiag.dataset import load_dataset, save_dataset, validate_dataset
 from rdsdiag.errors import UnknownTrait, UnrealizableConfig
 from rdsdiag.forest import build_forest
@@ -121,6 +124,115 @@ def test_network_unrealizable():
                           between_block_edge_prob=0.0,
                           traits={"x": TraitRule("nope")})
         )
+
+
+def _oracle_network(cfg, rng_seed):
+    """The network drawn as one dense matrix per block pair, with the stray
+    components found by breadth-first search: (neighbors, degrees, traits,
+    links added)."""
+    rng = np.random.default_rng(rng_seed)
+    sizes = np.array(cfg.block_sizes)
+    starts = np.concatenate([[0], np.cumsum(sizes)])
+    n = int(sizes.sum())
+    adjacency = [[] for _ in range(n)]
+    for bi in range(len(sizes)):
+        for bj in range(bi, len(sizes)):
+            p = cfg.within_block_edge_prob if bi == bj else cfg.between_block_edge_prob
+            if p <= 0.0:
+                continue
+            mat = rng.random((sizes[bi], sizes[bj])) < p
+            if bi == bj:
+                mat = np.triu(mat, k=1)
+            for u, v in zip(*np.nonzero(mat)):
+                adjacency[int(u + starts[bi])].append(int(v + starts[bj]))
+                adjacency[int(v + starts[bj])].append(int(u + starts[bi]))
+
+    component = np.full(n, -1)
+    n_components = 0
+    for start in range(n):
+        if component[start] >= 0:
+            continue
+        component[start] = n_components
+        queue = deque([start])
+        while queue:
+            for v in adjacency[queue.popleft()]:
+                if component[v] < 0:
+                    component[v] = n_components
+                    queue.append(v)
+        n_components += 1
+    main = int(np.bincount(component).argmax())
+    main_nodes = np.nonzero(component == main)[0]
+    added = 0
+    for cid in range(n_components):
+        if cid != main:
+            u = int(rng.choice(np.nonzero(component == cid)[0]))
+            v = int(rng.choice(main_nodes))
+            adjacency[u].append(v)
+            adjacency[v].append(u)
+            added += 1
+    neighbors = [np.array(sorted(set(a)), dtype=int) for a in adjacency]
+    degrees = np.array([len(a) for a in neighbors])
+
+    blocks = np.repeat(np.arange(len(sizes)), sizes)
+    traits = {}
+    for name, rule in cfg.traits.items():
+        if rule.kind == "block":
+            traits[name] = blocks == rule.block
+        elif rule.kind == "bernoulli":
+            traits[name] = rng.random(n) < rule.p
+        else:
+            order = np.lexsort((np.arange(n), -degrees))
+            traits[name] = np.isin(np.arange(n), order[: int(round(rule.fraction * n))])
+    return neighbors, degrees, traits, added
+
+
+_EDGE_PROBS = st.sampled_from([0.0, 0.1, 0.3, 1.0]) | st.floats(0.0, 1.0)
+
+
+@st.composite
+def _small_networks(draw):
+    sizes = tuple(draw(st.lists(st.integers(0, 12), min_size=1, max_size=4)))
+    traits = {
+        "blk": TraitRule("block", block=draw(st.integers(0, len(sizes) - 1))),
+        "ber": TraitRule("bernoulli", p=draw(_EDGE_PROBS)),
+        "top": TraitRule("top_degree", fraction=draw(_EDGE_PROBS)),
+    }
+    return NetworkConfig(sizes, draw(_EDGE_PROBS), draw(_EDGE_PROBS), traits)
+
+
+_TRAITS = {"blk": TraitRule("block", block=0), "top": TraitRule("top_degree", fraction=0.3)}
+
+
+@settings(max_examples=200, deadline=None)
+# one-row chunks (a budget below one row) and chunks of a few rows
+@given(cfg=_small_networks(), rng_seed=st.integers(0, 50),
+       draw_bytes=st.sampled_from([1, 8 * 12 * 3, sim._DRAW_BYTES]))
+@example(  # zero-size blocks, p = 1 between blocks
+    cfg=NetworkConfig((6, 0, 5, 0), 0.3, 1.0, _TRAITS), rng_seed=0, draw_bytes=1)
+@example(  # a complete block
+    cfg=NetworkConfig((12,), 1.0, 0.0, _TRAITS), rng_seed=1, draw_bytes=8 * 12 * 3)
+@example(  # shattered: 8 stray components are linked
+    cfg=NetworkConfig((5, 5, 5, 5), 0.25, 0.02, _TRAITS), rng_seed=0, draw_bytes=1)
+@example(  # shattered and p = 0 within blocks: 4 stray components are linked
+    cfg=NetworkConfig((3, 3, 3), 0.0, 0.2, _TRAITS), rng_seed=4, draw_bytes=24)
+def test_network_matches_dense_draw_oracle(cfg, rng_seed, draw_bytes):
+    # drawing each block pair in row chunks keeps every bit of the one-call draw
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sim, "_DRAW_BYTES", draw_bytes)
+        try:
+            net = generate_network(cfg, rng_seed=rng_seed)
+        except UnrealizableConfig:  # fewer than 2 nodes or an expected degree below 1
+            reject()
+    neighbors, degrees, traits, added = _oracle_network(cfg, rng_seed)
+    assert net.n_connect_edges == added
+    assert degrees.dtype == net.degrees.dtype and np.array_equal(net.degrees, degrees)
+    assert len(net.neighbors) == len(neighbors)
+    for got, want in zip(net.neighbors, neighbors):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert net.node_traits.keys() == traits.keys()
+    for name, want in traits.items():
+        got = net.node_traits[name]
+        assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 def test_true_prevalence_unknown_trait(two_block_net):
