@@ -74,12 +74,12 @@ def _cells(sample: IncludedSample) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Each position's (tree, degree class) cell, each class's inverse
     degree, and the ``trees × classes`` member counts the cells index.
 
-    Trees are numbered in sorted-root order and classes in increasing weight:
-    the statistic sums over them in that order, which fixes its last bits."""
-    roots, tree = np.unique(np.asarray(sample.roots)[sample.tree], return_inverse=True)
+    Trees are numbered as the sample numbers them, by root id, and classes
+    in increasing weight: the statistic sums over them in that order, which
+    fixes its last bits."""
     weights, wclass = np.unique(1.0 / sample.degree, return_inverse=True)
-    shape = (len(roots), len(weights))
-    cell = tree * shape[1] + wclass
+    shape = (len(sample.roots), len(weights))
+    cell = sample.tree * shape[1] + wclass
     return cell, weights, np.bincount(cell, minlength=shape[0] * shape[1]).reshape(shape)
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import functools
+import sys
 import warnings as _warnings
 from dataclasses import dataclass, field
 from datetime import date
@@ -215,12 +216,15 @@ class ValidationReport:
 
 
 def _whole(cell: str) -> int:
-    """A whole number >= 0 in ASCII digits; ``int`` alone would also take a
-    sign, underscores and other scripts' digits."""
+    """A whole number >= 0 in ASCII digits that a float holds; ``int`` alone
+    would also take a sign, underscores and other scripts' digits."""
     cell = cell.strip()
     if not (cell.isascii() and cell.isdigit()):
         raise ValueError(f"not a whole number: {cell!r}")
-    return int(cell)
+    value = int(cell)
+    if value > sys.float_info.max:
+        raise ValueError(f"whole number of {len(cell)} digits is too large for a float")
+    return value
 
 
 def _opt_int(cell: str) -> Optional[int]:
@@ -253,9 +257,13 @@ def _opt_str(cell: str) -> Optional[str]:
 
 
 def _opt_date(cell: str) -> Optional[date]:
+    """Blank, or YYYY-MM-DD: ``date.fromisoformat`` alone takes other ISO
+    forms on some Python versions."""
     cell = cell.strip()
     if not cell:
         return None
+    if not (len(cell) == 10 and cell.isascii() and cell[4] == cell[7] == "-"):
+        raise ValueError(f"not a YYYY-MM-DD date: {cell!r}")
     return date.fromisoformat(cell)
 
 

@@ -193,12 +193,12 @@ def estimate_sensitivity(
     ``degree_question``) whose follow-up retest degree is at least 1.
     Raises ``InsufficientData`` when no member qualifies."""
 
-    def retest(rid: str) -> float:
-        followup = ds.by_id(rid).followup
+    def retest(order: int) -> float:
+        followup = ds.respondents[order - 1].followup
         d = None if followup is None else followup.degree_retest.get(degree_question)
         return math.nan if d is None else float(d)
 
-    retest_degree = np.array([retest(rid) for rid in sample.ids], dtype=float)
+    retest_degree = np.array([retest(order) for order in sample.orders.tolist()], dtype=float)
     usable = retest_degree >= 1
     if not usable.any():
         raise InsufficientData(f"no usable test/retest members for {sample.trait!r}")

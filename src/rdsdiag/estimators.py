@@ -32,28 +32,28 @@ class IncludedSample:
     """The included respondents of one trait: non-seed, trait reported, and
     degree reported and at least 1.
 
-    Every array runs in interview order.  ``y`` is 1.0 for the trait's
-    reference level and 0.0 otherwise; ``tree`` indexes ``roots``, the
-    forest's roots in forest order."""
+    Every array runs in interview order, and a member's position in the
+    study is ``orders - 1``.  ``y`` is 1.0 for the trait's reference level
+    and 0.0 otherwise.  ``roots`` are the roots of the trees with an
+    included member, sorted by id, and ``tree`` indexes them: every reader
+    of a trait's trees takes this numbering."""
 
     trait: str
     roots: tuple[str, ...]
-    ids: tuple[str, ...]
     orders: np.ndarray
     y: np.ndarray
     degree: np.ndarray
     tree: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.ids)
+        return len(self.orders)
 
 
 def included_sample(
     ds: StudyDataset, trait: str, degree_question: str = DEFAULT_DEGREE_QUESTION
 ) -> IncludedSample:
     """Build the included sample of ``trait`` in one pass over respondents."""
-    forest = ds.forest
-    root_index = {root: i for i, root in enumerate(forest.roots)}
+    tree_of = ds.forest.tree_of
     members = []
     for r, flag in zip(ds.respondents, ds.indicators(trait)):
         if r.is_seed or flag is None:
@@ -61,18 +61,18 @@ def included_sample(
         d = r.degree.get(degree_question)
         if d is None or d < 1:
             continue
-        members.append((r.id, r.interview_order, flag, d, root_index[forest.tree_of[r.id]]))
-    ids, orders, y, degree, tree = zip(*members) if members else ((),) * 5
+        members.append((tree_of[r.id], r.interview_order, flag, d))
+    root_of, orders, y, degree = zip(*members) if members else ((),) * 4
+    roots, tree = np.unique(np.array(root_of, dtype=object), return_inverse=True)
 
-    def frozen(values: tuple, dtype: type) -> np.ndarray:
+    def frozen(values, dtype: type) -> np.ndarray:
         array = np.array(values, dtype=dtype)
         array.flags.writeable = False
         return array
 
     return IncludedSample(
         trait=trait,
-        roots=forest.roots,
-        ids=ids,
+        roots=tuple(roots.tolist()),
         orders=frozen(orders, int),
         y=frozen(y, float),
         degree=frozen(degree, float),
@@ -99,17 +99,13 @@ def cumulative_estimates(sample: IncludedSample) -> np.ndarray:
 
 
 def per_tree_series(sample: IncludedSample) -> dict[str, tuple[np.ndarray, np.ndarray]]:
-    """Per-tree (orders, prefix estimates) in forest root order; trees with
-    no included member are omitted."""
-    out = {}
-    for i, root in enumerate(sample.roots):
-        in_tree = sample.tree == i
-        if in_tree.any():
-            out[root] = (
-                sample.orders[in_tree],
-                inverse_degree_estimates(sample.y[in_tree], sample.degree[in_tree]),
-            )
-    return out
+    """Per-tree (orders, prefix estimates), one entry per root of the sample
+    in its order."""
+    in_tree = [sample.tree == i for i in range(len(sample.roots))]
+    return {
+        root: (sample.orders[t], inverse_degree_estimates(sample.y[t], sample.degree[t]))
+        for root, t in zip(sample.roots, in_tree)
+    }
 
 
 # ---------------------------------------------------------------------------

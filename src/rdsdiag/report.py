@@ -376,13 +376,8 @@ def _section_converge(writer, traits, cfg: PipelineConfig, sample_of) -> dict[st
             return {"evaluable": False}
         values = estimators.cumulative_estimates(sample)
         verdict = convergence.convergence_flag(values, cfg.tau, cfg.epsilon)
-        orders = sample.orders.tolist()
-        figure = svg.convergence(
-            title=f"Convergence: {trait}",
-            orders=orders,
-            values=values.tolist(),
-            indicators=list(zip(orders, (sample.y == 1.0).tolist())),
-        )
+        figure = svg.convergence(title=f"Convergence: {trait}", orders=sample.orders,
+                                 values=values, positive=sample.y == 1.0)
         writer.write_text(f"convergence_{_safe_name(trait)}.svg", figure)
         return {"evaluable": True, **_fields(verdict)}
 
@@ -414,17 +409,11 @@ def _section_bottleneck(writer, traits, cfg: PipelineConfig, sample_of) -> dict[
         sample, result = samples[trait], tests[trait]
         if isinstance(result, TooFewTrees):
             raise result
-        series = {
-            root: (orders.tolist(), values.tolist())
-            for root, (orders, values) in estimators.per_tree_series(sample).items()
-        }
+        series = estimators.per_tree_series(sample)
         figure = svg.bottleneck(title=f"Bottleneck: {trait}", series=series)
         writer.write_text(f"bottleneck_{_safe_name(trait)}.svg", figure)
-        figure = svg.all_points(
-            title=f"All points: {trait}",
-            rows=list(zip((sample.roots[t] for t in sample.tree.tolist()),
-                          (sample.y == 1.0).tolist())),
-        )
+        figure = svg.all_points(title=f"All points: {trait}", roots=sample.roots,
+                                tree=sample.tree, positive=sample.y == 1.0)
         writer.write_text(f"allpoints_{_safe_name(trait)}.svg", figure)
         return result
 

@@ -9,6 +9,7 @@ trait-dependent recruit-rate knob to break that assumption deliberately.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass, field
 from datetime import date, timedelta
@@ -147,6 +148,7 @@ def generate_network(cfg: NetworkConfig, rng_seed: int = 0) -> SyntheticNetwork:
                 us.append(u + starts[bi] + r0)
                 vs.append(v + starts[bj])
     u, v = np.concatenate(us), np.concatenate(vs)
+    del us, vs
 
     # link each stray component, in the order of its smallest node, to the largest
     component = _components(n, u, v)
@@ -158,9 +160,15 @@ def generate_network(cfg: NetworkConfig, rng_seed: int = 0) -> SyntheticNetwork:
         dtype=int,
     ).reshape(-1, 2)
     u, v = np.concatenate([u, links[:, 0]]), np.concatenate([v, links[:, 1]])
-    src, dst = np.concatenate([u, v]), np.concatenate([v, u])
-    degrees = np.bincount(src, minlength=n)
-    neighbors = tuple(np.split(dst[np.lexsort((dst, src))], np.cumsum(degrees)[:-1]))
+    # one src * n + dst key per edge end, sorted in place: by node, then neighbour
+    key = np.concatenate([u, v])
+    key *= n
+    key[:len(u)] += v
+    key[len(u):] += u
+    del u, v
+    key.sort()
+    degrees = np.bincount(key // n, minlength=n)
+    neighbors = tuple(np.split(key % n, np.cumsum(degrees)[:-1]))
 
     traits: dict[str, np.ndarray] = {}
     for name, rule in cfg.traits.items():
@@ -245,8 +253,9 @@ class SimConfig:
                 continue
             if len(probs) != self.coupon_allotment + 1:
                 raise UnrealizableConfig(f"{name} must cover 0..allotment")
-            if any(p < 0 for p in probs) or sum(probs) <= 0:
-                raise UnrealizableConfig(f"{name} must be >= 0 with a positive sum")
+            # a NaN or infinite entry, or a sum beyond float range, fails 0 < sum < inf
+            if any(p < 0 for p in probs) or not 0 < sum(probs) < math.inf:
+                raise UnrealizableConfig(f"{name} must be >= 0 with a positive sum, all finite")
         if self.differential_trait not in (None, *net.node_traits):
             raise UnrealizableConfig(f"network has no trait {self.differential_trait!r}")
         for name in (
@@ -256,6 +265,8 @@ class SimConfig:
                 raise UnrealizableConfig(f"{name} must lie in [0, 1]")
         if not self.retest_sd >= 0.0:
             raise UnrealizableConfig(f"retest_sd must be >= 0, got {self.retest_sd}")
+        if not math.isfinite(self.retest_sd):
+            raise UnrealizableConfig(f"retest_sd must be finite, got {self.retest_sd}")
         last = int(net.blocks.max())
         if self.seed_block is not None and not 0 <= self.seed_block <= last:
             raise UnrealizableConfig(f"seed_block must lie in 0..{last}, got {self.seed_block}")

@@ -19,7 +19,6 @@ them all in one pass.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
@@ -242,33 +241,32 @@ def convergence(
     title: str,
     orders: Sequence[int],
     values: Sequence[float],
-    indicators: Sequence[tuple[int, bool]],
+    positive: Sequence[bool],
 ) -> str:
-    """Cumulative estimate with final-estimate reference line and trait rugs
-    along the header (positives) and footer (negatives)."""
-    if not orders or not values:
+    """Cumulative estimate with final-estimate reference line and a trait rug
+    at each order, along the header where ``positive``, else the footer."""
+    if not len(orders) or not len(values):
         raise EmptyData("convergence plot needs a nonempty series")
+    orders = np.asarray(orders, dtype=float)
     final = float(values[-1])
 
     m = _STYLE["margin"]
     rug = 14.0
     canvas = _Canvas()
-    sx = _Scale(min(orders), max(orders), m, _STYLE["width"] - m)
+    sx = _Scale(orders.min(), orders.max(), m, _STYLE["width"] - m)
     sy = _Scale(0.0, 1.0, _STYLE["height"] - m - rug, m + rug)
 
     # plot frame and the shaded band the white reference line sits on
     canvas.rect(m, m + rug, _STYLE["width"] - 2 * m, _STYLE["height"] - 2 * (m + rug),
                 "#d9e4ee", _STYLE["axis_color"])
     canvas.line(m, sy(final), _STYLE["width"] - m, sy(final), _STYLE["reference_color"], 2.0)
-    canvas.polyline(sx(np.asarray(orders, dtype=float)), sy(np.asarray(values, dtype=float)),
-                    _STYLE["series_color"])
+    x = sx(orders)
+    canvas.polyline(x, sy(np.asarray(values, dtype=float)), _STYLE["series_color"])
 
     header = _line(_STYLE["positive_color"], y1=m, y2=m + rug - 2)
     footer = _line(_STYLE["negative_color"], y1=_STYLE["height"] - m - rug + 2,
                    y2=_STYLE["height"] - m)
-    x = sx(np.array([order for order, _ in indicators], dtype=float))
-    canvas.marks([header if flag else footer for _, flag in indicators],
-                 np.column_stack([x, x]))
+    canvas.marks([header if flag else footer for flag in positive], np.column_stack([x, x]))
 
     for tick in (0.0, 0.25, 0.5, 0.75, 1.0):
         canvas.text(m - 6, sy(tick) + 4, _f(tick), anchor="end")
@@ -284,9 +282,9 @@ def bottleneck(
     title: str,
     series: Mapping[str, tuple[Sequence[int], Sequence[float]]],
 ) -> str:
-    """Per-tree cumulative estimates (orders, values), with a composition
-    panel on the left (each tree's count and share of the plotted values)
-    and per-tree final estimates ticked on the right axis."""
+    """Per-tree cumulative estimates (orders, values), none empty, in the given
+    order, with a composition panel on the left (each tree's count and share
+    of the plotted values) and per-tree final estimates ticked on the right."""
     if not series:
         raise EmptyData("bottleneck plot needs at least one tree series")
 
@@ -295,19 +293,17 @@ def bottleneck(
     x0 = m + panel_w + 12.0
     canvas = _Canvas()
 
-    all_orders = [o for orders, _ in series.values() for o in orders]
-    sx = _Scale(min(all_orders), max(all_orders), x0, _STYLE["width"] - m)
+    all_orders = np.concatenate([np.asarray(orders, dtype=float) for orders, _ in series.values()])
+    sx = _Scale(all_orders.min(), all_orders.max(), x0, _STYLE["width"] - m)
     sy = _Scale(0.0, 1.0, _STYLE["height"] - m, m)
     canvas.rect(x0, m, _STYLE["width"] - m - x0, _STYLE["height"] - 2 * m, "none",
                 _STYLE["axis_color"])
 
-    roots = sorted(series)
     total = sum(len(values) for _, values in series.values())
     y_cursor = m
     panel_h = _STYLE["height"] - 2 * m
-    for i, root in enumerate(roots):
+    for i, (root, (orders, values)) in enumerate(series.items()):
         color = _TREE_PALETTE[i % len(_TREE_PALETTE)]
-        orders, values = series[root]
         h = len(values) / total * panel_h
         canvas.rect(m, y_cursor, panel_w, h, color, _STYLE["axis_color"])
         if h >= _STYLE["font_size"] + 2:
@@ -315,11 +311,10 @@ def bottleneck(
         y_cursor += h
         canvas.polyline(sx(np.asarray(orders, dtype=float)), sy(np.asarray(values, dtype=float)),
                         color)
-        if values:
-            final = float(values[-1])
-            canvas.line(_STYLE["width"] - m, sy(final), _STYLE["width"] - m + 8, sy(final),
-                        color, 2.0)
-            canvas.text(_STYLE["width"] - m + 10, sy(final) + 4, _f(final), size=9)
+        final = float(values[-1])
+        canvas.line(_STYLE["width"] - m, sy(final), _STYLE["width"] - m + 8, sy(final),
+                    color, 2.0)
+        canvas.text(_STYLE["width"] - m + 10, sy(final) + 4, _f(final), size=9)
     for tick in (0.0, 0.5, 1.0):
         canvas.text(x0 - 6, sy(tick) + 4, _f(tick), anchor="end")
     canvas.text(m, m / 2, title)
@@ -329,38 +324,35 @@ def bottleneck(
 # -- all points --------------------------------------------------------------
 
 
-def all_points(title: str, rows: Sequence[tuple[str, bool]]) -> str:
-    """Trait values by tree row and within-tree sample order, one (tree,
-    has_trait) row per respondent: filled markers for trait-positive
-    respondents, open markers otherwise."""
-    if not rows:
+def all_points(
+    title: str, roots: Sequence[str], tree: Sequence[int], positive: Sequence[bool]
+) -> str:
+    """Trait values by tree row and within-tree sample order, one respondent
+    per entry of ``tree``, which indexes ``roots`` (none without one): filled
+    markers where ``positive``, open markers otherwise."""
+    if not len(tree):
         raise EmptyData("all-points plot needs rows")
-    counts = Counter(tree for tree, _ in rows)
-    trees = sorted(counts)
-    tree_index = {t: i for i, t in enumerate(trees)}
+    tree = np.asarray(tree, dtype=np.intp)
+    counts = np.bincount(tree, minlength=len(roots))
 
     m = _STYLE["margin"]
     canvas = _Canvas()
-    max_len = max(counts.values())
-    sx = _Scale(0.5, max(max_len, 2) + 0.5, m + 40, _STYLE["width"] - m)
-    sy = _Scale(-0.5, len(trees) - 0.5, m, _STYLE["height"] - m)
-    tree_y = sy(np.arange(len(trees), dtype=float))
+    sx = _Scale(0.5, max(counts.max(), 2) + 0.5, m + 40, _STYLE["width"] - m)
+    sy = _Scale(-0.5, len(roots) - 0.5, m, _STYLE["height"] - m)
+    tree_y = sy(np.arange(len(roots), dtype=float))
 
-    for t, y in zip(trees, tree_y.tolist()):
-        canvas.text(m, y + 4, t, size=9)
+    for root, y in zip(roots, tree_y.tolist()):
+        canvas.text(m, y + 4, root, size=9)
         canvas.line(m + 36, y, _STYLE["width"] - m, y, "#dddddd", 0.5)
     # each respondent's 1-based position within its tree, in row order
-    per_tree_pos = dict.fromkeys(trees, 0)
-    position, row_tree = [], []
-    for tree, _ in rows:
-        per_tree_pos[tree] += 1
-        position.append(per_tree_pos[tree])
-        row_tree.append(tree_index[tree])
+    by_tree = np.argsort(tree, kind="stable")
+    position = np.empty(len(tree))
+    position[by_tree] = np.arange(1, len(tree) + 1) - np.repeat(np.cumsum(counts) - counts, counts)
     filled = _circle(3.0, _STYLE["positive_color"])
     hollow = _circle(3.0, _STYLE["background"], _STYLE["negative_color"])
     canvas.marks(
-        [filled if has_trait else hollow for _, has_trait in rows],
-        np.column_stack([sx(np.array(position, dtype=float)), tree_y[row_tree]]),
+        [filled if flag else hollow for flag in positive],
+        np.column_stack([sx(position), tree_y[tree]]),
     )
     canvas.text(m, m / 2, title)
     return canvas.render()

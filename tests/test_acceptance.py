@@ -84,8 +84,8 @@ def _vh(members):
     cumulative estimate of an included sample made of them."""
     n = len(members)
     sample = IncludedSample(
-        trait="t", roots=("S",), ids=tuple(f"R{i}" for i in range(n)),
-        orders=np.arange(2, n + 2), y=np.array([y for y, _ in members], dtype=float),
+        trait="t", roots=("S",), orders=np.arange(2, n + 2),
+        y=np.array([y for y, _ in members], dtype=float),
         degree=np.array([d for _, d in members], dtype=float), tree=np.zeros(n, dtype=int),
     )
     return cumulative_estimates(sample)[-1]

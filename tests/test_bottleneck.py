@@ -25,12 +25,10 @@ from rdsdiag.sim import NetworkConfig, SimConfig, TraitRule, generate_network, s
 def _sample(y, degree, tree, trait="t"):
     """An included sample with the given labels, degrees and tree indices;
     tree k is rooted at ``S{k}``."""
-    n = len(y)
     return IncludedSample(
         trait=trait, roots=tuple(f"S{k}" for k in range(max(tree) + 1)),
-        ids=tuple(f"R{i}" for i in range(n)), orders=np.arange(1, n + 1),
-        y=np.asarray(y, dtype=float), degree=np.asarray(degree, dtype=float),
-        tree=np.asarray(tree),
+        orders=np.arange(1, len(y) + 1), y=np.asarray(y, dtype=float),
+        degree=np.asarray(degree, dtype=float), tree=np.asarray(tree),
     )
 
 
@@ -77,12 +75,29 @@ def test_wsd_trivial_cases():
 
 
 def test_wsd_invariant_to_empty_trees():
-    # a forest root without included members adds no tree to the statistic
-    base = dataclasses.replace(_unit_degree_trees([(1, 4), (4, 6)]), roots=("a", "b"))
-    with_empty = dataclasses.replace(base, roots=("a", "c", "b"), tree=np.where(base.tree == 1, 2, 0))
-    observed = wsd_permutation_tests([base], replicates=10)[0].observed_wsd
-    assert observed == wsd_permutation_tests([with_empty], replicates=10)[0].observed_wsd
-    assert observed == pytest.approx(_tree_wsd([(1, 4), (4, 6)]), abs=1e-15)
+    # seed AB's only recruit gives no answer: its tree has no included member,
+    # so it adds no root to the sample and no tree to the statistic
+    rows = [
+        make_respondent("A", 1, coupons_out=["A1", "A2", "A3"], degree=1, traits={"hiv": "no"}),
+        make_respondent("B", 2, coupons_out=["B1", "B2"], degree=1, traits={"hiv": "no"}),
+        make_respondent("A-1", 3, coupon_in="A1", degree=1, traits={"hiv": "yes"}),
+        make_respondent("B-1", 4, coupon_in="B1", degree=1, traits={"hiv": "no"}),
+        make_respondent("A-2", 5, coupon_in="A2", degree=1, traits={"hiv": "no"}),
+        make_respondent("B-2", 6, coupon_in="B2", degree=1, traits={"hiv": "yes"}),
+        make_respondent("A-3", 7, coupon_in="A3", degree=1, traits={"hiv": "yes"}),
+    ]
+    seed_ab = [
+        make_respondent("AB", 8, coupons_out=["AB1"], degree=1, traits={"hiv": "yes"}),
+        make_respondent("AB-1", 9, coupon_in="AB1", degree=1, traits={}),
+    ]
+    with_empty = make_dataset(rows + seed_ab)
+    assert with_empty.forest.roots == ("A", "B", "AB")
+    samples = [included_sample(make_dataset(rows), "hiv"), included_sample(with_empty, "hiv")]
+    assert samples[0].roots == samples[1].roots == ("A", "B")
+    assert samples[0].tree.tolist() == samples[1].tree.tolist() == [0, 1, 0, 1, 0]
+    base, result = wsd_permutation_tests(samples, replicates=50)
+    assert result == base
+    assert base.observed_wsd == pytest.approx(_tree_wsd([(2, 3), (1, 2)]), abs=1e-15)
 
 
 def _two_block_trees(n_per_tree=20, aligned=True, seed=0):
@@ -171,9 +186,9 @@ def _all_points_rows(ds, out_dir, monkeypatch):
     drawn = []
     render = svg.all_points
 
-    def capture(title, rows):
-        drawn.append(rows)
-        return render(title=title, rows=rows)
+    def capture(title, roots, tree, positive):
+        drawn.append([(roots[t], bool(flag)) for t, flag in zip(tree, positive)])
+        return render(title=title, roots=roots, tree=tree, positive=positive)
 
     monkeypatch.setattr(svg, "all_points", capture)
     cfg = PipelineConfig(out_dir=out_dir, replicates=10, sections=("bottleneck",))

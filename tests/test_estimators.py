@@ -23,8 +23,7 @@ def _sample(degrees, y):
     """An included sample made directly from degree and trait arrays."""
     n = len(degrees)
     return IncludedSample(
-        trait="hiv", roots=("S",), ids=tuple(f"R{i}" for i in range(n)),
-        orders=np.arange(2, n + 2), y=np.array(y, dtype=float),
+        trait="hiv", roots=("S",), orders=np.arange(2, n + 2), y=np.array(y, dtype=float),
         degree=np.array(degrees, dtype=float), tree=np.zeros(n, dtype=int),
     )
 
@@ -57,7 +56,7 @@ def test_vh_errors():
     # sample leaves such respondents out
     ds = _chain([True, True, False], degrees=[0, None, 2])
     sample = included_sample(ds, "hiv")
-    assert sample.ids == ("R3",)
+    assert sample.orders.tolist() == [4]  # R3
     assert cumulative_estimates(sample)[-1] == 0.0
 
 

@@ -185,7 +185,7 @@ def test_per_tree_subsets_exclusions():
     )
     sample = included_sample(ds, "hiv")
     assert len(sample) == 2  # seed excluded, missing-trait member excluded
-    assert sample.ids == ("a", "c")
+    assert sample.orders.tolist() == [2, 4]  # a and c
     assert [sample.roots[t] for t in sample.tree] == ["S", "S"]
     with pytest.raises(UnknownTrait):
         included_sample(ds, "nope")
@@ -236,8 +236,9 @@ def test_copy_of_a_study_has_its_own_forest():
     copy = dataclasses.replace(ds, respondents=rows)
     assert copy.forest.roots == ("S", "B")
     sample = included_sample(copy, "hiv")
-    assert sample.roots == copy.forest.roots
-    assert [(rid, sample.roots[t]) for rid, t in zip(sample.ids, sample.tree)] == [
+    assert sample.roots == ("B", "S")  # by id, not in forest order
+    members = [copy.respondents[order - 1].id for order in sample.orders]
+    assert [(rid, sample.roots[t]) for rid, t in zip(members, sample.tree)] == [
         ("A", "S"), ("C", "B")
     ]
 

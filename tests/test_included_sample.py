@@ -81,15 +81,15 @@ def test_sample_matches_naive_walk(ds, trait):
         assert cumulative_estimates(sample).tolist() == values
 
     trees = per_tree_series(sample)
-    assert list(trees) == list(per_tree)  # forest root order
+    assert list(trees) == sorted(per_tree)  # by root id
     assert {
         root: (values[-1], len(orders)) for root, (orders, values) in trees.items()
     } == per_tree
 
     rows = [
-        (sample.roots[tree], rid, order, flag == 1.0)
-        for rid, order, flag, tree in zip(
-            sample.ids, sample.orders.tolist(), sample.y.tolist(), sample.tree.tolist()
+        (sample.roots[tree], ds.respondents[order - 1].id, order, flag == 1.0)
+        for order, flag, tree in zip(
+            sample.orders.tolist(), sample.y.tolist(), sample.tree.tolist()
         )
     ]
     assert rows == points
@@ -100,3 +100,15 @@ def test_sample_matches_naive_walk(ds, trait):
         return
     reference = sum(n_s * (p_s - values[-1]) ** 2 for p_s, n_s in per_tree.values())
     assert np.isclose(result.observed_wsd, reference, rtol=1e-9, atol=1e-12)
+
+
+@settings(max_examples=50, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(ds=studies(), trait=st.sampled_from(["hiv", "emp"]))
+def test_sample_numbers_its_trees_by_root_id(ds, trait):
+    # the sample alone numbers a trait's trees: the roots of its members'
+    # trees, sorted by id, whatever the forest's order
+    sample = included_sample(ds, trait)
+    member_roots = [ds.forest.tree_of[ds.respondents[order - 1].id] for order in sample.orders]
+    assert sample.roots == tuple(sorted(set(member_roots)))
+    assert [sample.roots[t] for t in sample.tree] == member_roots
+    assert tuple(per_tree_series(sample)) == sample.roots

@@ -59,8 +59,9 @@ def test_every_site_agrees_with_indicator(ds):
         (r.interview_order, r.id) for r in ds.respondents
         if not r.is_seed and flag[r.id] is not None and (r.degree.q_seen_week or 0) >= 1
     )
-    assert sample.ids == tuple(rid for _, rid in included)
-    assert sample.y.tolist() == [float(flag[rid]) for rid in sample.ids]
+    members = [ds.respondents[order - 1].id for order in sample.orders]
+    assert members == [rid for _, rid in included]
+    assert sample.y.tolist() == [float(flag[rid]) for rid in members]
 
     effectiveness = recruitment_effectiveness(ds, "level")
     assert effectiveness.n_positive == sum(f is True for f in flag.values())

@@ -527,6 +527,14 @@ def _rewrite_cell(src, dst, row_index, column, value):
         ("respondents.csv", "deg_know", "\uff13"),
         ("traits.csv", "name", ""),
         ("traits.csv", "reference_level", " "),
+        # beyond the largest float, which the estimators turn degrees into
+        pytest.param("respondents.csv", "deg_week", "1" + "0" * 400,
+                     id="respondents.csv-deg_week-401-digits"),
+        pytest.param("followup.csv", "fu_deg_week", "1" + "0" * 400,
+                     id="followup.csv-fu_deg_week-401-digits"),
+        # ISO forms other than YYYY-MM-DD, which some Python versions take
+        ("respondents.csv", "interview_date", "20080301"),
+        ("respondents.csv", "interview_date", "2008-W10-1"),
     ],
 )
 def test_cli_malformed_cell_exit_code(cli_study, capsys, tmp_path, file_name, column,
@@ -793,12 +801,19 @@ def test_cli_unreadable_config_or_scenario_file(cli_study, capsys, tmp_path, com
         ("trait.=block:0", "scenario key 'trait.': blank trait name"),
         ("seed_block=9", "seed_block must lie in 0..1, got 9"),
         ("seed_block=-1", "seed_block must lie in 0..1, got -1"),
+        ("recruit_probs=nan,1,1,1", "recruit_probs must be >= 0 with a positive sum, all finite"),
+        ("recruit_probs=1e308,1e308,1,1",
+         "recruit_probs must be >= 0 with a positive sum, all finite"),
+        ("differential_trait=hiv\nrecruit_probs_if_trait=inf,1,1,1",
+         "recruit_probs_if_trait must be >= 0 with a positive sum, all finite"),
+        ("retest_sd=inf", "retest_sd must be finite, got inf"),
     ],
     ids=["seed_count=-1", "seed_count=0", "target_n=0", "probs-if-trait-length",
          "negative-prob", "zero-probs", "unknown-differential-trait", "recip_prob=1.5",
          "negative-block", "trait-block=9", "trait-block=-1", "trait-bernoulli=2",
          "trait-bernoulli=nan", "trait-top_degree=1.5", "trait-top_degree=-0.1",
-         "retest_sd=-1", "blank-trait-name", "seed_block=9", "seed_block=-1"],
+         "retest_sd=-1", "blank-trait-name", "seed_block=9", "seed_block=-1",
+         "nan-prob", "probs-sum-overflows", "inf-prob-if-trait", "retest_sd=inf"],
 )
 def test_cli_simulate_unrealizable_scenario(tmp_path, capsys, lines, message):
     scenario = tmp_path / "scenario.txt"
