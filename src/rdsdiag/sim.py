@@ -197,8 +197,13 @@ def _components(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     smallest nodes: labels fall across edges and to their labels' labels
     until nothing moves, leaving each node its component's smallest node."""
     label = np.arange(n)
+    # one buffer per edge end, reused every step; "clip" takes without the
+    # copy the default mode makes, and the labels are always in range
+    low, other = np.empty_like(u), np.empty_like(v)
     while True:
-        low = np.minimum(label[u], label[v])
+        np.take(label, u, out=low, mode="clip")
+        np.take(label, v, out=other, mode="clip")
+        np.minimum(low, other, out=low)
         lower = label.copy()
         np.minimum.at(lower, u, low)
         np.minimum.at(lower, v, low)
@@ -430,7 +435,13 @@ def _synthesize_followup(
     net: SyntheticNetwork,
 ) -> FollowUpRecord:
     if cfg.retest_sd > 0:
-        seen = max(1, int(round(degree * float(np.exp(rng.normal(0.0, cfg.retest_sd))))))
+        with np.errstate(over="ignore"):
+            scaled = degree * float(np.exp(rng.normal(0.0, cfg.retest_sd)))
+        if not math.isfinite(scaled):
+            raise UnrealizableConfig(
+                f"retest_sd {cfg.retest_sd} drew a retest degree beyond float range"
+            )
+        seen = max(1, int(round(scaled)))
     else:
         seen = degree
     base = max(seen, degree)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from datetime import date
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from conftest import followup, make_dataset, make_degree, make_respondent
+from rdsdiag import degree
 from rdsdiag.dataset import DegreeReport, FollowUpRecord
 from rdsdiag.degree import (
     TREND_METHODS,
@@ -17,7 +19,7 @@ from rdsdiag.degree import (
 )
 from rdsdiag.degree import test_retest_stats as retest_stats
 from rdsdiag.errors import InsufficientData
-from rdsdiag.estimators import included_sample
+from rdsdiag.estimators import _quantile, included_sample
 
 
 def _ds(rows, **kw):
@@ -395,3 +397,78 @@ def test_trend_insufficient_data():
     for method in TREND_METHODS:
         with pytest.raises(InsufficientData):
             degree_trend(_trend_ds([4, 5]), method)
+
+
+# -- rank statistics against the n x n outer products ------------------------
+
+
+def _kendall_tau_b_outer(x, y):
+    """Kendall's tau-b from n x n comparison matrices."""
+    # each pair untied in x appears once as an (i, j) with x[i] > x[j]
+    x_above = np.greater.outer(x, x)
+    y_above = np.greater.outer(y, y)
+    untied_x = np.count_nonzero(x_above)
+    untied_y = np.count_nonzero(y_above)
+    concordant = np.count_nonzero(x_above & y_above)
+    discordant = np.count_nonzero(x_above & np.less.outer(y, y))
+    tau = (concordant - discordant) / np.sqrt(untied_x) / np.sqrt(untied_y)
+    return float(min(1.0, max(-1.0, tau)))
+
+
+def _theil_sen_outer(x, y):
+    """The Theil-Sen slope from n x n difference matrices."""
+    dx = np.subtract.outer(x, x)
+    x_above = dx > 0
+    return _quantile(np.subtract.outer(y, y)[x_above] / dx[x_above], 0.5)
+
+
+# one row, three rows at n = 300, and the default
+_BLOCK_BYTES = [1, 8 * 300 * 3, degree._PAIR_BLOCK_BYTES]
+
+# integer columns of up to 300, x with few, some or mostly distinct values
+_tied_columns = st.tuples(st.integers(2, 300), st.sampled_from([4, 30, 1000])).flatmap(
+    lambda size: st.tuples(
+        st.lists(st.integers(0, size[1]), min_size=size[0], max_size=size[0]),
+        st.lists(st.integers(0, 40), min_size=size[0], max_size=size[0]),
+    )
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_tied_columns, st.sampled_from(_BLOCK_BYTES))
+def test_rank_statistics_equal_outer_products(columns, block_bytes):
+    x, y = (np.array(v, dtype=float) for v in columns)
+    if np.all(x == x[0]) or np.all(y == y[0]):
+        return
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(degree, "_PAIR_BLOCK_BYTES", block_bytes)
+        assert degree._theil_sen(x, y) == _theil_sen_outer(x, y)
+        assert degree._kendall_tau_b(x, y) == _kendall_tau_b_outer(x, y)
+
+
+def test_theil_sen_widens_a_bracket_that_misses_the_median(monkeypatch):
+    # periodic x and y, one row per block: every stride-th slope is a biased
+    # sample, so the first bracket misses a middle rank
+    x = (np.arange(21) % 3).astype(float)
+    y = (np.arange(21) % 10).astype(float)
+    passes = []
+    slopes = degree._slopes
+    monkeypatch.setattr(degree, "_PAIR_BLOCK_BYTES", 1)
+    monkeypatch.setattr(degree, "_slopes", lambda *a: passes.append(1) or slopes(*a))
+    assert degree._theil_sen(x, y) == _theil_sen_outer(x, y)
+    assert len(passes) == 3
+
+
+def test_rank_statistics_hold_no_n_by_n_array():
+    # the outer products take about 180 and 27 MiB at this n
+    n = 3000
+    x = np.arange(1, n + 1, dtype=float)
+    y = np.random.default_rng(3).integers(0, 60, size=n).astype(float)
+    for statistic in (degree._theil_sen, degree._kendall_tau_b):
+        tracemalloc.start()
+        try:
+            statistic(x, y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20, (statistic.__name__, peak)

@@ -807,13 +807,15 @@ def test_cli_unreadable_config_or_scenario_file(cli_study, capsys, tmp_path, com
         ("differential_trait=hiv\nrecruit_probs_if_trait=inf,1,1,1",
          "recruit_probs_if_trait must be >= 0 with a positive sum, all finite"),
         ("retest_sd=inf", "retest_sd must be finite, got inf"),
+        ("retest_sd=1e300", "retest_sd 1e+300 drew a retest degree beyond float range"),
     ],
     ids=["seed_count=-1", "seed_count=0", "target_n=0", "probs-if-trait-length",
          "negative-prob", "zero-probs", "unknown-differential-trait", "recip_prob=1.5",
          "negative-block", "trait-block=9", "trait-block=-1", "trait-bernoulli=2",
          "trait-bernoulli=nan", "trait-top_degree=1.5", "trait-top_degree=-0.1",
          "retest_sd=-1", "blank-trait-name", "seed_block=9", "seed_block=-1",
-         "nan-prob", "probs-sum-overflows", "inf-prob-if-trait", "retest_sd=inf"],
+         "nan-prob", "probs-sum-overflows", "inf-prob-if-trait", "retest_sd=inf",
+         "retest_sd=1e300"],
 )
 def test_cli_simulate_unrealizable_scenario(tmp_path, capsys, lines, message):
     scenario = tmp_path / "scenario.txt"
