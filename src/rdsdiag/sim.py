@@ -47,8 +47,9 @@ MOTIVATION_CATEGORIES = (
 MOTIVATION_PROBS = (0.7, 0.1, 0.08, 0.1, 0.02)
 INTERVIEWS_PER_DAY = 10
 
-# bytes of one row chunk of a block pair's uniform draw; the edges do not depend on it
-_DRAW_BYTES = 8 * 1024 * 1024
+# bytes of the one float64 buffer each block pair's uniforms are drawn through;
+# the edges are walked as many rows at a time as it holds values, and do not depend on it
+_DRAW_BYTES = 1024 * 1024
 
 
 @dataclass(frozen=True)
@@ -130,28 +131,37 @@ def generate_network(cfg: NetworkConfig, rng_seed: int = 0) -> SyntheticNetwork:
     rng = np.random.default_rng(rng_seed)
     blocks = np.repeat(np.arange(len(sizes)), sizes)
     starts = np.concatenate([[0], np.cumsum(sizes)])
-    us, vs = [], []  # the expected-degree check leaves at least one pair to draw
+    pairs = []  # (bi, bj, p, cells) of each pair with edges to draw
+    mean = 0.0  # expected edge count
     for bi in range(len(sizes)):
         for bj in range(bi, len(sizes)):
             p = cfg.within_block_edge_prob if bi == bj else cfg.between_block_edge_prob
-            ni, nj = sizes[bi], sizes[bj]
-            if p <= 0.0 or ni == 0 or nj == 0:
-                continue
-            # Generator.random fills its output in sequence, so row chunks
-            # draw the same bits as one ni x nj matrix
-            rows = max(1, _DRAW_BYTES // (8 * nj))
-            for r0 in range(0, ni, rows):
-                hit = rng.random((min(rows, ni - r0), nj)) < p
-                if bi == bj:
-                    hit = np.triu(hit, k=r0 + 1)
-                u, v = np.nonzero(hit)
-                us.append(u + starts[bi] + r0)
-                vs.append(v + starts[bj])
-    u, v = np.concatenate(us), np.concatenate(vs)
-    del us, vs
+            cells = int(sizes[bi]) * int(sizes[bj])
+            if p > 0.0:
+                pairs.append((bi, bj, p, cells))
+                mean += p * cells / (2 if bi == bj else 1)
+    # one (u, v) row per edge, with room for the expected count and four
+    # standard deviations more; grown if the edges outrun it
+    edges = np.empty((int(mean + 4 * math.sqrt(mean)) + 1, 2), dtype=np.int64)
+    m = 0
+    buf = np.empty(max(1, _DRAW_BYTES // 8))
+    for bi, bj, p, cells in pairs:
+        nj = int(sizes[bj])
+        # Generator.random fills its output in sequence, so flat chunks draw
+        # the same bits as one ni x nj matrix, even where a chunk ends mid-row
+        for offset in range(0, cells, len(buf)):
+            chunk = rng.random(out=buf[:min(len(buf), cells - offset)])
+            u, v = np.divmod(np.flatnonzero(chunk < p) + offset, nj)
+            if bi == bj:
+                upper = v > u
+                u, v = u[upper], v[upper]
+            edges = _reserve(edges, m + len(u))
+            edges[m:m + len(u), 0] = u + starts[bi]
+            edges[m:m + len(u), 1] = v + starts[bj]
+            m += len(u)
 
     # link each stray component, in the order of its smallest node, to the largest
-    component = _components(n, u, v)
+    component = _components(n, edges[:m])
     counts = np.bincount(component)
     members = np.split(np.argsort(component, kind="stable"), np.cumsum(counts)[:-1])
     main = int(counts.argmax())
@@ -159,16 +169,19 @@ def generate_network(cfg: NetworkConfig, rng_seed: int = 0) -> SyntheticNetwork:
         [(rng.choice(c), rng.choice(members[main])) for i, c in enumerate(members) if i != main],
         dtype=int,
     ).reshape(-1, 2)
-    u, v = np.concatenate([u, links[:, 0]]), np.concatenate([v, links[:, 1]])
-    # one src * n + dst key per edge end, sorted in place: by node, then neighbour
-    key = np.concatenate([u, v])
-    key *= n
-    key[:len(u)] += v
-    key[len(u):] += u
-    del u, v
+    edges = _reserve(edges, m + len(links))
+    edges[m:m + len(links)] = links
+    m += len(links)
+    # each (u, v) row becomes its two ends' src * n + dst keys in place; sorted,
+    # they run by node, then neighbour
+    for rows in _edge_chunks(edges[:m]):
+        rows[...] = rows * n + rows[:, ::-1]
+    key = edges[:m].reshape(-1)
     key.sort()
-    degrees = np.bincount(key // n, minlength=n)
-    neighbors = tuple(np.split(key % n, np.cumsum(degrees)[:-1]))
+    bounds = np.searchsorted(key, np.arange(n + 1) * n)
+    degrees = np.diff(bounds)
+    key %= n
+    neighbors = tuple(np.split(key, bounds[1:-1]))
 
     traits: dict[str, np.ndarray] = {}
     for name, rule in cfg.traits.items():
@@ -192,21 +205,35 @@ def generate_network(cfg: NetworkConfig, rng_seed: int = 0) -> SyntheticNetwork:
     )
 
 
-def _components(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+def _reserve(edges: np.ndarray, rows: int) -> np.ndarray:
+    """``edges``, or a copy with room for at least ``rows`` rows."""
+    if rows <= len(edges):
+        return edges
+    grown = np.empty((max(rows, 2 * len(edges)), 2), dtype=edges.dtype)
+    grown[:len(edges)] = edges
+    return grown
+
+
+def _edge_chunks(edges: np.ndarray):
+    """Views of consecutive rows of ``edges``, as many per view as the draw
+    buffer holds values."""
+    step = max(1, _DRAW_BYTES // 8)
+    for start in range(0, len(edges), step):
+        yield edges[start:start + step]
+
+
+def _components(n: int, edges: np.ndarray) -> np.ndarray:
     """Component of each node, numbered in the order of the components'
     smallest nodes: labels fall across edges and to their labels' labels
     until nothing moves, leaving each node its component's smallest node."""
     label = np.arange(n)
-    # one buffer per edge end, reused every step; "clip" takes without the
-    # copy the default mode makes, and the labels are always in range
-    low, other = np.empty_like(u), np.empty_like(v)
     while True:
-        np.take(label, u, out=low, mode="clip")
-        np.take(label, v, out=other, mode="clip")
-        np.minimum(low, other, out=low)
         lower = label.copy()
-        np.minimum.at(lower, u, low)
-        np.minimum.at(lower, v, low)
+        for rows in _edge_chunks(edges):
+            u, v = rows[:, 0], rows[:, 1]
+            low = np.minimum(label[u], label[v])
+            np.minimum.at(lower, u, low)
+            np.minimum.at(lower, v, low)
         lower = lower[lower]
         if np.array_equal(lower, label):
             return np.unique(label, return_inverse=True)[1]

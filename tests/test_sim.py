@@ -1,3 +1,4 @@
+import tracemalloc
 from collections import Counter, deque
 
 import numpy as np
@@ -204,9 +205,10 @@ _TRAITS = {"blk": TraitRule("block", block=0), "top": TraitRule("top_degree", fr
 
 
 @settings(max_examples=200, deadline=None)
-# one-row chunks (a budget below one row) and chunks of a few rows
+# one-value chunks (a budget below one value), chunks that end mid-row on
+# 12-node rows, and chunks of a few rows
 @given(cfg=_small_networks(), rng_seed=st.integers(0, 50),
-       draw_bytes=st.sampled_from([1, 8 * 12 * 3, sim._DRAW_BYTES]))
+       draw_bytes=st.sampled_from([1, 8 * 5, 8 * 13, 8 * 12 * 3, sim._DRAW_BYTES]))
 @example(  # zero-size blocks, p = 1 between blocks
     cfg=NetworkConfig((6, 0, 5, 0), 0.3, 1.0, _TRAITS), rng_seed=0, draw_bytes=1)
 @example(  # a complete block
@@ -215,8 +217,10 @@ _TRAITS = {"blk": TraitRule("block", block=0), "top": TraitRule("top_degree", fr
     cfg=NetworkConfig((5, 5, 5, 5), 0.25, 0.02, _TRAITS), rng_seed=0, draw_bytes=1)
 @example(  # shattered and p = 0 within blocks: 4 stray components are linked
     cfg=NetworkConfig((3, 3, 3), 0.0, 0.2, _TRAITS), rng_seed=4, draw_bytes=24)
+@example(  # shattered: the links outgrow the room kept for the expected edges
+    cfg=NetworkConfig((5, 12, 5, 11), 0.1, 0.0, _TRAITS), rng_seed=0, draw_bytes=8 * 5)
 def test_network_matches_dense_draw_oracle(cfg, rng_seed, draw_bytes):
-    # drawing each block pair in row chunks keeps every bit of the one-call draw
+    # drawing each block pair in flat chunks keeps every bit of the one-call draw
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sim, "_DRAW_BYTES", draw_bytes)
         try:
@@ -233,6 +237,18 @@ def test_network_matches_dense_draw_oracle(cfg, rng_seed, draw_bytes):
     for name, want in traits.items():
         got = net.node_traits[name]
         assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def test_network_draw_memory_is_one_buffer():
+    # ss-sensitivity's network: 4.5 M uniforms pass through one reused buffer
+    cfg = NetworkConfig((1500, 1500), 0.008, 0.001, {"blk": TraitRule("block", block=0)})
+    tracemalloc.start()
+    try:
+        generate_network(cfg, rng_seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5 * 2**20
 
 
 def test_true_prevalence_unknown_trait(two_block_net):
