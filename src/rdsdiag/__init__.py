@@ -11,7 +11,7 @@ from .dataset import (
 )
 from .estimators import IncludedSample, included_sample, ss_estimate
 from .forest import RecruitmentForest
-from .report import PipelineConfig, ReportBundle, run_pipeline
+from .report import PipelineConfig, ReportBundle, diagnose, run_pipeline, write_report
 
 __version__ = "0.1.0"
 
@@ -30,6 +30,7 @@ __all__ = [
     "StudyDataset",
     "TraitSpec",
     "convergence_flag",
+    "diagnose",
     "generate_network",
     "included_sample",
     "load_dataset",
@@ -38,6 +39,7 @@ __all__ = [
     "simulate_rds",
     "ss_estimate",
     "validate_dataset",
+    "write_report",
 ]
 
 

@@ -168,7 +168,6 @@ def _read_kv(path: Path) -> dict[str, str]:
 
 def _pipeline_config(args: argparse.Namespace, sections: Sequence[str]) -> PipelineConfig:
     return PipelineConfig(
-        out_dir=args.out_dir,
         traits=tuple(args.trait) if args.trait else None,
         degree_question=args.degree_question,
         tau=args.tau,
@@ -202,7 +201,7 @@ def _cmd_sections(args: argparse.Namespace) -> int:
     # the config is checked before the study is read: a bad value exits 3
     # even when an input file is missing
     cfg = _pipeline_config(args, sections)
-    bundle = run_pipeline(_load_study(args), cfg)
+    bundle = run_pipeline(_load_study(args), cfg, args.out_dir)
     if args.command == "report":
         _emit(
             {

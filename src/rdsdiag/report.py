@@ -1,18 +1,19 @@
-"""End-to-end diagnostic pipeline: runs every enabled analysis, writes the
-SVG figures and CSV tables, and assembles a hashed JSON bundle.
+"""End-to-end diagnostic pipeline in two steps: ``diagnose`` runs every
+enabled analysis and returns its results, writing nothing; ``write_report``
+renders the SVG figures and CSV tables from them and a hashed JSON bundle.
 
-All output is deterministic: sections return their raw results whole, and
-one pass (``_jsonable``) turns them into the bundle form with every float
-rounded to 6 significant digits; JSON keys are sorted, and every random step
-derives from the configured seed.  Diagnostic flags are results, not errors — the
-pipeline exits cleanly when a dataset simply lacks the data for a section,
+All output is deterministic: sections return their raw results whole, the
+figures and tables are drawn from them, and one pass (``_jsonable``) turns
+them into the bundle form with every float rounded to 6 significant
+digits; JSON keys are sorted, and every random step derives from the
+configured seed.  Diagnostic flags are results, not errors — the pipeline
+exits cleanly when a dataset simply lacks the data for a diagnostic,
 recording the reason in the bundle instead.
 """
 
 from __future__ import annotations
 
 import csv
-import functools
 import hashlib
 import io
 import json
@@ -24,6 +25,7 @@ from typing import Any, Callable, Optional, Sequence
 from . import behavior, bottleneck, convergence, degree, estimators, finitepop, svg
 from .dataset import DEGREE_QUESTIONS, StudyDataset, validate_dataset
 from .errors import DataRequirementError, TooFewTrees, UnrealizableConfig
+from .estimators import IncludedSample
 from .forest import edge_rows
 
 SCHEMA_VERSION = "2.0"
@@ -43,7 +45,6 @@ SS_FLAG_THRESHOLD = 0.01
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    out_dir: Path
     traits: Optional[tuple[str, ...]] = None  # None = all defined traits
     degree_question: str = estimators.DEFAULT_DEGREE_QUESTION
     tau: int = 50
@@ -55,8 +56,6 @@ class PipelineConfig:
     sections: tuple[str, ...] = ALL_SECTIONS
 
     def __post_init__(self) -> None:
-        if not str(self.out_dir):  # Path("") would be the working directory
-            raise UnrealizableConfig("out_dir: empty path")
         if self.degree_question not in DEGREE_QUESTIONS:
             raise UnrealizableConfig(f"unknown degree question {self.degree_question!r}")
         for name in self.sections:
@@ -131,10 +130,10 @@ def _jsonable(x: Any) -> Any:
 class _Writer:
     """Single point of file output; records content hashes for the manifest."""
 
-    def __init__(self, out_dir: Path):
-        self.out_dir = out_dir
-        self.manifest: dict[str, str] = {}
+    def __init__(self, out_dir: str | Path):
         _make_out_dir(out_dir)
+        self.out_dir = Path(out_dir)
+        self.manifest: dict[str, str] = {}
 
     def write_text(self, name: str, text: str) -> None:
         """Write one output file; a failed write raises ``UnrealizableConfig``
@@ -155,12 +154,15 @@ class _Writer:
         self.write_text(name, text.getvalue())
 
 
-def _make_out_dir(out_dir: Path) -> None:
-    """Create ``out_dir`` and its parents as needed; a path that cannot be
-    made a directory (a file is in the way, or no permission) raises
-    ``UnrealizableConfig`` naming it."""
+def _make_out_dir(out_dir: str | Path) -> None:
+    """Create ``out_dir`` and its parents as needed.  An empty path, which
+    ``Path`` reads as the working directory, or a path that cannot be made a
+    directory (a file is in the way, or no permission) raises
+    ``UnrealizableConfig``."""
+    if not str(out_dir):
+        raise UnrealizableConfig("out_dir: empty path")
     try:
-        out_dir.mkdir(parents=True, exist_ok=True)
+        Path(out_dir).mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         # mkdir(exist_ok=True) raises FileExistsError for a file at out_dir
         reason = "Not a directory" if isinstance(exc, FileExistsError) else exc.strerror
@@ -180,7 +182,7 @@ def _csv_cell(v: Any) -> str:
 
 def _attempt(fn: Callable[..., Any], *args: Any) -> Any:
     """``fn(*args)``, or ``{"skipped": reason}`` when the data cannot support
-    it.  Every section, sub-diagnostic and per-trait entry goes through here,
+    it.  Every sub-diagnostic and per-trait entry goes through here,
     so a shortfall costs only the entry that needed the missing data."""
     try:
         return fn(*args)
@@ -192,72 +194,133 @@ def _ran(result: Any) -> bool:
     return not (isinstance(result, dict) and "skipped" in result)
 
 
-def run_pipeline(ds: StudyDataset, cfg: PipelineConfig) -> ReportBundle:
-    """Execute all enabled diagnostics on the loaded study ``ds`` and write
-    the output tree.
+@dataclass(frozen=True)
+class Diagnosis:
+    """What ``diagnose`` found in one study, unrounded: the dataset summary,
+    each requested trait's included sample (or its ``{"skipped": reason}``),
+    and each enabled section's result, in the configured orders."""
+
+    dataset_summary: dict[str, Any]
+    samples: dict[str, Any]
+    sections: dict[str, Any]
+
+
+def diagnose(ds: StudyDataset, cfg: PipelineConfig) -> Diagnosis:
+    """Run every enabled diagnostic on the loaded study ``ds``; writes nothing.
 
     Raises config errors; a data-requirement shortfall is recorded as
-    ``{"skipped": reason}`` at the narrowest level it hits (trait,
-    sub-diagnostic or section) instead of aborting the run."""
-    traits = (
-        tuple(dict.fromkeys(cfg.traits))
-        if cfg.traits is not None
-        else tuple(s.name for s in ds.trait_specs)
-    )
-    if "converge" in cfg.sections or "bottleneck" in cfg.sections:
-        _check_figure_names(traits)
-
-    # each trait's included sample is built once and shared by the sections;
-    # an unknown trait raises on every lookup, so each entry records it
-    sample_of = functools.cache(
-        functools.partial(estimators.included_sample, ds, degree_question=cfg.degree_question)
-    )
-    if "estimate" in cfg.sections:
-        _check_population_sizes(traits, cfg.population_sizes, sample_of)
-
-    writer = _Writer(Path(cfg.out_dir))
-    bundle = ReportBundle(dataset_summary=dataset_summary(ds), sections={})
-
-    writer.write_csv(
-        "edges.csv", ["child_id", "parent_id", "wave", "tree_root"], edge_rows(ds)
-    )
-    _render_chains_figure(writer, ds, traits)
-
+    ``{"skipped": reason}`` at the narrowest level it hits (trait or
+    sub-diagnostic) instead of aborting the run."""
+    names = cfg.traits if cfg.traits is not None else (s.name for s in ds.trait_specs)
+    traits = tuple(dict.fromkeys(names))
+    # each trait's included sample is built once and shared by the sections
+    samples = {
+        trait: _attempt(estimators.included_sample, ds, trait, cfg.degree_question)
+        for trait in traits
+    }
     runners = {
-        "estimate": lambda: _section_estimate(writer, traits, cfg, sample_of),
-        "converge": lambda: _section_converge(writer, traits, cfg, sample_of),
-        "bottleneck": lambda: _section_bottleneck(writer, traits, cfg, sample_of),
-        "behavior": lambda: _section_behavior(writer, ds, traits, cfg),
-        "degree": lambda: _section_degree(writer, ds, traits, cfg, sample_of),
+        "estimate": lambda: _section_estimate(samples, cfg),
+        "converge": lambda: _section_converge(samples, cfg),
+        "bottleneck": lambda: _section_bottleneck(samples, cfg),
+        "behavior": lambda: _section_behavior(ds, traits, cfg),
+        "degree": lambda: _section_degree(ds, samples, cfg),
         "finitepop": lambda: _section_finitepop(ds),
     }
-    for name in cfg.sections:
-        bundle.sections[name] = _jsonable(_attempt(runners[name]))
+    return Diagnosis(
+        dataset_summary=dataset_summary(ds),
+        samples=samples,
+        sections={name: runners[name]() for name in cfg.sections},
+    )
 
-    # flag grid over per-trait verdicts from the convergence and bottleneck
-    # sections (cells are None when a section was skipped for that trait)
-    conv = bundle.sections.get("converge", {})
-    bott = bundle.sections.get("bottleneck", {})
-    flag_rows = [
-        (trait, _lookup_flag(conv, trait), _lookup_flag(bott, trait)) for trait in traits
-    ]
-    if flag_rows and ("converge" in cfg.sections or "bottleneck" in cfg.sections):
-        grid_svg = svg.flag_grid(
-            title=f"Flags: {ds.site_label}",
-            row_labels=[r[0] for r in flag_rows],
-            col_labels=["convergence", "bottleneck"],
-            cells=[[r[1], r[2]] for r in flag_rows],
-        )
-        writer.write_text("flag_grid.svg", grid_svg)
+
+def write_report(diagnosis: Diagnosis, ds: StudyDataset, out_dir: str | Path) -> ReportBundle:
+    """Render every figure and table of ``diagnosis`` (of ``ds``) under
+    ``out_dir``, then ``bundle.json`` with the sha256 of every other file;
+    nothing is written when two traits would share a figure file name."""
+    samples, sections = diagnosis.samples, diagnosis.sections
+    traits = tuple(samples)
+    # the flagging sections' per-trait entries; empty when a section did not run
+    conv, bott = (sections.get(s, {}).get("per_trait", {}) for s in ("converge", "bottleneck"))
+    flagging = "converge" in sections or "bottleneck" in sections
+    if flagging:
+        _check_figure_names(traits)
+    writer = _Writer(out_dir)
+    writer.write_csv("edges.csv", ["child_id", "parent_id", "wave", "tree_root"], edge_rows(ds))
+    writer.write_text("chains.svg", _chains_figure(ds, traits))
+    for trait, sample in samples.items():
+        name = _safe_name(trait)
+        if _field(conv.get(trait), "evaluable"):
+            figure = svg.convergence(title=f"Convergence: {trait}", orders=sample.orders,
+                                     values=estimators.cumulative_estimates(sample),
+                                     positive=sample.y == 1.0)
+            writer.write_text(f"convergence_{name}.svg", figure)
+        if isinstance(bott.get(trait), bottleneck.PermutationResult):
+            figure = svg.bottleneck(title=f"Bottleneck: {trait}",
+                                    series=estimators.per_tree_series(sample))
+            writer.write_text(f"bottleneck_{name}.svg", figure)
+            figure = svg.all_points(title=f"All points: {trait}", roots=sample.roots,
+                                    tree=sample.tree, positive=sample.y == 1.0)
+            writer.write_text(f"allpoints_{name}.svg", figure)
+
+    # each per-trait table projects the entries: one row per trait, and a
+    # cell is None where the entry is skipped or lacks the field
+    def table(*columns: tuple[dict[str, Any], str]) -> list[tuple[Any, ...]]:
+        return [(trait, *(_field(entries.get(trait), key) for entries, key in columns))
+                for trait in traits]
+
+    if "estimate" in sections:
+        # one row per SS scenario, or one VH-only row; a skipped trait has none
         writer.write_csv(
-            "flag_grid.csv",
-            ["trait", "convergence_flag", "bottleneck_flag"],
-            flag_rows,
+            "estimates.csv",
+            ["trait", "population_size", "vh", "ss", "difference", "flagged"],
+            [
+                (trait, s.get("population_size"), e["vh"], s.get("ss"),
+                 s.get("difference"), s.get("flagged"))
+                for trait, e in sections["estimate"]["per_trait"].items()
+                if _ran(e)
+                for s in e.get("ss", [{}])
+            ],
         )
+    if "converge" in sections:
+        columns = ("evaluable", "flagged", "first_violation_offset", "max_deviation")
+        writer.write_csv("convergence_flags.csv", ["trait", *columns],
+                         table(*((conv, key) for key in columns)))
+    if "bottleneck" in sections:
+        columns = ("observed_wsd", "quantile_rank", "flagged")
+        writer.write_csv("bottleneck.csv", ["trait", *columns],
+                         table(*((bott, key) for key in columns)))
+    if traits and flagging:
+        flag_rows = table((conv, "flagged"), (bott, "flagged"))
+        writer.write_text("flag_grid.svg", svg.flag_grid(
+            title=f"Flags: {ds.site_label}", row_labels=list(traits),
+            col_labels=["convergence", "bottleneck"], cells=[list(row[1:]) for row in flag_rows],
+        ))
+        writer.write_csv("flag_grid.csv", ["trait", "convergence_flag", "bottleneck_flag"],
+                         flag_rows)
+    if "behavior" in sections:
+        _write_behavior_figures(writer, sections["behavior"])
+    estimated = [r for r in sections.get("degree", {}).get("sensitivity", ())
+                 if isinstance(r, degree.SensitivityRow)]
+    if estimated:
+        figure = svg.sensitivity_pairs(
+            title="Estimate sensitivity to degree wave",
+            rows=[(r.trait, r.estimate_test, r.estimate_retest) for r in estimated],
+        )
+        writer.write_text("sensitivity_pairs.svg", figure)
 
-    bundle.manifest = dict(sorted(writer.manifest.items()))
+    bundle = ReportBundle(
+        dataset_summary=diagnosis.dataset_summary,
+        sections=_jsonable(sections),
+        manifest=dict(sorted(writer.manifest.items())),
+    )
     writer.write_text("bundle.json", bundle.to_json())
     return bundle
+
+
+def run_pipeline(ds: StudyDataset, cfg: PipelineConfig, out_dir: str | Path) -> ReportBundle:
+    """``diagnose`` the loaded study ``ds``, then ``write_report`` its output
+    tree under ``out_dir``; an error ``diagnose`` raises leaves nothing written."""
+    return write_report(diagnose(ds, cfg), ds, out_dir)
 
 
 def _check_figure_names(traits: Sequence[str]) -> None:
@@ -280,22 +343,9 @@ def _check_figure_names(traits: Sequence[str]) -> None:
             )
 
 
-def _check_population_sizes(
-    traits: Sequence[str], population_sizes: Sequence[int], sample_of
-) -> None:
-    """Raise, before any output is written, the ``PopulationTooSmall`` that
-    the estimate section would hit: the first SS scenario population below a
-    trait's included sample size, in trait order."""
-    for trait in traits:
-        sample = _attempt(sample_of, trait)
-        if not _ran(sample) or len(sample) == 0:
-            continue  # the estimate section records this trait as skipped
-        for population_size in population_sizes:
-            estimators.check_population_size(population_size, len(sample))
-
-
-def _lookup_flag(section: dict[str, Any], trait: str) -> Optional[bool]:
-    return section.get("per_trait", {}).get(trait, {}).get("flagged")
+def _field(entry: Any, name: str) -> Any:
+    """A result's field or a dict entry's key; None when ``entry`` lacks it."""
+    return entry.get(name) if isinstance(entry, dict) else getattr(entry, name, None)
 
 
 def dataset_summary(ds: StudyDataset) -> dict[str, Any]:
@@ -325,26 +375,64 @@ def _safe_name(trait: str) -> str:
     return "".join(c if c.isalnum() or c in "-_" else "_" for c in trait)
 
 
-def _render_chains_figure(writer: _Writer, ds: StudyDataset, traits: Sequence[str]) -> None:
+def _chains_figure(ds: StudyDataset, traits: Sequence[str]) -> str:
     """Chains coloured by the first requested trait the dataset defines."""
     defined = {s.name for s in ds.trait_specs}
     trait = next((t for t in traits if t in defined), None)
-    figure = svg.chains(
+    return svg.chains(
         title=f"Recruitment chains: {ds.site_label}",
         roots=ds.forest.roots,
         children=ds.forest.children,
         wave=ds.forest.wave,
         trait=dict(zip((r.id for r in ds.respondents), ds.indicators(trait))) if trait else {},
     )
-    writer.write_text("chains.svg", figure)
 
 
-def _section_estimate(writer, traits, cfg: PipelineConfig, sample_of) -> dict[str, Any]:
-    def estimate(trait: str) -> dict[str, Any]:
-        sample = sample_of(trait)
+def _write_behavior_figures(writer: _Writer, section: dict[str, Any]) -> None:
+    ran = [(trait, e) for trait, e in section["effectiveness"].items() if _ran(e)]
+    if ran:
+        trait, e = ran[0]
+        figure = svg.bars(
+            title=f"Mean recruits by {trait}",
+            labels=[f"{trait}+", f"{trait}-"],
+            values=[0.0 if math.isnan(v) else v
+                    for v in (e.mean_recruits_positive, e.mean_recruits_negative)],
+        )
+        writer.write_text("effectiveness.svg", figure)
+    if _ran(section["recruitment_bias"]):
+        levels = section["recruitment_bias"]["levels"]
+        figure = svg.bars(
+            title="Attribute share by level",
+            labels=["contacts", "recipients", "recruits"],
+            values=[100.0 * levels.contacts, 100.0 * levels.recipients, 100.0 * levels.recruits],
+        )
+        writer.write_text("bias.svg", figure)
+    if section["motivation_outcome"]:
+        figure = svg.motivation_outcome(
+            title="Motivation vs outcome",
+            rows=[
+                (f"{mo.motivation} / {mo.trait}", mo.odds_ratio, mo.ci_low, mo.ci_high)
+                for mo in section["motivation_outcome"]
+            ],
+        )
+        writer.write_text("motivation_outcome.svg", figure)
+
+
+# -- sections: each returns its raw result and writes nothing ----------------
+
+
+def _per_trait(samples: dict[str, Any], fn: Callable[[IncludedSample], Any]) -> dict[str, Any]:
+    """``fn(sample)`` for each trait whose included sample was built; the
+    other traits keep the sample's skipped entry."""
+    return {trait: _attempt(fn, s) if _ran(s) else s for trait, s in samples.items()}
+
+
+def _section_estimate(samples, cfg: PipelineConfig) -> dict[str, Any]:
+    def estimate(sample: IncludedSample) -> dict[str, Any]:
         vh = float(estimators.cumulative_estimates(sample)[-1])
         entry: dict[str, Any] = {"vh": vh, "n_included": len(sample)}
         if cfg.population_sizes:
+            # a population below the sample size raises PopulationTooSmall
             ss = [estimators.ss_estimate(sample, size) for size in cfg.population_sizes]
             entry["ss"] = [
                 {"population_size": size, "ss": s, "difference": s - vh,
@@ -353,158 +441,66 @@ def _section_estimate(writer, traits, cfg: PipelineConfig, sample_of) -> dict[st
             ]
         return entry
 
-    per_trait = {trait: _attempt(estimate, trait) for trait in traits}
-    # one row per SS scenario, or one VH-only row; a skipped trait has none
-    writer.write_csv(
-        "estimates.csv",
-        ["trait", "population_size", "vh", "ss", "difference", "flagged"],
-        [
-            (trait, s.get("population_size"), e["vh"], s.get("ss"),
-             s.get("difference"), s.get("flagged"))
-            for trait, e in per_trait.items()
-            if _ran(e)
-            for s in e.get("ss", [{}])
-        ],
-    )
-    return {"degree_question": cfg.degree_question, "per_trait": per_trait}
+    return {"degree_question": cfg.degree_question, "per_trait": _per_trait(samples, estimate)}
 
 
-def _section_converge(writer, traits, cfg: PipelineConfig, sample_of) -> dict[str, Any]:
-    def converge(trait: str) -> dict[str, Any]:
-        sample = sample_of(trait)
+def _section_converge(samples, cfg: PipelineConfig) -> dict[str, Any]:
+    def converge(sample: IncludedSample) -> dict[str, Any]:
         if not len(sample):
             return {"evaluable": False}
         values = estimators.cumulative_estimates(sample)
         verdict = convergence.convergence_flag(values, cfg.tau, cfg.epsilon)
-        figure = svg.convergence(title=f"Convergence: {trait}", orders=sample.orders,
-                                 values=values, positive=sample.y == 1.0)
-        writer.write_text(f"convergence_{_safe_name(trait)}.svg", figure)
         return {"evaluable": True, **_fields(verdict)}
 
-    per_trait = {trait: _attempt(converge, trait) for trait in traits}
-    writer.write_csv(
-        "convergence_flags.csv",
-        ["trait", "evaluable", "flagged", "first_violation_offset", "max_deviation"],
-        [
-            (trait, e.get("evaluable"), e.get("flagged"),
-             e.get("first_violation_offset"), e.get("max_deviation"))
-            for trait, e in per_trait.items()
-        ],
-    )
-    return {"tau": cfg.tau, "epsilon": cfg.epsilon, "per_trait": per_trait}
+    return {"tau": cfg.tau, "epsilon": cfg.epsilon, "per_trait": _per_trait(samples, converge)}
 
 
-def _section_bottleneck(writer, traits, cfg: PipelineConfig, sample_of) -> dict[str, Any]:
-    samples = {trait: _attempt(sample_of, trait) for trait in traits}
-    built = [trait for trait in traits if _ran(samples[trait])]
+def _section_bottleneck(samples, cfg: PipelineConfig) -> dict[str, Any]:
+    built = [trait for trait, sample in samples.items() if _ran(sample)]
     # one call, so that traits of one included size share each drawn block
     tests = dict(zip(built, bottleneck.wsd_permutation_tests(
         [samples[trait] for trait in built],
-        replicates=cfg.replicates,
-        threshold=cfg.threshold,
-        rng_seed=cfg.rng_seed,
+        replicates=cfg.replicates, threshold=cfg.threshold, rng_seed=cfg.rng_seed,
     )))
-
-    def figures(trait: str) -> bottleneck.PermutationResult:
-        sample, result = samples[trait], tests[trait]
-        if isinstance(result, TooFewTrees):
-            raise result
-        series = estimators.per_tree_series(sample)
-        figure = svg.bottleneck(title=f"Bottleneck: {trait}", series=series)
-        writer.write_text(f"bottleneck_{_safe_name(trait)}.svg", figure)
-        figure = svg.all_points(title=f"All points: {trait}", roots=sample.roots,
-                                tree=sample.tree, positive=sample.y == 1.0)
-        writer.write_text(f"allpoints_{_safe_name(trait)}.svg", figure)
-        return result
-
+    # a trait without a sample keeps its skipped entry
+    results = {trait: tests.get(trait, sample) for trait, sample in samples.items()}
     per_trait = {
-        trait: _attempt(figures, trait) if trait in tests else samples[trait] for trait in traits
+        trait: {"skipped": str(r)} if isinstance(r, TooFewTrees) else r
+        for trait, r in results.items()
     }
-    columns = ("observed_wsd", "quantile_rank", "flagged")
-    writer.write_csv(
-        "bottleneck.csv",
-        ["trait", *columns],
-        [(trait, *(getattr(e, c, None) for c in columns)) for trait, e in per_trait.items()],
-    )
     return {"threshold": cfg.threshold, "per_trait": per_trait}
 
 
-def _section_behavior(writer, ds, traits, cfg: PipelineConfig) -> dict[str, Any]:
-    def effectiveness() -> dict[str, Any]:
-        results = {
-            trait: _attempt(behavior.recruitment_effectiveness, ds, trait) for trait in traits
-        }
-        ran = [(trait, e) for trait, e in results.items() if _ran(e)]
-        if ran:
-            trait, e = ran[0]
-            figure = svg.bars(
-                title=f"Mean recruits by {trait}",
-                labels=[f"{trait}+", f"{trait}-"],
-                values=[
-                    0.0 if math.isnan(e.mean_recruits_positive) else e.mean_recruits_positive,
-                    0.0 if math.isnan(e.mean_recruits_negative) else e.mean_recruits_negative,
-                ],
-            )
-            writer.write_text("effectiveness.svg", figure)
-        return results
-
+def _section_behavior(ds, traits, cfg: PipelineConfig) -> dict[str, Any]:
     def bias() -> dict[str, Any]:
-        levels = behavior.recruitment_bias_levels(ds)
-        tests = behavior.recruitment_bias_tests(ds, threshold=cfg.threshold)
-        figure = svg.bars(
-            title="Attribute share by level",
-            labels=["contacts", "recipients", "recruits"],
-            values=[100.0 * levels.contacts, 100.0 * levels.recipients, 100.0 * levels.recruits],
-        )
-        writer.write_text("bias.svg", figure)
-        return {"levels": levels, "tests": tests}
+        return {
+            "levels": behavior.recruitment_bias_levels(ds),
+            "tests": behavior.recruitment_bias_tests(ds, threshold=cfg.threshold),
+        }
 
-    def motivation_outcomes() -> list[behavior.MotivationOutcome]:
-        categories = sorted(
-            {r.motivation for r in ds.respondents if r.motivation is not None}
-        )
-        outcomes = [
-            _attempt(behavior.motivation_outcome, ds, category, trait)
-            for trait in traits
-            for category in categories
-        ]
-        outcomes = [mo for mo in outcomes if _ran(mo)]
-        if outcomes:
-            figure = svg.motivation_outcome(
-                title="Motivation vs outcome",
-                rows=[
-                    (f"{mo.motivation} / {mo.trait}", mo.odds_ratio, mo.ci_low, mo.ci_high)
-                    for mo in outcomes
-                ],
-            )
-            writer.write_text("motivation_outcome.svg", figure)
-        return outcomes
-
+    categories = sorted({r.motivation for r in ds.respondents if r.motivation is not None})
+    outcomes = [_attempt(behavior.motivation_outcome, ds, category, trait)
+                for trait in traits for category in categories]
     return {
         "reciprocation_rate": _attempt(behavior.reciprocation_rate, ds),
         "network_reciprocity": _attempt(behavior.network_reciprocity_stats, ds),
-        "effectiveness": effectiveness(),
+        "effectiveness": {
+            trait: _attempt(behavior.recruitment_effectiveness, ds, trait) for trait in traits
+        },
         "recruitment_bias": _attempt(bias),
         "nonresponse": _attempt(behavior.nonresponse_rates, ds),
         "reasons": _attempt(behavior.reason_tables, ds),
-        "motivation_outcome": _attempt(motivation_outcomes),
+        "motivation_outcome": [mo for mo in outcomes if _ran(mo)],
     }
 
 
-def _section_degree(writer, ds, traits, cfg: PipelineConfig, sample_of) -> dict[str, Any]:
-    def estimate_sensitivity(trait: str) -> degree.SensitivityRow:
-        return degree.estimate_sensitivity(ds, sample_of(trait), cfg.degree_question)
-
+def _section_degree(ds, samples, cfg: PipelineConfig) -> dict[str, Any]:
     def sensitivity() -> list[Any] | dict[str, Any]:
-        rows = {trait: _attempt(estimate_sensitivity, trait) for trait in traits}
-        estimated = [r for r in rows.values() if _ran(r)]
-        if traits and not estimated:
-            return rows[traits[0]]  # every trait skipped: the first one's reason
-        figure = svg.sensitivity_pairs(
-            title="Estimate sensitivity to degree wave",
-            rows=[(r.trait, r.estimate_test, r.estimate_retest) for r in estimated],
+        rows = _per_trait(
+            samples, lambda sample: degree.estimate_sensitivity(ds, sample, cfg.degree_question)
         )
-        writer.write_text("sensitivity_pairs.svg", figure)
+        if rows and not any(map(_ran, rows.values())):
+            return next(iter(rows.values()))  # every trait skipped: the first one's reason
         return [r if _ran(r) else {"trait": trait, **r} for trait, r in rows.items()]
 
     def trend() -> list[Any] | dict[str, Any]:
@@ -521,7 +517,7 @@ def _section_degree(writer, ds, traits, cfg: PipelineConfig, sample_of) -> dict[
     return {
         "time_windows": _attempt(degree.time_window_stats, ds),
         "test_retest": _attempt(degree.test_retest_stats, ds, cfg.degree_question),
-        "sensitivity": _attempt(sensitivity),
+        "sensitivity": sensitivity(),
         "trend": trend(),
     }
 

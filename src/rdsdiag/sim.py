@@ -78,7 +78,8 @@ class NetworkConfig:
 @dataclass(frozen=True)
 class SyntheticNetwork:
     blocks: np.ndarray  # block index per node
-    neighbors: tuple[np.ndarray, ...]
+    offsets: np.ndarray  # node v's neighbours are targets[offsets[v]:offsets[v + 1]]
+    targets: np.ndarray  # ascending within each node
     degrees: np.ndarray
     node_traits: dict[str, np.ndarray]  # boolean arrays
     n_connect_edges: int  # edges added to enforce connectivity
@@ -173,15 +174,14 @@ def generate_network(cfg: NetworkConfig, rng_seed: int = 0) -> SyntheticNetwork:
     edges[m:m + len(links)] = links
     m += len(links)
     # each (u, v) row becomes its two ends' src * n + dst keys in place; sorted,
-    # they run by node, then neighbour
+    # they run by node, then neighbour, and % n leaves the neighbours
     for rows in _edge_chunks(edges[:m]):
         rows[...] = rows * n + rows[:, ::-1]
-    key = edges[:m].reshape(-1)
-    key.sort()
-    bounds = np.searchsorted(key, np.arange(n + 1) * n)
-    degrees = np.diff(bounds)
-    key %= n
-    neighbors = tuple(np.split(key, bounds[1:-1]))
+    targets = edges[:m].reshape(-1)
+    targets.sort()
+    offsets = np.searchsorted(targets, np.arange(n + 1) * n)
+    degrees = np.diff(offsets)
+    targets %= n
 
     traits: dict[str, np.ndarray] = {}
     for name, rule in cfg.traits.items():
@@ -198,7 +198,8 @@ def generate_network(cfg: NetworkConfig, rng_seed: int = 0) -> SyntheticNetwork:
 
     return SyntheticNetwork(
         blocks=blocks,
-        neighbors=neighbors,
+        offsets=offsets,
+        targets=targets,
         degrees=degrees,
         node_traits=traits,
         n_connect_edges=len(links),
@@ -333,8 +334,9 @@ def simulate_rds(net: SyntheticNetwork, cfg: SimConfig) -> SimulationResult:
     seeds = rng.choice(pool, size=cfg.seed_count, replace=False)
 
     queue: deque[tuple[int, Optional[str]]] = deque((int(s), None) for s in seeds)
-    committed: set[int] = set(int(s) for s in seeds)  # has a coupon or participated
-    interviewed: set[int] = set()
+    committed = np.zeros(net.node_count, dtype=bool)  # has a coupon or participated
+    committed[seeds] = True
+    interviewed = np.zeros(net.node_count, dtype=bool)
     respondents: list[Respondent] = []
     node_of: dict[str, int] = {}
     coupon_counter = 0
@@ -345,13 +347,13 @@ def simulate_rds(net: SyntheticNetwork, cfg: SimConfig) -> SimulationResult:
         order = len(respondents) + 1
         rid = f"R{order:04d}"
         node_of[rid] = node
-        nbrs = net.neighbors[node]
+        nbrs = net.targets[net.offsets[node]:net.offsets[node + 1]]
         degree = int(net.degrees[node])
 
-        known = sum(1 for v in nbrs if int(v) in interviewed)
+        known = int(np.count_nonzero(interviewed[nbrs]))
         if coupon_in is not None:
             known = max(known - 1, 0)  # recruiter does not count
-        interviewed.add(node)
+        interviewed[node] = True
 
         probs = cfg.recruit_probs
         if (
@@ -369,10 +371,10 @@ def simulate_rds(net: SyntheticNetwork, cfg: SimConfig) -> SimulationResult:
                 break
             nbr = int(nbr)
             if without:
-                if nbr in interviewed:
+                if interviewed[nbr]:
                     failed += 1
                     continue
-                if nbr in committed:
+                if committed[nbr]:
                     continue  # pending coupon holder; not a failed attempt
             if rng.random() < cfg.refusal_prob:
                 refused += 1
@@ -381,7 +383,7 @@ def simulate_rds(net: SyntheticNetwork, cfg: SimConfig) -> SimulationResult:
             cid = f"C{coupon_counter:05d}"
             distributed.append((cid, nbr))
             if without:
-                committed.add(nbr)
+                committed[nbr] = True
             if rng.random() >= cfg.nonreturn_prob:
                 queue.append((nbr, cid))
 
@@ -406,8 +408,7 @@ def simulate_rds(net: SyntheticNetwork, cfg: SimConfig) -> SimulationResult:
         followup = None
         if rng.random() < cfg.followup_prob:
             followup = _synthesize_followup(
-                rng, cfg, node, degree, known, failed, refused, distributed,
-                employed_arr, net,
+                rng, cfg, nbrs, degree, known, failed, refused, distributed, employed_arr
             )
 
         respondents.append(
@@ -452,14 +453,13 @@ _DAYS_PROBS = np.array([0.5, 0.2, 0.1, 0.07, 0.05, 0.03, 0.02, 0.03])
 def _synthesize_followup(
     rng: np.random.Generator,
     cfg: SimConfig,
-    node: int,
+    nbrs: np.ndarray,
     degree: int,
     known: int,
     failed: int,
     refused: int,
     distributed: list[tuple[str, int]],
     employed_arr: Optional[np.ndarray],
-    net: SyntheticNetwork,
 ) -> FollowUpRecord:
     if cfg.retest_sd > 0:
         with np.errstate(over="ignore"):
@@ -495,7 +495,7 @@ def _synthesize_followup(
             )
         )
     n_contacts_employed = (
-        int(employed_arr[net.neighbors[node]].sum()) if employed_arr is not None else None
+        int(employed_arr[nbrs].sum()) if employed_arr is not None else None
     )
     return FollowUpRecord(
         degree_retest=retest,

@@ -25,7 +25,7 @@ from rdsdiag.estimators import (
     ss_estimate,
 )
 from rdsdiag.finitepop import participants_known_trend
-from rdsdiag.report import PipelineConfig, run_pipeline
+from rdsdiag.report import PipelineConfig, diagnose, run_pipeline
 from rdsdiag.sim import NetworkConfig, SimConfig, TraitRule, generate_network, simulate_rds
 
 
@@ -491,8 +491,8 @@ def test_criterion_11_pipeline_determinism(tmp_path):
     for sub in ("a", "b"):
         run_pipeline(
             ds,
-            PipelineConfig(out_dir=tmp_path / sub, replicates=500,
-                           rng_seed=4, population_sizes=(500,)),
+            PipelineConfig(replicates=500, rng_seed=4, population_sizes=(500,)),
+            tmp_path / sub,
         )
     names_a = sorted(p.name for p in (tmp_path / "a").iterdir())
     names_b = sorted(p.name for p in (tmp_path / "b").iterdir())
@@ -506,16 +506,16 @@ def test_criterion_11_pipeline_determinism(tmp_path):
 # -- criterion 12: end-to-end depletion flags ----------------------------------
 
 
-def _joint_flags(ds, out_dir) -> bool:
-    bundle = run_pipeline(ds, PipelineConfig(out_dir=out_dir, sections=("finitepop",)))
-    summary = bundle.sections["finitepop"]["summary"]
+def _joint_flags(ds) -> bool:
+    cfg = PipelineConfig(sections=("finitepop",))
+    summary = diagnose(ds, cfg).sections["finitepop"]["summary"]
     return (
         summary["failed_attempts_flag"] is True
         and summary["participants_known_trend_flag"] is True
     )
 
 
-def test_criterion_12_depletion_indicators(tmp_path):
+def test_criterion_12_depletion_indicators():
     depleted_net = generate_network(
         NetworkConfig(block_sizes=(250,), within_block_edge_prob=0.05,
                       between_block_edge_prob=0.0,
@@ -534,12 +534,12 @@ def test_criterion_12_depletion_indicators(tmp_path):
             depleted_net,
             SimConfig(target_n=200, seed_count=6, followup_prob=1.0, rng_seed=seed),
         ).dataset
-        depleted += _joint_flags(ds, tmp_path / f"d{seed}")
+        depleted += _joint_flags(ds)
         ds = simulate_rds(
             plentiful_net,
             SimConfig(target_n=150, seed_count=6, followup_prob=1.0, rng_seed=seed),
         ).dataset
-        plentiful += _joint_flags(ds, tmp_path / f"p{seed}")
+        plentiful += _joint_flags(ds)
     ok = depleted >= 40 and plentiful <= 10
     _report(
         12, ok,

@@ -27,7 +27,7 @@ from rdsdiag.behavior import (
 )
 from rdsdiag.dataset import CouponOutcome
 from rdsdiag.errors import DegenerateTable, NoData, NoEligibleRecruiters, UnknownTrait
-from rdsdiag.report import PipelineConfig, run_pipeline
+from rdsdiag.report import PipelineConfig, diagnose
 
 
 def coupon(cid, recip=None, employed=None, days=None):
@@ -111,11 +111,9 @@ def test_reciprocity_no_usable_respondent_raises():
     assert str(info.value) == NO_RECIPROCITY
 
 
-def test_reciprocity_no_usable_respondent_skipped_in_bundle(tmp_path):
-    bundle = run_pipeline(
-        _no_usable_reciprocity(), PipelineConfig(out_dir=tmp_path, sections=("behavior",))
-    )
-    assert bundle.sections["behavior"]["network_reciprocity"] == {"skipped": NO_RECIPROCITY}
+def test_reciprocity_no_usable_respondent_skipped_in_bundle():
+    diagnosis = diagnose(_no_usable_reciprocity(), PipelineConfig(sections=("behavior",)))
+    assert diagnosis.sections["behavior"]["network_reciprocity"] == {"skipped": NO_RECIPROCITY}
 
 
 # -- effectiveness -----------------------------------------------------------

@@ -18,7 +18,7 @@ from rdsdiag.bottleneck import (
 )
 from rdsdiag.errors import TooFewTrees, UnknownTrait
 from rdsdiag.estimators import IncludedSample, cumulative_estimates, included_sample
-from rdsdiag.report import PipelineConfig, run_pipeline
+from rdsdiag.report import PipelineConfig, diagnose, run_pipeline
 from rdsdiag.sim import NetworkConfig, SimConfig, TraitRule, generate_network, simulate_rds
 
 
@@ -191,8 +191,7 @@ def _all_points_rows(ds, out_dir, monkeypatch):
         return render(title=title, roots=roots, tree=tree, positive=positive)
 
     monkeypatch.setattr(svg, "all_points", capture)
-    cfg = PipelineConfig(out_dir=out_dir, replicates=10, sections=("bottleneck",))
-    run_pipeline(ds, cfg)
+    run_pipeline(ds, PipelineConfig(replicates=10, sections=("bottleneck",)), out_dir)
     return drawn[0]
 
 
@@ -466,7 +465,7 @@ def test_cache_isolation_across_sizes_seeds_and_replicates():
     assert len({r.quantile_rank for r in results if r.observed_wsd == results[0].observed_wsd}) > 1
 
 
-def test_section_results_independent_of_trait_order(tmp_path):
+def test_section_results_independent_of_trait_order():
     net = generate_network(
         NetworkConfig(
             block_sizes=(120, 120), within_block_edge_prob=0.06, between_block_edge_prob=0.004,
@@ -480,11 +479,10 @@ def test_section_results_independent_of_trait_order(tmp_path):
     # different included sizes, so the second trait cannot reuse the first's draws
     assert len(included_sample(ds, "hiv").y) != len(included_sample(ds, "employed").y)
     per_trait = []
-    for i, traits in enumerate((("hiv", "employed"), ("employed", "hiv"))):
-        bundle = run_pipeline(ds, PipelineConfig(
-            out_dir=tmp_path / str(i), traits=traits, replicates=300,
-            rng_seed=2, sections=("bottleneck",),
+    for traits in (("hiv", "employed"), ("employed", "hiv")):
+        diagnosis = diagnose(ds, PipelineConfig(
+            traits=traits, replicates=300, rng_seed=2, sections=("bottleneck",),
         ))
-        per_trait.append(bundle.sections["bottleneck"]["per_trait"])
+        per_trait.append(diagnosis.sections["bottleneck"]["per_trait"])
         assert tuple(per_trait[-1]) == traits
     assert per_trait[0] == per_trait[1]

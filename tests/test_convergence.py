@@ -7,7 +7,7 @@ from conftest import make_dataset, make_respondent
 from rdsdiag.convergence import convergence_flag
 from rdsdiag.errors import EmptySample, EmptySeries, RdsError
 from rdsdiag.estimators import cumulative_estimates, included_sample
-from rdsdiag.report import PipelineConfig, run_pipeline
+from rdsdiag.report import PipelineConfig, diagnose
 
 
 def test_constant_series_unflagged():
@@ -141,30 +141,30 @@ def _trait_verdict(ds, trait):
     return convergence_flag(cumulative_estimates(included_sample(ds, trait)))
 
 
-def _converge_section(ds, out_dir, traits=None):
-    cfg = PipelineConfig(out_dir=out_dir, traits=traits, sections=("converge",))
-    return run_pipeline(ds, cfg).sections["converge"]["per_trait"]
+def _converge_section(ds, traits=None):
+    cfg = PipelineConfig(traits=traits, sections=("converge",))
+    return diagnose(ds, cfg).sections["converge"]["per_trait"]
 
 
-def test_batch_verdicts(tmp_path):
+def test_batch_verdicts():
     ds = _batch_dataset()
     assert _trait_verdict(ds, "hiv") == _trait_verdict(ds, "hiv")
     with pytest.raises(EmptySample):  # all-missing trait has no included sample
         _trait_verdict(ds, "emp")
     # the report collapses the repeated trait and records the empty one
-    per_trait = _converge_section(ds, tmp_path, traits=("hiv", "hiv", "emp"))
+    per_trait = _converge_section(ds, traits=("hiv", "hiv", "emp"))
     assert list(per_trait) == ["hiv", "emp"]
     assert per_trait["hiv"]["evaluable"]
     assert per_trait["emp"] == {"evaluable": False}
 
 
-def test_batch_constant_trait_unflagged(tmp_path):
+def test_batch_constant_trait_unflagged():
     rows = [make_respondent("S", 1, coupons_out=["C1", "C2"], degree=3,
                             traits={"hiv": "yes"})]
     rows.append(make_respondent("a", 2, coupon_in="C1", degree=2, traits={"hiv": "yes"}))
     rows.append(make_respondent("b", 3, coupon_in="C2", degree=1, traits={"hiv": "yes"}))
     ds = make_dataset(rows)
     assert not _trait_verdict(ds, "hiv").flagged
-    entry = _converge_section(ds, tmp_path)["hiv"]
+    entry = _converge_section(ds)["hiv"]
     assert entry["evaluable"]
     assert not entry["flagged"]

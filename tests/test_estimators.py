@@ -212,9 +212,8 @@ def test_ss_deterministic():
 
 
 def _estimate_section(ds, population_sizes, out_dir):
-    cfg = PipelineConfig(out_dir=out_dir, population_sizes=population_sizes,
-                         sections=("estimate",))
-    return run_pipeline(ds, cfg).sections["estimate"]["per_trait"]["hiv"]
+    cfg = PipelineConfig(population_sizes=population_sizes, sections=("estimate",))
+    return run_pipeline(ds, cfg, out_dir).sections["estimate"]["per_trait"]["hiv"]
 
 
 def test_ss_vh_table_equal_degrees_never_flags(tmp_path):

@@ -3,7 +3,7 @@ import pytest
 from conftest import followup, make_dataset, make_degree, make_respondent
 from rdsdiag.errors import InsufficientData, NoData
 from rdsdiag.finitepop import failed_attempts_indicator, participants_known_trend
-from rdsdiag.report import PipelineConfig, run_pipeline
+from rdsdiag.report import PipelineConfig, diagnose
 
 
 def _row(rid, order, failed=None, known=None, q_age=5):
@@ -83,28 +83,27 @@ def test_trend_insufficient_data():
         participants_known_trend(make_dataset(rows))
 
 
-def _summary(ds, out_dir):
-    bundle = run_pipeline(ds, PipelineConfig(out_dir=out_dir, sections=("finitepop",)))
-    return bundle.sections["finitepop"]["summary"]
+def _summary(ds):
+    return diagnose(ds, PipelineConfig(sections=("finitepop",))).sections["finitepop"]["summary"]
 
 
-def test_indicator_summary_mixed(tmp_path):
+def test_indicator_summary_mixed():
     rows = [
         _row(f"x{i}", i + 1, failed=1 if i < 3 else 0, known=None, q_age=5)
         for i in range(10)
     ]
     ds = make_dataset(rows)  # no known-participant answers
-    summary = _summary(ds, tmp_path)
+    summary = _summary(ds)
     assert summary["failed_attempts_flag"] is True  # 30% >= 25%
     assert summary["participants_known_trend_flag"] is None
 
 
-def test_indicator_summary_all_evaluable(tmp_path):
+def test_indicator_summary_all_evaluable():
     rows = [
         _row(f"x{i}", i + 1, failed=0, known=1, q_age=10)
         for i in range(4)
     ]
     ds = make_dataset(rows)
-    summary = _summary(ds, tmp_path)
+    summary = _summary(ds)
     assert summary["failed_attempts_flag"] is False
     assert summary["participants_known_trend_flag"] is False

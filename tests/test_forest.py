@@ -214,7 +214,7 @@ def test_wave_matches_path_length_oracle():
 
 
 def test_export_edges(tmp_path):
-    bundle = run_pipeline(chain_of_three(), PipelineConfig(out_dir=tmp_path, sections=()))
+    bundle = run_pipeline(chain_of_three(), PipelineConfig(sections=()), tmp_path)
     data = (tmp_path / "edges.csv").read_bytes()
     assert data == b"child_id,parent_id,wave,tree_root\nA,S,1,S\nB,A,2,S\nC,B,3,S\n"
     assert bundle.manifest["edges.csv"] == hashlib.sha256(data).hexdigest()
@@ -252,5 +252,5 @@ def test_report_builds_the_forest_once(tmp_path, monkeypatch):
 
     monkeypatch.setattr("rdsdiag.forest.build_forest", counted)
     ds = chain_of_three()
-    run_pipeline(ds, PipelineConfig(out_dir=tmp_path, replicates=20))
+    run_pipeline(ds, PipelineConfig(replicates=20), tmp_path)
     assert len(built) == 1 and built[0] is ds

@@ -38,16 +38,6 @@ def studies(draw):
     return make_dataset(rows, traits=TRAITS)
 
 
-class _Capture:
-    """Stands in for the report's writer and keeps what is written."""
-
-    def __init__(self):
-        self.files = {}
-
-    def write_text(self, name, text):
-        self.files[name] = text
-
-
 @settings(max_examples=60, deadline=None)
 @given(ds=studies())
 def test_every_site_agrees_with_indicator(ds):
@@ -81,9 +71,8 @@ def test_every_site_agrees_with_indicator(ds):
         a, b, c, d = motivation_outcome(ds, "money", "level").table
         assert (a + b, c + d, a + c, b + d) == margins
 
-    writer = _Capture()
-    report._render_chains_figure(writer, ds, ["nope", "level"])
-    circles = ET.fromstring(writer.files["chains.svg"]).iter("{http://www.w3.org/2000/svg}circle")
+    figure = report._chains_figure(ds, ["nope", "level"])
+    circles = ET.fromstring(figure).iter("{http://www.w3.org/2000/svg}circle")
     colors = {True: "#c43c39", False: "#4472a8", None: "#bbbbbb"}
     # circles are drawn in id order
     assert [c.get("fill") for c in circles] == [colors[flag[rid]] for rid in sorted(flag)]

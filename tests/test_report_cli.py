@@ -18,6 +18,7 @@ from rdsdiag.report import (
     PipelineConfig,
     _csv_cell,
     _jsonable,
+    diagnose,
     run_pipeline,
 )
 from rdsdiag.sim import NetworkConfig, SimConfig, TraitRule, generate_network, simulate_rds
@@ -42,15 +43,13 @@ def sim_dataset():
     ).dataset
 
 
-def _cfg(out_dir, **kw):
-    base = dict(out_dir=out_dir, replicates=300, rng_seed=1)
-    base.update(kw)
-    return PipelineConfig(**base)
+def _cfg(**kw):
+    return PipelineConfig(**{"replicates": 300, "rng_seed": 1, **kw})
 
 
 def test_pipeline_byte_determinism(sim_dataset, tmp_path):
-    run_pipeline(sim_dataset, _cfg(tmp_path / "a"))
-    run_pipeline(sim_dataset, _cfg(tmp_path / "b"))
+    run_pipeline(sim_dataset, _cfg(), tmp_path / "a")
+    run_pipeline(sim_dataset, _cfg(), tmp_path / "b")
     files_a = sorted(p.name for p in (tmp_path / "a").iterdir())
     files_b = sorted(p.name for p in (tmp_path / "b").iterdir())
     assert files_a == files_b
@@ -59,7 +58,7 @@ def test_pipeline_byte_determinism(sim_dataset, tmp_path):
 
 
 def test_pipeline_manifest_covers_outputs(sim_dataset, tmp_path):
-    bundle = run_pipeline(sim_dataset, _cfg(tmp_path / "out"))
+    bundle = run_pipeline(sim_dataset, _cfg(), tmp_path / "out")
     on_disk = {p.name for p in (tmp_path / "out").iterdir()}
     assert set(bundle.manifest) == on_disk - {"bundle.json"}
     written = json.loads((tmp_path / "out" / "bundle.json").read_text())
@@ -68,7 +67,7 @@ def test_pipeline_manifest_covers_outputs(sim_dataset, tmp_path):
 
 
 def test_pipeline_sections_subset(sim_dataset, tmp_path):
-    bundle = run_pipeline(sim_dataset, _cfg(tmp_path / "out", sections=("finitepop",)))
+    bundle = run_pipeline(sim_dataset, _cfg(sections=("finitepop",)), tmp_path / "out")
     assert set(bundle.sections) == {"finitepop"}
     on_disk = {p.name for p in (tmp_path / "out").iterdir()}
     assert "convergence_flags.csv" not in on_disk
@@ -76,25 +75,38 @@ def test_pipeline_sections_subset(sim_dataset, tmp_path):
 
 
 def test_pipeline_empty_sections(sim_dataset, tmp_path):
-    bundle = run_pipeline(sim_dataset, _cfg(tmp_path / "out", sections=()))
+    bundle = run_pipeline(sim_dataset, _cfg(sections=()), tmp_path / "out")
     assert bundle.sections == {}
 
 
-def test_pipeline_unknown_section(tmp_path):
+def test_pipeline_unknown_section():
     with pytest.raises(UnrealizableConfig, match="unknown section 'estmate'"):
-        _cfg(tmp_path / "out", sections=("estimate", "estmate"))
+        _cfg(sections=("estimate", "estmate"))
 
 
 def test_pipeline_empty_out_dir_writes_nothing(sim_dataset, tmp_path, monkeypatch):
     # Path("") is the working directory, so an empty out_dir is refused
     monkeypatch.chdir(tmp_path)
     with pytest.raises(UnrealizableConfig, match="out_dir: empty path"):
-        run_pipeline(sim_dataset, _cfg(""))
+        run_pipeline(sim_dataset, _cfg(), "")
     assert list(tmp_path.iterdir()) == []
 
 
+def test_diagnose_writes_nothing(sim_dataset, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    diagnosis = diagnose(sim_dataset, _cfg(population_sizes=(500,)))
+    assert list(diagnosis.sections) == list(ALL_SECTIONS)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_bundle_sections_are_the_rounded_diagnosis(sim_dataset, tmp_path):
+    cfg = _cfg(population_sizes=(500,))
+    bundle = run_pipeline(sim_dataset, cfg, tmp_path / "out")
+    assert bundle.sections == _jsonable(diagnose(sim_dataset, cfg).sections)
+
+
 def test_flag_grid_matches_bundle(sim_dataset, tmp_path):
-    bundle = run_pipeline(sim_dataset, _cfg(tmp_path / "out"))
+    bundle = run_pipeline(sim_dataset, _cfg(), tmp_path / "out")
     svg = (tmp_path / "out" / "flag_grid.svg").read_text()
     root = ET.fromstring(svg)
     ns = "{http://www.w3.org/2000/svg}"
@@ -111,7 +123,7 @@ def test_flag_grid_matches_bundle(sim_dataset, tmp_path):
 
 
 def test_pipeline_six_digit_floats(sim_dataset, tmp_path):
-    run_pipeline(sim_dataset, _cfg(tmp_path / "out"))
+    run_pipeline(sim_dataset, _cfg(), tmp_path / "out")
     payload = (tmp_path / "out" / "bundle.json").read_text()
 
     def check(node):
@@ -146,7 +158,7 @@ def test_pipeline_ss_scenarios(sim_dataset, tmp_path):
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         bundle = run_pipeline(
-            sim_dataset, _cfg(tmp_path / "out", sections=("estimate",), population_sizes=(500,))
+            sim_dataset, _cfg(sections=("estimate",), population_sizes=(500,)), tmp_path / "out"
         )
     entry = bundle.sections["estimate"]["per_trait"]["hiv"]
     assert "vh" in entry
@@ -163,7 +175,7 @@ def test_pipeline_sensitivity_skips_one_trait(sim_dataset, tmp_path):
         for r in sim_dataset.respondents
     )
     ds = dataclasses.replace(sim_dataset, respondents=rows)
-    bundle = run_pipeline(ds, _cfg(tmp_path / "out", sections=("degree",)))
+    bundle = run_pipeline(ds, _cfg(sections=("degree",)), tmp_path / "out")
     employed, hiv = sorted(
         bundle.sections["degree"]["sensitivity"], key=lambda entry: entry["trait"]
     )
@@ -175,6 +187,13 @@ def test_pipeline_sensitivity_skips_one_trait(sim_dataset, tmp_path):
     assert (tmp_path / "out" / "sensitivity_pairs.svg").exists()
 
 
+def test_pipeline_without_traits_has_no_sensitivity_rows(sim_dataset, tmp_path):
+    # no trait to estimate is not a shortfall: no row, no figure, nothing skipped
+    bundle = run_pipeline(sim_dataset, _cfg(traits=(), sections=("degree",)), tmp_path / "out")
+    assert bundle.sections["degree"]["sensitivity"] == []
+    assert not (tmp_path / "out" / "sensitivity_pairs.svg").exists()
+
+
 def _trend(ds, out_dir, degree_from_third_row):
     rows = tuple(
         dataclasses.replace(
@@ -183,7 +202,7 @@ def _trend(ds, out_dir, degree_from_third_row):
         for i, r in enumerate(ds.respondents)
     )
     ds = dataclasses.replace(ds, respondents=rows)
-    return run_pipeline(ds, _cfg(out_dir, sections=("degree",))).sections["degree"]["trend"]
+    return run_pipeline(ds, _cfg(sections=("degree",)), out_dir).sections["degree"]["trend"]
 
 
 def test_pipeline_trend_skips_only_the_log_linear_fit(sim_dataset, tmp_path):
@@ -408,9 +427,9 @@ def test_cli_report_header_only_traits(cli_study, capsys, tmp_path):
     ]) == 0
     bundle = _strict_json((out_dir / "bundle.json").read_text())
     assert bundle["dataset"]["traits"] == []
-    assert bundle["sections"]["degree"]["sensitivity"] == {
-        "skipped": "sensitivity-pairs plot needs rows"
-    }
+    # no trait, so no sensitivity row and no figure; nothing was skipped
+    assert bundle["sections"]["degree"]["sensitivity"] == []
+    assert not (out_dir / "sensitivity_pairs.svg").exists()
 
 
 def test_cli_report_unknown_trait_skipped(cli_study, capsys, tmp_path):
@@ -731,7 +750,7 @@ def test_cli_population_below_sample_writes_nothing(cli_study, capsys, tmp_path)
     ])
     assert code == 3
     assert "population size 10 < sample size" in capsys.readouterr().err
-    assert not out_dir.exists() or not any(out_dir.iterdir())
+    assert not out_dir.exists()
 
 
 def test_cli_report_csvs_quote_cells(cli_study, capsys, tmp_path):

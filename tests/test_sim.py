@@ -32,18 +32,22 @@ def two_block_net():
     return generate_network(TWO_BLOCK, rng_seed=1)
 
 
+def _neighbors(net, v):
+    return net.targets[net.offsets[v]:net.offsets[v + 1]]
+
+
 # -- network generation ------------------------------------------------------
 
 
 def test_network_determinism(two_block_net):
     again = generate_network(TWO_BLOCK, rng_seed=1)
     assert np.array_equal(two_block_net.degrees, again.degrees)
-    for a, b in zip(two_block_net.neighbors, again.neighbors):
-        assert np.array_equal(a, b)
+    assert np.array_equal(two_block_net.offsets, again.offsets)
+    assert np.array_equal(two_block_net.targets, again.targets)
     different = generate_network(TWO_BLOCK, rng_seed=2)
-    assert not all(
-        np.array_equal(a, b)
-        for a, b in zip(two_block_net.neighbors, different.neighbors)
+    assert not (
+        np.array_equal(two_block_net.offsets, different.offsets)
+        and np.array_equal(two_block_net.targets, different.targets)
     )
 
 
@@ -54,7 +58,7 @@ def test_network_connected(two_block_net):
     while frontier:
         nxt = []
         for u in frontier:
-            for v in two_block_net.neighbors[u]:
+            for v in _neighbors(two_block_net, u):
                 if int(v) not in seen:
                     seen.add(int(v))
                     nxt.append(int(v))
@@ -64,12 +68,12 @@ def test_network_connected(two_block_net):
 
 def test_network_degrees_consistent(two_block_net):
     assert all(
-        len(two_block_net.neighbors[i]) == two_block_net.degrees[i]
+        len(_neighbors(two_block_net, i)) == two_block_net.degrees[i]
         for i in range(two_block_net.node_count)
     )
     # no self loops
     assert all(
-        i not in set(int(v) for v in two_block_net.neighbors[i])
+        i not in set(int(v) for v in _neighbors(two_block_net, i))
         for i in range(two_block_net.node_count)
     )
 
@@ -98,7 +102,7 @@ def test_network_modularity(two_block_net):
     # within-block edge share far above the null expectation of ~0.5
     within = between = 0
     for u in range(two_block_net.node_count):
-        for v in two_block_net.neighbors[u]:
+        for v in _neighbors(two_block_net, u):
             if two_block_net.blocks[u] == two_block_net.blocks[int(v)]:
                 within += 1
             else:
@@ -230,9 +234,11 @@ def test_network_matches_dense_draw_oracle(cfg, rng_seed, draw_bytes):
     neighbors, degrees, traits, added = _oracle_network(cfg, rng_seed)
     assert net.n_connect_edges == added
     assert degrees.dtype == net.degrees.dtype and np.array_equal(net.degrees, degrees)
-    assert len(net.neighbors) == len(neighbors)
-    for got, want in zip(net.neighbors, neighbors):
-        assert got.dtype == want.dtype and np.array_equal(got, want)
+    # the oracle's per-node neighbour lists, as compressed sparse rows
+    offsets = np.concatenate([[0], np.cumsum(degrees)])
+    targets = np.concatenate([np.empty(0, dtype=int), *neighbors])
+    assert net.offsets.dtype == offsets.dtype and np.array_equal(net.offsets, offsets)
+    assert net.targets.dtype == targets.dtype and np.array_equal(net.targets, targets)
     assert net.node_traits.keys() == traits.keys()
     for name, want in traits.items():
         got = net.node_traits[name]
@@ -281,6 +287,12 @@ def test_sim_without_mode_unique_nodes(two_block_net):
     assert len(set(ids)) == len(ids)
     nodes = list(result.node_of.values())
     assert len(set(nodes)) == len(nodes)  # nobody interviewed twice
+    # in a complete graph every seed neighbours the others: a seed waiting
+    # for its interview is passed over, not given a coupon
+    complete = generate_network(NetworkConfig((12,), 1.0, 0.0), rng_seed=0)
+    result = simulate_rds(complete, _sim_cfg(target_n=12, recruit_probs=(0, 0, 0, 1)))
+    nodes = list(result.node_of.values())
+    assert len(set(nodes)) == len(nodes)
 
 
 def test_sim_output_survives_strict_ingest(two_block_net, tmp_path):
