@@ -12,8 +12,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional
+from typing import Any, Iterable, Mapping, Optional
 
 import numpy as np
 
@@ -44,20 +43,14 @@ def reciprocation_rate(ds: StudyDataset) -> float:
     return 100.0 * yes / answered
 
 
-@dataclass(frozen=True)
-class ReciprocityStats:
-    median_relative_difference: float
-    mean_relative_difference: float
-    q3_relative_difference: float
-    n: int
-    n_excluded: int
-
-
-def network_reciprocity_stats(ds: StudyDataset) -> ReciprocityStats:
+def network_reciprocity_stats(ds: StudyDataset) -> dict[str, Any]:
     """Normalized difference |receive - give| / max(receive, give) between the
-    coupon-receivable and coupon-giveable weekly counts.  Respondents missing
+    coupon-receivable and coupon-giveable weekly counts: its
+    ``median_relative_difference``, ``mean_relative_difference`` and
+    ``q3_relative_difference`` over ``n`` respondents.  Respondents missing
     either answer are skipped; those with both answers zero are excluded and
-    counted.  With no usable respondent left, raises ``NoData``."""
+    counted in ``n_excluded``.  With no usable respondent left, raises
+    ``NoData``."""
     values = []
     excluded = 0
     for r in ds.respondents:
@@ -73,32 +66,24 @@ def network_reciprocity_stats(ds: StudyDataset) -> ReciprocityStats:
     if not values:
         raise NoData(f"no usable reciprocity answers; {excluded} excluded with both answers zero")
     arr = np.array(values)
-    return ReciprocityStats(
-        median_relative_difference=_quantile(arr, 0.5),
-        mean_relative_difference=float(arr.mean()),
-        q3_relative_difference=_quantile(arr, 0.75),
-        n=len(values),
-        n_excluded=excluded,
-    )
+    return {
+        "median_relative_difference": _quantile(arr, 0.5),
+        "mean_relative_difference": float(arr.mean()),
+        "q3_relative_difference": _quantile(arr, 0.75),
+        "n": len(values),
+        "n_excluded": excluded,
+    }
 
 
 # ---------------------------------------------------------------------------
 # recruitment effectiveness
 
 
-@dataclass(frozen=True)
-class EffectivenessResult:
-    mean_recruits_positive: float
-    mean_recruits_negative: float
-    ratio: float
-    ratio_defined: bool
-    n_positive: int
-    n_negative: int
-
-
-def recruitment_effectiveness(ds: StudyDataset, trait: str) -> EffectivenessResult:
+def recruitment_effectiveness(ds: StudyDataset, trait: str) -> dict[str, Any]:
     """Mean recruit counts among trait-positive vs trait-negative
-    respondents, with their ratio."""
+    respondents (``mean_recruits_positive``, ``mean_recruits_negative``,
+    over ``n_positive`` and ``n_negative``), with their ``ratio``, which is
+    NaN unless ``ratio_defined``."""
     pos: list[int] = []
     neg: list[int] = []
     for r, flag in zip(ds.respondents, ds.indicators(trait)):
@@ -108,26 +93,18 @@ def recruitment_effectiveness(ds: StudyDataset, trait: str) -> EffectivenessResu
     mean_neg = float(np.mean(neg)) if neg else math.nan
     defined = bool(neg) and mean_neg > 0 and bool(pos)
     ratio = mean_pos / mean_neg if defined else math.nan
-    return EffectivenessResult(
-        mean_recruits_positive=mean_pos,
-        mean_recruits_negative=mean_neg,
-        ratio=ratio,
-        ratio_defined=defined,
-        n_positive=len(pos),
-        n_negative=len(neg),
-    )
+    return {
+        "mean_recruits_positive": mean_pos,
+        "mean_recruits_negative": mean_neg,
+        "ratio": ratio,
+        "ratio_defined": defined,
+        "n_positive": len(pos),
+        "n_negative": len(neg),
+    }
 
 
 # ---------------------------------------------------------------------------
 # recruitment bias (three levels)
-
-
-@dataclass(frozen=True)
-class BiasLevels:
-    contacts: float
-    recipients: float
-    recruits: float
-    n_recruiters: int
 
 
 def _level(answers: Iterable[Optional[bool]]) -> tuple[int, int]:
@@ -160,34 +137,21 @@ def _bias_eligible(ds: StudyDataset) -> list[tuple[tuple[int, int], ...]]:
     return eligible
 
 
-def recruitment_bias_levels(ds: StudyDataset) -> BiasLevels:
+def recruitment_bias_levels(ds: StudyDataset) -> dict[str, Any]:
     """Equal-recruiter-weight averages of the employed fraction among
-    contacts, coupon recipients, and recruits."""
+    ``contacts``, coupon ``recipients`` and ``recruits``, over
+    ``n_recruiters`` recruiters."""
     eligible = _bias_eligible(ds)
     contacts, recipients, recruits = (
         float(np.mean([employed / size for size, employed in level]))
         for level in zip(*eligible)
     )
-    return BiasLevels(contacts, recipients, recruits, n_recruiters=len(eligible))
-
-
-@dataclass(frozen=True)
-class BiasTest:
-    """One level's SRS reference test over its logically consistent
-    recruiters; ``inconsistency`` is the share of recruiters excluded."""
-
-    observed: float
-    quantile_rank: float
-    flagged: bool
-    inconsistency: float
-    n_recruiters: int
-
-
-@dataclass(frozen=True)
-class BiasTestResults:
-    coupon_passing: BiasTest
-    returning_coupons: BiasTest
-    overall: BiasTest
+    return {
+        "contacts": contacts,
+        "recipients": recipients,
+        "recruits": recruits,
+        "n_recruiters": len(eligible),
+    }
 
 
 def _summed_positive_pmf(pools: list[tuple[int, int, int, int]]) -> np.ndarray:
@@ -214,18 +178,22 @@ def _srs_quantile_rank(pools: list[tuple[int, int, int, int]], observed: int) ->
     return min(1.0, float(pmf[support < observed].sum() + 0.5 * pmf[support == observed].sum()))
 
 
-def recruitment_bias_tests(ds: StudyDataset, threshold: float = 0.90) -> BiasTestResults:
-    """Exact SRS reference tests at three levels: coupon passing (recipients
-    drawn from contacts), returning coupons (recruits drawn from recipients),
-    and overall (recruits drawn from contacts).
+def recruitment_bias_tests(
+    ds: StudyDataset, threshold: float = 0.90
+) -> dict[str, dict[str, Any]]:
+    """Exact SRS reference tests at three levels: ``coupon_passing``
+    (recipients drawn from contacts), ``returning_coupons`` (recruits drawn
+    from recipients) and ``overall`` (recruits drawn from contacts).  Each
+    holds the ``observed`` positive count, its ``quantile_rank``,
+    ``flagged``, ``inconsistency`` and ``n_recruiters``.
 
     Recruiters whose reported draw cannot come from their pool (more
     positives or more negatives than the pool holds, and so any draw larger
     than the pool) are logically inconsistent for that level: they are
-    excluded from the test and their proportion is reported alongside."""
+    excluded from the test, and ``inconsistency`` is their share."""
     eligible = _bias_eligible(ds)
 
-    def run(pool: int, drawn: int) -> BiasTest:
+    def run(pool: int, drawn: int) -> dict[str, Any]:
         # (total, positive_available, n_drawn, positive_observed) per recruiter
         pools = [(*levels[pool], *levels[drawn]) for levels in eligible]
         consistent = [p for p in pools if p[3] <= p[1] and p[2] - p[3] <= p[0] - p[1]]
@@ -233,37 +201,28 @@ def recruitment_bias_tests(ds: StudyDataset, threshold: float = 0.90) -> BiasTes
             raise NoEligibleRecruiters("no logically consistent recruiters")
         observed = sum(p[3] for p in consistent)
         rank = _srs_quantile_rank(consistent, observed)
-        return BiasTest(
-            observed=float(observed),
-            quantile_rank=rank,
-            flagged=rank > threshold,
-            inconsistency=(len(pools) - len(consistent)) / len(pools),
-            n_recruiters=len(consistent),
-        )
+        return {
+            "observed": float(observed),
+            "quantile_rank": rank,
+            "flagged": rank > threshold,
+            "inconsistency": (len(pools) - len(consistent)) / len(pools),
+            "n_recruiters": len(consistent),
+        }
 
-    return BiasTestResults(
-        coupon_passing=run(0, 1), returning_coupons=run(1, 2), overall=run(0, 2)
-    )
+    return {"coupon_passing": run(0, 1), "returning_coupons": run(1, 2), "overall": run(0, 2)}
 
 
 # ---------------------------------------------------------------------------
 # non-response
 
 
-@dataclass(frozen=True)
-class NonResponseRates:
-    coupon_refusal: float
-    non_return: float
-    total_non_response: float
-    n_recruiters: int
-    n_impossible_excluded: int
-
-
-def nonresponse_rates(ds: StudyDataset) -> NonResponseRates:
-    """Coupon-refusal, non-return, and total non-response rates over
-    follow-up completers.  Recruits are counted from redeemed coupons, not
-    self-report; recruiters whose redeemed count exceeds their reported
-    distributed count are excluded and counted."""
+def nonresponse_rates(ds: StudyDataset) -> dict[str, Any]:
+    """Coupon-refusal, non-return, and total non-response rates
+    (``coupon_refusal``, ``non_return``, ``total_non_response``) over
+    ``n_recruiters`` follow-up completers.  Recruits are counted from
+    redeemed coupons, not self-report; recruiters whose redeemed count
+    exceeds their reported distributed count are excluded and counted in
+    ``n_impossible_excluded``."""
     total_refused = total_distributed = total_recruits = 0
     n = impossible = 0
     for r in ds.respondents:
@@ -281,33 +240,22 @@ def nonresponse_rates(ds: StudyDataset) -> NonResponseRates:
     if n == 0 or total_distributed + total_refused == 0 or total_distributed == 0:
         raise NoData("no usable follow-up coupon accounting")
     attempted = total_refused + total_distributed
-    return NonResponseRates(
-        coupon_refusal=total_refused / attempted,
-        non_return=1.0 - total_recruits / total_distributed,
-        total_non_response=1.0 - total_recruits / attempted,
-        n_recruiters=n,
-        n_impossible_excluded=impossible,
-    )
+    return {
+        "coupon_refusal": total_refused / attempted,
+        "non_return": 1.0 - total_recruits / total_distributed,
+        "total_non_response": 1.0 - total_recruits / attempted,
+        "n_recruiters": n,
+        "n_impossible_excluded": impossible,
+    }
 
 
 # ---------------------------------------------------------------------------
 # refusal / motivation tabulations
 
 
-@dataclass(frozen=True)
-class CategoryTable:
-    percentages: dict[str, float]
-    total: int
-
-
-@dataclass(frozen=True)
-class ReasonTables:
-    refusal: CategoryTable
-    motivation: CategoryTable
-
-
-def reason_tables(ds: StudyDataset) -> ReasonTables:
-    """Refusal-reason and motivation tables as percentages with totals."""
+def reason_tables(ds: StudyDataset) -> dict[str, dict[str, Any]]:
+    """The ``refusal`` reason and ``motivation`` tables, each its
+    ``percentages`` by category, in sorted order, and their ``total``."""
     refusal_counts: dict[str, int] = {}
     for r in ds.respondents:
         if r.followup is None:
@@ -319,16 +267,14 @@ def reason_tables(ds: StudyDataset) -> ReasonTables:
         if r.motivation is not None:
             motivation_counts[r.motivation] = motivation_counts.get(r.motivation, 0) + 1
 
-    def table(counts: Mapping[str, int]) -> CategoryTable:
+    def table(counts: Mapping[str, int]) -> dict[str, Any]:
         total = sum(counts.values())
-        if total == 0:
-            return CategoryTable(percentages={}, total=0)
-        return CategoryTable(
-            percentages={k: 100.0 * v / total for k, v in sorted(counts.items())},
-            total=total,
-        )
+        return {
+            "percentages": {k: 100.0 * v / total for k, v in sorted(counts.items())},
+            "total": total,
+        }
 
-    return ReasonTables(refusal=table(refusal_counts), motivation=table(motivation_counts))
+    return {"refusal": table(refusal_counts), "motivation": table(motivation_counts)}
 
 
 # ---------------------------------------------------------------------------
@@ -401,21 +347,13 @@ def exact_odds_ratio_interval(a: int, b: int, c: int, d: int) -> tuple[float, fl
     return lower, upper
 
 
-@dataclass(frozen=True)
-class MotivationOutcome:
-    motivation: str
-    trait: str
-    table: tuple[int, int, int, int]  # a, b, c, d
-    odds_ratio: float
-    ci_low: float
-    ci_high: float
-
-
 def motivation_outcome(
     ds: StudyDataset, motivation_category: str, outcome_trait: str
-) -> MotivationOutcome:
+) -> dict[str, Any]:
     """Sample odds ratio of the outcome given the stated motivation, with the
-    exact conditional 95% interval.
+    exact conditional 95% interval: ``motivation``, ``trait``, ``table``
+    (cells a, b, c, d as a tuple), ``odds_ratio``, ``ci_low`` and
+    ``ci_high``.
 
     Zero cells give exact 0 or infinite odds ratios with one-sided
     intervals; a zero margin is a degenerate table."""
@@ -435,11 +373,11 @@ def motivation_outcome(
     else:
         odds = (a * d) / (b * c)
     ci_low, ci_high = exact_odds_ratio_interval(a, b, c, d)
-    return MotivationOutcome(
-        motivation=motivation_category,
-        trait=outcome_trait,
-        table=(a, b, c, d),
-        odds_ratio=odds,
-        ci_low=ci_low,
-        ci_high=ci_high,
-    )
+    return {
+        "motivation": motivation_category,
+        "trait": outcome_trait,
+        "table": (a, b, c, d),
+        "odds_ratio": odds,
+        "ci_low": ci_low,
+        "ci_high": ci_high,
+    }

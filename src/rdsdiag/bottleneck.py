@@ -32,8 +32,7 @@ statistic bit for bit, so such a tie is never counted below it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple
+from typing import Any, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -42,16 +41,6 @@ from .estimators import IncludedSample
 
 # bytes of a block's largest work array; a row's bits do not depend on it
 _BLOCK_BYTES = 512 * 1024
-
-
-@dataclass(frozen=True)
-class PermutationResult:
-    observed_wsd: float
-    replicates: int
-    quantile_rank: float
-    flagged: bool
-    rng_seed: int
-    threshold: float
 
 
 def _permutation_blocks(n: int, replicates: int, rng_seed: int, rows: int) -> Iterator[np.ndarray]:
@@ -132,10 +121,11 @@ def wsd_permutation_tests(
     replicates: int = 10_000,
     threshold: float = 0.90,
     rng_seed: int = 0,
-) -> list[PermutationResult | TooFewTrees]:
+) -> list[dict[str, Any] | TooFewTrees]:
     """Permutation reference for the weighted squared deviation of each
-    sample, in order; a sample with fewer than two trees gets its
-    ``TooFewTrees`` in place of a result.
+    sample, in order: ``observed_wsd``, ``replicates``, ``quantile_rank``,
+    ``flagged``, ``rng_seed`` and ``threshold``.  A sample with fewer than
+    two trees gets its ``TooFewTrees`` in place of a result.
 
     Flagging uses strict exceedance of the threshold quantile: ties between
     the observed statistic and replicate values never flag.  Deterministic
@@ -168,14 +158,14 @@ def wsd_permutation_tests(
                     wsd = _wsd(landed, case.labels, case.weights, case.all_counts)
                     below[i] += int((wsd < case.observed).sum())
     return [
-        case if isinstance(case, TooFewTrees) else PermutationResult(
-            observed_wsd=float(case.observed),
-            replicates=replicates,
-            quantile_rank=below[i] / replicates,
-            flagged=below[i] / replicates > threshold,
-            rng_seed=rng_seed,
-            threshold=threshold,
-        )
+        case if isinstance(case, TooFewTrees) else {
+            "observed_wsd": float(case.observed),
+            "replicates": replicates,
+            "quantile_rank": below[i] / replicates,
+            "flagged": below[i] / replicates > threshold,
+            "rng_seed": rng_seed,
+            "threshold": threshold,
+        }
         for i, case in enumerate(cases)
     ]
 

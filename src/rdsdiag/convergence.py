@@ -7,8 +7,7 @@ final estimate by more than ``epsilon``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -23,20 +22,15 @@ def _check_window(tau: int, epsilon: float) -> None:
         raise UnrealizableConfig(f"epsilon must be > 0 and finite, got {epsilon}")
 
 
-@dataclass(frozen=True)
-class ConvergenceVerdict:
-    flagged: bool
-    first_violation_offset: Optional[int]
-    max_deviation: float
-
-
 def convergence_flag(
     values: Sequence[float], tau: int = 50, epsilon: float = 0.02
-) -> ConvergenceVerdict:
+) -> dict[str, Any]:
     """Evaluate the window rule on a series of cumulative estimates.
 
     The window covers offsets t = 1 .. min(tau - 1, m - 1); series shorter
-    than the window are examined in full."""
+    than the window are examined in full.  Returns ``flagged``,
+    ``first_violation_offset`` (None when no offset violates) and
+    ``max_deviation``."""
     _check_window(tau, epsilon)
     values = np.asarray(values, dtype=float)
     m = len(values)
@@ -46,8 +40,8 @@ def convergence_flag(
     dev = np.abs(values[max(m - tau, 0):m - 1][::-1] - values[-1])
     violations = np.flatnonzero(dev > epsilon)
     max_dev = float(dev.max()) if len(dev) else 0.0
-    return ConvergenceVerdict(
-        flagged=max_dev > epsilon,
-        first_violation_offset=int(violations[0]) + 1 if len(violations) else None,
-        max_deviation=max_dev,
-    )
+    return {
+        "flagged": max_dev > epsilon,
+        "first_violation_offset": int(violations[0]) + 1 if len(violations) else None,
+        "max_deviation": max_dev,
+    }

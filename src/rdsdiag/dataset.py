@@ -20,7 +20,7 @@ import warnings as _warnings
 from dataclasses import dataclass, field
 from datetime import date
 from pathlib import Path
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Any, Iterable, Mapping, Optional, Sequence
 
 from . import forest as _forest
 from .errors import (
@@ -187,16 +187,6 @@ class StudyDataset:
     @functools.cached_property
     def _indicator_columns(self) -> dict[str, tuple[Optional[bool], ...]]:
         return {}
-
-
-@dataclass
-class ValidationReport:
-    """Counts of inconsistent, capped and missing answers."""
-
-    funnel_violations: int = 0
-    truncations_applied: int = 0
-    inconsistent_reach: int = 0
-    missing_traits: dict[str, int] = field(default_factory=dict)
 
 
 # ---------------------------------------------------------------------------
@@ -579,26 +569,25 @@ def _check_structure(
     return repaired
 
 
-def validate_dataset(ds: StudyDataset) -> ValidationReport:
-    """Count funnel violations, known-participants answers above the cap
-    that ``Respondent.known_participants`` applies, logically inconsistent
-    reachability answers and missing trait answers.  Reporting only:
+def validate_dataset(ds: StudyDataset) -> dict[str, Any]:
+    """Count ``funnel_violations``, known-participants answers above the cap
+    that ``Respondent.known_participants`` applies
+    (``truncations_applied``), logically inconsistent reachability answers
+    (``inconsistent_reach``) and ``missing_traits``, the missing answers of
+    each trait that has any, by name in sorted order.  Reporting only:
     nothing raises and nothing is changed."""
-    report = ValidationReport()
+    counts = {"funnel_violations": 0, "truncations_applied": 0, "inconsistent_reach": 0}
+    missing: dict[str, int] = {}
     for r in ds.respondents:
-        if r.degree.funnel_violated():
-            report.funnel_violations += 1
-        if reach_inconsistent(r):
-            report.inconsistent_reach += 1
+        counts["funnel_violations"] += r.degree.funnel_violated()
+        counts["inconsistent_reach"] += reach_inconsistent(r)
         known = r.known_participants
         if known is not None and known < r.followup.n_known_participants:
-            report.truncations_applied += 1
+            counts["truncations_applied"] += 1
         for spec in ds.trait_specs:
             if r.traits.get(spec.name) is None:
-                report.missing_traits[spec.name] = (
-                    report.missing_traits.get(spec.name, 0) + 1
-                )
-    return report
+                missing[spec.name] = missing.get(spec.name, 0) + 1
+    return {**counts, "missing_traits": dict(sorted(missing.items()))}
 
 
 def reach_inconsistent(r: Respondent) -> bool:

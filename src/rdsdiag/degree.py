@@ -21,8 +21,7 @@ and 72 MiB.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -151,27 +150,14 @@ def _theil_sen(x: np.ndarray, y: np.ndarray) -> float:
     return lo if ranks[0] == ranks[1] else (lo + hi) / 2
 
 
-@dataclass(frozen=True)
-class TrendVerdict:
-    method: str
-    sign: int
-    statistic: float
-
-
-@dataclass(frozen=True)
-class TimeWindowStats:
-    mean_reachable_1day: float
-    mean_reachable_7day: float
-    n_reachability: int
-    n_excluded_inconsistent: int
-    share_distributed_1day: float
-    share_distributed_7day: float
-    share_gap_within_7day: float
-
-
-def time_window_stats(ds: StudyDataset) -> TimeWindowStats:
+def time_window_stats(ds: StudyDataset) -> dict[str, Any]:
     """Three summaries of whether the one-week degree recall window fits the
-    observed recruitment tempo."""
+    observed recruitment tempo: the mean reachable share of age-eligible
+    contacts (``mean_reachable_1day``, ``mean_reachable_7day``, over
+    ``n_reachability`` respondents, with ``n_excluded_inconsistent`` left
+    out), the share of coupons distributed within a day and a week
+    (``share_distributed_1day``, ``share_distributed_7day``) and the share
+    of interview gaps within a week (``share_gap_within_7day``)."""
     frac_day: list[float] = []
     frac_week: list[float] = []
     excluded = 0
@@ -203,32 +189,24 @@ def time_window_stats(ds: StudyDataset) -> TimeWindowStats:
             return math.nan
         return sum(1 for v in values if v <= limit) / len(values)
 
-    return TimeWindowStats(
-        mean_reachable_1day=float(np.mean(frac_day)) if frac_day else math.nan,
-        mean_reachable_7day=float(np.mean(frac_week)) if frac_week else math.nan,
-        n_reachability=max(len(frac_day), len(frac_week)),
-        n_excluded_inconsistent=excluded,
-        share_distributed_1day=share(days, 1),
-        share_distributed_7day=share(days, 7),
-        share_gap_within_7day=share(gaps, 7),
-    )
-
-
-@dataclass(frozen=True)
-class RetestStats:
-    question: str
-    n: int
-    median_diff: float
-    q1_diff: float
-    q3_diff: float
-    spearman_rho: float
+    return {
+        "mean_reachable_1day": float(np.mean(frac_day)) if frac_day else math.nan,
+        "mean_reachable_7day": float(np.mean(frac_week)) if frac_week else math.nan,
+        "n_reachability": max(len(frac_day), len(frac_week)),
+        "n_excluded_inconsistent": excluded,
+        "share_distributed_1day": share(days, 1),
+        "share_distributed_7day": share(days, 7),
+        "share_gap_within_7day": share(gaps, 7),
+    }
 
 
 def test_retest_stats(
     ds: StudyDataset, question: str = DEFAULT_DEGREE_QUESTION
-) -> RetestStats:
-    """Retest-minus-test difference quartiles and the Spearman rank
-    correlation (average ranks for ties) among follow-up completers."""
+) -> dict[str, Any]:
+    """Retest-minus-test difference quartiles (``q1_diff``, ``median_diff``,
+    ``q3_diff``) and the Spearman rank correlation ``spearman_rho`` (average
+    ranks for ties) over the ``n`` follow-up completers who answered
+    ``question`` twice."""
     pairs = []
     for r in ds.respondents:
         if r.followup is None:
@@ -246,35 +224,27 @@ def test_retest_stats(
     # a constant column has no ranks to correlate: rho is undefined
     constant = np.all(test == test[0]) or np.all(retest == retest[0])
     rho = math.nan if constant else _spearman(test, retest)
-    return RetestStats(
-        question=question,
-        n=len(pairs),
-        median_diff=_quantile(diffs, 0.5),
-        q1_diff=_quantile(diffs, 0.25),
-        q3_diff=_quantile(diffs, 0.75),
-        spearman_rho=float(rho),
-    )
-
-
-@dataclass(frozen=True)
-class SensitivityRow:
-    trait: str
-    estimate_test: float
-    estimate_retest: float
-    abs_difference: float
-    rel_difference: Optional[float]
-    n: int
+    return {
+        "question": question,
+        "n": len(pairs),
+        "median_diff": _quantile(diffs, 0.5),
+        "q1_diff": _quantile(diffs, 0.25),
+        "q3_diff": _quantile(diffs, 0.75),
+        "spearman_rho": float(rho),
+    }
 
 
 def estimate_sensitivity(
     ds: StudyDataset,
     sample: IncludedSample,
     degree_question: str = DEFAULT_DEGREE_QUESTION,
-) -> SensitivityRow:
+) -> dict[str, Any]:
     """Prevalence estimates of the sample's trait using initial vs follow-up
     degree over the same respondents: the members of ``sample`` (built for
     ``degree_question``) whose follow-up retest degree is at least 1.
-    Raises ``InsufficientData`` when no member qualifies."""
+    Returns ``trait``, ``estimate_test``, ``estimate_retest``,
+    ``abs_difference``, ``rel_difference`` (None when the test estimate is
+    0) and ``n``.  Raises ``InsufficientData`` when no member qualifies."""
 
     def retest(order: int) -> float:
         followup = ds.respondents[order - 1].followup
@@ -289,14 +259,14 @@ def estimate_sensitivity(
     p_test = float(inverse_degree_estimates(y, sample.degree[usable])[-1])
     p_retest = float(inverse_degree_estimates(y, retest_degree[usable])[-1])
     diff = abs(p_test - p_retest)
-    return SensitivityRow(
-        trait=sample.trait,
-        estimate_test=p_test,
-        estimate_retest=p_retest,
-        abs_difference=diff,
-        rel_difference=diff / p_test if p_test > 0 else None,
-        n=int(usable.sum()),
-    )
+    return {
+        "trait": sample.trait,
+        "estimate_test": p_test,
+        "estimate_retest": p_retest,
+        "abs_difference": diff,
+        "rel_difference": diff / p_test if p_test > 0 else None,
+        "n": int(usable.sum()),
+    }
 
 
 def _sign(x: float) -> int:
@@ -311,9 +281,10 @@ def degree_trend(
     ds: StudyDataset,
     method: str,
     degree_question: str = DEFAULT_DEGREE_QUESTION,
-) -> TrendVerdict:
+) -> dict[str, Any]:
     """Trend of reported degree against interview order under one of
-    ``TREND_METHODS``.  The log-linear fit drops zero degrees."""
+    ``TREND_METHODS``: its ``method``, ``sign`` and ``statistic``.  The
+    log-linear fit drops zero degrees."""
     xs, ys = [], []
     for r in ds.respondents:
         d = r.degree.get(degree_question)
@@ -328,7 +299,7 @@ def degree_trend(
     if np.all(y == y[0]):
         # constant degree: every method reports a flat trend, and the rank
         # correlations are undefined
-        return TrendVerdict(method=method, sign=0, statistic=0.0)
+        return {"method": method, "sign": 0, "statistic": 0.0}
     if method == "linear":
         stat = float(np.polyfit(x, y, 1)[0])
     elif method == "log-linear":
@@ -344,4 +315,4 @@ def degree_trend(
         stat = _spearman(x, y)
     else:
         raise ValueError(f"unknown trend method {method!r}")
-    return TrendVerdict(method=method, sign=_sign(stat), statistic=stat)
+    return {"method": method, "sign": _sign(stat), "statistic": stat}

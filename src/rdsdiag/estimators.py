@@ -16,6 +16,7 @@ tends to the inverse-degree estimate.  It is deterministic and takes no seed.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -47,6 +48,15 @@ class IncludedSample:
 
     def __len__(self) -> int:
         return len(self.orders)
+
+    @functools.cached_property
+    def prefix_estimates(self) -> np.ndarray:
+        """``inverse_degree_estimates`` of the members, read-only and
+        computed once: every reader of the trait's cumulative estimates
+        shares it."""
+        values = inverse_degree_estimates(self.y, self.degree)
+        values.flags.writeable = False
+        return values
 
 
 def included_sample(
@@ -92,10 +102,11 @@ def inverse_degree_estimates(y: np.ndarray, degree: np.ndarray) -> np.ndarray:
 
 def cumulative_estimates(sample: IncludedSample) -> np.ndarray:
     """Prefix inverse-degree estimates over the included sample in interview
-    order; raises ``EmptySample`` when the sample is empty."""
+    order, the sample's one read-only ``prefix_estimates`` array; raises
+    ``EmptySample`` when the sample is empty."""
     if not len(sample):
         raise EmptySample(f"no included respondents for trait {sample.trait!r}")
-    return inverse_degree_estimates(sample.y, sample.degree)
+    return sample.prefix_estimates
 
 
 def per_tree_series(sample: IncludedSample) -> dict[str, tuple[np.ndarray, np.ndarray]]:

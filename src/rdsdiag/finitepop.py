@@ -4,7 +4,8 @@ of contacts already in the study."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import Any
+
 import numpy as np
 
 from .dataset import StudyDataset
@@ -13,26 +14,11 @@ from .errors import InsufficientData, NoData
 FAILED_ATTEMPTS_THRESHOLD = 0.25  # flag when at least this share report a failed attempt
 
 
-@dataclass(frozen=True)
-class FailedAttemptsResult:
-    percent_reporting: float
-    flagged: bool
-    threshold: float
-    n_answered: int
-    bands: dict[str, int]  # answerers per band "0", "1-3", "4+"
-
-
-@dataclass(frozen=True)
-class ParticipantsKnownTrend:
-    slope: float
-    flagged: bool
-    n: int
-    n_excluded_zero_degree: int
-
-
-def failed_attempts_indicator(ds: StudyDataset) -> FailedAttemptsResult:
+def failed_attempts_indicator(ds: StudyDataset) -> dict[str, Any]:
     """Share of follow-up answerers reporting at least one failed coupon
-    attempt, with the 0 / 1-3 / 4+ banding."""
+    attempt: ``percent_reporting``, ``flagged``, ``threshold``,
+    ``n_answered`` and ``bands``, the answerers per band "0", "1-3" and
+    "4+"."""
     counts = [
         r.followup.n_failed_attempts
         for r in ds.respondents
@@ -42,24 +28,25 @@ def failed_attempts_indicator(ds: StudyDataset) -> FailedAttemptsResult:
         raise NoData("nobody answered the failed-attempts question")
     at_least_one = sum(1 for c in counts if c >= 1)
     pct = at_least_one / len(counts)
-    return FailedAttemptsResult(
-        percent_reporting=100.0 * pct,
-        flagged=pct >= FAILED_ATTEMPTS_THRESHOLD,
-        threshold=FAILED_ATTEMPTS_THRESHOLD,
-        n_answered=len(counts),
-        bands={
+    return {
+        "percent_reporting": 100.0 * pct,
+        "flagged": pct >= FAILED_ATTEMPTS_THRESHOLD,
+        "threshold": FAILED_ATTEMPTS_THRESHOLD,
+        "n_answered": len(counts),
+        "bands": {
             "0": sum(1 for c in counts if c == 0),
             "1-3": sum(1 for c in counts if 1 <= c <= 3),
             "4+": sum(1 for c in counts if c >= 4),
         },
-    )
+    }
 
 
-def participants_known_trend(ds: StudyDataset) -> ParticipantsKnownTrend:
-    """Least-squares slope of the proportion of contacts already in the
+def participants_known_trend(ds: StudyDataset) -> dict[str, Any]:
+    """Least-squares ``slope`` of the proportion of contacts already in the
     study, ``Respondent.known_participants`` over age-eligible contacts,
-    against interview order; positive slopes flag.  Respondents with zero
-    reported contacts are excluded and counted."""
+    against interview order, over ``n`` respondents; positive slopes are
+    ``flagged``.  Respondents with zero reported contacts are excluded and
+    counted in ``n_excluded_zero_degree``."""
     orders, props = [], []
     excluded = 0
     for r in ds.respondents:
@@ -74,9 +61,9 @@ def participants_known_trend(ds: StudyDataset) -> ParticipantsKnownTrend:
     if len(set(orders)) < 2:
         raise InsufficientData("need >= 2 distinct orders with proportions")
     slope = float(np.polyfit(np.array(orders, dtype=float), np.array(props), 1)[0])
-    return ParticipantsKnownTrend(
-        slope=slope,
-        flagged=slope > 1e-12,  # tolerance absorbs least-squares rounding noise
-        n=len(orders),
-        n_excluded_zero_degree=excluded,
-    )
+    return {
+        "slope": slope,
+        "flagged": slope > 1e-12,  # tolerance absorbs least-squares rounding noise
+        "n": len(orders),
+        "n_excluded_zero_degree": excluded,
+    }

@@ -18,7 +18,7 @@ import hashlib
 import io
 import json
 import math
-from dataclasses import dataclass, field, fields, is_dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Optional, Sequence
 
@@ -108,16 +108,9 @@ def _num(x: float) -> Any:
     return float(f"{x:.6g}")
 
 
-def _fields(result: Any) -> dict[str, Any]:
-    """A result dataclass's fields as a dict."""
-    return {f.name: getattr(result, f.name) for f in fields(result)}
-
-
 def _jsonable(x: Any) -> Any:
-    """The bundle form of a section result: a dataclass becomes the dict of
-    its fields, a tuple a list, and every float goes through ``_num``."""
-    if is_dataclass(x):
-        x = _fields(x)
+    """The bundle form of a section result: a tuple becomes a list, and
+    every float goes through ``_num``."""
     if isinstance(x, dict):
         return {k: _jsonable(v) for k, v in x.items()}
     if isinstance(x, (list, tuple)):
@@ -194,13 +187,21 @@ def _ran(result: Any) -> bool:
     return not (isinstance(result, dict) and "skipped" in result)
 
 
+# the sections that read the traits' included samples
+_SAMPLE_SECTIONS = ("estimate", "converge", "bottleneck", "degree")
+
+
 @dataclass(frozen=True)
 class Diagnosis:
     """What ``diagnose`` found in one study, unrounded: the dataset summary,
-    each requested trait's included sample (or its ``{"skipped": reason}``),
-    and each enabled section's result, in the configured orders."""
+    the requested traits, each one's included sample (or its
+    ``{"skipped": reason}``; none when no enabled section reads a sample),
+    and each enabled section's result, in the configured orders.  Every
+    section result is plain data: dicts, lists, tuples, strings, numbers,
+    booleans and None."""
 
     dataset_summary: dict[str, Any]
+    traits: tuple[str, ...]
     samples: dict[str, Any]
     sections: dict[str, Any]
 
@@ -213,11 +214,14 @@ def diagnose(ds: StudyDataset, cfg: PipelineConfig) -> Diagnosis:
     sub-diagnostic) instead of aborting the run."""
     names = cfg.traits if cfg.traits is not None else (s.name for s in ds.trait_specs)
     traits = tuple(dict.fromkeys(names))
-    # each trait's included sample is built once and shared by the sections
-    samples = {
-        trait: _attempt(estimators.included_sample, ds, trait, cfg.degree_question)
-        for trait in traits
-    }
+    # each trait's included sample is built once, when a section reads it,
+    # and shared by the sections
+    samples = {}
+    if any(name in _SAMPLE_SECTIONS for name in cfg.sections):
+        samples = {
+            trait: _attempt(estimators.included_sample, ds, trait, cfg.degree_question)
+            for trait in traits
+        }
     runners = {
         "estimate": lambda: _section_estimate(samples, cfg),
         "converge": lambda: _section_converge(samples, cfg),
@@ -228,6 +232,7 @@ def diagnose(ds: StudyDataset, cfg: PipelineConfig) -> Diagnosis:
     }
     return Diagnosis(
         dataset_summary=dataset_summary(ds),
+        traits=traits,
         samples=samples,
         sections={name: runners[name]() for name in cfg.sections},
     )
@@ -237,8 +242,7 @@ def write_report(diagnosis: Diagnosis, ds: StudyDataset, out_dir: str | Path) ->
     """Render every figure and table of ``diagnosis`` (of ``ds``) under
     ``out_dir``, then ``bundle.json`` with the sha256 of every other file;
     nothing is written when two traits would share a figure file name."""
-    samples, sections = diagnosis.samples, diagnosis.sections
-    traits = tuple(samples)
+    traits, samples, sections = diagnosis.traits, diagnosis.samples, diagnosis.sections
     # the flagging sections' per-trait entries; empty when a section did not run
     conv, bott = (sections.get(s, {}).get("per_trait", {}) for s in ("converge", "bottleneck"))
     flagging = "converge" in sections or "bottleneck" in sections
@@ -249,12 +253,12 @@ def write_report(diagnosis: Diagnosis, ds: StudyDataset, out_dir: str | Path) ->
     writer.write_text("chains.svg", _chains_figure(ds, traits))
     for trait, sample in samples.items():
         name = _safe_name(trait)
-        if _field(conv.get(trait), "evaluable"):
+        if conv.get(trait, {}).get("evaluable"):
             figure = svg.convergence(title=f"Convergence: {trait}", orders=sample.orders,
                                      values=estimators.cumulative_estimates(sample),
                                      positive=sample.y == 1.0)
             writer.write_text(f"convergence_{name}.svg", figure)
-        if isinstance(bott.get(trait), bottleneck.PermutationResult):
+        if trait in bott and _ran(bott[trait]):
             figure = svg.bottleneck(title=f"Bottleneck: {trait}",
                                     series=estimators.per_tree_series(sample))
             writer.write_text(f"bottleneck_{name}.svg", figure)
@@ -265,7 +269,7 @@ def write_report(diagnosis: Diagnosis, ds: StudyDataset, out_dir: str | Path) ->
     # each per-trait table projects the entries: one row per trait, and a
     # cell is None where the entry is skipped or lacks the field
     def table(*columns: tuple[dict[str, Any], str]) -> list[tuple[Any, ...]]:
-        return [(trait, *(_field(entries.get(trait), key) for entries, key in columns))
+        return [(trait, *(entries.get(trait, {}).get(key) for entries, key in columns))
                 for trait in traits]
 
     if "estimate" in sections:
@@ -299,12 +303,13 @@ def write_report(diagnosis: Diagnosis, ds: StudyDataset, out_dir: str | Path) ->
                          flag_rows)
     if "behavior" in sections:
         _write_behavior_figures(writer, sections["behavior"])
-    estimated = [r for r in sections.get("degree", {}).get("sensitivity", ())
-                 if isinstance(r, degree.SensitivityRow)]
+    # the sensitivity rows that ran; a skipped section is one skipped entry
+    rows = sections.get("degree", {}).get("sensitivity", [])
+    estimated = [r for r in rows if _ran(r)] if _ran(rows) else []
     if estimated:
         figure = svg.sensitivity_pairs(
             title="Estimate sensitivity to degree wave",
-            rows=[(r.trait, r.estimate_test, r.estimate_retest) for r in estimated],
+            rows=[(r["trait"], r["estimate_test"], r["estimate_retest"]) for r in estimated],
         )
         writer.write_text("sensitivity_pairs.svg", figure)
 
@@ -343,15 +348,9 @@ def _check_figure_names(traits: Sequence[str]) -> None:
             )
 
 
-def _field(entry: Any, name: str) -> Any:
-    """A result's field or a dict entry's key; None when ``entry`` lacks it."""
-    return entry.get(name) if isinstance(entry, dict) else getattr(entry, name, None)
-
-
 def dataset_summary(ds: StudyDataset) -> dict[str, Any]:
     """Size, shape and ``validate_dataset`` counts of the study, as the
     bundle and ``rdsdiag ingest`` report them."""
-    report = validate_dataset(ds)
     waves = [ds.forest.wave[r.id] for r in ds.respondents]
     return {
         "site": ds.site_label,
@@ -361,13 +360,7 @@ def dataset_summary(ds: StudyDataset) -> dict[str, Any]:
         "max_wave": max(waves) if waves else 0,
         "coupon_allotment": ds.coupon_allotment,
         "traits": [s.name for s in ds.trait_specs],
-        "validation": {
-            "funnel_violations": report.funnel_violations,
-            "truncations_applied": report.truncations_applied,
-            "inconsistent_reach": report.inconsistent_reach,
-            "missing_traits": dict(sorted(report.missing_traits.items())),
-            "n_warnings": len(ds.repairs),
-        },
+        "validation": {**validate_dataset(ds), "n_warnings": len(ds.repairs)},
     }
 
 
@@ -396,7 +389,7 @@ def _write_behavior_figures(writer: _Writer, section: dict[str, Any]) -> None:
             title=f"Mean recruits by {trait}",
             labels=[f"{trait}+", f"{trait}-"],
             values=[0.0 if math.isnan(v) else v
-                    for v in (e.mean_recruits_positive, e.mean_recruits_negative)],
+                    for v in (e["mean_recruits_positive"], e["mean_recruits_negative"])],
         )
         writer.write_text("effectiveness.svg", figure)
     if _ran(section["recruitment_bias"]):
@@ -404,14 +397,15 @@ def _write_behavior_figures(writer: _Writer, section: dict[str, Any]) -> None:
         figure = svg.bars(
             title="Attribute share by level",
             labels=["contacts", "recipients", "recruits"],
-            values=[100.0 * levels.contacts, 100.0 * levels.recipients, 100.0 * levels.recruits],
+            values=[100.0 * levels[level] for level in ("contacts", "recipients", "recruits")],
         )
         writer.write_text("bias.svg", figure)
     if section["motivation_outcome"]:
         figure = svg.motivation_outcome(
             title="Motivation vs outcome",
             rows=[
-                (f"{mo.motivation} / {mo.trait}", mo.odds_ratio, mo.ci_low, mo.ci_high)
+                (f"{mo['motivation']} / {mo['trait']}",
+                 mo["odds_ratio"], mo["ci_low"], mo["ci_high"])
                 for mo in section["motivation_outcome"]
             ],
         )
@@ -449,8 +443,7 @@ def _section_converge(samples, cfg: PipelineConfig) -> dict[str, Any]:
         if not len(sample):
             return {"evaluable": False}
         values = estimators.cumulative_estimates(sample)
-        verdict = convergence.convergence_flag(values, cfg.tau, cfg.epsilon)
-        return {"evaluable": True, **_fields(verdict)}
+        return {"evaluable": True, **convergence.convergence_flag(values, cfg.tau, cfg.epsilon)}
 
     return {"tau": cfg.tau, "epsilon": cfg.epsilon, "per_trait": _per_trait(samples, converge)}
 
@@ -528,8 +521,8 @@ def _section_finitepop(ds) -> dict[str, Any]:
     # the summary reads each flag off its entry: None when the entry is skipped
     return {
         "summary": {
-            "failed_attempts_flag": getattr(failed, "flagged", None),
-            "participants_known_trend_flag": getattr(known, "flagged", None),
+            "failed_attempts_flag": failed.get("flagged"),
+            "participants_known_trend_flag": known.get("flagged"),
         },
         "failed_attempts": failed,
         "participants_known": known,

@@ -108,12 +108,12 @@ def test_criterion_02_estimator_hand_fixtures():
 
 def test_criterion_03_convergence_rule():
     checks = []
-    checks.append(not convergence_flag([0.4] * 120).flagged)
+    checks.append(not convergence_flag([0.4] * 120)["flagged"])
     step = convergence_flag([0.40] * 81 + [0.47])
-    checks.append(step.flagged and step.first_violation_offset == 1)
+    checks.append(step["flagged"] and step["first_violation_offset"] == 1)
     drift = [0.5] * 60 + [0.53] + [0.51] * 20 + [0.5]
-    checks.append(convergence_flag(drift, epsilon=0.02).flagged)
-    checks.append(not convergence_flag(drift, epsilon=0.05).flagged)
+    checks.append(convergence_flag(drift, epsilon=0.02)["flagged"])
+    checks.append(not convergence_flag(drift, epsilon=0.05)["flagged"])
 
     rng = np.random.default_rng(7)
     mono_ok = True
@@ -122,11 +122,11 @@ def test_criterion_03_convergence_rule():
         series = np.clip(np.cumsum(rng.normal(0, 0.03, size=m)) + 0.5, 0, 1)
         e1, e2 = sorted(rng.uniform(0.001, 0.2, size=2))
         t1, t2 = sorted(int(v) for v in rng.integers(2, 80, size=2))
-        if convergence_flag(series, tau=50, epsilon=float(e2)).flagged:
-            if not convergence_flag(series, tau=50, epsilon=float(e1)).flagged:
+        if convergence_flag(series, tau=50, epsilon=float(e2))["flagged"]:
+            if not convergence_flag(series, tau=50, epsilon=float(e1))["flagged"]:
                 mono_ok = False
-        if convergence_flag(series, tau=t1, epsilon=0.02).flagged:
-            if not convergence_flag(series, tau=t2, epsilon=0.02).flagged:
+        if convergence_flag(series, tau=t1, epsilon=0.02)["flagged"]:
+            if not convergence_flag(series, tau=t2, epsilon=0.02)["flagged"]:
                 mono_ok = False
     checks.append(mono_ok)
     ok = all(checks)
@@ -170,7 +170,7 @@ def test_criterion_04_null_calibration():
     for i in range(500):
         ds = _null_dataset(rng)
         (result,) = wsd_permutation_tests([included_sample(ds, "x")], replicates=2000, rng_seed=i)
-        flags += result.flagged
+        flags += result["flagged"]
     rate = flags / 500
     elapsed = time.perf_counter() - t0
     ok = abs(rate - 0.10) <= 0.03 and elapsed < 300.0
@@ -202,7 +202,7 @@ def test_criterion_05_bottleneck_power():
         )
         if isinstance(test, TooFewTrees):
             continue
-        flags += test.flagged
+        flags += test["flagged"]
     rate = flags / runs
     ok = rate >= 0.80
     _report(5, ok, f"bottleneck flag rate {rate:.2f} on block-split trait (need >= 0.80)")
@@ -279,8 +279,8 @@ def test_criterion_07_nonresponse_identity():
     worst = 0.0
     for ds in datasets:
         rates = nonresponse_rates(ds)
-        lhs = rates.total_non_response
-        rhs = 1 - (1 - rates.coupon_refusal) * (1 - rates.non_return)
+        lhs = rates["total_non_response"]
+        rhs = 1 - (1 - rates["coupon_refusal"]) * (1 - rates["non_return"])
         worst = max(worst, abs(lhs - rhs))
     ok = worst <= 1e-12
     _report(7, ok, f"identity residual <= {worst:.2e} over {len(datasets)} datasets")
@@ -341,7 +341,7 @@ def test_criterion_08_rank_statistic_oracles():
         # zero degrees are fine here: only the rank methods are exercised
         ds = make_dataset(rows)
         verdicts = {
-            m: degree_trend(ds, m).statistic for m in ("theil-sen", "kendall-tau", "spearman-rho")
+            m: degree_trend(ds, m)["statistic"] for m in ("theil-sen", "kendall-tau", "spearman-rho")
         }
         theil, tau, rho = _oracle_rank_stats(y)
         worst = max(
@@ -436,10 +436,10 @@ def test_criterion_10_truncation_rule():
     ]
     ds = make_dataset(rows)
     report = validate_dataset(ds)
-    first_ok = report.truncations_applied == 1
+    first_ok = report["truncations_applied"] == 1
     # the trend reads S's 9 as 3: proportions 3/4 and 3/6 (9/4 uncapped)
     capped = [r.known_participants for r in ds.respondents] == [3, 3] and math.isclose(
-        participants_known_trend(ds).slope, 3 / 6 - 3 / 4
+        participants_known_trend(ds)["slope"], 3 / 6 - 3 / 4
     )
     # validation only counts: the study keeps its answers and a second pass
     # counts the same
@@ -460,7 +460,7 @@ def test_criterion_10_truncation_rule():
         r.known_participants is None
         or r.known_participants <= max(r.degree.q_age - 1, 0)
         for r in sim_ds.respondents
-    ) and validate_dataset(sim_ds).truncations_applied == sum(
+    ) and validate_dataset(sim_ds)["truncations_applied"] == sum(
         r.known_participants != r.followup.n_known_participants
         for r in sim_ds.respondents
         if r.known_participants is not None

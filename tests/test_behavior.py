@@ -10,9 +10,6 @@ from scipy.stats.contingency import odds_ratio
 
 from conftest import followup, make_dataset, make_degree, make_respondent
 from rdsdiag.behavior import (
-    BiasLevels,
-    BiasTest,
-    BiasTestResults,
     _srs_quantile_rank,
     _summed_positive_pmf,
     exact_odds_ratio_interval,
@@ -83,11 +80,11 @@ def test_reciprocity_stats():
     ]
     stats = network_reciprocity_stats(make_dataset(rows))
     # relative differences 0.0 and 0.75
-    assert stats.n == 2
-    assert stats.n_excluded == 1  # both-zero respondent; missing ones not counted
-    assert stats.median_relative_difference == pytest.approx(0.375)
-    assert stats.mean_relative_difference == pytest.approx(0.375)
-    assert stats.q3_relative_difference == pytest.approx(0.5625)
+    assert stats["n"] == 2
+    assert stats["n_excluded"] == 1  # both-zero respondent; missing ones not counted
+    assert stats["median_relative_difference"] == pytest.approx(0.375)
+    assert stats["mean_relative_difference"] == pytest.approx(0.375)
+    assert stats["q3_relative_difference"] == pytest.approx(0.5625)
 
 
 def _no_usable_reciprocity():
@@ -139,10 +136,10 @@ def _effectiveness_fixture():
 def test_effectiveness_hand_fixture():
     ds = _effectiveness_fixture()
     result = recruitment_effectiveness(ds, "hiv")
-    assert result.mean_recruits_positive == pytest.approx(0.5)
-    assert result.mean_recruits_negative == pytest.approx(2.0)
-    assert result.ratio == pytest.approx(0.25)
-    assert result.ratio_defined
+    assert result["mean_recruits_positive"] == pytest.approx(0.5)
+    assert result["mean_recruits_negative"] == pytest.approx(2.0)
+    assert result["ratio"] == pytest.approx(0.25)
+    assert result["ratio_defined"]
 
 
 def test_effectiveness_no_negatives_undefined():
@@ -152,8 +149,8 @@ def test_effectiveness_no_negatives_undefined():
     ]
     ds = make_dataset(rows)
     result = recruitment_effectiveness(ds, "hiv")
-    assert not result.ratio_defined
-    assert math.isnan(result.ratio)
+    assert not result["ratio_defined"]
+    assert math.isnan(result["ratio"])
 
 
 # -- recruitment bias --------------------------------------------------------
@@ -184,10 +181,10 @@ def test_bias_levels_hand_fixture():
     ]
     ds = make_dataset(rows, allotment=2)
     levels = recruitment_bias_levels(ds)
-    assert levels.contacts == pytest.approx(0.5)
-    assert levels.recipients == pytest.approx(1.0)
-    assert levels.recruits == pytest.approx(1.0)
-    assert levels.n_recruiters == 1
+    assert levels["contacts"] == pytest.approx(0.5)
+    assert levels["recipients"] == pytest.approx(1.0)
+    assert levels["recruits"] == pytest.approx(1.0)
+    assert levels["n_recruiters"] == 1
 
 
 def test_bias_levels_uniform_employment():
@@ -199,7 +196,7 @@ def test_bias_levels_uniform_employment():
     ]
     ds = make_dataset(rows)
     levels = recruitment_bias_levels(ds)
-    assert (levels.contacts, levels.recipients, levels.recruits) == (
+    assert (levels["contacts"], levels["recipients"], levels["recruits"]) == (
         1.0, 1.0, 1.0,
     )
 
@@ -231,8 +228,8 @@ def test_bias_tests_inconsistent_counted():
     ]
     ds = make_dataset(rows)
     results = recruitment_bias_tests(ds)
-    assert results.coupon_passing.inconsistency == pytest.approx(0.5)
-    assert results.coupon_passing.n_recruiters == 1
+    assert results["coupon_passing"]["inconsistency"] == pytest.approx(0.5)
+    assert results["coupon_passing"]["n_recruiters"] == 1
 
 
 def test_bias_tests_too_many_negatives_inconsistent():
@@ -248,13 +245,13 @@ def test_bias_tests_too_many_negatives_inconsistent():
                         employed=True),
     ]
     ds = make_dataset(rows)
-    passing = recruitment_bias_tests(ds).coupon_passing
-    assert passing.inconsistency == pytest.approx(0.5)
-    assert passing.n_recruiters == 1
-    assert passing.observed == 1.0
+    passing = recruitment_bias_tests(ds)["coupon_passing"]
+    assert passing["inconsistency"] == pytest.approx(0.5)
+    assert passing["n_recruiters"] == 1
+    assert passing["observed"] == 1.0
     # T alone: P(0 of 2 employed) = 3/10, P(1) = 6/10, mid-rank 0.3 + 0.3;
     # with S kept, the observed sum would sit below the null support (rank 0)
-    assert passing.quantile_rank == pytest.approx(0.6, abs=1e-12)
+    assert passing["quantile_rank"] == pytest.approx(0.6, abs=1e-12)
 
 
 def test_bias_tests_symmetric_null_rank_moderate():
@@ -281,7 +278,7 @@ def test_bias_tests_symmetric_null_rank_moderate():
     # renumber orders contiguously (they already are)
     ds = make_dataset(rows)
     results = recruitment_bias_tests(ds)
-    assert 0.2 < results.coupon_passing.quantile_rank < 0.8
+    assert 0.2 < results["coupon_passing"]["quantile_rank"] < 0.8
 
 
 def _oracle_eligible(ds):
@@ -306,12 +303,12 @@ def _oracle_eligible(ds):
 
 def _oracle_levels(ds):
     eligible = _oracle_eligible(ds)
-    return BiasLevels(
-        contacts=float(np.mean([p / t for t, p, _, _ in eligible])),
-        recipients=float(np.mean([np.mean(f) for _, _, f, _ in eligible])),
-        recruits=float(np.mean([np.mean(g) for _, _, _, g in eligible])),
-        n_recruiters=len(eligible),
-    )
+    return {
+        "contacts": float(np.mean([p / t for t, p, _, _ in eligible])),
+        "recipients": float(np.mean([np.mean(f) for _, _, f, _ in eligible])),
+        "recruits": float(np.mean([np.mean(g) for _, _, _, g in eligible])),
+        "n_recruiters": len(eligible),
+    }
 
 
 def _oracle_tests(ds):
@@ -324,14 +321,19 @@ def _oracle_tests(ds):
             raise NoEligibleRecruiters("no logically consistent recruiters")
         observed = sum(p[3] for p in consistent)
         rank = _srs_quantile_rank(consistent, observed)
-        return BiasTest(float(observed), rank, rank > 0.90,
-                        (len(pools) - len(consistent)) / len(pools), len(consistent))
+        return {
+            "observed": float(observed),
+            "quantile_rank": rank,
+            "flagged": rank > 0.90,
+            "inconsistency": (len(pools) - len(consistent)) / len(pools),
+            "n_recruiters": len(consistent),
+        }
 
-    return BiasTestResults(
-        coupon_passing=run([(t, p, len(f), sum(f)) for t, p, f, _ in eligible]),
-        returning_coupons=run([(len(f), sum(f), len(g), sum(g)) for _, _, f, g in eligible]),
-        overall=run([(t, p, len(g), sum(g)) for t, p, _, g in eligible]),
-    )
+    return {
+        "coupon_passing": run([(t, p, len(f), sum(f)) for t, p, f, _ in eligible]),
+        "returning_coupons": run([(len(f), sum(f), len(g), sum(g)) for _, _, f, g in eligible]),
+        "overall": run([(t, p, len(g), sum(g)) for t, p, _, g in eligible]),
+    }
 
 
 def _outcome(fn, ds):
@@ -470,10 +472,10 @@ def test_nonresponse_hand_fixture():
     ]
     ds = make_dataset(rows)
     rates = nonresponse_rates(ds)
-    assert rates.coupon_refusal == pytest.approx(0.4)
-    assert rates.non_return == pytest.approx(1 / 3)
-    assert rates.total_non_response == pytest.approx(0.6)
-    assert rates.n_recruiters == 1
+    assert rates["coupon_refusal"] == pytest.approx(0.4)
+    assert rates["non_return"] == pytest.approx(1 / 3)
+    assert rates["total_non_response"] == pytest.approx(0.6)
+    assert rates["n_recruiters"] == 1
 
 
 def test_nonresponse_zero_rates():
@@ -486,7 +488,7 @@ def test_nonresponse_zero_rates():
     ]
     ds = make_dataset(rows)
     rates = nonresponse_rates(ds)
-    assert (rates.coupon_refusal, rates.non_return, rates.total_non_response) == (
+    assert (rates["coupon_refusal"], rates["non_return"], rates["total_non_response"]) == (
         0.0, 0.0, 0.0,
     )
 
@@ -507,8 +509,8 @@ def test_nonresponse_impossible_counts_excluded():
     ]
     ds = make_dataset(rows)
     rates = nonresponse_rates(ds)
-    assert rates.n_impossible_excluded == 1
-    assert rates.n_recruiters == 1
+    assert rates["n_impossible_excluded"] == 1
+    assert rates["n_recruiters"] == 1
 
 
 def test_nonresponse_identity_exact():
@@ -526,8 +528,8 @@ def test_nonresponse_identity_exact():
     ]
     ds = make_dataset(rows)
     rates = nonresponse_rates(ds)
-    lhs = rates.total_non_response
-    rhs = 1 - (1 - rates.coupon_refusal) * (1 - rates.non_return)
+    lhs = rates["total_non_response"]
+    rhs = 1 - (1 - rates["coupon_refusal"]) * (1 - rates["non_return"])
     assert abs(lhs - rhs) <= 1e-12
 
 
@@ -546,19 +548,19 @@ def test_reason_tables():
         ),
     ]
     tables = reason_tables(make_dataset(rows))
-    refusal, motivation = tables.refusal, tables.motivation
-    assert refusal.total == 8
-    assert refusal.percentages["Not interested"] == pytest.approx(12.5)
-    assert sum(refusal.percentages.values()) == pytest.approx(100.0)
-    assert motivation.total == 2
-    assert motivation.percentages["Incentive"] == pytest.approx(50.0)
+    refusal, motivation = tables["refusal"], tables["motivation"]
+    assert refusal["total"] == 8
+    assert refusal["percentages"]["Not interested"] == pytest.approx(12.5)
+    assert sum(refusal["percentages"].values()) == pytest.approx(100.0)
+    assert motivation["total"] == 2
+    assert motivation["percentages"]["Incentive"] == pytest.approx(50.0)
 
 
 def test_reason_tables_empty():
     ds = make_dataset([make_respondent("S", 1, degree=2, traits={"hiv": "no"})])
     tables = reason_tables(ds)
-    assert tables.refusal.total == 0 and tables.refusal.percentages == {}
-    assert tables.motivation.total == 0
+    assert tables["refusal"]["total"] == 0 and tables["refusal"]["percentages"] == {}
+    assert tables["motivation"]["total"] == 0
 
 
 # -- odds ratio and exact interval -------------------------------------------
@@ -629,9 +631,9 @@ def test_balanced_table():
     ]
     ds = make_dataset(rows)
     mo = motivation_outcome(ds, "A", "hiv")
-    assert mo.table == (10, 10, 10, 10)
-    assert mo.odds_ratio == pytest.approx(1.0)
-    assert mo.ci_low < 1.0 < mo.ci_high
+    assert mo["table"] == (10, 10, 10, 10)
+    assert mo["odds_ratio"] == pytest.approx(1.0)
+    assert mo["ci_low"] < 1.0 < mo["ci_high"]
 
 
 def test_or_hand_value():

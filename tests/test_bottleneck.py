@@ -97,7 +97,7 @@ def test_wsd_invariant_to_empty_trees():
     assert samples[0].tree.tolist() == samples[1].tree.tolist() == [0, 1, 0, 1, 0]
     base, result = wsd_permutation_tests(samples, replicates=50)
     assert result == base
-    assert base.observed_wsd == pytest.approx(_tree_wsd([(2, 3), (1, 2)]), abs=1e-15)
+    assert base["observed_wsd"] == pytest.approx(_tree_wsd([(2, 3), (1, 2)]), abs=1e-15)
 
 
 def _two_block_trees(n_per_tree=20, aligned=True, seed=0):
@@ -128,8 +128,8 @@ def _two_block_trees(n_per_tree=20, aligned=True, seed=0):
 def test_aligned_trees_flagged():
     ds = _two_block_trees(aligned=True)
     (result,) = wsd_permutation_tests([included_sample(ds, "hiv")], replicates=2000, rng_seed=3)
-    assert result.flagged
-    assert result.quantile_rank > 0.99
+    assert result["flagged"]
+    assert result["quantile_rank"] > 0.99
 
 
 def test_constant_trait_never_flags():
@@ -142,9 +142,9 @@ def test_constant_trait_never_flags():
     )
     ds = dataclasses.replace(ds, respondents=rows)
     (result,) = wsd_permutation_tests([included_sample(ds, "hiv")], replicates=500, rng_seed=1)
-    assert result.observed_wsd == 0.0
-    assert result.quantile_rank == 0.0
-    assert not result.flagged
+    assert result["observed_wsd"] == 0.0
+    assert result["quantile_rank"] == 0.0
+    assert not result["flagged"]
 
 
 def test_threshold_one_never_flags():
@@ -152,7 +152,7 @@ def test_threshold_one_never_flags():
     (result,) = wsd_permutation_tests(
         [included_sample(ds, "hiv")], replicates=500, threshold=1.0, rng_seed=3
     )
-    assert not result.flagged
+    assert not result["flagged"]
 
 
 def test_determinism_and_seed_sensitivity():
@@ -161,7 +161,7 @@ def test_determinism_and_seed_sensitivity():
     (b,) = wsd_permutation_tests([included_sample(ds, "hiv")], replicates=400, rng_seed=9)
     assert a == b
     (c,) = wsd_permutation_tests([included_sample(ds, "hiv")], replicates=400, rng_seed=10)
-    assert a.observed_wsd == c.observed_wsd
+    assert a["observed_wsd"] == c["observed_wsd"]
 
 
 def test_too_few_trees():
@@ -250,8 +250,8 @@ def test_chunked_statistics_match_one_call(replicates):
         assert blocks.tobytes() == whole.tobytes()
     observed = _observed(sample)
     (result,) = wsd_permutation_tests([sample], replicates=replicates, rng_seed=7)
-    assert result.observed_wsd == observed
-    assert result.quantile_rank == (whole < observed).sum() / replicates
+    assert result["observed_wsd"] == observed
+    assert result["quantile_rank"] == (whole < observed).sum() / replicates
 
 
 def _assert_blocks_equal_one_call(n, replicates, seed):
@@ -298,7 +298,7 @@ def test_permutations_uniform():
 def test_draw_at_large_seeds(seed):
     _assert_blocks_equal_one_call(60, 50, seed)
     (result,) = wsd_permutation_tests([_random_sample(60)], replicates=50, rng_seed=seed)
-    assert result.replicates == 50
+    assert result["replicates"] == 50
 
 
 def test_negative_seed_raises():
@@ -376,15 +376,15 @@ def test_swap_within_cell_keeps_observed_and_rank(seed, n, prevalence):
     (swapped,) = wsd_permutation_tests(
         [dataclasses.replace(sample, y=swapped_y)], replicates=300, rng_seed=seed
     )
-    assert swapped.observed_wsd == result.observed_wsd
+    assert swapped["observed_wsd"] == result["observed_wsd"]
     # against the same reference the swapped observed ranks the same: a
     # replicate with the observed cell counts is its equal, never below it
     cell, weights, all_counts = _cells(sample)
     labels = _counted(sample.y)
     perms = _draw(n, 300, seed, 7)
     reference = _wsd(cell[perms], labels, weights, all_counts)
-    tied = reference == result.observed_wsd
-    assert (reference < swapped.observed_wsd).sum() / 300 == result.quantile_rank
+    tied = reference == result["observed_wsd"]
+    assert (reference < swapped["observed_wsd"]).sum() / 300 == result["quantile_rank"]
     # every replicate whose cell counts equal the observed's is tied with it
     counts = np.array([np.bincount(cell[row], minlength=all_counts.size) for row in perms[:, labels]])
     same_counts = (counts == np.bincount(cell[labels], minlength=all_counts.size)).all(axis=1)
@@ -448,7 +448,7 @@ def test_batched_memory_stays_within_blocks():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert [r.replicates for r in results] == [10_000] * 3
+    assert [r["replicates"] for r in results] == [10_000] * 3
     assert peak <= 8 * 2**20
 
 
@@ -462,7 +462,7 @@ def test_cache_isolation_across_sizes_seeds_and_replicates():
     for (sample, replicates, seed), result in reversed(list(zip(calls, results))):
         assert result == wsd_permutation_tests([sample], replicates=replicates, rng_seed=seed)[0]
     # the calls above can tell the streams apart
-    assert len({r.quantile_rank for r in results if r.observed_wsd == results[0].observed_wsd}) > 1
+    assert len({r["quantile_rank"] for r in results if r["observed_wsd"] == results[0]["observed_wsd"]}) > 1
 
 
 def test_section_results_independent_of_trait_order():

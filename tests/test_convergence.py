@@ -12,17 +12,17 @@ from rdsdiag.report import PipelineConfig, diagnose
 
 def test_constant_series_unflagged():
     verdict = convergence_flag([0.4] * 120)
-    assert not verdict.flagged
-    assert verdict.max_deviation == 0.0
-    assert verdict.first_violation_offset is None
+    assert not verdict["flagged"]
+    assert verdict["max_deviation"] == 0.0
+    assert verdict["first_violation_offset"] is None
 
 
 def test_jump_at_end_flags():
     series = [0.40] * 80 + [0.40, 0.47]
     verdict = convergence_flag(series, tau=50, epsilon=0.02)
-    assert verdict.flagged
-    assert verdict.max_deviation >= 0.07 - 1e-15
-    assert verdict.first_violation_offset == 1
+    assert verdict["flagged"]
+    assert verdict["max_deviation"] >= 0.07 - 1e-15
+    assert verdict["first_violation_offset"] == 1
 
 
 def test_raising_epsilon_unflags_mild_drift():
@@ -30,20 +30,20 @@ def test_raising_epsilon_unflags_mild_drift():
     series = [0.5] * 60 + [0.53] + [0.51] * 20 + [0.5]
     strict = convergence_flag(series, tau=50, epsilon=0.02)
     loose = convergence_flag(series, tau=50, epsilon=0.05)
-    assert strict.flagged
-    assert not loose.flagged
+    assert strict["flagged"]
+    assert not loose["flagged"]
 
 
 def test_short_series_uses_whole_window():
     verdict = convergence_flag([0.1, 0.9], tau=50, epsilon=0.02)
-    assert verdict.flagged
-    assert verdict.max_deviation == pytest.approx(0.8)
+    assert verdict["flagged"]
+    assert verdict["max_deviation"] == pytest.approx(0.8)
 
 
 def test_single_point_series():
     verdict = convergence_flag([0.3])
-    assert not verdict.flagged
-    assert verdict.max_deviation == 0.0
+    assert not verdict["flagged"]
+    assert verdict["max_deviation"] == 0.0
 
 
 def test_empty_series_raises():
@@ -62,9 +62,9 @@ def test_window_only_looks_back_tau_minus_one():
     # the big deviation sits exactly tau steps back, outside the window
     series = [0.9] + [0.5] * 10 + [0.5]
     verdict = convergence_flag(series, tau=11, epsilon=0.02)
-    assert not verdict.flagged
+    assert not verdict["flagged"]
     verdict_wider = convergence_flag(series, tau=12, epsilon=0.02)
-    assert verdict_wider.flagged
+    assert verdict_wider["flagged"]
 
 
 def test_monotonicity_properties():
@@ -74,10 +74,10 @@ def test_monotonicity_properties():
         series = np.clip(np.cumsum(rng.normal(0, 0.03, size=m)) + 0.5, 0, 1)
         e1, e2 = sorted(rng.uniform(0.001, 0.2, size=2))
         t1, t2 = sorted(rng.integers(2, 80, size=2))
-        if convergence_flag(series, tau=50, epsilon=float(e2)).flagged:
-            assert convergence_flag(series, tau=50, epsilon=float(e1)).flagged
-        if convergence_flag(series, tau=int(t1), epsilon=0.02).flagged:
-            assert convergence_flag(series, tau=int(t2), epsilon=0.02).flagged
+        if convergence_flag(series, tau=50, epsilon=float(e2))["flagged"]:
+            assert convergence_flag(series, tau=50, epsilon=float(e1))["flagged"]
+        if convergence_flag(series, tau=int(t1), epsilon=0.02)["flagged"]:
+            assert convergence_flag(series, tau=int(t2), epsilon=0.02)["flagged"]
 
 
 def _loop_verdict(values, tau, epsilon):
@@ -101,10 +101,10 @@ def _loop_verdict(values, tau, epsilon):
 )
 def test_window_matches_loop(values, tau, epsilon):
     verdict = convergence_flag(np.array(values), tau=tau, epsilon=epsilon)
-    assert (verdict.flagged, verdict.first_violation_offset, verdict.max_deviation) == (
+    assert (verdict["flagged"], verdict["first_violation_offset"], verdict["max_deviation"]) == (
         _loop_verdict(values, tau, epsilon)
     )
-    assert type(verdict.flagged) is bool and type(verdict.max_deviation) is float
+    assert type(verdict["flagged"]) is bool and type(verdict["max_deviation"]) is float
 
 
 def test_constant_tail_unflags():
@@ -114,7 +114,7 @@ def test_constant_tail_unflags():
         head = list(np.clip(rng.normal(0.5, 0.2, size=40), 0, 1))
         series = head + [head[-1]] * tau
         verdict = convergence_flag(series, tau=tau, epsilon=0.02)
-        assert not verdict.flagged
+        assert not verdict["flagged"]
 
 
 def _batch_dataset():
@@ -164,7 +164,7 @@ def test_batch_constant_trait_unflagged():
     rows.append(make_respondent("a", 2, coupon_in="C1", degree=2, traits={"hiv": "yes"}))
     rows.append(make_respondent("b", 3, coupon_in="C2", degree=1, traits={"hiv": "yes"}))
     ds = make_dataset(rows)
-    assert not _trait_verdict(ds, "hiv").flagged
+    assert not _trait_verdict(ds, "hiv")["flagged"]
     entry = _converge_section(ds)["hiv"]
     assert entry["evaluable"]
     assert not entry["flagged"]

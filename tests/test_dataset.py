@@ -258,17 +258,17 @@ def test_validate_truncates_known_participants():
         followup=followup(n_known_participants=8),
     )
     ds = make_dataset([r])
-    assert validate_dataset(ds).truncations_applied == 1
+    assert validate_dataset(ds)["truncations_applied"] == 1
     assert ds.by_id("S1").known_participants == 4
     assert ds.by_id("S1").followup.n_known_participants == 8
 
 
 def test_validate_clean_fixture_no_violations(chain_ds):
     report = validate_dataset(chain_ds)
-    assert report.funnel_violations == 0
-    assert report.truncations_applied == 0
-    assert report.inconsistent_reach == 0
-    assert report.missing_traits == {"hiv": 0} or report.missing_traits.get("hiv", 0) == 0
+    assert report["funnel_violations"] == 0
+    assert report["truncations_applied"] == 0
+    assert report["inconsistent_reach"] == 0
+    assert report["missing_traits"] == {"hiv": 0} or report["missing_traits"].get("hiv", 0) == 0
 
 
 def test_validate_counts_funnel_and_reach_violations():
@@ -277,8 +277,8 @@ def test_validate_counts_funnel_and_reach_violations():
         "S2", 2, degree=make_degree(q_age=6, q_reach_week=10)
     )
     report = validate_dataset(make_dataset([bad_funnel, bad_reach]))
-    assert report.funnel_violations == 1
-    assert report.inconsistent_reach == 1
+    assert report["funnel_violations"] == 1
+    assert report["inconsistent_reach"] == 1
 
 
 def test_indicator_and_unknown_trait(chain_ds):

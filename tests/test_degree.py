@@ -35,9 +35,9 @@ def test_time_window_full_reach():
                         traits={"hiv": "no"}),
     ]
     tw = time_window_stats(_ds(rows))
-    assert tw.mean_reachable_1day == pytest.approx(1.0)
-    assert tw.mean_reachable_7day == pytest.approx(1.0)
-    assert tw.n_reachability == 1
+    assert tw["mean_reachable_1day"] == pytest.approx(1.0)
+    assert tw["mean_reachable_7day"] == pytest.approx(1.0)
+    assert tw["n_reachability"] == 1
 
 
 def test_time_window_partial_reach():
@@ -47,9 +47,9 @@ def test_time_window_partial_reach():
     ]
     ds = _ds(rows)
     tw = time_window_stats(ds)
-    assert tw.mean_reachable_1day == pytest.approx(0.5)
-    assert tw.mean_reachable_7day == pytest.approx(0.8)
-    assert tw.n_excluded_inconsistent == 0
+    assert tw["mean_reachable_1day"] == pytest.approx(0.5)
+    assert tw["mean_reachable_7day"] == pytest.approx(0.8)
+    assert tw["n_excluded_inconsistent"] == 0
 
 
 def test_time_window_inconsistent_excluded():
@@ -61,9 +61,9 @@ def test_time_window_inconsistent_excluded():
     ]
     ds = _ds(rows)
     tw = time_window_stats(ds)
-    assert tw.n_excluded_inconsistent == 1
-    assert tw.mean_reachable_7day == pytest.approx(0.5)
-    assert tw.n_reachability == 1
+    assert tw["n_excluded_inconsistent"] == 1
+    assert tw["mean_reachable_7day"] == pytest.approx(0.5)
+    assert tw["n_reachability"] == 1
 
 
 def test_time_window_distribution_and_gaps():
@@ -85,17 +85,17 @@ def test_time_window_distribution_and_gaps():
     ]
     ds = _ds(rows)
     tw = time_window_stats(ds)
-    assert tw.share_distributed_1day == pytest.approx(0.5)
-    assert tw.share_distributed_7day == pytest.approx(0.5)
-    assert tw.share_gap_within_7day == pytest.approx(0.5)
+    assert tw["share_distributed_1day"] == pytest.approx(0.5)
+    assert tw["share_distributed_7day"] == pytest.approx(0.5)
+    assert tw["share_gap_within_7day"] == pytest.approx(0.5)
 
 
 def test_time_window_empty_parts_nan():
     rows = [make_respondent("S", 1, degree=4, traits={"hiv": "no"})]
     ds = _ds(rows)
     tw = time_window_stats(ds)
-    assert math.isnan(tw.mean_reachable_1day)
-    assert math.isnan(tw.share_distributed_7day)
+    assert math.isnan(tw["mean_reachable_1day"])
+    assert math.isnan(tw["share_distributed_7day"])
 
 
 # -- test/retest -------------------------------------------------------------
@@ -114,22 +114,22 @@ def _retest_rows(tests, retests):
 def test_retest_identical_perfect_rho():
     ds = _ds(_retest_rows([3, 7, 12, 5], [3, 7, 12, 5]))
     rs = retest_stats(ds)
-    assert rs.spearman_rho == pytest.approx(1.0)
-    assert rs.median_diff == 0.0
-    assert rs.n == 4
+    assert rs["spearman_rho"] == pytest.approx(1.0)
+    assert rs["median_diff"] == 0.0
+    assert rs["n"] == 4
 
 
 def test_retest_reversed_negative_rho():
     ds = _ds(_retest_rows([1, 2, 3, 4], [9, 8, 7, 6]))
     rs = retest_stats(ds)
-    assert rs.spearman_rho == pytest.approx(-1.0)
-    assert rs.median_diff == pytest.approx(5.0)
+    assert rs["spearman_rho"] == pytest.approx(-1.0)
+    assert rs["median_diff"] == pytest.approx(5.0)
 
 
 def test_retest_constant_column_rho_undefined():
     # a constant column has no ranks; no scipy ConstantInputWarning is raised
     ds = _ds(_retest_rows([4, 4, 4], [2, 5, 9]))
-    assert math.isnan(retest_stats(ds).spearman_rho)
+    assert math.isnan(retest_stats(ds)["spearman_rho"])
 
 
 def _average_rank(values):
@@ -160,7 +160,7 @@ def test_retest_ties_match_average_rank_oracle():
     tests, retests = [1, 2, 2, 5], [2, 1, 4, 4]
     ds = _ds(_retest_rows(tests, retests))
     rs = retest_stats(ds)
-    assert rs.spearman_rho == pytest.approx(_spearman_oracle(tests, retests), abs=1e-12)
+    assert rs["spearman_rho"] == pytest.approx(_spearman_oracle(tests, retests), abs=1e-12)
 
 
 def test_retest_random_match_oracle():
@@ -173,7 +173,7 @@ def test_retest_random_match_oracle():
             continue
         ds = _ds(_retest_rows(tests, retests))
         rs = retest_stats(ds)
-        assert rs.spearman_rho == pytest.approx(
+        assert rs["spearman_rho"] == pytest.approx(
             _spearman_oracle(tests, retests), abs=1e-10
         )
 
@@ -204,11 +204,11 @@ def test_sensitivity_hand_fixture():
     ds = _ds(rows)
     row = _sensitivity(ds, "hiv")
     # test: weights 1, 1/2 -> 2/3; retest: weights 1/4, 1/2 -> 1/3
-    assert row.estimate_test == pytest.approx(2 / 3)
-    assert row.estimate_retest == pytest.approx(1 / 3)
-    assert row.abs_difference == pytest.approx(1 / 3)
-    assert row.rel_difference == pytest.approx(0.5)
-    assert row.n == 2
+    assert row["estimate_test"] == pytest.approx(2 / 3)
+    assert row["estimate_retest"] == pytest.approx(1 / 3)
+    assert row["abs_difference"] == pytest.approx(1 / 3)
+    assert row["rel_difference"] == pytest.approx(0.5)
+    assert row["n"] == 2
 
 
 def test_sensitivity_zero_prevalence_rel_none():
@@ -219,8 +219,8 @@ def test_sensitivity_zero_prevalence_rel_none():
     ]
     ds = _ds(rows)
     row = _sensitivity(ds, "hiv")
-    assert row.estimate_test == 0.0
-    assert row.rel_difference is None
+    assert row["estimate_test"] == 0.0
+    assert row["rel_difference"] is None
 
 
 def test_sensitivity_requires_completers():
@@ -247,9 +247,9 @@ def test_sensitivity_skips_trait_without_completers():
         _sensitivity(ds, "emp")
     assert str(skipped.value) == "no usable test/retest members for 'emp'"
     row = _sensitivity(ds, "hiv")
-    assert row.trait == "hiv"
-    assert row.estimate_test == pytest.approx(2 / 3)
-    assert row.n == 2
+    assert row["trait"] == "hiv"
+    assert row["estimate_test"] == pytest.approx(2 / 3)
+    assert row["n"] == 2
 
 
 @st.composite
@@ -304,10 +304,10 @@ def test_sensitivity_matches_naive_sums(ds, question):
             _sensitivity(ds, "hiv", question)
         return
     row = _sensitivity(ds, "hiv", question)
-    assert row.n == n
+    assert row["n"] == n
     # the same additions in the same order: equal to the last bit
-    assert row.estimate_test == num["test"] / den["test"]
-    assert row.estimate_retest == num["retest"] / den["retest"]
+    assert row["estimate_test"] == num["test"] / den["test"]
+    assert row["estimate_retest"] == num["retest"] / den["retest"]
 
 
 # -- trend -------------------------------------------------------------------
@@ -324,14 +324,14 @@ def _trend_ds(degrees):
 def test_trend_decreasing_all_negative():
     ds = _trend_ds([10, 8, 6, 4, 2])
     verdicts = [degree_trend(ds, m) for m in TREND_METHODS]
-    assert [v.method for v in verdicts] == list(TREND_METHODS)
-    assert all(v.sign == -1 for v in verdicts)
+    assert [v["method"] for v in verdicts] == list(TREND_METHODS)
+    assert all(v["sign"] == -1 for v in verdicts)
 
 
 def test_trend_constant_all_zero():
     ds = _trend_ds([5, 5, 5, 5])
     verdicts = [degree_trend(ds, m) for m in TREND_METHODS]
-    assert all(v.sign == 0 for v in verdicts)
+    assert all(v["sign"] == 0 for v in verdicts)
 
 
 def test_trend_linear_matches_polyfit_oracle():
@@ -340,7 +340,7 @@ def test_trend_linear_matches_polyfit_oracle():
     y = np.array(degrees, dtype=float)
     slope = float(np.polyfit(x, y, 1)[0])
     linear = degree_trend(_trend_ds(degrees), "linear")
-    assert linear.statistic == pytest.approx(slope, abs=1e-12)
+    assert linear["statistic"] == pytest.approx(slope, abs=1e-12)
 
 
 def test_trend_theil_sen_median_of_pairwise_slopes():
@@ -352,7 +352,7 @@ def test_trend_theil_sen_median_of_pairwise_slopes():
         for j in range(i + 1, len(x))
     ]
     ts = degree_trend(_trend_ds(degrees), "theil-sen")
-    assert ts.statistic == pytest.approx(float(np.median(slopes)), abs=1e-12)
+    assert ts["statistic"] == pytest.approx(float(np.median(slopes)), abs=1e-12)
 
 
 def test_trend_kendall_matches_concordance_oracle():
@@ -360,7 +360,7 @@ def test_trend_kendall_matches_concordance_oracle():
     x = list(range(1, 7))
     kt = degree_trend(_trend_ds(degrees), "kendall-tau")
     ref = stats.kendalltau(x, degrees).statistic
-    assert kt.statistic == pytest.approx(float(ref), abs=1e-12)
+    assert kt["statistic"] == pytest.approx(float(ref), abs=1e-12)
     # brute concordance count (tau-b with no ties in x)
     conc = disc = ties_y = 0
     for i in range(len(x)):
@@ -374,7 +374,7 @@ def test_trend_kendall_matches_concordance_oracle():
                 ties_y += 1
     n0 = len(x) * (len(x) - 1) / 2
     tau_b = (conc - disc) / math.sqrt(n0 * (n0 - ties_y))
-    assert kt.statistic == pytest.approx(tau_b, abs=1e-12)
+    assert kt["statistic"] == pytest.approx(tau_b, abs=1e-12)
 
 
 def test_trend_spearman_invariant_under_monotone_transform():
@@ -382,15 +382,15 @@ def test_trend_spearman_invariant_under_monotone_transform():
     cubed = [d**3 for d in degrees]
     a = degree_trend(_trend_ds(degrees), "spearman-rho")
     b = degree_trend(_trend_ds(cubed), "spearman-rho")
-    assert a.statistic == pytest.approx(b.statistic, abs=1e-12)
+    assert a["statistic"] == pytest.approx(b["statistic"], abs=1e-12)
 
 
 def test_trend_log_linear_drops_zero_degrees():
     verdict = degree_trend(_trend_ds([0, 8, 4, 2, 1]), "log-linear")
     x = np.array([2.0, 3.0, 4.0, 5.0])
     y = np.log(np.array([8.0, 4.0, 2.0, 1.0]))
-    assert verdict.statistic == pytest.approx(float(np.polyfit(x, y, 1)[0]))
-    assert verdict.sign == -1
+    assert verdict["statistic"] == pytest.approx(float(np.polyfit(x, y, 1)[0]))
+    assert verdict["sign"] == -1
 
 
 def test_trend_insufficient_data():

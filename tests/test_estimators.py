@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -94,6 +96,16 @@ def test_cumulative_final_equals_vh_of_included():
     values = cumulative_estimates(included_sample(ds, "hiv"))
     direct = (1 / 2 + 1 / 5 + 1 / 3) / (1 / 2 + 1 / 5 + 1 / 1 + 1 / 3 + 1 / 4)
     assert values[-1] == pytest.approx(direct, abs=1e-15)
+
+
+def test_cumulative_estimates_computed_once_per_sample():
+    sample = included_sample(_chain([True, False, False, True]), "hiv")
+    values = cumulative_estimates(sample)
+    assert cumulative_estimates(sample) is values
+    assert not values.flags.writeable
+    # a replaced sample computes its own
+    flipped = dataclasses.replace(sample, y=1.0 - sample.y)
+    assert cumulative_estimates(flipped).tolist() == pytest.approx(1.0 - values, abs=1e-15)
 
 
 def test_seeds_only_series_empty():

@@ -17,9 +17,9 @@ def _row(rid, order, failed=None, known=None, q_age=5):
 def test_failed_attempts_none_reported():
     ds = make_dataset([_row(f"x{i}", i + 1, failed=0) for i in range(5)])
     result = failed_attempts_indicator(ds)
-    assert result.percent_reporting == 0.0
-    assert not result.flagged
-    assert result.bands == {"0": 5, "1-3": 0, "4+": 0}
+    assert result["percent_reporting"] == 0.0
+    assert not result["flagged"]
+    assert result["bands"] == {"0": 5, "1-3": 0, "4+": 0}
 
 
 def test_failed_attempts_bands_and_flag():
@@ -27,21 +27,21 @@ def test_failed_attempts_bands_and_flag():
     rows = [_row(f"x{i}", i + 1, failed=f) for i, f in enumerate(failed)]
     rows.append(_row("noanswer", 11))  # no follow-up: not in denominator
     result = failed_attempts_indicator(make_dataset(rows))
-    assert result.n_answered == 10
-    assert result.percent_reporting == pytest.approx(30.0)
-    assert result.flagged  # 0.30 >= 0.25
-    assert result.bands == {"0": 7, "1-3": 2, "4+": 1}
+    assert result["n_answered"] == 10
+    assert result["percent_reporting"] == pytest.approx(30.0)
+    assert result["flagged"]  # 0.30 >= 0.25
+    assert result["bands"] == {"0": 7, "1-3": 2, "4+": 1}
 
 
 def test_failed_attempts_flag_at_quarter_boundary():
     rows = [_row(f"x{i}", i + 1, failed=2 if i == 0 else 0) for i in range(5)]
     result = failed_attempts_indicator(make_dataset(rows[:4]))
-    assert result.percent_reporting == 25.0
-    assert result.threshold == 0.25
-    assert result.flagged  # 1 of 4: exactly at the threshold counts
+    assert result["percent_reporting"] == 25.0
+    assert result["threshold"] == 0.25
+    assert result["flagged"]  # 1 of 4: exactly at the threshold counts
     result = failed_attempts_indicator(make_dataset(rows))
-    assert result.percent_reporting == 20.0
-    assert not result.flagged  # 1 of 5
+    assert result["percent_reporting"] == 20.0
+    assert not result["flagged"]  # 1 of 5
 
 
 def test_failed_attempts_no_answers():
@@ -53,8 +53,8 @@ def test_failed_attempts_no_answers():
 def test_trend_constant_proportion():
     rows = [_row(f"x{i}", i + 1, known=2, q_age=10) for i in range(5)]
     trend = participants_known_trend(make_dataset(rows))
-    assert trend.slope == pytest.approx(0.0, abs=1e-12)
-    assert not trend.flagged
+    assert trend["slope"] == pytest.approx(0.0, abs=1e-12)
+    assert not trend["flagged"]
 
 
 def test_trend_exact_linear_slope():
@@ -62,8 +62,8 @@ def test_trend_exact_linear_slope():
     knowns = [1, 2, 3, 4]
     rows = [_row(f"x{i}", i + 1, known=k, q_age=10) for i, k in enumerate(knowns)]
     trend = participants_known_trend(make_dataset(rows))
-    assert trend.slope == pytest.approx(0.1, abs=1e-12)
-    assert trend.flagged
+    assert trend["slope"] == pytest.approx(0.1, abs=1e-12)
+    assert trend["flagged"]
 
 
 def test_trend_zero_degree_excluded():
@@ -73,8 +73,8 @@ def test_trend_zero_degree_excluded():
         _row("c", 3, known=1, q_age=2),
     ]
     trend = participants_known_trend(make_dataset(rows))
-    assert trend.n_excluded_zero_degree == 1
-    assert trend.n == 2
+    assert trend["n_excluded_zero_degree"] == 1
+    assert trend["n"] == 2
 
 
 def test_trend_insufficient_data():

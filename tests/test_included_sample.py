@@ -99,7 +99,7 @@ def test_sample_matches_naive_walk(ds, trait):
         assert isinstance(result, TooFewTrees)
         return
     reference = sum(n_s * (p_s - values[-1]) ** 2 for p_s, n_s in per_tree.values())
-    assert np.isclose(result.observed_wsd, reference, rtol=1e-9, atol=1e-12)
+    assert np.isclose(result["observed_wsd"], reference, rtol=1e-9, atol=1e-12)
 
 
 @settings(max_examples=50, deadline=None, suppress_health_check=[HealthCheck.too_slow])

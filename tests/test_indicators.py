@@ -54,8 +54,8 @@ def test_every_site_agrees_with_indicator(ds):
     assert sample.y.tolist() == [float(flag[rid]) for rid in members]
 
     effectiveness = recruitment_effectiveness(ds, "level")
-    assert effectiveness.n_positive == sum(f is True for f in flag.values())
-    assert effectiveness.n_negative == sum(f is False for f in flag.values())
+    assert effectiveness["n_positive"] == sum(f is True for f in flag.values())
+    assert effectiveness["n_negative"] == sum(f is False for f in flag.values())
 
     answered = [r for r in ds.respondents if flag[r.id] is not None and r.motivation]
     margins = (
@@ -68,7 +68,7 @@ def test_every_site_agrees_with_indicator(ds):
         with pytest.raises(DegenerateTable):
             motivation_outcome(ds, "money", "level")
     else:
-        a, b, c, d = motivation_outcome(ds, "money", "level").table
+        a, b, c, d = motivation_outcome(ds, "money", "level")["table"]
         assert (a + b, c + d, a + c, b + d) == margins
 
     figure = report._chains_figure(ds, ["nope", "level"])

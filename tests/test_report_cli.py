@@ -10,6 +10,7 @@ import pytest
 from conftest import make_dataset, make_respondent
 from rdsdiag.cli import load_scenario, main
 from rdsdiag.dataset import save_dataset
+from rdsdiag import estimators
 from rdsdiag.degree import TREND_METHODS
 from rdsdiag.errors import UnrealizableConfig
 from rdsdiag.report import (
@@ -99,6 +100,36 @@ def test_diagnose_writes_nothing(sim_dataset, tmp_path, monkeypatch):
     assert list(tmp_path.iterdir()) == []
 
 
+_PLAIN_TYPES = (dict, list, tuple, str, int, float, bool, type(None))
+
+
+def test_diagnosis_is_plain_data(sim_dataset):
+    diagnosis = diagnose(sim_dataset, _cfg(population_sizes=(500,)))
+
+    def walk(node):
+        assert type(node) in _PLAIN_TYPES, node
+        if isinstance(node, dict):
+            assert all(type(key) is str for key in node)
+            node = list(node.values())
+        if isinstance(node, (list, tuple)):
+            for v in node:
+                walk(v)
+
+    walk(diagnosis.sections)
+
+
+def test_samples_only_for_sample_sections(sim_dataset, monkeypatch):
+    calls = []
+    build = estimators.included_sample
+    monkeypatch.setattr(estimators, "included_sample",
+                        lambda *args: calls.append(args[1]) or build(*args))
+    diagnosis = diagnose(sim_dataset, _cfg(sections=("behavior", "finitepop")))
+    assert calls == [] and diagnosis.samples == {}
+    assert diagnosis.traits == tuple(s.name for s in sim_dataset.trait_specs)
+    diagnosis = diagnose(sim_dataset, _cfg(traits=("employed",), sections=("degree",)))
+    assert calls == ["employed"] and list(diagnosis.samples) == ["employed"]
+
+
 def test_bundle_sections_are_the_rounded_diagnosis(sim_dataset, tmp_path):
     cfg = _cfg(population_sizes=(500,))
     bundle = run_pipeline(sim_dataset, cfg, tmp_path / "out")
@@ -140,13 +171,8 @@ def test_pipeline_six_digit_floats(sim_dataset, tmp_path):
 
 
 def test_jsonable_rounds_every_float():
-    @dataclasses.dataclass(frozen=True)
-    class Result:
-        value: float
-        pair: tuple[float, float]
-        n: int
-
-    bundled = _jsonable({"r": Result(1 / 3, (math.nan, -math.inf), 3), "ok": True})
+    result = {"value": 1 / 3, "pair": (math.nan, -math.inf), "n": 3}
+    bundled = _jsonable({"r": result, "ok": True})
     assert bundled == {"r": {"value": 0.333333, "pair": [None, "-inf"], "n": 3}, "ok": True}
     json.dumps(bundled, allow_nan=False)
     assert [_csv_cell(v) for v in (1 / 3, math.nan, math.inf, 1234567.0, True, 3)] == [

@@ -311,7 +311,7 @@ def test_sim_output_survives_strict_ingest(two_block_net, tmp_path):
     )
     assert reloaded.n == result.dataset.n
     report = validate_dataset(reloaded)
-    assert report.truncations_applied == 0
+    assert report["truncations_applied"] == 0
     forest = build_forest(reloaded)
     assert set(forest.roots) <= {r.id for r in reloaded.respondents}
 
