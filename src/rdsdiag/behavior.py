@@ -17,7 +17,7 @@ from typing import Any, Iterable, Mapping, Optional
 import numpy as np
 
 from .dataset import StudyDataset
-from .errors import DegenerateTable, NoData, NoEligibleRecruiters
+from .errors import DataRequirementError
 from .estimators import _bisect, _quantile
 
 
@@ -39,7 +39,7 @@ def reciprocation_rate(ds: StudyDataset) -> float:
             if c.reciprocation_answer:
                 yes += 1
     if answered == 0:
-        raise NoData("no answered reciprocation questions")
+        raise DataRequirementError("no answered reciprocation questions")
     return 100.0 * yes / answered
 
 
@@ -50,7 +50,7 @@ def network_reciprocity_stats(ds: StudyDataset) -> dict[str, Any]:
     ``q3_relative_difference`` over ``n`` respondents.  Respondents missing
     either answer are skipped; those with both answers zero are excluded and
     counted in ``n_excluded``.  With no usable respondent left, raises
-    ``NoData``."""
+    ``DataRequirementError``."""
     values = []
     excluded = 0
     for r in ds.respondents:
@@ -64,7 +64,9 @@ def network_reciprocity_stats(ds: StudyDataset) -> dict[str, Any]:
             continue
         values.append(abs(recv - give) / m)
     if not values:
-        raise NoData(f"no usable reciprocity answers; {excluded} excluded with both answers zero")
+        raise DataRequirementError(
+            f"no usable reciprocity answers; {excluded} excluded with both answers zero"
+        )
     arr = np.array(values)
     return {
         "median_relative_difference": _quantile(arr, 0.5),
@@ -119,7 +121,7 @@ def _bias_eligible(ds: StudyDataset) -> list[tuple[tuple[int, int], ...]]:
     recruits.  Unanswered recipients and recruits are left out of their
     level.  Recruiters reporting more employed contacts than contacts are
     logically inconsistent and excluded.  With no recruiter left, raises
-    ``NoEligibleRecruiters``."""
+    ``DataRequirementError``."""
     eligible = []
     for r in ds.respondents:
         fu = r.followup
@@ -133,7 +135,7 @@ def _bias_eligible(ds: StudyDataset) -> list[tuple[tuple[int, int], ...]]:
         if all(size > 0 for size, _ in levels) and levels[0][1] <= levels[0][0]:
             eligible.append(levels)
     if not eligible:
-        raise NoEligibleRecruiters("no recruiters with data on all three levels")
+        raise DataRequirementError("no recruiters with data on all three levels")
     return eligible
 
 
@@ -198,7 +200,7 @@ def recruitment_bias_tests(
         pools = [(*levels[pool], *levels[drawn]) for levels in eligible]
         consistent = [p for p in pools if p[3] <= p[1] and p[2] - p[3] <= p[0] - p[1]]
         if not consistent:
-            raise NoEligibleRecruiters("no logically consistent recruiters")
+            raise DataRequirementError("no logically consistent recruiters")
         observed = sum(p[3] for p in consistent)
         rank = _srs_quantile_rank(consistent, observed)
         return {
@@ -238,7 +240,7 @@ def nonresponse_rates(ds: StudyDataset) -> dict[str, Any]:
         total_recruits += recruits
         n += 1
     if n == 0 or total_distributed + total_refused == 0 or total_distributed == 0:
-        raise NoData("no usable follow-up coupon accounting")
+        raise DataRequirementError("no usable follow-up coupon accounting")
     attempted = total_refused + total_distributed
     return {
         "coupon_refusal": total_refused / attempted,
@@ -321,7 +323,7 @@ def exact_odds_ratio_interval(a: int, b: int, c: int, d: int) -> tuple[float, fl
     infinity (one-sided interval)."""
     ks, log_coef = _log_pmf_terms(a + b, c + d, a + c)
     if a < ks[0] or a > ks[-1]:
-        raise DegenerateTable("cell count outside the support implied by margins")
+        raise DataRequirementError("cell count outside the support implied by margins")
 
     k = ks.astype(float)
 
@@ -365,7 +367,7 @@ def motivation_outcome(
     # (motivated, has the trait) for cells a, b, c, d
     a, b, c, d = map(pairs.count, ((True, True), (True, False), (False, True), (False, False)))
     if min(a + b, c + d, a + c, b + d) < 1:
-        raise DegenerateTable(f"zero margin in table {(a, b, c, d)}")
+        raise DataRequirementError(f"zero margin in table {(a, b, c, d)}")
     if a * d == 0 and b * c == 0:
         odds = math.nan
     elif b * c == 0:

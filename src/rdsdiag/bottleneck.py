@@ -36,7 +36,7 @@ from typing import Any, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
-from .errors import TooFewTrees
+from .errors import UnrealizableConfig
 from .estimators import IncludedSample
 
 # bytes of a block's largest work array; a row's bits do not depend on it
@@ -103,12 +103,13 @@ class _Case(NamedTuple):
     observed: float
 
 
-def _case(sample: IncludedSample) -> _Case:
+def _case(sample: IncludedSample) -> _Case | dict[str, str]:
+    """The sample's case, or its skipped entry when it has fewer than two
+    trees."""
     cell, weights, all_counts = _cells(sample)
     if len(all_counts) < 2:
-        raise TooFewTrees(
-            f"trait {sample.trait!r}: need at least 2 trees with included members"
-        )
+        reason = f"trait {sample.trait!r}: need at least 2 trees with included members"
+        return {"skipped": reason}
     # y is 0/1 and the WSD of 1 - y equals that of y: count the smaller class
     positive = sample.y == 1.0
     labels = np.flatnonzero(positive if 2 * positive.sum() <= len(positive) else ~positive)
@@ -121,11 +122,12 @@ def wsd_permutation_tests(
     replicates: int = 10_000,
     threshold: float = 0.90,
     rng_seed: int = 0,
-) -> list[dict[str, Any] | TooFewTrees]:
+) -> list[dict[str, Any]]:
     """Permutation reference for the weighted squared deviation of each
     sample, in order: ``observed_wsd``, ``replicates``, ``quantile_rank``,
     ``flagged``, ``rng_seed`` and ``threshold``.  A sample with fewer than
-    two trees gets its ``TooFewTrees`` in place of a result.
+    two trees gets ``{"skipped": reason}`` in place of a result; fewer than
+    one replicate or a negative seed raises ``UnrealizableConfig``.
 
     Flagging uses strict exceedance of the threshold quantile: ties between
     the observed statistic and replicate values never flag.  Deterministic
@@ -133,15 +135,10 @@ def wsd_permutation_tests(
     order, from one stream seeded by it, and every sample of that size is
     evaluated on a block of them before the next block is drawn."""
     if replicates < 1:
-        raise ValueError(f"replicates must be at least 1, got {replicates}")
+        raise UnrealizableConfig(f"replicates must be at least 1, got {replicates}")
     if rng_seed < 0:
-        raise ValueError(f"rng_seed must be non-negative, got {rng_seed}")
-    cases: list[_Case | TooFewTrees] = []
-    for sample in samples:
-        try:
-            cases.append(_case(sample))
-        except TooFewTrees as exc:
-            cases.append(exc)
+        raise UnrealizableConfig(f"rng_seed must be non-negative, got {rng_seed}")
+    cases = [_case(sample) for sample in samples]
     # included size -> cell array -> indices of the cases with those cells
     groups: dict[int, dict[bytes, list[int]]] = {}
     for i, case in enumerate(cases):
@@ -158,7 +155,7 @@ def wsd_permutation_tests(
                     wsd = _wsd(landed, case.labels, case.weights, case.all_counts)
                     below[i] += int((wsd < case.observed).sum())
     return [
-        case if isinstance(case, TooFewTrees) else {
+        case if isinstance(case, dict) else {
             "observed_wsd": float(case.observed),
             "replicates": replicates,
             "quantile_rank": below[i] / replicates,

@@ -3,8 +3,9 @@
 One subcommand per diagnostic family plus `ingest`, `simulate` and the
 all-in-one `report`.  Every command prints a JSON document to stdout;
 commands that produce figures also write them under ``--out-dir``.  Errors
-exit with a stable code per family: 2 ingest, 3 configuration, 4 missing
-data, 5 other toolkit errors.
+exit with the code of their family: 2 ``IngestError``, 3
+``UnrealizableConfig``, 4 ``DataRequirementError``, 5 any other
+``RdsError``.
 """
 
 from __future__ import annotations

@@ -11,7 +11,7 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from .errors import EmptySeries, UnrealizableConfig
+from .errors import DataRequirementError, UnrealizableConfig
 
 
 def _check_window(tau: int, epsilon: float) -> None:
@@ -35,7 +35,7 @@ def convergence_flag(
     values = np.asarray(values, dtype=float)
     m = len(values)
     if m == 0:
-        raise EmptySeries("cannot evaluate convergence of an empty series")
+        raise DataRequirementError("cannot evaluate convergence of an empty series")
     # deviations at offsets 1, 2, ... back from the final estimate
     dev = np.abs(values[max(m - tau, 0):m - 1][::-1] - values[-1])
     violations = np.flatnonzero(dev > epsilon)

@@ -2,12 +2,12 @@
 
 The dataset is immutable, and building one checks its recruitment structure:
 unique ids, respondents in interview order 1..n, each coupon issued once and
-each redeemed coupon issued by a respondent interviewed earlier.  Missing
-answers are stored as ``None`` and are never imputed; each diagnostic
-declares its own exclusion rule.  ``StudyDataset.indicator`` is the one
-definition of "has the trait": the answer equals the trait's reference
-level.  Diagnostics read it through ``indicators``, its column over the
-respondents, built once per trait.  Validation only counts.
+redeemed once, and each redeemed coupon issued by a respondent interviewed
+earlier.  Missing answers are stored as ``None`` and are never imputed; each
+diagnostic declares its own exclusion rule.  ``StudyDataset.indicator`` is
+the one definition of "has the trait": the answer equals the trait's
+reference level.  Diagnostics read it through ``indicators``, its column
+over the respondents, built once per trait.  Validation only counts.
 """
 
 from __future__ import annotations
@@ -26,14 +26,11 @@ from . import forest as _forest
 from .errors import (
     CycleDetected,
     DanglingCoupon,
+    DataRequirementError,
     DuplicateId,
     IngestError,
-    MalformedCell,
-    MissingColumn,
-    MissingData,
     NonContiguousOrder,
     RdsError,
-    UnknownTrait,
     UnrealizableConfig,
 )
 
@@ -67,7 +64,7 @@ class DegreeReport:
 
     def get(self, question: str) -> Optional[int]:
         if question not in DEGREE_QUESTIONS:
-            raise KeyError(question)
+            raise UnrealizableConfig(f"unknown degree question {question!r}")
         return getattr(self, question)
 
 
@@ -157,14 +154,12 @@ class StudyDataset:
         """The recruitment trees of the coupon links, built on first use."""
         return _forest.build_forest(self)
 
-    def seeds(self) -> list[Respondent]:
-        return [r for r in self.respondents if r.is_seed]
-
     def trait_spec(self, name: str) -> TraitSpec:
         try:
             return self._specs[name]
         except KeyError:
-            raise UnknownTrait(f"trait {name!r} is not defined for this dataset") from None
+            message = f"trait {name!r} is not defined for this dataset"
+            raise DataRequirementError(message) from None
 
     def indicator(self, resp: Respondent, trait: str) -> Optional[bool]:
         """True/False for the trait's reference level; None when missing."""
@@ -176,8 +171,8 @@ class StudyDataset:
 
     def indicators(self, trait: str) -> tuple[Optional[bool], ...]:
         """``indicator`` of every respondent, in respondent order; built once
-        per trait.  An unknown trait raises ``UnknownTrait`` even when there
-        are no respondents."""
+        per trait.  An unknown trait raises ``DataRequirementError`` even when
+        there are no respondents."""
         columns = self._indicator_columns
         if trait not in columns:
             self.trait_spec(trait)
@@ -350,17 +345,17 @@ def _write_csv(path: Path | str, header: Sequence[str], rows: Iterable[Sequence[
 
 def _cell_reader(row: Mapping[str, str], path: Path, record: str):
     """``cell(column, parse)`` parses one cell of ``row``; a value the column
-    cannot hold raises ``MalformedCell`` naming the file, the ``record`` (a
+    cannot hold raises ``IngestError`` naming the file, the ``record`` (a
     respondent or a trait row) and the column.  A row with fewer cells than
     the header is rejected whole."""
     if None in row.values():
-        raise MalformedCell(f"{path}: {record}: fewer cells than columns")
+        raise IngestError(f"{path}: {record}: fewer cells than columns")
 
     def cell(column: str, parse):
         try:
             return parse(row.get(column, ""))
         except ValueError as exc:
-            raise MalformedCell(f"{path}: {record}, column {column!r}: {exc}") from None
+            raise IngestError(f"{path}: {record}, column {column!r}: {exc}") from None
 
     return cell
 
@@ -368,7 +363,7 @@ def _cell_reader(row: Mapping[str, str], path: Path, record: str):
 def _require(header: Sequence[str], names: Iterable[str], path: Path) -> None:
     missing = [c for c in names if c not in header]
     if missing:
-        raise MissingColumn(f"{path}: missing columns {missing}")
+        raise IngestError(f"{path}: missing columns {missing}")
 
 
 def _numbered(column: str, n: int) -> list[str]:
@@ -382,9 +377,8 @@ def _present(cell, columns: Iterable[str]) -> list[str]:
 
 
 def _read_csv(path: Path, required: Sequence[str]) -> tuple[list[str], list[dict[str, str]]]:
-    """Header and rows of an input CSV.  A file that cannot be opened raises
-    ``MissingData``, one that is not UTF-8 ``MalformedCell``, and a header
-    without a ``required`` column ``MissingColumn``."""
+    """Header and rows of an input CSV.  A file that cannot be opened, is not
+    UTF-8 or lacks a ``required`` column raises ``IngestError``."""
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.DictReader(fh)
@@ -392,9 +386,9 @@ def _read_csv(path: Path, required: Sequence[str]) -> tuple[list[str], list[dict
             _require(header, required, path)
             return header, list(reader)
     except OSError as exc:
-        raise MissingData(f"cannot read input file {path}: {exc}") from exc
+        raise IngestError(f"cannot read input file {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
-        raise MalformedCell(f"{path}: not UTF-8 text (byte {exc.start})") from None
+        raise IngestError(f"{path}: not UTF-8 text (byte {exc.start})") from None
 
 
 def _rows_by_id(rows: Iterable[dict[str, str]], path: Path) -> dict[str, dict[str, str]]:
@@ -460,7 +454,7 @@ def load_dataset(
     out_cols = [c for c in header if c.startswith(out_prefix)]
     for c in out_cols:
         if not c[len(out_prefix):].isdecimal():
-            raise MalformedCell(
+            raise IngestError(
                 f"{respondents_file}: column {c!r} is not {_COUPON_OUT.format('<number>')}"
             )
     allotment = max(len(out_cols), 1)
@@ -473,7 +467,7 @@ def load_dataset(
             raise DuplicateId(f"{respondents_file}: duplicate column for trait {name!r}")
 
     if not rows:
-        raise MissingData(f"{respondents_file}: zero respondents")
+        raise IngestError(f"{respondents_file}: zero respondents")
 
     followup_rows: dict[str, dict[str, str]] = {}
     if followup_file is not None:
@@ -527,8 +521,9 @@ def _check_structure(
 ) -> list[Respondent]:
     """Check the structure rules of the module docstring.  Without
     ``repairs`` a broken rule raises; with it (lenient ingest), a redeemed
-    coupon its holder cannot hold is dropped, making them a seed, and the
-    repair is recorded there.  Returns the respondents, repaired."""
+    coupon its holder cannot hold (one an earlier respondent redeemed
+    included) is dropped, making them a seed, and the repair is recorded
+    there.  Returns the respondents, repaired."""
     order_of: dict[str, int] = {}
     for r in respondents:
         if r.id in order_of:
@@ -544,6 +539,7 @@ def _check_structure(
                 raise DuplicateId(f"coupon {c!r} issued by two respondents")
             issuer_of[c] = r.id
 
+    redeemer_of: dict[str, str] = {}
     repaired = []
     for r in respondents:
         if r.coupon_in is None:
@@ -559,7 +555,12 @@ def _check_structure(
             problem = NonContiguousOrder(
                 f"recruiter {issuer} interviewed after recruit {r.id}"
             )
+        elif r.coupon_in in redeemer_of:
+            problem = DuplicateId(
+                f"coupon {r.coupon_in!r} redeemed by {redeemer_of[r.coupon_in]} and {r.id}"
+            )
         if problem is None:
+            redeemer_of[r.coupon_in] = r.id
             repaired.append(r)
         elif repairs is None:
             raise problem

@@ -26,7 +26,7 @@ from typing import Any, Sequence
 import numpy as np
 
 from .dataset import StudyDataset, reach_inconsistent
-from .errors import InsufficientData
+from .errors import DataRequirementError, UnrealizableConfig
 from .estimators import (
     DEFAULT_DEGREE_QUESTION,
     IncludedSample,
@@ -117,8 +117,6 @@ def _theil_sen(x: np.ndarray, y: np.ndarray) -> float:
         sample.append(s[-seen % stride::stride].copy())
         seen += len(s)
     sample = np.concatenate(sample)
-    if stride == 1:
-        return _quantile(sample, 0.5)
     sample.sort()
     # about four standard deviations of a sample quantile's position
     margin_lo = margin_hi = 2 * math.isqrt(len(sample)) + 1
@@ -217,7 +215,7 @@ def test_retest_stats(
             continue
         pairs.append((test, retest))
     if len(pairs) < 2:
-        raise InsufficientData(f"need >= 2 test/retest pairs for {question}")
+        raise DataRequirementError(f"need >= 2 test/retest pairs for {question}")
     test = np.array([p[0] for p in pairs], dtype=float)
     retest = np.array([p[1] for p in pairs], dtype=float)
     diffs = retest - test
@@ -244,7 +242,7 @@ def estimate_sensitivity(
     ``degree_question``) whose follow-up retest degree is at least 1.
     Returns ``trait``, ``estimate_test``, ``estimate_retest``,
     ``abs_difference``, ``rel_difference`` (None when the test estimate is
-    0) and ``n``.  Raises ``InsufficientData`` when no member qualifies."""
+    0) and ``n``.  Raises ``DataRequirementError`` when no member qualifies."""
 
     def retest(order: int) -> float:
         followup = ds.respondents[order - 1].followup
@@ -254,7 +252,7 @@ def estimate_sensitivity(
     retest_degree = np.array([retest(order) for order in sample.orders.tolist()], dtype=float)
     usable = retest_degree >= 1
     if not usable.any():
-        raise InsufficientData(f"no usable test/retest members for {sample.trait!r}")
+        raise DataRequirementError(f"no usable test/retest members for {sample.trait!r}")
     y = sample.y[usable]
     p_test = float(inverse_degree_estimates(y, sample.degree[usable])[-1])
     p_retest = float(inverse_degree_estimates(y, retest_degree[usable])[-1])
@@ -284,7 +282,10 @@ def degree_trend(
 ) -> dict[str, Any]:
     """Trend of reported degree against interview order under one of
     ``TREND_METHODS``: its ``method``, ``sign`` and ``statistic``.  The
-    log-linear fit drops zero degrees."""
+    log-linear fit drops zero degrees; another method raises
+    ``UnrealizableConfig``."""
+    if method not in TREND_METHODS:
+        raise UnrealizableConfig(f"unknown trend method {method!r}")
     xs, ys = [], []
     for r in ds.respondents:
         d = r.degree.get(degree_question)
@@ -293,7 +294,7 @@ def degree_trend(
         xs.append(float(r.interview_order))
         ys.append(float(d))
     if len(xs) < 3:
-        raise InsufficientData("need >= 3 respondents with degree")
+        raise DataRequirementError("need >= 3 respondents with degree")
     x = np.array(xs)
     y = np.array(ys)
     if np.all(y == y[0]):
@@ -305,14 +306,12 @@ def degree_trend(
     elif method == "log-linear":
         mask = y > 0
         if mask.sum() < 3:
-            raise InsufficientData("need >= 3 positive degrees for log-linear")
+            raise DataRequirementError("need >= 3 positive degrees for log-linear")
         stat = float(np.polyfit(x[mask], np.log(y[mask]), 1)[0])
     elif method == "theil-sen":
         stat = _theil_sen(x, y)
     elif method == "kendall-tau":
         stat = _kendall_tau_b(x, y)
-    elif method == "spearman-rho":
+    else:  # spearman-rho
         stat = _spearman(x, y)
-    else:
-        raise ValueError(f"unknown trend method {method!r}")
     return {"method": method, "sign": _sign(stat), "statistic": stat}

@@ -1,7 +1,9 @@
 """Exception hierarchy shared by all diagnostic modules.
 
-Errors are grouped into families so the command-line layer can map each
-family to a stable exit code.
+One class per exit code, so the command-line layer maps each family to a
+stable code: ``IngestError`` 2, ``UnrealizableConfig`` 3,
+``DataRequirementError`` 4 and any other ``RdsError`` 5.  The four structure
+errors name the rule of ``StudyDataset`` that a study breaks.
 """
 
 
@@ -12,21 +14,14 @@ class RdsError(Exception):
 
 
 class IngestError(RdsError):
-    """Structural problem found while reading or validating input files."""
+    """An input file that cannot be read, lacks a column, holds a cell its
+    column cannot parse, or breaks a structure rule."""
 
     exit_code = 2
 
 
-class MissingColumn(IngestError):
-    pass
-
-
-class MissingData(IngestError):
-    pass
-
-
 class DuplicateId(IngestError):
-    pass
+    """An id, trait, or issued or redeemed coupon that appears twice."""
 
 
 class DanglingCoupon(IngestError):
@@ -34,67 +29,21 @@ class DanglingCoupon(IngestError):
 
 
 class CycleDetected(IngestError):
-    pass
+    """A respondent recruited by their own coupon."""
 
 
 class NonContiguousOrder(IngestError):
     """interview_order is not 1..n, or a recruiter is ordered after a recruit."""
 
 
-class MalformedCell(IngestError):
-    """A cell holds a value its column cannot parse (a number, date or
-    yes/no answer)."""
+class UnrealizableConfig(RdsError):
+    """A setting out of range, or one the study or the file system cannot
+    meet (an SS population below the sample size, an unwritable path)."""
 
-
-class ConfigError(RdsError):
     exit_code = 3
 
 
-class UnrealizableConfig(ConfigError):
-    pass
-
-
-class PopulationTooSmall(ConfigError):
-    pass
-
-
 class DataRequirementError(RdsError):
-    """A diagnostic cannot run because required responses are absent."""
+    """A diagnostic cannot run because the data it needs is absent."""
 
     exit_code = 4
-
-
-class UnknownTrait(DataRequirementError):
-    pass
-
-
-class EmptySample(DataRequirementError):
-    pass
-
-
-class EmptySeries(DataRequirementError):
-    pass
-
-
-class TooFewTrees(DataRequirementError):
-    pass
-
-
-class NoData(DataRequirementError):
-    pass
-
-
-class NoEligibleRecruiters(DataRequirementError):
-    pass
-
-
-class InsufficientData(DataRequirementError):
-    pass
-
-
-class DegenerateTable(DataRequirementError):
-    pass
-
-
-class EmptyData(DataRequirementError):
-    """A figure has nothing to draw."""

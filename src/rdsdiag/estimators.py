@@ -23,7 +23,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .dataset import StudyDataset
-from .errors import EmptySample, PopulationTooSmall
+from .errors import DataRequirementError, UnrealizableConfig
 
 DEFAULT_DEGREE_QUESTION = "q_seen_week"
 
@@ -103,9 +103,9 @@ def inverse_degree_estimates(y: np.ndarray, degree: np.ndarray) -> np.ndarray:
 def cumulative_estimates(sample: IncludedSample) -> np.ndarray:
     """Prefix inverse-degree estimates over the included sample in interview
     order, the sample's one read-only ``prefix_estimates`` array; raises
-    ``EmptySample`` when the sample is empty."""
+    ``DataRequirementError`` when the sample is empty."""
     if not len(sample):
-        raise EmptySample(f"no included respondents for trait {sample.trait!r}")
+        raise DataRequirementError(f"no included respondents for trait {sample.trait!r}")
     return sample.prefix_estimates
 
 
@@ -177,9 +177,9 @@ def _quantile(a: np.ndarray, q: float) -> float:
 
 
 def check_population_size(population_size: int, n: int) -> None:
-    """Raise ``PopulationTooSmall`` for an SS population below the sample size."""
+    """Raise ``UnrealizableConfig`` for an SS population below the sample size."""
     if population_size < n:
-        raise PopulationTooSmall(f"population size {population_size} < sample size {n}")
+        raise UnrealizableConfig(f"population size {population_size} < sample size {n}")
 
 
 def ss_inclusion_weights(
@@ -228,6 +228,6 @@ def ss_estimate(sample: IncludedSample, population_size: int) -> float:
     Deterministic: it equals the unweighted sample proportion in the census
     limit and tends to the inverse-degree estimate as the population grows."""
     if not len(sample):
-        raise EmptySample(f"no included respondents for trait {sample.trait!r}")
+        raise DataRequirementError(f"no included respondents for trait {sample.trait!r}")
     weights, _ = ss_inclusion_weights(sample.degree, population_size)
     return float((weights * sample.y).sum() / weights.sum())

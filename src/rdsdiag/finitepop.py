@@ -9,7 +9,7 @@ from typing import Any
 import numpy as np
 
 from .dataset import StudyDataset
-from .errors import InsufficientData, NoData
+from .errors import DataRequirementError
 
 FAILED_ATTEMPTS_THRESHOLD = 0.25  # flag when at least this share report a failed attempt
 
@@ -25,7 +25,7 @@ def failed_attempts_indicator(ds: StudyDataset) -> dict[str, Any]:
         if r.followup is not None and r.followup.n_failed_attempts is not None
     ]
     if not counts:
-        raise NoData("nobody answered the failed-attempts question")
+        raise DataRequirementError("nobody answered the failed-attempts question")
     at_least_one = sum(1 for c in counts if c >= 1)
     pct = at_least_one / len(counts)
     return {
@@ -59,7 +59,7 @@ def participants_known_trend(ds: StudyDataset) -> dict[str, Any]:
         orders.append(r.interview_order)
         props.append(known / r.degree.q_age)
     if len(set(orders)) < 2:
-        raise InsufficientData("need >= 2 distinct orders with proportions")
+        raise DataRequirementError("need >= 2 distinct orders with proportions")
     slope = float(np.polyfit(np.array(orders, dtype=float), np.array(props), 1)[0])
     return {
         "slope": slope,

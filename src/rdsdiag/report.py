@@ -24,7 +24,7 @@ from typing import Any, Callable, Optional, Sequence
 
 from . import behavior, bottleneck, convergence, degree, estimators, finitepop, svg
 from .dataset import DEGREE_QUESTIONS, StudyDataset, validate_dataset
-from .errors import DataRequirementError, TooFewTrees, UnrealizableConfig
+from .errors import DataRequirementError, UnrealizableConfig
 from .estimators import IncludedSample
 from .forest import edge_rows
 
@@ -355,7 +355,8 @@ def dataset_summary(ds: StudyDataset) -> dict[str, Any]:
     return {
         "site": ds.site_label,
         "n": ds.n,
-        "n_seeds": len(ds.seeds()),
+        # every seed roots one tree
+        "n_seeds": len(ds.forest.roots),
         "n_trees": len(ds.forest.roots),
         "max_wave": max(waves) if waves else 0,
         "coupon_allotment": ds.coupon_allotment,
@@ -426,7 +427,7 @@ def _section_estimate(samples, cfg: PipelineConfig) -> dict[str, Any]:
         vh = float(estimators.cumulative_estimates(sample)[-1])
         entry: dict[str, Any] = {"vh": vh, "n_included": len(sample)}
         if cfg.population_sizes:
-            # a population below the sample size raises PopulationTooSmall
+            # a population below the sample size raises UnrealizableConfig
             ss = [estimators.ss_estimate(sample, size) for size in cfg.population_sizes]
             entry["ss"] = [
                 {"population_size": size, "ss": s, "difference": s - vh,
@@ -456,11 +457,7 @@ def _section_bottleneck(samples, cfg: PipelineConfig) -> dict[str, Any]:
         replicates=cfg.replicates, threshold=cfg.threshold, rng_seed=cfg.rng_seed,
     )))
     # a trait without a sample keeps its skipped entry
-    results = {trait: tests.get(trait, sample) for trait, sample in samples.items()}
-    per_trait = {
-        trait: {"skipped": str(r)} if isinstance(r, TooFewTrees) else r
-        for trait, r in results.items()
-    }
+    per_trait = {trait: tests.get(trait, sample) for trait, sample in samples.items()}
     return {"threshold": cfg.threshold, "per_trait": per_trait}
 
 

@@ -26,7 +26,7 @@ from .dataset import (
     StudyDataset,
     TraitSpec,
 )
-from .errors import UnknownTrait, UnrealizableConfig
+from .errors import DataRequirementError, UnrealizableConfig
 
 REFUSAL_REASON_CATEGORIES = (
     "Too busy",
@@ -243,7 +243,7 @@ def _components(n: int, edges: np.ndarray) -> np.ndarray:
 
 def true_prevalence(net: SyntheticNetwork, trait: str) -> float:
     if trait not in net.node_traits:
-        raise UnknownTrait(f"network has no trait {trait!r}")
+        raise DataRequirementError(f"network has no trait {trait!r}")
     return float(net.node_traits[trait].mean())
 
 

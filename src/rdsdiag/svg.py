@@ -4,10 +4,11 @@ One public function per family (``chains``, ``convergence``, ``bottleneck``,
 ``all_points``, ``flag_grid``, ``bars``, ``motivation_outcome`` and
 ``sensitivity_pairs``) takes the figure's title and data as named parameters
 and returns a standalone SVG string; a figure with nothing to draw raises
-``EmptyData``.  Each is a pure function of its arguments and the fixed style,
-and emits byte-identical markup across runs: element order is fixed and every
-number is written with 6 significant digits, never as negative zero.  No
-plotting library is involved, so golden-file tests can diff output directly.
+``DataRequirementError``.  Each is a pure function of its arguments and the
+fixed style, and emits byte-identical markup across runs: element order is
+fixed and every number is written with 6 significant digits, never as
+negative zero.  No plotting library is involved, so golden-file tests can
+diff output directly.
 
 Marks are written one family at a time: a polyline's points, the convergence
 rugs, the all-points markers, and the chains edges and nodes.  The family's
@@ -23,7 +24,7 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .errors import EmptyData
+from .errors import DataRequirementError
 
 _STYLE = {
     "width": 640,
@@ -179,7 +180,7 @@ def chains(
     """Recruitment forest: roots on top, one column slot per leaf, parents
     centered over their children.  Colored by trait value (None: missing)."""
     if not roots:
-        raise EmptyData("chains plot needs at least one root")
+        raise DataRequirementError("chains plot needs at least one root")
 
     # an explicit stack places a chain of any depth: leaves take their slots
     # left to right, and a parent is placed once its children are
@@ -246,7 +247,7 @@ def convergence(
     """Cumulative estimate with final-estimate reference line and a trait rug
     at each order, along the header where ``positive``, else the footer."""
     if not len(orders) or not len(values):
-        raise EmptyData("convergence plot needs a nonempty series")
+        raise DataRequirementError("convergence plot needs a nonempty series")
     orders = np.asarray(orders, dtype=float)
     final = float(values[-1])
 
@@ -286,7 +287,7 @@ def bottleneck(
     order, with a composition panel on the left (each tree's count and share
     of the plotted values) and per-tree final estimates ticked on the right."""
     if not series:
-        raise EmptyData("bottleneck plot needs at least one tree series")
+        raise DataRequirementError("bottleneck plot needs at least one tree series")
 
     m = _STYLE["margin"]
     panel_w = 70.0
@@ -331,7 +332,7 @@ def all_points(
     per entry of ``tree``, which indexes ``roots`` (none without one): filled
     markers where ``positive``, open markers otherwise."""
     if not len(tree):
-        raise EmptyData("all-points plot needs rows")
+        raise DataRequirementError("all-points plot needs rows")
     tree = np.asarray(tree, dtype=np.intp)
     counts = np.bincount(tree, minlength=len(roots))
 
@@ -370,7 +371,7 @@ def flag_grid(
     """Matrix of verdicts: red = flagged, light = clear, grey = not
     evaluable."""
     if not row_labels or not col_labels:
-        raise EmptyData("flag-grid needs row and column labels")
+        raise DataRequirementError("flag-grid needs row and column labels")
 
     m = _STYLE["margin"]
     label_w = 110.0
@@ -404,7 +405,7 @@ def flag_grid(
 def bars(title: str, labels: Sequence[str], values: Sequence[float]) -> str:
     """One labelled bar per value, on a zero-based axis."""
     if not labels or not values:
-        raise EmptyData("bar chart needs labels and values")
+        raise DataRequirementError("bar chart needs labels and values")
     vmax = max(max(values), 1e-9)
 
     m = _STYLE["margin"]
@@ -433,7 +434,7 @@ def motivation_outcome(title: str, rows: Sequence[tuple[str, float, float, float
     row each, on a log axis; unbounded endpoints are clipped to the axis and
     drawn dashed."""
     if not rows:
-        raise EmptyData("motivation-outcome plot needs rows")
+        raise DataRequirementError("motivation-outcome plot needs rows")
 
     lo_bound, hi_bound = 1e-2, 1e2
 
@@ -475,7 +476,7 @@ def sensitivity_pairs(title: str, rows: Sequence[tuple[str, float, float]]) -> s
     """Dumbbells linking the initial-degree and retest-degree estimates, one
     (trait, test estimate, retest estimate) row each."""
     if not rows:
-        raise EmptyData("sensitivity-pairs plot needs rows")
+        raise DataRequirementError("sensitivity-pairs plot needs rows")
 
     m = _STYLE["margin"]
     label_w = 110.0

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from conftest import make_dataset, make_respondent
 from rdsdiag.convergence import convergence_flag
-from rdsdiag.errors import EmptySample, EmptySeries, RdsError
+from rdsdiag.errors import DataRequirementError, RdsError
 from rdsdiag.estimators import cumulative_estimates, included_sample
 from rdsdiag.report import PipelineConfig, diagnose
 
@@ -47,7 +47,8 @@ def test_single_point_series():
 
 
 def test_empty_series_raises():
-    with pytest.raises(EmptySeries):
+    with pytest.raises(DataRequirementError,
+                       match="cannot evaluate convergence of an empty series"):
         convergence_flag([])
 
 
@@ -149,7 +150,8 @@ def _converge_section(ds, traits=None):
 def test_batch_verdicts():
     ds = _batch_dataset()
     assert _trait_verdict(ds, "hiv") == _trait_verdict(ds, "hiv")
-    with pytest.raises(EmptySample):  # all-missing trait has no included sample
+    # an all-missing trait has no included sample
+    with pytest.raises(DataRequirementError, match="no included respondents for trait 'emp'"):
         _trait_verdict(ds, "emp")
     # the report collapses the repeated trait and records the empty one
     per_trait = _converge_section(ds, traits=("hiv", "hiv", "emp"))

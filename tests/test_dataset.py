@@ -1,4 +1,5 @@
 import dataclasses
+import re
 import tempfile
 import warnings
 from datetime import date
@@ -23,12 +24,11 @@ from rdsdiag.dataset import (
 from rdsdiag.errors import (
     CycleDetected,
     DanglingCoupon,
+    DataRequirementError,
     DuplicateId,
-    MissingColumn,
-    MissingData,
+    IngestError,
     NonContiguousOrder,
     RdsError,
-    UnknownTrait,
 )
 
 TRAITS_CSV = "name,reference_level\nhiv,yes\n"
@@ -63,7 +63,7 @@ def test_three_row_fixture_loads(tmp_path):
     r, t, _ = write_inputs(tmp_path, BASIC_ROWS)
     ds = load_dataset(r, t)
     assert ds.n == 3
-    assert len(ds.seeds()) == 1
+    assert [r.id for r in ds.respondents if r.is_seed] == ["S1"]
     assert ds.by_id("R2").coupon_in == "C1"
     assert ds.by_id("S1").coupons_out == frozenset({"C1", "C2"})
     assert ds.by_id("S1").degree.q_seen_week == 5
@@ -96,13 +96,13 @@ def test_two_columns_for_one_trait_rejected(tmp_path, strict, second):
 
 def test_empty_respondents_file_is_missing_data(tmp_path):
     r, t, _ = write_inputs(tmp_path, [])
-    with pytest.raises(MissingData):
+    with pytest.raises(IngestError, match="zero respondents"):
         load_dataset(r, t)
 
 
 def test_missing_input_file_is_ingest_error(tmp_path):
     _, t, _ = write_inputs(tmp_path, BASIC_ROWS)
-    with pytest.raises(MissingData):
+    with pytest.raises(IngestError, match="cannot read input file .*nope.csv"):
         load_dataset(tmp_path / "nope.csv", t)
 
 
@@ -111,7 +111,8 @@ def test_missing_column_detected(tmp_path):
     r.write_text("id,interview_order\nS1,1\n")
     t = tmp_path / "t.csv"
     t.write_text(TRAITS_CSV)
-    with pytest.raises(MissingColumn):
+    missing = "missing columns ['coupon_in', 'interview_date']"
+    with pytest.raises(IngestError, match=re.escape(missing)):
         load_dataset(r, t)
 
 
@@ -185,9 +186,17 @@ STRUCTURE_CASES = {
     "self-recruit": ([("S", "C1", ["C1"], 1)], CycleDetected),
     "recruiter after recruit": ([("R", "C1", [], 1), ("S", None, ["C1"], 2)],
                                 NonContiguousOrder),
+    "coupon redeemed twice": ([("S", None, ["C1"], 1), ("A", "C1", [], 2), ("B", "C1", [], 3)],
+                              DuplicateId),
 }
-# a broken link is repaired by lenient ingest; the other rules abort it too
-REPAIRABLE = ("dangling coupon", "self-recruit", "recruiter after recruit")
+# lenient ingest repairs a broken link, making its redeemer a seed (these are
+# the seeds after the one repair); the other rules abort it too
+REPAIRED_SEEDS = {
+    "dangling coupon": ["S", "R"],
+    "self-recruit": ["S"],
+    "recruiter after recruit": ["R", "S"],
+    "coupon redeemed twice": ["S", "B"],
+}
 
 
 def _structure_rows(records):
@@ -206,14 +215,15 @@ def test_construction_raises_what_load_raises(tmp_path, case):
     r, t, _ = write_inputs(tmp_path, _structure_rows(records))
     with pytest.raises(error):
         load_dataset(r, t)
-    if case not in REPAIRABLE:
+    if case not in REPAIRED_SEEDS:
         with pytest.raises(error):
             load_dataset(r, t, strict=False)
         return
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         ds = load_dataset(r, t, strict=False)
-    assert len(ds.repairs) == 1 and all(x.is_seed for x in ds.respondents)
+    assert len(ds.repairs) == 1
+    assert [x.id for x in ds.respondents if x.is_seed] == REPAIRED_SEEDS[case]
 
 
 def test_construction_requires_interview_order(tmp_path):
@@ -287,7 +297,8 @@ def test_indicator_and_unknown_trait(chain_ds):
     assert chain_ds.indicator(chain_ds.by_id("S1"), "hiv") is False
     missing = make_respondent("X", 1, traits={})
     assert make_dataset([missing]).indicator(missing, "hiv") is None
-    with pytest.raises(UnknownTrait):
+    with pytest.raises(DataRequirementError,
+                       match="trait 'nope' is not defined for this dataset"):
         chain_ds.indicator(r2, "nope")
 
 

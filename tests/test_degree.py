@@ -18,7 +18,7 @@ from rdsdiag.degree import (
     time_window_stats,
 )
 from rdsdiag.degree import test_retest_stats as retest_stats
-from rdsdiag.errors import InsufficientData
+from rdsdiag.errors import DataRequirementError, UnrealizableConfig
 from rdsdiag.estimators import _quantile, included_sample
 
 
@@ -180,7 +180,7 @@ def test_retest_random_match_oracle():
 
 def test_retest_too_few_pairs():
     ds = _ds(_retest_rows([3], [4]))
-    with pytest.raises(InsufficientData):
+    with pytest.raises(DataRequirementError, match="need >= 2 test/retest pairs for"):
         retest_stats(ds)
 
 
@@ -229,7 +229,7 @@ def test_sensitivity_requires_completers():
         make_respondent("a", 2, coupon_in="C1", degree=2, traits={"hiv": "no"}),
     ]
     ds = _ds(rows)
-    with pytest.raises(InsufficientData):
+    with pytest.raises(DataRequirementError, match="no usable test/retest members for 'hiv'"):
         _sensitivity(ds, "hiv")
 
 
@@ -243,7 +243,8 @@ def test_sensitivity_skips_trait_without_completers():
                         followup=followup(retest=2)),
     ]
     ds = _ds(rows, traits=[("emp", "yes"), ("hiv", "yes")])
-    with pytest.raises(InsufficientData) as skipped:
+    with pytest.raises(DataRequirementError,
+                       match="no usable test/retest members for 'emp'") as skipped:
         _sensitivity(ds, "emp")
     assert str(skipped.value) == "no usable test/retest members for 'emp'"
     row = _sensitivity(ds, "hiv")
@@ -300,7 +301,8 @@ def test_sensitivity_matches_naive_sums(ds, question):
             if flag:
                 num[wave] += 1.0 / d
     if n == 0:
-        with pytest.raises(InsufficientData):
+        with pytest.raises(DataRequirementError,
+                           match="no usable test/retest members for 'hiv'"):
             _sensitivity(ds, "hiv", question)
         return
     row = _sensitivity(ds, "hiv", question)
@@ -395,8 +397,16 @@ def test_trend_log_linear_drops_zero_degrees():
 
 def test_trend_insufficient_data():
     for method in TREND_METHODS:
-        with pytest.raises(InsufficientData):
+        with pytest.raises(DataRequirementError, match="need >= 3 respondents with degree"):
             degree_trend(_trend_ds([4, 5]), method)
+
+
+def test_unknown_method_or_question_is_a_config_error():
+    # checked before the data: a constant degree is a flat trend for any method
+    with pytest.raises(UnrealizableConfig, match="unknown trend method 'cubic'"):
+        degree_trend(_trend_ds([5, 5, 5]), "cubic")
+    with pytest.raises(UnrealizableConfig, match="unknown degree question 'q_nope'"):
+        DegreeReport().get("q_nope")
 
 
 # -- rank statistics against the n x n outer products ------------------------

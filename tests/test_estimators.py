@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_dataset, make_respondent, unit_degree_two_trees
-from rdsdiag.errors import EmptySample, PopulationTooSmall
+from rdsdiag.errors import DataRequirementError, UnrealizableConfig
 from rdsdiag.estimators import (
     IncludedSample,
     _quantile,
@@ -52,7 +52,7 @@ def test_vh_extremes():
 
 
 def test_vh_errors():
-    with pytest.raises(EmptySample):
+    with pytest.raises(DataRequirementError, match="no included respondents for trait"):
         _vh([])
     # a zero or missing degree never reaches the estimator: the included
     # sample leaves such respondents out
@@ -112,7 +112,7 @@ def test_seeds_only_series_empty():
     ds = make_dataset([make_respondent("S", 1, degree=2, traits={"hiv": "yes"})])
     sample = included_sample(ds, "hiv")
     assert len(sample) == 0
-    with pytest.raises(EmptySample, match="no included respondents for trait 'hiv'"):
+    with pytest.raises(DataRequirementError, match="no included respondents for trait 'hiv'"):
         cumulative_estimates(sample)
 
 
@@ -153,7 +153,7 @@ def test_single_tree_estimate_equals_overall():
 
 
 def test_ss_config_validation():
-    with pytest.raises(PopulationTooSmall):
+    with pytest.raises(UnrealizableConfig, match="population size 10 < sample size 20"):
         ss_inclusion_weights(np.ones(20), 10)
 
 

@@ -1,7 +1,7 @@
 import pytest
 
 from conftest import followup, make_dataset, make_degree, make_respondent
-from rdsdiag.errors import InsufficientData, NoData
+from rdsdiag.errors import DataRequirementError
 from rdsdiag.finitepop import failed_attempts_indicator, participants_known_trend
 from rdsdiag.report import PipelineConfig, diagnose
 
@@ -46,7 +46,8 @@ def test_failed_attempts_flag_at_quarter_boundary():
 
 def test_failed_attempts_no_answers():
     ds = make_dataset([_row("a", 1)])
-    with pytest.raises(NoData):
+    with pytest.raises(DataRequirementError,
+                       match="nobody answered the failed-attempts question"):
         failed_attempts_indicator(ds)
 
 
@@ -79,7 +80,8 @@ def test_trend_zero_degree_excluded():
 
 def test_trend_insufficient_data():
     rows = [_row("a", 1, known=0, q_age=0), _row("b", 2, known=1, q_age=0)]
-    with pytest.raises(InsufficientData):
+    with pytest.raises(DataRequirementError,
+                       match="need >= 2 distinct orders with proportions"):
         participants_known_trend(make_dataset(rows))
 
 

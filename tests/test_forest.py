@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_dataset, make_respondent
-from rdsdiag.errors import DanglingCoupon, NonContiguousOrder, UnknownTrait
+from rdsdiag.errors import DanglingCoupon, DataRequirementError, NonContiguousOrder
 from rdsdiag.estimators import included_sample
 from rdsdiag.forest import RecruitmentForest, build_forest
 from rdsdiag.report import PipelineConfig, run_pipeline
@@ -187,14 +187,16 @@ def test_per_tree_subsets_exclusions():
     assert len(sample) == 2  # seed excluded, missing-trait member excluded
     assert sample.orders.tolist() == [2, 4]  # a and c
     assert [sample.roots[t] for t in sample.tree] == ["S", "S"]
-    with pytest.raises(UnknownTrait):
+    with pytest.raises(DataRequirementError,
+                       match="trait 'nope' is not defined for this dataset"):
         included_sample(ds, "nope")
 
 
 def test_included_sum_bound_and_equality():
     ds = chain_of_three()
     total = len(included_sample(ds, "hiv"))
-    assert total == ds.n - len(ds.seeds())  # no missing data -> equality
+    seeds = sum(r.is_seed for r in ds.respondents)
+    assert total == ds.n - seeds  # no missing data -> equality
 
 
 def test_wave_matches_path_length_oracle():

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from conftest import make_dataset, make_respondent
 from rdsdiag.bottleneck import wsd_permutation_tests
 from rdsdiag.dataset import DegreeReport
-from rdsdiag.errors import TooFewTrees
 from rdsdiag.estimators import cumulative_estimates, included_sample, per_tree_series
 
 TRAITS = (("hiv", "yes"), ("emp", "yes"))
@@ -96,7 +95,7 @@ def test_sample_matches_naive_walk(ds, trait):
 
     (result,) = wsd_permutation_tests([sample], replicates=5)
     if len(per_tree) < 2:
-        assert isinstance(result, TooFewTrees)
+        assert "skipped" in result
         return
     reference = sum(n_s * (p_s - values[-1]) ** 2 for p_s, n_s in per_tree.values())
     assert np.isclose(result["observed_wsd"], reference, rtol=1e-9, atol=1e-12)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from conftest import make_dataset, make_respondent
 from rdsdiag import report
 from rdsdiag.behavior import motivation_outcome, recruitment_effectiveness
-from rdsdiag.errors import DegenerateTable, UnknownTrait
+from rdsdiag.errors import DataRequirementError
 from rdsdiag.estimators import included_sample
 
 ANSWERS = st.sampled_from(["low", "mid", "high", None])
@@ -65,7 +65,7 @@ def test_every_site_agrees_with_indicator(ds):
         sum(not flag[r.id] for r in answered),
     )
     if min(margins) == 0:
-        with pytest.raises(DegenerateTable):
+        with pytest.raises(DataRequirementError, match="zero margin in table"):
             motivation_outcome(ds, "money", "level")
     else:
         a, b, c, d = motivation_outcome(ds, "money", "level")["table"]
@@ -88,5 +88,6 @@ def test_indicators_built_once():
 def test_indicators_unknown_trait_without_respondents():
     ds = make_dataset([])
     assert ds.indicators("hiv") == ()
-    with pytest.raises(UnknownTrait):
+    with pytest.raises(DataRequirementError,
+                       match="trait 'nope' is not defined for this dataset"):
         ds.indicators("nope")

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from rdsdiag import sim
 from rdsdiag.dataset import load_dataset, save_dataset, validate_dataset
-from rdsdiag.errors import UnknownTrait, UnrealizableConfig
+from rdsdiag.errors import DataRequirementError, UnrealizableConfig
 from rdsdiag.forest import build_forest
 from rdsdiag.sim import (
     NetworkConfig,
@@ -258,7 +258,7 @@ def test_network_draw_memory_is_one_buffer():
 
 
 def test_true_prevalence_unknown_trait(two_block_net):
-    with pytest.raises(UnknownTrait):
+    with pytest.raises(DataRequirementError, match="network has no trait 'nope'"):
         true_prevalence(two_block_net, "nope")
 
 

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rdsdiag import svg
-from rdsdiag.errors import EmptyData
+from rdsdiag.errors import DataRequirementError
 
 # one figure per family, keyed by the figure it draws in a report
 FIGURES = {
@@ -59,6 +59,20 @@ FIGURES = {
 }
 
 
+# what each figure raises with nothing to draw
+EMPTY_MESSAGES = {
+    "chains": "chains plot needs at least one root",
+    "convergence": "convergence plot needs a nonempty series",
+    "bottleneck": "bottleneck plot needs at least one tree series",
+    "all-points": "all-points plot needs rows",
+    "flag-grid": "flag-grid needs row and column labels",
+    "effectiveness": "bar chart needs labels and values",
+    "bias": "bar chart needs labels and values",
+    "motivation-outcome": "motivation-outcome plot needs rows",
+    "sensitivity-pairs": "sensitivity-pairs plot needs rows",
+}
+
+
 def _draw(kind):
     figure, kwargs = FIGURES[kind]
     return figure(**kwargs)
@@ -68,7 +82,7 @@ def _draw(kind):
 def test_empty_data(kind):
     figure, kwargs = FIGURES[kind]
     empty = {k: v if k == "title" else type(v)() for k, v in kwargs.items()}
-    with pytest.raises(EmptyData):
+    with pytest.raises(DataRequirementError, match=EMPTY_MESSAGES[kind]):
         figure(**empty)
 
 
@@ -283,7 +297,7 @@ def oracle_chains(
     """Recruitment forest: roots on top, one column slot per leaf, parents
     centered over their children.  Colored by trait value (None: missing)."""
     if not roots:
-        raise EmptyData("chains plot needs at least one root")
+        raise DataRequirementError("chains plot needs at least one root")
 
     # an explicit stack places a chain of any depth: leaves take their slots
     # left to right, and a parent is placed once its children are
@@ -339,7 +353,7 @@ def oracle_convergence(
     """Cumulative estimate with final-estimate reference line and trait rugs
     along the header (positives) and footer (negatives)."""
     if not orders or not values:
-        raise EmptyData("convergence plot needs a nonempty series")
+        raise DataRequirementError("convergence plot needs a nonempty series")
     final = float(values[-1])
 
     m = _STYLE["margin"]
@@ -380,7 +394,7 @@ def oracle_bottleneck(
     panel on the left (each tree's count and share of the plotted values)
     and per-tree final estimates ticked on the right axis."""
     if not series:
-        raise EmptyData("bottleneck plot needs at least one tree series")
+        raise DataRequirementError("bottleneck plot needs at least one tree series")
 
     m = _STYLE["margin"]
     panel_w = 70.0
@@ -427,7 +441,7 @@ def oracle_all_points(title: str, rows: Sequence[tuple[str, bool]]) -> str:
     has_trait) row per respondent: filled markers for trait-positive
     respondents, open markers otherwise."""
     if not rows:
-        raise EmptyData("all-points plot needs rows")
+        raise DataRequirementError("all-points plot needs rows")
     counts = Counter(tree for tree, _ in rows)
     trees = sorted(counts)
     tree_index = {t: i for i, t in enumerate(trees)}
@@ -467,7 +481,7 @@ def oracle_flag_grid(
     """Matrix of verdicts: red = flagged, light = clear, grey = not
     evaluable."""
     if not row_labels or not col_labels:
-        raise EmptyData("flag-grid needs row and column labels")
+        raise DataRequirementError("flag-grid needs row and column labels")
 
     m = _STYLE["margin"]
     label_w = 110.0
@@ -501,7 +515,7 @@ def oracle_flag_grid(
 def oracle_bars(title: str, labels: Sequence[str], values: Sequence[float]) -> str:
     """One labelled bar per value, on a zero-based axis."""
     if not labels or not values:
-        raise EmptyData("bar chart needs labels and values")
+        raise DataRequirementError("bar chart needs labels and values")
     vmax = max(max(values), 1e-9)
 
     m = _STYLE["margin"]
@@ -530,7 +544,7 @@ def oracle_motivation_outcome(title: str, rows: Sequence[tuple[str, float, float
     row each, on a log axis; unbounded endpoints are clipped to the axis and
     drawn dashed."""
     if not rows:
-        raise EmptyData("motivation-outcome plot needs rows")
+        raise DataRequirementError("motivation-outcome plot needs rows")
 
     lo_bound, hi_bound = 1e-2, 1e2
 
@@ -572,7 +586,7 @@ def oracle_sensitivity_pairs(title: str, rows: Sequence[tuple[str, float, float]
     """Dumbbells linking the initial-degree and retest-degree estimates, one
     (trait, test estimate, retest estimate) row each."""
     if not rows:
-        raise EmptyData("sensitivity-pairs plot needs rows")
+        raise DataRequirementError("sensitivity-pairs plot needs rows")
 
     m = _STYLE["margin"]
     label_w = 110.0
