@@ -28,10 +28,22 @@ followed per replicate.  A replicate's value depends on its own counts
 alone, so neither the block size nor the samples that share a block change
 a rank.  A replicate with the observed cell counts gives the observed
 statistic bit for bit, so such a tie is never counted below it.
+
+``replicates`` is a cap.  A sample is looked at after r = 64, 128, 256, …
+replicates below the cap, K looks in all.  With b of the r replicates below
+the observed, it stops at the first look where the exact Binomial(r,
+threshold) tail on the side of b/r is at most ``RISK / (2K)``.  A union bound
+over the looks then caps the chance that a stopped sample's flag differs
+from the flag of its exact rank at ``RISK / 2``: a uniformly bounded
+resampling risk in the sense of Gandy (JASA 104, 2009).  The looks depend on
+the cap alone and a stop on the sample's own counts, so no stop depends on
+the block size or on which samples share a size, and a sample that reaches
+the cap gets the rank of the full draw bit for bit.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Any, Iterable, Iterator, NamedTuple
 
 import numpy as np
@@ -41,22 +53,70 @@ from .estimators import IncludedSample
 
 # bytes of a block's largest work array; a row's bits do not depend on it
 _BLOCK_BYTES = 512 * 1024
+# the chance that a sample stopped before the cap is flagged otherwise than
+# by its exact rank is at most RISK / 2
+RISK = 1e-3
+# replicates at the first look; each later look doubles them
+_FIRST_LOOK = 64
+
+
+def _looks(replicates: int) -> list[int]:
+    """The replicate counts below the cap ``replicates`` at which a sample
+    may stop: 64, 128, 256, …"""
+    looks = []
+    r = _FIRST_LOOK
+    while r < replicates:
+        looks.append(r)
+        r *= 2
+    return looks
+
+
+def _binomial_tails(r: int, p: float) -> tuple[np.ndarray, np.ndarray]:
+    """P(X ≤ b) and P(X ≥ b) for b = 0, …, r, where X ~ Binomial(r, p).
+
+    The log pmf is log pmf(0) plus a cumulative sum of the log ratios
+    pmf(b + 1) / pmf(b) = (r − b)·p / ((b + 1)·(1 − p)), and each tail is
+    summed from its own end, so a small tail keeps its relative precision."""
+    b = np.arange(r + 1)
+    if 0 < p < 1:
+        log_pmf = np.empty(r + 1)
+        log_pmf[0] = r * math.log1p(-p)
+        log_pmf[1:] = np.log((r - b[:-1]) / b[1:]) + (math.log(p) - math.log1p(-p))
+        pmf = np.exp(np.cumsum(log_pmf))
+    else:  # all the mass at 0 or at r
+        pmf = (b == p * r).astype(float)
+    return np.cumsum(pmf), np.cumsum(pmf[::-1])[::-1]
+
+
+def _undecided(r: int, threshold: float, n_looks: int) -> range:
+    """The counts b of r replicates below the observed at which a sample goes
+    on past the look at r: those whose Binomial(r, threshold) tail on the
+    side of b/r is above ``RISK / (2·n_looks)``.  The tail grows toward
+    b/r = threshold, where it holds the median, so they are one range and
+    never empty."""
+    at_most, at_least = _binomial_tails(r, threshold)
+    tail = np.where(np.arange(r + 1) / r > threshold, at_least, at_most)
+    going = np.flatnonzero(tail > RISK / (2 * n_looks))
+    return range(int(going[0]), int(going[-1]) + 1)
 
 
 def _permutation_blocks(n: int, replicates: int, rng_seed: int, rows: int) -> Iterator[np.ndarray]:
     """The replicates' permutations of ``range(n)`` in blocks of at most
-    ``rows``, each a ``k × n`` view of one reused buffer that the next block
-    overwrites.
+    ``rows`` that end at each of ``_looks(replicates)``, each a ``k × n``
+    view of one reused buffer that the next block overwrites.
 
     One generator, ``default_rng(rng_seed)``, shuffles the rows in order, so
     the blocks together equal ``permuted`` on the ``replicates × n`` tile of
     ``arange(n)``: row r depends only on (n, rng_seed, r)."""
     gen = np.random.default_rng(rng_seed)
     buffer = np.empty((min(rows, replicates), n), dtype=np.intp)
-    for start in range(0, replicates, rows):
-        block = buffer[:min(rows, replicates - start)]
-        block[:] = np.arange(n)
-        yield gen.permuted(block, axis=1, out=block)
+    start = 0
+    for end in (*_looks(replicates), replicates):
+        while start < end:
+            block = buffer[:min(rows, end - start)]
+            block[:] = np.arange(n)
+            yield gen.permuted(block, axis=1, out=block)
+            start += len(block)
 
 
 def _cells(sample: IncludedSample) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -124,45 +184,72 @@ def wsd_permutation_tests(
     rng_seed: int = 0,
 ) -> list[dict[str, Any]]:
     """Permutation reference for the weighted squared deviation of each
-    sample, in order: ``observed_wsd``, ``replicates``, ``quantile_rank``,
-    ``flagged``, ``rng_seed`` and ``threshold``.  A sample with fewer than
-    two trees gets ``{"skipped": reason}`` in place of a result; fewer than
-    one replicate or a negative seed raises ``UnrealizableConfig``.
+    sample, in order: ``observed_wsd``, ``replicates`` (the cap),
+    ``replicates_used``, ``quantile_rank``, ``flagged``, ``rng_seed`` and
+    ``threshold``.  A sample with fewer than two trees gets
+    ``{"skipped": reason}`` in place of a result; fewer than one replicate, a
+    negative seed or a threshold outside [0, 1] raises
+    ``UnrealizableConfig``.
 
-    Flagging uses strict exceedance of the threshold quantile: ties between
-    the observed statistic and replicate values never flag.  Deterministic
-    given ``rng_seed``: each included size's replicates are drawn once, in
-    order, from one stream seeded by it, and every sample of that size is
-    evaluated on a block of them before the next block is drawn."""
+    The rank is the share of the ``replicates_used`` replicates whose WSD is
+    strictly below the observed one, and flagging uses strict exceedance of
+    the threshold, so ties never flag.  A sample stops at the first look
+    (64, 128, 256, … replicates below the cap) where its flag is decided
+    within ``RISK``, as the module docstring states; one that never stops
+    uses every replicate.  Deterministic given ``rng_seed``: each included
+    size's replicates are drawn once, in order, from one stream seeded by
+    it, and every running sample of that size is evaluated on a block of
+    them before the next block is drawn; the draw ends when every sample of
+    the size has stopped."""
     if replicates < 1:
         raise UnrealizableConfig(f"replicates must be at least 1, got {replicates}")
     if rng_seed < 0:
         raise UnrealizableConfig(f"rng_seed must be non-negative, got {rng_seed}")
+    if not 0 <= threshold <= 1:
+        raise UnrealizableConfig(f"threshold must be in [0, 1], got {threshold}")
     cases = [_case(sample) for sample in samples]
     # included size -> cell array -> indices of the cases with those cells
     groups: dict[int, dict[bytes, list[int]]] = {}
     for i, case in enumerate(cases):
         if isinstance(case, _Case):
             groups.setdefault(len(case.cell), {}).setdefault(case.cell.tobytes(), []).append(i)
+    looks = _looks(replicates)
+    # look -> the counts below the observed at which a sample goes on
+    undecided = {r: _undecided(r, threshold, len(looks)) for r in looks}
     below = [0] * len(cases)
-    for n, by_cells in groups.items():
-        width = max(n, *(cases[i].all_counts.size for ids in by_cells.values() for i in ids))
+    used = [replicates] * len(cases)
+    for n, running in groups.items():
+        width = max(n, *(cases[i].all_counts.size for ids in running.values() for i in ids))
+        drawn = 0
         for block in _permutation_blocks(n, replicates, rng_seed, max(1, _BLOCK_BYTES // (8 * width))):
-            for ids in by_cells.values():
+            for ids in running.values():
                 landed = cases[ids[0]].cell[block]
                 for i in ids:
                     case = cases[i]
                     wsd = _wsd(landed, case.labels, case.weights, case.all_counts)
                     below[i] += int((wsd < case.observed).sum())
+            drawn += len(block)
+            if drawn in undecided:
+                going = undecided[drawn]
+                for ids in running.values():
+                    for i in ids:
+                        if below[i] not in going:
+                            used[i] = drawn
+                running = {
+                    cells: kept for cells, ids in running.items()
+                    if (kept := [i for i in ids if used[i] > drawn])
+                }
+                if not running:
+                    break
     return [
         case if isinstance(case, dict) else {
             "observed_wsd": float(case.observed),
             "replicates": replicates,
-            "quantile_rank": below[i] / replicates,
-            "flagged": below[i] / replicates > threshold,
+            "replicates_used": used[i],
+            "quantile_rank": below[i] / used[i],
+            "flagged": below[i] / used[i] > threshold,
             "rng_seed": rng_seed,
             "threshold": threshold,
         }
         for i, case in enumerate(cases)
     ]
-

@@ -252,22 +252,28 @@ def test_chunked_statistics_match_one_call(replicates):
     observed = _observed(sample)
     (result,) = wsd_permutation_tests([sample], replicates=replicates, rng_seed=7)
     assert result["observed_wsd"] == observed
-    assert result["quantile_rank"] == (whole < observed).sum() / replicates
+    used = result["replicates_used"]
+    assert result["quantile_rank"] == (whole[:used] < observed).sum() / used
 
 
 def _assert_blocks_equal_one_call(n, replicates, seed):
     # the whole draw as one permuted call on the replicates × n tile
     oracle = np.random.default_rng(seed).permuted(np.tile(np.arange(n), (replicates, 1)), axis=1)
+    ends = [0, *bottleneck._looks(replicates), replicates]
     # one row per block, blocks that do not divide the replicates, one block
     # of more rows than there are replicates
     for rows in (1, 3, replicates, replicates + 5):
         # copied, as the next block overwrites the buffer
         blocks = [block.copy() for block in _permutation_blocks(n, replicates, seed, rows)]
-        assert [len(block) for block in blocks[:-1]] == [rows] * (len(blocks) - 1)
+        # blocks of `rows` rows, cut short at each look and at the cap
+        assert [len(block) for block in blocks] == [
+            min(rows, end - start) for first, end in zip(ends, ends[1:])
+            for start in range(first, end, rows)
+        ]
         assert np.array_equal(np.concatenate(blocks), oracle)
 
 
-@pytest.mark.parametrize("n, replicates, seed", [(1, 3, 0), (7, 40, 3), (990, 5, 12)])
+@pytest.mark.parametrize("n, replicates, seed", [(1, 3, 0), (7, 40, 3), (990, 5, 12), (5, 300, 1)])
 def test_blocks_equal_one_permuted_call(n, replicates, seed):
     _assert_blocks_equal_one_call(n, replicates, seed)
 
@@ -305,6 +311,15 @@ def test_draw_at_large_seeds(seed):
 def test_negative_seed_raises():
     with pytest.raises(UnrealizableConfig, match="rng_seed must be non-negative, got -1"):
         wsd_permutation_tests([_random_sample(20)], replicates=5, rng_seed=-1)
+
+
+@pytest.mark.parametrize("threshold", [float("nan"), 1.5, -0.2, float("inf"), -float("inf")])
+def test_threshold_outside_unit_interval_raises(threshold):
+    # named before any sample is looked at, as for the replicates below
+    one_tree = _sample([1.0, 0.0], [1, 1], [0, 0])
+    for samples in ([_random_sample(20)], [one_tree], []):
+        with pytest.raises(UnrealizableConfig, match=r"threshold must be in \[0, 1\], got "):
+            wsd_permutation_tests(samples, replicates=5, threshold=threshold)
 
 
 @pytest.mark.parametrize("replicates", [0, -3])
@@ -386,7 +401,8 @@ def test_swap_within_cell_keeps_observed_and_rank(seed, n, prevalence):
     perms = _draw(n, 300, seed, 7)
     reference = _wsd(cell[perms], labels, weights, all_counts)
     tied = reference == result["observed_wsd"]
-    assert (reference < swapped["observed_wsd"]).sum() / 300 == result["quantile_rank"]
+    used = result["replicates_used"]
+    assert (reference[:used] < swapped["observed_wsd"]).sum() / used == result["quantile_rank"]
     # every replicate whose cell counts equal the observed's is tied with it
     counts = np.array([np.bincount(cell[row], minlength=all_counts.size) for row in perms[:, labels]])
     same_counts = (counts == np.bincount(cell[labels], minlength=all_counts.size)).all(axis=1)
@@ -439,24 +455,59 @@ def test_batched_equals_single(data):
         assert result == single
 
 
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(0, 10_000), st.integers(6, 60), st.sampled_from([1, 63, 64, 65, 300, 1000]),
+    st.floats(0, 1, exclude_min=True, exclude_max=True), st.floats(0, 1),
+)
+def test_stopped_rank_is_the_oracle_prefix(seed, n, cap, threshold, prevalence):
+    sample = _random_sample(n, n_trees=4, seed=seed, prevalence=prevalence, max_degree=6)
+    (result,) = wsd_permutation_tests([sample], replicates=cap, threshold=threshold, rng_seed=seed)
+    looks = bottleneck._looks(cap)
+    used = result["replicates_used"]
+    assert result["replicates"] == cap
+    assert used in (*looks, cap)
+    # the whole draw as one permuted call on the cap × n tile
+    oracle = np.random.default_rng(seed).permuted(np.tile(np.arange(n), (cap, 1)), axis=1)
+    cell, weights, all_counts = _cells(sample)
+    below = _wsd(cell[oracle], _counted(sample.y), weights, all_counts) < result["observed_wsd"]
+    assert result["quantile_rank"] == below[:used].sum() / used
+    assert result["flagged"] == (below[:used].sum() / used > threshold)
+    # it stops at the first look that decides its count, or runs to the cap
+    # and has the rank of the full draw
+    for r in looks:
+        stops = below[:r].sum() not in bottleneck._undecided(r, threshold, len(looks))
+        assert stops == (r == used)
+        if stops:
+            break
+    else:
+        assert used == cap
+        assert result["quantile_rank"] == below.sum() / cap
+
+
 def test_batched_memory_stays_within_blocks():
     # an R × n draw of 4·R·n bytes would take 80 MB here
     samples = [_random_sample(2000, n_trees=8, seed=s, trait=f"t{s}") for s in range(3)]
-    tracemalloc.start()
-    try:
-        results = wsd_permutation_tests(samples, replicates=10_000, rng_seed=1)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert [r["replicates"] for r in results] == [10_000] * 3
-    assert peak <= 8 * 2**20
+    # with the looks, then with none below the cap, so that all are drawn
+    for first_look in (bottleneck._FIRST_LOOK, 10_000):
+        tracemalloc.start()
+        try:
+            with mock.patch.object(bottleneck, "_FIRST_LOOK", first_look):
+                results = wsd_permutation_tests(samples, replicates=10_000, rng_seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert [r["replicates"] for r in results] == [10_000] * 3
+        assert peak <= 8 * 2**20
+    assert [r["replicates_used"] for r in results] == [10_000] * 3
 
 
 def test_cache_isolation_across_sizes_seeds_and_replicates():
     a, b = _random_sample(60, seed=1), _random_sample(75, seed=2)
+    # caps of at most 64, so that every call uses all its replicates
     calls = [
-        (a, 300, 1), (b, 300, 1), (a, 300, 1),
-        (a, 257, 1), (b, 257, 2), (a, 300, 2), (a, 257, 2), (b, 300, 1),
+        (a, 64, 1), (b, 64, 1), (a, 64, 1),
+        (a, 47, 1), (b, 47, 2), (a, 64, 2), (a, 47, 2), (b, 64, 1),
     ]
     results = [wsd_permutation_tests([s], replicates=r, rng_seed=seed)[0] for s, r, seed in calls]
     for (sample, replicates, seed), result in reversed(list(zip(calls, results))):

@@ -174,6 +174,9 @@ def test_duplicate_trait_gets_the_same_entries(seed):
         entries = both.sections[section]["per_trait"]
         assert "skipped" not in entries["hiv"]
         assert entries["hiv2"] == entries["hiv"] == alone.sections[section]["per_trait"]["hiv"]
+    # the relation covers a permutation test that stopped before its cap
+    assert any(e["replicates_used"] < e["replicates"]
+               for e in both.sections["bottleneck"]["per_trait"].values())
     rows = {row["trait"]: row for row in both.sections["degree"]["sensitivity"]}
     assert "estimate_test" in rows["hiv"]
     assert {**rows["hiv2"], "trait": "hiv"} == rows["hiv"]

@@ -1,7 +1,8 @@
 """The numpy-only numerics of the runtime against scipy as the oracle.
 
-The package computes its rank statistics, its two 1-D roots and its log
-binomial coefficients without scipy; scipy stays a test dependency, and here
+The package computes its rank statistics, its two 1-D roots, its log
+binomial coefficients and the binomial tails of the bottleneck test's stop
+rule without scipy; scipy stays a test dependency, and here
 it checks each replacement on random inputs.
 """
 
@@ -17,6 +18,7 @@ from scipy.optimize import brentq
 from scipy.special import gammaln
 
 from rdsdiag.behavior import _log_pmf_terms, exact_odds_ratio_interval
+from rdsdiag.bottleneck import RISK, _binomial_tails, _looks, _undecided
 from rdsdiag.degree import _average_ranks, _kendall_tau_b, _spearman, _theil_sen
 from rdsdiag.estimators import _bisect, ss_inclusion_weights
 
@@ -160,3 +162,28 @@ def test_log_coefficients_match_gammaln(r1, r2, data):
     # relative to the largest log-factorial in the sum
     scale = max(1.0, float(gammaln(max(r1, r2) + 1)))
     np.testing.assert_allclose(log_coef, ref, rtol=0, atol=1e-12 * scale)
+
+
+@pytest.mark.parametrize("r", [1, 2, 7, 64, 1000, 4096, 10_000])
+@pytest.mark.parametrize("p", [0.0, 1e-3, 0.05, 0.5, 0.9, 0.999, 1.0])
+def test_binomial_tails_match_scipy(r, p):
+    at_most, at_least = _binomial_tails(r, p)
+    b = np.arange(r + 1)
+    # below about 1e-280 a tail is far from any stop bound; compare it absolutely
+    np.testing.assert_allclose(at_most, stats.binom.cdf(b, r, p), rtol=1e-8, atol=1e-280)
+    np.testing.assert_allclose(at_least, stats.binom.sf(b - 1, r, p), rtol=1e-8, atol=1e-280)
+
+
+@pytest.mark.parametrize("cap", [65, 200, 4000, 10_000])
+@pytest.mark.parametrize("threshold", [0.0, 0.05, 0.3, 0.5, 0.9, 0.95, 1.0])
+def test_stop_rule_matches_scipy_tails(cap, threshold):
+    looks = _looks(cap)
+    bound = RISK / (2 * len(looks))
+    for r in looks:
+        b = np.arange(r + 1)
+        tail = np.where(b / r > threshold, stats.binom.sf(b - 1, r, threshold),
+                        stats.binom.cdf(b, r, threshold))
+        going = np.isin(b, _undecided(r, threshold, len(looks)))
+        # a tail within rounding of the bound may fall either way
+        clear = np.abs(tail / bound - 1) > 1e-6
+        assert np.array_equal(going[clear], (tail > bound)[clear])
