@@ -17,7 +17,7 @@ from typing import Any, Iterable, Mapping, Optional
 import numpy as np
 
 from .dataset import StudyDataset
-from .errors import DataRequirementError
+from .errors import DataRequirementError, UnrealizableConfig
 from .estimators import _bisect, _quantile
 
 
@@ -192,7 +192,10 @@ def recruitment_bias_tests(
     Recruiters whose reported draw cannot come from their pool (more
     positives or more negatives than the pool holds, and so any draw larger
     than the pool) are logically inconsistent for that level: they are
-    excluded from the test, and ``inconsistency`` is their share."""
+    excluded from the test, and ``inconsistency`` is their share.  A
+    threshold outside [0, 1] raises ``UnrealizableConfig``."""
+    if not 0 <= threshold <= 1:
+        raise UnrealizableConfig(f"threshold must be in [0, 1], got {threshold}")
     eligible = _bias_eligible(ds)
 
     def run(pool: int, drawn: int) -> dict[str, Any]:

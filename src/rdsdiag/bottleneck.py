@@ -12,22 +12,26 @@ started afresh for each included size: replicate r is the r-th row that
 Row r sends the label at position j to position ``perm[j]``; the inverse of
 a uniform permutation is uniform too, so the rows are used as drawn.
 
-``wsd_permutation_tests`` groups its samples by included size and draws each
-size's replicates once, streamed in blocks through one reused buffer of
-permutations; every sample of that size is evaluated on a block before the
-next is drawn.  Samples with identical cells share one gather of the cells
-the block's labels land in.  A block holds as many rows as keep its largest
-work array (that gather, the buffer itself or a sample's per-cell counts,
-8 bytes an entry) within ``_BLOCK_BYTES``, so memory is O(rows·n) whatever
-the number of replicates.
+``wsd_permutation_tests`` groups its samples by cell array (identical cells
+imply one included size) and draws each group's replicates once, streamed in
+blocks through one reused buffer of permutations; every sample of the group
+is evaluated on a block, through one gather of the cells the block's labels
+land in, before the next is drawn.  Each group starts its size's stream
+afresh, so a size's rows are the same in every group.  A block holds as
+many rows as keep its largest work array (that gather, the buffer itself or
+a sample's per-cell counts, 8 bytes an entry) within ``_BLOCK_BYTES``, so
+memory is O(rows·n) whatever the number of replicates.
 
 The statistic depends on the labels only through the integer counts of the
 counted class in each (tree, degree) cell, and the counted class is the
 smaller one: the WSD of 1 − y equals that of y, so at most n/2 labels are
-followed per replicate.  A replicate's value depends on its own counts
-alone, so neither the block size nor the samples that share a block change
-a rank.  A replicate with the observed cell counts gives the observed
-statistic bit for bit, so such a tie is never counted below it.
+followed per replicate.  At a tie it is the class whose cell counts come
+first, and at equal counts the class of the first position, so y, 1 − y and
+y with two labels of one cell swapped get the same bits.  A replicate's
+value depends on its own counts alone, so neither the block size nor the
+samples that share a block change a rank.  A replicate with the observed
+cell counts gives the observed statistic bit for bit, so such a tie is
+never counted below it.
 
 ``replicates`` is a cap.  A sample is looked at after r = 64, 128, 256, …
 replicates below the cap, K looks in all.  With b of the r replicates below
@@ -37,8 +41,9 @@ over the looks then caps the chance that a stopped sample's flag differs
 from the flag of its exact rank at ``RISK / 2``: a uniformly bounded
 resampling risk in the sense of Gandy (JASA 104, 2009).  The looks depend on
 the cap alone and a stop on the sample's own counts, so no stop depends on
-the block size or on which samples share a size, and a sample that reaches
-the cap gets the rank of the full draw bit for bit.
+the block size or on which samples share a draw, and a sample that reaches
+the cap gets the rank of the full draw bit for bit.  No rank exceeds a
+threshold of 1, so there every sample stops at the first look.
 """
 
 from __future__ import annotations
@@ -92,8 +97,11 @@ def _undecided(r: int, threshold: float, n_looks: int) -> range:
     """The counts b of r replicates below the observed at which a sample goes
     on past the look at r: those whose Binomial(r, threshold) tail on the
     side of b/r is above ``RISK / (2·n_looks)``.  The tail grows toward
-    b/r = threshold, where it holds the median, so they are one range and
-    never empty."""
+    b/r = threshold, where it holds the median, so they are one range.  No
+    rank exceeds a threshold of 1, so there every count is decided and the
+    range is empty."""
+    if threshold == 1:
+        return range(0)
     at_most, at_least = _binomial_tails(r, threshold)
     tail = np.where(np.arange(r + 1) / r > threshold, at_least, at_most)
     going = np.flatnonzero(tail > RISK / (2 * n_looks))
@@ -123,12 +131,13 @@ def _cells(sample: IncludedSample) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Each position's (tree, degree class) cell, each class's inverse
     degree, and the ``trees × classes`` member counts the cells index.
 
-    Trees are numbered as the sample numbers them, by root id, and classes
-    in increasing weight: the statistic sums over them in that order, which
-    fixes its last bits."""
+    Trees are numbered in the order of their first member and classes in
+    increasing weight: the statistic sums over them in that order, which
+    fixes its last bits, so no respondent name reaches them."""
     weights, wclass = np.unique(1.0 / sample.degree, return_inverse=True)
-    shape = (len(sample.roots), len(weights))
-    cell = sample.tree * shape[1] + wclass
+    first = np.unique(sample.tree, return_index=True)[1]
+    shape = (len(first), len(weights))
+    cell = np.argsort(np.argsort(first))[sample.tree] * shape[1] + wclass
     return cell, weights, np.bincount(cell, minlength=shape[0] * shape[1]).reshape(shape)
 
 
@@ -170,9 +179,14 @@ def _case(sample: IncludedSample) -> _Case | dict[str, str]:
     if len(all_counts) < 2:
         reason = f"trait {sample.trait!r}: need at least 2 trees with included members"
         return {"skipped": reason}
-    # y is 0/1 and the WSD of 1 - y equals that of y: count the smaller class
-    positive = sample.y == 1.0
-    labels = np.flatnonzero(positive if 2 * positive.sum() <= len(positive) else ~positive)
+    # y is 0/1 and the WSD of 1 - y equals that of y: count the smaller class;
+    # at a tie the one whose cell counts come first, at equal counts the first
+    # position's, so that y, 1 - y and a swap within a cell count alike
+    counted = sample.y == sample.y[0]
+    mine = np.bincount(cell[counted], minlength=all_counts.size)
+    if (2 * counted.sum(), *mine) > (len(counted), *(all_counts.ravel() - mine)):
+        counted = ~counted
+    labels = np.flatnonzero(counted)
     observed = _wsd(cell[None, :], labels, weights, all_counts)[0]
     return _Case(cell, weights, all_counts, labels, observed)
 
@@ -196,11 +210,12 @@ def wsd_permutation_tests(
     the threshold, so ties never flag.  A sample stops at the first look
     (64, 128, 256, … replicates below the cap) where its flag is decided
     within ``RISK``, as the module docstring states; one that never stops
-    uses every replicate.  Deterministic given ``rng_seed``: each included
-    size's replicates are drawn once, in order, from one stream seeded by
-    it, and every running sample of that size is evaluated on a block of
+    uses every replicate.  Deterministic given ``rng_seed``: the samples
+    with one cell array share one draw, in order, from a stream seeded by
+    it, and every running sample of the group is evaluated on a block of
     them before the next block is drawn; the draw ends when every sample of
-    the size has stopped."""
+    the group has stopped.  A row depends only on (n, ``rng_seed``, r), so
+    samples of one size in different groups see the same rows."""
     if replicates < 1:
         raise UnrealizableConfig(f"replicates must be at least 1, got {replicates}")
     if rng_seed < 0:
@@ -208,37 +223,34 @@ def wsd_permutation_tests(
     if not 0 <= threshold <= 1:
         raise UnrealizableConfig(f"threshold must be in [0, 1], got {threshold}")
     cases = [_case(sample) for sample in samples]
-    # included size -> cell array -> indices of the cases with those cells
-    groups: dict[int, dict[bytes, list[int]]] = {}
+    # cell array -> indices of the cases with those cells
+    groups: dict[bytes, list[int]] = {}
     for i, case in enumerate(cases):
         if isinstance(case, _Case):
-            groups.setdefault(len(case.cell), {}).setdefault(case.cell.tobytes(), []).append(i)
+            groups.setdefault(case.cell.tobytes(), []).append(i)
     looks = _looks(replicates)
     # look -> the counts below the observed at which a sample goes on
     undecided = {r: _undecided(r, threshold, len(looks)) for r in looks}
     below = [0] * len(cases)
     used = [replicates] * len(cases)
-    for n, running in groups.items():
-        width = max(n, *(cases[i].all_counts.size for ids in running.values() for i in ids))
+    for running in groups.values():
+        first = cases[running[0]]
+        # a cell array indexes every cell of its sample, so it fixes their number
+        width = max(len(first.cell), first.all_counts.size)
         drawn = 0
-        for block in _permutation_blocks(n, replicates, rng_seed, max(1, _BLOCK_BYTES // (8 * width))):
-            for ids in running.values():
-                landed = cases[ids[0]].cell[block]
-                for i in ids:
-                    case = cases[i]
-                    wsd = _wsd(landed, case.labels, case.weights, case.all_counts)
-                    below[i] += int((wsd < case.observed).sum())
+        for block in _permutation_blocks(len(first.cell), replicates, rng_seed,
+                                         max(1, _BLOCK_BYTES // (8 * width))):
+            landed = first.cell[block]
+            for i in running:
+                case = cases[i]
+                wsd = _wsd(landed, case.labels, case.weights, case.all_counts)
+                below[i] += int((wsd < case.observed).sum())
             drawn += len(block)
             if drawn in undecided:
-                going = undecided[drawn]
-                for ids in running.values():
-                    for i in ids:
-                        if below[i] not in going:
-                            used[i] = drawn
-                running = {
-                    cells: kept for cells, ids in running.items()
-                    if (kept := [i for i in ids if used[i] > drawn])
-                }
+                for i in running:
+                    if below[i] not in undecided[drawn]:
+                        used[i] = drawn
+                running = [i for i in running if used[i] > drawn]
                 if not running:
                     break
     return [

@@ -26,7 +26,7 @@ from typing import Any, Sequence
 import numpy as np
 
 from .dataset import StudyDataset, reach_inconsistent
-from .errors import DataRequirementError, UnrealizableConfig
+from .errors import DataRequirementError
 from .estimators import (
     DEFAULT_DEGREE_QUESTION,
     IncludedSample,
@@ -276,42 +276,33 @@ def _sign(x: float) -> int:
 
 
 def degree_trend(
-    ds: StudyDataset,
-    method: str,
-    degree_question: str = DEFAULT_DEGREE_QUESTION,
-) -> dict[str, Any]:
-    """Trend of reported degree against interview order under one of
-    ``TREND_METHODS``: its ``method``, ``sign`` and ``statistic``.  The
-    log-linear fit drops zero degrees; another method raises
-    ``UnrealizableConfig``."""
-    if method not in TREND_METHODS:
-        raise UnrealizableConfig(f"unknown trend method {method!r}")
-    xs, ys = [], []
-    for r in ds.respondents:
-        d = r.degree.get(degree_question)
-        if d is None:
-            continue
-        xs.append(float(r.interview_order))
-        ys.append(float(d))
-    if len(xs) < 3:
+    ds: StudyDataset, degree_question: str = DEFAULT_DEGREE_QUESTION
+) -> list[dict[str, Any]]:
+    """Trend of reported degree against interview order: one entry per
+    method of ``TREND_METHODS``, in that order, each its ``method``,
+    ``sign`` and ``statistic``.  The log-linear fit drops zero degrees, and
+    below 3 positive ones its entry is ``{"method": "log-linear",
+    "skipped": reason}``; below 3 answered degrees every fit is short and
+    ``DataRequirementError`` is raised."""
+    pairs = [(r.interview_order, d) for r in ds.respondents
+             if (d := r.degree.get(degree_question)) is not None]
+    if len(pairs) < 3:
         raise DataRequirementError("need >= 3 respondents with degree")
-    x = np.array(xs)
-    y = np.array(ys)
+    x, y = np.array(pairs, dtype=float).T.copy()
     if np.all(y == y[0]):
         # constant degree: every method reports a flat trend, and the rank
         # correlations are undefined
-        return {"method": method, "sign": 0, "statistic": 0.0}
-    if method == "linear":
-        stat = float(np.polyfit(x, y, 1)[0])
-    elif method == "log-linear":
-        mask = y > 0
-        if mask.sum() < 3:
-            raise DataRequirementError("need >= 3 positive degrees for log-linear")
-        stat = float(np.polyfit(x[mask], np.log(y[mask]), 1)[0])
-    elif method == "theil-sen":
-        stat = _theil_sen(x, y)
-    elif method == "kendall-tau":
-        stat = _kendall_tau_b(x, y)
-    else:  # spearman-rho
-        stat = _spearman(x, y)
-    return {"method": method, "sign": _sign(stat), "statistic": stat}
+        return [{"method": m, "sign": 0, "statistic": 0.0} for m in TREND_METHODS]
+    positive = y > 0
+    fits = (
+        float(np.polyfit(x, y, 1)[0]),
+        float(np.polyfit(x[positive], np.log(y[positive]), 1)[0]) if positive.sum() >= 3 else None,
+        _theil_sen(x, y),
+        _kendall_tau_b(x, y),
+        _spearman(x, y),
+    )
+    return [
+        {"method": m, "skipped": "need >= 3 positive degrees for log-linear"} if stat is None
+        else {"method": m, "sign": _sign(stat), "statistic": stat}
+        for m, stat in zip(TREND_METHODS, fits)
+    ]

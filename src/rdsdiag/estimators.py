@@ -37,7 +37,8 @@ class IncludedSample:
     study is ``orders - 1``.  ``y`` is 1.0 for the trait's reference level
     and 0.0 otherwise.  ``roots`` are the roots of the trees with an
     included member, sorted by id, and ``tree`` indexes them: every reader
-    of a trait's trees takes this numbering."""
+    of a trait's trees takes this numbering, but for the order in which the
+    bottleneck statistic sums them."""
 
     trait: str
     roots: tuple[str, ...]

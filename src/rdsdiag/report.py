@@ -493,22 +493,11 @@ def _section_degree(ds, samples, cfg: PipelineConfig) -> dict[str, Any]:
             return next(iter(rows.values()))  # every trait skipped: the first one's reason
         return [r if _ran(r) else {"trait": trait, **r} for trait, r in rows.items()]
 
-    def trend() -> list[Any] | dict[str, Any]:
-        # one fit per method, so that a shortfall (the log-linear fit's
-        # positive degrees) skips only the method that needed the data
-        fits = {
-            m: _attempt(degree.degree_trend, ds, m, cfg.degree_question)
-            for m in degree.TREND_METHODS
-        }
-        if not any(map(_ran, fits.values())):
-            return fits[degree.TREND_METHODS[0]]  # every method skipped: the first reason
-        return [fit if _ran(fit) else {"method": m, **fit} for m, fit in fits.items()]
-
     return {
         "time_windows": _attempt(degree.time_window_stats, ds),
         "test_retest": _attempt(degree.test_retest_stats, ds, cfg.degree_question),
         "sensitivity": sensitivity(),
-        "trend": trend(),
+        "trend": _attempt(degree.degree_trend, ds, cfg.degree_question),
     }
 
 

@@ -337,11 +337,9 @@ def test_criterion_08_rank_statistic_oracles():
             make_respondent(f"x{i}", i + 1, degree=int(v), traits={"hiv": "no"})
             for i, v in enumerate(y)
         ]
-        # zero degrees are fine here: only the rank methods are exercised
+        # zero degrees are fine here: only the rank methods' entries are read
         ds = make_dataset(rows)
-        verdicts = {
-            m: degree_trend(ds, m)["statistic"] for m in ("theil-sen", "kendall-tau", "spearman-rho")
-        }
+        verdicts = {fit["method"]: fit.get("statistic") for fit in degree_trend(ds)}
         theil, tau, rho = _oracle_rank_stats(y)
         worst = max(
             worst,

@@ -24,7 +24,7 @@ from rdsdiag.behavior import (
     recruitment_effectiveness,
 )
 from rdsdiag.dataset import CouponOutcome
-from rdsdiag.errors import DataRequirementError
+from rdsdiag.errors import DataRequirementError, UnrealizableConfig
 from rdsdiag.report import PipelineConfig, diagnose
 
 
@@ -281,6 +281,19 @@ def test_bias_tests_symmetric_null_rank_moderate():
     ds = make_dataset(rows)
     results = recruitment_bias_tests(ds)
     assert 0.2 < results["coupon_passing"]["quantile_rank"] < 0.8
+
+
+@pytest.mark.parametrize("threshold", [float("nan"), 1.5, -0.2, float("inf"), -float("inf")])
+def test_bias_threshold_outside_unit_interval_raises(threshold):
+    # named before any recruiter is read, as the permutation test names it:
+    # the second study has no recruiter with data on all three levels
+    tested = _bias_recruiter("S", 1, q_age=4, n_employed=2, recipients=[True, False],
+                             recruit_coupons=1)
+    recruit = make_respondent("r1", 2, coupon_in="S-c0", degree=2, traits={"hiv": "no"},
+                              employed=True)
+    for rows in ([tested, recruit], [make_respondent("S", 1, degree=3, traits={"hiv": "no"})]):
+        with pytest.raises(UnrealizableConfig, match=r"threshold must be in \[0, 1\], got "):
+            recruitment_bias_tests(make_dataset(rows), threshold=threshold)
 
 
 def _oracle_eligible(ds):

@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_dataset, make_respondent, unit_degree_two_trees
@@ -42,17 +42,20 @@ def _unit_degree_trees(trees):
     return _sample(y, np.ones(len(y)), t)
 
 
-def _counted(y):
-    """Positions of the counted class: the positives unless they are more
-    than half."""
-    y = np.asarray(y)
-    return np.flatnonzero(y == 1.0) if 2 * (y == 1.0).sum() <= len(y) else np.flatnonzero(y == 0.0)
+def _counted(sample):
+    """Positions of the counted class: the smaller class; at a tie the one
+    whose cell counts come first, and at equal counts the first position's."""
+    cell, _, all_counts = _cells(sample)
+    first = sample.y == sample.y[0]
+    keys = [(c.sum(), np.bincount(cell[c], minlength=all_counts.size).tolist())
+            for c in (first, ~first)]
+    return np.flatnonzero(first if keys[0] <= keys[1] else ~first)
 
 
 def _observed(sample):
     """The WSD of the sample's own labels."""
     cell, weights, all_counts = _cells(sample)
-    return _wsd(cell[None, :], _counted(sample.y), weights, all_counts)[0]
+    return _wsd(cell[None, :], _counted(sample), weights, all_counts)[0]
 
 
 def _tree_wsd(trees):
@@ -153,6 +156,8 @@ def test_threshold_one_never_flags():
         [included_sample(ds, "hiv")], replicates=500, threshold=1.0, rng_seed=3
     )
     assert not result["flagged"]
+    # no rank exceeds 1, so the flag is decided at the first look
+    assert result["replicates_used"] == 64
 
 
 def test_determinism_and_seed_sensitivity():
@@ -232,7 +237,7 @@ def _random_sample(n, n_trees=5, seed=0, trait="t", prevalence=0.4, max_degree=3
 def test_chunked_statistics_match_one_call(replicates):
     sample = _random_sample(90, seed=replicates)
     cell, weights, all_counts = _cells(sample)
-    labels = _counted(sample.y)
+    labels = _counted(sample)
     perms = _draw(len(sample), replicates, 7, replicates)
     # replicate r moves the label at position j to position perm[j], so the
     # counted labels land on perm[labels]
@@ -355,8 +360,10 @@ def test_wsd_matches_naive_loop(case):
     perms = [np.arange(n)] + [rng.permutation(n) for _ in range(rows - 1)]
     y_matrix = [y[perm] for perm in perms]
     # position perm[j] of y lands on position j
-    cell, weights, all_counts = _cells(_sample(y, degree, t))
-    got = _wsd(np.array([cell[np.argsort(perm)] for perm in perms]), _counted(y), weights, all_counts)
+    sample = _sample(y, degree, t)
+    cell, weights, all_counts = _cells(sample)
+    got = _wsd(np.array([cell[np.argsort(perm)] for perm in perms]), _counted(sample), weights,
+               all_counts)
     w = [Fraction(1, d) for d in degree]
     for r, labels in enumerate(y_matrix):
         # exact WSD of the 0/1 labels themselves, whichever class is counted
@@ -384,6 +391,7 @@ def _swap_within_a_cell(y, degree, tree):
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 10_000), st.integers(6, 40), st.floats(0.05, 0.95))
+@example(94, 8, 0.375)  # half the labels positive, and the swap moves the first one
 def test_swap_within_cell_keeps_observed_and_rank(seed, n, prevalence):
     sample = _random_sample(n, n_trees=3, seed=seed, prevalence=prevalence, max_degree=4)
     swapped_y = _swap_within_a_cell(sample.y, sample.degree, sample.tree)
@@ -397,7 +405,7 @@ def test_swap_within_cell_keeps_observed_and_rank(seed, n, prevalence):
     # against the same reference the swapped observed ranks the same: a
     # replicate with the observed cell counts is its equal, never below it
     cell, weights, all_counts = _cells(sample)
-    labels = _counted(sample.y)
+    labels = _counted(sample)
     perms = _draw(n, 300, seed, 7)
     reference = _wsd(cell[perms], labels, weights, all_counts)
     tied = reference == result["observed_wsd"]
@@ -411,15 +419,25 @@ def test_swap_within_cell_keeps_observed_and_rank(seed, n, prevalence):
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 10_000), st.integers(4, 60), st.floats(0, 1))
+@example(0, 6, 0.5)  # three of six positive, and the first label negative
 def test_complement_labels_give_the_same_result(seed, n, prevalence):
     sample = _random_sample(n, n_trees=4, seed=seed, prevalence=prevalence)
-    if 2 * sample.y.sum() == n:
-        return
     (result,) = wsd_permutation_tests([sample], replicates=200, rng_seed=seed)
     (flipped,) = wsd_permutation_tests(
         [dataclasses.replace(sample, y=1.0 - sample.y)], replicates=200, rng_seed=seed
     )
     assert flipped == result
+
+
+def test_tree_numbering_reaches_no_result():
+    # renamed roots number the sample's trees otherwise; replicates equal to
+    # the observed in exact arithmetic must rank the same whatever order the
+    # statistic would sum its trees in
+    sample = _random_sample(12, n_trees=4, seed=20, prevalence=0.4, max_degree=3)
+    last = len(sample.roots) - 1
+    renumbered = dataclasses.replace(sample, tree=last - sample.tree, roots=sample.roots[::-1])
+    (result,) = wsd_permutation_tests([sample], replicates=64, rng_seed=20)
+    assert wsd_permutation_tests([renumbered], replicates=64, rng_seed=20) == [result]
 
 
 @settings(max_examples=40, deadline=None)
@@ -470,7 +488,7 @@ def test_stopped_rank_is_the_oracle_prefix(seed, n, cap, threshold, prevalence):
     # the whole draw as one permuted call on the cap × n tile
     oracle = np.random.default_rng(seed).permuted(np.tile(np.arange(n), (cap, 1)), axis=1)
     cell, weights, all_counts = _cells(sample)
-    below = _wsd(cell[oracle], _counted(sample.y), weights, all_counts) < result["observed_wsd"]
+    below = _wsd(cell[oracle], _counted(sample), weights, all_counts) < result["observed_wsd"]
     assert result["quantile_rank"] == below[:used].sum() / used
     assert result["flagged"] == (below[:used].sum() / used > threshold)
     # it stops at the first look that decides its count, or runs to the cap

@@ -323,17 +323,21 @@ def _trend_ds(degrees):
     return _ds(rows)
 
 
+def _fit(degrees, method):
+    """The entry of ``method`` in the one trend call on ``degrees``."""
+    (fit,) = [f for f in degree_trend(_trend_ds(degrees)) if f["method"] == method]
+    return fit
+
+
 def test_trend_decreasing_all_negative():
-    ds = _trend_ds([10, 8, 6, 4, 2])
-    verdicts = [degree_trend(ds, m) for m in TREND_METHODS]
+    verdicts = degree_trend(_trend_ds([10, 8, 6, 4, 2]))
     assert [v["method"] for v in verdicts] == list(TREND_METHODS)
     assert all(v["sign"] == -1 for v in verdicts)
 
 
 def test_trend_constant_all_zero():
-    ds = _trend_ds([5, 5, 5, 5])
-    verdicts = [degree_trend(ds, m) for m in TREND_METHODS]
-    assert all(v["sign"] == 0 for v in verdicts)
+    verdicts = degree_trend(_trend_ds([5, 5, 5, 5]))
+    assert verdicts == [{"method": m, "sign": 0, "statistic": 0.0} for m in TREND_METHODS]
 
 
 def test_trend_linear_matches_polyfit_oracle():
@@ -341,8 +345,7 @@ def test_trend_linear_matches_polyfit_oracle():
     x = np.arange(1, 7, dtype=float)
     y = np.array(degrees, dtype=float)
     slope = float(np.polyfit(x, y, 1)[0])
-    linear = degree_trend(_trend_ds(degrees), "linear")
-    assert linear["statistic"] == pytest.approx(slope, abs=1e-12)
+    assert _fit(degrees, "linear")["statistic"] == pytest.approx(slope, abs=1e-12)
 
 
 def test_trend_theil_sen_median_of_pairwise_slopes():
@@ -353,14 +356,14 @@ def test_trend_theil_sen_median_of_pairwise_slopes():
         for i in range(len(x))
         for j in range(i + 1, len(x))
     ]
-    ts = degree_trend(_trend_ds(degrees), "theil-sen")
+    ts = _fit(degrees, "theil-sen")
     assert ts["statistic"] == pytest.approx(float(np.median(slopes)), abs=1e-12)
 
 
 def test_trend_kendall_matches_concordance_oracle():
     degrees = [4, 7, 2, 9, 9, 3]
     x = list(range(1, 7))
-    kt = degree_trend(_trend_ds(degrees), "kendall-tau")
+    kt = _fit(degrees, "kendall-tau")
     ref = stats.kendalltau(x, degrees).statistic
     assert kt["statistic"] == pytest.approx(float(ref), abs=1e-12)
     # brute concordance count (tau-b with no ties in x)
@@ -382,31 +385,37 @@ def test_trend_kendall_matches_concordance_oracle():
 def test_trend_spearman_invariant_under_monotone_transform():
     degrees = [2, 5, 3, 9, 7, 4]
     cubed = [d**3 for d in degrees]
-    a = degree_trend(_trend_ds(degrees), "spearman-rho")
-    b = degree_trend(_trend_ds(cubed), "spearman-rho")
+    a = _fit(degrees, "spearman-rho")
+    b = _fit(cubed, "spearman-rho")
     assert a["statistic"] == pytest.approx(b["statistic"], abs=1e-12)
 
 
 def test_trend_log_linear_drops_zero_degrees():
-    verdict = degree_trend(_trend_ds([0, 8, 4, 2, 1]), "log-linear")
+    verdict = _fit([0, 8, 4, 2, 1], "log-linear")
     x = np.array([2.0, 3.0, 4.0, 5.0])
     y = np.log(np.array([8.0, 4.0, 2.0, 1.0]))
     assert verdict["statistic"] == pytest.approx(float(np.polyfit(x, y, 1)[0]))
     assert verdict["sign"] == -1
 
 
+def test_trend_log_linear_alone_skips_below_three_positive_degrees():
+    verdicts = degree_trend(_trend_ds([0, 0, 3, 0, 5]))
+    assert verdicts[1] == {
+        "method": "log-linear", "skipped": "need >= 3 positive degrees for log-linear"
+    }
+    assert [v["sign"] for v in verdicts[:1] + verdicts[2:]] == [1, 1, 1, 1]
+
+
 def test_trend_insufficient_data():
-    for method in TREND_METHODS:
-        with pytest.raises(DataRequirementError, match="need >= 3 respondents with degree"):
-            degree_trend(_trend_ds([4, 5]), method)
+    with pytest.raises(DataRequirementError, match="need >= 3 respondents with degree"):
+        degree_trend(_trend_ds([4, 5]))
 
 
-def test_unknown_method_or_question_is_a_config_error():
-    # checked before the data: a constant degree is a flat trend for any method
-    with pytest.raises(UnrealizableConfig, match="unknown trend method 'cubic'"):
-        degree_trend(_trend_ds([5, 5, 5]), "cubic")
+def test_unknown_question_is_a_config_error():
     with pytest.raises(UnrealizableConfig, match="unknown degree question 'q_nope'"):
         DegreeReport().get("q_nope")
+    with pytest.raises(UnrealizableConfig, match="unknown degree question 'q_nope'"):
+        degree_trend(_trend_ds([5, 5, 5]), "q_nope")
 
 
 # -- rank statistics against the n x n outer products ------------------------

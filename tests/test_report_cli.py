@@ -9,7 +9,7 @@ import pytest
 
 from conftest import make_dataset, make_respondent
 from rdsdiag.cli import load_scenario, main
-from rdsdiag.dataset import save_dataset
+from rdsdiag.dataset import load_dataset, save_dataset
 from rdsdiag import estimators
 from rdsdiag.degree import TREND_METHODS
 from rdsdiag.errors import UnrealizableConfig
@@ -373,6 +373,35 @@ def test_cli_report(cli_study, capsys, tmp_path):
     assert "bundle.json" not in payload["files"]  # manifest excludes itself
     bundle = json.loads((out_dir / "bundle.json").read_text())
     assert set(bundle["sections"]) == set(ALL_SECTIONS)
+
+
+@pytest.mark.parametrize("positive_degrees", [None, 2], ids=["as-simulated", "two-positive"])
+def test_cli_section_commands_print_their_report_sections(cli_study, capsys, tmp_path,
+                                                         positive_degrees):
+    # with two positive degrees the trend's log-linear fit alone skips, on the
+    # section command's path as on the report's
+    names = ("respondents.csv", "traits.csv", "followup.csv")
+    ds = load_dataset(*(cli_study / name for name in names))
+    if positive_degrees is not None:
+        rows = tuple(
+            dataclasses.replace(r, degree=dataclasses.replace(r.degree, q_seen_week=0))
+            if i >= positive_degrees else r
+            for i, r in enumerate(ds.respondents)
+        )
+        ds = dataclasses.replace(ds, respondents=rows)
+    study = tmp_path / "study"
+    study.mkdir()
+    save_dataset(ds, *(study / name for name in names))
+    flags = [*_dataset_args(study), "--replicates", "100"]
+    assert main(["report", *flags, "--out-dir", str(tmp_path / "report")]) == 0
+    sections = json.loads((tmp_path / "report" / "bundle.json").read_text())["sections"]
+    skipped = [fit["method"] for fit in sections["degree"]["trend"] if "skipped" in fit]
+    assert skipped == ([] if positive_degrees is None else ["log-linear"])
+    for command in ALL_SECTIONS:
+        capsys.readouterr()
+        assert main([command, *flags, "--out-dir", str(tmp_path / command)]) == 0
+        printed = capsys.readouterr().out
+        assert printed == json.dumps(sections[command], sort_keys=True, indent=2) + "\n"
 
 
 def test_cli_missing_input_exit_code(tmp_path, capsys):

@@ -186,4 +186,5 @@ def test_stop_rule_matches_scipy_tails(cap, threshold):
         going = np.isin(b, _undecided(r, threshold, len(looks)))
         # a tail within rounding of the bound may fall either way
         clear = np.abs(tail / bound - 1) > 1e-6
-        assert np.array_equal(going[clear], (tail > bound)[clear])
+        # no rank exceeds a threshold of 1, so there no count goes on
+        assert np.array_equal(going[clear], (tail > bound)[clear] & (threshold < 1))
